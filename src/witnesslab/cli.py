@@ -141,7 +141,7 @@ def _cmd_witness(args) -> int:
     vec = pauli_vector(rho)
     labels = ("XX", "YY", "ZZ")
     corr = {lab: float(vec[PAULI_LABELS.index(lab)]) for lab in labels}
-    if args.noise > 0.0:
+    if args.noise != 0.0:  # add_noise rejects negative and NaN sigma
         corr = {
             lab: add_noise(v, args.noise, args.seed + k)
             for k, (lab, v) in enumerate(corr.items())
@@ -152,8 +152,7 @@ def _cmd_witness(args) -> int:
     rows = []
     for name in args.witness or []:
         w = bell_witness(_KIND_NAMES[name])
-        value = w.c_i + w.c_x * corr["XX"] + w.c_y * corr["YY"] + w.c_z * corr["ZZ"]
-        rows.append((name, w, value))
+        rows.append((name, w, w.value(corr["XX"], corr["YY"], corr["ZZ"])))
 
     if args.format == "json":
         doc = {

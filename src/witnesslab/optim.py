@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleError, UnboundedError
-from .qmat import TWO_SPIN_LABELS, TWO_SPIN_PAULIS, DensityMatrix, _pt_arr
+from .qmat import TWO_SPIN_LABELS, TWO_SPIN_PAULIS, DensityMatrix, _pt_arr, from_pauli_coords
 from .states import BELL_CORRELATIONS, BellDiagonalParams, BellKind, bell_probabilities
 from .witness import PauliWitness
 
@@ -111,10 +111,6 @@ class RobustnessResult:
     iterations: int
 
 
-def _from_coords(x: np.ndarray) -> np.ndarray:
-    return np.einsum("k,kab->ab", x, TWO_SPIN_PAULIS)
-
-
 def _posdef(h: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(h)
@@ -148,8 +144,8 @@ def generalized_robustness(rho: DensityMatrix, max_iter: int = 400) -> Robustnes
     iterations = 0
     while True:
         for _ in range(80):
-            omega_inv = np.linalg.inv(_from_coords(x))
-            gap_inv = np.linalg.inv(m + _from_coords(_PT_SIGN * x))
+            omega_inv = np.linalg.inv(from_pauli_coords(x))
+            gap_inv = np.linalg.inv(m + from_pauli_coords(_PT_SIGN * x))
             grad = (
                 4.0 * t * _E0
                 - np.real(np.einsum("ab,kba->k", omega_inv, TWO_SPIN_PAULIS))
@@ -177,7 +173,8 @@ def generalized_robustness(rho: DensityMatrix, max_iter: int = 400) -> Robustnes
             alpha = 1.0
             for _ in range(60):
                 trial = x + alpha * step
-                if _posdef(_from_coords(trial)) and _posdef(m + _from_coords(_PT_SIGN * trial)):
+                omega_ok = _posdef(from_pauli_coords(trial))
+                if omega_ok and _posdef(m + from_pauli_coords(_PT_SIGN * trial)):
                     break
                 alpha *= 0.5
             x = x + alpha * step
@@ -187,7 +184,7 @@ def generalized_robustness(rho: DensityMatrix, max_iter: int = 400) -> Robustnes
             break
         t = min(20.0 * t, t_max)
 
-    omega = _from_coords(x)
+    omega = from_pauli_coords(x)
     value = float(np.real(np.trace(omega)))
     certificate = DensityMatrix(omega / value)
     return RobustnessResult(value=value, certificate_state=certificate, iterations=iterations)

@@ -33,12 +33,24 @@ TWO_SPIN_PAULIS = np.stack(
 TWO_SPIN_PAULIS.setflags(write=False)
 
 
+def pauli_coords(m: np.ndarray) -> np.ndarray:
+    """The 16 real coordinates Tr(P_k m) of a 4x4 matrix, in TWO_SPIN_LABELS order."""
+    return np.real(np.einsum("kab,ba->k", TWO_SPIN_PAULIS, m))
+
+
+def from_pauli_coords(x) -> np.ndarray:
+    """sum_k x_k P_k, so from_pauli_coords(pauli_coords(m)) == 4 m for Hermitian m."""
+    return np.einsum("k,kab->ab", x, TWO_SPIN_PAULIS)
+
+
 def _as_operator_array(matrix) -> np.ndarray:
     arr = np.array(matrix, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise StructuralError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] not in (2, 4):
         raise StructuralError(f"only dimensions 2 and 4 are supported, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise StructuralError("matrix has NaN or infinite entries")
     arr.setflags(write=False)
     return arr
 

@@ -17,14 +17,8 @@ import numpy as np
 from .circuits import Gate
 from .config import TOL
 from .errors import DomainError
-from .qmat import (
-    SIGMA_I,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    TWO_SPIN_PAULIS,
-    DensityMatrix,
-)
+from .qmat import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, from_pauli_coords
+from .states import _expectation_coords
 from .witness import CorrelationPair
 
 # detected single-quantum operator on the observed nucleus
@@ -149,12 +143,10 @@ def pauli_tomography(expectations) -> TomographyResult:
     and the spectrum renormalized, which is reported via the projection
     distance (zero when the raw inversion was already physical).
     """
-    e = np.asarray(expectations, dtype=float)
-    if e.shape != (15,):
-        raise DomainError(f"expected 15 expectations, got shape {e.shape}")
-    if np.any(np.abs(e) > 1.0):
+    x = _expectation_coords(expectations)
+    if not np.all(np.abs(x) <= 1.0):
         raise DomainError("expectations must lie in [-1, 1]")
-    raw = (TWO_SPIN_PAULIS[0] + np.einsum("k,kab->ab", e, TWO_SPIN_PAULIS[1:])) / 4.0
+    raw = from_pauli_coords(x) / 4.0
     vals, vecs = np.linalg.eigh(raw)
     if vals[0] >= -TOL.psd_tol:
         return TomographyResult(state=DensityMatrix(raw), projection_distance=0.0)
@@ -167,7 +159,7 @@ def pauli_tomography(expectations) -> TomographyResult:
 
 def add_noise(value: float, sigma: float, seed: int) -> float:
     """Add seeded Gaussian noise and clamp to the correlation range [-1, 1]."""
-    if sigma < 0:
-        raise DomainError("sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise DomainError(f"sigma must be finite and nonnegative, got {sigma}")
     rng = np.random.default_rng(seed)
     return float(np.clip(value + rng.normal(0.0, sigma), -1.0, 1.0))

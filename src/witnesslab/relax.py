@@ -1,5 +1,12 @@
 """Phenomenological T1/T2 relaxation channel and the time-sweep engine that
-tracks how F, the Pauli witness, and generalized robustness decay."""
+tracks how F, the Pauli witness, and generalized robustness decay.
+
+Each spin relaxes through a Pauli channel, I -> I, X -> exp(-t/T2) X,
+Y -> exp(-t/T2) Y, Z -> exp(-t/T1) Z: generalized amplitude damping at
+p = 1/2, which is unital, followed by phase damping (Nielsen & Chuang,
+section 8.3).  On the 16 Pauli coordinates of a two-spin state the channel
+is therefore a diagonal Pauli-transfer map.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qmat import SIGMA_I, SIGMA_Z, DensityMatrix
+from .qmat import DensityMatrix, from_pauli_coords, pauli_coords
 from .optim import generalized_robustness
 from .witness import PauliWitness, eval_witness, f_witness_state
 
@@ -24,8 +31,9 @@ class RelaxationParams:
 
     def __post_init__(self):
         for name in ("t1_i", "t2_i", "t1_s", "t2_s"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+            v = getattr(self, name)
+            if not 0.0 < v < np.inf:
+                raise DomainError(f"{name} = {v} must be positive and finite")
         # complete positivity of the per-spin channel requires T2 <= 2*T1
         if self.t2_i > 2 * self.t1_i + 1e-15:
             raise DomainError(f"t2_i = {self.t2_i} exceeds 2*t1_i = {2 * self.t1_i}")
@@ -60,45 +68,24 @@ class SweepSeries:
             raise DomainError("times must be strictly increasing")
 
 
-def _single_spin_kraus(t: float, t1: float, t2: float) -> list[np.ndarray]:
-    """Kraus set for one spin relaxing toward the maximally mixed state.
-
-    Composition of (a) amplitude damping at rate 1/T1 split evenly between
-    decay and excitation, whose fixed point is 1/2, and (b) extra pure
-    dephasing sized so the net coherence decay rate is exactly 1/T2.
-    """
-    gamma = 1.0 - np.exp(-t / t1)
-    damp = [
-        np.sqrt(0.5) * np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex),
-        np.sqrt(0.5) * np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex),
-        np.sqrt(0.5) * np.array([[np.sqrt(1 - gamma), 0], [0, 1]], dtype=complex),
-        np.sqrt(0.5) * np.array([[0, 0], [np.sqrt(gamma), 0]], dtype=complex),
-    ]
-    # residual dephasing rate 1/T2 - 1/(2 T1) is nonnegative by the T2 <= 2 T1 check
-    d = np.exp(-t * (1.0 / t2 - 0.5 / t1))
-    dephase = [
-        np.sqrt((1 + d) / 2) * SIGMA_I,
-        np.sqrt((1 - d) / 2) * SIGMA_Z,
-    ]
-    return [dk @ kk for dk in dephase for kk in damp]
+def _decay_factors(t: float, t1: float, t2: float) -> np.ndarray:
+    """Factors by which one spin's I, X, Y and Z components shrink in t seconds."""
+    d2 = np.exp(-t / t2)
+    return np.array([1.0, d2, d2, np.exp(-t / t1)])
 
 
 def relax_channel(rho: DensityMatrix, t: float, p: RelaxationParams) -> DensityMatrix:
     """Apply t seconds of independent per-spin relaxation.
 
-    Completely positive and trace preserving for all t >= 0; t = 0 is the
-    identity and t -> infinity sends everything to the maximally mixed state.
+    The Pauli coordinate of P_I x P_S is scaled by f_I(P_I) * f_S(P_S).  The
+    map is completely positive and trace preserving for all t >= 0 because
+    T2 <= 2*T1 on each spin; t = 0 is the identity and t -> infinity sends
+    everything to the maximally mixed state.
     """
-    if t < 0:
-        raise DomainError("time must be nonnegative")
-    out = rho.matrix
-    for kraus, left in (
-        (_single_spin_kraus(t, p.t1_i, p.t2_i), True),
-        (_single_spin_kraus(t, p.t1_s, p.t2_s), False),
-    ):
-        ops = [np.kron(k, SIGMA_I) if left else np.kron(SIGMA_I, k) for k in kraus]
-        out = sum(op @ out @ op.conj().T for op in ops)
-    return DensityMatrix(out)
+    if not 0.0 <= t < np.inf:
+        raise DomainError(f"time must be finite and nonnegative, got {t}")
+    scale = np.outer(_decay_factors(t, p.t1_i, p.t2_i), _decay_factors(t, p.t1_s, p.t2_s))
+    return DensityMatrix(from_pauli_coords(scale.ravel() * pauli_coords(rho.matrix)) / 4.0)
 
 
 def _fit_decay_time(times: np.ndarray, values: np.ndarray) -> float | None:
@@ -133,6 +120,8 @@ def sweep(
     """
     if steps < 2:
         raise DomainError("steps must be at least 2")
+    if not 0.0 < t_max < np.inf:
+        raise DomainError(f"t_max = {t_max} must be positive and finite")
     times = np.linspace(0.0, t_max, steps)
     f_vals = np.empty(steps)
     w_vals = np.empty(steps)

@@ -8,16 +8,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .qmat import (
-    TWO_SPIN_LABELS,
-    TWO_SPIN_PAULIS,
-    DensityMatrix,
-    HermitianOp,
-    partial_trace,
-)
+from .qmat import TWO_SPIN_LABELS, DensityMatrix, from_pauli_coords, pauli_coords
 
 # non-identity Pauli strings, the order used by pauli_vector and tomography
 PAULI_LABELS = TWO_SPIN_LABELS[1:]
+# Pauli coordinates spanned by the Bell-diagonal family: II, XX, YY, ZZ
+_BD_COORDS = [TWO_SPIN_LABELS.index(lab) for lab in ("II", "XX", "YY", "ZZ")]
 
 
 class BellKind(Enum):
@@ -45,13 +41,11 @@ BELL_CORRELATIONS = {
 
 # order of the weights returned by bell_probabilities
 BELL_ORDER = (BellKind.PHI_PLUS, BellKind.PSI_PLUS, BellKind.PHI_MINUS, BellKind.PSI_MINUS)
+_BELL_SIGNS = tuple(BELL_CORRELATIONS[k] for k in BELL_ORDER)
 
 
 def _bd_weights(c1: float, c2: float, c3: float) -> tuple[float, float, float, float]:
-    return tuple(
-        (1.0 + c1 * s1 + c2 * s2 + c3 * s3) / 4.0
-        for (s1, s2, s3) in (BELL_CORRELATIONS[k] for k in BELL_ORDER)
-    )
+    return tuple([(1.0 + c1 * s1 + c2 * s2 + c3 * s3) / 4.0 for (s1, s2, s3) in _BELL_SIGNS])
 
 
 @dataclass(frozen=True)
@@ -101,13 +95,14 @@ def bell_state(kind: BellKind) -> DensityMatrix:
 
 def bell_diagonal(params: BellDiagonalParams) -> DensityMatrix:
     """rho = (1/4)(1 + c1 XX + c2 YY + c3 ZZ), so that <sigma_i sigma_i> = c_i."""
-    rho = 0.25 * (
-        TWO_SPIN_PAULIS[0]
-        + params.c1 * TWO_SPIN_PAULIS[TWO_SPIN_LABELS.index("XX")]
-        + params.c2 * TWO_SPIN_PAULIS[TWO_SPIN_LABELS.index("YY")]
-        + params.c3 * TWO_SPIN_PAULIS[TWO_SPIN_LABELS.index("ZZ")]
-    )
-    return DensityMatrix(rho)
+    return DensityMatrix(0.25 * _bd_operator(1.0, params.c1, params.c2, params.c3))
+
+
+def _bd_operator(c_i: float, c1: float, c2: float, c3: float) -> np.ndarray:
+    """c_i*1 + c1*XX + c2*YY + c3*ZZ, an operator diagonal in the Bell basis."""
+    x = np.zeros(16)
+    x[_BD_COORDS] = (c_i, c1, c2, c3)
+    return from_pauli_coords(x)
 
 
 def bell_probabilities(params: BellDiagonalParams) -> tuple[float, float, float, float]:
@@ -117,7 +112,12 @@ def bell_probabilities(params: BellDiagonalParams) -> tuple[float, float, float,
 
 def is_separable_bd(params: BellDiagonalParams) -> bool:
     """Octahedron test: a physical Bell-diagonal state is separable iff |c|_1 <= 1."""
-    return abs(params.c1) + abs(params.c2) + abs(params.c3) <= 1.0 + 1e-12
+    return _in_octahedron(params.c1, params.c2, params.c3)
+
+
+def _in_octahedron(c1: float, c2: float, c3: float) -> bool:
+    """|c|_1 <= 1, boundary included (the separable set is closed)."""
+    return abs(c1) + abs(c2) + abs(c3) <= 1.0 + 1e-12
 
 
 def thermal_state(params: ThermalParams) -> DensityMatrix:
@@ -139,7 +139,15 @@ def pauli_vector(rho: DensityMatrix) -> np.ndarray:
     """Expectations of the 15 non-identity Pauli strings, in PAULI_LABELS order."""
     if rho.dim != 4:
         raise DomainError("pauli_vector needs a two-spin state")
-    return np.real(np.einsum("kab,ba->k", TWO_SPIN_PAULIS[1:], rho.matrix))
+    return pauli_coords(rho.matrix)[1:]
+
+
+def _expectation_coords(expectations) -> np.ndarray:
+    """Pauli coordinates (1, e_1, ..., e_15) of a vector of 15 expectations."""
+    e = np.asarray(expectations, dtype=float)
+    if e.shape != (15,):
+        raise DomainError(f"expected 15 expectations, got shape {e.shape}")
+    return np.concatenate(([1.0], e))
 
 
 def from_pauli_vector(expectations) -> DensityMatrix:
@@ -148,13 +156,4 @@ def from_pauli_vector(expectations) -> DensityMatrix:
     Raises if the reconstructed matrix is not a valid state; use
     ``readout.pauli_tomography`` for noisy data that may need projection.
     """
-    e = np.asarray(expectations, dtype=float)
-    if e.shape != (15,):
-        raise DomainError(f"expected 15 expectations, got shape {e.shape}")
-    rho = (TWO_SPIN_PAULIS[0] + np.einsum("k,kab->ab", e, TWO_SPIN_PAULIS[1:])) / 4.0
-    return DensityMatrix(rho)
-
-
-def reduced_states(rho: DensityMatrix) -> tuple[HermitianOp, HermitianOp]:
-    """Both single-spin marginals (spin I, spin S)."""
-    return partial_trace(rho, keep="I"), partial_trace(rho, keep="S")
+    return DensityMatrix(from_pauli_coords(_expectation_coords(expectations)) / 4.0)

@@ -12,18 +12,15 @@ import numpy as np
 from .config import TOL
 from .errors import DomainError
 from .qmat import (
-    TWO_SPIN_LABELS,
     TWO_SPIN_PAULIS,
     DensityMatrix,
     HermitianOp,
     _expectation_raw,
     _pt_arr,
 )
-from .states import BELL_CORRELATIONS, BELL_ORDER, BellKind, _bd_weights
+from .states import _BD_COORDS, BellKind, _bd_operator, _bd_weights, _in_octahedron
 
-_XX = TWO_SPIN_PAULIS[TWO_SPIN_LABELS.index("XX")]
-_YY = TWO_SPIN_PAULIS[TWO_SPIN_LABELS.index("YY")]
-_ZZ = TWO_SPIN_PAULIS[TWO_SPIN_LABELS.index("ZZ")]
+_XX, _YY, _ZZ = TWO_SPIN_PAULIS[_BD_COORDS[1:]]
 
 
 @dataclass(frozen=True)
@@ -37,6 +34,10 @@ class PauliWitness:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.c_i, self.c_x, self.c_y, self.c_z)
+
+    def value(self, xx: float, yy: float, zz: float) -> float:
+        """c_i + c_x*xx + c_y*yy + c_z*zz for the correlations <XX>, <YY>, <ZZ>."""
+        return self.c_i + self.c_x * xx + self.c_y * yy + self.c_z * zz
 
 
 @dataclass(frozen=True)
@@ -74,21 +75,7 @@ def f_witness_state(rho: DensityMatrix) -> float:
 
 def witness_matrix(w: PauliWitness) -> HermitianOp:
     """Assemble the 4x4 operator from the four coefficients."""
-    return HermitianOp(
-        w.c_i * TWO_SPIN_PAULIS[0] + w.c_x * _XX + w.c_y * _YY + w.c_z * _ZZ
-    )
-
-
-def witness_eigenvalues(w: PauliWitness) -> tuple[float, float, float, float]:
-    """Eigenvalues of the assembled witness in BELL_ORDER.
-
-    XX, YY and ZZ are all diagonal in the Bell basis, so the eigenvalue on
-    Bell state B is c_i + c.s_B with s_B the correlation triple of B.
-    """
-    return tuple(
-        w.c_i + w.c_x * s1 + w.c_y * s2 + w.c_z * s3
-        for (s1, s2, s3) in (BELL_CORRELATIONS[k] for k in BELL_ORDER)
-    )
+    return HermitianOp(_bd_operator(*w.as_tuple()))
 
 
 def witness_is_valid(w: PauliWitness) -> bool:
@@ -104,11 +91,10 @@ def eval_witness(w: PauliWitness, rho: DensityMatrix) -> float:
 
     A negative value certifies entanglement provided the witness is valid.
     """
-    return (
-        w.c_i
-        + w.c_x * _expectation_raw(rho.matrix, _XX)
-        + w.c_y * _expectation_raw(rho.matrix, _YY)
-        + w.c_z * _expectation_raw(rho.matrix, _ZZ)
+    return w.value(
+        _expectation_raw(rho.matrix, _XX),
+        _expectation_raw(rho.matrix, _YY),
+        _expectation_raw(rho.matrix, _ZZ),
     )
 
 
@@ -134,7 +120,11 @@ def f_detects_bd(params) -> bool:
     F sees only c1 (via <XX>) and c3 (via <ZZ>), so detection means
     (1 + |c1|)(1 + |c3|) > 2, strictly.
     """
-    return (1.0 + abs(params.c1)) * (1.0 + abs(params.c3)) > 2.0
+    return _f_detects(params.c1, params.c3)
+
+
+def _f_detects(c1: float, c3: float) -> bool:
+    return (1.0 + abs(c1)) * (1.0 + abs(c3)) > 2.0
 
 
 def classify_bd(c) -> BDClass:
@@ -146,9 +136,9 @@ def classify_bd(c) -> BDClass:
     c1, c2, c3 = (float(v) for v in c)
     if min(_bd_weights(c1, c2, c3)) < -1e-9:
         return BDClass.UNPHYSICAL
-    if abs(c1) + abs(c2) + abs(c3) <= 1.0 + 1e-12:
+    if _in_octahedron(c1, c2, c3):
         return BDClass.SEPARABLE
-    if (1.0 + abs(c1)) * (1.0 + abs(c3)) > 2.0:
+    if _f_detects(c1, c3):
         return BDClass.ENTANGLED_DETECTED_BY_F
     return BDClass.ENTANGLED_UNDETECTED_BY_F
 

@@ -325,3 +325,24 @@ def test_more_domain_and_usage_edges(capsys):
     assert run(capsys, "detect-region", "1")[0] == 3
     assert run(capsys, "relax-sweep", "--steps", "1")[0] == 3
     assert run(capsys, "relax-sweep", "--t1i", "0.01", "--t2i", "0.31")[0] == 3
+
+
+def test_non_finite_relaxation_inputs_are_domain_errors(capsys):
+    for argv in (
+        ("relax-sweep", "--tmax", "nan"),
+        ("relax-sweep", "--tmax", "inf"),
+        ("relax-sweep", "--t1i", "nan"),
+        ("relax-sweep", "--t2s", "inf"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "domain error" in err and "Traceback" not in err
+
+
+def test_witness_rejects_nan_and_negative_noise(capsys):
+    for sigma in ("nan", "-1", "inf"):
+        code, out, err = run(capsys, "witness", "--state", "bell:phi-", "--noise", sigma)
+        assert code == 3, sigma
+        assert out == ""
+        assert "sigma" in err

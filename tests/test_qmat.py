@@ -18,7 +18,16 @@ from witnesslab import (
     bell_state,
     BellKind,
 )
-from witnesslab.qmat import SIGMA_I, SIGMA_X, SIGMA_Z, _expectation_raw
+from witnesslab.qmat import (
+    SIGMA_I,
+    SIGMA_X,
+    SIGMA_Z,
+    TWO_SPIN_LABELS,
+    TWO_SPIN_PAULIS,
+    _expectation_raw,
+    from_pauli_coords,
+    pauli_coords,
+)
 
 
 def op(m):
@@ -265,3 +274,35 @@ def test_fidelity_is_symmetric():
     for _ in range(20):
         a, b = random_density_matrix(rng), random_density_matrix(rng)
         assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-10
+
+
+def test_hermitian_op_rejects_non_finite_entries():
+    with pytest.raises(StructuralError):
+        HermitianOp(np.full((4, 4), np.nan))
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 1] = bad
+        with pytest.raises(StructuralError):
+            HermitianOp(m)
+        with pytest.raises(StructuralError):
+            DensityMatrix(m)
+
+
+# ---------------------------------------------------------------------------
+# Pauli coordinates
+# ---------------------------------------------------------------------------
+
+def test_pauli_coords_round_trip():
+    rng = np.random.default_rng(211)
+    for _ in range(50):
+        m = random_hermitian(rng).matrix
+        x = pauli_coords(m)
+        assert x.shape == (16,) and x.dtype == np.float64
+        assert np.max(np.abs(from_pauli_coords(x) - 4 * m)) < 1e-12
+
+
+def test_pauli_coords_order_follows_labels():
+    for k, lab in enumerate(TWO_SPIN_LABELS):
+        x = pauli_coords(TWO_SPIN_PAULIS[k])
+        assert np.array_equal(x, 4.0 * np.eye(16)[k]), lab
+    assert TWO_SPIN_LABELS[0] == "II"

@@ -220,3 +220,16 @@ def test_noise_clamps_to_correlation_range():
 def test_noise_rejects_negative_sigma():
     with pytest.raises(DomainError):
         add_noise(0.0, -0.1, seed=0)
+
+
+def test_noise_rejects_non_finite_sigma():
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            add_noise(0.0, sigma, seed=0)
+
+
+def test_tomography_rejects_nan_expectations():
+    e = np.zeros(15)
+    e[4] = np.nan
+    with pytest.raises(DomainError):
+        pauli_tomography(e)

@@ -109,6 +109,38 @@ def test_semigroup_property():
         assert np.max(np.abs(chained.matrix - direct.matrix)) < 1e-9
 
 
+def test_channel_matches_oracle_on_random_parameters():
+    # distinct T1 and T2 on the two spins, a third of the draws on the
+    # boundary T2 = 2*T1 of spin I and another third on that of spin S
+    rng = np.random.default_rng(109)
+    for k in range(60):
+        t1_i, t1_s = rng.uniform(0.05, 20.0, 2)
+        r_i, r_s = rng.uniform(0.01, 1.0, 2)
+        if k % 3 == 0:
+            r_i = 1.0
+        elif k % 3 == 1:
+            r_s = 1.0
+        p = RelaxationParams(t1_i=t1_i, t2_i=2 * r_i * t1_i, t1_s=t1_s, t2_s=2 * r_s * t1_s)
+        t = rng.exponential(max(p.t2_i, p.t2_s))
+        rho = random_density_matrix(rng)
+        got = relax_channel(rho, t, p).matrix
+        want = apply_oracle(rho, t, p)
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_non_finite_times_rejected():
+    rho = bell_state(BellKind.PHI_MINUS)
+    w = bell_witness(BellKind.PHI_MINUS)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            relax_channel(rho, bad, PAPER_T2)
+        with pytest.raises(DomainError):
+            sweep(rho, PAPER_T2, w, t_max=bad, steps=5)
+        for name in ("t1_i", "t2_i", "t1_s", "t2_s"):
+            with pytest.raises(DomainError):
+                RelaxationParams(**{name: bad})
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
