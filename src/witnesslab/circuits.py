@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .qmat import SIGMA_I, SIGMA_X, SIGMA_Z, DensityMatrix, _expectation_raw
+from .qmat import SIGMA_I, SIGMA_X, SIGMA_Z, TWO_SPIN_LABELS, DensityMatrix, pauli_coords
 from .states import BellKind, ThermalParams, _BELL_VECTORS, thermal_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -100,8 +100,8 @@ def superdense_run(thermal: ThermalParams, m: Message) -> SuperdenseResult:
     rho_f = DensityMatrix(
         epr.unitary.conj().T @ encoded.matrix @ epr.unitary
     )
-    mz_i = _expectation_raw(rho_f.matrix, np.kron(SIGMA_Z, SIGMA_I))
-    mz_s = _expectation_raw(rho_f.matrix, np.kron(SIGMA_I, SIGMA_Z))
+    coords = pauli_coords(rho_f.matrix)
+    mz_i, mz_s = (float(coords[TWO_SPIN_LABELS.index(lab)]) for lab in ("ZI", "IZ"))
     return SuperdenseResult(rho1=rho1, rho_f=rho_f, mz_i=mz_i, mz_s=mz_s)
 
 

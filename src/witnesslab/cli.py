@@ -23,17 +23,11 @@ from .optim import generalized_robustness, optimal_witness
 from .qmat import DensityMatrix, _pt_arr
 from .readout import add_noise
 from .relax import RelaxationParams, sweep
-from .states import (
-    PAULI_LABELS,
-    BellDiagonalParams,
-    BellKind,
-    ThermalParams,
-    bell_diagonal,
-    bell_state,
-    pauli_vector,
-)
+from .states import BellDiagonalParams, BellKind, ThermalParams, bell_diagonal, bell_state
 from .witness import (
+    _MAX_RESOLUTION,
     CorrelationPair,
+    _correlations,
     bell_witness,
     detection_region_grid,
     eval_witness,
@@ -137,10 +131,8 @@ def _emit_json(doc: dict, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_witness(args) -> int:
-    rho = parse_state_spec(args.state)
-    vec = pauli_vector(rho)
     labels = ("XX", "YY", "ZZ")
-    corr = {lab: float(vec[PAULI_LABELS.index(lab)]) for lab in labels}
+    corr = dict(zip(labels, _correlations(parse_state_spec(args.state))))
     if args.noise != 0.0:  # add_noise rejects negative and NaN sigma
         corr = {
             lab: add_noise(v, args.noise, args.seed + k)
@@ -454,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_relax_sweep)
 
     p = subs.add_parser("detect-region", help="classify a grid of correlation triples")
-    p.add_argument("resolution", type=int, help="grid points per axis (>= 2)")
+    p.add_argument("resolution", type=int, help=f"grid points per axis (2 to {_MAX_RESOLUTION})")
     _add_common(p, default_format="csv")
     p.set_defaults(func=_cmd_detect_region)
 
@@ -469,10 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     env_tol = os.environ.get("WITNESSLAB_TOL")
+    psd_tol = TOL.psd_tol
     if env_tol is not None:
         try:
-            TOL.psd_tol = float(env_tol)
+            psd_tol = float(env_tol)
         except ValueError:
+            psd_tol = np.nan
+        if not 0.0 <= psd_tol < np.inf:
             print(f"witnesslab: bad WITNESSLAB_TOL value {env_tol!r}", file=sys.stderr)
             return 2
     parser = build_parser()
@@ -481,6 +476,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse already printed usage; normalize --help's exit code 0
         return int(exc.code or 0)
+    # the tolerance holds for this call only
+    saved_tol, TOL.psd_tol = TOL.psd_tol, psd_tol
     try:
         return args.func(args)
     except _UsageError as exc:
@@ -497,6 +494,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 4
+    finally:
+        TOL.psd_tol = saved_tol
 
 
 if __name__ == "__main__":

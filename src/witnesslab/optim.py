@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleError, UnboundedError
 from .qmat import TWO_SPIN_LABELS, TWO_SPIN_PAULIS, DensityMatrix, _pt_arr, from_pauli_coords
-from .states import BELL_CORRELATIONS, BellDiagonalParams, BellKind, bell_probabilities
+from .states import _BELL_SIGNS, BELL_ORDER, BellDiagonalParams, BellKind, bell_probabilities
 from .witness import PauliWitness
 
 # sign picked up by each Pauli string under partial transpose on spin I
@@ -82,11 +82,10 @@ def optimal_witness(kind: BellKind) -> PauliWitness:
     (c_i, c_x, c_y, c_z).  The objective, the witness eigenvalue on the target
     Bell state, reaches -1 at a unique vertex.
     """
-    triples = [BELL_CORRELATIONS[k] for k in BellKind]
-    rows_w = np.array([[1.0, s1, s2, s3] for (s1, s2, s3) in triples])
+    rows_w = np.column_stack([np.ones(4), _BELL_SIGNS])  # W's eigenvalue on each Bell state
     rows_pt = rows_w * np.array([1.0, 1.0, -1.0, 1.0])  # PT flips the YY term
     lp = LinearProgram(
-        objective=np.array([1.0, *BELL_CORRELATIONS[kind]]),
+        objective=rows_w[BELL_ORDER.index(kind)],
         a_ub=np.vstack([rows_w, -rows_pt]),
         b_ub=np.concatenate([np.ones(4), np.zeros(4)]),
     )

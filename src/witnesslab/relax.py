@@ -82,6 +82,8 @@ def relax_channel(rho: DensityMatrix, t: float, p: RelaxationParams) -> DensityM
     T2 <= 2*T1 on each spin; t = 0 is the identity and t -> infinity sends
     everything to the maximally mixed state.
     """
+    if rho.dim != 4:
+        raise DomainError("relax_channel needs a two-spin state")
     if not 0.0 <= t < np.inf:
         raise DomainError(f"time must be finite and nonnegative, got {t}")
     scale = np.outer(_decay_factors(t, p.t1_i, p.t2_i), _decay_factors(t, p.t1_s, p.t2_s))

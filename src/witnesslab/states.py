@@ -41,11 +41,28 @@ BELL_CORRELATIONS = {
 
 # order of the weights returned by bell_probabilities
 BELL_ORDER = (BellKind.PHI_PLUS, BellKind.PSI_PLUS, BellKind.PHI_MINUS, BellKind.PSI_MINUS)
-_BELL_SIGNS = tuple(BELL_CORRELATIONS[k] for k in BELL_ORDER)
+# row k: the signs s_k of XX, YY, ZZ on the k-th Bell state of BELL_ORDER
+_BELL_SIGNS = np.array([BELL_CORRELATIONS[k] for k in BELL_ORDER])
 
 
-def _bd_weights(c1: float, c2: float, c3: float) -> tuple[float, float, float, float]:
-    return tuple([(1.0 + c1 * s1 + c2 * s2 + c3 * s3) / 4.0 for (s1, s2, s3) in _BELL_SIGNS])
+def _bell_spectrum(c_i, c1, c2, c3) -> np.ndarray:
+    """Eigenvalues c_i + c.s_k of c_i*1 + c1*XX + c2*YY + c3*ZZ, in BELL_ORDER.
+
+    Elementwise: arguments broadcast and the eigenvalues lie along a new last axis.
+    """
+    c_i, c1, c2, c3 = (np.asarray(v, dtype=float)[..., None] for v in (c_i, c1, c2, c3))
+    s1, s2, s3 = _BELL_SIGNS.T
+    return ((c_i + c1 * s1) + c2 * s2) + c3 * s3
+
+
+def _bd_weights(c1, c2, c3) -> np.ndarray:
+    """Bell-basis weights (1 + c.s_k)/4 of the correlation triple(s)."""
+    return _bell_spectrum(1.0, c1, c2, c3) / 4.0
+
+
+def _is_physical(c1, c2, c3):
+    """True where no Bell weight is negative beyond rounding, elementwise."""
+    return _bd_weights(c1, c2, c3).min(axis=-1) >= -1e-9
 
 
 @dataclass(frozen=True)
@@ -66,12 +83,11 @@ class BellDiagonalParams:
             v = getattr(self, name)
             if not -1.0 <= v <= 1.0:
                 raise DomainError(f"{name} = {v} outside [-1, 1]")
-        weights = _bd_weights(self.c1, self.c2, self.c3)
-        for kind, w in zip(BELL_ORDER, weights):
-            if w < -1e-9:
-                raise DomainError(
-                    f"unphysical correlation triple: weight on {kind.value} is {w:.3e}"
-                )
+        if not _is_physical(self.c1, self.c2, self.c3):
+            weights = _bd_weights(self.c1, self.c2, self.c3)
+            k = int(np.argmin(weights))
+            w = f"weight on {BELL_ORDER[k].value} is {weights[k]:.3e}"
+            raise DomainError(f"unphysical correlation triple: {w}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +123,7 @@ def _bd_operator(c_i: float, c1: float, c2: float, c3: float) -> np.ndarray:
 
 def bell_probabilities(params: BellDiagonalParams) -> tuple[float, float, float, float]:
     """Bell-basis weights (phi+, psi+, phi-, psi-) of the Bell-diagonal state."""
-    return _bd_weights(params.c1, params.c2, params.c3)
+    return tuple(_bd_weights(params.c1, params.c2, params.c3).tolist())
 
 
 def is_separable_bd(params: BellDiagonalParams) -> bool:

@@ -4,6 +4,7 @@ classifier."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -11,16 +12,12 @@ import numpy as np
 
 from .config import TOL
 from .errors import DomainError
-from .qmat import (
-    TWO_SPIN_PAULIS,
-    DensityMatrix,
-    HermitianOp,
-    _expectation_raw,
-    _pt_arr,
-)
-from .states import _BD_COORDS, BellKind, _bd_operator, _bd_weights, _in_octahedron
+from .qmat import DensityMatrix, HermitianOp, pauli_coords
+from .states import _BD_COORDS, BELL_CORRELATIONS, BellKind, _bd_operator, _bell_spectrum
+from .states import _in_octahedron, _is_physical
 
-_XX, _YY, _ZZ = TWO_SPIN_PAULIS[_BD_COORDS[1:]]
+# largest detection_region_grid resolution: 101^3 is about a million points
+_MAX_RESOLUTION = 101
 
 
 @dataclass(frozen=True)
@@ -65,10 +62,16 @@ def f_witness(corr: CorrelationPair) -> float:
     return 0.5 - 0.25 * (1.0 + abs(corr.w1)) * (1.0 + abs(corr.w2))
 
 
+def _correlations(rho: DensityMatrix) -> tuple[float, float, float]:
+    """(<XX>, <YY>, <ZZ>) of a two-spin state, read off its Pauli coordinates."""
+    if rho.dim != 4:
+        raise DomainError("correlations need a two-spin state")
+    return tuple(pauli_coords(rho.matrix)[_BD_COORDS[1:]].tolist())
+
+
 def f_witness_state(rho: DensityMatrix) -> float:
     """Evaluate F on a state via its XX and ZZ correlations."""
-    w1 = _expectation_raw(rho.matrix, _XX)
-    w2 = _expectation_raw(rho.matrix, _ZZ)
+    w1, _, w2 = _correlations(rho)
     # clip rounding spill so the CorrelationPair range check stays meaningful
     return f_witness(CorrelationPair(np.clip(w1, -1, 1), np.clip(w2, -1, 1)))
 
@@ -80,10 +83,10 @@ def witness_matrix(w: PauliWitness) -> HermitianOp:
 
 def witness_is_valid(w: PauliWitness) -> bool:
     """True iff the witness is PSD after partial transpose and bounded by 1."""
-    mat = witness_matrix(w).matrix
-    pt_min = float(np.linalg.eigvalsh(_pt_arr(mat, "I"))[0])
-    w_max = float(np.linalg.eigvalsh(mat)[-1])
-    return pt_min >= -TOL.psd_tol and w_max <= 1.0 + TOL.psd_tol
+    # both are diagonal in the Bell basis; transposing spin I flips the YY term
+    pt_min = _bell_spectrum(w.c_i, w.c_x, -w.c_y, w.c_z).min()
+    w_max = _bell_spectrum(w.c_i, w.c_x, w.c_y, w.c_z).max()
+    return bool(pt_min >= -TOL.psd_tol and w_max <= 1.0 + TOL.psd_tol)
 
 
 def eval_witness(w: PauliWitness, rho: DensityMatrix) -> float:
@@ -91,27 +94,12 @@ def eval_witness(w: PauliWitness, rho: DensityMatrix) -> float:
 
     A negative value certifies entanglement provided the witness is valid.
     """
-    return w.value(
-        _expectation_raw(rho.matrix, _XX),
-        _expectation_raw(rho.matrix, _YY),
-        _expectation_raw(rho.matrix, _ZZ),
-    )
-
-
-# Optimal diagonal-Pauli witness for each Bell state: eigenvalue -1 on the
-# target, +1 on the other three.  optim.optimal_witness recovers these rows
-# from first principles; this table is the closed form.
-_BELL_WITNESS_ROWS = {
-    BellKind.PHI_PLUS: (0.5, -0.5, 0.5, -0.5),
-    BellKind.PSI_PLUS: (0.5, -0.5, -0.5, 0.5),
-    BellKind.PHI_MINUS: (0.5, 0.5, -0.5, -0.5),
-    BellKind.PSI_MINUS: (0.5, 0.5, 0.5, 0.5),
-}
+    return w.value(*_correlations(rho))
 
 
 def bell_witness(kind: BellKind) -> PauliWitness:
-    """The optimal diagonal-Pauli witness targeting the given Bell state."""
-    return PauliWitness(*_BELL_WITNESS_ROWS[kind])
+    """The optimal diagonal-Pauli witness 1 - 2|psi><psi| for the given Bell state."""
+    return PauliWitness(0.5, *(-0.5 * s for s in BELL_CORRELATIONS[kind]))
 
 
 def f_detects_bd(params) -> bool:
@@ -127,20 +115,25 @@ def _f_detects(c1: float, c3: float) -> bool:
     return (1.0 + abs(c1)) * (1.0 + abs(c3)) > 2.0
 
 
+_BD_CLASSES = np.array(list(BDClass), dtype=object)
+
+
+def _classify(c1, c2, c3) -> np.ndarray:
+    """BDClass of each triple, elementwise: physicality, then separability, then F."""
+    k = np.where(_in_octahedron(c1, c2, c3), 1, np.where(_f_detects(c1, c3), 2, 3))
+    return _BD_CLASSES[np.where(_is_physical(c1, c2, c3), k, 0)]
+
+
 def classify_bd(c) -> BDClass:
     """Classify an arbitrary real triple as a point of the Bell-diagonal family.
 
     Unphysical triples are allowed in and labelled rather than rejected.  The
     octahedron boundary counts as separable (the separable set is closed).
     """
-    c1, c2, c3 = (float(v) for v in c)
-    if min(_bd_weights(c1, c2, c3)) < -1e-9:
-        return BDClass.UNPHYSICAL
-    if _in_octahedron(c1, c2, c3):
-        return BDClass.SEPARABLE
-    if _f_detects(c1, c3):
-        return BDClass.ENTANGLED_DETECTED_BY_F
-    return BDClass.ENTANGLED_UNDETECTED_BY_F
+    c = np.asarray(c, dtype=float)
+    if c.shape != (3,) or not np.isfinite(c).all():
+        raise DomainError(f"classify_bd needs three finite numbers, got {c}")
+    return _classify(*c)
 
 
 def detection_region_grid(resolution: int):
@@ -149,12 +142,9 @@ def detection_region_grid(resolution: int):
     Points are emitted in row-major order (c1 slowest, c3 fastest), so the
     output is deterministic however callers choose to parallelize rendering.
     """
-    if resolution < 2:
-        raise DomainError("resolution must be at least 2")
+    if not 2 <= resolution <= _MAX_RESOLUTION:
+        raise DomainError(f"resolution must be between 2 and {_MAX_RESOLUTION}")
     axis = np.linspace(-1.0, 1.0, resolution)
-    return [
-        ((float(c1), float(c2), float(c3)), classify_bd((c1, c2, c3)))
-        for c1 in axis
-        for c2 in axis
-        for c3 in axis
-    ]
+    classes = _classify(*np.meshgrid(axis, axis, axis, indexing="ij", sparse=True))
+    # the points share the axis' float objects instead of holding three new ones each
+    return list(zip(itertools.product(axis.tolist(), repeat=3), classes.ravel().tolist()))

@@ -346,3 +346,44 @@ def test_witness_rejects_nan_and_negative_noise(capsys):
         assert code == 3, sigma
         assert out == ""
         assert "sigma" in err
+
+
+def test_env_var_rejects_non_finite_and_negative_values(tmp_path, capsys, monkeypatch):
+    from witnesslab.config import TOL
+
+    # a non-PSD file state (eigenvalues 1.1, 0, 0, -0.1) that a NaN tolerance
+    # would wave through as a valid state
+    path = tmp_path / "non_psd.json"
+    lam = (1.1, 0.0, 0.0, -0.1)
+    entries = [{"re": lam[i] if i == j else 0.0, "im": 0.0} for i in range(4) for j in range(4)]
+    path.write_text(json.dumps({"entries": entries}))
+    old = TOL.psd_tol
+    for value in ("nan", "inf", "-inf", "-1e-6"):
+        monkeypatch.setenv("WITNESSLAB_TOL", value)
+        code, out, err = run(capsys, "robustness", "--state", f"file:{path}")
+        assert code == 2, value
+        assert out == ""
+        assert "bad WITNESSLAB_TOL value" in err
+        assert TOL.psd_tol == old
+
+
+def test_env_var_does_not_outlive_the_call(capsys, monkeypatch):
+    from witnesslab.config import TOL
+
+    old = TOL.psd_tol
+    monkeypatch.setenv("WITNESSLAB_TOL", "1e-6")
+    assert run(capsys, "witness", "--state", "identity")[0] == 0
+    assert TOL.psd_tol == old
+    monkeypatch.setenv("WITNESSLAB_TOL", "0")
+    assert run(capsys, "witness", "--state", "identity")[0] == 0
+    assert TOL.psd_tol == old
+
+
+def test_detect_region_resolution_limit(capsys):
+    code, out, err = run(capsys, "detect-region", "102")
+    assert code == 3
+    assert out == ""
+    assert "domain error" in err and "101" in err
+    code, out, _ = run(capsys, "detect-region", "--help")
+    assert code == 0
+    assert "2 to 101" in out
