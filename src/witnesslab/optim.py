@@ -18,6 +18,9 @@ from .witness import PauliWitness
 # sign picked up by each Pauli string under partial transpose on spin I
 _PT_SIGN = np.array([-1.0 if lab[0] == "Y" else 1.0 for lab in TWO_SPIN_LABELS])
 _E0 = np.eye(16)[0]
+_Q = TWO_SPIN_PAULIS.reshape(16, 16)  # row k is vec(P_k): x @ _Q is vec(sum_k x_k P_k)
+_QB = np.stack([_Q, _PT_SIGN[:, None] * _Q])  # rows vec(P_k) and vec(P_k^PT)
+_QB_CONJ = _QB.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +113,26 @@ class RobustnessResult:
     iterations: int
 
 
-def _posdef(h: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(h)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+def _barrier_blocks(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Omega(x) and m + Omega(x)^PT stacked as (2, 4, 4); shift stacks 0 and m."""
+    return (x @ _QB).reshape(2, 4, 4) + shift
+
+
+def _newton_system(x: np.ndarray, shift: np.ndarray, t: float):
+    """Gradient and Hessian of 4t x_0 - log det Omega - log det(m + Omega^PT).
+
+    With a the inverse of a block and Q the basis of that block (rows vec(P_k)
+    for Omega, vec(P_k^PT) = PT sign * vec(P_k) for Omega^PT, which scales
+    its Hessian by the outer product of the signs), d(-log det)/dx_k =
+    -Tr(a P_k) = -(conj(Q) vec(a))_k and d2(-log det)/dx_k dx_l =
+    Tr(a P_k a P_l) = (conj(Q) kron(a, a^T) Q^T)_kl, one batched product
+    over both blocks.
+    """
+    inv = np.linalg.inv(_barrier_blocks(x, shift))
+    tr = np.real(_QB_CONJ @ inv.reshape(2, 16, 1))[..., 0]
+    kron = inv[:, :, None, :, None] * inv.transpose(0, 2, 1)[:, None, :, None, :]
+    h = np.real(_QB_CONJ @ kron.reshape(2, 16, 16) @ _QB.transpose(0, 2, 1))
+    return 4.0 * t * _E0 - tr[0] - tr[1], h[0] + h[1]
 
 
 def generalized_robustness(rho: DensityMatrix, max_iter: int = 400) -> RobustnessResult:
@@ -139,22 +156,16 @@ def generalized_robustness(rho: DensityMatrix, max_iter: int = 400) -> Robustnes
 
     x = np.zeros(16)
     x[0] = 1.5 * (-lam_min) + 0.05  # omega = alpha * identity is strictly feasible
+    shift = np.stack([np.zeros_like(m), m])
     t, t_max = 4.0, 1.0e7
     iterations = 0
+
+    def stalled(reason: str) -> ConvergenceError:
+        value = 4.0 * x[0]
+        return ConvergenceError(reason, lower=max(0.0, value - 8.0 / t), upper=value)
     while True:
         for _ in range(80):
-            omega_inv = np.linalg.inv(from_pauli_coords(x))
-            gap_inv = np.linalg.inv(m + from_pauli_coords(_PT_SIGN * x))
-            grad = (
-                4.0 * t * _E0
-                - np.real(np.einsum("ab,kba->k", omega_inv, TWO_SPIN_PAULIS))
-                - _PT_SIGN * np.real(np.einsum("ab,kba->k", gap_inv, TWO_SPIN_PAULIS))
-            )
-            wk = np.einsum("ab,kbc->kac", omega_inv, TWO_SPIN_PAULIS)
-            gk = np.einsum("ab,kbc->kac", gap_inv, TWO_SPIN_PAULIS) * _PT_SIGN[:, None, None]
-            hess = np.real(np.einsum("kab,lba->kl", wk, wk)) + np.real(
-                np.einsum("kab,lba->kl", gk, gk)
-            )
+            grad, hess = _newton_system(x, shift, t)
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -163,20 +174,18 @@ def generalized_robustness(rho: DensityMatrix, max_iter: int = 400) -> Robustnes
             decrement = float(-grad @ step)
             iterations += 1
             if iterations > max_iter:
-                value = 4.0 * x[0]
-                raise ConvergenceError(
-                    f"robustness solver hit the {max_iter}-iteration cap",
-                    lower=max(0.0, value - 8.0 / t),
-                    upper=value,
-                )
+                raise stalled(f"robustness solver hit the {max_iter}-iteration cap")
             alpha = 1.0
             for _ in range(60):
                 trial = x + alpha * step
-                omega_ok = _posdef(from_pauli_coords(trial))
-                if omega_ok and _posdef(m + from_pauli_coords(_PT_SIGN * trial)):
+                try:  # both blocks positive definite
+                    np.linalg.cholesky(_barrier_blocks(trial, shift))
                     break
-                alpha *= 0.5
-            x = x + alpha * step
+                except np.linalg.LinAlgError:
+                    alpha *= 0.5
+            else:
+                raise stalled("robustness line search found no strictly feasible step")
+            x = trial
             if decrement < 1e-11:
                 break
         if t >= t_max:

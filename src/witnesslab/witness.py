@@ -5,6 +5,7 @@ classifier."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -130,7 +131,10 @@ def classify_bd(c) -> BDClass:
     Unphysical triples are allowed in and labelled rather than rejected.  The
     octahedron boundary counts as separable (the separable set is closed).
     """
-    c = np.asarray(c, dtype=float)
+    try:
+        c = np.asarray(c, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"classify_bd needs three finite numbers, got {c!r}") from None
     if c.shape != (3,) or not np.isfinite(c).all():
         raise DomainError(f"classify_bd needs three finite numbers, got {c}")
     return _classify(*c)
@@ -142,6 +146,10 @@ def detection_region_grid(resolution: int):
     Points are emitted in row-major order (c1 slowest, c3 fastest), so the
     output is deterministic however callers choose to parallelize rendering.
     """
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        raise DomainError(f"resolution must be an integer, got {resolution!r}") from None
     if not 2 <= resolution <= _MAX_RESOLUTION:
         raise DomainError(f"resolution must be between 2 and {_MAX_RESOLUTION}")
     axis = np.linspace(-1.0, 1.0, resolution)

@@ -103,3 +103,19 @@ def test_witness_validity_matches_eigvalsh_on_quarter_lattice():
         assert valid == eigvalsh_is_valid(coeffs), coeffs
         outcomes.append(valid)
     assert sum(outcomes) > 0 and not all(outcomes)
+
+
+@pytest.mark.parametrize("triple", [("a", 0, 0), (None, 0.1, 0.2), ([1, 2], 0, 0), object()])
+def test_classify_bd_rejects_non_numeric_triples(triple):
+    with pytest.raises(DomainError):
+        classify_bd(triple)
+
+
+@pytest.mark.parametrize("resolution", [2.5, 3.0, "3", None])
+def test_grid_resolution_must_be_an_integer(resolution):
+    with pytest.raises(DomainError):
+        detection_region_grid(resolution)
+
+
+def test_grid_accepts_numpy_integer_resolution():
+    assert detection_region_grid(np.int64(3)) == detection_region_grid(3)

@@ -1,0 +1,133 @@
+"""The robustness solver's Newton system and line search, and metamorphic
+checks of the value it returns: symmetries and monotonicity that hold for
+the exact generalized robustness, so they need no reference solution."""
+
+import numpy as np
+import pytest
+
+from conftest import random_density_matrix
+from witnesslab import (
+    BellKind,
+    ConvergenceError,
+    DensityMatrix,
+    HermitianOp,
+    RelaxationParams,
+    bell_state,
+    generalized_robustness,
+    partial_transpose,
+    relax_channel,
+)
+from witnesslab import optim
+from witnesslab.qmat import TWO_SPIN_PAULIS, pauli_coords
+
+# the barrier stops at t = 1e7 with a duality gap of at most 8 / t
+GAP = 8.0e-7
+
+
+def pt(m):
+    return partial_transpose(HermitianOp(m), "I").matrix
+
+
+def barrier(x, m, t):
+    """4t x_0 - log det Omega - log det(m + Omega^PT), Omega = sum_k x_k P_k."""
+    omega = sum(xk * p for xk, p in zip(x, TWO_SPIN_PAULIS))
+    value = 4.0 * t * x[0]
+    for block in (omega, m + pt(omega)):
+        sign, logdet = np.linalg.slogdet(block)
+        assert abs(sign - 1.0) < 1e-9  # the point stays strictly feasible
+        value -= logdet
+    return value
+
+
+def feasible_point(rng):
+    """A random rho and a random omega with both barrier blocks positive definite."""
+    rho = random_density_matrix(rng)
+    m = pt(rho.matrix)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    omega = 0.3 * g @ g.conj().T
+    lift = max(0.0, -np.linalg.eigvalsh(m + pt(omega))[0]) + rng.uniform(0.2, 0.6)
+    omega = omega + lift * np.eye(4)
+    return m, pauli_coords(omega) / 4.0
+
+
+@pytest.mark.parametrize("t", [4.0, 80.0])
+def test_newton_system_matches_finite_differences_of_the_barrier(t):
+    rng = np.random.default_rng(20261)
+    eye = np.eye(16)
+    for _ in range(4):
+        m, x = feasible_point(rng)
+        grad, hess = optim._newton_system(x, np.stack([np.zeros((4, 4)), m]), t)
+        f = lambda y: barrier(y, m, t)  # noqa: E731
+        h = 1e-6
+        fd_grad = np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in eye])
+        np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-6 * (1 + np.abs(grad).max()))
+        h = 1e-4
+        fd_hess = np.array([
+            [
+                (f(x + h * ek + h * el) - f(x + h * ek - h * el)
+                 - f(x - h * ek + h * el) + f(x - h * ek - h * el)) / (4 * h * h)
+                for el in eye
+            ]
+            for ek in eye
+        ])
+        np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=1e-5 * np.abs(hess).max())
+        np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12 * np.abs(hess).max())
+
+
+def test_line_search_failure_raises_with_bounds(monkeypatch):
+    rho = bell_state(BellKind.PHI_MINUS)  # rho^PT has min eigenvalue -1/2
+    trials = []
+
+    def never_positive_definite(a):
+        trials.append(a)
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", never_positive_definite)
+    with pytest.raises(ConvergenceError, match="line search") as err:
+        generalized_robustness(rho)
+    assert len(trials) == 60  # the first step's halvings, and no step taken after them
+    start = 4.0 * (1.5 * 0.5 + 0.05)  # Tr of the start point omega = alpha * identity
+    assert err.value.upper == pytest.approx(start)
+    assert err.value.lower == pytest.approx(start - 8.0 / 4.0)
+
+
+def haar_unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def entangled_states(rng, n):
+    out = []
+    while len(out) < n:
+        rho = random_density_matrix(rng)
+        if np.linalg.eigvalsh(pt(rho.matrix))[0] < -1e-3:
+            out.append(rho)
+    return out
+
+
+def test_robustness_is_invariant_under_local_unitaries():
+    rng = np.random.default_rng(4101)
+    for rho in entangled_states(rng, 15):
+        u = np.kron(haar_unitary(rng), haar_unitary(rng))
+        rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
+        assert abs(generalized_robustness(rotated).value - generalized_robustness(rho).value) <= 1e-7
+
+
+def test_robustness_is_convex_under_mixing():
+    rng = np.random.default_rng(4103)
+    states = entangled_states(rng, 16)
+    for a, b in zip(states[::2], states[1::2]):
+        ra, rb = generalized_robustness(a).value, generalized_robustness(b).value
+        for p in (0.2, 0.5, 0.8):
+            mix = DensityMatrix(p * a.matrix + (1 - p) * b.matrix)
+            assert generalized_robustness(mix).value <= p * ra + (1 - p) * rb + GAP
+
+
+def test_robustness_does_not_increase_under_local_relaxation():
+    rng = np.random.default_rng(4107)
+    params = RelaxationParams()
+    for rho in [bell_state(BellKind.PHI_MINUS), *entangled_states(rng, 4)]:
+        values = [generalized_robustness(relax_channel(rho, t, params)).value
+                  for t in np.linspace(0.0, 0.4, 9)]
+        assert values[0] > 0.0
+        assert np.all(np.diff(values) <= GAP)
