@@ -1,14 +1,18 @@
 """Command-line interface.
 
 Every computation is a subcommand with text (default), CSV, or JSON output.
-Exit codes: 0 success, 2 usage error, 3 domain error (unphysical input),
-4 solver non-convergence.  Identical invocations produce byte-identical
-output; JSON documents validate against schemas/output.schema.json.
+A subcommand returns its JSON document or its output lines, and ``main`` is
+the one writer.  Exit codes: 0 success, 2 usage error or unwritable output,
+3 domain error (unphysical input), 4 solver non-convergence.  Identical
+invocations produce byte-identical output; JSON documents validate against
+schemas/output.schema.json.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -22,7 +26,7 @@ from .circuits import Message, superdense_run
 from .optim import generalized_robustness, optimal_witness
 from .qmat import DensityMatrix, _pt_arr
 from .readout import add_noise
-from .relax import RelaxationParams, sweep
+from .relax import _MAX_STEPS, RelaxationParams, sweep
 from .states import BellDiagonalParams, BellKind, ThermalParams, bell_diagonal, bell_state
 from .witness import (
     _MAX_RESOLUTION,
@@ -36,6 +40,7 @@ from .witness import (
 )
 
 _KIND_NAMES = {k.value: k for k in BellKind}
+_BLOCK = 1 << 16  # encoder chunks or lines joined into one write
 
 
 class _UsageError(Exception):
@@ -114,23 +119,11 @@ def _verdict(value: float) -> str:
     return "not detected"
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _emit_json(doc: dict, path: str | None) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", path)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns a JSON document or an iterable of output lines
 # ---------------------------------------------------------------------------
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args):
     labels = ("XX", "YY", "ZZ")
     corr = dict(zip(labels, _correlations(parse_state_spec(args.state))))
     if args.noise != 0.0:  # add_noise rejects negative and NaN sigma
@@ -147,8 +140,7 @@ def _cmd_witness(args) -> int:
         rows.append((name, w, w.value(corr["XX"], corr["YY"], corr["ZZ"])))
 
     if args.format == "json":
-        doc = {
-            "subcommand": "witness",
+        return {
             "state": args.state,
             "correlations": {"xx": corr["XX"], "yy": corr["YY"], "zz": corr["ZZ"]},
             "f": {"value": f_val, "verdict": _verdict(f_val)},
@@ -162,29 +154,26 @@ def _cmd_witness(args) -> int:
                 for name, w, val in rows
             ],
         }
-        _emit_json(doc, args.output)
-    elif args.format == "csv":
-        lines = ["state,quantity,value,verdict"]
-        for lab in labels:
-            lines.append(f"{args.state},{lab.lower()},{corr[lab]!r},")
-        lines.append(f"{args.state},f,{f_val!r},{_verdict(f_val)}")
-        for name, _w, val in rows:
-            lines.append(f"{args.state},w:{name},{val!r},{_verdict(val)}")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        out = [f"state: {args.state}"]
-        out.append(
-            f"<XX> = {_fmt(corr['XX'])}   <YY> = {_fmt(corr['YY'])}   <ZZ> = {_fmt(corr['ZZ'])}"
-        )
-        out.append(f"F = {_fmt(f_val)}   [{_verdict(f_val)}]")
-        for name, w, val in rows:
-            co = ", ".join(_fmt(c) for c in w.as_tuple())
-            out.append(f"W[{name}] = {_fmt(val)}   coefficients ({co})   [{_verdict(val)}]")
-        _emit("\n".join(out) + "\n", args.output)
-    return 0
+    if args.format == "csv":
+        return [
+            "state,quantity,value,verdict",
+            *(f"{args.state},{lab.lower()},{corr[lab]!r}," for lab in labels),
+            f"{args.state},f,{f_val!r},{_verdict(f_val)}",
+            *(f"{args.state},w:{name},{val!r},{_verdict(val)}" for name, _w, val in rows),
+        ]
+    return [
+        f"state: {args.state}",
+        f"<XX> = {_fmt(corr['XX'])}   <YY> = {_fmt(corr['YY'])}   <ZZ> = {_fmt(corr['ZZ'])}",
+        f"F = {_fmt(f_val)}   [{_verdict(f_val)}]",
+        *(
+            f"W[{name}] = {_fmt(val)}   coefficients ({', '.join(_fmt(c) for c in w.as_tuple())})"
+            f"   [{_verdict(val)}]"
+            for name, w, val in rows
+        ),
+    ]
 
 
-def _cmd_optimal_witness(args) -> int:
+def _cmd_optimal_witness(args):
     if not args.all and args.kind is None:
         raise _UsageError("optimal-witness needs a Bell kind or --all")
     kinds = list(BellKind) if args.all else [_KIND_NAMES[args.kind]]
@@ -195,8 +184,7 @@ def _cmd_optimal_witness(args) -> int:
         rows.append((kind.value, w, objective, witness_is_valid(w)))
 
     if args.format == "json":
-        doc = {
-            "subcommand": "optimal-witness",
+        return {
             "rows": [
                 {
                     "kind": kind,
@@ -207,23 +195,19 @@ def _cmd_optimal_witness(args) -> int:
                 for kind, w, obj, valid in rows
             ],
         }
-        _emit_json(doc, args.output)
-    elif args.format == "csv":
-        lines = ["kind,c_i,c_x,c_y,c_z,objective"]
-        for kind, w, obj, _valid in rows:
-            coeffs = ",".join(repr(c) for c in w.as_tuple())
-            lines.append(f"{kind},{coeffs},{obj!r}")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        out = []
-        for kind, w, obj, valid in rows:
-            co = ", ".join(_fmt(c) for c in w.as_tuple())
-            out.append(
-                f"{kind}: coefficients ({co})   objective {_fmt(obj)}   "
-                f"{'valid' if valid else 'INVALID'}"
-            )
-        _emit("\n".join(out) + "\n", args.output)
-    return 0
+    if args.format == "csv":
+        return [
+            "kind,c_i,c_x,c_y,c_z,objective",
+            *(
+                f"{kind},{','.join(repr(c) for c in w.as_tuple())},{obj!r}"
+                for kind, w, obj, _valid in rows
+            ),
+        ]
+    return [
+        f"{kind}: coefficients ({', '.join(_fmt(c) for c in w.as_tuple())})   "
+        f"objective {_fmt(obj)}   {'valid' if valid else 'INVALID'}"
+        for kind, w, obj, valid in rows
+    ]
 
 
 def _certificate_residual(rho: DensityMatrix, result) -> float:
@@ -234,50 +218,42 @@ def _certificate_residual(rho: DensityMatrix, result) -> float:
     return max(0.0, -lam)
 
 
-def _cmd_robustness(args) -> int:
+def _cmd_robustness(args):
     rho = parse_state_spec(args.state)
     result = generalized_robustness(rho)
     residual = _certificate_residual(rho, result)
     if args.format == "json":
-        _emit_json(
-            {
-                "subcommand": "robustness",
-                "state": args.state,
-                "value": result.value,
-                "iterations": result.iterations,
-                "certificate_residual": residual,
-            },
-            args.output,
-        )
-    elif args.format == "csv":
-        lines = [
+        return {
+            "state": args.state,
+            "value": result.value,
+            "iterations": result.iterations,
+            "certificate_residual": residual,
+        }
+    if args.format == "csv":
+        return [
             "state,value,iterations,certificate_residual",
             f"{args.state},{result.value!r},{result.iterations},{residual!r}",
         ]
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(
-            f"state: {args.state}\n"
-            f"generalized robustness = {_fmt(result.value)}\n"
-            f"iterations = {result.iterations}\n"
-            f"certificate residual = {_fmt(residual)}\n",
-            args.output,
-        )
-    return 0
+    return [
+        f"state: {args.state}",
+        f"generalized robustness = {_fmt(result.value)}",
+        f"iterations = {result.iterations}",
+        f"certificate residual = {_fmt(residual)}",
+    ]
 
 
-def _cmd_relax_sweep(args) -> int:
+def _cmd_relax_sweep(args):
     rho = parse_state_spec(args.state)
     params = RelaxationParams(t1_i=args.t1i, t2_i=args.t2i, t1_s=args.t1s, t2_s=args.t2s)
     w = bell_witness(_KIND_NAMES[args.witness])
     series = sweep(rho, params, w, t_max=args.tmax, steps=args.steps)
+    points = list(zip(series.times, series.f_values, series.w_values, series.gr_values))
 
     def opt(v):
         return None if v is None else float(v)
 
     if args.format == "json":
-        doc = {
-            "subcommand": "relax-sweep",
+        return {
             "state": args.state,
             "witness": args.witness,
             "params": {"t1_i": args.t1i, "t2_i": args.t2i, "t1_s": args.t1s, "t2_s": args.t2s},
@@ -286,45 +262,35 @@ def _cmd_relax_sweep(args) -> int:
             "tau_w": opt(series.tau_w),
             "series": [
                 {"time": float(t), "f": float(f), "w": float(wv), "gr": float(g)}
-                for t, f, wv, g in zip(
-                    series.times, series.f_values, series.w_values, series.gr_values
-                )
+                for t, f, wv, g in points
             ],
         }
-        _emit_json(doc, args.output)
-    else:  # csv is the default for series data
-        def meta(v):
-            return "none" if v is None else repr(float(v))
 
-        lines = [
-            f"# state={args.state} witness={args.witness}",
-            f"# t1_i={args.t1i!r} t2_i={args.t2i!r} t1_s={args.t1s!r} t2_s={args.t2s!r}",
-            f"# tau_c={meta(series.tau_c)} tau_r={meta(series.tau_r)} tau_w={meta(series.tau_w)}",
-            "time,f,w,gr",
-        ]
-        for t, f, wv, g in zip(series.times, series.f_values, series.w_values, series.gr_values):
-            lines.append(f"{float(t)!r},{float(f)!r},{float(wv)!r},{float(g)!r}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    # csv is the default for series data, and stands in for text
+    def meta(v):
+        return "none" if v is None else repr(float(v))
+
+    return [
+        f"# state={args.state} witness={args.witness}",
+        f"# t1_i={args.t1i!r} t2_i={args.t2i!r} t1_s={args.t1s!r} t2_s={args.t2s!r}",
+        f"# tau_c={meta(series.tau_c)} tau_r={meta(series.tau_r)} tau_w={meta(series.tau_w)}",
+        "time,f,w,gr",
+        *(f"{float(t)!r},{float(f)!r},{float(wv)!r},{float(g)!r}" for t, f, wv, g in points),
+    ]
 
 
-def _cmd_detect_region(args) -> int:
+def _cmd_detect_region(args):
     grid = detection_region_grid(args.resolution)
     if args.format == "json":
-        doc = {
-            "subcommand": "detect-region",
+        return {
             "resolution": args.resolution,
             "points": [
                 {"c": [c1, c2, c3], "class": cls.value} for (c1, c2, c3), cls in grid
             ],
         }
-        _emit_json(doc, args.output)
-    else:
-        lines = ["c1,c2,c3,class"]
-        for (c1, c2, c3), cls in grid:
-            lines.append(f"{c1!r},{c2!r},{c3!r},{cls.value}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    # up to a million rows: formatted one at a time as they are written
+    rows = (f"{c1!r},{c2!r},{c3!r},{cls.value}" for (c1, c2, c3), cls in grid)
+    return itertools.chain(["c1,c2,c3,class"], rows)
 
 
 def _decode_bit(mz: float) -> int | None:
@@ -335,7 +301,7 @@ def _decode_bit(mz: float) -> int | None:
     return None
 
 
-def _cmd_sdc(args) -> int:
+def _cmd_sdc(args):
     try:
         eps = [float(p) for p in args.eps.split(",")]
         msg = [int(p) for p in args.msg.split(",")]
@@ -353,39 +319,31 @@ def _cmd_sdc(args) -> int:
         else (decoded_x == msg[0] and decoded_z == msg[1])
     )
     if args.format == "json":
-        _emit_json(
-            {
-                "subcommand": "sdc",
-                "eps": eps,
-                "message": {"x": msg[0], "z": msg[1]},
-                "mz_i": result.mz_i,
-                "mz_s": result.mz_s,
-                "decoded": {"x": decoded_x, "z": decoded_z},
-                "success": success,
-            },
-            args.output,
-        )
-    elif args.format == "csv":
+        return {
+            "eps": eps,
+            "message": {"x": msg[0], "z": msg[1]},
+            "mz_i": result.mz_i,
+            "mz_s": result.mz_s,
+            "decoded": {"x": decoded_x, "z": decoded_z},
+            "success": success,
+        }
+    if args.format == "csv":
         dx = "" if decoded_x is None else decoded_x
         dz = "" if decoded_z is None else decoded_z
         ok = "" if success is None else str(success).lower()
-        lines = [
+        return [
             "eps_i,eps_s,x,z,mz_i,mz_s,decoded_x,decoded_z,success",
             f"{eps[0]!r},{eps[1]!r},{msg[0]},{msg[1]},{result.mz_i!r},{result.mz_s!r},{dx},{dz},{ok}",
         ]
-        _emit("\n".join(lines) + "\n", args.output)
+    if success is None:
+        verdict = "decode inconclusive (zero magnetization)"
     else:
-        if success is None:
-            verdict = "decode inconclusive (zero magnetization)"
-        else:
-            verdict = "success" if success else "FAILURE"
-        _emit(
-            f"<Z_I> = {_fmt(result.mz_i)}   <Z_S> = {_fmt(result.mz_s)}\n"
-            f"decoded (x, z) = ({'?' if decoded_x is None else decoded_x}, "
-            f"{'?' if decoded_z is None else decoded_z})   [{verdict}]\n",
-            args.output,
-        )
-    return 0
+        verdict = "success" if success else "FAILURE"
+    return [
+        f"<Z_I> = {_fmt(result.mz_i)}   <Z_S> = {_fmt(result.mz_s)}",
+        f"decoded (x, z) = ({'?' if decoded_x is None else decoded_x}, "
+        f"{'?' if decoded_z is None else decoded_z})   [{verdict}]",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1s", type=float, default=10.0, help="T1 of spin S, seconds")
     p.add_argument("--t2s", type=float, default=0.11, help="T2 of spin S, seconds")
     p.add_argument("--tmax", type=float, default=0.6, help="sweep end time, seconds")
-    p.add_argument("--steps", type=int, default=200, help="number of grid points")
+    p.add_argument("--steps", type=int, default=200, help=f"number of grid points (2 to {_MAX_STEPS})")
     _add_common(p, default_format="csv")
     p.set_defaults(func=_cmd_relax_sweep)
 
@@ -457,6 +415,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sdc)
 
     return parser
+
+
+def _write(out, path: str | None) -> int:
+    """Write a JSON document or an iterable of lines to path, or to stdout.
+
+    The text goes out in blocks of at most _BLOCK encoder chunks or lines,
+    so the encoded output is never held whole.  Returns the exit code: 0,
+    or 2 when the output cannot be opened or written.
+    """
+    if isinstance(out, dict):
+        chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(out), ["\n"])
+    else:
+        chunks = (line + "\n" for line in out)
+    blocks = iter(lambda: "".join(itertools.islice(chunks, _BLOCK)), "")
+    try:
+        if path is None:
+            sink = contextlib.nullcontext(sys.stdout)
+        else:
+            sink = open(path, "w", encoding="utf-8", newline="\n")
+        with sink as fh:
+            fh.writelines(blocks)
+            fh.flush()
+    except OSError as exc:
+        if path is None:  # so the flush at exit does not fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 0  # the reader stopped early, as `| head` does
+        target = "stdout" if path is None else repr(path)
+        print(f"witnesslab: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv=None) -> int:
@@ -479,7 +468,7 @@ def main(argv=None) -> int:
     # the tolerance holds for this call only
     saved_tol, TOL.psd_tol = TOL.psd_tol, psd_tol
     try:
-        return args.func(args)
+        out = args.func(args)
     except _UsageError as exc:
         print(f"witnesslab: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
@@ -496,7 +485,9 @@ def main(argv=None) -> int:
         return 4
     finally:
         TOL.psd_tol = saved_tol
-
+    if isinstance(out, dict):
+        out = {"subcommand": args.subcommand, **out}
+    return _write(out, args.output)
 
 if __name__ == "__main__":
     sys.exit(main())

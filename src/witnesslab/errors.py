@@ -1,4 +1,6 @@
-"""Exception classes shared across the package."""
+"""Exception classes shared across the package, and the integer check that raises one."""
+
+import operator
 
 
 class StructuralError(ValueError):
@@ -31,3 +33,18 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.lower = lower
         self.upper = upper
+
+
+def bounded_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """value as an int in [lo, hi] (no upper bound when hi is None), else DomainError.
+
+    Only true integers pass: operator.index refuses floats such as 2.0 and strings.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < lo or (hi is not None and value > hi):
+        bounds = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+        raise DomainError(f"{name} must be {bounds}, got {value}")
+    return value

@@ -11,15 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleError, UnboundedError
-from .qmat import TWO_SPIN_LABELS, TWO_SPIN_PAULIS, DensityMatrix, _pt_arr, from_pauli_coords
-from .states import _BELL_SIGNS, BELL_ORDER, BellDiagonalParams, BellKind, bell_probabilities
+from .qmat import PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, _pt_arr, from_pauli_coords
+from .states import _BD_COORDS, _BELL_SIGNS, BELL_ORDER, BellDiagonalParams, BellKind
+from .states import bell_probabilities
 from .witness import PauliWitness
 
-# sign picked up by each Pauli string under partial transpose on spin I
-_PT_SIGN = np.array([-1.0 if lab[0] == "Y" else 1.0 for lab in TWO_SPIN_LABELS])
 _E0 = np.eye(16)[0]
 _Q = TWO_SPIN_PAULIS.reshape(16, 16)  # row k is vec(P_k): x @ _Q is vec(sum_k x_k P_k)
-_QB = np.stack([_Q, _PT_SIGN[:, None] * _Q])  # rows vec(P_k) and vec(P_k^PT)
+_QB = np.stack([_Q, PT_SIGN[:, None] * _Q])  # rows vec(P_k) and vec(P_k^PT)
 _QB_CONJ = _QB.conj()
 
 
@@ -86,7 +85,7 @@ def optimal_witness(kind: BellKind) -> PauliWitness:
     Bell state, reaches -1 at a unique vertex.
     """
     rows_w = np.column_stack([np.ones(4), _BELL_SIGNS])  # W's eigenvalue on each Bell state
-    rows_pt = rows_w * np.array([1.0, 1.0, -1.0, 1.0])  # PT flips the YY term
+    rows_pt = rows_w * PT_SIGN[_BD_COORDS]  # PT flips the YY term
     lp = LinearProgram(
         objective=rows_w[BELL_ORDER.index(kind)],
         a_ub=np.vstack([rows_w, -rows_pt]),

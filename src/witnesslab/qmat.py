@@ -31,6 +31,9 @@ TWO_SPIN_PAULIS = np.stack(
     [np.kron(PAULI_BY_LETTER[lab[0]], PAULI_BY_LETTER[lab[1]]) for lab in TWO_SPIN_LABELS]
 )
 TWO_SPIN_PAULIS.setflags(write=False)
+# sign picked up by each Pauli string under partial transpose on spin I (Y^T = -Y)
+PT_SIGN = np.array([-1.0 if lab[0] == "Y" else 1.0 for lab in TWO_SPIN_LABELS])
+PT_SIGN.setflags(write=False)
 
 
 def pauli_coords(m: np.ndarray) -> np.ndarray:

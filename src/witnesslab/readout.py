@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuits import Gate
 from .config import TOL
-from .errors import DomainError
+from .errors import DomainError, bounded_int
 from .qmat import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, from_pauli_coords
 from .states import _expectation_coords
 from .witness import CorrelationPair
@@ -161,5 +161,5 @@ def add_noise(value: float, sigma: float, seed: int) -> float:
     """Add seeded Gaussian noise and clamp to the correlation range [-1, 1]."""
     if not 0.0 <= sigma < np.inf:
         raise DomainError(f"sigma must be finite and nonnegative, got {sigma}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(bounded_int(seed, "seed", 0))
     return float(np.clip(value + rng.normal(0.0, sigma), -1.0, 1.0))

@@ -14,10 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, bounded_int
 from .qmat import DensityMatrix, from_pauli_coords, pauli_coords
 from .optim import generalized_robustness
 from .witness import PauliWitness, eval_witness, f_witness_state
+
+# largest sweep grid: each point runs one robustness solve
+_MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,7 @@ def sweep(
     Each grid point relaxes the initial state directly (the channel forms a
     semigroup, so chaining would give the same result but impose an order).
     """
-    if steps < 2:
-        raise DomainError("steps must be at least 2")
+    steps = bounded_int(steps, "steps", 2, _MAX_STEPS)
     if not 0.0 < t_max < np.inf:
         raise DomainError(f"t_max = {t_max} must be positive and finite")
     times = np.linspace(0.0, t_max, steps)

@@ -5,15 +5,14 @@ classifier."""
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .config import TOL
-from .errors import DomainError
-from .qmat import DensityMatrix, HermitianOp, pauli_coords
+from .errors import DomainError, bounded_int
+from .qmat import PT_SIGN, DensityMatrix, HermitianOp, pauli_coords
 from .states import _BD_COORDS, BELL_CORRELATIONS, BellKind, _bd_operator, _bell_spectrum
 from .states import _in_octahedron, _is_physical
 
@@ -85,8 +84,9 @@ def witness_matrix(w: PauliWitness) -> HermitianOp:
 def witness_is_valid(w: PauliWitness) -> bool:
     """True iff the witness is PSD after partial transpose and bounded by 1."""
     # both are diagonal in the Bell basis; transposing spin I flips the YY term
-    pt_min = _bell_spectrum(w.c_i, w.c_x, -w.c_y, w.c_z).min()
-    w_max = _bell_spectrum(w.c_i, w.c_x, w.c_y, w.c_z).max()
+    coeffs = np.array(w.as_tuple())
+    pt_min = _bell_spectrum(*(PT_SIGN[_BD_COORDS] * coeffs)).min()
+    w_max = _bell_spectrum(*coeffs).max()
     return bool(pt_min >= -TOL.psd_tol and w_max <= 1.0 + TOL.psd_tol)
 
 
@@ -146,12 +146,7 @@ def detection_region_grid(resolution: int):
     Points are emitted in row-major order (c1 slowest, c3 fastest), so the
     output is deterministic however callers choose to parallelize rendering.
     """
-    try:
-        resolution = operator.index(resolution)
-    except TypeError:
-        raise DomainError(f"resolution must be an integer, got {resolution!r}") from None
-    if not 2 <= resolution <= _MAX_RESOLUTION:
-        raise DomainError(f"resolution must be between 2 and {_MAX_RESOLUTION}")
+    resolution = bounded_int(resolution, "resolution", 2, _MAX_RESOLUTION)
     axis = np.linspace(-1.0, 1.0, resolution)
     classes = _classify(*np.meshgrid(axis, axis, axis, indexing="ij", sparse=True))
     # the points share the axis' float objects instead of holding three new ones each

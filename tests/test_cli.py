@@ -387,3 +387,30 @@ def test_detect_region_resolution_limit(capsys):
     code, out, _ = run(capsys, "detect-region", "--help")
     assert code == 0
     assert "2 to 101" in out
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "dir" / "x.json"
+    code, out, err = run(capsys, "witness", "--state", "identity", "--format", "json",
+                         "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert str(path) in err and "Traceback" not in err
+    assert not path.exists()
+
+
+def test_witness_rejects_negative_noise_seed(capsys):
+    code, out, err = run(capsys, "witness", "--state", "bell:phi-", "--noise", "0.1", "--seed", "-1")
+    assert code == 3
+    assert out == ""
+    assert "domain error" in err and "seed" in err
+
+
+def test_relax_sweep_steps_limit(capsys):
+    code, out, err = run(capsys, "relax-sweep", "--steps", "10001")
+    assert code == 3
+    assert out == ""
+    assert "10000" in err
+    code, out, _ = run(capsys, "relax-sweep", "--help")
+    assert code == 0
+    assert "2 to 10000" in out

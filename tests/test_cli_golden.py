@@ -62,14 +62,19 @@ def test_stdout_and_output_file_match_golden(name, capsys, tmp_path):
     assert path.read_bytes() == want
 
 
+def _cli(*argv, stdout):
+    # stdout block-buffered, as in a plain shell
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(witnesslab.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-m", "witnesslab.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_reader_closing_early_is_not_an_error(fmt):
     # like `witnesslab detect-region 41 | head -1`
-    env = {**os.environ, "PYTHONPATH": str(Path(witnesslab.__file__).resolve().parents[1])}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "witnesslab.cli", "detect-region", "41", "--format", fmt],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    proc = _cli("detect-region", "41", "--format", fmt, stdout=subprocess.PIPE)
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
@@ -77,6 +82,17 @@ def test_reader_closing_early_is_not_an_error(fmt):
     assert proc.wait(timeout=60) == 0
     assert err == b""
     assert first in (b"c1,c2,c3,class\n", b"{\n")
+
+
+def test_pipe_closed_before_any_output_is_not_an_error():
+    # a short output stays buffered until the final flush, which must not fail again at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _cli("witness", "--state", "identity", stdout=write_end)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 if __name__ == "__main__":

@@ -228,6 +228,13 @@ def test_noise_rejects_non_finite_sigma():
             add_noise(0.0, sigma, seed=0)
 
 
+def test_noise_rejects_negative_and_non_integer_seeds():
+    for seed in (-1, 1.5, "7", None):
+        with pytest.raises(DomainError, match="seed"):
+            add_noise(0.0, 0.1, seed=seed)
+    assert add_noise(0.1, 0.05, seed=np.int64(42)) == add_noise(0.1, 0.05, seed=42)
+
+
 def test_tomography_rejects_nan_expectations():
     e = np.zeros(15)
     e[4] = np.nan

@@ -288,3 +288,16 @@ def test_series_validation():
             tau_r=None,
             tau_w=None,
         )
+
+
+def test_sweep_steps_are_bounded_integers(monkeypatch):
+    import witnesslab.relax as relax_mod
+
+    def no_solve(rho):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(relax_mod, "generalized_robustness", no_solve)
+    w = bell_witness(BellKind.PHI_MINUS)
+    for steps in (10_001, 1, 2.5, "3"):
+        with pytest.raises(DomainError, match="steps"):
+            sweep(bell_state(BellKind.PHI_MINUS), PAPER_T2, w, t_max=0.6, steps=steps)
