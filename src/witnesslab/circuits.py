@@ -97,9 +97,7 @@ def superdense_run(thermal: ThermalParams, m: Message) -> SuperdenseResult:
     epr = epr_gate()
     rho1 = epr.apply(thermal_state(thermal))
     encoded = message_operator(m).apply(rho1)
-    rho_f = DensityMatrix(
-        epr.unitary.conj().T @ encoded.matrix @ epr.unitary
-    )
+    rho_f = Gate(epr.unitary.conj().T, "EPR^-1").apply(encoded)
     coords = pauli_coords(rho_f.matrix)
     mz_i, mz_s = (float(coords[TWO_SPIN_LABELS.index(lab)]) for lab in ("ZI", "IZ"))
     return SuperdenseResult(rho1=rho1, rho_f=rho_f, mz_i=mz_i, mz_s=mz_s)

@@ -41,6 +41,7 @@ from .witness import (
 
 _KIND_NAMES = {k.value: k for k in BellKind}
 _BLOCK = 1 << 16  # encoder chunks or lines joined into one write
+_MAX_STATE_BYTES = 1 << 16  # a save_state_json file is about 1.2 KB
 
 
 class _UsageError(Exception):
@@ -81,15 +82,19 @@ def load_state_json(path: str) -> DensityMatrix:
     """Read a density matrix from the JSON wire format.
 
     The format is an object with "entries": 16 row-major {"re": .., "im": ..}
-    pairs.  Structural problems are usage errors; a well-formed matrix that
-    is not a valid state is a domain error.
+    pairs.  At most _MAX_STATE_BYTES are read; a larger file, or JSON nested
+    too deeply to parse, is malformed.  Structural problems are usage
+    errors; a well-formed matrix that is not a valid state is a domain error.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read(_MAX_STATE_BYTES + 1)
+        if len(raw) > _MAX_STATE_BYTES:
+            raise _UsageError(f"state file {path!r} is larger than {_MAX_STATE_BYTES} bytes")
+        doc = json.loads(raw.decode("utf-8"))
         entries = doc["entries"]
         values = [complex(float(e["re"]), float(e["im"])) for e in entries]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, RecursionError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"cannot read state file {path!r}: {exc}") from exc
     if len(values) != 16:
         raise _UsageError(f"state file must hold 16 entries, found {len(values)}")
@@ -351,9 +356,11 @@ def _cmd_sdc(args):
 # ---------------------------------------------------------------------------
 
 def _add_common(sub, default_format="text"):
+    # the series subcommands default to CSV and print it for text as well
+    text_note = "; text prints the CSV" if default_format == "csv" else ""
     sub.add_argument(
         "--format", choices=("text", "csv", "json"), default=default_format,
-        help=f"output format (default: {default_format})",
+        help=f"output format (default: {default_format}{text_note})",
     )
     sub.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
     sub.add_argument("--seed", type=int, default=0, help="seed for stochastic options")

@@ -20,6 +20,8 @@ _E0 = np.eye(16)[0]
 _Q = TWO_SPIN_PAULIS.reshape(16, 16)  # row k is vec(P_k): x @ _Q is vec(sum_k x_k P_k)
 _QB = np.stack([_Q, PT_SIGN[:, None] * _Q])  # rows vec(P_k) and vec(P_k^PT)
 _QB_CONJ = _QB.conj()
+# barrier weights t of the central-path stages: 4, then x20 per stage, capped at 1e7
+_BARRIER_WEIGHTS = (4.0, 80.0, 1.6e3, 3.2e4, 6.4e5, 1.0e7)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +158,12 @@ def generalized_robustness(rho: DensityMatrix, max_iter: int = 400) -> Robustnes
     x = np.zeros(16)
     x[0] = 1.5 * (-lam_min) + 0.05  # omega = alpha * identity is strictly feasible
     shift = np.stack([np.zeros_like(m), m])
-    t, t_max = 4.0, 1.0e7
     iterations = 0
 
     def stalled(reason: str) -> ConvergenceError:
         value = 4.0 * x[0]
         return ConvergenceError(reason, lower=max(0.0, value - 8.0 / t), upper=value)
-    while True:
+    for t in _BARRIER_WEIGHTS:
         for _ in range(80):
             grad, hess = _newton_system(x, shift, t)
             try:
@@ -187,9 +188,6 @@ def generalized_robustness(rho: DensityMatrix, max_iter: int = 400) -> Robustnes
             x = trial
             if decrement < 1e-11:
                 break
-        if t >= t_max:
-            break
-        t = min(20.0 * t, t_max)
 
     omega = from_pauli_coords(x)
     value = float(np.real(np.trace(omega)))

@@ -17,12 +17,17 @@ import numpy as np
 from .circuits import Gate
 from .config import TOL
 from .errors import DomainError, bounded_int
-from .qmat import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, from_pauli_coords
+from .qmat import SIGMA_I, SIGMA_X, SIGMA_Y, TWO_SPIN_LABELS, DensityMatrix
+from .qmat import from_pauli_coords, pauli_coords
 from .states import _expectation_coords
 from .witness import CorrelationPair
 
-# detected single-quantum operator on the observed nucleus
-_LOWERING = SIGMA_X - 1j * SIGMA_Y
+# Pauli coordinates each nucleus's lines are read from: <X>, <Y> of the
+# observed spin, then the same with the partner spin's Z attached
+_LINE_COORDS = {
+    "I": [TWO_SPIN_LABELS.index(lab) for lab in ("XI", "YI", "XZ", "YZ")],
+    "S": [TWO_SPIN_LABELS.index(lab) for lab in ("IX", "IY", "ZX", "ZY")],
+}
 
 # Receiver phase per nucleus.  With the pulse convention below, the raw
 # nucleus-I response to the (y, pi/2, S) reading pulse comes out sign-flipped
@@ -82,26 +87,22 @@ def prep_pulse_unitary(p: PulseSpec) -> Gate:
 def simulate_lines(rho: DensityMatrix, nucleus: str, prep: PulseSpec | None) -> SpectrumPair:
     """Line intensities of one nucleus after an optional preparatory pulse.
 
-    The pulsed state is probed with the lowering operator alone (a) and with
-    the partner spin's Z attached (b); inverting the 2x2 Hadamard transform
-    that relates these projections to the doublet gives
-    line_low = (a + b)/2 and line_high = (a - b)/2.
+    The pulsed state is probed with the lowering operator X - iY alone (a)
+    and with the partner spin's Z attached (b), read off its Pauli
+    coordinates; inverting the 2x2 Hadamard transform that relates these
+    to the doublet gives line_low = (a + b)/2 and line_high = (a - b)/2.
     """
-    rho_p = prep_pulse_unitary(prep).apply(rho).matrix if prep is not None else rho.matrix
-    if nucleus == "I":
-        a = np.einsum("ab,ba->", rho_p, np.kron(_LOWERING, SIGMA_I))
-        b = np.einsum("ab,ba->", rho_p, np.kron(_LOWERING, SIGMA_Z))
-    elif nucleus == "S":
-        a = np.einsum("ab,ba->", rho_p, np.kron(SIGMA_I, _LOWERING))
-        b = np.einsum("ab,ba->", rho_p, np.kron(SIGMA_Z, _LOWERING))
-    else:
+    if nucleus not in _LINE_COORDS:
         raise DomainError(f"nucleus must be 'I' or 'S', got {nucleus!r}")
+    rho_p = prep_pulse_unitary(prep).apply(rho) if prep is not None else rho
+    x, y, xz, yz = pauli_coords(rho_p.matrix)[_LINE_COORDS[nucleus]]
     phase = _RECEIVER_PHASE[nucleus]
-    a, b = phase * complex(a), phase * complex(b)
+    a, b = phase * complex(x, -y), phase * complex(xz, -yz)
     return SpectrumPair(nucleus=nucleus, line_low=(a + b) / 2, line_high=(a - b) / 2)
 
 
 READOUT_PULSE = PulseSpec(axis="y", angle=np.pi / 2, targets=("S",))
+_YY_PULSE = PulseSpec(axis="x", angle=np.pi / 2, targets=("S",))
 
 
 def read_correlations(spec_i: SpectrumPair, spec_s: SpectrumPair) -> CorrelationPair:
@@ -124,7 +125,7 @@ def measure_yy(rho: DensityMatrix) -> float:
     Under that pulse the YY correlation lands in the dispersive (imaginary)
     quadrature of the nucleus-I line difference.
     """
-    lines = simulate_lines(rho, "I", PulseSpec(axis="x", angle=np.pi / 2, targets=("S",)))
+    lines = simulate_lines(rho, "I", _YY_PULSE)
     return float(np.clip(lines.difference().imag, -1.0, 1.0))
 
 

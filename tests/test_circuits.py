@@ -17,8 +17,10 @@ from witnesslab import (
     pauli_vector,
     pseudo_epr,
     superdense_run,
+    thermal_state,
 )
 from witnesslab.circuits import grape_unitary, gradient_dephase
+from witnesslab.qmat import TWO_SPIN_LABELS, pauli_coords
 from witnesslab.states import PAULI_LABELS, _BELL_VECTORS
 
 
@@ -106,6 +108,21 @@ def test_superdense_sign_structure_on_grid():
             r = superdense_run(thermal, Message(x, z))
             assert abs(r.mz_i - (-1) ** z * eps_i) < 1e-10
             assert abs(r.mz_s - (-1) ** x * eps_s) < 1e-10
+
+
+def test_superdense_decode_matches_inline_conjugation():
+    # decoding through Gate.apply is bit for bit U^dagger rho U with U the EPR gate
+    epr = epr_gate()
+    zi, iz = TWO_SPIN_LABELS.index("ZI"), TWO_SPIN_LABELS.index("IZ")
+    for eps_i, eps_s in itertools.product(np.linspace(0.0, 1.0, 11), repeat=2):
+        thermal = ThermalParams(float(eps_i), float(eps_s))
+        for x, z in itertools.product((0, 1), (0, 1)):
+            r = superdense_run(thermal, Message(x, z))
+            encoded = message_operator(Message(x, z)).apply(epr.apply(thermal_state(thermal)))
+            rho_f = epr.unitary.conj().T @ encoded.matrix @ epr.unitary
+            coords = pauli_coords(rho_f)
+            assert np.array_equal(r.rho_f.matrix, rho_f)
+            assert r.mz_i == float(coords[zi]) and r.mz_s == float(coords[iz])
 
 
 def test_superdense_pure_decoding_is_deterministic():

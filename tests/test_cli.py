@@ -414,3 +414,11 @@ def test_relax_sweep_steps_limit(capsys):
     code, out, _ = run(capsys, "relax-sweep", "--help")
     assert code == 0
     assert "2 to 10000" in out
+
+
+def test_series_subcommands_say_text_prints_csv(capsys):
+    for sub in ("relax-sweep", "detect-region"):
+        code, out, _ = run(capsys, sub, "--help")
+        assert code == 0 and "text prints the CSV" in " ".join(out.split())
+    code, out, _ = run(capsys, "witness", "--help")
+    assert "text prints the CSV" not in " ".join(out.split())

@@ -101,6 +101,46 @@ def test_line_difference_sign_follows_the_correlation():
     assert abs(lines_s.difference().real - 0.3) < 1e-12
 
 
+def kronecker_lines(rho, nucleus, prep):
+    """Reference lines from explicit observables, e.g. Tr(rho_p (X - iY) x 1)."""
+    rho_p = prep_pulse_unitary(prep).apply(rho).matrix if prep is not None else rho.matrix
+    lowering = SIGMA_X - 1j * SIGMA_Y
+    if nucleus == "I":
+        ops, phase = (np.kron(lowering, SIGMA_I), np.kron(lowering, SIGMA_Z)), -1.0
+    else:
+        ops, phase = (np.kron(SIGMA_I, lowering), np.kron(SIGMA_Z, lowering)), 1.0
+    a, b = (phase * np.trace(rho_p @ op) for op in ops)
+    return (a + b) / 2, (a - b) / 2
+
+
+@pytest.mark.parametrize(
+    "prep",
+    [
+        None,
+        READOUT_PULSE,
+        PulseSpec("x", np.pi / 2, ("S",)),
+        PulseSpec("x", 1.1, ("I", "S")),
+        PulseSpec("y", 4.0, ("I",)),
+    ],
+    ids=["none", "readout", "x-half-S", "x-1.1-IS", "y-4.0-I"],
+)
+def test_lines_match_the_kronecker_reference(prep):
+    rng = np.random.default_rng(113)
+    for _ in range(300):
+        rho = random_density_matrix(rng)
+        for nucleus in ("I", "S"):
+            lines = simulate_lines(rho, nucleus, prep)
+            low, high = kronecker_lines(rho, nucleus, prep)
+            assert abs(lines.line_low - low) <= 1e-15
+            assert abs(lines.line_high - high) <= 1e-15
+
+
+def test_lines_reject_an_unknown_nucleus():
+    for nucleus in ("X", "", "IS"):
+        with pytest.raises(DomainError, match="nucleus"):
+            simulate_lines(IDENTITY, nucleus, READOUT_PULSE)
+
+
 def test_read_correlations_reference_states():
     got = read_correlations(*spectra(bell_state(BellKind.PHI_MINUS)))
     assert abs(got.w1 + 1.0) < 1e-12 and abs(got.w2 - 1.0) < 1e-12
