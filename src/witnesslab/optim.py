@@ -20,8 +20,15 @@ _E0 = np.eye(16)[0]
 _Q = TWO_SPIN_PAULIS.reshape(16, 16)  # row k is vec(P_k): x @ _Q is vec(sum_k x_k P_k)
 _QB = np.stack([_Q, PT_SIGN[:, None] * _Q])  # rows vec(P_k) and vec(P_k^PT)
 _QB_CONJ = _QB.conj()
+_QB_T = _QB.transpose(0, 2, 1)
 # barrier weights t of the central-path stages: 4, then x20 per stage, capped at 1e7
 _BARRIER_WEIGHTS = (4.0, 80.0, 1.6e3, 3.2e4, 6.4e5, 1.0e7)
+_WEIGHT_ROWS = 4.0 * np.array(_BARRIER_WEIGHTS)[:, None] * _E0  # 4t * e_0, the linear term's gradient
+# Newton steps one robustness solve may take
+_MAX_NEWTON_STEPS = 400
+_NO_POINTS, _FIRST_POINT = np.zeros(0, dtype=int), np.zeros(1, dtype=int)
+# NPT points solved together at most: about 30 KB of Newton temporaries each
+_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -115,28 +122,233 @@ class RobustnessResult:
 
 
 def _barrier_blocks(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Omega(x) and m + Omega(x)^PT stacked as (2, 4, 4); shift stacks 0 and m."""
-    return (x @ _QB).reshape(2, 4, 4) + shift
+    """Omega(x) and m + Omega(x)^PT stacked as (..., 2, 4, 4); shift stacks 0 and m.
+
+    Each point's blocks come from their own (1, 16) @ (16, 16) products, so
+    they do not depend on how many points are formed together.
+    """
+    return (x[..., None, None, :] @ _QB).reshape(shift.shape) + shift
 
 
 def _newton_system(x: np.ndarray, shift: np.ndarray, t: float):
-    """Gradient and Hessian of 4t x_0 - log det Omega - log det(m + Omega^PT).
+    """Gradient and Hessian of 4t x_0 - log det Omega - log det(m + Omega^PT)."""
+    return _gradient_hessian(_barrier_blocks(x, shift), 4.0 * t * _E0)
+
+
+def _gradient_hessian(blocks: np.ndarray, weight: np.ndarray):
+    """The Newton system at the points whose barrier blocks are given, over leading axes.
 
     With a the inverse of a block and Q the basis of that block (rows vec(P_k)
     for Omega, vec(P_k^PT) = PT sign * vec(P_k) for Omega^PT, which scales
     its Hessian by the outer product of the signs), d(-log det)/dx_k =
     -Tr(a P_k) = -(conj(Q) vec(a))_k and d2(-log det)/dx_k dx_l =
     Tr(a P_k a P_l) = (conj(Q) kron(a, a^T) Q^T)_kl, one batched product
-    over both blocks.
+    over both blocks.  weight is 4t * e_0, the gradient of the linear term.
     """
-    inv = np.linalg.inv(_barrier_blocks(x, shift))
-    tr = np.real(_QB_CONJ @ inv.reshape(2, 16, 1))[..., 0]
-    kron = inv[:, :, None, :, None] * inv.transpose(0, 2, 1)[:, None, :, None, :]
-    h = np.real(_QB_CONJ @ kron.reshape(2, 16, 16) @ _QB.transpose(0, 2, 1))
-    return 4.0 * t * _E0 - tr[0] - tr[1], h[0] + h[1]
+    inv = np.linalg.inv(blocks)
+    lead = inv.shape[:-2]
+    tr = (_QB_CONJ @ inv.reshape(lead + (16, 1))).real[..., 0]
+    # order C: the product's default layout follows the transposed factor, and reshape would copy
+    kron = np.multiply(inv[..., :, None, :, None], inv.swapaxes(-1, -2)[..., None, :, None, :], order="C")
+    h = (_QB_CONJ @ kron.reshape(lead + (16, 16)) @ _QB_T).real
+    return weight - tr[..., 0, :] - tr[..., 1, :], h[..., 0, :, :] + h[..., 1, :, :]
 
 
-def generalized_robustness(rho: DensityMatrix, max_iter: int = 400) -> RobustnessResult:
+def _newton_direction(blocks: np.ndarray, weight: np.ndarray):
+    """Newton step and decrement of one point, or of each point of a stack.
+
+    weight is 4t * e_0.  One point takes the plain vector forms, which give
+    the same bits as one slice of the stacked forms.  A singular Hessian
+    gets a small jitter.
+    """
+    grad, hess = _gradient_hessian(blocks, weight)
+    neg_grad = -grad
+    if hess.ndim > 2:
+        try:
+            step = np.linalg.solve(hess, neg_grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # some Hessian is singular: solve point by point
+            step = np.stack([_newton_direction(b, w)[0] for b, w in zip(blocks, weight)])
+        return step, (neg_grad[:, None, :] @ step[:, :, None])[:, 0, 0]
+    try:
+        step = np.linalg.solve(hess, neg_grad)
+    except np.linalg.LinAlgError:
+        jitter = 1e-10 * np.trace(hess) / 16.0
+        step = np.linalg.solve(hess + jitter * np.eye(16), neg_grad)
+    return step, neg_grad @ step
+
+
+def _not_positive_definite(blocks: np.ndarray) -> np.ndarray:
+    """Indices of the points whose barrier blocks are not both positive definite.
+
+    The answer is LAPACK's Cholesky's.  One stacked Cholesky; when it raises
+    for several points, _cholesky_verdicts settles most of them together
+    and only the points it leaves open are factored one at a time.
+    """
+    try:
+        np.linalg.cholesky(blocks)
+        return _NO_POINTS
+    except np.linalg.LinAlgError:
+        if len(blocks) == 1:
+            return _FIRST_POINT
+    definite, indefinite = _cholesky_verdicts(blocks)
+    bad = indefinite.any(axis=-1)
+    for i in np.flatnonzero(~bad & ~definite.all(axis=-1)):
+        bad[i] = len(_not_positive_definite(blocks[i:i + 1])) > 0
+    return np.flatnonzero(bad)
+
+
+def _cholesky_verdicts(a: np.ndarray):
+    """Which Hermitian 4x4 matrices of a stack are surely positive definite, and which surely not.
+
+    Runs an unpivoted Cholesky on all of them at once.  A matrix is settled
+    once a pivot leaves the band of 1e-10 times its largest diagonal entry
+    around zero: positive definite if all four pivots lie above it, not
+    positive definite if the first one outside it lies below.  Rounding moves
+    a pivot by about 1e-15 of that entry, far inside the band, so LAPACK's
+    Cholesky reaches the same verdict; a matrix with a pivot in the band is
+    left open (both results False).
+    """
+    a = a.copy()
+    margin = 1e-10 * np.max(a.diagonal(axis1=-2, axis2=-1).real, axis=-1)
+    definite = np.ones(a.shape[:-2], dtype=bool)
+    indefinite = np.zeros(a.shape[:-2], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(4):
+            d = a[..., j, j].real
+            indefinite |= definite & (d < -margin)
+            definite &= d > margin
+            col = a[..., j + 1:, j]
+            a[..., j + 1:, j + 1:] -= col[..., :, None] * (col.conj() / d[..., None])[..., None, :]
+    return definite, indefinite
+
+
+def _line_search(x: np.ndarray, step: np.ndarray, shift: np.ndarray):
+    """Trials x + alpha * step, alpha = 1, 1/2, ..., 2^-59, until both blocks are positive definite.
+
+    Every point starts at alpha = 1 and the points that fail halve together,
+    so alpha is one number per round.  Returns the accepted trials, their
+    barrier blocks, and the indices of the points that found none.
+    """
+    trial = x + step
+    blocks = _barrier_blocks(trial, shift)
+    failed = _not_positive_definite(blocks)
+    alpha = 1.0
+    for _ in range(59):
+        if not len(failed):
+            break
+        alpha *= 0.5
+        if len(failed) == len(x):  # every point retries, as a single point always does: no indexing
+            trial = x + alpha * step
+            blocks = _barrier_blocks(trial, shift)
+            failed = _not_positive_definite(blocks)
+            continue
+        t_sub = x[failed] + alpha * step[failed]
+        b_sub = _barrier_blocks(t_sub, shift[failed])
+        still = _not_positive_definite(b_sub)
+        passed = np.ones(len(failed), dtype=bool)
+        passed[still] = False
+        trial[failed[passed]], blocks[failed[passed]] = t_sub[passed], b_sub[passed]
+        failed = failed[still]
+    return trial, blocks, failed
+
+
+def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
+    """Follow the barrier's central path for k NPT points at once.
+
+    m is the (k, 4, 4) stack of partial transposes and lam_min their
+    smallest eigenvalues.  All active points take one damped Newton step per
+    round.  Each point runs its own barrier schedule: it moves to the next
+    weight after a decrement below 1e-11 or 80 steps, and leaves the active
+    set after the last weight or when it fails.  Iterates are the 16 real
+    Pauli coordinates of omega.  Returns the final iterates (k, 16), the
+    Newton steps of each point, and a ConvergenceError for each point that
+    failed, by index.
+    """
+    k = len(m)
+    x = np.zeros((k, 16))
+    x[:, 0] = 1.5 * (-lam_min) + 0.05  # omega = alpha * identity is strictly feasible
+    shift = np.zeros((k, 2, 4, 4), dtype=complex)
+    shift[:, 1] = m
+    blocks = _barrier_blocks(x, shift)
+    weight = _WEIGHT_ROWS[np.zeros(k, dtype=int)]
+    points = np.arange(k)  # the point each active row belongs to
+    stage = np.zeros(k, dtype=int)
+    stage_end = np.full(k, 80)  # the step count at which each row's stage is cut
+    x_out, iterations, failures = np.zeros((k, 16)), np.zeros(k, dtype=int), {}
+    step_count, next_cut = 0, 80  # next_cut is at most the smallest stage_end
+
+    def fail(i, reason):
+        value = 4.0 * x[i, 0]
+        bound = max(0.0, value - 8.0 / _BARRIER_WEIGHTS[stage[i]])
+        failures[int(points[i])] = ConvergenceError(reason, lower=bound, upper=value)
+        iterations[points[i]] = step_count
+
+    while len(points):
+        if len(points) == 1:  # without the batch axis, whose broadcasting costs a few us a step
+            step, decrement = _newton_direction(blocks[0], weight[0])
+            step, advance = step[None], [0] if decrement < 1e-11 else []
+        else:
+            step, decrement = _newton_direction(blocks, weight)
+            advance = np.flatnonzero(decrement < 1e-11).tolist()
+        step_count += 1
+        if step_count > max_iter:
+            for i in range(len(points)):
+                fail(i, f"robustness solver hit the {max_iter}-iteration cap")
+            break
+        trial, blocks, failed = _line_search(x, step, shift)
+        leaving = failed.tolist()
+        for i in leaving:
+            fail(i, "robustness line search found no strictly feasible step")
+        x = trial
+        if step_count == next_cut:
+            advance = sorted(set(advance) | set(np.flatnonzero(stage_end == step_count).tolist()))
+        for i in advance:
+            if i in leaving:
+                continue
+            stage[i] += 1
+            stage_end[i] = step_count + 80
+            if stage[i] < len(_BARRIER_WEIGHTS):
+                weight[i] = _WEIGHT_ROWS[stage[i]]
+            else:
+                x_out[points[i]], iterations[points[i]] = x[i], step_count
+                leaving.append(i)
+        if len(leaving) == len(points):
+            break
+        if leaving:
+            keep = np.ones(len(points), dtype=bool)
+            keep[leaving] = False
+            x, shift, blocks, weight = x[keep], shift[keep], blocks[keep], weight[keep]
+            points, stage, stage_end = points[keep], stage[keep], stage_end[keep]
+        if step_count == next_cut:
+            next_cut = stage_end.min()
+    return x_out, iterations, failures
+
+
+def _robustness(rho: np.ndarray, max_iter: int = _MAX_NEWTON_STEPS):
+    """Generalized robustness of each state of a (k, 4, 4) stack of density matrices.
+
+    PPT points are 0 without a solve.  The NPT points are solved together in
+    chunks of _CHUNK, which bounds the Newton temporaries, and the chunks stop
+    at the first one with a failure.  Returns the values, the Newton steps,
+    the optimal omegas (zero for PPT points) and the failures by index.
+    """
+    m = _pt_arr(rho, "I")
+    lam_min = np.linalg.eigvalsh(m)[:, 0]
+    npt = np.flatnonzero(lam_min < -1e-12)
+    values, iterations, omega = np.zeros(len(m)), np.zeros(len(m), dtype=int), np.zeros_like(m)
+    failures = {}
+    for start in range(0, len(npt), _CHUNK):
+        idx = npt[start:start + _CHUNK]
+        x, iterations[idx], chunk_failures = _central_path(m[idx], lam_min[idx], max_iter)
+        if chunk_failures:
+            failures = {int(idx[i]): exc for i, exc in chunk_failures.items()}
+            break
+        omega[idx] = chunk = from_pauli_coords(x)
+        values[idx] = np.trace(chunk, axis1=-2, axis2=-1).real
+    return values, iterations, omega, failures
+
+
+def generalized_robustness(rho: DensityMatrix, max_iter: int = _MAX_NEWTON_STEPS) -> RobustnessResult:
     """minimize Tr(omega) over omega >= 0 with (rho + omega)^PT >= 0.
 
     Separability of two qubits is exactly positivity of the partial
@@ -145,54 +357,19 @@ def generalized_robustness(rho: DensityMatrix, max_iter: int = 400) -> Robustnes
     central path of the two-cone log-det barrier with damped Newton steps;
     the barrier weight stops at 1e7, where the duality gap is below 1e-6 and
     the iterate is still strictly feasible (so the certificate always
-    verifies).  Iterates are parametrized by the 16 real Pauli coordinates
-    of omega.
+    verifies).  This is the one-point case of the batched solver that
+    ``relax.sweep`` runs over a whole time grid.
     """
     if rho.dim != 4:
         raise DomainError("generalized_robustness needs a two-spin state")
-    m = _pt_arr(rho.matrix, "I")
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    if lam_min >= -1e-12:
+    values, iterations, omega, failures = _robustness(rho.matrix[None], max_iter)
+    if failures:
+        raise failures[0]
+    if iterations[0] == 0:
         return RobustnessResult(value=0.0, certificate_state=None, iterations=0)
-
-    x = np.zeros(16)
-    x[0] = 1.5 * (-lam_min) + 0.05  # omega = alpha * identity is strictly feasible
-    shift = np.stack([np.zeros_like(m), m])
-    iterations = 0
-
-    def stalled(reason: str) -> ConvergenceError:
-        value = 4.0 * x[0]
-        return ConvergenceError(reason, lower=max(0.0, value - 8.0 / t), upper=value)
-    for t in _BARRIER_WEIGHTS:
-        for _ in range(80):
-            grad, hess = _newton_system(x, shift, t)
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                jitter = 1e-10 * np.trace(hess) / 16.0
-                step = np.linalg.solve(hess + jitter * np.eye(16), -grad)
-            decrement = float(-grad @ step)
-            iterations += 1
-            if iterations > max_iter:
-                raise stalled(f"robustness solver hit the {max_iter}-iteration cap")
-            alpha = 1.0
-            for _ in range(60):
-                trial = x + alpha * step
-                try:  # both blocks positive definite
-                    np.linalg.cholesky(_barrier_blocks(trial, shift))
-                    break
-                except np.linalg.LinAlgError:
-                    alpha *= 0.5
-            else:
-                raise stalled("robustness line search found no strictly feasible step")
-            x = trial
-            if decrement < 1e-11:
-                break
-
-    omega = from_pauli_coords(x)
-    value = float(np.real(np.trace(omega)))
-    certificate = DensityMatrix(omega / value)
-    return RobustnessResult(value=value, certificate_state=certificate, iterations=iterations)
+    value = float(values[0])
+    certificate = DensityMatrix(omega[0] / value)
+    return RobustnessResult(value=value, certificate_state=certificate, iterations=int(iterations[0]))
 
 
 def gr_oracle_bd(params: BellDiagonalParams) -> float:

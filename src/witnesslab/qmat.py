@@ -37,13 +37,19 @@ PT_SIGN.setflags(write=False)
 
 
 def pauli_coords(m: np.ndarray) -> np.ndarray:
-    """The 16 real coordinates Tr(P_k m) of a 4x4 matrix, in TWO_SPIN_LABELS order."""
-    return np.real(np.einsum("kab,ba->k", TWO_SPIN_PAULIS, m))
+    """The 16 real coordinates Tr(P_k m) of a 4x4 matrix, in TWO_SPIN_LABELS order.
+
+    A (..., 4, 4) stack gives (..., 16), each row computed as for its matrix alone.
+    """
+    return np.real(np.einsum("kab,...ba->...k", TWO_SPIN_PAULIS, m))
 
 
 def from_pauli_coords(x) -> np.ndarray:
-    """sum_k x_k P_k, so from_pauli_coords(pauli_coords(m)) == 4 m for Hermitian m."""
-    return np.einsum("k,kab->ab", x, TWO_SPIN_PAULIS)
+    """sum_k x_k P_k, so from_pauli_coords(pauli_coords(m)) == 4 m for Hermitian m.
+
+    Rows of a (..., 16) array give a (..., 4, 4) stack.
+    """
+    return np.einsum("...k,kab->...ab", x, TWO_SPIN_PAULIS)
 
 
 def _as_operator_array(matrix) -> np.ndarray:
@@ -119,11 +125,12 @@ def tensor(a: HermitianOp, b: HermitianOp) -> HermitianOp:
 
 
 def _pt_arr(arr: np.ndarray, subsystem: str) -> np.ndarray:
-    four = arr.reshape(2, 2, 2, 2)
+    """Partial transpose of a 4x4 array, or of each one in a (..., 4, 4) stack."""
+    four = arr.reshape(arr.shape[:-2] + (2, 2, 2, 2))
     if subsystem == "I":
-        return four.transpose(2, 1, 0, 3).reshape(4, 4)
+        return four.swapaxes(-4, -2).reshape(arr.shape)
     if subsystem == "S":
-        return four.transpose(0, 3, 2, 1).reshape(4, 4)
+        return four.swapaxes(-3, -1).reshape(arr.shape)
     raise StructuralError(f"subsystem must be 'I' or 'S', got {subsystem!r}")
 
 

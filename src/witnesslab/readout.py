@@ -11,6 +11,7 @@ per-spectrum phase adjustment done against the equilibrium reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,8 +75,12 @@ class SpectrumPair:
         return self.line_low - self.line_high
 
 
+@lru_cache(maxsize=64)
 def prep_pulse_unitary(p: PulseSpec) -> Gate:
-    """exp(-i * angle/2 * sigma_axis) on each target spin, identity elsewhere."""
+    """exp(-i * angle/2 * sigma_axis) on each target spin, identity elsewhere.
+
+    PulseSpec is frozen and Gate immutable, so a pulse is built once and shared.
+    """
     sigma = SIGMA_X if p.axis == "x" else SIGMA_Y
     rot = np.cos(p.angle / 2) * SIGMA_I - 1j * np.sin(p.angle / 2) * sigma
     u_i = rot if "I" in p.targets else SIGMA_I
@@ -94,6 +99,8 @@ def simulate_lines(rho: DensityMatrix, nucleus: str, prep: PulseSpec | None) -> 
     """
     if nucleus not in _LINE_COORDS:
         raise DomainError(f"nucleus must be 'I' or 'S', got {nucleus!r}")
+    if rho.dim != 4:
+        raise DomainError("simulate_lines needs a two-spin state")
     rho_p = prep_pulse_unitary(prep).apply(rho) if prep is not None else rho
     x, y, xz, yz = pauli_coords(rho_p.matrix)[_LINE_COORDS[nucleus]]
     phase = _RECEIVER_PHASE[nucleus]

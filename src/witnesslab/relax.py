@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, bounded_int
 from .qmat import DensityMatrix, from_pauli_coords, pauli_coords
-from .optim import generalized_robustness
-from .witness import PauliWitness, eval_witness, f_witness_state
+from .optim import _robustness
+from .witness import PauliWitness, _correlation_columns, _f_values
 
 # largest sweep grid: each point runs one robustness solve
 _MAX_STEPS = 10_000
@@ -71,26 +71,33 @@ class SweepSeries:
             raise DomainError("times must be strictly increasing")
 
 
-def _decay_factors(t: float, t1: float, t2: float) -> np.ndarray:
-    """Factors by which one spin's I, X, Y and Z components shrink in t seconds."""
-    d2 = np.exp(-t / t2)
-    return np.array([1.0, d2, d2, np.exp(-t / t1)])
+def _relax(matrix: np.ndarray, times: np.ndarray, p: RelaxationParams) -> np.ndarray:
+    """(N, 4, 4) states reached from one 4x4 state after each of N times.
+
+    Spin I's and spin S's I, X, Y, Z components shrink by 1, exp(-t/T2),
+    exp(-t/T2), exp(-t/T1), and the Pauli coordinate of P_I x P_S by the
+    product of its two factors: the (N, 16) decay table times the
+    coordinates of the start state.
+    """
+    lifetimes = np.array([[np.inf, p.t2_i, p.t2_i, p.t1_i], [np.inf, p.t2_s, p.t2_s, p.t1_s]])
+    f = np.exp(-times[:, None, None] / lifetimes)
+    table = (f[:, 0, :, None] * f[:, 1, None, :]).reshape(-1, 16)
+    return from_pauli_coords(table * pauli_coords(matrix)) / 4.0
 
 
 def relax_channel(rho: DensityMatrix, t: float, p: RelaxationParams) -> DensityMatrix:
     """Apply t seconds of independent per-spin relaxation.
 
-    The Pauli coordinate of P_I x P_S is scaled by f_I(P_I) * f_S(P_S).  The
-    map is completely positive and trace preserving for all t >= 0 because
-    T2 <= 2*T1 on each spin; t = 0 is the identity and t -> infinity sends
-    everything to the maximally mixed state.
+    The map is completely positive and trace preserving for all t >= 0
+    because T2 <= 2*T1 on each spin; t = 0 is the identity and t -> infinity
+    sends everything to the maximally mixed state.  This is the one-point
+    case of the grid that ``sweep`` relaxes.
     """
     if rho.dim != 4:
         raise DomainError("relax_channel needs a two-spin state")
     if not 0.0 <= t < np.inf:
         raise DomainError(f"time must be finite and nonnegative, got {t}")
-    scale = np.outer(_decay_factors(t, p.t1_i, p.t2_i), _decay_factors(t, p.t1_s, p.t2_s))
-    return DensityMatrix(from_pauli_coords(scale.ravel() * pauli_coords(rho.matrix)) / 4.0)
+    return DensityMatrix(_relax(rho.matrix, np.array([t], dtype=float), p)[0])
 
 
 def _fit_decay_time(times: np.ndarray, values: np.ndarray) -> float | None:
@@ -122,26 +129,28 @@ def sweep(
 
     Each grid point relaxes the initial state directly (the channel forms a
     semigroup, so chaining would give the same result but impose an order).
+    The grid is relaxed as one array, F and W are read from its Pauli
+    coordinates, and the entangled points are solved together; every point
+    equals the one-point functions applied to ``relax_channel(rho0, t, p)``.
     """
     steps = bounded_int(steps, "steps", 2, _MAX_STEPS)
     if not 0.0 < t_max < np.inf:
         raise DomainError(f"t_max = {t_max} must be positive and finite")
+    if rho0.dim != 4:
+        raise DomainError("sweep needs a two-spin state")
     times = np.linspace(0.0, t_max, steps)
-    f_vals = np.empty(steps)
-    w_vals = np.empty(steps)
-    gr_vals = np.empty(steps)
-    for k, t in enumerate(times):
-        rho_t = relax_channel(rho0, float(t), p)
-        f_vals[k] = f_witness_state(rho_t)
-        w_vals[k] = eval_witness(w, rho_t)
-        try:
-            gr_vals[k] = generalized_robustness(rho_t).value
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"robustness solver failed at sweep time t = {t:.6g} s: {exc}",
-                lower=exc.lower,
-                upper=exc.upper,
-            ) from exc
+    states = _relax(rho0.matrix, times, p)
+    xx, yy, zz = _correlation_columns(states)
+    f_vals, w_vals = _f_values(xx, zz), w.value(xx, yy, zz)
+    gr_vals, _, _, failures = _robustness(states)
+    if failures:
+        k = min(failures)
+        exc = failures[k]
+        raise ConvergenceError(
+            f"robustness solver failed at sweep time t = {times[k]:.6g} s: {exc}",
+            lower=exc.lower,
+            upper=exc.upper,
+        ) from exc
 
     series = SweepSeries(
         times=times,

@@ -59,21 +59,30 @@ class BDClass(Enum):
 
 def f_witness(corr: CorrelationPair) -> float:
     """F = 1/2 - (1/4)(1 + |w1|)(1 + |w2|); negative F certifies entanglement."""
-    return 0.5 - 0.25 * (1.0 + abs(corr.w1)) * (1.0 + abs(corr.w2))
+    return float(_f_values(corr.w1, corr.w2))
+
+
+def _correlation_columns(m: np.ndarray) -> np.ndarray:
+    """<XX>, <YY>, <ZZ> of a 4x4 state, or of each one in a (..., 4, 4) stack, as axis 0."""
+    return np.moveaxis(pauli_coords(m)[..., _BD_COORDS[1:]], -1, 0)
 
 
 def _correlations(rho: DensityMatrix) -> tuple[float, float, float]:
     """(<XX>, <YY>, <ZZ>) of a two-spin state, read off its Pauli coordinates."""
     if rho.dim != 4:
         raise DomainError("correlations need a two-spin state")
-    return tuple(pauli_coords(rho.matrix)[_BD_COORDS[1:]].tolist())
+    return tuple(_correlation_columns(rho.matrix).tolist())
+
+
+def _f_values(xx, zz):
+    """f_witness of <XX> and <ZZ>, elementwise, with rounding spill past +-1 clipped first."""
+    return 0.5 - 0.25 * (1.0 + np.abs(np.clip(xx, -1, 1))) * (1.0 + np.abs(np.clip(zz, -1, 1)))
 
 
 def f_witness_state(rho: DensityMatrix) -> float:
     """Evaluate F on a state via its XX and ZZ correlations."""
     w1, _, w2 = _correlations(rho)
-    # clip rounding spill so the CorrelationPair range check stays meaningful
-    return f_witness(CorrelationPair(np.clip(w1, -1, 1), np.clip(w2, -1, 1)))
+    return float(_f_values(w1, w2))
 
 
 def witness_matrix(w: PauliWitness) -> HermitianOp:

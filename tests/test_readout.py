@@ -280,3 +280,28 @@ def test_tomography_rejects_nan_expectations():
     e[4] = np.nan
     with pytest.raises(DomainError):
         pauli_tomography(e)
+
+
+@pytest.mark.parametrize("prep", [None, READOUT_PULSE], ids=["none", "readout"])
+def test_lines_reject_a_single_spin_state(prep):
+    one_spin = DensityMatrix(np.eye(2, dtype=complex) / 2)
+    with pytest.raises(DomainError, match="two-spin"):
+        simulate_lines(one_spin, "I", prep)
+    with pytest.raises(DomainError, match="two-spin"):
+        measure_yy(one_spin)
+
+
+def test_pulses_are_built_once_and_lines_do_not_change():
+    spec = PulseSpec("x", 1.1, ("I", "S"))
+    assert prep_pulse_unitary(spec) is prep_pulse_unitary(PulseSpec("x", 1.1, ("I", "S")))
+    assert prep_pulse_unitary(READOUT_PULSE) is prep_pulse_unitary(READOUT_PULSE)
+    rng = np.random.default_rng(4242)
+    for _ in range(20):
+        rho = random_density_matrix(rng)
+        for prep in (spec, READOUT_PULSE):
+            fresh = prep_pulse_unitary.__wrapped__(prep)  # the same pulse, built anew
+            assert np.array_equal(fresh.unitary, prep_pulse_unitary(prep).unitary)
+            rho_p = fresh.apply(rho)
+            for nucleus in ("I", "S"):
+                lines = simulate_lines(rho, nucleus, prep)
+                assert lines == simulate_lines(rho_p, nucleus, None)

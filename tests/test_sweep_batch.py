@@ -1,0 +1,162 @@
+"""The batched sweep against its one-point functions.
+
+``sweep`` relaxes the whole time grid as one coordinate array and solves
+every entangled point in one Newton loop.  Each point must still equal
+``f_witness_state``, ``eval_witness`` and ``generalized_robustness`` of
+``relax_channel(rho0, float(t), p)`` bit for bit, with the same Newton step
+count, and a point whose solve fails must name its sweep time.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import random_density_matrix
+from witnesslab import (
+    BellKind,
+    ConvergenceError,
+    DensityMatrix,
+    DomainError,
+    RelaxationParams,
+    bell_state,
+    bell_witness,
+    eval_witness,
+    f_witness_state,
+    generalized_robustness,
+    pseudo_pure,
+    relax_channel,
+    sweep,
+)
+from witnesslab import optim, relax
+from witnesslab.qmat import _pt_arr
+
+PAPER_T2 = RelaxationParams(t1_i=10.0, t2_i=0.31, t1_s=10.0, t2_s=0.11)
+
+
+def rotated_pseudo_pure():
+    """A pseudo-pure phi- after a fixed local rotation: entangled but not Bell-diagonal."""
+    def rotation(theta, phi):
+        return np.array([[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
+                         [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]])
+
+    u = np.kron(rotation(0.4, 1.1), rotation(1.3, -0.6))
+    rho = pseudo_pure(0.7, bell_state(BellKind.PHI_MINUS))
+    return DensityMatrix(u @ rho.matrix @ u.conj().T)
+
+
+def entangled_ginibre(seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        rho = random_density_matrix(rng)
+        if np.linalg.eigvalsh(_pt_arr(rho.matrix, "I"))[0] < -0.05:
+            return rho
+
+
+CASES = {
+    "phi-": (bell_state(BellKind.PHI_MINUS), 0.6, 200),
+    "rotated-pseudo-pure": (rotated_pseudo_pure(), 0.6, 200),
+    "ginibre-1": (entangled_ginibre(1), 0.6, 200),
+    "ginibre-2": (entangled_ginibre(2), 0.6, 200),
+    "ginibre-3": (entangled_ginibre(3), 0.6, 200),
+    # every point entangled and more of them than one chunk holds
+    "phi-, two chunks": (bell_state(BellKind.PHI_MINUS), 0.25, optim._CHUNK + 44),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
+    rho0, t_max, steps = CASES[name]
+    w = bell_witness(BellKind.PHI_MINUS)
+    series = sweep(rho0, PAPER_T2, w, t_max, steps)
+    # the solver's own step counts for the grid, formed as the sweep forms them
+    states = relax._relax(rho0.matrix, series.times, PAPER_T2)
+    _, iterations, _, failures = optim._robustness(states)
+    assert not failures
+    solved = 0
+    for k, t in enumerate(series.times):
+        rho_t = relax_channel(rho0, float(t), PAPER_T2)
+        assert np.array_equal(rho_t.matrix, states[k])
+        assert f_witness_state(rho_t) == series.f_values[k]
+        assert eval_witness(w, rho_t) == series.w_values[k]
+        single = generalized_robustness(rho_t)
+        assert single.value == series.gr_values[k]
+        assert single.iterations == iterations[k]
+        solved += single.iterations > 0
+    assert solved > 0
+    if steps > optim._CHUNK:
+        assert solved > optim._CHUNK  # the solve crossed a chunk boundary
+
+
+def test_capped_solves_fail_with_the_one_point_bounds():
+    times = np.linspace(0.0, 0.25, 9)
+    states = relax._relax(entangled_ginibre(5).matrix, times, PAPER_T2)
+    states = np.concatenate([states, relax._relax(bell_state(BellKind.PHI_MINUS).matrix, times, PAPER_T2)])
+    for cap in (5, 30):
+        _, _, _, failures = optim._robustness(states, max_iter=cap)
+        assert failures
+        for k, exc in failures.items():
+            with pytest.raises(ConvergenceError) as single:
+                generalized_robustness(DensityMatrix(states[k]), max_iter=cap)
+            assert str(exc) == str(single.value)
+            assert (exc.lower, exc.upper) == (single.value.lower, single.value.upper)
+
+
+def test_sweep_names_the_earliest_failing_time(monkeypatch):
+    rho0 = bell_state(BellKind.PHI_MINUS)
+    w = bell_witness(BellKind.PHI_MINUS)
+    times = np.linspace(0.0, 0.2, 12)
+    targets = [_pt_arr(relax_channel(rho0, float(times[k]), PAPER_T2).matrix, "I") for k in (9, 4)]
+    positivity = optim._not_positive_definite
+
+    def no_feasible_step_at_the_targets(blocks):
+        # the blocks of a point are omega and m + omega^PT, so m is their difference
+        m = blocks[..., 1, :, :] - _pt_arr(blocks[..., 0, :, :], "I")
+        hit = [np.max(np.abs(m[i] - target)) < 1e-9 for i in range(len(m)) for target in targets]
+        forced = np.flatnonzero(np.reshape(hit, (len(m), -1)).any(axis=1))
+        return np.union1d(positivity(blocks), forced)
+
+    monkeypatch.setattr(optim, "_not_positive_definite", no_feasible_step_at_the_targets)
+    with pytest.raises(ConvergenceError) as single:
+        generalized_robustness(relax_channel(rho0, float(times[4]), PAPER_T2))
+    with pytest.raises(ConvergenceError) as err:
+        sweep(rho0, PAPER_T2, w, 0.2, 12)
+    assert str(err.value) == f"robustness solver failed at sweep time t = {times[4]:.6g} s: {single.value}"
+    assert "line search" in str(err.value)
+    assert (err.value.lower, err.value.upper) == (single.value.lower, single.value.upper)
+
+
+def test_sweep_steps_are_bounded_integers(monkeypatch):
+    def no_solve(m, max_iter=None):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(relax, "_robustness", no_solve)
+    w = bell_witness(BellKind.PHI_MINUS)
+    for steps in (10_001, 1, 2.5, "3"):
+        with pytest.raises(DomainError, match="steps"):
+            sweep(bell_state(BellKind.PHI_MINUS), PAPER_T2, w, t_max=0.6, steps=steps)
+
+
+def test_sweep_rejects_a_single_spin_state():
+    with pytest.raises(DomainError, match="two-spin"):
+        sweep(DensityMatrix(np.eye(2) / 2), PAPER_T2, bell_witness(BellKind.PHI_MINUS), 0.6, 5)
+
+
+def test_stacked_positivity_test_agrees_with_lapack_on_every_point():
+    rng = np.random.default_rng(77)
+    n = 400
+    g = rng.standard_normal((n, 2, 4, 4)) + 1j * rng.standard_normal((n, 2, 4, 4))
+    h = g @ g.conj().swapaxes(-1, -2)
+    lam = np.linalg.eigvalsh(h)[..., 0]
+    # smallest eigenvalue moved to +-1e-6 and +-1e-12 of the scale, and to the
+    # edge of rounding, so every branch of the test and its fallback is taken
+    scale = np.abs(h).max(axis=(-2, -1))
+    target = scale * rng.choice([1e-6, -1e-6, 1e-12, -1e-12, 1e-17, 0.3, -0.3], size=(n, 2))
+    blocks = h + (target - lam)[..., None, None] * np.eye(4)
+    want = []
+    for b in blocks:
+        try:
+            np.linalg.cholesky(b)
+            want.append(False)
+        except np.linalg.LinAlgError:
+            want.append(True)
+    assert np.array_equal(optim._not_positive_definite(blocks), np.flatnonzero(want))
+    assert 0 < sum(want) < n
