@@ -9,6 +9,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+# numpy's private LAPACK gufuncs: the Newton loop calls them directly, because the public
+# wrappers cost about 4 us a call in argument checks and cholesky raises for a whole stack
+# where the gufunc answers per block (NaN output for a block it cannot factor or solve)
+from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError, DomainError, InfeasibleError, UnboundedError
 from .qmat import PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, _pt_arr, from_pauli_coords
@@ -26,7 +30,6 @@ _BARRIER_WEIGHTS = (4.0, 80.0, 1.6e3, 3.2e4, 6.4e5, 1.0e7)
 _WEIGHT_ROWS = 4.0 * np.array(_BARRIER_WEIGHTS)[:, None] * _E0  # 4t * e_0, the linear term's gradient
 # Newton steps one robustness solve may take
 _MAX_NEWTON_STEPS = 400
-_NO_POINTS, _FIRST_POINT = np.zeros(0, dtype=int), np.zeros(1, dtype=int)
 # NPT points solved together at most: about 30 KB of Newton temporaries each
 _CHUNK = 256
 
@@ -145,7 +148,7 @@ def _gradient_hessian(blocks: np.ndarray, weight: np.ndarray):
     Tr(a P_k a P_l) = (conj(Q) kron(a, a^T) Q^T)_kl, one batched product
     over both blocks.  weight is 4t * e_0, the gradient of the linear term.
     """
-    inv = np.linalg.inv(blocks)
+    inv = _umath_linalg.inv(blocks, signature="D->D")
     lead = inv.shape[:-2]
     tr = (_QB_CONJ @ inv.reshape(lead + (16, 1))).real[..., 0]
     # order C: the product's default layout follows the transposed factor, and reshape would copy
@@ -157,69 +160,38 @@ def _gradient_hessian(blocks: np.ndarray, weight: np.ndarray):
 def _newton_direction(blocks: np.ndarray, weight: np.ndarray):
     """Newton step and decrement of one point, or of each point of a stack.
 
-    weight is 4t * e_0.  One point takes the plain vector forms, which give
-    the same bits as one slice of the stacked forms.  A singular Hessian
-    gets a small jitter.
+    weight is 4t * e_0.  One LAPACK solve serves every point, and each row of
+    it has the same bits as that point's own solve.  A singular Hessian gives
+    a NaN row; only those rows are solved again, with a small jitter.  One
+    point takes the plain vector form of the decrement, which gives the same
+    bits as one slice of the stacked form.
     """
     grad, hess = _gradient_hessian(blocks, weight)
     neg_grad = -grad
-    if hess.ndim > 2:
-        try:
-            step = np.linalg.solve(hess, neg_grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # some Hessian is singular: solve point by point
-            step = np.stack([_newton_direction(b, w)[0] for b, w in zip(blocks, weight)])
-        return step, (neg_grad[:, None, :] @ step[:, :, None])[:, 0, 0]
-    try:
-        step = np.linalg.solve(hess, neg_grad)
-    except np.linalg.LinAlgError:
-        jitter = 1e-10 * np.trace(hess) / 16.0
-        step = np.linalg.solve(hess + jitter * np.eye(16), neg_grad)
-    return step, neg_grad @ step
+    step = _umath_linalg.solve1(hess, neg_grad, signature="dd->d")
+    if hess.ndim == 2:
+        if np.isnan(step[0]):
+            step = _jittered_solve(hess, neg_grad)
+        return step, neg_grad @ step
+    for i in np.isnan(step[:, 0]).nonzero()[0]:
+        step[i] = _jittered_solve(hess[i], neg_grad[i])
+    return step, (neg_grad[:, None, :] @ step[:, :, None])[:, 0, 0]
+
+
+def _jittered_solve(hess: np.ndarray, neg_grad: np.ndarray) -> np.ndarray:
+    """The Newton step of one point whose Hessian is singular: 1e-10 of its mean diagonal added."""
+    jitter = 1e-10 * np.trace(hess) / 16.0
+    return _umath_linalg.solve1(hess + jitter * np.eye(16), neg_grad, signature="dd->d")
 
 
 def _not_positive_definite(blocks: np.ndarray) -> np.ndarray:
     """Indices of the points whose barrier blocks are not both positive definite.
 
-    The answer is LAPACK's Cholesky's.  One stacked Cholesky; when it raises
-    for several points, _cholesky_verdicts settles most of them together
-    and only the points it leaves open are factored one at a time.
+    One LAPACK Cholesky of the whole stack: it fills every block it cannot
+    factor with NaN, so its verdict is the one np.linalg.cholesky raises on.
     """
-    try:
-        np.linalg.cholesky(blocks)
-        return _NO_POINTS
-    except np.linalg.LinAlgError:
-        if len(blocks) == 1:
-            return _FIRST_POINT
-    definite, indefinite = _cholesky_verdicts(blocks)
-    bad = indefinite.any(axis=-1)
-    for i in np.flatnonzero(~bad & ~definite.all(axis=-1)):
-        bad[i] = len(_not_positive_definite(blocks[i:i + 1])) > 0
-    return np.flatnonzero(bad)
-
-
-def _cholesky_verdicts(a: np.ndarray):
-    """Which Hermitian 4x4 matrices of a stack are surely positive definite, and which surely not.
-
-    Runs an unpivoted Cholesky on all of them at once.  A matrix is settled
-    once a pivot leaves the band of 1e-10 times its largest diagonal entry
-    around zero: positive definite if all four pivots lie above it, not
-    positive definite if the first one outside it lies below.  Rounding moves
-    a pivot by about 1e-15 of that entry, far inside the band, so LAPACK's
-    Cholesky reaches the same verdict; a matrix with a pivot in the band is
-    left open (both results False).
-    """
-    a = a.copy()
-    margin = 1e-10 * np.max(a.diagonal(axis1=-2, axis2=-1).real, axis=-1)
-    definite = np.ones(a.shape[:-2], dtype=bool)
-    indefinite = np.zeros(a.shape[:-2], dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(4):
-            d = a[..., j, j].real
-            indefinite |= definite & (d < -margin)
-            definite &= d > margin
-            col = a[..., j + 1:, j]
-            a[..., j + 1:, j + 1:] -= col[..., :, None] * (col.conj() / d[..., None])[..., None, :]
-    return definite, indefinite
+    chol = _umath_linalg.cholesky_lo(blocks, signature="D->D")
+    return np.isnan(chol[..., 0, 0].real).any(axis=-1).nonzero()[0]
 
 
 def _line_search(x: np.ndarray, step: np.ndarray, shift: np.ndarray):
@@ -252,6 +224,7 @@ def _line_search(x: np.ndarray, step: np.ndarray, shift: np.ndarray):
     return trial, blocks, failed
 
 
+@np.errstate(invalid="ignore")  # a failed LAPACK call marks its block with NaN, which the loop reads
 def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
     """Follow the barrier's central path for k NPT points at once.
 
@@ -289,7 +262,7 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
             step, advance = step[None], [0] if decrement < 1e-11 else []
         else:
             step, decrement = _newton_direction(blocks, weight)
-            advance = np.flatnonzero(decrement < 1e-11).tolist()
+            advance = (decrement < 1e-11).nonzero()[0].tolist()
         step_count += 1
         if step_count > max_iter:
             for i in range(len(points)):
@@ -334,9 +307,11 @@ def _robustness(rho: np.ndarray, max_iter: int = _MAX_NEWTON_STEPS):
     """
     m = _pt_arr(rho, "I")
     lam_min = np.linalg.eigvalsh(m)[:, 0]
-    npt = np.flatnonzero(lam_min < -1e-12)
-    values, iterations, omega = np.zeros(len(m)), np.zeros(len(m), dtype=int), np.zeros_like(m)
+    npt = (lam_min < -1e-12).nonzero()[0]
+    values, iterations, omega = np.zeros(len(m)), np.zeros(len(m), dtype=int), np.zeros(m.shape, dtype=complex)
     failures = {}
+    if not len(npt):
+        return values, iterations, omega, failures
     for start in range(0, len(npt), _CHUNK):
         idx = npt[start:start + _CHUNK]
         x, iterations[idx], chunk_failures = _central_path(m[idx], lam_min[idx], max_iter)

@@ -78,17 +78,81 @@ def test_line_search_failure_raises_with_bounds(monkeypatch):
     rho = bell_state(BellKind.PHI_MINUS)  # rho^PT has min eigenvalue -1/2
     trials = []
 
-    def never_positive_definite(a):
-        trials.append(a)
-        raise np.linalg.LinAlgError("forced")
+    def never_positive_definite(blocks):
+        trials.append(blocks)
+        return np.arange(len(blocks))
 
-    monkeypatch.setattr(np.linalg, "cholesky", never_positive_definite)
+    monkeypatch.setattr(optim, "_not_positive_definite", never_positive_definite)
     with pytest.raises(ConvergenceError, match="line search") as err:
         generalized_robustness(rho)
     assert len(trials) == 60  # the first step's halvings, and no step taken after them
     start = 4.0 * (1.5 * 0.5 + 0.05)  # Tr of the start point omega = alpha * identity
     assert err.value.upper == pytest.approx(start)
     assert err.value.lower == pytest.approx(start - 8.0 / 4.0)
+
+
+def singular_at(weight_0, monkeypatch):
+    """Make _gradient_hessian return a rank-15 Hessian (row and column 5 zeroed)
+    at every point whose weight 4t * e_0 has the given first entry."""
+    gradient_hessian = optim._gradient_hessian
+
+    def rank_deficient(blocks, weight):
+        grad, hess = gradient_hessian(blocks, weight)
+        singular = weight[..., 0] == weight_0
+        hess[..., 5, :] = np.where(singular[..., None], 0.0, hess[..., 5, :])
+        hess[..., :, 5] = np.where(singular[..., None], 0.0, hess[..., :, 5])
+        return grad, hess
+
+    monkeypatch.setattr(optim, "_gradient_hessian", rank_deficient)
+
+
+def feasible_blocks(rng, n):
+    """Barrier blocks of n random strictly feasible points, stacked as (n, 2, 4, 4)."""
+    out = []
+    for _ in range(n):
+        m, x = feasible_point(rng)
+        shift = np.stack([np.zeros((4, 4)), m])
+        out.append(optim._barrier_blocks(x, shift))
+    return np.stack(out)
+
+
+def test_singular_hessian_takes_the_jittered_step(monkeypatch):
+    blocks = feasible_blocks(np.random.default_rng(3301), 1)[0]
+    weight = 4.0 * 80.0 * np.eye(16)[0]
+    singular_at(weight[0], monkeypatch)
+    grad, hess = optim._gradient_hessian(blocks, weight)
+    assert np.linalg.matrix_rank(hess) == 15
+    # the solver runs its kernels with invalid-value warnings off: a failed solve is a NaN row
+    with np.errstate(invalid="ignore"):
+        step, decrement = optim._newton_direction(blocks, weight)
+    jitter = 1e-10 * np.trace(hess) / 16.0
+    assert np.all(np.isfinite(step))
+    assert np.array_equal(step, np.linalg.solve(hess + jitter * np.eye(16), -grad))
+    assert decrement == -grad @ step
+
+
+def test_singular_rows_of_a_stack_are_the_only_ones_solved_again(monkeypatch):
+    n = 7
+    blocks = feasible_blocks(np.random.default_rng(3302), n)
+    weight = 4.0 * np.array([4.0, 80.0, 4.0, 4.0, 80.0, 80.0, 4.0])[:, None] * np.eye(16)[0]
+    singular_at(4.0 * 80.0, monkeypatch)
+    jittered = []
+    jittered_solve = optim._jittered_solve
+
+    def spy(hess, neg_grad):
+        jittered.append(hess)
+        return jittered_solve(hess, neg_grad)
+
+    monkeypatch.setattr(optim, "_jittered_solve", spy)
+    with np.errstate(invalid="ignore"):
+        step, decrement = optim._newton_direction(blocks, weight)
+        assert len(jittered) == 3  # rows 1, 4 and 5
+        assert np.all(np.isfinite(step))
+        for i in range(n):
+            single_step, single_decrement = optim._newton_direction(blocks[i], weight[i])
+            assert np.array_equal(step[i], single_step)
+            assert decrement[i] == single_decrement
+    assert len(jittered) == 6  # and once more each on its own
 
 
 def haar_unitary(rng):

@@ -7,8 +7,11 @@ every entangled point in one Newton loop.  Each point must still equal
 count, and a point whose solve fails must name its sweep time.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from conftest import random_density_matrix
 from witnesslab import (
@@ -158,5 +161,39 @@ def test_stacked_positivity_test_agrees_with_lapack_on_every_point():
             want.append(False)
         except np.linalg.LinAlgError:
             want.append(True)
-    assert np.array_equal(optim._not_positive_definite(blocks), np.flatnonzero(want))
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(optim._not_positive_definite(blocks), np.flatnonzero(want))
     assert 0 < sum(want) < n
+
+
+def test_lapack_cholesky_gives_nan_exactly_where_numpy_cholesky_raises():
+    # the positivity test reads the gufunc's NaN output in place of numpy.linalg's exception
+    rng = np.random.default_rng(78)
+    n = 300
+    g = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+    h = g @ g.conj().swapaxes(-1, -2)
+    lam = np.linalg.eigvalsh(h)[:, 0]
+    target = np.abs(h).max(axis=(-2, -1)) * rng.choice([1e-6, -1e-6, 1e-12, -1e-12, 1e-17, 0.3, -0.3], size=n)
+    blocks = h + (target - lam)[:, None, None] * np.eye(4)
+    with np.errstate(invalid="ignore"):
+        chol = _umath_linalg.cholesky_lo(blocks, signature="D->D")
+    raised = 0
+    for b, c in zip(blocks, chol):
+        try:
+            want = np.linalg.cholesky(b)
+        except np.linalg.LinAlgError:
+            raised += 1
+            assert np.all(np.isnan(c))
+            continue
+        assert np.array_equal(c, want)
+    assert 0 < raised < n
+
+
+def test_solves_raise_no_runtime_warning():
+    # failed LAPACK calls inside the Newton loop are read as NaN, never reported
+    rho0 = bell_state(BellKind.PHI_MINUS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(generalized_robustness(rho0).value - 1.0) < 1e-6
+        series = sweep(rho0, PAPER_T2, bell_witness(BellKind.PHI_MINUS), 0.6, 200)
+    assert np.count_nonzero(series.gr_values) > 0
