@@ -25,9 +25,13 @@ _Q = TWO_SPIN_PAULIS.reshape(16, 16)  # row k is vec(P_k): x @ _Q is vec(sum_k x
 _QB = np.stack([_Q, PT_SIGN[:, None] * _Q])  # rows vec(P_k) and vec(P_k^PT)
 _QB_CONJ = _QB.conj()
 _QB_T = _QB.transpose(0, 2, 1)
-# barrier weights t of the central-path stages: 4, then x20 per stage, capped at 1e7
-_BARRIER_WEIGHTS = (4.0, 80.0, 1.6e3, 3.2e4, 6.4e5, 1.0e7)
+# barrier weights t of the central-path stages: 4, then x50 per stage, capped at 1e7
+_BARRIER_WEIGHTS = (4.0, 200.0, 1.0e4, 5.0e5, 1.0e7)
 _WEIGHT_ROWS = 4.0 * np.array(_BARRIER_WEIGHTS)[:, None] * _E0  # 4t * e_0, the linear term's gradient
+# squared Newton decrement below which a point leaves each stage: an intermediate stage only
+# places the next stage's start inside its quadratic-convergence region (lambda < 0.32), and
+# only the last stage, whose 8/t is the reported gap, centres exactly
+_ADVANCE_DECREMENT = np.array([0.1] * (len(_BARRIER_WEIGHTS) - 1) + [1e-11])
 # Newton steps one robustness solve may take
 _MAX_NEWTON_STEPS = 400
 # NPT points solved together at most: about 30 KB of Newton temporaries each
@@ -185,13 +189,14 @@ def _jittered_solve(hess: np.ndarray, neg_grad: np.ndarray) -> np.ndarray:
 
 
 def _not_positive_definite(blocks: np.ndarray) -> np.ndarray:
-    """Indices of the points whose barrier blocks are not both positive definite.
+    """Indices of the points whose barrier blocks are not both positive definite, over leading axes.
 
     One LAPACK Cholesky of the whole stack: it fills every block it cannot
     factor with NaN, so its verdict is the one np.linalg.cholesky raises on.
+    One unbatched (2, 4, 4) point gives [0] or [].
     """
     chol = _umath_linalg.cholesky_lo(blocks, signature="D->D")
-    return np.isnan(chol[..., 0, 0].real).any(axis=-1).nonzero()[0]
+    return np.atleast_1d(np.isnan(chol[..., 0, 0].real).any(axis=-1)).nonzero()[0]
 
 
 def _line_search(x: np.ndarray, step: np.ndarray, shift: np.ndarray):
@@ -230,12 +235,19 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
 
     m is the (k, 4, 4) stack of partial transposes and lam_min their
     smallest eigenvalues.  All active points take one damped Newton step per
-    round.  Each point runs its own barrier schedule: it moves to the next
-    weight after a decrement below 1e-11 or 80 steps, and leaves the active
-    set after the last weight or when it fails.  Iterates are the 16 real
-    Pauli coordinates of omega.  Returns the final iterates (k, 16), the
-    Newton steps of each point, and a ConvergenceError for each point that
-    failed, by index.
+    round.  Each point runs its own barrier schedule t = 4, 200, 1e4, 5e5,
+    1e7: it moves to the next weight once its squared Newton decrement is
+    below _ADVANCE_DECREMENT of its stage, or after 80 steps, and leaves the
+    active set after the last weight or when it fails.  An intermediate
+    stage only sets the next stage's start, so it stops at 0.1, inside the
+    region where the next stage's Newton steps converge quadratically
+    (Boyd & Vandenberghe 9.6.4, 11.3.3); the last stage centres to 1e-11,
+    so the final iterate is on the central path at t = 1e7 and the duality
+    gap is still 8/t.  The one-point and stacked branches read the same
+    thresholds, so a point takes the same steps alone or in a sweep.
+    Iterates are the 16 real Pauli coordinates of omega.  Returns the final
+    iterates (k, 16), the Newton steps of each point, and a ConvergenceError
+    for each point that failed, by index.
     """
     k = len(m)
     x = np.zeros((k, 16))
@@ -259,10 +271,10 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
     while len(points):
         if len(points) == 1:  # without the batch axis, whose broadcasting costs a few us a step
             step, decrement = _newton_direction(blocks[0], weight[0])
-            step, advance = step[None], [0] if decrement < 1e-11 else []
+            step, advance = step[None], [0] if decrement < _ADVANCE_DECREMENT[stage[0]] else []
         else:
             step, decrement = _newton_direction(blocks, weight)
-            advance = (decrement < 1e-11).nonzero()[0].tolist()
+            advance = (decrement < _ADVANCE_DECREMENT[stage]).nonzero()[0].tolist()
         step_count += 1
         if step_count > max_iter:
             for i in range(len(points)):
@@ -329,11 +341,14 @@ def generalized_robustness(rho: DensityMatrix, max_iter: int = _MAX_NEWTON_STEPS
     Separability of two qubits is exactly positivity of the partial
     transpose, so this value is the minimal weight of an arbitrary state that
     must be mixed in before rho turns separable.  Solved by following the
-    central path of the two-cone log-det barrier with damped Newton steps;
-    the barrier weight stops at 1e7, where the duality gap is below 1e-6 and
-    the iterate is still strictly feasible (so the certificate always
-    verifies).  This is the one-point case of the batched solver that
-    ``relax.sweep`` runs over a whole time grid.
+    central path of the two-cone log-det barrier with damped Newton steps,
+    the weight t rising x50 per stage from 4 to 1e7.  Intermediate weights
+    are centred loosely (squared decrement below 0.1), because they only
+    start the next stage; the last, t = 1e7, is centred exactly (below
+    1e-11), so the duality gap there is 8/t, below 1e-6, and the iterate
+    is still strictly feasible (so the certificate always verifies).  This
+    is the one-point case of the batched solver that ``relax.sweep`` runs
+    over a whole time grid.
     """
     if rho.dim != 4:
         raise DomainError("generalized_robustness needs a two-spin state")

@@ -174,7 +174,11 @@ def crossing_time(series: SweepSeries, quantity: str) -> float | None:
     """Linearly interpolated end-of-detection time of one curve.
 
     For F and W this is the first sign change; for GR the first descent below
-    1e-6.  None when the curve never crosses.
+    1e-6.  GR is max(0, .) of a smooth curve, so interpolating across its
+    kink lands late by up to one grid step: when the curve already falls
+    into the bracket, the level is extrapolated from the last two points
+    above it, clamped into the bracketing interval.  None when the curve
+    never crosses.
     """
     times = series.times
     if quantity in ("F", "W"):
@@ -191,6 +195,9 @@ def crossing_time(series: SweepSeries, quantity: str) -> float | None:
         vals = series.gr_values
         for k in range(vals.size - 1):
             if vals[k] > level >= vals[k + 1]:
+                if k and vals[k - 1] > vals[k]:
+                    frac = (vals[k] - level) / (vals[k - 1] - vals[k])
+                    return float(min(times[k] + frac * (times[k] - times[k - 1]), times[k + 1]))
                 frac = (vals[k] - level) / (vals[k] - vals[k + 1])
                 return float(times[k] + frac * (times[k + 1] - times[k]))
         return None

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from conftest import random_density_matrix
 from witnesslab import (
@@ -13,6 +14,7 @@ from witnesslab import (
     bell_witness,
     crossing_time,
     expectation,
+    grape_target_pipeline,
     relax_channel,
     sweep,
     tensor,
@@ -248,6 +250,31 @@ def test_crossing_time_gr_level():
     s = _series([0.0, 1.0, 2.0], gr=[1.0, 0.5, 0.0])
     tc = crossing_time(s, "GR")
     assert 1.0 < tc < 2.0
+
+
+@pytest.mark.parametrize("gr, want", [
+    ([1.0, 0.9, 0.0], 2.0),  # the extrapolated level lies past the bracket: clamped to its end
+    ([0.0, 0.5, 0.0], 1.999998),  # rising into the bracket: interpolated across it
+])
+def test_crossing_time_gr_stays_in_the_bracket(gr, want):
+    assert crossing_time(_series([0.0, 1.0, 2.0], gr=gr), "GR") == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("make_rho0, steps, tol", [
+    (lambda: bell_state(BellKind.PHI_MINUS), 200, 1e-4),
+    (grape_target_pipeline, 2000, 1e-5),
+], ids=["phi-", "grape"])
+def test_crossing_time_gr_matches_the_closed_form_root(make_rho0, steps, tol):
+    # relaxation keeps these states Bell-diagonal, where GR = max(0, 2 lambda_max - 1)
+    rho0 = make_rho0()
+    params = RelaxationParams()
+
+    def excess(t):
+        return 2.0 * np.linalg.eigvalsh(relax_channel(rho0, t, params).matrix)[-1] - 1.0
+
+    exact = brentq(excess, 0.0, 0.6, xtol=1e-12)
+    series = sweep(rho0, params, bell_witness(BellKind.PHI_MINUS), t_max=0.6, steps=steps)
+    assert abs(crossing_time(series, "GR") - exact) <= tol
 
 
 def test_crossing_time_rejects_unknown_quantity():

@@ -5,7 +5,7 @@ the exact generalized robustness, so they need no reference solution."""
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix
+from conftest import bd, bd_weights, random_density_matrix, random_physical_c
 from witnesslab import (
     BellKind,
     ConvergenceError,
@@ -14,11 +14,13 @@ from witnesslab import (
     RelaxationParams,
     bell_state,
     generalized_robustness,
+    optimal_witness,
     partial_transpose,
     relax_channel,
 )
 from witnesslab import optim
-from witnesslab.qmat import TWO_SPIN_PAULIS, pauli_coords
+from witnesslab.qmat import TWO_SPIN_LABELS, TWO_SPIN_PAULIS, pauli_coords
+from witnesslab.states import BELL_ORDER
 
 # the barrier stops at t = 1e7 with a duality gap of at most 8 / t
 GAP = 8.0e-7
@@ -89,6 +91,13 @@ def test_line_search_failure_raises_with_bounds(monkeypatch):
     start = 4.0 * (1.5 * 0.5 + 0.05)  # Tr of the start point omega = alpha * identity
     assert err.value.upper == pytest.approx(start)
     assert err.value.lower == pytest.approx(start - 8.0 / 4.0)
+
+
+def test_one_unbatched_point_gives_its_verdict_as_an_index_array():
+    blocks = feasible_blocks(np.random.default_rng(3303), 1)[0]
+    with np.errstate(invalid="ignore"):
+        assert optim._not_positive_definite(blocks).tolist() == []
+        assert optim._not_positive_definite(-blocks).tolist() == [0]
 
 
 def singular_at(weight_0, monkeypatch):
@@ -195,3 +204,52 @@ def test_robustness_does_not_increase_under_local_relaxation():
                   for t in np.linspace(0.0, 0.4, 9)]
         assert values[0] > 0.0
         assert np.all(np.diff(values) <= GAP)
+
+
+def certified_interval(rho):
+    """The returned value and the dual lower bound built from its certificate.
+
+    B = ((rho + omega)^PT)^-1 / t at the final weight t = 1e7 gives the
+    witness W = B^PT / max(1, lambda_max(B^PT)): W^PT >= 0 and W <= 1 hold by
+    construction, so -Tr(W rho) is a lower bound on the robustness.
+    """
+    result = generalized_robustness(rho)
+    omega = result.value * result.certificate_state.matrix
+    b = np.linalg.inv(pt(rho.matrix + omega)) / 1.0e7
+    w = pt((b + b.conj().T) / 2.0)
+    w = w / max(1.0, np.linalg.eigvalsh(w)[-1])
+    return result.value, -np.trace(w @ rho.matrix).real, w
+
+
+def test_certified_interval_holds_on_ginibre_states():
+    for rho in entangled_states(np.random.default_rng(4201), 100):
+        value, lower, _ = certified_interval(rho)
+        assert lower <= value <= lower + 8.1e-7
+
+
+def test_dual_witness_of_a_bell_diagonal_state_is_the_optimal_witness_lp():
+    # the paper's two halves: the robustness solver's dual and the exact witness LP
+    rng = np.random.default_rng(4203)
+    columns = [TWO_SPIN_LABELS.index(label) for label in ("II", "XX", "YY", "ZZ")]
+    checked = 0
+    for _ in range(100):
+        c = random_physical_c(rng)
+        while bd_weights(c).max() <= 0.5:  # NPT: one Bell weight above 1/2
+            c = random_physical_c(rng)
+        value, lower, w = certified_interval(bd(*c))
+        assert lower <= value <= lower + 8.1e-7
+        if value >= 0.01:
+            want = np.zeros(16)
+            want[columns] = optimal_witness(BELL_ORDER[int(np.argmax(bd_weights(c)))]).as_tuple()
+            np.testing.assert_allclose(pauli_coords(w) / 4.0, want, rtol=0, atol=1e-4)
+            checked += 1
+    assert checked >= 90
+
+
+def test_newton_steps_per_npt_solve_stay_within_budget():
+    # a count, not a time: the barrier schedule's cost on a fixed set of states
+    states = entangled_states(np.random.default_rng(4205), 200)
+    _, iterations, _, failures = optim._robustness(np.stack([rho.matrix for rho in states]))
+    assert not failures
+    assert iterations.mean() <= 30
+    assert iterations.max() <= 50
