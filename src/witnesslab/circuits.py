@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
-from .qmat import SIGMA_I, SIGMA_X, SIGMA_Z, TWO_SPIN_LABELS, DensityMatrix, pauli_coords
+from .errors import StructuralError, bounded_int
+from .qmat import SIGMA_I, SIGMA_X, SIGMA_Z, TWO_SPIN_LABELS, DensityMatrix, _as_operator_array
+from .qmat import pauli_coords
 from .states import BellKind, ThermalParams, _BELL_VECTORS, thermal_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -25,12 +26,9 @@ class Gate:
     label: str
 
     def __post_init__(self):
-        u = np.array(self.unitary, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] not in (2, 4):
-            raise StructuralError(f"gate must be 2x2 or 4x4, got shape {u.shape}")
+        u = _as_operator_array(self.unitary)
         if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-10:
             raise StructuralError(f"gate {self.label!r} is not unitary")
-        u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
@@ -45,8 +43,8 @@ class Message:
     z: int
 
     def __post_init__(self):
-        if self.x not in (0, 1) or self.z not in (0, 1):
-            raise DomainError(f"message bits must be 0 or 1, got ({self.x}, {self.z})")
+        for name in ("x", "z"):
+            object.__setattr__(self, name, bounded_int(getattr(self, name), name, 0, 1))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import TOL
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, StructuralError
 from .circuits import Message, superdense_run
 from .optim import generalized_robustness, optimal_witness
 from .qmat import DensityMatrix, _pt_arr
@@ -363,7 +363,6 @@ def _add_common(sub, default_format="text"):
         help=f"output format (default: {default_format}{text_note})",
     )
     sub.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
-    sub.add_argument("--seed", type=int, default=0, help="seed for stochastic options")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--noise", type=float, default=0.0,
         help="report correlations with seeded Gaussian noise of this sigma",
     )
+    p.add_argument("--seed", type=int, default=0, help="seed of the --noise draws")
     _add_common(p)
     p.set_defaults(func=_cmd_witness)
 
@@ -480,7 +480,8 @@ def main(argv=None) -> int:
         print(f"witnesslab: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (DomainError, StructuralError) as exc:
+        # a StructuralError here is a state outside a tolerance tighter than rounding
         print(f"witnesslab: domain error: {exc}", file=sys.stderr)
         return 3
     except ConvergenceError as exc:

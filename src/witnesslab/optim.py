@@ -36,6 +36,8 @@ _ADVANCE_DECREMENT = np.array([0.1] * (len(_BARRIER_WEIGHTS) - 1) + [1e-11])
 _MAX_NEWTON_STEPS = 400
 # NPT points solved together at most: about 30 KB of Newton temporaries each
 _CHUNK = 256
+# half-width of the box solve_lp adds so that every LP has vertices
+_BOX_BOUND = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +53,10 @@ class LinearProgram:
     b_ub: np.ndarray
 
 
-def solve_lp(lp: LinearProgram, box_bound: float = 1e6) -> np.ndarray:
+def solve_lp(lp: LinearProgram) -> np.ndarray:
     """Exact minimizer of a small LP.
 
-    Every n-subset of constraint rows (the given ones plus a +-box_bound box,
+    Every n-subset of constraint rows (the given ones plus a +-_BOX_BOUND box,
     which guarantees the polytope has vertices) is solved as a linear system;
     feasible solutions are vertices and the best one is returned.  An optimal
     vertex that touches the box means the true problem is unbounded.  Ties
@@ -66,7 +68,7 @@ def solve_lp(lp: LinearProgram, box_bound: float = 1e6) -> np.ndarray:
     a = np.asarray(lp.a_ub, dtype=float).reshape(-1, n)
     b = np.asarray(lp.b_ub, dtype=float).ravel()
     a_all = np.vstack([a, np.eye(n), -np.eye(n)])
-    b_all = np.concatenate([b, np.full(2 * n, box_bound)])
+    b_all = np.concatenate([b, np.full(2 * n, _BOX_BOUND)])
 
     combos = np.array(list(itertools.combinations(range(a_all.shape[0]), n)))
     sub_a = a_all[combos]
@@ -84,7 +86,7 @@ def solve_lp(lp: LinearProgram, box_bound: float = 1e6) -> np.ndarray:
     values = verts @ c
     best = values.min()
     candidates = verts[values <= best + 1e-9]
-    off_box = candidates[np.all(np.abs(candidates) < box_bound - 1e-6, axis=1)]
+    off_box = candidates[np.all(np.abs(candidates) < _BOX_BOUND - 1e-6, axis=1)]
     if off_box.size == 0:
         raise UnboundedError("objective is unbounded (every optimal vertex sits on the box)")
     order = np.lexsort(off_box.T[::-1])  # lexicographic in x0, x1, ...
@@ -137,13 +139,8 @@ def _barrier_blocks(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return (x[..., None, None, :] @ _QB).reshape(shift.shape) + shift
 
 
-def _newton_system(x: np.ndarray, shift: np.ndarray, t: float):
-    """Gradient and Hessian of 4t x_0 - log det Omega - log det(m + Omega^PT)."""
-    return _gradient_hessian(_barrier_blocks(x, shift), 4.0 * t * _E0)
-
-
 def _gradient_hessian(blocks: np.ndarray, weight: np.ndarray):
-    """The Newton system at the points whose barrier blocks are given, over leading axes.
+    """Gradient and Hessian of 4t x_0 - log det Omega - log det(m + Omega^PT), over leading axes.
 
     With a the inverse of a block and Q the basis of that block (rows vec(P_k)
     for Omega, vec(P_k^PT) = PT sign * vec(P_k) for Omega^PT, which scales
@@ -246,8 +243,8 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
     gap is still 8/t.  The one-point and stacked branches read the same
     thresholds, so a point takes the same steps alone or in a sweep.
     Iterates are the 16 real Pauli coordinates of omega.  Returns the final
-    iterates (k, 16), the Newton steps of each point, and a ConvergenceError
-    for each point that failed, by index.
+    iterates (k, 16), the Newton steps of each point that finished, and a
+    ConvergenceError for each point that failed, by index.
     """
     k = len(m)
     x = np.zeros((k, 16))
@@ -255,7 +252,6 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
     shift = np.zeros((k, 2, 4, 4), dtype=complex)
     shift[:, 1] = m
     blocks = _barrier_blocks(x, shift)
-    weight = _WEIGHT_ROWS[np.zeros(k, dtype=int)]
     points = np.arange(k)  # the point each active row belongs to
     stage = np.zeros(k, dtype=int)
     stage_end = np.full(k, 80)  # the step count at which each row's stage is cut
@@ -266,14 +262,13 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
         value = 4.0 * x[i, 0]
         bound = max(0.0, value - 8.0 / _BARRIER_WEIGHTS[stage[i]])
         failures[int(points[i])] = ConvergenceError(reason, lower=bound, upper=value)
-        iterations[points[i]] = step_count
 
     while len(points):
         if len(points) == 1:  # without the batch axis, whose broadcasting costs a few us a step
-            step, decrement = _newton_direction(blocks[0], weight[0])
+            step, decrement = _newton_direction(blocks[0], _WEIGHT_ROWS[stage[0]])
             step, advance = step[None], [0] if decrement < _ADVANCE_DECREMENT[stage[0]] else []
         else:
-            step, decrement = _newton_direction(blocks, weight)
+            step, decrement = _newton_direction(blocks, _WEIGHT_ROWS[stage])
             advance = (decrement < _ADVANCE_DECREMENT[stage]).nonzero()[0].tolist()
         step_count += 1
         if step_count > max_iter:
@@ -292,9 +287,7 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
                 continue
             stage[i] += 1
             stage_end[i] = step_count + 80
-            if stage[i] < len(_BARRIER_WEIGHTS):
-                weight[i] = _WEIGHT_ROWS[stage[i]]
-            else:
+            if stage[i] == len(_BARRIER_WEIGHTS):
                 x_out[points[i]], iterations[points[i]] = x[i], step_count
                 leaving.append(i)
         if len(leaving) == len(points):
@@ -302,7 +295,7 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
         if leaving:
             keep = np.ones(len(points), dtype=bool)
             keep[leaving] = False
-            x, shift, blocks, weight = x[keep], shift[keep], blocks[keep], weight[keep]
+            x, shift, blocks = x[keep], shift[keep], blocks[keep]
             points, stage, stage_end = points[keep], stage[keep], stage_end[keep]
         if step_count == next_cut:
             next_cut = stage_end.min()
@@ -322,8 +315,6 @@ def _robustness(rho: np.ndarray, max_iter: int = _MAX_NEWTON_STEPS):
     npt = (lam_min < -1e-12).nonzero()[0]
     values, iterations, omega = np.zeros(len(m)), np.zeros(len(m), dtype=int), np.zeros(m.shape, dtype=complex)
     failures = {}
-    if not len(npt):
-        return values, iterations, omega, failures
     for start in range(0, len(npt), _CHUNK):
         idx = npt[start:start + _CHUNK]
         x, iterations[idx], chunk_failures = _central_path(m[idx], lam_min[idx], max_iter)

@@ -68,8 +68,8 @@ class SpectrumPair:
         if self.nucleus not in ("I", "S"):
             raise DomainError(f"nucleus must be 'I' or 'S', got {self.nucleus!r}")
         for name, v in (("line_low", self.line_low), ("line_high", self.line_high)):
-            if abs(v) > 1.0 + TOL.psd_tol:
-                raise DomainError(f"{name} magnitude {abs(v)} exceeds the unit reference")
+            if not abs(v) <= 1.0 + TOL.psd_tol:  # NaN fails this test too
+                raise DomainError(f"{name} magnitude {abs(v)} is not within the unit reference")
 
     def difference(self) -> complex:
         return self.line_low - self.line_high
@@ -167,6 +167,8 @@ def pauli_tomography(expectations) -> TomographyResult:
 
 def add_noise(value: float, sigma: float, seed: int) -> float:
     """Add seeded Gaussian noise and clamp to the correlation range [-1, 1]."""
+    if not -np.inf < value < np.inf:
+        raise DomainError(f"value must be finite, got {value}")
     if not 0.0 <= sigma < np.inf:
         raise DomainError(f"sigma must be finite and nonnegative, got {sigma}")
     rng = np.random.default_rng(bounded_int(seed, "seed", 0))

@@ -38,10 +38,10 @@ class RelaxationParams:
             if not 0.0 < v < np.inf:
                 raise DomainError(f"{name} = {v} must be positive and finite")
         # complete positivity of the per-spin channel requires T2 <= 2*T1
-        if self.t2_i > 2 * self.t1_i + 1e-15:
-            raise DomainError(f"t2_i = {self.t2_i} exceeds 2*t1_i = {2 * self.t1_i}")
-        if self.t2_s > 2 * self.t1_s + 1e-15:
-            raise DomainError(f"t2_s = {self.t2_s} exceeds 2*t1_s = {2 * self.t1_s}")
+        for spin in ("i", "s"):
+            t1, t2 = getattr(self, f"t1_{spin}"), getattr(self, f"t2_{spin}")
+            if t2 > 2 * t1 + 1e-15:
+                raise DomainError(f"t2_{spin} = {t2} exceeds 2*t1_{spin} = {2 * t1}")
 
 
 @dataclass(frozen=True)

@@ -115,14 +115,9 @@ def bell_witness(kind: BellKind) -> PauliWitness:
 def f_detects_bd(params) -> bool:
     """Whether F goes negative on the Bell-diagonal state with these correlations.
 
-    F sees only c1 (via <XX>) and c3 (via <ZZ>), so detection means
-    (1 + |c1|)(1 + |c3|) > 2, strictly.
+    F sees only c1 (via <XX>) and c3 (via <ZZ>), and detection means F < 0, strictly.
     """
-    return _f_detects(params.c1, params.c3)
-
-
-def _f_detects(c1: float, c3: float) -> bool:
-    return (1.0 + abs(c1)) * (1.0 + abs(c3)) > 2.0
+    return bool(_f_values(params.c1, params.c3) < 0)
 
 
 _BD_CLASSES = np.array(list(BDClass), dtype=object)
@@ -130,7 +125,7 @@ _BD_CLASSES = np.array(list(BDClass), dtype=object)
 
 def _classify(c1, c2, c3) -> np.ndarray:
     """BDClass of each triple, elementwise: physicality, then separability, then F."""
-    k = np.where(_in_octahedron(c1, c2, c3), 1, np.where(_f_detects(c1, c3), 2, 3))
+    k = np.where(_in_octahedron(c1, c2, c3), 1, np.where(_f_values(c1, c3) < 0, 2, 3))
     return _BD_CLASSES[np.where(_is_physical(c1, c2, c3), k, 0)]
 
 

@@ -38,9 +38,40 @@ def test_gate_rejects_non_unitary():
         Gate(np.ones((4, 4)), "bad")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_gate_rejects_non_finite_entries(bad):
+    u = np.eye(4, dtype=complex)
+    u[1, 2] = bad
+    with pytest.raises(StructuralError, match="NaN or infinite"):
+        Gate(u, "bad")
+
+
+def test_gate_rejects_other_shapes_and_is_read_only():
+    for shape in ((3, 3), (2, 4), (4,), (8, 8)):
+        with pytest.raises(StructuralError):
+            Gate(np.eye(*shape) if len(shape) == 2 else np.ones(shape), "bad")
+    g = epr_gate()
+    with pytest.raises(ValueError):
+        g.unitary[0, 0] = 0.0
+
+
 def test_message_bits_validated():
     with pytest.raises(DomainError):
         Message(2, 0)
+
+
+@pytest.mark.parametrize("bits", [(1.0, 0), (0, 0.0), (-1, 0), (0, 2), ("1", 0), (None, 1)])
+def test_message_rejects_non_bits(bits):
+    with pytest.raises(DomainError):
+        Message(*bits)
+
+
+def test_message_stores_plain_int_bits():
+    for bits in ((True, False), (np.int64(1), np.int8(0))):
+        m = Message(*bits)
+        assert (type(m.x), type(m.z)) == (int, int)
+        assert (m.x, m.z) == (1, 0)
+        assert message_operator(m).label == "U_x1z0"
 
 
 def test_epr_gate_creates_cat_state():

@@ -406,6 +406,43 @@ def test_witness_rejects_negative_noise_seed(capsys):
     assert "domain error" in err and "seed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("optimal-witness", "--all"),
+    ("robustness", "--state", "identity"),
+    ("relax-sweep", "--steps", "2"),
+    ("detect-region", "2"),
+    ("sdc", "--eps", "1,1", "--msg", "1,0"),
+])
+def test_seed_is_a_witness_option_only(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--seed=7")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --seed=7" in err
+    assert "--seed" not in run(capsys, argv[0], "--help")[1]
+    assert "--seed" in run(capsys, "witness", "--help")[1]
+    assert run(capsys, "witness", "--state", "bell:phi-", "--seed", "7")[0] == 0
+
+
+@pytest.mark.parametrize("tol, argv", [
+    ("0", ("sdc", "--eps", "1,1", "--msg", "1,0")),
+    ("1e-12", ("witness", "--state", "bd:1,0.5,-0.500000002")),
+])
+def test_state_outside_a_tight_tolerance_is_a_domain_error(capsys, monkeypatch, tol, argv):
+    from witnesslab.config import TOL
+
+    old = TOL.psd_tol
+    monkeypatch.setenv("WITNESSLAB_TOL", tol)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "domain error" in err and "positive semidefinite" in err
+    assert "Traceback" not in err
+    assert TOL.psd_tol == old
+    monkeypatch.delenv("WITNESSLAB_TOL")
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_relax_sweep_steps_limit(capsys):
     code, out, err = run(capsys, "relax-sweep", "--steps", "10001")
     assert code == 3

@@ -22,7 +22,7 @@ from witnesslab import (
     tensor,
 )
 from witnesslab.qmat import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOp
-from witnesslab.readout import READOUT_PULSE
+from witnesslab.readout import READOUT_PULSE, SpectrumPair
 
 IDENTITY = DensityMatrix(np.eye(4, dtype=complex) / 4)
 
@@ -266,6 +266,21 @@ def test_noise_rejects_non_finite_sigma():
     for sigma in (np.nan, np.inf):
         with pytest.raises(DomainError):
             add_noise(0.0, sigma, seed=0)
+
+
+def test_noise_rejects_non_finite_values():
+    for value in (np.nan, np.inf, -np.inf):
+        for sigma in (0.0, 0.1):
+            with pytest.raises(DomainError, match="finite"):
+                add_noise(value, sigma, seed=0)
+
+
+@pytest.mark.parametrize("line", [np.nan, np.inf, complex(np.nan, 0.0), complex(0.0, -np.inf)])
+def test_spectrum_pair_rejects_non_finite_lines(line):
+    with pytest.raises(DomainError, match="line_low"):
+        SpectrumPair("S", line, 0)
+    with pytest.raises(DomainError, match="line_high"):
+        SpectrumPair("I", 0, line)
 
 
 def test_noise_rejects_negative_and_non_integer_seeds():

@@ -58,7 +58,8 @@ def test_newton_system_matches_finite_differences_of_the_barrier(t):
     eye = np.eye(16)
     for _ in range(4):
         m, x = feasible_point(rng)
-        grad, hess = optim._newton_system(x, np.stack([np.zeros((4, 4)), m]), t)
+        shift = np.stack([np.zeros((4, 4)), m])
+        grad, hess = optim._gradient_hessian(optim._barrier_blocks(x, shift), 4.0 * t * np.eye(16)[0])
         f = lambda y: barrier(y, m, t)  # noqa: E731
         h = 1e-6
         fd_grad = np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in eye])
@@ -91,6 +92,22 @@ def test_line_search_failure_raises_with_bounds(monkeypatch):
     start = 4.0 * (1.5 * 0.5 + 0.05)  # Tr of the start point omega = alpha * identity
     assert err.value.upper == pytest.approx(start)
     assert err.value.lower == pytest.approx(start - 8.0 / 4.0)
+
+
+def test_an_all_ppt_stack_is_answered_without_a_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("_central_path called for a PPT stack")
+
+    monkeypatch.setattr(optim, "_central_path", no_solve)
+    rng = np.random.default_rng(515)
+    ppt = [np.eye(4) / 4.0, bd(0.3, -0.2, 0.4).matrix]
+    ppt += [bd(*random_physical_c(rng)).matrix for _ in range(200)]
+    ppt = np.array([m for m in ppt if np.linalg.eigvalsh(pt(m))[0] >= 0.0])
+    assert len(ppt) > 20
+    values, iterations, omega, failures = optim._robustness(ppt)
+    assert not values.any() and not iterations.any() and not omega.any()
+    assert failures == {}
+    assert generalized_robustness(DensityMatrix(ppt[1])).value == 0.0
 
 
 def test_one_unbatched_point_gives_its_verdict_as_an_index_array():

@@ -24,6 +24,8 @@ from witnesslab import (
     witness_is_valid,
     witness_matrix,
 )
+from witnesslab.states import _in_octahedron, _is_physical
+from witnesslab.witness import _classify
 
 IDENTITY = DensityMatrix(np.eye(4, dtype=complex) / 4)
 
@@ -149,6 +151,38 @@ def test_classify_reference_points():
 
 def test_classify_octahedron_boundary_counts_as_separable():
     assert classify_bd((0.5, 0.25, 0.25)) is BDClass.SEPARABLE
+
+
+def product_rule_classes(c1, c2, c3):
+    """BDClass values by the product form of F < 0, (1 + |c1|)(1 + |c3|) > 2: a reference."""
+    detected = (1.0 + np.abs(c1)) * (1.0 + np.abs(c3)) > 2.0
+    k = np.where(_in_octahedron(c1, c2, c3), 1, np.where(detected, 2, 3))
+    return np.array(list(BDClass), dtype=object)[np.where(_is_physical(c1, c2, c3), k, 0)]
+
+
+def test_classification_equals_the_product_rule_on_the_full_grid():
+    axis = np.linspace(-1.0, 1.0, 101)
+    c = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
+    got = _classify(*c)
+    assert got.shape == (101, 101, 101)
+    assert np.array_equal(got, product_rule_classes(*c))
+
+
+def test_classify_follows_f_just_past_the_cube():
+    # _is_physical admits |c1| a few 1e-9 past 1, where F clips c1 to 1 and is 0: not detected
+    assert f_witness_state(bd(1.0, 0.0, 0.0)) == 0.0
+    assert classify_bd((1.0 + 1e-9, 0.0, 0.0)) is BDClass.ENTANGLED_UNDETECTED_BY_F
+
+
+def test_classification_equals_the_product_rule_on_random_triples():
+    rng = np.random.default_rng(8080)
+    c = rng.uniform(-1.0, 1.0, size=(3, 100_000))
+    assert np.array_equal(_classify(*c), product_rule_classes(*c))
+    for triple in c.T[:300]:
+        assert classify_bd(triple) is product_rule_classes(*triple)
+    for _ in range(300):
+        params = BellDiagonalParams(*random_physical_c(rng))
+        assert f_detects_bd(params) == ((1 + abs(params.c1)) * (1 + abs(params.c3)) > 2)
 
 
 def test_f_detection_is_exact_on_thermal_derived_triples():
