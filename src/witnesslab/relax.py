@@ -142,7 +142,7 @@ def sweep(
     states = _relax(rho0.matrix, times, p)
     xx, yy, zz = _correlation_columns(states)
     f_vals, w_vals = _f_values(xx, zz), w.value(xx, yy, zz)
-    gr_vals, _, _, failures = _robustness(states)
+    gr_vals, _, _, failures, _, _ = _robustness(states)
     if failures:
         k = min(failures)
         exc = failures[k]

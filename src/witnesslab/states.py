@@ -61,8 +61,13 @@ def _bd_weights(c1, c2, c3) -> np.ndarray:
 
 
 def _is_physical(c1, c2, c3):
-    """True where no Bell weight is negative beyond rounding, elementwise."""
-    return _bd_weights(c1, c2, c3).min(axis=-1) >= -1e-9
+    """True where every |c_i| <= 1 and no Bell weight is negative beyond rounding, elementwise.
+
+    The weights' 1e-9 slack alone would admit a triple a few 1e-9 past the
+    cube, such as (1 + 1e-9, 0, 0), which no Bell-diagonal state has.
+    """
+    in_cube = (np.abs(c1) <= 1.0) & (np.abs(c2) <= 1.0) & (np.abs(c3) <= 1.0)
+    return in_cube & (_bd_weights(c1, c2, c3).min(axis=-1) >= -1e-9)
 
 
 @dataclass(frozen=True)

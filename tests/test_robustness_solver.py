@@ -1,6 +1,7 @@
-"""The robustness solver's Newton system and line search, and metamorphic
-checks of the value it returns: symmetries and monotonicity that hold for
-the exact generalized robustness, so they need no reference solution."""
+"""The robustness solver's Schur system, its failure paths and its dual
+certificate, and metamorphic checks of the value it returns: symmetries and
+monotonicity that hold for the exact generalized robustness, so they need
+no reference solution."""
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from witnesslab import optim
 from witnesslab.qmat import TWO_SPIN_LABELS, TWO_SPIN_PAULIS, pauli_coords
 from witnesslab.states import BELL_ORDER
 
-# the barrier stops at t = 1e7 with a duality gap of at most 8 / t
-GAP = 8.0e-7
+# the solver stops at a duality gap below 1e-8
+GAP = 1.0e-8
 
 
 def pt(m):
@@ -52,18 +53,54 @@ def feasible_point(rng):
     return m, pauli_coords(omega) / 4.0
 
 
+def slack_blocks(m, x):
+    return optim._pauli_blocks(x) + np.stack([np.zeros((4, 4)), m])
+
+
+def random_pd(rng, n=4):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g @ g.conj().T + 0.1 * np.eye(n)
+
+
+def test_schur_matrix_is_the_sum_of_traces_over_both_blocks():
+    rng = np.random.default_rng(20260)
+    signs = [np.ones(16), optim.PT_SIGN]
+    for _ in range(4):
+        m, x = feasible_point(rng)
+        s = slack_blocks(m, x)
+        s_inv = np.linalg.inv(s)
+        z = np.stack([random_pd(rng), random_pd(rng)])
+        inv_l, r = np.linalg.inv(np.linalg.cholesky(s)), np.linalg.cholesky(z)
+        want = np.array([
+            [
+                sum(sign[k] * sign[l] * np.trace(TWO_SPIN_PAULIS[k] @ z[b] @ TWO_SPIN_PAULIS[l] @ s_inv[b]).real
+                    for b, sign in enumerate(signs))
+                for l in range(16)
+            ]
+            for k in range(16)
+        ])
+        got = optim._schur_matrix(inv_l[None], r[None])[0]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(got, got.T, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("t", [4.0, 80.0])
 def test_newton_system_matches_finite_differences_of_the_barrier(t):
+    # on the central path Z_b = S_b^-1 / t: t M is the barrier's Hessian, and the
+    # corrector's right-hand side with sigma mu = 1 / t is minus its gradient over t
     rng = np.random.default_rng(20261)
     eye = np.eye(16)
     for _ in range(4):
         m, x = feasible_point(rng)
-        shift = np.stack([np.zeros((4, 4)), m])
-        grad, hess = optim._gradient_hessian(optim._barrier_blocks(x, shift), 4.0 * t * np.eye(16)[0])
+        inv_l = np.linalg.inv(np.linalg.cholesky(slack_blocks(m, x)))[None]
+        s_inv = inv_l.conj().swapaxes(-1, -2) @ inv_l
+        # Z_b = R_b R_b^H with R_b = L_b^-H / sqrt(t), any factor serves
+        mm = optim._schur_matrix(inv_l, inv_l.conj().swapaxes(-1, -2) / np.sqrt(t))[0]
+        rhs = (optim._traces(s_inv / t) - 4.0 * optim._E0)[0]
         f = lambda y: barrier(y, m, t)  # noqa: E731
         h = 1e-6
         fd_grad = np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in eye])
-        np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-6 * (1 + np.abs(grad).max()))
+        np.testing.assert_allclose(-t * rhs, fd_grad, rtol=0, atol=1e-6 * (1 + np.abs(fd_grad).max()))
         h = 1e-4
         fd_hess = np.array([
             [
@@ -73,25 +110,50 @@ def test_newton_system_matches_finite_differences_of_the_barrier(t):
             ]
             for ek in eye
         ])
-        np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=1e-5 * np.abs(hess).max())
-        np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12 * np.abs(hess).max())
+        np.testing.assert_allclose(t * mm, fd_hess, rtol=0, atol=1e-5 * np.abs(fd_hess).max())
+        np.testing.assert_allclose(mm, mm.T, rtol=0, atol=1e-12 * np.abs(mm).max())
 
 
-def test_line_search_failure_raises_with_bounds(monkeypatch):
-    rho = bell_state(BellKind.PHI_MINUS)  # rho^PT has min eigenvalue -1/2
-    trials = []
+def test_cholesky_failure_raises_with_bounds(monkeypatch):
+    rho = bell_state(BellKind.PHI_MINUS)  # rho^PT has min eigenvalue -1/2, robustness 1
+    calls = []
 
     def never_positive_definite(blocks):
-        trials.append(blocks)
-        return np.arange(len(blocks))
+        calls.append(blocks)
+        nan = np.full(blocks.shape, np.nan, dtype=complex)
+        return nan, nan, np.arange(len(blocks))
 
-    monkeypatch.setattr(optim, "_not_positive_definite", never_positive_definite)
-    with pytest.raises(ConvergenceError, match="line search") as err:
+    monkeypatch.setattr(optim, "_cholesky", never_positive_definite)
+    with pytest.raises(ConvergenceError, match="not positive definite") as err:
         generalized_robustness(rho)
-    assert len(trials) == 60  # the first step's halvings, and no step taken after them
-    start = 4.0 * (1.5 * 0.5 + 0.05)  # Tr of the start point omega = alpha * identity
+    assert len(calls) == 1  # the start point's check, and no step taken after it
+    start = 4.0 * (1.5 * 0.5 + 0.05)  # Tr of the start point omega = x_0 * identity
     assert err.value.upper == pytest.approx(start)
-    assert err.value.lower == pytest.approx(start - 8.0 / 4.0)
+    assert err.value.lower == 0.0  # the start's gap 4 x_0 + 1/2 exceeds its value
+
+
+def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
+    rho = bell_state(BellKind.PHI_MINUS)
+    cholesky = optim._cholesky
+    calls = []
+
+    def fails_at_the_fourth_iterate(blocks):
+        calls.append(blocks)
+        if len(calls) < 4:
+            return cholesky(blocks)
+        nan = np.full(blocks.shape, np.nan, dtype=complex)
+        return nan, nan, np.arange(len(blocks))
+
+    monkeypatch.setattr(optim, "_cholesky", fails_at_the_fourth_iterate)
+    with pytest.raises(ConvergenceError, match="not positive definite") as err:
+        generalized_robustness(rho)
+    # the third iterate's bounds: Tr(omega) = 4 x_0, less the gap from its S and Z
+    s, z = calls[2][0, :2], calls[2][0, 2:]
+    upper = np.trace(s[0]).real
+    gap = sum(np.trace(s[b] @ z[b]).real for b in range(2))
+    assert err.value.upper == pytest.approx(upper, rel=1e-14)
+    assert err.value.lower == pytest.approx(max(0.0, upper - gap), rel=1e-12, abs=1e-15)
+    assert 0.0 <= err.value.lower <= 1.0 <= err.value.upper
 
 
 def test_an_all_ppt_stack_is_answered_without_a_solve(monkeypatch):
@@ -104,80 +166,65 @@ def test_an_all_ppt_stack_is_answered_without_a_solve(monkeypatch):
     ppt += [bd(*random_physical_c(rng)).matrix for _ in range(200)]
     ppt = np.array([m for m in ppt if np.linalg.eigvalsh(pt(m))[0] >= 0.0])
     assert len(ppt) > 20
-    values, iterations, omega, failures = optim._robustness(ppt)
+    values, iterations, omega, failures, lower, witness = optim._robustness(ppt)
     assert not values.any() and not iterations.any() and not omega.any()
+    assert not lower.any() and not witness.any()
     assert failures == {}
-    assert generalized_robustness(DensityMatrix(ppt[1])).value == 0.0
+    result = generalized_robustness(DensityMatrix(ppt[1]))
+    assert result.value == 0.0 and result.lower == 0.0 and result.witness is None
 
 
 def test_one_unbatched_point_gives_its_verdict_as_an_index_array():
     blocks = feasible_blocks(np.random.default_rng(3303), 1)[0]
     with np.errstate(invalid="ignore"):
-        assert optim._not_positive_definite(blocks).tolist() == []
-        assert optim._not_positive_definite(-blocks).tolist() == [0]
-
-
-def singular_at(weight_0, monkeypatch):
-    """Make _gradient_hessian return a rank-15 Hessian (row and column 5 zeroed)
-    at every point whose weight 4t * e_0 has the given first entry."""
-    gradient_hessian = optim._gradient_hessian
-
-    def rank_deficient(blocks, weight):
-        grad, hess = gradient_hessian(blocks, weight)
-        singular = weight[..., 0] == weight_0
-        hess[..., 5, :] = np.where(singular[..., None], 0.0, hess[..., 5, :])
-        hess[..., :, 5] = np.where(singular[..., None], 0.0, hess[..., :, 5])
-        return grad, hess
-
-    monkeypatch.setattr(optim, "_gradient_hessian", rank_deficient)
+        assert optim._cholesky(blocks)[2].tolist() == []
+        assert optim._cholesky(-blocks)[2].tolist() == [0]
 
 
 def feasible_blocks(rng, n):
-    """Barrier blocks of n random strictly feasible points, stacked as (n, 2, 4, 4)."""
-    out = []
-    for _ in range(n):
-        m, x = feasible_point(rng)
-        shift = np.stack([np.zeros((4, 4)), m])
-        out.append(optim._barrier_blocks(x, shift))
-    return np.stack(out)
+    """Slack blocks of n random strictly feasible points, stacked as (n, 2, 4, 4)."""
+    return np.stack([slack_blocks(*feasible_point(rng)) for _ in range(n)])
 
 
-def test_singular_hessian_takes_the_jittered_step(monkeypatch):
-    blocks = feasible_blocks(np.random.default_rng(3301), 1)[0]
-    weight = 4.0 * 80.0 * np.eye(16)[0]
-    singular_at(weight[0], monkeypatch)
-    grad, hess = optim._gradient_hessian(blocks, weight)
-    assert np.linalg.matrix_rank(hess) == 15
+def schur_system(rng, n, singular):
+    """n Schur matrices at random dual points and right-hand sides; the rows in
+    singular get rank 15 (row and column 5 zeroed)."""
+    inv_l = np.linalg.inv(np.linalg.cholesky(feasible_blocks(rng, n)))
+    r = np.linalg.cholesky(np.stack([np.stack([random_pd(rng), random_pd(rng)]) for _ in range(n)]))
+    mm = optim._schur_matrix(inv_l, r)
+    mm[singular, 5, :] = 0.0
+    mm[singular, :, 5] = 0.0
+    return mm, rng.standard_normal((n, 16))
+
+
+def test_singular_hessian_takes_the_jittered_step():
+    mm, rhs = schur_system(np.random.default_rng(3301), 1, [0])
+    assert np.linalg.matrix_rank(mm[0]) == 15
     # the solver runs its kernels with invalid-value warnings off: a failed solve is a NaN row
     with np.errstate(invalid="ignore"):
-        step, decrement = optim._newton_direction(blocks, weight)
-    jitter = 1e-10 * np.trace(hess) / 16.0
-    assert np.all(np.isfinite(step))
-    assert np.array_equal(step, np.linalg.solve(hess + jitter * np.eye(16), -grad))
-    assert decrement == -grad @ step
+        dx = optim._schur_solve(mm, rhs)
+    jitter = 1e-10 * np.trace(mm[0]) / 16.0
+    assert np.all(np.isfinite(dx))
+    assert np.array_equal(dx[0], np.linalg.solve(mm[0] + jitter * np.eye(16), rhs[0]))
 
 
 def test_singular_rows_of_a_stack_are_the_only_ones_solved_again(monkeypatch):
     n = 7
-    blocks = feasible_blocks(np.random.default_rng(3302), n)
-    weight = 4.0 * np.array([4.0, 80.0, 4.0, 4.0, 80.0, 80.0, 4.0])[:, None] * np.eye(16)[0]
-    singular_at(4.0 * 80.0, monkeypatch)
+    mm, rhs = schur_system(np.random.default_rng(3302), n, [1, 4, 5])
     jittered = []
     jittered_solve = optim._jittered_solve
 
-    def spy(hess, neg_grad):
-        jittered.append(hess)
-        return jittered_solve(hess, neg_grad)
+    def spy(mm, rhs):
+        jittered.append(mm)
+        return jittered_solve(mm, rhs)
 
     monkeypatch.setattr(optim, "_jittered_solve", spy)
     with np.errstate(invalid="ignore"):
-        step, decrement = optim._newton_direction(blocks, weight)
+        dx = optim._schur_solve(mm, rhs)
         assert len(jittered) == 3  # rows 1, 4 and 5
-        assert np.all(np.isfinite(step))
+        assert np.all(np.isfinite(dx))
         for i in range(n):
-            single_step, single_decrement = optim._newton_direction(blocks[i], weight[i])
-            assert np.array_equal(step[i], single_step)
-            assert decrement[i] == single_decrement
+            assert np.array_equal(dx[i], optim._schur_solve(mm[i:i + 1], rhs[i:i + 1])[0])
     assert len(jittered) == 6  # and once more each on its own
 
 
@@ -224,24 +271,22 @@ def test_robustness_does_not_increase_under_local_relaxation():
 
 
 def certified_interval(rho):
-    """The returned value and the dual lower bound built from its certificate.
+    """The returned value, its dual lower bound and witness, with the witness checked.
 
-    B = ((rho + omega)^PT)^-1 / t at the final weight t = 1e7 gives the
-    witness W = B^PT / max(1, lambda_max(B^PT)): W^PT >= 0 and W <= 1 hold by
-    construction, so -Tr(W rho) is a lower bound on the robustness.
+    W^PT >= 0 and W <= 1 make -Tr(W rho) a lower bound on the robustness.
     """
     result = generalized_robustness(rho)
-    omega = result.value * result.certificate_state.matrix
-    b = np.linalg.inv(pt(rho.matrix + omega)) / 1.0e7
-    w = pt((b + b.conj().T) / 2.0)
-    w = w / max(1.0, np.linalg.eigvalsh(w)[-1])
-    return result.value, -np.trace(w @ rho.matrix).real, w
+    w = result.witness.matrix
+    assert np.linalg.eigvalsh(pt(w))[0] >= -1e-12
+    assert np.linalg.eigvalsh(w)[-1] <= 1.0 + 1e-12
+    assert abs(result.lower + np.trace(w @ rho.matrix).real) <= 1e-12
+    return result.value, result.lower, w
 
 
 def test_certified_interval_holds_on_ginibre_states():
     for rho in entangled_states(np.random.default_rng(4201), 100):
         value, lower, _ = certified_interval(rho)
-        assert lower <= value <= lower + 8.1e-7
+        assert lower <= value <= lower + GAP
 
 
 def test_dual_witness_of_a_bell_diagonal_state_is_the_optimal_witness_lp():
@@ -254,7 +299,7 @@ def test_dual_witness_of_a_bell_diagonal_state_is_the_optimal_witness_lp():
         while bd_weights(c).max() <= 0.5:  # NPT: one Bell weight above 1/2
             c = random_physical_c(rng)
         value, lower, w = certified_interval(bd(*c))
-        assert lower <= value <= lower + 8.1e-7
+        assert lower <= value <= lower + GAP
         if value >= 0.01:
             want = np.zeros(16)
             want[columns] = optimal_witness(BELL_ORDER[int(np.argmax(bd_weights(c)))]).as_tuple()
@@ -264,9 +309,9 @@ def test_dual_witness_of_a_bell_diagonal_state_is_the_optimal_witness_lp():
 
 
 def test_newton_steps_per_npt_solve_stay_within_budget():
-    # a count, not a time: the barrier schedule's cost on a fixed set of states
+    # a count, not a time: the predictor-corrector iterations on a fixed set of states
     states = entangled_states(np.random.default_rng(4205), 200)
-    _, iterations, _, failures = optim._robustness(np.stack([rho.matrix for rho in states]))
+    _, iterations, _, failures, _, _ = optim._robustness(np.stack([rho.matrix for rho in states]))
     assert not failures
-    assert iterations.mean() <= 30
-    assert iterations.max() <= 50
+    assert iterations.mean() <= 12
+    assert iterations.max() <= 20

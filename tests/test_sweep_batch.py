@@ -1,10 +1,10 @@
 """The batched sweep against its one-point functions.
 
 ``sweep`` relaxes the whole time grid as one coordinate array and solves
-every entangled point in one Newton loop.  Each point must still equal
+every entangled point in one interior-point loop.  Each point must still equal
 ``f_witness_state``, ``eval_witness`` and ``generalized_robustness`` of
-``relax_channel(rho0, float(t), p)`` bit for bit, with the same Newton step
-count, and a point whose solve fails must name its sweep time.
+``relax_channel(rho0, float(t), p)`` bit for bit, with the same iteration
+count and dual bound, and a point whose solve fails must name its sweep time.
 """
 
 import warnings
@@ -70,9 +70,9 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
     rho0, t_max, steps = CASES[name]
     w = bell_witness(BellKind.PHI_MINUS)
     series = sweep(rho0, PAPER_T2, w, t_max, steps)
-    # the solver's own step counts for the grid, formed as the sweep forms them
+    # the solver's own iteration counts and dual bounds for the grid, formed as the sweep forms them
     states = relax._relax(rho0.matrix, series.times, PAPER_T2)
-    _, iterations, _, failures = optim._robustness(states)
+    _, iterations, _, failures, lower, witness = optim._robustness(states)
     assert not failures
     solved = 0
     for k, t in enumerate(series.times):
@@ -83,6 +83,9 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
         single = generalized_robustness(rho_t)
         assert single.value == series.gr_values[k]
         assert single.iterations == iterations[k]
+        assert single.lower == lower[k]
+        if single.witness is not None:
+            assert np.array_equal(single.witness.matrix, witness[k])
         solved += single.iterations > 0
     assert solved > 0
     if steps > optim._CHUNK:
@@ -93,8 +96,8 @@ def test_capped_solves_fail_with_the_one_point_bounds():
     times = np.linspace(0.0, 0.25, 9)
     states = relax._relax(entangled_ginibre(5).matrix, times, PAPER_T2)
     states = np.concatenate([states, relax._relax(bell_state(BellKind.PHI_MINUS).matrix, times, PAPER_T2)])
-    for cap in (5, 23):
-        _, _, _, failures = optim._robustness(states, max_iter=cap)
+    for cap in (2, 5):
+        _, _, _, failures, _, _ = optim._robustness(states, max_iter=cap)
         assert failures
         for k, exc in failures.items():
             with pytest.raises(ConvergenceError) as single:
@@ -108,22 +111,24 @@ def test_sweep_names_the_earliest_failing_time(monkeypatch):
     w = bell_witness(BellKind.PHI_MINUS)
     times = np.linspace(0.0, 0.2, 12)
     targets = [_pt_arr(relax_channel(rho0, float(times[k]), PAPER_T2).matrix, "I") for k in (9, 4)]
-    positivity = optim._not_positive_definite
+    cholesky = optim._cholesky
 
-    def no_feasible_step_at_the_targets(blocks):
-        # the blocks of a point are omega and m + omega^PT, so m is their difference
+    def not_positive_definite_at_the_targets(blocks):
+        # the slacks of a point are omega and m + omega^PT, so m is their difference
         m = blocks[..., 1, :, :] - _pt_arr(blocks[..., 0, :, :], "I")
         hit = [np.max(np.abs(m[i] - target)) < 1e-9 for i in range(len(m)) for target in targets]
         forced = np.flatnonzero(np.reshape(hit, (len(m), -1)).any(axis=1))
-        return np.union1d(positivity(blocks), forced)
+        chol, inv_l, failed = cholesky(blocks)
+        chol[forced] = inv_l[forced] = np.nan
+        return chol, inv_l, np.union1d(failed, forced)
 
-    monkeypatch.setattr(optim, "_not_positive_definite", no_feasible_step_at_the_targets)
+    monkeypatch.setattr(optim, "_cholesky", not_positive_definite_at_the_targets)
     with pytest.raises(ConvergenceError) as single:
         generalized_robustness(relax_channel(rho0, float(times[4]), PAPER_T2))
     with pytest.raises(ConvergenceError) as err:
         sweep(rho0, PAPER_T2, w, 0.2, 12)
     assert str(err.value) == f"robustness solver failed at sweep time t = {times[4]:.6g} s: {single.value}"
-    assert "line search" in str(err.value)
+    assert "not positive definite" in str(err.value)
     assert (err.value.lower, err.value.upper) == (single.value.lower, single.value.upper)
 
 
@@ -162,7 +167,7 @@ def test_stacked_positivity_test_agrees_with_lapack_on_every_point():
         except np.linalg.LinAlgError:
             want.append(True)
     with np.errstate(invalid="ignore"):
-        assert np.array_equal(optim._not_positive_definite(blocks), np.flatnonzero(want))
+        assert np.array_equal(optim._cholesky(blocks)[2], np.flatnonzero(want))
     assert 0 < sum(want) < n
 
 
@@ -190,7 +195,7 @@ def test_lapack_cholesky_gives_nan_exactly_where_numpy_cholesky_raises():
 
 
 def test_solves_raise_no_runtime_warning():
-    # failed LAPACK calls inside the Newton loop are read as NaN, never reported
+    # failed LAPACK calls inside the solver loop are read as NaN, never reported
     rho0 = bell_state(BellKind.PHI_MINUS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

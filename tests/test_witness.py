@@ -168,10 +168,17 @@ def test_classification_equals_the_product_rule_on_the_full_grid():
     assert np.array_equal(got, product_rule_classes(*c))
 
 
-def test_classify_follows_f_just_past_the_cube():
-    # _is_physical admits |c1| a few 1e-9 past 1, where F clips c1 to 1 and is 0: not detected
+def test_classify_labels_a_triple_just_past_the_cube_unphysical():
+    # the Bell weights' 1e-9 slack admits (1 + 1e-9, 0, 0); the cube bound does not
+    assert classify_bd((1.0 + 1e-9, 0.0, 0.0)) is BDClass.UNPHYSICAL
+    assert classify_bd((0.0, -1.0 - 1e-9, 0.0)) is BDClass.UNPHYSICAL
+    assert classify_bd((0.0, 0.0, 1.0 + 4e-9)) is BDClass.UNPHYSICAL
+    # the cube's own corners and faces stay physical
     assert f_witness_state(bd(1.0, 0.0, 0.0)) == 0.0
-    assert classify_bd((1.0 + 1e-9, 0.0, 0.0)) is BDClass.ENTANGLED_UNDETECTED_BY_F
+    assert classify_bd((1.0, 0.0, 0.0)) is BDClass.SEPARABLE
+    assert classify_bd((-1.0, 1.0, 1.0)) is BDClass.ENTANGLED_DETECTED_BY_F
+    assert not _is_physical(np.array([1.0 + 1e-9, 1.0]), 0.0, 0.0)[0]
+    assert _is_physical(np.array([1.0 + 1e-9, 1.0]), 0.0, 0.0)[1]
 
 
 def test_classification_equals_the_product_rule_on_random_triples():
