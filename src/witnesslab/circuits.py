@@ -4,12 +4,13 @@ pseudo-EPR preparation pipeline."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import StructuralError, bounded_int
+from .errors import DomainError, StructuralError, bounded_int
 from .qmat import SIGMA_I, SIGMA_X, SIGMA_Z, TWO_SPIN_LABELS, DensityMatrix, _as_operator_array
-from .qmat import pauli_coords
+from .qmat import _trusted_state, pauli_coords
 from .states import BellKind, ThermalParams, _BELL_VECTORS, thermal_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -32,7 +33,11 @@ class Gate:
         object.__setattr__(self, "unitary", u)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self.unitary @ rho.matrix @ self.unitary.conj().T)
+        """U rho U^H.  A unitary maps a state to a state, so the result is made
+        with ``qmat._trusted_state`` and not checked again."""
+        if not isinstance(rho, DensityMatrix):
+            raise DomainError(f"gate {self.label!r} acts on a DensityMatrix, got {type(rho).__name__}")
+        return _trusted_state(self.unitary @ rho.matrix @ self.unitary.conj().T)
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,19 @@ class SuperdenseResult:
     mz_s: float
 
 
+@lru_cache(maxsize=None)
 def epr_gate() -> Gate:
-    """CNOT . (H x 1) with control on spin I; maps |00> to (|00>+|11>)/sqrt2."""
+    """CNOT . (H x 1) with control on spin I; maps |00> to (|00>+|11>)/sqrt2.
+
+    Gate is immutable, so the gate is built once and shared.
+    """
     return Gate(_CNOT @ np.kron(_H, SIGMA_I), "EPR")
+
+
+@lru_cache(maxsize=None)
+def _epr_inverse() -> Gate:
+    """The decoding gate, the adjoint of ``epr_gate``."""
+    return Gate(epr_gate().unitary.conj().T, "EPR^-1")
 
 
 def pseudo_epr() -> Gate:
@@ -76,8 +91,9 @@ def pseudo_epr() -> Gate:
     return Gate(np.column_stack(cols), "pseudo-EPR")
 
 
+@lru_cache(maxsize=4)
 def message_operator(m: Message) -> Gate:
-    """(X^x Z^z on spin I) tensored with the identity on spin S."""
+    """(X^x Z^z on spin I) tensored with the identity on spin S, built once per message."""
     op = np.linalg.matrix_power(SIGMA_X, m.x) @ np.linalg.matrix_power(SIGMA_Z, m.z)
     return Gate(np.kron(op, SIGMA_I), f"U_x{m.x}z{m.z}")
 
@@ -92,10 +108,9 @@ def superdense_run(thermal: ThermalParams, m: Message) -> SuperdenseResult:
     longitudinal magnetizations carrying the bits:
     <Z_I> = (-1)^z eps_I and <Z_S> = (-1)^x eps_S.
     """
-    epr = epr_gate()
-    rho1 = epr.apply(thermal_state(thermal))
+    rho1 = epr_gate().apply(thermal_state(thermal))
     encoded = message_operator(m).apply(rho1)
-    rho_f = Gate(epr.unitary.conj().T, "EPR^-1").apply(encoded)
+    rho_f = _epr_inverse().apply(encoded)
     coords = pauli_coords(rho_f.matrix)
     mz_i, mz_s = (float(coords[TWO_SPIN_LABELS.index(lab)]) for lab in ("ZI", "IZ"))
     return SuperdenseResult(rho1=rho1, rho_f=rho_f, mz_i=mz_i, mz_s=mz_s)

@@ -97,7 +97,16 @@ class HermitianOp:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(HermitianOp):
-    """A Hermitian operator with unit trace and (numerically) no negative eigenvalues."""
+    """A Hermitian operator with unit trace and (numerically) no negative eigenvalues.
+
+    Constructing one checks all three against ``TOL``: every state given to
+    the program passes that check.  ``_trusted_state`` makes one without it,
+    under one rule: the matrix is a state by construction, the image of a
+    validated state under a unitary or a CPTP map (``Gate.apply``,
+    ``relax_channel``) or a tomography result whose spectrum was just checked
+    or clipped (``pauli_tomography``).  So the tolerance judges inputs, never
+    the program's own rounding.
+    """
 
     def __post_init__(self):
         super().__post_init__()
@@ -107,6 +116,18 @@ class DensityMatrix(HermitianOp):
         lam_min = float(np.linalg.eigvalsh(self.matrix)[0])
         if lam_min < -TOL.psd_tol:
             raise StructuralError(f"not positive semidefinite: min eigenvalue {lam_min}")
+
+
+def _trusted_state(matrix: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix holding ``matrix`` (a fresh complex 2x2 or 4x4 array), unchecked.
+
+    Only for a matrix that is a state by construction (see ``DensityMatrix``);
+    every other state goes through ``DensityMatrix``.
+    """
+    matrix.setflags(write=False)
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "matrix", matrix)
+    return rho
 
 
 @dataclass(frozen=True)

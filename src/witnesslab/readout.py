@@ -19,7 +19,7 @@ from .circuits import Gate
 from .config import TOL
 from .errors import DomainError, bounded_int
 from .qmat import SIGMA_I, SIGMA_X, SIGMA_Y, TWO_SPIN_LABELS, DensityMatrix
-from .qmat import from_pauli_coords, pauli_coords
+from .qmat import _trusted_state, from_pauli_coords, pauli_coords
 from .states import _expectation_coords
 from .witness import CorrelationPair
 
@@ -112,6 +112,11 @@ READOUT_PULSE = PulseSpec(axis="y", angle=np.pi / 2, targets=("S",))
 _YY_PULSE = PulseSpec(axis="x", angle=np.pi / 2, targets=("S",))
 
 
+def _clamp(v: float) -> float:
+    """v clamped to the correlation range [-1, 1], as np.clip does (NaN stays NaN)."""
+    return float(min(max(v, -1.0), 1.0))
+
+
 def read_correlations(spec_i: SpectrumPair, spec_s: SpectrumPair) -> CorrelationPair:
     """Extract (<XX>, <ZZ>) from the two spectra.
 
@@ -121,9 +126,7 @@ def read_correlations(spec_i: SpectrumPair, spec_s: SpectrumPair) -> Correlation
     """
     if spec_i.nucleus != "I" or spec_s.nucleus != "S":
         raise DomainError("pass the nucleus-I spectrum first and nucleus-S second")
-    w1 = float(np.clip(spec_i.difference().real, -1.0, 1.0))
-    w2 = float(np.clip(spec_s.difference().real, -1.0, 1.0))
-    return CorrelationPair(w1=w1, w2=w2)
+    return CorrelationPair(w1=_clamp(spec_i.difference().real), w2=_clamp(spec_s.difference().real))
 
 
 def measure_yy(rho: DensityMatrix) -> float:
@@ -133,7 +136,7 @@ def measure_yy(rho: DensityMatrix) -> float:
     quadrature of the nucleus-I line difference.
     """
     lines = simulate_lines(rho, "I", _YY_PULSE)
-    return float(np.clip(lines.difference().imag, -1.0, 1.0))
+    return _clamp(lines.difference().imag)
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,10 @@ def pauli_tomography(expectations) -> TomographyResult:
 
     Noisy data can produce negative eigenvalues; those are clipped to zero
     and the spectrum renormalized, which is reported via the projection
-    distance (zero when the raw inversion was already physical).
+    distance (zero when the raw inversion was already physical).  Either
+    way the state is Hermitian with unit trace by construction and its
+    spectrum has just been checked or clipped, so it is made with
+    ``qmat._trusted_state``.
     """
     x = _expectation_coords(expectations)
     if not np.all(np.abs(x) <= 1.0):
@@ -157,12 +163,12 @@ def pauli_tomography(expectations) -> TomographyResult:
     raw = from_pauli_coords(x) / 4.0
     vals, vecs = np.linalg.eigh(raw)
     if vals[0] >= -TOL.psd_tol:
-        return TomographyResult(state=DensityMatrix(raw), projection_distance=0.0)
+        return TomographyResult(state=_trusted_state(raw), projection_distance=0.0)
     clipped = np.clip(vals, 0.0, None)
     clipped /= clipped.sum()
     projected = (vecs * clipped) @ vecs.conj().T
     distance = float(np.linalg.norm(projected - raw))
-    return TomographyResult(state=DensityMatrix(projected), projection_distance=distance)
+    return TomographyResult(state=_trusted_state(projected), projection_distance=distance)
 
 
 def add_noise(value: float, sigma: float, seed: int) -> float:
@@ -171,5 +177,7 @@ def add_noise(value: float, sigma: float, seed: int) -> float:
         raise DomainError(f"value must be finite, got {value}")
     if not 0.0 <= sigma < np.inf:
         raise DomainError(f"sigma must be finite and nonnegative, got {sigma}")
-    rng = np.random.default_rng(bounded_int(seed, "seed", 0))
-    return float(np.clip(value + rng.normal(0.0, sigma), -1.0, 1.0))
+    # the stream of np.random.default_rng(seed), without its argument dispatch
+    rng = np.random.Generator(np.random.PCG64(bounded_int(seed, "seed", 0)))
+    return _clamp(value + rng.normal(0.0, sigma))
+

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, bounded_int
-from .qmat import DensityMatrix, from_pauli_coords, pauli_coords
+from .qmat import DensityMatrix, _trusted_state, from_pauli_coords, pauli_coords
 from .optim import _robustness
 from .witness import PauliWitness, _correlation_columns, _f_values
 
@@ -91,13 +91,17 @@ def relax_channel(rho: DensityMatrix, t: float, p: RelaxationParams) -> DensityM
     The map is completely positive and trace preserving for all t >= 0
     because T2 <= 2*T1 on each spin; t = 0 is the identity and t -> infinity
     sends everything to the maximally mixed state.  This is the one-point
-    case of the grid that ``sweep`` relaxes.
+    case of the grid that ``sweep`` relaxes.  Being CPTP, it maps the
+    validated input to a state, which is made with ``qmat._trusted_state``
+    and not checked again.
     """
+    if not isinstance(rho, DensityMatrix):
+        raise DomainError(f"relax_channel acts on a DensityMatrix, got {type(rho).__name__}")
     if rho.dim != 4:
         raise DomainError("relax_channel needs a two-spin state")
     if not 0.0 <= t < np.inf:
         raise DomainError(f"time must be finite and nonnegative, got {t}")
-    return DensityMatrix(_relax(rho.matrix, np.array([t], dtype=float), p)[0])
+    return _trusted_state(_relax(rho.matrix, np.array([t], dtype=float), p)[0])
 
 
 def _fit_decay_time(times: np.ndarray, values: np.ndarray) -> float | None:

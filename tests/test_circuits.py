@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import random_density_matrix
 from witnesslab import (
     BellKind,
     DomainError,
@@ -20,7 +21,7 @@ from witnesslab import (
     thermal_state,
 )
 from witnesslab.circuits import grape_unitary, gradient_dephase
-from witnesslab.qmat import TWO_SPIN_LABELS, pauli_coords
+from witnesslab.qmat import TWO_SPIN_LABELS, HermitianOp, pauli_coords
 from witnesslab.states import PAULI_LABELS, _BELL_VECTORS
 
 
@@ -187,6 +188,52 @@ def test_superdense_rho1_is_bell_diagonal():
         vec = pauli_vector(r.rho1)
         support = {PAULI_LABELS[k] for k in np.nonzero(np.abs(vec) > 1e-12)[0]}
         assert support <= {"XX", "YY", "ZZ"}
+
+
+# the fuzz's numbers (tests/test_cli_fuzz.py) that are valid polarizations; the others are
+# rejected by ThermalParams before any state is formed
+FUZZ_EPS = (0.0, 1.0, 0.5, 0.31, 1e-5)
+
+
+def test_superdense_formed_states_are_not_judged_by_a_zero_tolerance(monkeypatch):
+    # rho1 after the EPR gate has rounding residues down to -4.6e-34 in its
+    # spectrum; a zero psd_tol judges the thermal input alone
+    from witnesslab.config import TOL
+
+    monkeypatch.setattr(TOL, "psd_tol", 0.0)
+    for eps_i, eps_s in itertools.product(FUZZ_EPS, repeat=2):
+        for x, z in itertools.product((0, 1), (0, 1)):
+            r = superdense_run(ThermalParams(eps_i, eps_s), Message(x, z))
+            assert abs(r.mz_i - (-1) ** z * eps_i) < 1e-12
+            assert abs(r.mz_s - (-1) ** x * eps_s) < 1e-12
+
+
+def test_gate_apply_is_the_plain_conjugation():
+    rng = np.random.default_rng(61)
+    gates = [epr_gate(), pseudo_epr(), grape_unitary(), message_operator(Message(1, 1))]
+    for _ in range(20):
+        rho = random_density_matrix(rng)
+        for gate in gates:
+            u = gate.unitary
+            out = gate.apply(rho)
+            assert np.array_equal(out.matrix, u @ rho.matrix @ u.conj().T)
+            assert not out.matrix.flags.writeable
+
+
+def test_gate_apply_needs_a_validated_state():
+    not_a_state = HermitianOp(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+    with pytest.raises(DomainError, match="DensityMatrix"):
+        epr_gate().apply(not_a_state)
+
+
+def test_circuit_gates_are_built_once():
+    assert epr_gate() is epr_gate()
+    assert not epr_gate().unitary.flags.writeable
+    for x, z in itertools.product((0, 1), (0, 1)):
+        gate = message_operator(Message(x, z))
+        assert gate is message_operator(Message(x, z))
+        assert not gate.unitary.flags.writeable
+        assert np.array_equal(gate.unitary, message_operator.__wrapped__(Message(x, z)).unitary)
 
 
 # ---------------------------------------------------------------------------

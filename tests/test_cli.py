@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -425,12 +426,17 @@ def test_seed_is_a_witness_option_only(capsys, argv):
 
 
 @pytest.mark.parametrize("tol, argv", [
-    ("0", ("sdc", "--eps", "1,1", "--msg", "1,0")),
+    # a file: state whose own smallest eigenvalue is -1e-13
+    ("0", ("witness", "--state", "file:{near_psd}")),
     ("1e-12", ("witness", "--state", "bd:1,0.5,-0.500000002")),
 ])
-def test_state_outside_a_tight_tolerance_is_a_domain_error(capsys, monkeypatch, tol, argv):
+def test_state_outside_a_tight_tolerance_is_a_domain_error(tmp_path, capsys, monkeypatch, tol, argv):
+    from witnesslab import DensityMatrix
     from witnesslab.config import TOL
 
+    path = tmp_path / "near_psd.json"
+    save_state_json(DensityMatrix(np.diag([0.5, 0.5 + 1e-13, 0.0, -1e-13]).astype(complex)), str(path))
+    argv = [a.format(near_psd=path) for a in argv]
     old = TOL.psd_tol
     monkeypatch.setenv("WITNESSLAB_TOL", tol)
     code, out, err = run(capsys, *argv)
@@ -441,6 +447,25 @@ def test_state_outside_a_tight_tolerance_is_a_domain_error(capsys, monkeypatch, 
     assert TOL.psd_tol == old
     monkeypatch.delenv("WITNESSLAB_TOL")
     assert run(capsys, *argv)[0] == 0
+
+
+def test_a_zero_tolerance_judges_the_sdc_input_not_the_circuit(capsys, monkeypatch):
+    # with eps 1,1 the EPR gate's rounding leaves rho1 an eigenvalue of -4.6e-34,
+    # which the tolerance once rejected (exit 3).  The polarizations are the fuzz's
+    # numbers (tests/test_cli_fuzz.py) that are valid; its other --eps and --msg
+    # values stop at parsing or validation, before any state is formed.
+    monkeypatch.setenv("WITNESSLAB_TOL", "0")
+    eps = ("0", "1", "0.5", "0.31", "1e-5")
+    for eps_i, eps_s, x, z in itertools.product(eps, eps, (0, 1), (0, 1)):
+        code, out, err = run(capsys, "sdc", "--eps", f"{eps_i},{eps_s}", "--msg", f"{x},{z}",
+                             "--format", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        # <Z_I> = (-1)^z eps_I and <Z_S> = (-1)^x eps_S
+        assert doc["mz_i"] == pytest.approx((-1) ** z * float(eps_i), abs=1e-12)
+        assert doc["mz_s"] == pytest.approx((-1) ** x * float(eps_s), abs=1e-12)
+        if float(eps_i) and float(eps_s):
+            assert doc["decoded"] == {"x": x, "z": z} and doc["success"] is True
 
 
 def test_relax_sweep_steps_limit(capsys):

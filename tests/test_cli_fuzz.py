@@ -66,8 +66,8 @@ ARGV = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(ARGV)
-# states whose smallest eigenvalue is a rounding residue: under WITNESSLAB_TOL=0 (a CI step)
-# or 1e-12 they are rejected, which must end in exit 3
+# under WITNESSLAB_TOL=0 (a CI step) the first forms states whose spectra hold rounding
+# residues, which the tolerance does not judge; the second is an input with one (exit 3)
 @example(["sdc", "--eps", "1,1", "--msg", "1,0"])
 @example(["witness", "--state", "bd:1,0.5,-0.500000002"])
 def test_main_ends_in_a_documented_exit_code(argv):

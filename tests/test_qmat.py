@@ -72,6 +72,16 @@ def test_density_matrix_needs_unit_trace_and_psd():
         DensityMatrix(m)
 
 
+@pytest.mark.parametrize("matrix", [
+    np.diag([0.4, 0.3, 0.3 + 1e-7, -1e-7]),  # an eigenvalue of -1e-7
+    np.diag([0.5, 0.5, 1e-6, 0.0]),  # trace 1 + 1e-6
+    np.eye(4) / 4 + np.triu(np.full((4, 4), 1e-6), 1),  # not Hermitian
+], ids=["eigenvalue", "trace", "hermiticity"])
+def test_density_matrix_checks_every_state_it_is_given(matrix):
+    with pytest.raises(StructuralError):
+        DensityMatrix(matrix.astype(complex))
+
+
 def test_matrices_are_immutable():
     rho = bell_state(BellKind.PHI_PLUS)
     with pytest.raises(ValueError):

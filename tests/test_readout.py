@@ -257,6 +257,18 @@ def test_noise_clamps_to_correlation_range():
     assert add_noise(-1.0, 5.0, seed=1) >= -1.0
 
 
+def test_noise_equals_the_default_rng_reference():
+    # a seeded grid in which about one draw in six is clamped
+    rng = np.random.default_rng(71)
+    clamped = 0
+    for seed in range(300):
+        value, sigma = float(rng.uniform(-1, 1)), float(rng.choice([0.0, 0.05, 0.5, 2.0]))
+        want = float(np.clip(value + np.random.default_rng(seed).normal(0, sigma), -1, 1))
+        assert add_noise(value, sigma, seed) == want
+        clamped += abs(want) == 1.0
+    assert clamped > 0
+
+
 def test_noise_rejects_negative_sigma():
     with pytest.raises(DomainError):
         add_noise(0.0, -0.1, seed=0)

@@ -20,6 +20,7 @@ from witnesslab import (
     tensor,
 )
 from witnesslab.qmat import SIGMA_X, TWO_SPIN_LABELS, TWO_SPIN_PAULIS, HermitianOp
+from witnesslab.relax import _relax
 
 PAPER_T2 = RelaxationParams(t1_i=10.0, t2_i=0.31, t1_s=10.0, t2_s=0.11)
 
@@ -128,6 +129,25 @@ def test_channel_matches_oracle_on_random_parameters():
         got = relax_channel(rho, t, p).matrix
         want = apply_oracle(rho, t, p)
         assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_channel_is_its_grid_row_bit_for_bit():
+    # relax_channel returns the matching row of the grid sweep relaxes, unchecked
+    rng = np.random.default_rng(113)
+    times = np.array([0.0, 0.013, 0.1, 0.7, 5.0])
+    for _ in range(10):
+        rho = random_density_matrix(rng)
+        grid = _relax(rho.matrix, times, PAPER_T2)
+        for k, t in enumerate(times):
+            out = relax_channel(rho, float(t), PAPER_T2)
+            assert np.array_equal(out.matrix, grid[k])
+            assert not out.matrix.flags.writeable
+
+
+def test_channel_needs_a_validated_state():
+    not_a_state = HermitianOp(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+    with pytest.raises(DomainError, match="DensityMatrix"):
+        relax_channel(not_a_state, 0.1, PAPER_T2)
 
 
 def test_non_finite_times_rejected():
