@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Every computation is a subcommand with text (default), CSV, or JSON output.
-A subcommand returns its JSON document or its output lines, and ``main`` is
-the one writer.  Exit codes: 0 success, 2 usage error or unwritable output,
-3 domain error (unphysical input), 4 solver non-convergence.  Identical
+A subcommand returns its JSON document or its output lines (``detect-region``
+formats its JSON itself, to stream it), and ``main`` is the one writer.
+Exit codes: 0 success, 2 usage error or unwritable output, 3 domain error
+(unphysical input), 4 solver non-convergence.  Identical
 invocations produce byte-identical output; JSON documents validate against
 schemas/output.schema.json.
 """
@@ -30,17 +31,18 @@ from .relax import _MAX_STEPS, RelaxationParams, sweep
 from .states import BellDiagonalParams, BellKind, ThermalParams, bell_diagonal, bell_state
 from .witness import (
     _MAX_RESOLUTION,
+    BDClass,
     CorrelationPair,
     _correlations,
+    _region_planes,
     bell_witness,
-    detection_region_grid,
     eval_witness,
     f_witness,
     witness_is_valid,
 )
 
 _KIND_NAMES = {k.value: k for k in BellKind}
-_BLOCK = 1 << 16  # encoder chunks or lines joined into one write
+_BLOCK = 1 << 16  # characters (the output is ASCII: bytes) joined into one write
 _MAX_STATE_BYTES = 1 << 16  # a save_state_json file is about 1.2 KB
 
 
@@ -285,17 +287,36 @@ def _cmd_relax_sweep(args):
 
 
 def _cmd_detect_region(args):
-    grid = detection_region_grid(args.resolution)
+    # a bad resolution is a domain error here, before any output
+    axis, planes = _region_planes(args.resolution)
+    text = [repr(v) for v in axis]  # also json's encoding of these finite floats
     if args.format == "json":
-        return {
-            "resolution": args.resolution,
-            "points": [
-                {"c": [c1, c2, c3], "class": cls.value} for (c1, c2, c3), cls in grid
-            ],
-        }
-    # up to a million rows: formatted one at a time as they are written
-    rows = (f"{c1!r},{c2!r},{c3!r},{cls.value}" for (c1, c2, c3), cls in grid)
-    return itertools.chain(["c1,c2,c3,class"], rows)
+        # the document json.JSONEncoder(indent=2) writes, streamed point by point
+        head = '    {{\n      "c": [\n        {},\n        {},\n        '
+        tail = '{}\n      ],\n      "class": "{}"\n    }}'
+        sep, more = ",\n", ","
+        start = ["{", f'  "subcommand": "{args.subcommand}",',
+                 f'  "resolution": {args.resolution},', '  "points": [']
+        end = ["  ]", "}"]
+    else:
+        head, tail, sep, more = "{},{},", "{},{}", "\n", ""
+        start, end = ["c1,c2,c3,class"], []
+    # the c3 end of a point for every (class, c3), so a point is two pieces
+    tails = {cls: [tail.format(r3, cls.value) for r3 in text] for cls in BDClass}
+
+    def rows():
+        # one c1 plane classified at a time, written one c2 row at a time;
+        # a row is its points joined by sep, and every row but the last ends in more
+        last = (len(text) - 1, len(text) - 1)
+        for k, (r1, plane) in enumerate(zip(text, planes)):
+            for j2, (r2, classes) in enumerate(zip(text, plane.tolist())):
+                h = head.format(r1, r2)
+                points = [h + tails[cls][j3] for j3, cls in enumerate(classes)]
+                if (k, j2) != last:
+                    points[-1] += more
+                yield sep.join(points)
+
+    return itertools.chain(start, rows(), end)
 
 
 def _decode_bit(mz: float) -> int | None:
@@ -424,25 +445,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _blocks(chunks):
+    """The chunks joined into blocks, each closed by the chunk that brings it to _BLOCK characters."""
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK:
+            yield "".join(block)
+            block, size = [], 0
+    yield "".join(block)
+
+
 def _write(out, path: str | None) -> int:
     """Write a JSON document or an iterable of lines to path, or to stdout.
 
-    The text goes out in blocks of at most _BLOCK encoder chunks or lines,
-    so the encoded output is never held whole.  Returns the exit code: 0,
-    or 2 when the output cannot be opened or written.
+    An item of the iterable may hold several lines, all but its last newline.
+    The text goes out in blocks of about _BLOCK characters, so the encoded
+    output is never held whole.  Returns the exit code: 0, or 2 when the
+    output cannot be opened or written.
     """
     if isinstance(out, dict):
         chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(out), ["\n"])
     else:
         chunks = (line + "\n" for line in out)
-    blocks = iter(lambda: "".join(itertools.islice(chunks, _BLOCK)), "")
     try:
         if path is None:
             sink = contextlib.nullcontext(sys.stdout)
         else:
             sink = open(path, "w", encoding="utf-8", newline="\n")
         with sink as fh:
-            fh.writelines(blocks)
+            fh.writelines(_blocks(chunks))
             fh.flush()
     except OSError as exc:
         if path is None:  # so the flush at exit does not fail a second time

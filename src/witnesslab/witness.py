@@ -144,14 +144,27 @@ def classify_bd(c) -> BDClass:
     return _classify(*c)
 
 
-def detection_region_grid(resolution: int):
-    """Classify a uniform resolution^3 grid over [-1, 1]^3.
+def _region_planes(resolution: int):
+    """The grid axis as floats, and an iterator over the classes of each c1 plane.
 
-    Points are emitted in row-major order (c1 slowest, c3 fastest), so the
-    output is deterministic however callers choose to parallelize rendering.
+    resolution is checked here, before any plane is classified.  Plane k is
+    the (c2, c3) array of BDClass at c1 = axis[k], indexed [j2, j3], so the
+    planes raveled in turn are the grid in row-major order.
     """
     resolution = bounded_int(resolution, "resolution", 2, _MAX_RESOLUTION)
     axis = np.linspace(-1.0, 1.0, resolution)
-    classes = _classify(*np.meshgrid(axis, axis, axis, indexing="ij", sparse=True))
+    c2, c3 = np.meshgrid(axis, axis, indexing="ij", sparse=True)
+    return axis.tolist(), (_classify(c1, c2, c3) for c1 in axis)
+
+
+def detection_region_grid(resolution: int):
+    """Classify a uniform resolution^3 grid over [-1, 1]^3.
+
+    Returns ((c1, c2, c3), BDClass) pairs in row-major order (c1 slowest, c3
+    fastest), built from the same c1 planes that ``witnesslab detect-region``
+    streams.
+    """
+    axis, planes = _region_planes(resolution)
+    classes = itertools.chain.from_iterable(plane.ravel().tolist() for plane in planes)
     # the points share the axis' float objects instead of holding three new ones each
-    return list(zip(itertools.product(axis.tolist(), repeat=3), classes.ravel().tolist()))
+    return list(zip(itertools.product(axis, repeat=3), classes))

@@ -23,6 +23,7 @@ from witnesslab import (
 )
 from witnesslab.config import TOL
 from witnesslab.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z
+from witnesslab.witness import _region_planes
 
 SINGLE_SPIN = DensityMatrix(np.eye(2, dtype=complex) / 2)
 
@@ -45,6 +46,19 @@ def test_grid_matches_per_point_reference(n):
     got = detection_region_grid(n)
     assert got == want
     assert all(type(v) is float for c, _cls in got for v in c)
+
+
+@pytest.mark.parametrize("n", [2, 5, 21])
+def test_grid_is_the_planes_in_row_major_order(n):
+    axis, planes = _region_planes(n)
+    planes = list(planes)
+    assert axis == np.linspace(-1.0, 1.0, n).tolist()
+    assert [plane.shape for plane in planes] == [(n, n)] * n
+    want = [
+        ((c1, c2, c3), planes[k][j2, j3])
+        for k, c1 in enumerate(axis) for j2, c2 in enumerate(axis) for j3, c3 in enumerate(axis)
+    ]
+    assert detection_region_grid(n) == want
 
 
 def test_grid_resolution_is_capped():

@@ -381,10 +381,12 @@ def test_env_var_does_not_outlive_the_call(capsys, monkeypatch):
 
 
 def test_detect_region_resolution_limit(capsys):
-    code, out, err = run(capsys, "detect-region", "102")
-    assert code == 3
-    assert out == ""
-    assert "domain error" in err and "101" in err
+    # the output is streamed, so the resolution must be refused before the first byte
+    for resolution in ("1", "102"):
+        code, out, err = run(capsys, "detect-region", resolution)
+        assert code == 3
+        assert out == ""
+        assert "domain error" in err and "101" in err
     code, out, _ = run(capsys, "detect-region", "--help")
     assert code == 0
     assert "2 to 101" in out

@@ -7,6 +7,7 @@ superdense coding and six-digit text robustness.  The files under
 ``PYTHONPATH=src python tests/test_cli_golden.py`` after an intended change.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import witnesslab
+from witnesslab import detection_region_grid
 from witnesslab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -60,6 +62,54 @@ def test_stdout_and_output_file_match_golden(name, capsys, tmp_path):
     assert main([*CASES[name], "--output", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("n", [2, 4, 21, 41])
+def test_detect_region_streams_the_encoder_bytes(n, capsys):
+    # the streamed document and rows against json's own encoder and repr on the library's grid
+    grid = detection_region_grid(n)
+    doc = {
+        "subcommand": "detect-region",
+        "resolution": n,
+        "points": [{"c": list(c), "class": cls.value} for c, cls in grid],
+    }
+    assert main(["detect-region", str(n), "--format", "json"]) == 0
+    assert capsys.readouterr().out == "".join(json.JSONEncoder(indent=2).iterencode(doc)) + "\n"
+    rows = "".join(f"{c1!r},{c2!r},{c3!r},{cls.value}\n" for (c1, c2, c3), cls in grid)
+    assert main(["detect-region", str(n)]) == 0
+    assert capsys.readouterr().out == "c1,c2,c3,class\n" + rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_detect_region_output_file_equals_stdout(fmt, capsys, tmp_path):
+    argv = ["detect-region", "21", "--format", fmt]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    path = tmp_path / "region"
+    assert main([*argv, "-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == want
+
+
+def _child_peak_rss_kb(*argv):
+    # a fresh wrapper: Linux carries a parent's peak RSS into its children over fork and exec
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'witnesslab.cli', *sys.argv[1:]],"
+        " stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(witnesslab.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True, env=env,
+                         check=True, timeout=120)
+    return int(out.stdout)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_detect_region_memory_is_flat_in_the_resolution(fmt):
+    small = _child_peak_rss_kb("detect-region", "2", "--format", fmt)
+    largest = _child_peak_rss_kb("detect-region", "101", "--format", fmt)
+    assert largest <= 1.1 * small, (small, largest)
 
 
 def _cli(*argv, stdout):
