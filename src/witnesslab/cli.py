@@ -28,7 +28,7 @@ from .optim import generalized_robustness, optimal_witness
 from .qmat import DensityMatrix, _pt_arr
 from .readout import add_noise
 from .relax import _MAX_STEPS, RelaxationParams, sweep
-from .states import BellDiagonalParams, BellKind, ThermalParams, bell_diagonal, bell_state
+from .states import BellDiagonalParams, BellKind, ThermalParams, _bd_operator, bell_state
 from .witness import (
     _MAX_RESOLUTION,
     BDClass,
@@ -55,8 +55,8 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def parse_state_spec(spec: str) -> DensityMatrix:
-    """Grammar: bell:<kind> | bd:<c1,c2,c3> | identity | file:<path>."""
+def parse_state_spec(spec: str, psd_tol: float = TOL.psd_tol) -> DensityMatrix:
+    """Grammar: bell:<kind> | bd:<c1,c2,c3> | identity | file:<path>; PSD within psd_tol."""
     if spec == "identity":
         return DensityMatrix(np.eye(4, dtype=complex) / 4.0)
     if spec.startswith("bell:"):
@@ -74,19 +74,20 @@ def parse_state_spec(spec: str) -> DensityMatrix:
             c = [float(p) for p in parts]
         except ValueError as exc:
             raise _UsageError(f"bd: values must be numeric ({exc})") from exc
-        return bell_diagonal(BellDiagonalParams(*c))
+        BellDiagonalParams(*c)  # the Bell weights' check; bell_diagonal's matrix, judged once
+        return DensityMatrix(0.25 * _bd_operator(1.0, *c), psd_tol=psd_tol)
     if spec.startswith("file:"):
-        return load_state_json(spec[len("file:"):])
+        return load_state_json(spec[len("file:"):], psd_tol)
     raise _UsageError(f"unrecognized state spec {spec!r}")
 
 
-def load_state_json(path: str) -> DensityMatrix:
+def load_state_json(path: str, psd_tol: float = TOL.psd_tol) -> DensityMatrix:
     """Read a density matrix from the JSON wire format.
 
     The format is an object with "entries": 16 row-major {"re": .., "im": ..}
     pairs.  At most _MAX_STATE_BYTES are read; a larger file, or JSON nested
-    too deeply to parse, is malformed.  Structural problems are usage
-    errors; a well-formed matrix that is not a valid state is a domain error.
+    too deeply to parse, is malformed.  Structural problems are usage errors;
+    a well-formed matrix that is not a state (PSD within psd_tol) is a domain error.
     """
     try:
         with open(path, "rb") as fh:
@@ -101,7 +102,7 @@ def load_state_json(path: str) -> DensityMatrix:
     if len(values) != 16:
         raise _UsageError(f"state file must hold 16 entries, found {len(values)}")
     try:
-        return DensityMatrix(np.array(values, dtype=complex).reshape(4, 4))
+        return DensityMatrix(np.array(values, dtype=complex).reshape(4, 4), psd_tol=psd_tol)
     except ValueError as exc:
         raise DomainError(f"state file {path!r} is not a valid density matrix: {exc}") from exc
 
@@ -132,7 +133,7 @@ def _verdict(value: float) -> str:
 
 def _cmd_witness(args):
     labels = ("XX", "YY", "ZZ")
-    corr = dict(zip(labels, _correlations(parse_state_spec(args.state))))
+    corr = dict(zip(labels, _correlations(parse_state_spec(args.state, args.psd_tol))))
     if args.noise != 0.0:  # add_noise rejects negative and NaN sigma
         corr = {
             lab: add_noise(v, args.noise, args.seed + k)
@@ -226,7 +227,7 @@ def _certificate_residual(rho: DensityMatrix, result) -> float:
 
 
 def _cmd_robustness(args):
-    rho = parse_state_spec(args.state)
+    rho = parse_state_spec(args.state, args.psd_tol)
     result = generalized_robustness(rho)
     residual = _certificate_residual(rho, result)
     if args.format == "json":
@@ -250,7 +251,7 @@ def _cmd_robustness(args):
 
 
 def _cmd_relax_sweep(args):
-    rho = parse_state_spec(args.state)
+    rho = parse_state_spec(args.state, args.psd_tol)
     params = RelaxationParams(t1_i=args.t1i, t2_i=args.t2i, t1_s=args.t1s, t2_s=args.t2s)
     w = bell_witness(_KIND_NAMES[args.witness])
     series = sweep(rho, params, w, t_max=args.tmax, steps=args.steps)
@@ -505,8 +506,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse already printed usage; normalize --help's exit code 0
         return int(exc.code or 0)
-    # the tolerance holds for this call only
-    saved_tol, TOL.psd_tol = TOL.psd_tol, psd_tol
+    args.psd_tol = psd_tol  # judges this call's --state and nothing else
     try:
         out = args.func(args)
     except _UsageError as exc:
@@ -524,8 +524,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 4
-    finally:
-        TOL.psd_tol = saved_tol
     if isinstance(out, dict):
         out = {"subcommand": args.subcommand, **out}
     return _write(out, args.output)

@@ -1,14 +1,14 @@
 """Central numerical tolerances.
 
-All modules read tolerances from the single ``TOL`` instance so tests (or the
-CLI via the ``WITNESSLAB_TOL`` environment variable) can tighten them in one
-place.
+All modules read tolerances from the single read-only ``TOL`` instance.  The
+one settable value is a ``DensityMatrix`` check's own ``psd_tol`` argument,
+which the CLI sets from the ``WITNESSLAB_TOL`` environment variable.
 """
 
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
     # elementwise absolute tolerance for matrix equality / hermiticity checks
     tol_eq: float = 1e-10

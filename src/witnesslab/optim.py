@@ -14,8 +14,9 @@ import numpy as np
 # where the gufunc answers per block (NaN output for a block it cannot factor or solve)
 from numpy.linalg import _umath_linalg
 
-from .errors import ConvergenceError, DomainError, InfeasibleError, UnboundedError
-from .qmat import PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _pt_arr, from_pauli_coords
+from .errors import ConvergenceError, InfeasibleError, UnboundedError
+from .qmat import PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _pt_arr, _two_spin_state
+from .qmat import from_pauli_coords
 from .states import _BD_COORDS, _BELL_SIGNS, BELL_ORDER, BellDiagonalParams, BellKind
 from .states import bell_probabilities
 from .witness import PauliWitness
@@ -375,8 +376,7 @@ def generalized_robustness(rho: DensityMatrix, max_iter: int = _MAX_ITERATIONS) 
     ``witness``.  This is the one-point case of the batched solver that
     ``relax.sweep`` runs over a whole time grid.
     """
-    if rho.dim != 4:
-        raise DomainError("generalized_robustness needs a two-spin state")
+    _two_spin_state(rho, "generalized_robustness")
     values, iterations, omega, failures, lower, witness = _robustness(rho.matrix[None], max_iter)
     if failures:
         raise failures[0]

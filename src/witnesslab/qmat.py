@@ -11,12 +11,12 @@ Conventions fixed once and inherited everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .config import TOL
-from .errors import NumericalConsistencyError, StructuralError
+from .errors import DomainError, NumericalConsistencyError, StructuralError
 
 SIGMA_I = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -99,23 +99,38 @@ class HermitianOp:
 class DensityMatrix(HermitianOp):
     """A Hermitian operator with unit trace and (numerically) no negative eigenvalues.
 
-    Constructing one checks all three against ``TOL``: every state given to
-    the program passes that check.  ``_trusted_state`` makes one without it,
-    under one rule: the matrix is a state by construction, the image of a
-    validated state under a unitary or a CPTP map (``Gate.apply``,
-    ``relax_channel``) or a tomography result whose spectrum was just checked
-    or clipped (``pauli_tomography``).  So the tolerance judges inputs, never
-    the program's own rounding.
+    Constructing one checks all three, the eigenvalues within the init-only
+    ``psd_tol`` (default ``TOL.psd_tol``): every state given to the program
+    passes that check.  ``_trusted_state`` makes one without it, under one
+    rule: the matrix is a state by construction, the image of a validated
+    state under a unitary or a CPTP map (``Gate.apply``, ``relax_channel``)
+    or a tomography result whose spectrum was just checked or clipped
+    (``pauli_tomography``).  So the tolerance judges inputs, never the
+    program's own rounding.
     """
 
-    def __post_init__(self):
+    psd_tol: InitVar[float] = TOL.psd_tol
+
+    def __post_init__(self, psd_tol):
+        if not 0.0 <= psd_tol < np.inf:
+            raise DomainError(f"psd_tol must be finite and nonnegative, got {psd_tol}")
         super().__post_init__()
         tr = np.trace(self.matrix)
         if abs(tr - 1.0) > TOL.tol_eq:
             raise StructuralError(f"trace must be 1, got {tr}")
         lam_min = float(np.linalg.eigvalsh(self.matrix)[0])
-        if lam_min < -TOL.psd_tol:
+        if lam_min < -psd_tol:
             raise StructuralError(f"not positive semidefinite: min eigenvalue {lam_min}")
+
+
+del DensityMatrix.psd_tol  # init-only: the class default would read as every state's tolerance
+
+
+def _two_spin_state(rho, caller: str) -> None:
+    """Raise DomainError unless rho is a two-spin (4x4) DensityMatrix."""
+    if not (isinstance(rho, DensityMatrix) and rho.dim == 4):
+        got = f"dim {rho.dim}" if isinstance(rho, DensityMatrix) else type(rho).__name__
+        raise DomainError(f"{caller} needs a two-spin DensityMatrix, got {got}")
 
 
 def _trusted_state(matrix: np.ndarray) -> DensityMatrix:

@@ -18,7 +18,7 @@ import numpy as np
 from .circuits import Gate
 from .config import TOL
 from .errors import DomainError, bounded_int
-from .qmat import SIGMA_I, SIGMA_X, SIGMA_Y, TWO_SPIN_LABELS, DensityMatrix
+from .qmat import SIGMA_I, SIGMA_X, SIGMA_Y, TWO_SPIN_LABELS, DensityMatrix, _two_spin_state
 from .qmat import _trusted_state, from_pauli_coords, pauli_coords
 from .states import _expectation_coords
 from .witness import CorrelationPair
@@ -99,8 +99,7 @@ def simulate_lines(rho: DensityMatrix, nucleus: str, prep: PulseSpec | None) -> 
     """
     if nucleus not in _LINE_COORDS:
         raise DomainError(f"nucleus must be 'I' or 'S', got {nucleus!r}")
-    if rho.dim != 4:
-        raise DomainError("simulate_lines needs a two-spin state")
+    _two_spin_state(rho, "simulate_lines")
     rho_p = prep_pulse_unitary(prep).apply(rho) if prep is not None else rho
     x, y, xz, yz = pauli_coords(rho_p.matrix)[_LINE_COORDS[nucleus]]
     phase = _RECEIVER_PHASE[nucleus]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, bounded_int
-from .qmat import DensityMatrix, _trusted_state, from_pauli_coords, pauli_coords
+from .qmat import DensityMatrix, _trusted_state, _two_spin_state, from_pauli_coords, pauli_coords
 from .optim import _robustness
 from .witness import PauliWitness, _correlation_columns, _f_values
 
@@ -95,10 +95,7 @@ def relax_channel(rho: DensityMatrix, t: float, p: RelaxationParams) -> DensityM
     validated input to a state, which is made with ``qmat._trusted_state``
     and not checked again.
     """
-    if not isinstance(rho, DensityMatrix):
-        raise DomainError(f"relax_channel acts on a DensityMatrix, got {type(rho).__name__}")
-    if rho.dim != 4:
-        raise DomainError("relax_channel needs a two-spin state")
+    _two_spin_state(rho, "relax_channel")
     if not 0.0 <= t < np.inf:
         raise DomainError(f"time must be finite and nonnegative, got {t}")
     return _trusted_state(_relax(rho.matrix, np.array([t], dtype=float), p)[0])
@@ -140,8 +137,7 @@ def sweep(
     steps = bounded_int(steps, "steps", 2, _MAX_STEPS)
     if not 0.0 < t_max < np.inf:
         raise DomainError(f"t_max = {t_max} must be positive and finite")
-    if rho0.dim != 4:
-        raise DomainError("sweep needs a two-spin state")
+    _two_spin_state(rho0, "sweep")
     times = np.linspace(0.0, t_max, steps)
     states = _relax(rho0.matrix, times, p)
     xx, yy, zz = _correlation_columns(states)

@@ -29,6 +29,11 @@ class PauliWitness:
     c_y: float
     c_z: float
 
+    def __post_init__(self):
+        for name, v in zip(("c_i", "c_x", "c_y", "c_z"), self.as_tuple()):
+            if not -np.inf < v < np.inf:
+                raise DomainError(f"witness coefficient {name} = {v} is not finite")
+
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.c_i, self.c_x, self.c_y, self.c_z)
 

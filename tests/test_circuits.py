@@ -197,13 +197,23 @@ FUZZ_EPS = (0.0, 1.0, 0.5, 0.31, 1e-5)
 
 def test_superdense_formed_states_are_not_judged_by_a_zero_tolerance(monkeypatch):
     # rho1 after the EPR gate has rounding residues down to -4.6e-34 in its
-    # spectrum; a zero psd_tol judges the thermal input alone
-    from witnesslab.config import TOL
+    # spectrum; a zero psd_tol judges the thermal input alone, since the
+    # thermal input is the one state of a run that goes through the check
+    from witnesslab.qmat import DensityMatrix
 
-    monkeypatch.setattr(TOL, "psd_tol", 0.0)
+    checks = []
+    check = DensityMatrix.__post_init__
+
+    def counted(self, psd_tol):
+        checks.append(psd_tol)
+        check(self, psd_tol)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
     for eps_i, eps_s in itertools.product(FUZZ_EPS, repeat=2):
         for x, z in itertools.product((0, 1), (0, 1)):
+            checks.clear()
             r = superdense_run(ThermalParams(eps_i, eps_s), Message(x, z))
+            assert len(checks) == 1
             assert abs(r.mz_i - (-1) ** z * eps_i) < 1e-12
             assert abs(r.mz_s - (-1) ** x * eps_s) < 1e-12
 

@@ -262,8 +262,6 @@ def test_state_file_unphysical_is_domain_error(tmp_path, capsys):
 
 
 def test_env_var_overrides_psd_tolerance(tmp_path, capsys, monkeypatch):
-    from witnesslab.config import TOL
-
     # a state with a -1e-7 eigenvalue: rejected at the default psd_tol,
     # accepted once the env var loosens it
     lam = np.array([0.4, 0.3, 0.3 + 1e-7, -1e-7])
@@ -278,12 +276,33 @@ def test_env_var_overrides_psd_tolerance(tmp_path, capsys, monkeypatch):
     assert code == 3
 
     monkeypatch.setenv("WITNESSLAB_TOL", "1e-6")
-    old = TOL.psd_tol
-    try:
-        code, _, _ = run(capsys, "witness", "--state", f"file:{path}")
-        assert code == 0
-    finally:
-        TOL.psd_tol = old
+    code, _, _ = run(capsys, "witness", "--state", f"file:{path}")
+    assert code == 0
+
+
+def test_env_var_judges_the_state_argument_and_nothing_else(tmp_path, capsys, monkeypatch):
+    # WITNESSLAB_TOL=1e-6 admits the -1e-7 file state; a DensityMatrix that library
+    # code builds of the same matrix inside that call is judged at the default
+    import witnesslab.cli as cli_mod
+    from witnesslab import DensityMatrix, StructuralError
+
+    lam = (0.4, 0.3, 0.3 + 1e-7, -1e-7)
+    path = tmp_path / "edge.json"
+    entries = [{"re": lam[i] if i == j else 0.0, "im": 0.0} for i in range(4) for j in range(4)]
+    path.write_text(json.dumps({"entries": entries}))
+    correlations, judged = cli_mod._correlations, []
+
+    def judge_again(rho):
+        with pytest.raises(StructuralError, match="positive semidefinite"):
+            DensityMatrix(rho.matrix)
+        judged.append(rho)
+        return correlations(rho)
+
+    monkeypatch.setattr(cli_mod, "_correlations", judge_again)
+    monkeypatch.setenv("WITNESSLAB_TOL", "1e-6")
+    code, _, err = run(capsys, "witness", "--state", f"file:{path}")
+    assert code == 0, err
+    assert len(judged) == 1
 
 
 def test_env_var_bad_value(capsys, monkeypatch):

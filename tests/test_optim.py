@@ -196,6 +196,15 @@ def test_robustness_needs_two_spins():
         generalized_robustness(DensityMatrix(np.eye(2, dtype=complex) / 2))
 
 
+def test_robustness_needs_a_validated_state():
+    from witnesslab import DomainError
+    from witnesslab.qmat import HermitianOp
+
+    # unit trace but an eigenvalue of -0.1
+    with pytest.raises(DomainError, match="DensityMatrix"):
+        generalized_robustness(HermitianOp(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)))
+
+
 # ---------------------------------------------------------------------------
 # negativity
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from witnesslab import (
     ThermalParams,
     bell_state,
     BellKind,
+    DomainError,
 )
+from witnesslab.config import TOL
 from witnesslab.qmat import (
     SIGMA_I,
     SIGMA_X,
@@ -316,3 +320,22 @@ def test_pauli_coords_order_follows_labels():
         x = pauli_coords(TWO_SPIN_PAULIS[k])
         assert np.array_equal(x, 4.0 * np.eye(16)[k]), lab
     assert TWO_SPIN_LABELS[0] == "II"
+
+
+def test_tolerances_are_read_only():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TOL.psd_tol = 0.0
+    assert TOL.psd_tol == 1e-9
+
+
+def test_density_matrix_takes_its_own_psd_tolerance():
+    m = np.diag([0.4, 0.3, 0.3 + 1e-7, -1e-7]).astype(complex)
+    with pytest.raises(StructuralError, match="positive semidefinite"):
+        DensityMatrix(m)
+    assert np.array_equal(DensityMatrix(m, psd_tol=1e-6).matrix, m)
+    assert not hasattr(DensityMatrix(m, psd_tol=1e-6), "psd_tol")
+    exact = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    assert np.array_equal(DensityMatrix(exact, psd_tol=0.0).matrix, exact)
+    for bad in (np.nan, np.inf, -np.inf, -1e-6):
+        with pytest.raises(DomainError, match="psd_tol"):
+            DensityMatrix(m, psd_tol=bad)

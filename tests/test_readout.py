@@ -318,6 +318,14 @@ def test_lines_reject_a_single_spin_state(prep):
         measure_yy(one_spin)
 
 
+@pytest.mark.parametrize("prep", [None, READOUT_PULSE], ids=["none", "readout"])
+def test_lines_need_a_validated_state(prep):
+    # unit trace but an eigenvalue of -0.1
+    not_a_state = HermitianOp(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+    with pytest.raises(DomainError, match="DensityMatrix"):
+        simulate_lines(not_a_state, "I", prep)
+
+
 def test_pulses_are_built_once_and_lines_do_not_change():
     spec = PulseSpec("x", 1.1, ("I", "S"))
     assert prep_pulse_unitary(spec) is prep_pulse_unitary(PulseSpec("x", 1.1, ("I", "S")))

@@ -150,6 +150,13 @@ def test_channel_needs_a_validated_state():
         relax_channel(not_a_state, 0.1, PAPER_T2)
 
 
+def test_sweep_needs_a_validated_state():
+    # unit trace but an eigenvalue of -0.1
+    not_a_state = HermitianOp(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+    with pytest.raises(DomainError, match="DensityMatrix"):
+        sweep(not_a_state, PAPER_T2, bell_witness(BellKind.PHI_MINUS), t_max=0.6, steps=5)
+
+
 def test_non_finite_times_rejected():
     rho = bell_state(BellKind.PHI_MINUS)
     w = bell_witness(BellKind.PHI_MINUS)

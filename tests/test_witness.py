@@ -122,6 +122,18 @@ def test_witnesses_nonnegative_on_separable_states():
             assert eval_witness(w, sep) >= -1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_witness_rejects_non_finite_coefficients(bad):
+    for k in range(4):
+        coeffs = [0.5, -0.5, 0.5, 0.5]
+        coeffs[k] = bad
+        with pytest.raises(DomainError, match="not finite"):
+            PauliWitness(*coeffs)
+    # the coefficients are kept as given
+    assert PauliWitness(1, 0, 0, 0).as_tuple() == (1, 0, 0, 0)
+    assert type(PauliWitness(1, 0, 0, 0).c_i) is int
+
+
 def test_invalid_witness_detected():
     # too much XX weight: the partial transpose dips negative
     assert not witness_is_valid(PauliWitness(0.1, 0.9, 0.0, 0.0))
