@@ -8,9 +8,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, StructuralError, bounded_int
+from .errors import StructuralError, bounded_int
 from .qmat import SIGMA_I, SIGMA_X, SIGMA_Z, TWO_SPIN_LABELS, DensityMatrix, _as_operator_array
-from .qmat import _trusted_state, pauli_coords
+from .qmat import _trusted_state, _two_spin_state, pauli_coords
 from .states import BellKind, ThermalParams, _BELL_VECTORS, thermal_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -35,8 +35,7 @@ class Gate:
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """U rho U^H.  A unitary maps a state to a state, so the result is made
         with ``qmat._trusted_state`` and not checked again."""
-        if not isinstance(rho, DensityMatrix):
-            raise DomainError(f"gate {self.label!r} acts on a DensityMatrix, got {type(rho).__name__}")
+        _two_spin_state(rho, "Gate.apply")
         return _trusted_state(self.unitary @ rho.matrix @ self.unitary.conj().T)
 
 
@@ -134,6 +133,7 @@ def grape_unitary() -> Gate:
 
 def gradient_dephase(rho: DensityMatrix) -> DensityMatrix:
     """Idealized crusher gradient: drop every computational-basis coherence."""
+    _two_spin_state(rho, "gradient_dephase")
     return DensityMatrix(np.diag(np.diag(rho.matrix)))
 
 

@@ -42,7 +42,6 @@ from .witness import (
 )
 
 _KIND_NAMES = {k.value: k for k in BellKind}
-_BLOCK = 1 << 16  # characters (the output is ASCII: bytes) joined into one write
 _MAX_STATE_BYTES = 1 << 16  # a save_state_json file is about 1.2 KB
 
 
@@ -446,23 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _blocks(chunks):
-    """The chunks joined into blocks, each closed by the chunk that brings it to _BLOCK characters."""
-    block, size = [], 0
-    for chunk in chunks:
-        block.append(chunk)
-        size += len(chunk)
-        if size >= _BLOCK:
-            yield "".join(block)
-            block, size = [], 0
-    yield "".join(block)
-
-
 def _write(out, path: str | None) -> int:
     """Write a JSON document or an iterable of lines to path, or to stdout.
 
     An item of the iterable may hold several lines, all but its last newline.
-    The text goes out in blocks of about _BLOCK characters, so the encoded
+    The chunks go straight to the file's buffered writer, so the encoded
     output is never held whole.  Returns the exit code: 0, or 2 when the
     output cannot be opened or written.
     """
@@ -476,7 +463,7 @@ def _write(out, path: str | None) -> int:
         else:
             sink = open(path, "w", encoding="utf-8", newline="\n")
         with sink as fh:
-            fh.writelines(_blocks(chunks))
+            fh.writelines(chunks)
             fh.flush()
     except OSError as exc:
         if path is None:  # so the flush at exit does not fail a second time

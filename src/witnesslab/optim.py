@@ -404,5 +404,6 @@ def gr_oracle_bd(params: BellDiagonalParams) -> float:
 
 def negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
+    _two_spin_state(rho, "negativity")
     eigs = np.linalg.eigvalsh(_pt_arr(rho.matrix, "I"))
     return float(-eigs[eigs < 0].sum())

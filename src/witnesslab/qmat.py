@@ -6,7 +6,8 @@ Conventions fixed once and inherited everywhere:
 
 * spin I is the left (slow) tensor factor, spin S the right one;
 * the computational basis is ordered |00>, |01>, |10>, |11> (row-major);
-* only dimensions 2 and 4 are supported.
+* only dimensions 2 and 4 are supported, and every reader of a state
+  takes a two-spin one, checked by ``_two_spin_state``.
 """
 
 from __future__ import annotations
@@ -170,18 +171,18 @@ def _pt_arr(arr: np.ndarray, subsystem: str) -> np.ndarray:
     raise StructuralError(f"subsystem must be 'I' or 'S', got {subsystem!r}")
 
 
-def partial_transpose(rho: HermitianOp, subsystem: str = "I") -> HermitianOp:
-    """Transpose one tensor factor.  Involutive and trace preserving."""
-    if rho.dim != 4:
+def partial_transpose(op: HermitianOp, subsystem: str = "I") -> HermitianOp:
+    """Transpose one tensor factor of an operator, state or not.  Involutive and trace preserving."""
+    if op.dim != 4:
         raise StructuralError("partial_transpose needs a two-spin (dim 4) operator")
-    return HermitianOp(_pt_arr(rho.matrix, subsystem))
+    return HermitianOp(_pt_arr(op.matrix, subsystem))
 
 
-def partial_trace(rho: HermitianOp, keep: str = "I") -> HermitianOp:
+def partial_trace(op: HermitianOp, keep: str = "I") -> HermitianOp:
     """Trace out one spin, keeping the marginal of the other."""
-    if rho.dim != 4:
+    if op.dim != 4:
         raise StructuralError("partial_trace needs a two-spin (dim 4) operator")
-    four = rho.matrix.reshape(2, 2, 2, 2)
+    four = op.matrix.reshape(2, 2, 2, 2)
     if keep == "I":
         return HermitianOp(np.einsum("isjs->ij", four))
     if keep == "S":
@@ -210,6 +211,7 @@ def _expectation_raw(rho_arr: np.ndarray, obs_arr: np.ndarray) -> float:
 
 def expectation(rho: DensityMatrix, obs: HermitianOp) -> float:
     """Tr(rho * obs).  The imaginary residue is checked, then discarded."""
+    _two_spin_state(rho, "expectation")
     if rho.dim != obs.dim:
         raise StructuralError("state and observable dimensions differ")
     return _expectation_raw(rho.matrix, obs.matrix)
@@ -217,8 +219,8 @@ def expectation(rho: DensityMatrix, obs: HermitianOp) -> float:
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]."""
-    if rho.dim != sigma.dim:
-        raise StructuralError("states have different dimensions")
+    _two_spin_state(rho, "fidelity")
+    _two_spin_state(sigma, "fidelity")
     vals, vecs = np.linalg.eigh(rho.matrix)
     sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     inner = np.linalg.eigvalsh(sqrt_rho @ sigma.matrix @ sqrt_rho)

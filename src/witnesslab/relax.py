@@ -105,13 +105,15 @@ def _fit_decay_time(times: np.ndarray, values: np.ndarray) -> float | None:
     """1/e time of A*exp(-t/tau) fitted by least squares on log(values).
 
     Only points above 1e-3 of the initial magnitude enter the fit; returns
-    None when the curve never decays or has too few usable points.
+    None when the curve never decays or has too few usable points, or when
+    the fitted times are so small that their squares underflow to 0 (polyfit
+    scales by that norm, and LAPACK fails on the zero column).
     """
     v0 = abs(values[0])
     if v0 <= 0:
         return None
     mask = values > 1e-3 * v0
-    if mask.sum() < 2:
+    if mask.sum() < 2 or np.sum(times[mask] ** 2) == 0:
         return None
     slope = np.polyfit(times[mask], np.log(values[mask]), 1)[0]
     if slope >= 0:

@@ -8,7 +8,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .qmat import TWO_SPIN_LABELS, DensityMatrix, from_pauli_coords, pauli_coords
+from .qmat import TWO_SPIN_LABELS, DensityMatrix, _two_spin_state, from_pauli_coords, pauli_coords
 
 # non-identity Pauli strings, the order used by pauli_vector and tomography
 PAULI_LABELS = TWO_SPIN_LABELS[1:]
@@ -152,14 +152,13 @@ def pseudo_pure(eps: float, rho1: DensityMatrix) -> DensityMatrix:
     """Convex mixture ((1-eps)/4) * identity + eps * rho1."""
     if not 0.0 <= eps <= 1.0:
         raise DomainError(f"eps = {eps} outside [0, 1]")
-    dim = rho1.dim
-    return DensityMatrix((1.0 - eps) / dim * np.eye(dim) + eps * rho1.matrix)
+    _two_spin_state(rho1, "pseudo_pure")
+    return DensityMatrix((1.0 - eps) / 4 * np.eye(4) + eps * rho1.matrix)
 
 
 def pauli_vector(rho: DensityMatrix) -> np.ndarray:
     """Expectations of the 15 non-identity Pauli strings, in PAULI_LABELS order."""
-    if rho.dim != 4:
-        raise DomainError("pauli_vector needs a two-spin state")
+    _two_spin_state(rho, "pauli_vector")
     return pauli_coords(rho.matrix)[1:]
 
 

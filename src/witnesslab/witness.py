@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import DomainError, bounded_int
-from .qmat import PT_SIGN, DensityMatrix, HermitianOp, pauli_coords
+from .qmat import PT_SIGN, DensityMatrix, HermitianOp, _two_spin_state, pauli_coords
 from .states import _BD_COORDS, BELL_CORRELATIONS, BellKind, _bd_operator, _bell_spectrum
 from .states import _in_octahedron, _is_physical
 
@@ -74,8 +74,7 @@ def _correlation_columns(m: np.ndarray) -> np.ndarray:
 
 def _correlations(rho: DensityMatrix) -> tuple[float, float, float]:
     """(<XX>, <YY>, <ZZ>) of a two-spin state, read off its Pauli coordinates."""
-    if rho.dim != 4:
-        raise DomainError("correlations need a two-spin state")
+    _two_spin_state(rho, "f_witness_state or eval_witness")
     return tuple(_correlation_columns(rho.matrix).tolist())
 
 

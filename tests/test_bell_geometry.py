@@ -1,6 +1,7 @@
 """Bell-diagonal geometry checked against per-point and eigensolver references."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,21 +12,49 @@ from witnesslab import (
     BellKind,
     DensityMatrix,
     DomainError,
+    HermitianOp,
     PauliWitness,
     RelaxationParams,
+    bell_state,
     bell_witness,
     classify_bd,
     detection_region_grid,
+    epr_gate,
     eval_witness,
+    expectation,
     f_witness_state,
+    fidelity,
+    negativity,
+    pauli_vector,
+    pseudo_pure,
     relax_channel,
     witness_is_valid,
 )
+from witnesslab.circuits import gradient_dephase
 from witnesslab.config import TOL
 from witnesslab.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z
 from witnesslab.witness import _region_planes
 
 SINGLE_SPIN = DensityMatrix(np.eye(2, dtype=complex) / 2)
+# unit trace and Hermitian, but with negative eigenvalues: not a state
+NOT_A_STATE = HermitianOp(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+PHI_MINUS = BellKind.PHI_MINUS
+# readers of a state, as functions of that state, keyed by the name their error gives (a
+# suffix after "-" tells fidelity's two arguments apart); sweep, generalized_robustness and
+# simulate_lines are checked beside their own tests
+STATE_READERS = {
+    "f_witness_state": f_witness_state,
+    "eval_witness": lambda rho: eval_witness(bell_witness(PHI_MINUS), rho),
+    "pauli_vector": pauli_vector,
+    "negativity": negativity,
+    "fidelity-first": lambda rho: fidelity(rho, bell_state(PHI_MINUS)),
+    "fidelity-second": lambda rho: fidelity(bell_state(PHI_MINUS), rho),
+    "expectation": lambda rho: expectation(rho, HermitianOp(np.eye(4))),
+    "pseudo_pure": lambda rho: pseudo_pure(0.5, rho),
+    "gradient_dephase": gradient_dephase,
+    "Gate.apply": lambda rho: epr_gate().apply(rho),
+    "relax_channel": lambda rho: relax_channel(rho, 0.1, RelaxationParams()),
+}
 
 
 def reference_class(c):
@@ -72,13 +101,12 @@ def test_classify_bd_rejects_non_finite_or_misshapen_triples():
             classify_bd(c)
 
 
-def test_two_spin_readers_reject_a_single_spin_state():
-    with pytest.raises(DomainError):
-        f_witness_state(SINGLE_SPIN)
-    with pytest.raises(DomainError):
-        eval_witness(bell_witness(BellKind.PHI_MINUS), SINGLE_SPIN)
-    with pytest.raises(DomainError):
-        relax_channel(SINGLE_SPIN, 0.1, RelaxationParams())
+@pytest.mark.parametrize("rho", [SINGLE_SPIN, NOT_A_STATE], ids=["single-spin", "not-a-state"])
+@pytest.mark.parametrize("reader", STATE_READERS)
+def test_two_spin_readers_reject_a_single_spin_state(reader, rho):
+    name = reader.split("-")[0]
+    with pytest.raises(DomainError, match=re.escape(name) + ".*two-spin DensityMatrix"):
+        STATE_READERS[reader](rho)
 
 
 def eigvalsh_is_valid(coeffs):

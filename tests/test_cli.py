@@ -1,11 +1,15 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from jsonschema import validate
 
+import witnesslab
 from witnesslab import BellKind, bell_state
 from witnesslab.cli import main, parse_state_spec, save_state_json
 
@@ -345,6 +349,17 @@ def test_more_domain_and_usage_edges(capsys):
     assert run(capsys, "detect-region", "1")[0] == 3
     assert run(capsys, "relax-sweep", "--steps", "1")[0] == 3
     assert run(capsys, "relax-sweep", "--t1i", "0.01", "--t2i", "0.31")[0] == 3
+
+
+def test_relax_sweep_with_a_tiny_tmax_fits_no_decay_time():
+    # a subprocess: LAPACK reports its failures on fd 2, past any redirect of sys.stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(witnesslab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "witnesslab.cli", "relax-sweep", "--tmax", "1e-200", "--steps", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "# tau_c=none tau_r=none tau_w=none" in proc.stdout
 
 
 def test_non_finite_relaxation_inputs_are_domain_errors(capsys):

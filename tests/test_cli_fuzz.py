@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from witnesslab.cli import main
 
 _NUMBER = st.sampled_from(
-    ["0", "1", "-1", "0.5", "-0.2", "0.31", "2", "1e-5", "nan", "inf", "-inf", "1e309", "", "x"]
+    ["0", "1", "-1", "0.5", "-0.2", "0.31", "2", "1e-5", "1e-200", "nan", "inf", "-inf", "1e309", "", "x"]
 )
 _KIND = st.sampled_from(["phi+", "psi+", "phi-", "psi-", "chi+"])
 _STATE = st.one_of(
@@ -70,6 +70,8 @@ ARGV = st.one_of(
 # residues, which the tolerance does not judge; the second is an input with one (exit 3)
 @example(["sdc", "--eps", "1,1", "--msg", "1,0"])
 @example(["witness", "--state", "bd:1,0.5,-0.500000002"])
+# a t_max whose squared sweep times underflow to 0: no decay time can be fitted
+@example(["relax-sweep", "--steps", "3", "--tmax", "1e-200"])
 def test_main_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

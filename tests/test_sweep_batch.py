@@ -143,6 +143,15 @@ def test_sweep_steps_are_bounded_integers(monkeypatch):
             sweep(bell_state(BellKind.PHI_MINUS), PAPER_T2, w, t_max=0.6, steps=steps)
 
 
+def test_fitted_times_are_none_when_t_max_is_too_small_to_fit():
+    # the squared times underflow to 0, which polyfit's column scaling cannot take
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = sweep(bell_state(BellKind.PHI_MINUS), RelaxationParams(), bell_witness(BellKind.PHI_MINUS),
+                       1e-200, 3)
+    assert series.tau_r is None and series.tau_w is None
+
+
 def test_sweep_rejects_a_single_spin_state():
     with pytest.raises(DomainError, match="two-spin"):
         sweep(DensityMatrix(np.eye(2) / 2), PAPER_T2, bell_witness(BellKind.PHI_MINUS), 0.6, 5)
