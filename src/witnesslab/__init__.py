@@ -13,10 +13,8 @@ from .config import TOL, Tolerances
 from .errors import (
     ConvergenceError,
     DomainError,
-    InfeasibleError,
     NumericalConsistencyError,
     StructuralError,
-    UnboundedError,
 )
 from .qmat import (
     DensityMatrix,
@@ -63,17 +61,15 @@ from .witness import (
     f_detects_bd,
     f_witness,
     f_witness_state,
+    optimal_witness,
     witness_is_valid,
     witness_matrix,
 )
 from .optim import (
-    LinearProgram,
     RobustnessResult,
     generalized_robustness,
     gr_oracle_bd,
     negativity,
-    optimal_witness,
-    solve_lp,
 )
 from .relax import (
     RelaxationParams,

@@ -24,7 +24,7 @@ from . import __version__
 from .config import TOL
 from .errors import ConvergenceError, DomainError, StructuralError
 from .circuits import Message, superdense_run
-from .optim import generalized_robustness, optimal_witness
+from .optim import generalized_robustness
 from .qmat import DensityMatrix, _pt_arr
 from .readout import add_noise
 from .relax import _MAX_STEPS, RelaxationParams, sweep
@@ -38,6 +38,7 @@ from .witness import (
     bell_witness,
     eval_witness,
     f_witness,
+    optimal_witness,
     witness_is_valid,
 )
 
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_witness)
 
-    p = subs.add_parser("optimal-witness", help="solve the optimal-witness program")
+    p = subs.add_parser("optimal-witness", help="print the optimal witness of a Bell state")
     p.add_argument("kind", nargs="?", choices=sorted(_KIND_NAMES), help="target Bell state")
     p.add_argument("--all", action="store_true", help="emit all four rows")
     _add_common(p)

@@ -15,16 +15,9 @@ class NumericalConsistencyError(ValueError):
     """A quantity that must be real (or otherwise constrained) drifted past tolerance."""
 
 
-class InfeasibleError(ValueError):
-    """The constraint system of an optimization problem has no solution."""
-
-
-class UnboundedError(ValueError):
-    """The objective of an optimization problem is unbounded below."""
-
-
 class ConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap.
+    """An iterative solver failed: it hit its iteration cap, or an iterate
+    lost positive definiteness (its Cholesky factorization failed).
 
     Carries the best bounds obtained so far in ``lower`` and ``upper``.
     """

@@ -1,11 +1,9 @@
-"""Optimization kernel: exact small-LP solver (vertex enumeration), the
-optimal-witness program, and generalized robustness of entanglement computed
-as a two-cone semidefinite program by a primal-dual interior-point method
-(exact for two qubits via the positive partial transpose criterion)."""
+"""Optimization kernel: generalized robustness of entanglement computed as a
+two-cone semidefinite program by a primal-dual interior-point method (exact
+for two qubits via the positive partial transpose criterion)."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,12 +12,10 @@ import numpy as np
 # where the gufunc answers per block (NaN output for a block it cannot factor or solve)
 from numpy.linalg import _umath_linalg
 
-from .errors import ConvergenceError, InfeasibleError, UnboundedError
+from .errors import ConvergenceError
 from .qmat import PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _pt_arr, _two_spin_state
 from .qmat import from_pauli_coords
-from .states import _BD_COORDS, _BELL_SIGNS, BELL_ORDER, BellDiagonalParams, BellKind
-from .states import bell_probabilities
-from .witness import PauliWitness
+from .states import BellDiagonalParams, bell_probabilities
 
 _E0 = np.eye(16)[0]
 _Q = TWO_SPIN_PAULIS.reshape(16, 16)  # row k is vec(P_k): x @ _Q is vec(sum_k x_k P_k)
@@ -34,85 +30,7 @@ _FRACTION_GAIN = 0.09
 _MAX_ITERATIONS = 100
 # NPT points solved together at most: about 30 KB of solver temporaries each
 _CHUNK = 256
-# half-width of the box solve_lp adds so that every LP has vertices
-_BOX_BOUND = 1e6
 
-
-# ---------------------------------------------------------------------------
-# linear programming by exhaustive vertex enumeration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """minimize objective . x  subject to  a_ub @ x <= b_ub."""
-
-    objective: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-
-
-def solve_lp(lp: LinearProgram) -> np.ndarray:
-    """Exact minimizer of a small LP.
-
-    Every n-subset of constraint rows (the given ones plus a +-_BOX_BOUND box,
-    which guarantees the polytope has vertices) is solved as a linear system;
-    feasible solutions are vertices and the best one is returned.  An optimal
-    vertex that touches the box means the true problem is unbounded.  Ties
-    within 1e-9 of the optimum break toward the lexicographically largest
-    vertex so repeated calls are reproducible.
-    """
-    c = np.asarray(lp.objective, dtype=float)
-    n = c.size
-    a = np.asarray(lp.a_ub, dtype=float).reshape(-1, n)
-    b = np.asarray(lp.b_ub, dtype=float).ravel()
-    a_all = np.vstack([a, np.eye(n), -np.eye(n)])
-    b_all = np.concatenate([b, np.full(2 * n, _BOX_BOUND)])
-
-    combos = np.array(list(itertools.combinations(range(a_all.shape[0]), n)))
-    sub_a = a_all[combos]
-    sub_b = b_all[combos]
-    dets = np.abs(np.linalg.det(sub_a))
-    ok = dets > 1e-12
-    if not ok.any():
-        raise InfeasibleError("no basis of constraints is invertible")
-    verts = np.linalg.solve(sub_a[ok], sub_b[ok][..., None])[..., 0]
-    feas = np.all(a_all @ verts.T <= b_all[:, None] + 1e-9, axis=0)
-    if not feas.any():
-        raise InfeasibleError("constraint system has no feasible point")
-    verts = verts[feas]
-
-    values = verts @ c
-    best = values.min()
-    candidates = verts[values <= best + 1e-9]
-    off_box = candidates[np.all(np.abs(candidates) < _BOX_BOUND - 1e-6, axis=1)]
-    if off_box.size == 0:
-        raise UnboundedError("objective is unbounded (every optimal vertex sits on the box)")
-    order = np.lexsort(off_box.T[::-1])  # lexicographic in x0, x1, ...
-    return off_box[order[-1]]
-
-
-def optimal_witness(kind: BellKind) -> PauliWitness:
-    """Best diagonal-Pauli witness for a Bell state, solved as an exact LP.
-
-    Both the witness and its partial transpose are diagonal in the Bell basis
-    for this coefficient family, so the two semidefinite constraints
-    (PT >= 0 and W <= 1) collapse to eight linear inequalities in
-    (c_i, c_x, c_y, c_z).  The objective, the witness eigenvalue on the target
-    Bell state, reaches -1 at a unique vertex.
-    """
-    rows_w = np.column_stack([np.ones(4), _BELL_SIGNS])  # W's eigenvalue on each Bell state
-    rows_pt = rows_w * PT_SIGN[_BD_COORDS]  # PT flips the YY term
-    lp = LinearProgram(
-        objective=rows_w[BELL_ORDER.index(kind)],
-        a_ub=np.vstack([rows_w, -rows_pt]),
-        b_ub=np.concatenate([np.ones(4), np.zeros(4)]),
-    )
-    return PauliWitness(*(float(v) for v in solve_lp(lp)))
-
-
-# ---------------------------------------------------------------------------
-# generalized robustness
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RobustnessResult:
@@ -124,6 +42,13 @@ class RobustnessResult:
     from the final dual iterate, has witness <= 1 and witness^PT >= 0, so
     ``lower`` = -Tr(witness rho) bounds the robustness from below, within
     1e-8 of ``value``.  A PPT state has value and lower 0 and no witness.
+
+    By the duality of Brandao, PRA 72, 022310 (2005), ``witness`` is the
+    optimal witness of rho with W <= 1: it minimizes Tr(W rho) over every W
+    with W <= 1 and W^PT >= 0, which for two qubits is every such witness.
+    So no other solver is needed for the optimal witness of a state.  For an
+    entangled Bell-diagonal state it is, within the solver's gap, the
+    ``bell_witness`` of the largest Bell weight.
     """
 
     value: float

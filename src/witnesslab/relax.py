@@ -141,6 +141,8 @@ def sweep(
         raise DomainError(f"t_max = {t_max} must be positive and finite")
     _two_spin_state(rho0, "sweep")
     times = np.linspace(0.0, t_max, steps)
+    if not (np.diff(times) > 0).all():  # a subnormal t_max rounds grid points together
+        raise DomainError(f"t_max = {t_max} is too small for steps = {steps}: the time grid repeats a time")
     states = _relax(rho0.matrix, times, p)
     xx, yy, zz = _correlation_columns(states)
     f_vals, w_vals = _f_values(xx, zz), w.value(xx, yy, zz)

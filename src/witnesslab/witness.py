@@ -112,8 +112,19 @@ def eval_witness(w: PauliWitness, rho: DensityMatrix) -> float:
 
 
 def bell_witness(kind: BellKind) -> PauliWitness:
-    """The optimal diagonal-Pauli witness 1 - 2|psi><psi| for the given Bell state."""
+    """The optimal diagonal-Pauli witness 1 - 2|psi><psi| for the given Bell state.
+
+    The witness program minimizes Tr(W |psi><psi|) subject to W <= 1 and
+    W^PT >= 0.  For this coefficient family W and W^PT are both diagonal in
+    the Bell basis (transposing spin I flips the YY term), so the two
+    semidefinite constraints are eight linear inequalities in
+    (c_i, c_x, c_y, c_z).  The objective, W's eigenvalue on |psi>, reaches
+    -1 at a unique vertex of them: 1 - 2|psi><psi|.
+    """
     return PauliWitness(0.5, *(-0.5 * s for s in BELL_CORRELATIONS[kind]))
+
+
+optimal_witness = bell_witness
 
 
 def f_detects_bd(params) -> bool:

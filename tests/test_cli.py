@@ -10,7 +10,7 @@ import pytest
 from jsonschema import validate
 
 import witnesslab
-from witnesslab import BellKind, bell_state
+from witnesslab import BellKind, bell_state, relax
 from witnesslab.cli import main, parse_state_spec, save_state_json
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schemas" / "output.schema.json").read_text())
@@ -360,6 +360,16 @@ def test_relax_sweep_with_a_tiny_tmax_fits_no_decay_time():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "# tau_c=none tau_r=none tau_w=none" in proc.stdout
+
+
+def test_relax_sweep_with_a_tmax_that_repeats_grid_times_names_both_flags(capsys, monkeypatch):
+    def no_solve(m, max_iter=None):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(relax, "_robustness", no_solve)
+    code, out, err = run(capsys, "relax-sweep", "--tmax", "5e-324", "--steps", "3")
+    assert (code, out) == (3, "")
+    assert "t_max" in err and "steps" in err and "Traceback" not in err
 
 
 def test_non_finite_relaxation_inputs_are_domain_errors(capsys):

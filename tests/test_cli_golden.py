@@ -1,7 +1,7 @@
 """Golden output: the exact bytes every subcommand writes, in each format.
 
 The argvs are chosen so the bytes do not depend on LAPACK rounding: Bell
-states, the identity, the exact witness LP, a 3-point detection grid,
+states, the identity, the closed-form optimal witnesses, a 3-point detection grid,
 superdense coding and six-digit text robustness.  The files under
 ``tests/golden/`` are the reference; regenerate them deliberately with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` after an intended change.

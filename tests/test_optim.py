@@ -8,9 +8,6 @@ from witnesslab import (
     BellKind,
     ConvergenceError,
     DensityMatrix,
-    InfeasibleError,
-    LinearProgram,
-    UnboundedError,
     bell_state,
     bell_witness,
     eval_witness,
@@ -19,7 +16,6 @@ from witnesslab import (
     negativity,
     optimal_witness,
     partial_transpose,
-    solve_lp,
     witness_is_valid,
 )
 
@@ -27,42 +23,8 @@ IDENTITY = DensityMatrix(np.eye(4, dtype=complex) / 4)
 
 
 # ---------------------------------------------------------------------------
-# linear programming
+# the optimal Bell witness
 # ---------------------------------------------------------------------------
-
-def test_lp_interval():
-    lp = LinearProgram(np.array([1.0]), np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]))
-    assert abs(solve_lp(lp)[0]) < 1e-12
-
-
-def test_lp_infeasible():
-    lp = LinearProgram(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
-    with pytest.raises(InfeasibleError):
-        solve_lp(lp)
-
-
-def test_lp_unbounded():
-    lp = LinearProgram(np.array([1.0]), np.array([[1.0]]), np.array([0.0]))
-    with pytest.raises(UnboundedError):
-        solve_lp(lp)
-
-
-def test_lp_agrees_with_scipy_on_random_programs():
-    rng = np.random.default_rng(71)
-    found = 0
-    while found < 25:
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(n + 1, 10))
-        a = rng.standard_normal((m, n))
-        b = rng.uniform(0.2, 2.0, m)  # the origin is feasible
-        c = rng.standard_normal(n)
-        ref = linprog(c, A_ub=a, b_ub=b, bounds=[(None, None)] * n, method="highs")
-        if not ref.success:
-            continue  # unbounded draws are exercised by test_lp_unbounded
-        x = solve_lp(LinearProgram(c, a, b))
-        assert abs(float(c @ x) - ref.fun) < 1e-6
-        found += 1
-
 
 def test_witness_lp_objective_cross_checked_with_scipy():
     from witnesslab.states import BELL_CORRELATIONS
@@ -77,14 +39,13 @@ def test_witness_lp_objective_cross_checked_with_scipy():
         ref = linprog(c, A_ub=a, b_ub=b, bounds=[(None, None)] * 4, method="highs")
         assert ref.success
         assert abs(ref.fun + 1.0) < 1e-9
-        x = solve_lp(LinearProgram(c, a, b))
-        assert abs(float(c @ x) + 1.0) < 1e-9
+        np.testing.assert_allclose(ref.x, optimal_witness(kind).as_tuple(), atol=1e-9)
 
 
 @pytest.mark.parametrize("kind", list(BellKind))
 def test_optimal_witness_matches_closed_form_rows(kind):
+    assert optimal_witness is bell_witness
     w = optimal_witness(kind)
-    assert np.allclose(w.as_tuple(), bell_witness(kind).as_tuple(), atol=1e-9)
     assert witness_is_valid(w)
     assert abs(eval_witness(w, bell_state(kind)) + 1.0) < 1e-9
 

@@ -143,6 +143,17 @@ def test_sweep_steps_are_bounded_integers(monkeypatch):
             sweep(bell_state(BellKind.PHI_MINUS), PAPER_T2, w, t_max=0.6, steps=steps)
 
 
+def test_a_time_grid_that_repeats_a_time_is_rejected_before_any_solve(monkeypatch):
+    def no_solve(m, max_iter=None):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(relax, "_robustness", no_solve)
+    w = bell_witness(BellKind.PHI_MINUS)
+    for t_max, steps in ((5e-324, 3), (1e-320, 10_000)):
+        with pytest.raises(DomainError, match="t_max.*steps"):
+            sweep(bell_state(BellKind.PHI_MINUS), PAPER_T2, w, t_max=t_max, steps=steps)
+
+
 def test_fitted_times_are_none_when_t_max_is_too_small_to_fit():
     # the squared times underflow to 0, which polyfit's column scaling cannot take
     with warnings.catch_warnings():
