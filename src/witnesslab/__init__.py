@@ -19,13 +19,10 @@ from .errors import (
 from .qmat import (
     DensityMatrix,
     HermitianOp,
-    Spectrum,
-    eig_hermitian,
     expectation,
     fidelity,
     partial_trace,
     partial_transpose,
-    tensor,
 )
 from .states import (
     BellDiagonalParams,

@@ -32,12 +32,11 @@ from .states import BellDiagonalParams, BellKind, ThermalParams, _bd_operator, b
 from .witness import (
     _MAX_RESOLUTION,
     BDClass,
-    CorrelationPair,
     _correlations,
+    _f_values,
     _region_planes,
     bell_witness,
     eval_witness,
-    f_witness,
     optimal_witness,
     witness_is_valid,
 )
@@ -139,9 +138,9 @@ def _cmd_witness(args):
             lab: add_noise(v, args.noise, args.seed + k)
             for k, (lab, v) in enumerate(corr.items())
         }
-    # F and the witness values are formed from the same (possibly noisy)
-    # correlations that get reported, exactly as a measurement run would
-    f_val = f_witness(CorrelationPair(corr["XX"], corr["ZZ"]))
+    # F (by f_witness_state's rule, which clips rounding spill past +-1) and the witness values
+    # come from the same, possibly noisy, correlations that get reported, as a measurement run would
+    f_val = float(_f_values(corr["XX"], corr["ZZ"]))
     rows = []
     for name in args.witness or []:
         w = bell_witness(_KIND_NAMES[name])

@@ -1,8 +1,10 @@
-"""Central numerical tolerances.
+"""The shared numerical tolerances, in the single read-only ``TOL`` instance.
 
-All modules read tolerances from the single read-only ``TOL`` instance.  The
-one settable value is a ``DensityMatrix`` check's own ``psd_tol`` argument,
-which the CLI sets from the ``WITNESSLAB_TOL`` environment variable.
+They judge matrix equality, hermiticity and a state's PSD check.  A cut of
+one rule lives beside its code: the 1e-12 NPT cut in ``optim``, the 1e-9
+Bell-weight slack in ``states`` and the 1e-6 robustness level in ``relax``.
+The one settable value is a ``DensityMatrix`` check's own ``psd_tol``
+argument, which the CLI sets from the ``WITNESSLAB_TOL`` environment variable.
 """
 
 from dataclasses import dataclass

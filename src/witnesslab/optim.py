@@ -172,7 +172,7 @@ def _gap(s, z):
 
 # a failed LAPACK call marks its block with NaN, which the loop reads; a PSD direction has an infinite step
 @np.errstate(invalid="ignore", divide="ignore")
-def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
+def _central_path(m: np.ndarray, lam_min: np.ndarray):
     """Solve the robustness SDP for k NPT points at once by a primal-dual interior-point method.
 
     m is the (k, 4, 4) stack of partial transposes and lam_min their
@@ -213,7 +213,7 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
             upper = 4.0 * x_checked[i, 0]
             failures[int(points[i])] = ConvergenceError(reason, lower=max(0.0, upper - gap_checked[i]), upper=upper)
 
-    for iteration in range(max_iter + 1):
+    for iteration in range(_MAX_ITERATIONS + 1):
         s = _pauli_blocks(x) + shift
         chol, inv_l, failed = _cholesky(np.concatenate([s, z], axis=1))
         fail(failed, "robustness iterate is not positive definite")
@@ -225,8 +225,8 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
             x_out[points[done]], z_out[points[done]], iterations[points[done]] = x[done], z[done, 1], iteration
         keep = ~done
         keep[failed] = False
-        if iteration == max_iter:
-            fail(keep.nonzero()[0], f"robustness solver hit the {max_iter}-iteration cap")
+        if iteration == _MAX_ITERATIONS:
+            fail(keep.nonzero()[0], f"robustness solver hit the {_MAX_ITERATIONS}-iteration cap")
             break
         if not keep.all():
             if not keep.any():
@@ -253,7 +253,7 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray, max_iter: int):
     return x_out, z_out, iterations, failures
 
 
-def _robustness(rho: np.ndarray, max_iter: int = _MAX_ITERATIONS):
+def _robustness(rho: np.ndarray):
     """Generalized robustness of each state of a (k, 4, 4) stack of density matrices.
 
     PPT points are 0 without a solve.  The NPT points are solved together by
@@ -275,7 +275,7 @@ def _robustness(rho: np.ndarray, max_iter: int = _MAX_ITERATIONS):
     failures = {}
     for start in range(0, len(npt), _CHUNK):
         idx = npt[start:start + _CHUNK]
-        x, z2, iterations[idx], chunk_failures = _central_path(m[idx], lam_min[idx], max_iter)
+        x, z2, iterations[idx], chunk_failures = _central_path(m[idx], lam_min[idx])
         if chunk_failures:
             failures = {int(idx[i]): exc for i, exc in chunk_failures.items()}
             break
@@ -286,7 +286,7 @@ def _robustness(rho: np.ndarray, max_iter: int = _MAX_ITERATIONS):
     return values, iterations, omega, failures, lower, witness
 
 
-def generalized_robustness(rho: DensityMatrix, max_iter: int = _MAX_ITERATIONS) -> RobustnessResult:
+def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     """minimize Tr(omega) over omega >= 0 with (rho + omega)^PT >= 0.
 
     Separability of two qubits is exactly positivity of the partial
@@ -302,7 +302,7 @@ def generalized_robustness(rho: DensityMatrix, max_iter: int = _MAX_ITERATIONS) 
     ``relax.sweep`` runs over a whole time grid.
     """
     _two_spin_state(rho, "generalized_robustness")
-    values, iterations, omega, failures, lower, witness = _robustness(rho.matrix[None], max_iter)
+    values, iterations, omega, failures, lower, witness = _robustness(rho.matrix[None])
     if failures:
         raise failures[0]
     if iterations[0] == 0:

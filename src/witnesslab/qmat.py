@@ -146,21 +146,6 @@ def _trusted_state(matrix: np.ndarray) -> DensityMatrix:
     return rho
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition with ascending real eigenvalues and orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def tensor(a: HermitianOp, b: HermitianOp) -> HermitianOp:
-    """Kronecker product with spin I as the left factor."""
-    if a.dim != 2 or b.dim != 2:
-        raise StructuralError("tensor expects two single-spin (dim 2) operators")
-    return HermitianOp(np.kron(a.matrix, b.matrix))
-
-
 def _pt_arr(arr: np.ndarray, subsystem: str) -> np.ndarray:
     """Partial transpose of a 4x4 array, or of each one in a (..., 4, 4) stack."""
     four = arr.reshape(arr.shape[:-2] + (2, 2, 2, 2))
@@ -188,16 +173,6 @@ def partial_trace(op: HermitianOp, keep: str = "I") -> HermitianOp:
     if keep == "S":
         return HermitianOp(np.einsum("isit->st", four))
     raise StructuralError(f"keep must be 'I' or 'S', got {keep!r}")
-
-
-def eig_hermitian(h: HermitianOp) -> Spectrum:
-    """Full eigendecomposition, eigenvalues ascending.
-
-    Backed by LAPACK's Hermitian solver, which is deterministic for identical
-    input and comfortably exceeds the reconstruction tolerances required here.
-    """
-    vals, vecs = np.linalg.eigh(h.matrix)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def _expectation_raw(rho_arr: np.ndarray, obs_arr: np.ndarray) -> float:

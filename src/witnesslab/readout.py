@@ -157,7 +157,8 @@ def pauli_tomography(expectations) -> TomographyResult:
     ``qmat._trusted_state``.
     """
     x = _expectation_coords(expectations)
-    if not np.all(np.abs(x) <= 1.0):
+    # a state's own Pauli vector can spill past +-1 by rounding
+    if not np.all(np.abs(x) <= 1.0 + TOL.tol_eq):
         raise DomainError("expectations must lie in [-1, 1]")
     raw = from_pauli_coords(x) / 4.0
     vals, vecs = np.linalg.eigh(raw)

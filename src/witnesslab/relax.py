@@ -37,10 +37,10 @@ class RelaxationParams:
             v = getattr(self, name)
             if not 0.0 < v < np.inf:
                 raise DomainError(f"{name} = {v} must be positive and finite")
-        # complete positivity of the per-spin channel requires T2 <= 2*T1
+        # complete positivity of the per-spin channel requires T2 <= 2*T1, with no slack (2*T1 is exact)
         for spin in ("i", "s"):
             t1, t2 = getattr(self, f"t1_{spin}"), getattr(self, f"t2_{spin}")
-            if t2 > 2 * t1 + 1e-15:
+            if t2 > 2 * t1:
                 raise DomainError(f"t2_{spin} = {t2} exceeds 2*t1_{spin} = {2 * t1}")
 
 

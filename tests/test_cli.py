@@ -10,8 +10,8 @@ import pytest
 from jsonschema import validate
 
 import witnesslab
-from witnesslab import BellKind, bell_state, relax
-from witnesslab.cli import main, parse_state_spec, save_state_json
+from witnesslab import BellKind, DensityMatrix, bell_state, f_witness_state, relax
+from witnesslab.cli import load_state_json, main, parse_state_spec, save_state_json
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schemas" / "output.schema.json").read_text())
 
@@ -71,6 +71,20 @@ def test_witness_noise_is_seeded(capsys):
     c = run_json(capsys, "witness", "--state", "bell:phi-", "--noise", "0.01", "--seed", "8")
     assert a == b
     assert a["correlations"] != c["correlations"]
+
+
+def test_witness_of_a_state_whose_correlation_spills_past_one(tmp_path, capsys):
+    # <ZZ> of cos 0.17|00> + sin 0.17|11> reads 1.0000000000000002; F clips that
+    # rounding spill, by the one rule f_witness_state uses, instead of exiting 3
+    psi = np.array([np.cos(0.17), 0.0, 0.0, np.sin(0.17)], dtype=complex)
+    path = tmp_path / "spill.json"
+    save_state_json(DensityMatrix(np.outer(psi, psi.conj())), str(path))
+    for fmt in ("text", "csv"):
+        code, out, err = run(capsys, "witness", "--state", f"file:{path}", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert "entangled (detected)" in out
+    doc = run_json(capsys, "witness", "--state", f"file:{path}")
+    assert doc["f"]["value"] == f_witness_state(load_state_json(str(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +377,21 @@ def test_relax_sweep_with_a_tiny_tmax_fits_no_decay_time():
 
 
 def test_relax_sweep_with_a_tmax_that_repeats_grid_times_names_both_flags(capsys, monkeypatch):
-    def no_solve(m, max_iter=None):
+    def no_solve(m):
         raise AssertionError("solver reached")
 
     monkeypatch.setattr(relax, "_robustness", no_solve)
     code, out, err = run(capsys, "relax-sweep", "--tmax", "5e-324", "--steps", "3")
     assert (code, out) == (3, "")
     assert "t_max" in err and "steps" in err and "Traceback" not in err
+
+
+def test_relax_sweep_rejects_t2_past_twice_t1_at_a_tiny_time_scale(capsys):
+    # T2 = 10 T1 at T1 = 1e-16 is not completely positive, however small the excess
+    code, out, err = run(capsys, "relax-sweep", "--t1i", "1e-16", "--t2i", "1e-15", "--t1s", "1e-16",
+                         "--t2s", "1e-15", "--tmax", "3e-16", "--steps", "4")
+    assert (code, out) == (3, "")
+    assert "t2_i" in err and "Traceback" not in err
 
 
 def test_non_finite_relaxation_inputs_are_domain_errors(capsys):

@@ -18,6 +18,7 @@ from witnesslab import (
     partial_transpose,
     witness_is_valid,
 )
+from witnesslab import optim
 
 IDENTITY = DensityMatrix(np.eye(4, dtype=complex) / 4)
 
@@ -118,9 +119,10 @@ def test_robustness_agrees_with_oracle_on_bell_diagonal_sample():
         assert abs(got - gr_oracle_bd(BellDiagonalParams(*c))) < 1e-5
 
 
-def test_robustness_iteration_cap_raises_with_bounds():
-    with pytest.raises(ConvergenceError) as err:
-        generalized_robustness(bell_state(BellKind.PHI_MINUS), max_iter=3)
+def test_robustness_iteration_cap_raises_with_bounds(monkeypatch):
+    monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
+    with pytest.raises(ConvergenceError, match="3-iteration cap") as err:
+        generalized_robustness(bell_state(BellKind.PHI_MINUS))
     assert err.value.lower is not None and err.value.upper is not None
     assert err.value.lower <= err.value.upper
 

@@ -19,7 +19,6 @@ from witnesslab import (
     prep_pulse_unitary,
     read_correlations,
     simulate_lines,
-    tensor,
 )
 from witnesslab.qmat import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOp
 from witnesslab.readout import READOUT_PULSE, SpectrumPair
@@ -158,8 +157,8 @@ def test_read_correlations_argument_order_enforced():
 
 def test_end_to_end_matches_direct_expectations():
     rng = np.random.default_rng(109)
-    xx = tensor(HermitianOp(SIGMA_X), HermitianOp(SIGMA_X))
-    zz = tensor(HermitianOp(SIGMA_Z), HermitianOp(SIGMA_Z))
+    xx = HermitianOp(np.kron(SIGMA_X, SIGMA_X))
+    zz = HermitianOp(np.kron(SIGMA_Z, SIGMA_Z))
     for _ in range(30):
         rho = random_density_matrix(rng)
         corr = read_correlations(*spectra(rho))
@@ -172,7 +171,7 @@ def test_measure_yy_reference_and_random_states():
     assert abs(measure_yy(IDENTITY)) < 1e-10
     assert abs(measure_yy(bd(-0.2, 1.0, 0.2)) - 1.0) < 1e-10
     rng = np.random.default_rng(113)
-    yy = tensor(HermitianOp(SIGMA_Y), HermitianOp(SIGMA_Y))
+    yy = HermitianOp(np.kron(SIGMA_Y, SIGMA_Y))
     for _ in range(30):
         rho = random_density_matrix(rng)
         assert abs(measure_yy(rho) - expectation(rho, yy)) < 1e-10
@@ -231,6 +230,24 @@ def test_tomography_validates_input():
         pauli_tomography(np.zeros(14))
     with pytest.raises(DomainError):
         pauli_tomography(np.full(15, 1.5))
+    past = np.zeros(15)
+    past[14] = 1.0 + 1e-6
+    with pytest.raises(DomainError):
+        pauli_tomography(past)
+
+
+def test_tomography_round_trips_a_pure_states_own_pauli_vector():
+    # <ZZ> of cos 0.17|00> + sin 0.17|11> reads 1.0000000000000002: rounding, not data
+    rng = np.random.default_rng(137)
+    vectors = [np.array([np.cos(0.17), 0.0, 0.0, np.sin(0.17)], dtype=complex)]
+    for _ in range(200):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        vectors.append(v / np.linalg.norm(v))
+    for v in vectors:
+        rho = DensityMatrix(np.outer(v, v.conj()))
+        result = pauli_tomography(pauli_vector(rho))
+        assert np.max(np.abs(result.state.matrix - rho.matrix)) < 1e-12
+        assert result.projection_distance == 0.0
 
 
 # ---------------------------------------------------------------------------

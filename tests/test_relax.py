@@ -17,7 +17,6 @@ from witnesslab import (
     grape_target_pipeline,
     relax_channel,
     sweep,
-    tensor,
 )
 from witnesslab.qmat import SIGMA_X, TWO_SPIN_LABELS, TWO_SPIN_PAULIS, HermitianOp
 from witnesslab.relax import _relax
@@ -57,6 +56,29 @@ def test_params_must_be_positive_and_physical():
         RelaxationParams(t1_i=0.1, t2_i=0.5)  # T2 > 2 T1
 
 
+def test_t2_may_not_pass_twice_t1_at_any_time_scale():
+    # at T1 = 1e-16, T2 = 1e-15 is five times the bound: no absolute slack may admit it
+    for spin in ("i", "s"):
+        with pytest.raises(DomainError, match=f"t2_{spin}"):
+            RelaxationParams(**{f"t1_{spin}": 1e-16, f"t2_{spin}": 1e-15})
+    # doubling is exact in binary, so the boundary T2 = 2 T1 passes at every scale
+    for t1 in (1e-300, 1e-16, 1.0, 1e300):
+        RelaxationParams(t1_i=t1, t2_i=2 * t1, t1_s=t1, t2_s=2 * t1)
+
+
+def test_channel_keeps_pure_states_psd_at_every_time_scale():
+    rng = np.random.default_rng(139)
+    for scale in 10.0 ** np.arange(-18, 4, 3):  # 1e-18 to 1e3
+        for _ in range(60):
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            v /= np.linalg.norm(v)
+            t1_i, t1_s = scale * rng.uniform(0.1, 10.0, 2)
+            r_i, r_s = rng.choice([1.0, rng.uniform(0.01, 1.0)], 2)
+            p = RelaxationParams(t1_i=t1_i, t2_i=2 * r_i * t1_i, t1_s=t1_s, t2_s=2 * r_s * t1_s)
+            out = relax_channel(DensityMatrix(np.outer(v, v.conj())), scale * rng.exponential(), p)
+            assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-12
+
+
 def test_zero_time_is_identity():
     rho = bell_state(BellKind.PHI_MINUS)
     out = relax_channel(rho, 0.0, PAPER_T2)
@@ -76,7 +98,7 @@ def test_negative_time_rejected():
 def test_pure_dephasing_coherence_decay_law():
     # with T1 effectively infinite, <XX>(t) = -exp(-t (1/T2I + 1/T2S)) for phi-
     p = RelaxationParams(t1_i=1e12, t2_i=0.31, t1_s=1e12, t2_s=0.11)
-    xx = tensor(HermitianOp(SIGMA_X), HermitianOp(SIGMA_X))
+    xx = HermitianOp(np.kron(SIGMA_X, SIGMA_X))
     rate = 1.0 / 0.31 + 1.0 / 0.11
     for t in (0.05, 0.1, 0.3):
         out = relax_channel(bell_state(BellKind.PHI_MINUS), t, p)

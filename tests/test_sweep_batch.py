@@ -92,16 +92,17 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
         assert solved > optim._CHUNK  # the solve crossed a chunk boundary
 
 
-def test_capped_solves_fail_with_the_one_point_bounds():
+def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
     times = np.linspace(0.0, 0.25, 9)
     states = relax._relax(entangled_ginibre(5).matrix, times, PAPER_T2)
     states = np.concatenate([states, relax._relax(bell_state(BellKind.PHI_MINUS).matrix, times, PAPER_T2)])
     for cap in (2, 5):
-        _, _, _, failures, _, _ = optim._robustness(states, max_iter=cap)
+        monkeypatch.setattr(optim, "_MAX_ITERATIONS", cap)
+        _, _, _, failures, _, _ = optim._robustness(states)
         assert failures
         for k, exc in failures.items():
             with pytest.raises(ConvergenceError) as single:
-                generalized_robustness(DensityMatrix(states[k]), max_iter=cap)
+                generalized_robustness(DensityMatrix(states[k]))
             assert str(exc) == str(single.value)
             assert (exc.lower, exc.upper) == (single.value.lower, single.value.upper)
 
@@ -133,7 +134,7 @@ def test_sweep_names_the_earliest_failing_time(monkeypatch):
 
 
 def test_sweep_steps_are_bounded_integers(monkeypatch):
-    def no_solve(m, max_iter=None):
+    def no_solve(m):
         raise AssertionError("solver reached")
 
     monkeypatch.setattr(relax, "_robustness", no_solve)
@@ -144,7 +145,7 @@ def test_sweep_steps_are_bounded_integers(monkeypatch):
 
 
 def test_a_time_grid_that_repeats_a_time_is_rejected_before_any_solve(monkeypatch):
-    def no_solve(m, max_iter=None):
+    def no_solve(m):
         raise AssertionError("solver reached")
 
     monkeypatch.setattr(relax, "_robustness", no_solve)
