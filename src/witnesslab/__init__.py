@@ -21,7 +21,6 @@ from .qmat import (
     HermitianOp,
     expectation,
     fidelity,
-    partial_trace,
     partial_transpose,
 )
 from .states import (

@@ -21,14 +21,14 @@ _CNOT = np.array(
 
 @dataclass(frozen=True)
 class Gate:
-    """A unitary with a human-readable label."""
+    """A two-spin (4x4) unitary with a human-readable label."""
 
     unitary: np.ndarray
     label: str
 
     def __post_init__(self):
         u = _as_operator_array(self.unitary)
-        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-10:
+        if np.max(np.abs(u.conj().T @ u - np.eye(4))) > 1e-10:
             raise StructuralError(f"gate {self.label!r} is not unitary")
         object.__setattr__(self, "unitary", u)
 

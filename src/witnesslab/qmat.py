@@ -1,4 +1,4 @@
-"""Dense complex Hermitian matrix core for one- and two-spin operators.
+"""Dense complex Hermitian matrix core for two-spin (4x4) operators.
 
 Everything in the package runs through the two value types defined here:
 ``HermitianOp`` (observables, witnesses) and ``DensityMatrix`` (states).
@@ -6,8 +6,8 @@ Conventions fixed once and inherited everywhere:
 
 * spin I is the left (slow) tensor factor, spin S the right one;
 * the computational basis is ordered |00>, |01>, |10>, |11> (row-major);
-* only dimensions 2 and 4 are supported, and every reader of a state
-  takes a two-spin one, checked by ``_two_spin_state``.
+* every operator is 4x4, held by ``_as_operator_array``, and every reader
+  of a state checks that it is a ``DensityMatrix`` with ``_two_spin_state``.
 """
 
 from __future__ import annotations
@@ -55,10 +55,8 @@ def from_pauli_coords(x) -> np.ndarray:
 
 def _as_operator_array(matrix) -> np.ndarray:
     arr = np.array(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise StructuralError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] not in (2, 4):
-        raise StructuralError(f"only dimensions 2 and 4 are supported, got {arr.shape[0]}")
+    if arr.shape != (4, 4):
+        raise StructuralError(f"expected a two-spin 4x4 matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise StructuralError("matrix has NaN or infinite entries")
     arr.setflags(write=False)
@@ -67,7 +65,7 @@ def _as_operator_array(matrix) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOp:
-    """A 2x2 or 4x4 Hermitian matrix.
+    """A 4x4 Hermitian matrix.
 
     Inputs that fail the hermiticity check are rejected outright; silently
     symmetrizing would mask bugs upstream.
@@ -80,20 +78,6 @@ class HermitianOp:
         object.__setattr__(self, "matrix", arr)
         if np.max(np.abs(arr - arr.conj().T)) > TOL.tol_eq:
             raise StructuralError("matrix is not Hermitian within tol_eq")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __eq__(self, other) -> bool:
-        # equality means elementwise agreement within tol_eq, not bit identity
-        if not isinstance(other, HermitianOp):
-            return NotImplemented
-        return self.matrix.shape == other.matrix.shape and bool(
-            np.max(np.abs(self.matrix - other.matrix)) <= TOL.tol_eq
-        )
-
-    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,14 +112,13 @@ del DensityMatrix.psd_tol  # init-only: the class default would read as every st
 
 
 def _two_spin_state(rho, caller: str) -> None:
-    """Raise DomainError unless rho is a two-spin (4x4) DensityMatrix."""
-    if not (isinstance(rho, DensityMatrix) and rho.dim == 4):
-        got = f"dim {rho.dim}" if isinstance(rho, DensityMatrix) else type(rho).__name__
-        raise DomainError(f"{caller} needs a two-spin DensityMatrix, got {got}")
+    """Raise DomainError unless rho is a DensityMatrix (4x4 by construction)."""
+    if not isinstance(rho, DensityMatrix):
+        raise DomainError(f"{caller} needs a two-spin DensityMatrix, got {type(rho).__name__}")
 
 
 def _trusted_state(matrix: np.ndarray) -> DensityMatrix:
-    """A DensityMatrix holding ``matrix`` (a fresh complex 2x2 or 4x4 array), unchecked.
+    """A DensityMatrix holding ``matrix`` (a fresh complex 4x4 array), unchecked.
 
     Only for a matrix that is a state by construction (see ``DensityMatrix``);
     every other state goes through ``DensityMatrix``.
@@ -158,38 +141,16 @@ def _pt_arr(arr: np.ndarray, subsystem: str) -> np.ndarray:
 
 def partial_transpose(op: HermitianOp, subsystem: str = "I") -> HermitianOp:
     """Transpose one tensor factor of an operator, state or not.  Involutive and trace preserving."""
-    if op.dim != 4:
-        raise StructuralError("partial_transpose needs a two-spin (dim 4) operator")
     return HermitianOp(_pt_arr(op.matrix, subsystem))
-
-
-def partial_trace(op: HermitianOp, keep: str = "I") -> HermitianOp:
-    """Trace out one spin, keeping the marginal of the other."""
-    if op.dim != 4:
-        raise StructuralError("partial_trace needs a two-spin (dim 4) operator")
-    four = op.matrix.reshape(2, 2, 2, 2)
-    if keep == "I":
-        return HermitianOp(np.einsum("isjs->ij", four))
-    if keep == "S":
-        return HermitianOp(np.einsum("isit->st", four))
-    raise StructuralError(f"keep must be 'I' or 'S', got {keep!r}")
-
-
-def _expectation_raw(rho_arr: np.ndarray, obs_arr: np.ndarray) -> float:
-    value = complex(np.einsum("ab,ba->", rho_arr, obs_arr))
-    if abs(value.imag) > 1e-8:
-        raise NumericalConsistencyError(
-            f"expectation value has imaginary part {value.imag:.3e}"
-        )
-    return value.real
 
 
 def expectation(rho: DensityMatrix, obs: HermitianOp) -> float:
     """Tr(rho * obs).  The imaginary residue is checked, then discarded."""
     _two_spin_state(rho, "expectation")
-    if rho.dim != obs.dim:
-        raise StructuralError("state and observable dimensions differ")
-    return _expectation_raw(rho.matrix, obs.matrix)
+    value = complex(np.einsum("ab,ba->", rho.matrix, obs.matrix))
+    if abs(value.imag) > 1e-8:
+        raise NumericalConsistencyError(f"expectation value has imaginary part {value.imag:.3e}")
+    return value.real
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

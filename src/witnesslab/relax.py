@@ -10,7 +10,7 @@ is therefore a diagonal Pauli-transfer map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,10 +77,12 @@ def _relax(matrix: np.ndarray, times: np.ndarray, p: RelaxationParams) -> np.nda
     Spin I's and spin S's I, X, Y, Z components shrink by 1, exp(-t/T2),
     exp(-t/T2), exp(-t/T1), and the Pauli coordinate of P_I x P_S by the
     product of its two factors: the (N, 16) decay table times the
-    coordinates of the start state.
+    coordinates of the start state.  A ratio t/T that overflows to infinity
+    decays to exactly 0.
     """
     lifetimes = np.array([[np.inf, p.t2_i, p.t2_i, p.t1_i], [np.inf, p.t2_s, p.t2_s, p.t1_s]])
-    f = np.exp(-times[:, None, None] / lifetimes)
+    with np.errstate(over="ignore"):
+        f = np.exp(-times[:, None, None] / lifetimes)
     table = (f[:, 0, :, None] * f[:, 1, None, :]).reshape(-1, 16)
     return from_pauli_coords(table * pauli_coords(matrix)) / 4.0
 
@@ -106,14 +108,16 @@ def _fit_decay_time(times: np.ndarray, values: np.ndarray) -> float | None:
 
     Only points above 1e-3 of the initial magnitude enter the fit; returns
     None when the curve never decays or has too few usable points, or when
-    the fitted times are so small that their squares underflow to 0 (polyfit
-    scales by that norm, and LAPACK fails on the zero column).
+    the sum of the fitted times' squares underflows to 0 or overflows to
+    infinity (polyfit scales by that norm, and LAPACK fails on the column).
     """
     v0 = abs(values[0])
     if v0 <= 0:
         return None
     mask = values > 1e-3 * v0
-    if mask.sum() < 2 or np.sum(times[mask] ** 2) == 0:
+    with np.errstate(over="ignore"):
+        norm2 = np.sum(times[mask] ** 2)
+    if mask.sum() < 2 or not 0 < norm2 < np.inf:
         return None
     slope = np.polyfit(times[mask], np.log(values[mask]), 1)[0]
     if slope >= 0:
@@ -156,22 +160,27 @@ def sweep(
             upper=exc.upper,
         ) from exc
 
-    series = SweepSeries(
+    return SweepSeries(
         times=times,
         f_values=f_vals,
         w_values=w_vals,
         gr_values=gr_vals,
-        tau_c=None,
-        tau_r=None,
-        tau_w=None,
-    )
-    # the witness curve decays toward its maximally mixed value c_i, not zero
-    return replace(
-        series,
-        tau_c=crossing_time(series, "F"),
+        tau_c=_sign_change(times, f_vals),
         tau_r=_fit_decay_time(times, gr_vals),
+        # the witness curve decays toward its maximally mixed value c_i, not zero
         tau_w=_fit_decay_time(times, np.abs(w_vals - w.c_i)),
     )
+
+
+def _sign_change(times: np.ndarray, values: np.ndarray) -> float | None:
+    """Linearly interpolated time of the first sign change of values, or None."""
+    for k in range(values.size - 1):
+        if values[k] * values[k + 1] < 0:
+            frac = values[k] / (values[k] - values[k + 1])
+            return float(times[k] + frac * (times[k + 1] - times[k]))
+        if values[k] == 0.0 and values[k + 1] != 0.0:
+            return float(times[k])
+    return None
 
 
 def crossing_time(series: SweepSeries, quantity: str) -> float | None:
@@ -186,14 +195,7 @@ def crossing_time(series: SweepSeries, quantity: str) -> float | None:
     """
     times = series.times
     if quantity in ("F", "W"):
-        vals = series.f_values if quantity == "F" else series.w_values
-        for k in range(vals.size - 1):
-            if vals[k] * vals[k + 1] < 0:
-                frac = vals[k] / (vals[k] - vals[k + 1])
-                return float(times[k] + frac * (times[k + 1] - times[k]))
-            if vals[k] == 0.0 and vals[k + 1] != 0.0:
-                return float(times[k])
-        return None
+        return _sign_change(times, series.f_values if quantity == "F" else series.w_values)
     if quantity == "GR":
         level = 1e-6
         vals = series.gr_values

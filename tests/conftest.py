@@ -2,12 +2,13 @@
 
 import numpy as np
 
-from witnesslab import BellDiagonalParams, DensityMatrix, bell_diagonal
+from witnesslab import BellDiagonalParams, DensityMatrix, bell_diagonal, pauli_vector
+from witnesslab.states import PAULI_LABELS
 
 
-def random_density_matrix(rng, dim=4):
+def random_density_matrix(rng):
     """Ginibre-distributed full-rank density matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = g @ g.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
 
@@ -28,6 +29,12 @@ def bd_weights(c):
 
 def bd(c1, c2, c3):
     return bell_diagonal(BellDiagonalParams(c1, c2, c3))
+
+
+def local_coords(rho):
+    """<XI>, <YI>, <ZI>, <IX>, <IY>, <IZ>: the Bloch vectors of spin I and spin S."""
+    vec = dict(zip(PAULI_LABELS, pauli_vector(rho)))
+    return {lab: vec[lab] for lab in ("XI", "YI", "ZI", "IX", "IY", "IZ")}
 
 
 def random_product_state(rng):

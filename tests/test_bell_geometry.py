@@ -10,7 +10,6 @@ from conftest import bd_weights
 from witnesslab import (
     BDClass,
     BellKind,
-    DensityMatrix,
     DomainError,
     HermitianOp,
     PauliWitness,
@@ -35,7 +34,6 @@ from witnesslab.config import TOL
 from witnesslab.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z
 from witnesslab.witness import _region_planes
 
-SINGLE_SPIN = DensityMatrix(np.eye(2, dtype=complex) / 2)
 # unit trace and Hermitian, but with negative eigenvalues: not a state
 NOT_A_STATE = HermitianOp(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
 PHI_MINUS = BellKind.PHI_MINUS
@@ -101,7 +99,7 @@ def test_classify_bd_rejects_non_finite_or_misshapen_triples():
             classify_bd(c)
 
 
-@pytest.mark.parametrize("rho", [SINGLE_SPIN, NOT_A_STATE], ids=["single-spin", "not-a-state"])
+@pytest.mark.parametrize("rho", [NOT_A_STATE], ids=["not-a-state"])
 @pytest.mark.parametrize("reader", STATE_READERS)
 def test_two_spin_readers_reject_a_single_spin_state(reader, rho):
     name = reader.split("-")[0]

@@ -365,15 +365,28 @@ def test_more_domain_and_usage_edges(capsys):
     assert run(capsys, "relax-sweep", "--t1i", "0.01", "--t2i", "0.31")[0] == 3
 
 
-def test_relax_sweep_with_a_tiny_tmax_fits_no_decay_time():
+def run_subprocess(*argv):
     # a subprocess: LAPACK reports its failures on fd 2, past any redirect of sys.stderr
     env = {**os.environ, "PYTHONPATH": str(Path(witnesslab.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "witnesslab.cli", "relax-sweep", "--tmax", "1e-200", "--steps", "3"],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "witnesslab.cli", *argv], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_relax_sweep_with_a_tiny_tmax_fits_no_decay_time():
+    proc = run_subprocess("relax-sweep", "--tmax", "1e-200", "--steps", "3")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "# tau_c=none tau_r=none tau_w=none" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tmax", "1e300", "--t1i", "1e-10", "--t2i", "1e-10"],
+    ["--tmax", "1e308", "--t1i", "1e308", "--t2i", "1e308", "--t1s", "1e308", "--t2s", "1e308"],
+], ids=["ratio-overflows", "squares-overflow"])
+def test_relax_sweep_at_extreme_time_ratios_writes_nothing_to_stderr(argv):
+    proc = run_subprocess("relax-sweep", "--steps", "3", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "tau_r=none tau_w=none" in proc.stdout
 
 
 def test_relax_sweep_with_a_tmax_that_repeats_grid_times_names_both_flags(capsys, monkeypatch):

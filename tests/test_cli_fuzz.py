@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from witnesslab.cli import main
 
 _NUMBER = st.sampled_from(
-    ["0", "1", "-1", "0.5", "-0.2", "0.31", "2", "1e-5", "1e-200", "nan", "inf", "-inf", "1e309", "", "x"]
+    ["0", "1", "-1", "0.5", "-0.2", "0.31", "2", "1e-5", "1e-200", "1e300", "nan", "inf", "-inf", "1e309", "", "x"]
 )
 _KIND = st.sampled_from(["phi+", "psi+", "phi-", "psi-", "chi+"])
 _STATE = st.one_of(
@@ -72,6 +72,8 @@ ARGV = st.one_of(
 @example(["witness", "--state", "bd:1,0.5,-0.500000002"])
 # a t_max whose squared sweep times underflow to 0: no decay time can be fitted
 @example(["relax-sweep", "--steps", "3", "--tmax", "1e-200"])
+# a t/T that overflows: its exp(-t/T) is exactly 0, with no warning
+@example(["relax-sweep", "--steps", "3", "--tmax", "1e300", "--t1i", "1e-10", "--t2i", "1e-10"])
 def test_main_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -152,13 +152,6 @@ def test_robustness_dominates_rank_one_dual_bound():
         checked += 1
 
 
-def test_robustness_needs_two_spins():
-    from witnesslab import DomainError
-
-    with pytest.raises(DomainError):
-        generalized_robustness(DensityMatrix(np.eye(2, dtype=complex) / 2))
-
-
 def test_robustness_needs_a_validated_state():
     from witnesslab import DomainError
     from witnesslab.qmat import HermitianOp

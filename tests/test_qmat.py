@@ -3,15 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import bd, random_density_matrix
+from conftest import bd, local_coords, random_density_matrix
 from witnesslab import (
     DensityMatrix,
+    Gate,
     HermitianOp,
     NumericalConsistencyError,
     StructuralError,
     expectation,
     fidelity,
-    partial_trace,
     partial_transpose,
     thermal_state,
     ThermalParams,
@@ -26,7 +26,6 @@ from witnesslab.qmat import (
     SIGMA_Z,
     TWO_SPIN_LABELS,
     TWO_SPIN_PAULIS,
-    _expectation_raw,
     from_pauli_coords,
     pauli_coords,
 )
@@ -36,8 +35,8 @@ def op(m):
     return HermitianOp(np.asarray(m, dtype=complex))
 
 
-def random_hermitian(rng, dim=4):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_hermitian(rng):
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     return HermitianOp(g + g.conj().T)
 
 
@@ -46,9 +45,9 @@ def random_hermitian(rng, dim=4):
 # ---------------------------------------------------------------------------
 
 def test_hermitian_op_rejects_non_hermitian():
-    m = np.eye(2, dtype=complex)
+    m = np.eye(4, dtype=complex)
     m[0, 1] = 1e-6
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="not Hermitian"):
         HermitianOp(m)
 
 
@@ -59,11 +58,14 @@ def test_hermitian_op_rejects_bad_dims():
         HermitianOp(np.ones((2, 3), dtype=complex))
 
 
-def test_hermitian_op_tolerant_equality():
-    a = op(SIGMA_Z)
-    b = op(SIGMA_Z + 1e-12)
-    assert a == b
-    assert a != op(SIGMA_X)
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4), (8, 8)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("make", [HermitianOp, DensityMatrix, lambda m: Gate(m, "g")],
+                         ids=["HermitianOp", "DensityMatrix", "Gate"])
+def test_operators_are_two_spin_by_construction(make, shape):
+    # a unitary, and a state where square: only the shape is wrong
+    m = np.eye(*shape, dtype=complex)
+    with pytest.raises(StructuralError, match="4x4"):
+        make(m / shape[0] if make is DensityMatrix else m)
 
 
 def test_density_matrix_needs_unit_trace_and_psd():
@@ -150,7 +152,7 @@ def test_pt_is_involutive_and_trace_preserving():
 
 def test_pt_rejects_single_spin_and_bad_label():
     with pytest.raises(StructuralError):
-        partial_transpose(op(SIGMA_Z), "I")
+        op(SIGMA_Z)  # a single-spin operator cannot be built, so it never reaches partial_transpose
     with pytest.raises(StructuralError):
         partial_transpose(op(np.eye(4)), "A")
 
@@ -167,31 +169,19 @@ def test_pt_adjoint_identity():
 
 
 # ---------------------------------------------------------------------------
-# partial trace
+# marginals, read from the local Pauli coordinates
 # ---------------------------------------------------------------------------
 
 def test_partial_trace_of_bell_state_is_maximally_mixed():
-    rho = bell_state(BellKind.PHI_PLUS)
-    assert np.allclose(partial_trace(rho, "I").matrix, np.eye(2) / 2, atol=1e-12)
-    assert np.allclose(partial_trace(rho, "S").matrix, np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_of_product_state():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    a = a @ a.conj().T
-    a /= np.trace(a).real
-    b = np.diag([0.25, 0.75]).astype(complex)
-    rho = op(np.kron(a, b))
-    assert np.allclose(partial_trace(rho, "I").matrix, a, atol=1e-12)
-    assert np.allclose(partial_trace(rho, "S").matrix, b, atol=1e-12)
+    coords = local_coords(bell_state(BellKind.PHI_PLUS))
+    assert np.allclose(list(coords.values()), 0.0, atol=1e-12)
 
 
 def test_partial_trace_of_thermal_state():
     eps_i, eps_s = 0.3, 0.8
-    rho = thermal_state(ThermalParams(eps_i, eps_s))
-    expected = np.diag([(1 + eps_i) / 2, (1 - eps_i) / 2])
-    assert np.allclose(partial_trace(rho, "I").matrix, expected, atol=1e-12)
+    coords = local_coords(thermal_state(ThermalParams(eps_i, eps_s)))
+    assert abs(coords["ZI"] - eps_i) < 1e-12 and abs(coords["IZ"] - eps_s) < 1e-12
+    assert np.allclose([coords[lab] for lab in ("XI", "YI", "IX", "IY")], 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +218,14 @@ def test_expectation_reference_values():
     assert abs(expectation(bd(-0.2, 1.0, 0.2), op(np.kron(SIGMA_Z, SIGMA_Z))) - 0.2) < 1e-12
 
 
-def test_expectation_dim_mismatch():
-    with pytest.raises(StructuralError):
-        expectation(bell_state(BellKind.PHI_PLUS), op(SIGMA_Z))
-
-
 def test_expectation_raw_flags_large_imaginary_part():
-    # the guard is unreachable through the validated types, so poke the
-    # raw kernel with a non-Hermitian observable directly
-    rho = np.eye(4, dtype=complex) / 4
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 5e-11j
+    rho = DensityMatrix(m)
     obs = np.zeros((4, 4), dtype=complex)
-    obs[0, 1] = 1.0  # Tr(rho @ obs) stays real = 0 for this pair
-    obs[0, 0] = 1j
-    with pytest.raises(NumericalConsistencyError):
-        _expectation_raw(rho, obs)
+    obs[0, 1] = obs[1, 0] = 1e6
+    with pytest.raises(NumericalConsistencyError, match="imaginary part 5.000e-05"):
+        expectation(rho, op(obs))
 
 
 def test_fidelity_identical_orthogonal_and_mixed():

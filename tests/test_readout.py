@@ -327,15 +327,6 @@ def test_tomography_rejects_nan_expectations():
 
 
 @pytest.mark.parametrize("prep", [None, READOUT_PULSE], ids=["none", "readout"])
-def test_lines_reject_a_single_spin_state(prep):
-    one_spin = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    with pytest.raises(DomainError, match="two-spin"):
-        simulate_lines(one_spin, "I", prep)
-    with pytest.raises(DomainError, match="two-spin"):
-        measure_yy(one_spin)
-
-
-@pytest.mark.parametrize("prep", [None, READOUT_PULSE], ids=["none", "readout"])
 def test_lines_need_a_validated_state(prep):
     # unit trace but an eigenvalue of -0.1
     not_a_state = HermitianOp(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))

@@ -164,9 +164,21 @@ def test_fitted_times_are_none_when_t_max_is_too_small_to_fit():
     assert series.tau_r is None and series.tau_w is None
 
 
-def test_sweep_rejects_a_single_spin_state():
-    with pytest.raises(DomainError, match="two-spin"):
-        sweep(DensityMatrix(np.eye(2) / 2), PAPER_T2, bell_witness(BellKind.PHI_MINUS), 0.6, 5)
+# t/T overflows to infinity at the first; the squared times overflow at the second
+EXTREME_RATIOS = [
+    (1e300, RelaxationParams(t1_i=1e-10, t2_i=1e-10)),
+    (1e308, RelaxationParams(1e308, 1e308, 1e308, 1e308)),
+]
+
+
+@pytest.mark.parametrize("t_max, p", EXTREME_RATIOS)
+def test_extreme_time_ratios_raise_no_warning(t_max, p):
+    rho0, w = bell_state(BellKind.PHI_MINUS), bell_witness(BellKind.PHI_MINUS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = sweep(rho0, p, w, t_max, 3)
+        relax_channel(rho0, t_max, p)
+    assert series.tau_r is None and series.tau_w is None
 
 
 def test_stacked_positivity_test_agrees_with_lapack_on_every_point():
