@@ -9,7 +9,6 @@ relaxation.
 
 __version__ = "0.1.0"
 
-from .config import TOL, Tolerances
 from .errors import (
     ConvergenceError,
     DomainError,

@@ -21,11 +21,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import TOL
 from .errors import ConvergenceError, DomainError, StructuralError
 from .circuits import Message, superdense_run
 from .optim import generalized_robustness
-from .qmat import DensityMatrix, _pt_arr
+from .qmat import PSD_TOL, DensityMatrix, _pt_arr
 from .readout import add_noise
 from .relax import _MAX_STEPS, RelaxationParams, sweep
 from .states import BellDiagonalParams, BellKind, ThermalParams, _bd_operator, bell_state
@@ -54,7 +53,7 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def parse_state_spec(spec: str, psd_tol: float = TOL.psd_tol) -> DensityMatrix:
+def parse_state_spec(spec: str, psd_tol: float = PSD_TOL) -> DensityMatrix:
     """Grammar: bell:<kind> | bd:<c1,c2,c3> | identity | file:<path>; PSD within psd_tol."""
     if spec == "identity":
         return DensityMatrix(np.eye(4, dtype=complex) / 4.0)
@@ -80,7 +79,7 @@ def parse_state_spec(spec: str, psd_tol: float = TOL.psd_tol) -> DensityMatrix:
     raise _UsageError(f"unrecognized state spec {spec!r}")
 
 
-def load_state_json(path: str, psd_tol: float = TOL.psd_tol) -> DensityMatrix:
+def load_state_json(path: str, psd_tol: float = PSD_TOL) -> DensityMatrix:
     """Read a density matrix from the JSON wire format.
 
     The format is an object with "entries": 16 row-major {"re": .., "im": ..}
@@ -181,8 +180,6 @@ def _cmd_witness(args):
 
 
 def _cmd_optimal_witness(args):
-    if not args.all and args.kind is None:
-        raise _UsageError("optimal-witness needs a Bell kind or --all")
     kinds = list(BellKind) if args.all else [_KIND_NAMES[args.kind]]
     rows = []
     for kind in kinds:
@@ -221,7 +218,7 @@ def _certificate_residual(rho: DensityMatrix, result) -> float:
     if result.certificate_state is None or result.value == 0.0:
         return 0.0
     mix = (rho.matrix + result.value * result.certificate_state.matrix) / (1.0 + result.value)
-    lam = float(np.linalg.eigvalsh(_pt_arr(mix, "I"))[0])
+    lam = float(np.linalg.eigvalsh(_pt_arr(mix))[0])
     return max(0.0, -lam)
 
 
@@ -409,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witness)
 
     p = subs.add_parser("optimal-witness", help="print the optimal witness of a Bell state")
-    p.add_argument("kind", nargs="?", choices=sorted(_KIND_NAMES), help="target Bell state")
-    p.add_argument("--all", action="store_true", help="emit all four rows")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("kind", nargs="?", choices=sorted(_KIND_NAMES), help="target Bell state")
+    target.add_argument("--all", action="store_true", help="emit all four rows")
     _add_common(p)
     p.set_defaults(func=_cmd_optimal_witness)
 
@@ -478,7 +476,7 @@ def _write(out, path: str | None) -> int:
 
 def main(argv=None) -> int:
     env_tol = os.environ.get("WITNESSLAB_TOL")
-    psd_tol = TOL.psd_tol
+    psd_tol = PSD_TOL
     if env_tol is not None:
         try:
             psd_tol = float(env_tol)

@@ -136,7 +136,7 @@ def _direction(mm, z2, s_inv2, rhs, base):
     dz2 = base - z2 @ d[:, 1] @ s_inv2
     d[:, 3] = dz2 + dz2.conj().swapaxes(-1, -2)
     d[:, 3] *= 0.5
-    d[:, 2] = -_pt_arr(d[:, 3], "I")
+    d[:, 2] = -_pt_arr(d[:, 3])
     return dx, d
 
 
@@ -266,7 +266,7 @@ def _robustness(rho: np.ndarray):
     iterates: the lower bounds -Tr(m Z_2) and the witnesses Z_2^PT (zero for
     PPT points).
     """
-    m = _pt_arr(rho, "I")
+    m = _pt_arr(rho)
     lam_min = np.linalg.eigvalsh(m)[:, 0]
     npt = (lam_min < -1e-12).nonzero()[0]
     values, lower = np.zeros(len(m)), np.zeros(len(m))
@@ -282,7 +282,7 @@ def _robustness(rho: np.ndarray):
         omega[idx] = chunk = from_pauli_coords(x)
         values[idx] = np.trace(chunk, axis1=-2, axis2=-1).real
         lower[idx] = -(m[idx].reshape(-1, 1, 16) @ z2.conj().reshape(-1, 16, 1)).real[:, 0, 0]
-        witness[idx] = _pt_arr(z2, "I")
+        witness[idx] = _pt_arr(z2)
     return values, iterations, omega, failures, lower, witness
 
 
@@ -330,5 +330,5 @@ def gr_oracle_bd(params: BellDiagonalParams) -> float:
 def negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
     _two_spin_state(rho, "negativity")
-    eigs = np.linalg.eigvalsh(_pt_arr(rho.matrix, "I"))
+    eigs = np.linalg.eigvalsh(_pt_arr(rho.matrix))
     return float(-eigs[eigs < 0].sum())

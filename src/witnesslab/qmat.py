@@ -7,7 +7,12 @@ Conventions fixed once and inherited everywhere:
 * spin I is the left (slow) tensor factor, spin S the right one;
 * the computational basis is ordered |00>, |01>, |10>, |11> (row-major);
 * every operator is 4x4, held by ``_as_operator_array``, and every reader
-  of a state checks that it is a ``DensityMatrix`` with ``_two_spin_state``.
+  of a state checks that it is a ``DensityMatrix`` with ``_two_spin_state``;
+* the partial transpose acts on spin I (``PT_SIGN``, ``_pt_arr``);
+* ``TOL_EQ`` and ``PSD_TOL`` are the two tolerances that judge inputs; a
+  rule's own cut lives beside its code (the 1e-12 NPT cut in ``optim``, the
+  1e-9 Bell-weight slack in ``states``, the 1e-6 robustness level in
+  ``relax``), and ``WITNESSLAB_TOL`` sets only the CLI's ``psd_tol``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .config import TOL
 from .errors import DomainError, NumericalConsistencyError, StructuralError
 
 SIGMA_I = np.eye(2, dtype=complex)
@@ -35,6 +39,11 @@ TWO_SPIN_PAULIS.setflags(write=False)
 # sign picked up by each Pauli string under partial transpose on spin I (Y^T = -Y)
 PT_SIGN = np.array([-1.0 if lab[0] == "Y" else 1.0 for lab in TWO_SPIN_LABELS])
 PT_SIGN.setflags(write=False)
+
+# elementwise absolute tolerance for hermiticity, a state's trace and the tomography spill
+TOL_EQ = 1e-10
+# how far below zero an eigenvalue may sit and still count as PSD
+PSD_TOL = 1e-9
 
 
 def pauli_coords(m: np.ndarray) -> np.ndarray:
@@ -76,7 +85,7 @@ class HermitianOp:
     def __post_init__(self):
         arr = _as_operator_array(self.matrix)
         object.__setattr__(self, "matrix", arr)
-        if np.max(np.abs(arr - arr.conj().T)) > TOL.tol_eq:
+        if np.max(np.abs(arr - arr.conj().T)) > TOL_EQ:
             raise StructuralError("matrix is not Hermitian within tol_eq")
 
 
@@ -85,7 +94,7 @@ class DensityMatrix(HermitianOp):
     """A Hermitian operator with unit trace and (numerically) no negative eigenvalues.
 
     Constructing one checks all three, the eigenvalues within the init-only
-    ``psd_tol`` (default ``TOL.psd_tol``): every state given to the program
+    ``psd_tol`` (default ``PSD_TOL``): every state given to the program
     passes that check.  ``_trusted_state`` makes one without it, under one
     rule: the matrix is a state by construction, the image of a validated
     state under a unitary or a CPTP map (``Gate.apply``, ``relax_channel``)
@@ -94,14 +103,14 @@ class DensityMatrix(HermitianOp):
     program's own rounding.
     """
 
-    psd_tol: InitVar[float] = TOL.psd_tol
+    psd_tol: InitVar[float] = PSD_TOL
 
     def __post_init__(self, psd_tol):
         if not 0.0 <= psd_tol < np.inf:
             raise DomainError(f"psd_tol must be finite and nonnegative, got {psd_tol}")
         super().__post_init__()
         tr = np.trace(self.matrix)
-        if abs(tr - 1.0) > TOL.tol_eq:
+        if abs(tr - 1.0) > TOL_EQ:
             raise StructuralError(f"trace must be 1, got {tr}")
         lam_min = float(np.linalg.eigvalsh(self.matrix)[0])
         if lam_min < -psd_tol:
@@ -129,19 +138,14 @@ def _trusted_state(matrix: np.ndarray) -> DensityMatrix:
     return rho
 
 
-def _pt_arr(arr: np.ndarray, subsystem: str) -> np.ndarray:
-    """Partial transpose of a 4x4 array, or of each one in a (..., 4, 4) stack."""
-    four = arr.reshape(arr.shape[:-2] + (2, 2, 2, 2))
-    if subsystem == "I":
-        return four.swapaxes(-4, -2).reshape(arr.shape)
-    if subsystem == "S":
-        return four.swapaxes(-3, -1).reshape(arr.shape)
-    raise StructuralError(f"subsystem must be 'I' or 'S', got {subsystem!r}")
+def _pt_arr(arr: np.ndarray) -> np.ndarray:
+    """Partial transpose on spin I of a 4x4 array, or of each one in a (..., 4, 4) stack."""
+    return arr.reshape(arr.shape[:-2] + (2, 2, 2, 2)).swapaxes(-4, -2).reshape(arr.shape)
 
 
-def partial_transpose(op: HermitianOp, subsystem: str = "I") -> HermitianOp:
-    """Transpose one tensor factor of an operator, state or not.  Involutive and trace preserving."""
-    return HermitianOp(_pt_arr(op.matrix, subsystem))
+def partial_transpose(op: HermitianOp) -> HermitianOp:
+    """Transpose spin I's factor of an operator, state or not.  Involutive and trace preserving."""
+    return HermitianOp(_pt_arr(op.matrix))
 
 
 def expectation(rho: DensityMatrix, obs: HermitianOp) -> float:

@@ -16,10 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import Gate
-from .config import TOL
 from .errors import DomainError, bounded_int
-from .qmat import SIGMA_I, SIGMA_X, SIGMA_Y, TWO_SPIN_LABELS, DensityMatrix, _two_spin_state
-from .qmat import _trusted_state, from_pauli_coords, pauli_coords
+from .qmat import PSD_TOL, SIGMA_I, SIGMA_X, SIGMA_Y, TOL_EQ, TWO_SPIN_LABELS, DensityMatrix
+from .qmat import _trusted_state, _two_spin_state, from_pauli_coords, pauli_coords
 from .states import _expectation_coords
 from .witness import CorrelationPair
 
@@ -68,7 +67,7 @@ class SpectrumPair:
         if self.nucleus not in ("I", "S"):
             raise DomainError(f"nucleus must be 'I' or 'S', got {self.nucleus!r}")
         for name, v in (("line_low", self.line_low), ("line_high", self.line_high)):
-            if not abs(v) <= 1.0 + TOL.psd_tol:  # NaN fails this test too
+            if not abs(v) <= 1.0 + PSD_TOL:  # NaN fails this test too
                 raise DomainError(f"{name} magnitude {abs(v)} is not within the unit reference")
 
     def difference(self) -> complex:
@@ -158,11 +157,11 @@ def pauli_tomography(expectations) -> TomographyResult:
     """
     x = _expectation_coords(expectations)
     # a state's own Pauli vector can spill past +-1 by rounding
-    if not np.all(np.abs(x) <= 1.0 + TOL.tol_eq):
+    if not np.all(np.abs(x) <= 1.0 + TOL_EQ):
         raise DomainError("expectations must lie in [-1, 1]")
     raw = from_pauli_coords(x) / 4.0
     vals, vecs = np.linalg.eigh(raw)
-    if vals[0] >= -TOL.psd_tol:
+    if vals[0] >= -PSD_TOL:
         return TomographyResult(state=_trusted_state(raw), projection_distance=0.0)
     clipped = np.clip(vals, 0.0, None)
     clipped /= clipped.sum()

@@ -106,23 +106,21 @@ def relax_channel(rho: DensityMatrix, t: float, p: RelaxationParams) -> DensityM
 def _fit_decay_time(times: np.ndarray, values: np.ndarray) -> float | None:
     """1/e time of A*exp(-t/tau) fitted by least squares on log(values).
 
-    Only points above 1e-3 of the initial magnitude enter the fit; returns
-    None when the curve never decays or has too few usable points, or when
-    the sum of the fitted times' squares underflows to 0 or overflows to
-    infinity (polyfit scales by that norm, and LAPACK fails on the column).
+    Only points above 1e-3 of the initial magnitude enter the fit, which is
+    made against t/t_max so that it behaves alike at every time scale;
+    returns None when the curve never decays, has too few usable points or
+    gives a time that overflows.
     """
     v0 = abs(values[0])
-    if v0 <= 0:
-        return None
     mask = values > 1e-3 * v0
-    with np.errstate(over="ignore"):
-        norm2 = np.sum(times[mask] ** 2)
-    if mask.sum() < 2 or not 0 < norm2 < np.inf:
+    if v0 <= 0 or mask.sum() < 2:
         return None
-    slope = np.polyfit(times[mask], np.log(values[mask]), 1)[0]
+    t_max = float(times[-1])
+    slope = float(np.polyfit(times[mask] / t_max, np.log(values[mask]), 1)[0])
     if slope >= 0:
         return None
-    return float(-1.0 / slope)
+    tau = -t_max / slope
+    return tau if tau < np.inf else None
 
 
 def sweep(

@@ -39,14 +39,12 @@ BELL_CORRELATIONS = {
     BellKind.PSI_MINUS: (-1.0, -1.0, -1.0),
 }
 
-# order of the weights returned by bell_probabilities
-BELL_ORDER = (BellKind.PHI_PLUS, BellKind.PSI_PLUS, BellKind.PHI_MINUS, BellKind.PSI_MINUS)
-# row k: the signs s_k of XX, YY, ZZ on the k-th Bell state of BELL_ORDER
-_BELL_SIGNS = np.array([BELL_CORRELATIONS[k] for k in BELL_ORDER])
+# row k: the signs s_k of XX, YY, ZZ on the k-th Bell state in BellKind order
+_BELL_SIGNS = np.array([BELL_CORRELATIONS[k] for k in BellKind])
 
 
 def _bell_spectrum(c_i, c1, c2, c3) -> np.ndarray:
-    """Eigenvalues c_i + c.s_k of c_i*1 + c1*XX + c2*YY + c3*ZZ, in BELL_ORDER.
+    """Eigenvalues c_i + c.s_k of c_i*1 + c1*XX + c2*YY + c3*ZZ, in BellKind order.
 
     Elementwise: arguments broadcast and the eigenvalues lie along a new last axis.
     """
@@ -91,7 +89,7 @@ class BellDiagonalParams:
         if not _is_physical(self.c1, self.c2, self.c3):
             weights = _bd_weights(self.c1, self.c2, self.c3)
             k = int(np.argmin(weights))
-            w = f"weight on {BELL_ORDER[k].value} is {weights[k]:.3e}"
+            w = f"weight on {list(BellKind)[k].value} is {weights[k]:.3e}"
             raise DomainError(f"unphysical correlation triple: {w}")
 
 
@@ -127,7 +125,7 @@ def _bd_operator(c_i: float, c1: float, c2: float, c3: float) -> np.ndarray:
 
 
 def bell_probabilities(params: BellDiagonalParams) -> tuple[float, float, float, float]:
-    """Bell-basis weights (phi+, psi+, phi-, psi-) of the Bell-diagonal state."""
+    """Bell-basis weights, in BellKind order (phi+, psi+, phi-, psi-), of the Bell-diagonal state."""
     return tuple(_bd_weights(params.c1, params.c2, params.c3).tolist())
 
 

@@ -10,9 +10,8 @@ from enum import Enum
 
 import numpy as np
 
-from .config import TOL
 from .errors import DomainError, bounded_int
-from .qmat import PT_SIGN, DensityMatrix, HermitianOp, _two_spin_state, pauli_coords
+from .qmat import PSD_TOL, PT_SIGN, DensityMatrix, HermitianOp, _two_spin_state, pauli_coords
 from .states import _BD_COORDS, BELL_CORRELATIONS, BellKind, _bd_operator, _bell_spectrum
 from .states import _in_octahedron, _is_physical
 
@@ -100,7 +99,7 @@ def witness_is_valid(w: PauliWitness) -> bool:
     coeffs = np.array(w.as_tuple())
     pt_min = _bell_spectrum(*(PT_SIGN[_BD_COORDS] * coeffs)).min()
     w_max = _bell_spectrum(*coeffs).max()
-    return bool(pt_min >= -TOL.psd_tol and w_max <= 1.0 + TOL.psd_tol)
+    return bool(pt_min >= -PSD_TOL and w_max <= 1.0 + PSD_TOL)
 
 
 def eval_witness(w: PauliWitness, rho: DensityMatrix) -> float:

@@ -79,7 +79,7 @@ def test_c02_optimal_witness_table():
         assert abs(eval_witness(w, bell_state(kind)) + 1.0) < 1e-9
         assert witness_is_valid(w)
         mat = witness_matrix(w).matrix
-        assert np.linalg.eigvalsh(_pt_arr(mat, "I"))[0] >= -1e-9
+        assert np.linalg.eigvalsh(_pt_arr(mat))[0] >= -1e-9
         assert np.linalg.eigvalsh(mat)[-1] <= 1.0 + 1e-9
     assert elapsed < 0.1
     report(2, f"all four optimal rows reproduced, objective -1, in {elapsed * 1e3:.1f} ms")
@@ -101,13 +101,13 @@ def _brute_force_gr(rho_mat, mixers, coarse=0.01, fine_points=101, s_max=3.0):
     point must stay feasible under re-evaluation).  Eigenvalue feasibility at
     machine precision, far tighter than the 1e-3 validation tolerance.
     """
-    pt_rho = _pt_arr(rho_mat, "I")
+    pt_rho = _pt_arr(rho_mat)
     if np.linalg.eigvalsh(pt_rho)[0] >= -1e-12:
         return 0.0
     best = np.inf
     coarse_grid = np.arange(0.0, s_max + coarse, coarse)
     for sigma in mixers:
-        pt_sigma = _pt_arr(sigma, "I")
+        pt_sigma = _pt_arr(sigma)
         stack = pt_rho[None, :, :] + coarse_grid[:, None, None] * pt_sigma[None, :, :]
         feasible = np.linalg.eigvalsh(stack)[:, 0] >= -1e-12
         if not feasible.any():
@@ -175,7 +175,7 @@ def test_c05_ppt_octahedron_equivalence():
     for _ in range(10_000):
         c = random_physical_c(rng)
         octa = is_separable_bd(BellDiagonalParams(*c))
-        pt_min = float(np.linalg.eigvalsh(_pt_arr(bd(*c).matrix, "I"))[0])
+        pt_min = float(np.linalg.eigvalsh(_pt_arr(bd(*c).matrix))[0])
         if abs(pt_min) <= 1e-9:
             boundary_band += 1
             continue

@@ -30,8 +30,7 @@ from witnesslab import (
     witness_is_valid,
 )
 from witnesslab.circuits import gradient_dephase
-from witnesslab.config import TOL
-from witnesslab.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z
+from witnesslab.qmat import PSD_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z
 from witnesslab.witness import _region_planes
 
 # unit trace and Hermitian, but with negative eigenvalues: not a state
@@ -119,7 +118,7 @@ def eigvalsh_is_valid(coeffs):
     w_pt = w.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
     pt_min = np.linalg.eigvalsh(w_pt)[0]
     w_max = np.linalg.eigvalsh(w)[-1]
-    return pt_min >= -TOL.psd_tol and w_max <= 1.0 + TOL.psd_tol
+    return pt_min >= -PSD_TOL and w_max <= 1.0 + PSD_TOL
 
 
 def test_witness_validity_matches_eigvalsh_on_random_coefficients():

@@ -10,7 +10,7 @@ import pytest
 from jsonschema import validate
 
 import witnesslab
-from witnesslab import BellKind, DensityMatrix, bell_state, f_witness_state, relax
+from witnesslab import BellKind, DensityMatrix, StructuralError, bell_state, f_witness_state, relax
 from witnesslab.cli import load_state_json, main, parse_state_spec, save_state_json
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schemas" / "output.schema.json").read_text())
@@ -353,7 +353,13 @@ def test_sdc_csv_row(capsys):
 def test_optimal_witness_without_kind_is_usage_error(capsys):
     code, _, err = run(capsys, "optimal-witness")
     assert code == 2
-    assert "Bell kind" in err
+    assert "kind" in err and "--all" in err
+
+
+def test_optimal_witness_takes_a_kind_or_all_not_both(capsys):
+    code, out, err = run(capsys, "optimal-witness", "phi+", "--all")
+    assert (code, out) == (2, "")
+    assert "not allowed" in err
 
 
 def test_more_domain_and_usage_edges(capsys):
@@ -379,14 +385,40 @@ def test_relax_sweep_with_a_tiny_tmax_fits_no_decay_time():
     assert "# tau_c=none tau_r=none tau_w=none" in proc.stdout
 
 
+def fitted_taus(proc):
+    """tau_r and tau_w from the header of relax-sweep's CSV, None where it prints none."""
+    line = next(ln for ln in proc.stdout.splitlines() if ln.startswith("# tau_c="))
+    fields = dict(f.split("=") for f in line[2:].split())
+    return tuple(None if fields[k] == "none" else float(fields[k]) for k in ("tau_r", "tau_w"))
+
+
+def all_times(t):
+    return ["--t1i", t, "--t2i", t, "--t1s", t, "--t2s", t]
+
+
 @pytest.mark.parametrize("argv", [
     ["--tmax", "1e300", "--t1i", "1e-10", "--t2i", "1e-10"],
-    ["--tmax", "1e308", "--t1i", "1e308", "--t2i", "1e308", "--t1s", "1e308", "--t2s", "1e308"],
+    ["--tmax", "1e308", *all_times("1e308")],
 ], ids=["ratio-overflows", "squares-overflow"])
 def test_relax_sweep_at_extreme_time_ratios_writes_nothing_to_stderr(argv):
     proc = run_subprocess("relax-sweep", "--steps", "3", *argv)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert "tau_r=none tau_w=none" in proc.stdout
+    if argv[1] == "1e300":
+        # every t/T past t = 0 overflows, so every curve is 0 there and nothing is fitted
+        assert "tau_r=none tau_w=none" in proc.stdout
+    else:
+        # the ratios of all T = 1 at --tmax 1, whose fitted times scale by 1e308
+        unit = fitted_taus(run_subprocess("relax-sweep", "--steps", "3", "--tmax", "1", *all_times("1")))
+        assert fitted_taus(proc) == pytest.approx([1e308 * tau for tau in unit], rel=1e-12)
+
+
+def test_relax_sweep_fits_decay_times_at_every_time_scale():
+    # the same ratios t/T, one time scale 1e100 times the other
+    large = run_subprocess("relax-sweep", "--steps", "200", "--tmax", "1e200", *all_times("1e199"))
+    small = run_subprocess("relax-sweep", "--steps", "200", "--tmax", "1e100", *all_times("1e99"))
+    assert (large.returncode, large.stderr) == (small.returncode, small.stderr) == (0, "")
+    assert None not in fitted_taus(small)
+    assert fitted_taus(large) == pytest.approx([1e100 * tau for tau in fitted_taus(small)], rel=1e-12)
 
 
 def test_relax_sweep_with_a_tmax_that_repeats_grid_times_names_both_flags(capsys, monkeypatch):
@@ -428,35 +460,35 @@ def test_witness_rejects_nan_and_negative_noise(capsys):
         assert "sigma" in err
 
 
-def test_env_var_rejects_non_finite_and_negative_values(tmp_path, capsys, monkeypatch):
-    from witnesslab.config import TOL
+def assert_default_psd_tol_holds():
+    # a -1e-7 eigenvalue, which WITNESSLAB_TOL=1e-6 admits, still fails a DensityMatrix built here
+    with pytest.raises(StructuralError, match="positive semidefinite"):
+        DensityMatrix(np.diag([0.4, 0.3, 0.3 + 1e-7, -1e-7]))
 
+
+def test_env_var_rejects_non_finite_and_negative_values(tmp_path, capsys, monkeypatch):
     # a non-PSD file state (eigenvalues 1.1, 0, 0, -0.1) that a NaN tolerance
     # would wave through as a valid state
     path = tmp_path / "non_psd.json"
     lam = (1.1, 0.0, 0.0, -0.1)
     entries = [{"re": lam[i] if i == j else 0.0, "im": 0.0} for i in range(4) for j in range(4)]
     path.write_text(json.dumps({"entries": entries}))
-    old = TOL.psd_tol
     for value in ("nan", "inf", "-inf", "-1e-6"):
         monkeypatch.setenv("WITNESSLAB_TOL", value)
         code, out, err = run(capsys, "robustness", "--state", f"file:{path}")
         assert code == 2, value
         assert out == ""
         assert "bad WITNESSLAB_TOL value" in err
-        assert TOL.psd_tol == old
+        assert_default_psd_tol_holds()
 
 
 def test_env_var_does_not_outlive_the_call(capsys, monkeypatch):
-    from witnesslab.config import TOL
-
-    old = TOL.psd_tol
     monkeypatch.setenv("WITNESSLAB_TOL", "1e-6")
     assert run(capsys, "witness", "--state", "identity")[0] == 0
-    assert TOL.psd_tol == old
+    assert_default_psd_tol_holds()
     monkeypatch.setenv("WITNESSLAB_TOL", "0")
     assert run(capsys, "witness", "--state", "identity")[0] == 0
-    assert TOL.psd_tol == old
+    assert_default_psd_tol_holds()
 
 
 def test_detect_region_resolution_limit(capsys):
@@ -512,20 +544,16 @@ def test_seed_is_a_witness_option_only(capsys, argv):
     ("1e-12", ("witness", "--state", "bd:1,0.5,-0.500000002")),
 ])
 def test_state_outside_a_tight_tolerance_is_a_domain_error(tmp_path, capsys, monkeypatch, tol, argv):
-    from witnesslab import DensityMatrix
-    from witnesslab.config import TOL
-
     path = tmp_path / "near_psd.json"
     save_state_json(DensityMatrix(np.diag([0.5, 0.5 + 1e-13, 0.0, -1e-13]).astype(complex)), str(path))
     argv = [a.format(near_psd=path) for a in argv]
-    old = TOL.psd_tol
     monkeypatch.setenv("WITNESSLAB_TOL", tol)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert "domain error" in err and "positive semidefinite" in err
     assert "Traceback" not in err
-    assert TOL.psd_tol == old
+    assert_default_psd_tol_holds()
     monkeypatch.delenv("WITNESSLAB_TOL")
     assert run(capsys, *argv)[0] == 0
 

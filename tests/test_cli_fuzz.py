@@ -70,7 +70,7 @@ ARGV = st.one_of(
 # residues, which the tolerance does not judge; the second is an input with one (exit 3)
 @example(["sdc", "--eps", "1,1", "--msg", "1,0"])
 @example(["witness", "--state", "bd:1,0.5,-0.500000002"])
-# a t_max whose squared sweep times underflow to 0: no decay time can be fitted
+# a t_max so small that no curve decays: no decay time is fitted
 @example(["relax-sweep", "--steps", "3", "--tmax", "1e-200"])
 # a t/T that overflows: its exp(-t/T) is exactly 0, with no warning
 @example(["relax-sweep", "--steps", "3", "--tmax", "1e300", "--t1i", "1e-10", "--t2i", "1e-10"])

@@ -71,7 +71,7 @@ def test_robustness_zero_iff_ppt_on_random_states():
     rng = np.random.default_rng(73)
     for _ in range(1000):
         rho = random_density_matrix(rng)
-        ppt = np.linalg.eigvalsh(partial_transpose(rho, "I").matrix)[0] >= -1e-9
+        ppt = np.linalg.eigvalsh(partial_transpose(rho).matrix)[0] >= -1e-9
         value = generalized_robustness(rho).value
         assert (value <= 1e-7) == ppt
 
@@ -88,7 +88,7 @@ def test_certificate_makes_the_mixture_ppt():
         assert np.linalg.eigvalsh(cert.matrix)[0] >= -1e-9
         mix = (rho.matrix + result.value * cert.matrix) / (1.0 + result.value)
         pt_min = np.linalg.eigvalsh(
-            partial_transpose(DensityMatrix(mix), "I").matrix
+            partial_transpose(DensityMatrix(mix)).matrix
         )[0]
         assert pt_min >= -1e-9
         checked += 1
@@ -142,7 +142,7 @@ def test_robustness_dominates_rank_one_dual_bound():
     checked = 0
     while checked < 200:
         rho = random_density_matrix(rng)
-        pt = partial_transpose(rho, "I").matrix
+        pt = partial_transpose(rho).matrix
         vals, vecs = np.linalg.eigh(pt)
         if vals[0] >= -1e-6:
             continue

@@ -1,8 +1,9 @@
-import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
+import witnesslab
 from conftest import bd, local_coords, random_density_matrix
 from witnesslab import (
     DensityMatrix,
@@ -19,7 +20,7 @@ from witnesslab import (
     BellKind,
     DomainError,
 )
-from witnesslab.config import TOL
+from witnesslab import qmat
 from witnesslab.qmat import (
     SIGMA_I,
     SIGMA_X,
@@ -118,14 +119,13 @@ def test_tensor_spin_i_is_slow_factor():
 
 def test_pt_phi_plus_eigenvalues():
     # frozen from the direct 4x4 computation: one -1/2, three +1/2
-    pt = partial_transpose(bell_state(BellKind.PHI_PLUS), "I")
+    pt = partial_transpose(bell_state(BellKind.PHI_PLUS))
     assert np.allclose(np.linalg.eigvalsh(pt.matrix), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 def test_pt_leaves_diagonal_matrices_alone():
     m = op(np.diag([0.1, 0.2, 0.3, 0.4]))
-    assert np.allclose(partial_transpose(m, "I").matrix, m.matrix)
-    assert np.allclose(partial_transpose(m, "S").matrix, m.matrix)
+    assert np.allclose(partial_transpose(m).matrix, m.matrix)
 
 
 def test_pt_of_product_state(rng=np.random.default_rng(3)):
@@ -135,7 +135,7 @@ def test_pt_of_product_state(rng=np.random.default_rng(3)):
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = b @ b.conj().T
     b /= np.trace(b).real
-    pt = partial_transpose(op(np.kron(a, b)), "I")
+    pt = partial_transpose(op(np.kron(a, b)))
     assert np.allclose(pt.matrix, np.kron(a.T, b))
     assert np.linalg.eigvalsh(pt.matrix)[0] >= -1e-12
 
@@ -144,17 +144,9 @@ def test_pt_is_involutive_and_trace_preserving():
     rng = np.random.default_rng(11)
     for _ in range(50):
         h = random_hermitian(rng)
-        for sub in ("I", "S"):
-            twice = partial_transpose(partial_transpose(h, sub), sub)
-            assert np.max(np.abs(twice.matrix - h.matrix)) < 1e-12
-            assert abs(np.trace(partial_transpose(h, sub).matrix) - np.trace(h.matrix)) < 1e-12
-
-
-def test_pt_rejects_single_spin_and_bad_label():
-    with pytest.raises(StructuralError):
-        op(SIGMA_Z)  # a single-spin operator cannot be built, so it never reaches partial_transpose
-    with pytest.raises(StructuralError):
-        partial_transpose(op(np.eye(4)), "A")
+        twice = partial_transpose(partial_transpose(h))
+        assert np.max(np.abs(twice.matrix - h.matrix)) < 1e-12
+        assert abs(np.trace(partial_transpose(h).matrix) - np.trace(h.matrix)) < 1e-12
 
 
 def test_pt_adjoint_identity():
@@ -163,8 +155,8 @@ def test_pt_adjoint_identity():
     for _ in range(30):
         w = random_hermitian(rng)
         sigma = random_density_matrix(rng)
-        lhs = np.trace(w.matrix @ partial_transpose(sigma, "I").matrix)
-        rhs = np.trace(partial_transpose(w, "I").matrix @ sigma.matrix)
+        lhs = np.trace(w.matrix @ partial_transpose(sigma).matrix)
+        rhs = np.trace(partial_transpose(w).matrix @ sigma.matrix)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -281,9 +273,12 @@ def test_pauli_coords_order_follows_labels():
 
 
 def test_tolerances_are_read_only():
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        TOL.psd_tol = 0.0
-    assert TOL.psd_tol == 1e-9
+    # the two tolerances are qmat constants; no settable tolerance object exists
+    assert qmat.TOL_EQ == 1e-10
+    assert qmat.PSD_TOL == 1e-9
+    with pytest.raises(ImportError):
+        importlib.import_module(".config", "witnesslab")
+    assert not [name for name in dir(witnesslab) if name.lower().startswith("tol")]
 
 
 def test_density_matrix_takes_its_own_psd_tolerance():

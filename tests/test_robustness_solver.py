@@ -21,14 +21,13 @@ from witnesslab import (
 )
 from witnesslab import optim
 from witnesslab.qmat import TWO_SPIN_LABELS, TWO_SPIN_PAULIS, pauli_coords
-from witnesslab.states import BELL_ORDER
 
 # the solver stops at a duality gap below 1e-8
 GAP = 1.0e-8
 
 
 def pt(m):
-    return partial_transpose(HermitianOp(m), "I").matrix
+    return partial_transpose(HermitianOp(m)).matrix
 
 
 def barrier(x, m, t):
@@ -302,7 +301,7 @@ def test_dual_witness_of_a_bell_diagonal_state_is_the_optimal_witness_lp():
         assert lower <= value <= lower + GAP
         if value >= 0.01:
             want = np.zeros(16)
-            want[columns] = optimal_witness(BELL_ORDER[int(np.argmax(bd_weights(c)))]).as_tuple()
+            want[columns] = optimal_witness(list(BellKind)[int(np.argmax(bd_weights(c)))]).as_tuple()
             np.testing.assert_allclose(pauli_coords(w) / 4.0, want, rtol=0, atol=1e-4)
             checked += 1
     assert checked >= 90

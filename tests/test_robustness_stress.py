@@ -36,18 +36,18 @@ def named_states():
 
 
 def check_certified(rho, values, iterations, omega, lower, witness):
-    npt = np.linalg.eigvalsh(_pt_arr(rho, "I"))[:, 0] < -1e-12
+    npt = np.linalg.eigvalsh(_pt_arr(rho))[:, 0] < -1e-12
     assert np.array_equal(iterations > 0, npt)
     assert not values[~npt].any() and not lower[~npt].any()
     gap = values[npt] - lower[npt]
     assert np.all(gap >= 0.0) and np.all(gap <= GAP)
     # the primal certificate: (rho + omega)^PT >= 0, with omega >= 0
     mix = (rho[npt] + omega[npt]) / (1.0 + values[npt])[:, None, None]
-    assert np.linalg.eigvalsh(_pt_arr(mix, "I"))[:, 0].min() >= -RESIDUAL
+    assert np.linalg.eigvalsh(_pt_arr(mix))[:, 0].min() >= -RESIDUAL
     assert np.linalg.eigvalsh(omega[npt])[:, 0].min() >= -RESIDUAL
     # the dual certificate: W^PT >= 0 and W <= 1, and lower = -Tr(W rho)
     w = witness[npt]
-    assert np.linalg.eigvalsh(_pt_arr(w, "I"))[:, 0].min() >= -1e-12
+    assert np.linalg.eigvalsh(_pt_arr(w))[:, 0].min() >= -1e-12
     assert np.linalg.eigvalsh(w)[:, -1].max() <= 1.0 + 1e-12
     np.testing.assert_allclose(lower[npt], -np.einsum("kab,kba->k", w, rho[npt]).real, rtol=0, atol=1e-12)
     return npt

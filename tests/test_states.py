@@ -112,7 +112,7 @@ def test_octahedron_matches_ppt_on_random_triples():
     rng = np.random.default_rng(41)
     for _ in range(1000):
         c = random_physical_c(rng)
-        ppt = np.linalg.eigvalsh(partial_transpose(bd(*c), "I").matrix)[0] >= -1e-9
+        ppt = np.linalg.eigvalsh(partial_transpose(bd(*c)).matrix)[0] >= -1e-9
         assert ppt == is_separable_bd(BellDiagonalParams(*c))
 
 
@@ -157,7 +157,7 @@ def test_pseudo_pure_limits():
 def test_pseudo_pure_at_room_temperature_polarization_is_ppt():
     # at eps ~ 1e-5 the identity background drowns the Bell coherence
     rho = pseudo_pure(1e-5, bell_state(BellKind.PHI_MINUS))
-    assert np.linalg.eigvalsh(partial_transpose(rho, "I").matrix)[0] >= 0.0
+    assert np.linalg.eigvalsh(partial_transpose(rho).matrix)[0] >= 0.0
 
 
 def test_pseudo_pure_rejects_bad_eps():

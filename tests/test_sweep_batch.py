@@ -50,7 +50,7 @@ def entangled_ginibre(seed):
     rng = np.random.default_rng(seed)
     while True:
         rho = random_density_matrix(rng)
-        if np.linalg.eigvalsh(_pt_arr(rho.matrix, "I"))[0] < -0.05:
+        if np.linalg.eigvalsh(_pt_arr(rho.matrix))[0] < -0.05:
             return rho
 
 
@@ -111,12 +111,12 @@ def test_sweep_names_the_earliest_failing_time(monkeypatch):
     rho0 = bell_state(BellKind.PHI_MINUS)
     w = bell_witness(BellKind.PHI_MINUS)
     times = np.linspace(0.0, 0.2, 12)
-    targets = [_pt_arr(relax_channel(rho0, float(times[k]), PAPER_T2).matrix, "I") for k in (9, 4)]
+    targets = [_pt_arr(relax_channel(rho0, float(times[k]), PAPER_T2).matrix) for k in (9, 4)]
     cholesky = optim._cholesky
 
     def not_positive_definite_at_the_targets(blocks):
         # the slacks of a point are omega and m + omega^PT, so m is their difference
-        m = blocks[..., 1, :, :] - _pt_arr(blocks[..., 0, :, :], "I")
+        m = blocks[..., 1, :, :] - _pt_arr(blocks[..., 0, :, :])
         hit = [np.max(np.abs(m[i] - target)) < 1e-9 for i in range(len(m)) for target in targets]
         forced = np.flatnonzero(np.reshape(hit, (len(m), -1)).any(axis=1))
         chol, inv_l, failed = cholesky(blocks)
@@ -156,7 +156,7 @@ def test_a_time_grid_that_repeats_a_time_is_rejected_before_any_solve(monkeypatc
 
 
 def test_fitted_times_are_none_when_t_max_is_too_small_to_fit():
-    # the squared times underflow to 0, which polyfit's column scaling cannot take
+    # exp(-t/T) rounds to 1 at every t <= 1e-200, so no curve decays
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         series = sweep(bell_state(BellKind.PHI_MINUS), RelaxationParams(), bell_witness(BellKind.PHI_MINUS),
@@ -164,7 +164,7 @@ def test_fitted_times_are_none_when_t_max_is_too_small_to_fit():
     assert series.tau_r is None and series.tau_w is None
 
 
-# t/T overflows to infinity at the first; the squared times overflow at the second
+# t/T overflows to infinity at the first; the second has the ratios of all T = 1 at t_max = 1
 EXTREME_RATIOS = [
     (1e300, RelaxationParams(t1_i=1e-10, t2_i=1e-10)),
     (1e308, RelaxationParams(1e308, 1e308, 1e308, 1e308)),
@@ -178,7 +178,14 @@ def test_extreme_time_ratios_raise_no_warning(t_max, p):
         warnings.simplefilter("error")
         series = sweep(rho0, p, w, t_max, 3)
         relax_channel(rho0, t_max, p)
-    assert series.tau_r is None and series.tau_w is None
+    if t_max == 1e300:
+        # every curve is 0 past t = 0, so nothing is fitted
+        assert series.tau_r is None and series.tau_w is None
+    else:
+        # the fit is made on t/t_max, so the fitted times scale with it
+        unit = sweep(rho0, RelaxationParams(1.0, 1.0, 1.0, 1.0), w, 1.0, 3)
+        assert series.tau_r == pytest.approx(1e308 * unit.tau_r, rel=1e-12)
+        assert series.tau_w == pytest.approx(1e308 * unit.tau_w, rel=1e-12)
 
 
 def test_stacked_positivity_test_agrees_with_lapack_on_every_point():

@@ -222,7 +222,7 @@ def test_f_detection_overlaps_separable_region_off_the_thermal_family():
     assert is_separable_bd(params)
     from witnesslab import partial_transpose
 
-    pt_min = np.linalg.eigvalsh(partial_transpose(bd(0.49, 0.0, 0.49), "I").matrix)[0]
+    pt_min = np.linalg.eigvalsh(partial_transpose(bd(0.49, 0.0, 0.49)).matrix)[0]
     assert pt_min >= 0.0
     assert classify_bd((0.49, 0.0, 0.49)) is BDClass.SEPARABLE
 
