@@ -13,11 +13,13 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError
-from .qmat import PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _pt_arr, _two_spin_state
+from .qmat import PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _pt_arr, _trusted_state, _two_spin_state
 from .qmat import from_pauli_coords
 from .states import BellDiagonalParams, bell_probabilities
 
 _E0 = np.eye(16)[0]
+_MINUS_C = -4.0 * _E0  # -grad Tr(omega), Tr(omega) = 4 x_0: the predictor's right-hand side, added to the corrector's
+_MINUS_C.setflags(write=False)
 _Q = TWO_SPIN_PAULIS.reshape(16, 16)  # row k is vec(P_k): x @ _Q is vec(sum_k x_k P_k)
 _QB = np.stack([_Q, PT_SIGN[:, None] * _Q])  # rows vec(P_k) and vec(P_k^PT)
 _QB_CONJ = _QB.conj()
@@ -93,7 +95,7 @@ def _schur_matrix(inv_l: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _schur_solve(mm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """M dx = rhs for each point of a (n, 16, 16) stack.
+    """M dx = rhs for each point of a (n, 16, 16) stack, with rhs (n, 16) or one (16,) for every point.
 
     One LAPACK solve serves every point, and each row of it has the same
     bits as that point's own solve.  A singular M gives a NaN row; only
@@ -101,7 +103,7 @@ def _schur_solve(mm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     dx = _umath_linalg.solve1(mm, rhs, signature="dd->d")
     for i in np.isnan(dx[:, 0]).nonzero()[0]:
-        dx[i] = _jittered_solve(mm[i], rhs[i])
+        dx[i] = _jittered_solve(mm[i], np.broadcast_to(rhs, dx.shape)[i])
     return dx
 
 
@@ -133,31 +135,32 @@ def _direction(mm, z2, s_inv2, rhs, base):
     dx = _schur_solve(mm, rhs)
     d = np.empty((len(dx), 4, 4, 4), dtype=complex)
     d[:, :2] = _pauli_blocks(dx)
-    dz2 = base - z2 @ d[:, 1] @ s_inv2
-    d[:, 3] = dz2 + dz2.conj().swapaxes(-1, -2)
-    d[:, 3] *= 0.5
-    d[:, 2] = -_pt_arr(d[:, 3])
+    dz2 = d[:, 3]
+    np.subtract(base, z2 @ d[:, 1] @ s_inv2, out=dz2)
+    np.add(dz2, dz2.conj().swapaxes(-1, -2), out=dz2)
+    np.multiply(dz2, 0.5, out=dz2)
+    np.negative(_pt_arr(dz2), out=d[:, 2])
     return dx, d
 
 
-def _max_steps(inv_l, d):
+def _max_steps(inv_l, inv_lh, d):
     """Largest primal and dual steps (n, 2) along d that keep S_1, S_2 and Z_1, Z_2 PSD; inf along a PSD direction.
 
-    X + a D stays PSD while a <= 1 / -lambda_min(L^-1 D L^-H), X = L L^H:
-    one eigvalsh over the four blocks.
+    X + a D stays PSD while a <= 1 / -lambda_min(L^-1 D L^-H), X = L L^H
+    and inv_lh = L^-H: one eigvalsh over the four blocks.
     """
-    lam = _umath_linalg.eigvalsh_lo(inv_l @ d @ inv_l.conj().swapaxes(-1, -2), signature="D->d")[..., 0]
+    lam = _umath_linalg.eigvalsh_lo(inv_l @ d @ inv_lh, signature="D->d")[..., 0]
     return 1.0 / np.maximum(0.0, -lam.reshape(-1, 2, 2).min(axis=-1))
 
 
-def _affine_steps(inv_l, d):
+def _affine_steps(inv_l, inv_lh, d):
     """Primal and dual steps (n, 2) along the predictor's d, at most 1, from a bound in place of an eigvalsh.
 
     A = L^-1 D L^-H of each block has lambda_min >= tr/4 - sqrt(3/4 (|A|_F^2 - tr^2/4))
     (Wolkowicz & Styan, Linear Algebra Appl. 29, 471 (1980)), so the steps
     stay feasible and are at most the largest ones.  They only set sigma.
     """
-    a = inv_l @ d @ inv_l.conj().swapaxes(-1, -2)
+    a = inv_l @ d @ inv_lh
     tr = np.trace(a, axis1=-2, axis2=-1).real
     flat = a.view(np.float64).reshape(a.shape[:-2] + (1, 32))
     frobenius = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
@@ -165,9 +168,39 @@ def _affine_steps(inv_l, d):
     return 1.0 / np.maximum(1.0, -lam.reshape(-1, 2, 2).min(axis=-1))
 
 
-def _gap(s, z):
-    """sum_b Tr(S_b Z_b) of (n, 2, 4, 4) stacks of Hermitian blocks: the real inner product of their entries."""
-    return (s.view(np.float64).reshape(-1, 1, 64) @ z.view(np.float64).reshape(-1, 64, 1))[:, 0, 0]
+def _gap(blocks):
+    """sum_b Tr(S_b Z_b) of each point of a stack of [S_1, S_2, Z_1, Z_2] Hermitian blocks.
+
+    It is the real inner product of the point's S and Z entries, the first
+    and second 64 reals of its contiguous block.
+    """
+    flat = blocks.view(np.float64).reshape(-1, 2, 64)
+    return (flat[:, :1] @ flat[:, 1:].swapaxes(-1, -2))[:, 0, 0]
+
+
+def _step(blocks, chol, inv_l, gap):
+    """One predictor-corrector step of each point: dx, d = [dS_1, dS_2, dZ_1, dZ_2] (n, 4, 4, 4) and the steps (n, 2).
+
+    blocks is the iterate's [S_1, S_2, Z_1, Z_2] stack, chol and inv_l are
+    its Cholesky factors and their inverses, and gap is sum_b Tr(S_b Z_b).
+    The step's temporaries end with it, so none outlives the iteration.
+    """
+    mm = _schur_matrix(inv_l[:, :2], chol[:, 2:])  # the step's largest temporaries: L^-H comes after
+    inv_lh = inv_l.conj().swapaxes(-1, -2)
+    s_inv = inv_lh[:, :2] @ inv_l[:, :2]
+    mu = gap / 8.0
+    z2, s_inv2 = blocks[:, 3], s_inv[:, 1]
+    # predictor: the affine-scaling direction, toward Z_b S_b = 0
+    dx, d = _direction(mm, z2, s_inv2, _MINUS_C, -z2)
+    alpha = _affine_steps(inv_l, inv_lh, d)
+    mu_aff = _gap(blocks.reshape(-1, 2, 2, 4, 4) + alpha[:, :, None, None, None] * d.reshape(-1, 2, 2, 4, 4)) / 8.0
+    sigma_mu = (mu_aff / mu) ** 3 * mu
+    # corrector: toward Z_b S_b = sigma mu - dZ_b dS_b, from the same M
+    target = sigma_mu[:, None, None, None] * s_inv - d[:, 2:] @ d[:, :2] @ s_inv
+    dx, d = _direction(mm, z2, s_inv2, _traces(target) + _MINUS_C, target[:, 1] - z2)
+    a_max = _max_steps(inv_l, inv_lh, d)
+    fraction = _FRACTION + _FRACTION_GAIN * np.minimum(1.0, a_max.min(axis=1))
+    return dx, d, np.minimum(1.0, fraction[:, None] * a_max)
 
 
 # a failed LAPACK call marks its block with NaN, which the loop reads; a PSD direction has an infinite step
@@ -192,18 +225,20 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray):
     rank-deficient state in 5,000 onto the boundary of its cone).  A point
     leaves when its gap is below _GAP or when it fails.  Every point's
     numbers come from its own slices, so a point takes the same steps alone
-    or in a sweep.  Returns the final x (k, 16) and Z_2 (k, 4, 4), the
-    iterations of each point that finished, and a ConvergenceError for each
-    point that failed, by index, bounded by its last positive definite
-    iterate.
+    or in a sweep.  S_1, S_2, Z_1, Z_2 share one (k, 4, 4, 4) stack per
+    iterate: S is written into it from x, Z by the step that made it, and
+    _cholesky factors it whole.  Returns the final x (k, 16) and Z_2
+    (k, 4, 4), the iterations of each point that finished, and a
+    ConvergenceError for each point that failed, by index, bounded by its
+    last positive definite iterate.
     """
     k = len(m)
     x = np.zeros((k, 16))
     x[:, 0] = 1.5 * (-lam_min) + 0.05  # omega = x_0 * identity: both slacks positive definite
     shift = np.zeros((k, 2, 4, 4), dtype=complex)
     shift[:, 1] = m
-    z = np.zeros((k, 2, 4, 4), dtype=complex)
-    z[:] = 0.5 * np.eye(4)
+    blocks = np.empty((k, 4, 4, 4), dtype=complex)  # S_1, S_2, Z_1, Z_2 of each point
+    blocks[:, 2:] = 0.5 * np.eye(4)
     points = np.arange(k)  # the point each active row belongs to
     x_out, z_out, iterations, failures = np.zeros((k, 16)), np.zeros((k, 4, 4), dtype=complex), np.zeros(k, dtype=int), {}
     x_checked, gap_checked = x, np.full(k, np.inf)  # each row's last positive definite iterate, for its bounds
@@ -214,42 +249,28 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray):
             failures[int(points[i])] = ConvergenceError(reason, lower=max(0.0, upper - gap_checked[i]), upper=upper)
 
     for iteration in range(_MAX_ITERATIONS + 1):
-        s = _pauli_blocks(x) + shift
-        chol, inv_l, failed = _cholesky(np.concatenate([s, z], axis=1))
-        fail(failed, "robustness iterate is not positive definite")
-        gap = _gap(s, z)
-        x_checked, gap_checked = x, gap
+        np.add(_pauli_blocks(x), shift, out=blocks[:, :2])
+        chol, inv_l, failed = _cholesky(blocks)
+        gap = _gap(blocks)
         done = gap < _GAP
-        done[failed] = False
-        if done.any():
-            x_out[points[done]], z_out[points[done]], iterations[points[done]] = x[done], z[done, 1], iteration
-        keep = ~done
-        keep[failed] = False
-        if iteration == _MAX_ITERATIONS:
-            fail(keep.nonzero()[0], f"robustness solver hit the {_MAX_ITERATIONS}-iteration cap")
-            break
-        if not keep.all():
-            if not keep.any():
+        if len(failed) or done.any():
+            fail(failed, "robustness iterate is not positive definite")
+            done[failed] = False
+            x_out[points[done]], z_out[points[done]], iterations[points[done]] = x[done], blocks[done, 3], iteration
+            keep = ~done
+            keep[failed] = False
+            x, blocks, shift, chol, inv_l, gap, points = (
+                x[keep], blocks[keep], shift[keep], chol[keep], inv_l[keep], gap[keep], points[keep])
+            if not len(points):
                 break
-            x, z, s, shift, chol, inv_l, gap, points = (
-                x[keep], z[keep], s[keep], shift[keep], chol[keep], inv_l[keep], gap[keep], points[keep])
-            x_checked, gap_checked = x, gap
-        s_inv = inv_l[:, :2].conj().swapaxes(-1, -2) @ inv_l[:, :2]
-        mm = _schur_matrix(inv_l[:, :2], chol[:, 2:])
-        mu = gap / 8.0
-        z2, s_inv2 = z[:, 1], s_inv[:, 1]
-        # predictor: the affine-scaling direction, toward Z_b S_b = 0
-        dx, d = _direction(mm, z2, s_inv2, np.broadcast_to(-4.0 * _E0, (len(points), 16)), -z2)
-        alpha = _affine_steps(inv_l, d)
-        mu_aff = _gap(s + alpha[:, 0, None, None, None] * d[:, :2], z + alpha[:, 1, None, None, None] * d[:, 2:]) / 8.0
-        sigma_mu = (mu_aff / mu) ** 3 * mu
-        # corrector: toward Z_b S_b = sigma mu - dZ_b dS_b, from the same M
-        target = sigma_mu[:, None, None, None] * s_inv - d[:, 2:] @ d[:, :2] @ s_inv
-        dx, d = _direction(mm, z2, s_inv2, _traces(target) - 4.0 * _E0, target[:, 1] - z2)
-        a_max = _max_steps(inv_l, d)
-        alpha = np.minimum(1.0, (_FRACTION + _FRACTION_GAIN * np.minimum(1.0, a_max.min(axis=1)))[:, None] * a_max)
-        x = x + alpha[:, :1] * dx
-        z = z + alpha[:, 1, None, None, None] * d[:, 2:]
+        x_checked, gap_checked = x, gap
+        if iteration == _MAX_ITERATIONS:
+            fail(range(len(points)), f"robustness solver hit the {_MAX_ITERATIONS}-iteration cap")
+            break
+        dx, d, alpha = _step(blocks, chol, inv_l, gap)
+        stack = np.empty_like(blocks)  # the next iterate's: Z from this step, S from x at the top of the loop
+        np.add(blocks[:, 2:], alpha[:, 1, None, None, None] * d[:, 2:], out=stack[:, 2:])
+        x, blocks = x + alpha[:, :1] * dx, stack
     return x_out, z_out, iterations, failures
 
 
@@ -310,7 +331,7 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     value = float(values[0])
     return RobustnessResult(
         value=value,
-        certificate_state=DensityMatrix(omega[0] / value),
+        certificate_state=_trusted_state(omega[0] / value),
         iterations=int(iterations[0]),
         lower=float(lower[0]),
         witness=HermitianOp(witness[0]),

@@ -86,7 +86,7 @@ class HermitianOp:
         arr = _as_operator_array(self.matrix)
         object.__setattr__(self, "matrix", arr)
         if np.max(np.abs(arr - arr.conj().T)) > TOL_EQ:
-            raise StructuralError("matrix is not Hermitian within tol_eq")
+            raise StructuralError(f"matrix is not Hermitian within TOL_EQ = {TOL_EQ:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +97,11 @@ class DensityMatrix(HermitianOp):
     ``psd_tol`` (default ``PSD_TOL``): every state given to the program
     passes that check.  ``_trusted_state`` makes one without it, under one
     rule: the matrix is a state by construction, the image of a validated
-    state under a unitary or a CPTP map (``Gate.apply``, ``relax_channel``)
-    or a tomography result whose spectrum was just checked or clipped
-    (``pauli_tomography``).  So the tolerance judges inputs, never the
-    program's own rounding.
+    state under a unitary or a CPTP map (``Gate.apply``, ``relax_channel``),
+    a tomography result whose spectrum was just checked or clipped
+    (``pauli_tomography``), or the robustness solver's certificate (omega
+    over its trace, positive definite by the solver's last Cholesky factor).
+    So the tolerance judges inputs, never the program's own rounding.
     """
 
     psd_tol: InitVar[float] = PSD_TOL

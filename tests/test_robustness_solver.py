@@ -227,6 +227,17 @@ def test_singular_rows_of_a_stack_are_the_only_ones_solved_again(monkeypatch):
     assert len(jittered) == 6  # and once more each on its own
 
 
+def test_one_shared_right_hand_side_solves_as_one_per_row():
+    n = 5
+    mm, rhs = schur_system(np.random.default_rng(3304), n, [2])
+    shared = rhs[0]
+    with np.errstate(invalid="ignore"):
+        dx = optim._schur_solve(mm, shared)
+        per_row = optim._schur_solve(mm, np.tile(shared, (n, 1)))
+    assert np.all(np.isfinite(dx))
+    assert np.array_equal(dx, per_row)
+
+
 def haar_unitary(rng):
     q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -72,3 +72,18 @@ def test_named_states_are_certified_alone_and_together():
     for k, matrix in enumerate(rho):
         result = generalized_robustness(DensityMatrix(matrix))
         assert (result.value, result.lower, result.iterations) == (values[k], lower[k], iterations[k])
+        assert np.array_equal(result.witness.matrix, witness[k])
+        assert np.array_equal(result.certificate_state.matrix, omega[k] / values[k])
+
+
+def test_every_certificate_passes_the_state_check():
+    # the certificate is made without the DensityMatrix check: omega over its
+    # trace is a state by construction, so the check must accept it as is
+    rho = np.concatenate([named_states(), ginibre_states(np.random.default_rng(20261019), 200)])
+    certified = 0
+    for matrix in rho:
+        cert = generalized_robustness(DensityMatrix(matrix)).certificate_state
+        if cert is not None:
+            DensityMatrix(cert.matrix)  # raises unless it is a state within PSD_TOL
+            certified += 1
+    assert certified > 150
