@@ -251,35 +251,23 @@ def _cmd_relax_sweep(args):
     params = RelaxationParams(t1_i=args.t1i, t2_i=args.t2i, t1_s=args.t1s, t2_s=args.t2s)
     w = bell_witness(_KIND_NAMES[args.witness])
     series = sweep(rho, params, w, t_max=args.tmax, steps=args.steps)
-    points = list(zip(series.times, series.f_values, series.w_values, series.gr_values))
-
-    def opt(v):
-        return None if v is None else float(v)
-
+    taus = {"tau_c": series.tau_c, "tau_r": series.tau_r, "tau_w": series.tau_w}
+    points = zip(series.times.tolist(), series.f_values.tolist(), series.w_values.tolist(), series.gr_values.tolist())
     if args.format == "json":
         return {
             "state": args.state,
             "witness": args.witness,
             "params": {"t1_i": args.t1i, "t2_i": args.t2i, "t1_s": args.t1s, "t2_s": args.t2s},
-            "tau_c": opt(series.tau_c),
-            "tau_r": opt(series.tau_r),
-            "tau_w": opt(series.tau_w),
-            "series": [
-                {"time": float(t), "f": float(f), "w": float(wv), "gr": float(g)}
-                for t, f, wv, g in points
-            ],
+            **taus,
+            "series": [{"time": t, "f": f, "w": wv, "gr": g} for t, f, wv, g in points],
         }
-
     # csv is the default for series data, and stands in for text
-    def meta(v):
-        return "none" if v is None else repr(float(v))
-
     return [
         f"# state={args.state} witness={args.witness}",
         f"# t1_i={args.t1i!r} t2_i={args.t2i!r} t1_s={args.t1s!r} t2_s={args.t2s!r}",
-        f"# tau_c={meta(series.tau_c)} tau_r={meta(series.tau_r)} tau_w={meta(series.tau_w)}",
+        "# " + " ".join(f"{name}={'none' if v is None else repr(v)}" for name, v in taus.items()),
         "time,f,w,gr",
-        *(f"{float(t)!r},{float(f)!r},{float(wv)!r},{float(g)!r}" for t, f, wv, g in points),
+        *(f"{t!r},{f!r},{wv!r},{g!r}" for t, f, wv, g in points),
     ]
 
 

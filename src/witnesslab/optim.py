@@ -32,6 +32,8 @@ _FRACTION_GAIN = 0.09
 _MAX_ITERATIONS = 100
 # NPT points solved together at most: about 30 KB of solver temporaries each
 _CHUNK = 256
+# a point is solved when lambda_min of its partial transpose is below -NPT_CUT; any other point is PPT, robustness 0
+NPT_CUT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -277,19 +279,20 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray):
 def _robustness(rho: np.ndarray):
     """Generalized robustness of each state of a (k, 4, 4) stack of density matrices.
 
-    PPT points are 0 without a solve.  The NPT points are solved together by
-    _central_path, the HKM predictor-corrector method (Helmberg, Rendl,
-    Vanderbei & Wolkowicz 1996; Mehrotra 1992) from a feasible start, each
-    to a duality gap below 1e-8, in chunks of _CHUNK, which bounds the
-    solver's temporaries; the chunks stop at the first one with a failure.
-    Returns the values, the iterations, the optimal omegas (zero for PPT
-    points), the failures by index, and the dual fields of the final
-    iterates: the lower bounds -Tr(m Z_2) and the witnesses Z_2^PT (zero for
-    PPT points).
+    Points whose partial transpose has lambda_min >= -NPT_CUT are PPT, 0
+    without a solve.  The NPT points are solved together by _central_path,
+    the HKM predictor-corrector method (Helmberg, Rendl, Vanderbei &
+    Wolkowicz 1996; Mehrotra 1992) from a feasible start, each to a duality
+    gap below 1e-8, in chunks of _CHUNK, which bounds the solver's
+    temporaries; the chunks stop at the first one with a failure.  Returns
+    the values, the iterations, the optimal omegas (zero for PPT points),
+    the failures by index, the dual fields of the final iterates (the lower
+    bounds -Tr(m Z_2) and the witnesses Z_2^PT, zero for PPT points), and
+    the lambda_min of every point's partial transpose.
     """
     m = _pt_arr(rho)
     lam_min = np.linalg.eigvalsh(m)[:, 0]
-    npt = (lam_min < -1e-12).nonzero()[0]
+    npt = (lam_min < -NPT_CUT).nonzero()[0]
     values, lower = np.zeros(len(m)), np.zeros(len(m))
     iterations = np.zeros(len(m), dtype=int)
     omega, witness = np.zeros(m.shape, dtype=complex), np.zeros(m.shape, dtype=complex)
@@ -304,7 +307,7 @@ def _robustness(rho: np.ndarray):
         values[idx] = np.trace(chunk, axis1=-2, axis2=-1).real
         lower[idx] = -(m[idx].reshape(-1, 1, 16) @ z2.conj().reshape(-1, 16, 1)).real[:, 0, 0]
         witness[idx] = _pt_arr(z2)
-    return values, iterations, omega, failures, lower, witness
+    return values, iterations, omega, failures, lower, witness, lam_min
 
 
 def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
@@ -323,7 +326,7 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     ``relax.sweep`` runs over a whole time grid.
     """
     _two_spin_state(rho, "generalized_robustness")
-    values, iterations, omega, failures, lower, witness = _robustness(rho.matrix[None])
+    values, iterations, omega, failures, lower, witness, _ = _robustness(rho.matrix[None])
     if failures:
         raise failures[0]
     if iterations[0] == 0:

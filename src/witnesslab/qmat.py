@@ -10,9 +10,9 @@ Conventions fixed once and inherited everywhere:
   of a state checks that it is a ``DensityMatrix`` with ``_two_spin_state``;
 * the partial transpose acts on spin I (``PT_SIGN``, ``_pt_arr``);
 * ``TOL_EQ`` and ``PSD_TOL`` are the two tolerances that judge inputs; a
-  rule's own cut lives beside its code (the 1e-12 NPT cut in ``optim``, the
-  1e-9 Bell-weight slack in ``states``, the 1e-6 robustness level in
-  ``relax``), and ``WITNESSLAB_TOL`` sets only the CLI's ``psd_tol``.
+  rule's own cut lives beside its code (``optim.NPT_CUT``, the 1e-9
+  Bell-weight slack in ``states``), and ``WITNESSLAB_TOL`` sets only the
+  CLI's ``psd_tol``.
 """
 
 from __future__ import annotations

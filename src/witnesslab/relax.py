@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, bounded_int
 from .qmat import DensityMatrix, _trusted_state, _two_spin_state, from_pauli_coords, pauli_coords
-from .optim import _robustness
+from .optim import NPT_CUT, _robustness
 from .witness import PauliWitness, _correlation_columns, _f_values
 
 # largest sweep grid: each point runs one robustness solve
@@ -48,7 +48,9 @@ class RelaxationParams:
 class SweepSeries:
     """Sampled decay curves plus the extracted characteristic times.
 
-    ``tau_c`` is the first zero crossing of the F curve (detection cutoff);
+    ``pt_min_values`` is lambda_min of each point's partial transpose, the
+    curve whose sign change ends GR (``crossing_time``).  ``tau_c`` is the
+    first zero crossing of the F curve (detection cutoff);
     ``tau_w`` and ``tau_r`` are 1/e times of log-linear exponential fits to
     the witness curve's distance from its equilibrium value and to the
     robustness curve.  Any of them is None when the corresponding feature
@@ -59,13 +61,14 @@ class SweepSeries:
     f_values: np.ndarray
     w_values: np.ndarray
     gr_values: np.ndarray
+    pt_min_values: np.ndarray
     tau_c: float | None
     tau_r: float | None
     tau_w: float | None
 
     def __post_init__(self):
         n = self.times.size
-        if not (self.f_values.size == self.w_values.size == self.gr_values.size == n):
+        if not all(v.size == n for v in (self.f_values, self.w_values, self.gr_values, self.pt_min_values)):
             raise DomainError("sweep arrays must share one length")
         if n >= 2 and not np.all(np.diff(self.times) > 0):
             raise DomainError("times must be strictly increasing")
@@ -108,12 +111,12 @@ def _fit_decay_time(times: np.ndarray, values: np.ndarray) -> float | None:
 
     Only points above 1e-3 of the initial magnitude enter the fit, which is
     made against t/t_max so that it behaves alike at every time scale;
-    returns None when the curve never decays, has too few usable points or
-    gives a time that overflows.
+    returns None when the curve never decays (its fitted values all equal
+    included), has too few usable points or gives a time that overflows.
     """
     v0 = abs(values[0])
     mask = values > 1e-3 * v0
-    if v0 <= 0 or mask.sum() < 2:
+    if v0 <= 0 or mask.sum() < 2 or np.ptp(values[mask]) == 0:
         return None
     t_max = float(times[-1])
     slope = float(np.polyfit(times[mask] / t_max, np.log(values[mask]), 1)[0])
@@ -148,7 +151,7 @@ def sweep(
     states = _relax(rho0.matrix, times, p)
     xx, yy, zz = _correlation_columns(states)
     f_vals, w_vals = _f_values(xx, zz), w.value(xx, yy, zz)
-    gr_vals, _, _, failures, _, _ = _robustness(states)
+    gr_vals, _, _, failures, _, _, pt_min = _robustness(states)
     if failures:
         k = min(failures)
         exc = failures[k]
@@ -163,6 +166,7 @@ def sweep(
         f_values=f_vals,
         w_values=w_vals,
         gr_values=gr_vals,
+        pt_min_values=pt_min,
         tau_c=_sign_change(times, f_vals),
         tau_r=_fit_decay_time(times, gr_vals),
         # the witness curve decays toward its maximally mixed value c_i, not zero
@@ -182,27 +186,14 @@ def _sign_change(times: np.ndarray, values: np.ndarray) -> float | None:
 
 
 def crossing_time(series: SweepSeries, quantity: str) -> float | None:
-    """Linearly interpolated end-of-detection time of one curve.
+    """Linearly interpolated end-of-detection time of one curve, or None when it never ends.
 
-    For F and W this is the first sign change; for GR the first descent below
-    1e-6.  GR is max(0, .) of a smooth curve, so interpolating across its
-    kink lands late by up to one grid step: when the curve already falls
-    into the bracket, the level is extrapolated from the last two points
-    above it, clamped into the bracketing interval.  None when the curve
-    never crosses.
+    F and W end at their first sign change.  For two qubits GR > 0 exactly
+    when the partial transpose has a negative eigenvalue (Sanpera, Tarrach &
+    Vidal, PRA 58, 826 (1998)), so GR ends at the first sign change of
+    lambda_min + NPT_CUT, the cut below which the solver solves a point.
     """
-    times = series.times
-    if quantity in ("F", "W"):
-        return _sign_change(times, series.f_values if quantity == "F" else series.w_values)
-    if quantity == "GR":
-        level = 1e-6
-        vals = series.gr_values
-        for k in range(vals.size - 1):
-            if vals[k] > level >= vals[k + 1]:
-                if k and vals[k - 1] > vals[k]:
-                    frac = (vals[k] - level) / (vals[k - 1] - vals[k])
-                    return float(min(times[k] + frac * (times[k] - times[k - 1]), times[k + 1]))
-                frac = (vals[k] - level) / (vals[k] - vals[k + 1])
-                return float(times[k] + frac * (times[k + 1] - times[k]))
-        return None
-    raise DomainError(f"quantity must be 'F', 'W' or 'GR', got {quantity!r}")
+    curves = {"F": series.f_values, "W": series.w_values, "GR": series.pt_min_values + NPT_CUT}
+    if quantity not in curves:
+        raise DomainError(f"quantity must be 'F', 'W' or 'GR', got {quantity!r}")
+    return _sign_change(series.times, curves[quantity])

@@ -6,9 +6,9 @@ from witnesslab import BellDiagonalParams, DensityMatrix, bell_diagonal, pauli_v
 from witnesslab.states import PAULI_LABELS
 
 
-def random_density_matrix(rng):
-    """Ginibre-distributed full-rank density matrix."""
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+def random_density_matrix(rng, rank=4):
+    """Ginibre-distributed density matrix, full rank unless a lower rank is asked for."""
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
 

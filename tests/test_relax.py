@@ -1,9 +1,12 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from conftest import random_density_matrix
+from conftest import bd, bd_weights, random_density_matrix
 from witnesslab import (
     BellKind,
     DensityMatrix,
@@ -15,11 +18,14 @@ from witnesslab import (
     crossing_time,
     expectation,
     grape_target_pipeline,
+    pseudo_pure,
     relax_channel,
     sweep,
 )
-from witnesslab.qmat import SIGMA_X, TWO_SPIN_LABELS, TWO_SPIN_PAULIS, HermitianOp
+from witnesslab.qmat import SIGMA_X, TWO_SPIN_LABELS, TWO_SPIN_PAULIS, HermitianOp, _pt_arr
+from witnesslab.optim import NPT_CUT
 from witnesslab.relax import _relax
+from witnesslab.witness import _correlation_columns
 
 PAPER_T2 = RelaxationParams(t1_i=10.0, t2_i=0.31, t1_s=10.0, t2_s=0.11)
 
@@ -263,13 +269,14 @@ def test_sweep_records_fitted_times():
 # crossing_time
 # ---------------------------------------------------------------------------
 
-def _series(times, f=None, w=None, gr=None):
+def _series(times, f=None, w=None, gr=None, pt_min=None):
     n = len(times)
     return SweepSeries(
         times=np.asarray(times, dtype=float),
         f_values=np.asarray(f if f is not None else np.zeros(n), dtype=float),
         w_values=np.asarray(w if w is not None else np.zeros(n), dtype=float),
         gr_values=np.asarray(gr if gr is not None else np.zeros(n), dtype=float),
+        pt_min_values=np.asarray(pt_min if pt_min is not None else np.zeros(n), dtype=float),
         tau_c=None,
         tau_r=None,
         tau_w=None,
@@ -296,17 +303,21 @@ def test_crossing_time_lands_in_bracketing_interval():
 
 
 def test_crossing_time_gr_level():
-    s = _series([0.0, 1.0, 2.0], gr=[1.0, 0.5, 0.0])
-    tc = crossing_time(s, "GR")
-    assert 1.0 < tc < 2.0
+    # GR ends where lambda_min of the partial transpose crosses -NPT_CUT, the solver's cut, not 0
+    s = _series([0.0, 1.0], pt_min=[-3.0 * NPT_CUT, NPT_CUT])
+    assert crossing_time(s, "GR") == pytest.approx(0.5, abs=1e-12)
+    # a state on the PPT boundary at t = 0 (lambda_min = 0) has no GR to end
+    assert crossing_time(_series([0.0, 1.0, 2.0], pt_min=[0.0, 0.1, 0.2]), "GR") is None
+    # the GR curve itself is not read: an NPT state over the whole grid never ends
+    assert crossing_time(_series([0.0, 1.0, 2.0], gr=[1.0, 0.5, 0.0], pt_min=[-1.0, -0.5, -0.1]), "GR") is None
 
 
-@pytest.mark.parametrize("gr, want", [
-    ([1.0, 0.9, 0.0], 2.0),  # the extrapolated level lies past the bracket: clamped to its end
-    ([0.0, 0.5, 0.0], 1.999998),  # rising into the bracket: interpolated across it
+@pytest.mark.parametrize("pt_min, want", [
+    ([-1.0, -0.9, 0.1], 1.9),  # interpolated across the last interval
+    ([-0.5, 0.5, 1.0], 0.5),  # the first sign change, not a later one
 ])
-def test_crossing_time_gr_stays_in_the_bracket(gr, want):
-    assert crossing_time(_series([0.0, 1.0, 2.0], gr=gr), "GR") == pytest.approx(want, abs=1e-12)
+def test_crossing_time_gr_stays_in_the_bracket(pt_min, want):
+    assert crossing_time(_series([0.0, 1.0, 2.0], pt_min=pt_min), "GR") == pytest.approx(want, abs=1e-9)
 
 
 @pytest.mark.parametrize("make_rho0, steps, tol", [
@@ -326,6 +337,78 @@ def test_crossing_time_gr_matches_the_closed_form_root(make_rho0, steps, tol):
     assert abs(crossing_time(series, "GR") - exact) <= tol
 
 
+def _bd_grid():
+    """The physical Bell-diagonal triples of a 9-point grid on [-1, 1]^3.
+
+    54 of them have lambda_min = 0 of the partial transpose exactly: PPT
+    states whose GR is never positive.
+    """
+    axis = np.linspace(-1.0, 1.0, 9)
+    return [c for c in itertools.product(axis, repeat=3) if bd_weights(c).min() >= 0.0]
+
+
+def test_crossing_time_gr_ends_exactly_where_the_robustness_reaches_zero():
+    grid = _bd_grid()
+    assert len(grid) == 249
+    ends = 0
+    for c in grid:
+        series = sweep(bd(*c), PAPER_T2, bell_witness(BellKind.PHI_MINUS), t_max=0.6, steps=100)
+        gr = series.gr_values
+        dies = bool(((gr[:-1] > 0.0) & (gr[1:] == 0.0)).any())
+        tau = crossing_time(series, "GR")
+        assert (tau is not None) == dies, c
+        if dies:
+            k = np.searchsorted(series.times, tau)
+            assert gr[k - 1] > 0.0 and gr[k] == 0.0, c
+        ends += dies
+    assert ends > 100
+
+
+def test_no_witness_outlives_the_robustness():
+    # W < 0 and F < 0 each imply an NPT state, so neither may end after GR
+    rng = np.random.default_rng(2026)
+    states = [random_density_matrix(rng, rank=2) for _ in range(60)]
+    states += [pseudo_pure(eps, bell_state(kind)) for kind in BellKind for eps in (0.5, 0.75, 1.0)]
+    states.append(grape_target_pipeline())
+    for rho0 in states:
+        series = sweep(rho0, PAPER_T2, bell_witness(BellKind.PHI_MINUS), t_max=0.6, steps=200)
+        tau_gr = crossing_time(series, "GR")
+        if tau_gr is None:  # NPT over the whole grid, or at no point of it
+            tau_gr = np.inf if series.pt_min_values[-1] < -NPT_CUT else -np.inf
+        tau_f = crossing_time(series, "F")
+        assert tau_f is None or tau_f <= tau_gr
+        xx, yy, zz = _correlation_columns(_relax(rho0.matrix, series.times, PAPER_T2))
+        for kind in BellKind:
+            w_series = dataclasses.replace(series, w_values=bell_witness(kind).value(xx, yy, zz))
+            tau_w = crossing_time(w_series, "W")
+            assert tau_w is None or tau_w <= tau_gr + 1e-9
+
+
+def _spin_s_rotated_phi_minus(theta):
+    u = np.kron(np.eye(2), np.array([[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]]))
+    return DensityMatrix(u @ bell_state(BellKind.PHI_MINUS).matrix @ u.T)
+
+
+@pytest.mark.parametrize("make_rho0", [
+    lambda: bell_state(BellKind.PHI_MINUS),
+    grape_target_pipeline,
+    lambda: _spin_s_rotated_phi_minus(0.2),
+    lambda: _spin_s_rotated_phi_minus(0.4),
+    lambda: _spin_s_rotated_phi_minus(1.0),
+], ids=["phi-", "grape", "rotated-0.2", "rotated-0.4", "rotated-1.0"])
+def test_crossing_time_gr_matches_the_ppt_root(make_rho0):
+    # the rotated states are not Bell-diagonal: the root is lambda_min of the partial transpose
+    rho0 = make_rho0()
+
+    def pt_min(t):
+        return np.linalg.eigvalsh(_pt_arr(relax_channel(rho0, t, PAPER_T2).matrix))[0]
+
+    exact = brentq(pt_min, 0.0, 0.6, xtol=1e-14)
+    for steps, tol in ((200, 1e-5), (2000, 2e-7)):
+        series = sweep(rho0, PAPER_T2, bell_witness(BellKind.PHI_MINUS), t_max=0.6, steps=steps)
+        assert abs(crossing_time(series, "GR") - exact) <= tol
+
+
 def test_crossing_time_rejects_unknown_quantity():
     with pytest.raises(DomainError):
         crossing_time(_series([0.0, 1.0]), "Q")
@@ -338,6 +421,7 @@ def test_series_validation():
             f_values=np.zeros(3),
             w_values=np.zeros(2),
             gr_values=np.zeros(2),
+            pt_min_values=np.zeros(2),
             tau_c=None,
             tau_r=None,
             tau_w=None,
@@ -348,7 +432,10 @@ def test_series_validation():
             f_values=np.zeros(2),
             w_values=np.zeros(2),
             gr_values=np.zeros(2),
+            pt_min_values=np.zeros(2),
             tau_c=None,
             tau_r=None,
             tau_w=None,
         )
+    with pytest.raises(DomainError):
+        _series([0.0, 1.0], pt_min=np.zeros(3))

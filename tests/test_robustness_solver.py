@@ -165,7 +165,8 @@ def test_an_all_ppt_stack_is_answered_without_a_solve(monkeypatch):
     ppt += [bd(*random_physical_c(rng)).matrix for _ in range(200)]
     ppt = np.array([m for m in ppt if np.linalg.eigvalsh(pt(m))[0] >= 0.0])
     assert len(ppt) > 20
-    values, iterations, omega, failures, lower, witness = optim._robustness(ppt)
+    values, iterations, omega, failures, lower, witness, pt_min = optim._robustness(ppt)
+    assert (pt_min >= -optim.NPT_CUT).all()
     assert not values.any() and not iterations.any() and not omega.any()
     assert not lower.any() and not witness.any()
     assert failures == {}
@@ -321,7 +322,7 @@ def test_dual_witness_of_a_bell_diagonal_state_is_the_optimal_witness_lp():
 def test_newton_steps_per_npt_solve_stay_within_budget():
     # a count, not a time: the predictor-corrector iterations on a fixed set of states
     states = entangled_states(np.random.default_rng(4205), 200)
-    _, iterations, _, failures, _, _ = optim._robustness(np.stack([rho.matrix for rho in states]))
+    _, iterations, _, failures, _, _, _ = optim._robustness(np.stack([rho.matrix for rho in states]))
     assert not failures
     assert iterations.mean() <= 12
     assert iterations.max() <= 20

@@ -55,7 +55,7 @@ def check_certified(rho, values, iterations, omega, lower, witness):
 
 def test_every_seeded_ginibre_solve_is_certified():
     rho = ginibre_states(np.random.default_rng(20261018), 2400)
-    values, iterations, omega, failures, lower, witness = optim._robustness(rho)
+    values, iterations, omega, failures, lower, witness, _ = optim._robustness(rho)
     assert not failures
     npt = check_certified(rho, values, iterations, omega, lower, witness)
     assert npt.sum() > 2000
@@ -64,7 +64,7 @@ def test_every_seeded_ginibre_solve_is_certified():
 
 def test_named_states_are_certified_alone_and_together():
     rho = named_states()
-    values, iterations, omega, failures, lower, witness = optim._robustness(rho)
+    values, iterations, omega, failures, lower, witness, _ = optim._robustness(rho)
     assert not failures
     npt = check_certified(rho, values, iterations, omega, lower, witness)
     assert npt.all()

@@ -7,6 +7,7 @@ every entangled point in one interior-point loop.  Each point must still equal
 count and dual bound, and a point whose solve fails must name its sweep time.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -72,8 +73,9 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
     series = sweep(rho0, PAPER_T2, w, t_max, steps)
     # the solver's own iteration counts and dual bounds for the grid, formed as the sweep forms them
     states = relax._relax(rho0.matrix, series.times, PAPER_T2)
-    _, iterations, _, failures, lower, witness = optim._robustness(states)
+    _, iterations, _, failures, lower, witness, pt_min = optim._robustness(states)
     assert not failures
+    assert np.array_equal(pt_min, series.pt_min_values)
     solved = 0
     for k, t in enumerate(series.times):
         rho_t = relax_channel(rho0, float(t), PAPER_T2)
@@ -98,7 +100,7 @@ def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
     states = np.concatenate([states, relax._relax(bell_state(BellKind.PHI_MINUS).matrix, times, PAPER_T2)])
     for cap in (2, 5):
         monkeypatch.setattr(optim, "_MAX_ITERATIONS", cap)
-        _, _, _, failures, _, _ = optim._robustness(states)
+        _, _, _, failures, _, _, _ = optim._robustness(states)
         assert failures
         for k, exc in failures.items():
             with pytest.raises(ConvergenceError) as single:
@@ -156,12 +158,14 @@ def test_a_time_grid_that_repeats_a_time_is_rejected_before_any_solve(monkeypatc
 
 
 def test_fitted_times_are_none_when_t_max_is_too_small_to_fit():
-    # exp(-t/T) rounds to 1 at every t <= 1e-200, so no curve decays
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        series = sweep(bell_state(BellKind.PHI_MINUS), RelaxationParams(), bell_witness(BellKind.PHI_MINUS),
-                       1e-200, 3)
-    assert series.tau_r is None and series.tau_w is None
+    # exp(-t/T) rounds to 1 at every t <= 1e-20, so each curve repeats one value: a fit would read its slope off rounding
+    for t_max, steps in itertools.product([1e-20, 1e-200, 1e-320], [2, 3, 5, 200]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = sweep(bell_state(BellKind.PHI_MINUS), RelaxationParams(), bell_witness(BellKind.PHI_MINUS),
+                           t_max, steps)
+        assert np.ptp(series.gr_values) == np.ptp(series.w_values) == 0.0, (t_max, steps)
+        assert series.tau_r is None and series.tau_w is None, (t_max, steps)
 
 
 # t/T overflows to infinity at the first; the second has the ratios of all T = 1 at t_max = 1
