@@ -1,6 +1,7 @@
 """Optimization kernel: generalized robustness of entanglement computed as a
-two-cone semidefinite program by a primal-dual interior-point method (exact
-for two qubits via the positive partial transpose criterion)."""
+two-cone semidefinite program by a primal-dual interior-point method, or in
+closed form where the two-qubit bracket already closes to the solver's gap
+(exact for two qubits via the positive partial transpose criterion)."""
 
 from __future__ import annotations
 
@@ -42,10 +43,14 @@ class RobustnessResult:
 
     ``value`` is the minimal trace of a PSD operator omega such that
     rho + omega has a positive partial transpose; ``certificate_state`` is
-    omega normalized to unit trace whenever value > 0.  ``witness`` = Z_2^PT,
-    from the final dual iterate, has witness <= 1 and witness^PT >= 0, so
-    ``lower`` = -Tr(witness rho) bounds the robustness from below, within
-    1e-8 of ``value``.  A PPT state has value and lower 0 and no witness.
+    omega normalized to unit trace whenever value > 0.  ``witness`` = Z_2^PT
+    has witness <= 1 and witness^PT >= 0, so ``lower`` = -Tr(witness rho)
+    bounds the robustness from below, within 1e-8 of ``value``.  They come
+    from the final dual iterate of the interior-point solver, or, where the
+    closed-form bracket of ``_bracket`` already closes within 1e-8, from its
+    primal omega and dual witness with no solve.  ``iterations`` counts
+    interior-point iterations, so it is 0 on that closed path as well as for
+    a PPT state.  A PPT state has value and lower 0 and no witness.
 
     By the duality of Brandao, PRA 72, 022310 (2005), ``witness`` is the
     optimal witness of rho with W <= 1: it minimizes Tr(W rho) over every W
@@ -276,19 +281,57 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray):
     return x_out, z_out, iterations, failures
 
 
+def _bracket(m: np.ndarray, lam_min: np.ndarray):
+    """Closed-form bounds L <= GR <= U of NPT points, and the certificate and witness of the points where they close.
+
+    m is the (k, 4, 4) stack of partial transposes and lam_min their
+    smallest eigenvalues.  For two qubits m has at most one negative
+    eigenvalue lam (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)); let e be
+    its eigenvector, with Schmidt coefficients a >= b.  The dual witness
+    Z_2^PT with Z_2 = |e><e| / a^2 gives L = |lam| / a^2 (Brandao, PRA 72,
+    022310 (2005)).  The primal omega = c ((|e><e|)^PT + ab 1) with
+    c = |lam| / (1 + ab) is PSD, and so is (rho + omega)^PT =
+    m + c |e><e| + c ab 1, so U = Tr omega = |lam| (1 + 4ab) / (1 + ab).
+    When e is maximally entangled, as for every state with no local Bloch
+    vectors and every pure state, L = U = 2 |lam|.  a^2 - b^2 is taken as
+    the length of the Bloch vector of e's reduced matrix on spin I, which
+    keeps a^2 accurate near 1/2, where sqrt(1 - 4 a^2 b^2) would cancel to
+    about 1e-8.  Returns L and U of every point, the mask of the points
+    with U - L < _GAP (the certificate contract of a finished solve), and
+    omega and the witness of those points, or None for both when no point
+    closes.
+    """
+    e = _umath_linalg.eigh_lo(m, signature="D->dD")[1][..., 0].reshape(-1, 2, 2)  # e_ij on |i>_I |j>_S
+    r = e @ e.conj().swapaxes(-1, -2)
+    a2_twice = 1.0 + np.hypot(r[:, 0, 0].real - r[:, 1, 1].real, 2.0 * np.abs(r[:, 0, 1]))
+    ab_twice = np.sqrt(a2_twice * (2.0 - a2_twice))
+    lower, upper = lam_min * (-2.0 / a2_twice), lam_min * (6.0 / (2.0 + ab_twice) - 4.0)
+    closed = upper - lower < _GAP
+    if not np.count_nonzero(closed):
+        return lower, upper, closed, None, None
+    vec, ab, neg = e[closed].reshape(-1, 4), 0.5 * ab_twice[closed], -lam_min[closed]
+    proj_pt = _pt_arr(vec[:, :, None] * vec[:, None, :].conj())  # (|e><e|)^PT
+    omega = (neg / (1.0 + ab))[:, None, None] * (proj_pt + ab[:, None, None] * np.eye(4))
+    return lower, upper, closed, omega, proj_pt * (2.0 / a2_twice[closed])[:, None, None]
+
+
 def _robustness(rho: np.ndarray):
     """Generalized robustness of each state of a (k, 4, 4) stack of density matrices.
 
     Points whose partial transpose has lambda_min >= -NPT_CUT are PPT, 0
-    without a solve.  The NPT points are solved together by _central_path,
-    the HKM predictor-corrector method (Helmberg, Rendl, Vanderbei &
-    Wolkowicz 1996; Mehrotra 1992) from a feasible start, each to a duality
-    gap below 1e-8, in chunks of _CHUNK, which bounds the solver's
-    temporaries; the chunks stop at the first one with a failure.  Returns
-    the values, the iterations, the optimal omegas (zero for PPT points),
-    the failures by index, the dual fields of the final iterates (the lower
-    bounds -Tr(m Z_2) and the witnesses Z_2^PT, zero for PPT points), and
-    the lambda_min of every point's partial transpose.
+    without a solve.  An NPT point whose closed-form bracket (_bracket)
+    closes to below the solver's gap takes it, with no iteration: every
+    state with no local Bloch vectors, every pure state and any state with
+    a tiny |lambda_min|.  The other NPT points are solved together by
+    _central_path, the HKM predictor-corrector method (Helmberg, Rendl,
+    Vanderbei & Wolkowicz 1996; Mehrotra 1992) from a feasible start, each
+    to a duality gap below 1e-8, in chunks of _CHUNK, which bounds the
+    solver's temporaries; the chunks stop at the first one with a failure.
+    Returns the values, the interior-point iterations (0 on the closed
+    path), the optimal omegas (zero for PPT points), the failures by index,
+    the dual fields (the lower bounds -Tr(m Z_2) and the witnesses Z_2^PT,
+    zero for PPT points), and the lambda_min of every point's partial
+    transpose.
     """
     m = _pt_arr(rho)
     lam_min = np.linalg.eigvalsh(m)[:, 0]
@@ -297,8 +340,16 @@ def _robustness(rho: np.ndarray):
     iterations = np.zeros(len(m), dtype=int)
     omega, witness = np.zeros(m.shape, dtype=complex), np.zeros(m.shape, dtype=complex)
     failures = {}
-    for start in range(0, len(npt), _CHUNK):
-        idx = npt[start:start + _CHUNK]
+    solve = npt
+    if len(npt):  # a PPT stack skips the bracket's eigh, which costs as much as its eigvalsh
+        low, high, closed, closed_omega, closed_witness = _bracket(m[npt], lam_min[npt])
+        if closed_omega is not None:
+            idx = npt[closed]
+            values[idx], omega[idx], witness[idx] = high[closed], closed_omega, closed_witness
+            lower[idx] = np.minimum(low[closed], values[idx])  # L can exceed U = 2 |lam| by rounding
+        solve = npt[~closed]
+    for start in range(0, len(solve), _CHUNK):
+        idx = solve[start:start + _CHUNK]
         x, z2, iterations[idx], chunk_failures = _central_path(m[idx], lam_min[idx])
         if chunk_failures:
             failures = {int(idx[i]): exc for i, exc in chunk_failures.items()}
@@ -315,21 +366,27 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
 
     Separability of two qubits is exactly positivity of the partial
     transpose, so this value is the minimal weight of an arbitrary state that
-    must be mixed in before rho turns separable.  Solved as a semidefinite
-    program by a feasible-start primal-dual interior-point method: HKM
-    directions (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) with Mehrotra's
-    predictor-corrector (1992), from omega a multiple of the identity and
-    the dual Z_1 = Z_2 = 1/2, until the duality gap is below 1e-8.  Every
-    iterate is strictly feasible, so the certificate always verifies, and
-    the final dual iterate gives the result's ``lower`` bound and
-    ``witness``.  This is the one-point case of the batched solver that
-    ``relax.sweep`` runs over a whole time grid.
+    must be mixed in before rho turns separable.  When the closed-form
+    bracket L = |lam| / a^2 <= GR <= U = |lam| (1 + 4ab) / (1 + ab) of the
+    negative eigenvalue lam of rho^PT and the Schmidt coefficients a >= b
+    of its eigenvector (Sanpera, Tarrach & Vidal 1998; Brandao 2005)
+    closes within 1e-8, as for every state with no local Bloch vectors and
+    every pure state, the result is U with L as ``lower`` and no iteration.
+    Otherwise it is solved as a semidefinite program by a feasible-start
+    primal-dual interior-point method: HKM directions (Helmberg, Rendl,
+    Vanderbei & Wolkowicz 1996) with Mehrotra's predictor-corrector (1992),
+    from omega a multiple of the identity and the dual Z_1 = Z_2 = 1/2,
+    until the duality gap is below 1e-8.  Every iterate is strictly
+    feasible, so the certificate always verifies, and the final dual
+    iterate gives the result's ``lower`` bound and ``witness``.  This is the
+    one-point case of the batched solver that ``relax.sweep`` runs over a
+    whole time grid.
     """
     _two_spin_state(rho, "generalized_robustness")
     values, iterations, omega, failures, lower, witness, _ = _robustness(rho.matrix[None])
     if failures:
         raise failures[0]
-    if iterations[0] == 0:
+    if values[0] == 0:
         return RobustnessResult(value=0.0, certificate_state=None, iterations=0, lower=0.0, witness=None)
     value = float(values[0])
     return RobustnessResult(

@@ -99,8 +99,9 @@ class DensityMatrix(HermitianOp):
     rule: the matrix is a state by construction, the image of a validated
     state under a unitary or a CPTP map (``Gate.apply``, ``relax_channel``),
     a tomography result whose spectrum was just checked or clipped
-    (``pauli_tomography``), or the robustness solver's certificate (omega
-    over its trace, positive definite by the solver's last Cholesky factor).
+    (``pauli_tomography``), or the robustness certificate (omega over its
+    trace: positive definite by the solver's last Cholesky factor, or PSD
+    by construction on the closed-form path).
     So the tolerance judges inputs, never the program's own rounding.
     """
 

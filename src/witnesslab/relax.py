@@ -175,14 +175,22 @@ def sweep(
 
 
 def _sign_change(times: np.ndarray, values: np.ndarray) -> float | None:
-    """Linearly interpolated time of the first sign change of values, or None."""
-    for k in range(values.size - 1):
-        if values[k] * values[k + 1] < 0:
-            frac = values[k] / (values[k] - values[k + 1])
-            return float(times[k] + frac * (times[k + 1] - times[k]))
-        if values[k] == 0.0 and values[k + 1] != 0.0:
-            return float(times[k])
-    return None
+    """Linearly interpolated time of the first sign change of values, or None.
+
+    Zeros change the sign only between nonzero values of opposite signs, and
+    the change is at the first of them; a curve that starts at 0, or touches
+    0 and keeps its sign, has no change there.
+    """
+    nonzero = np.flatnonzero(values)
+    negative = values[nonzero] < 0
+    changes = np.flatnonzero(negative[1:] != negative[:-1])
+    if not changes.size:
+        return None
+    j, k = nonzero[changes[0]], nonzero[changes[0] + 1]
+    if k > j + 1:
+        return float(times[j + 1])
+    frac = values[j] / (values[j] - values[k])
+    return float(times[j] + frac * (times[k] - times[j]))
 
 
 def crossing_time(series: SweepSeries, quantity: str) -> float | None:

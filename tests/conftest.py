@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from witnesslab import BellDiagonalParams, DensityMatrix, bell_diagonal, pauli_vector
+from witnesslab import BellDiagonalParams, DensityMatrix, bell_diagonal, partial_transpose, pauli_vector
 from witnesslab.states import PAULI_LABELS
 
 
@@ -11,6 +11,19 @@ def random_density_matrix(rng, rank=4):
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
+
+
+def entangled_ginibre(seed):
+    """The first full-rank Ginibre state of a seeded stream with lambda_min(rho^PT) < -0.05.
+
+    Its negative eigenvector is not maximally entangled, so the closed-form
+    robustness bracket stays open and the interior-point solver runs.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        rho = random_density_matrix(rng)
+        if np.linalg.eigvalsh(partial_transpose(rho).matrix)[0] < -0.05:
+            return rho
 
 
 def random_physical_c(rng):
@@ -29,6 +42,12 @@ def bd_weights(c):
 
 def bd(c1, c2, c3):
     return bell_diagonal(BellDiagonalParams(c1, c2, c3))
+
+
+def haar_unitary(rng):
+    """A Haar-random 2x2 unitary: QR of a complex Gaussian matrix, phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def local_coords(rho):

@@ -123,7 +123,7 @@ def test_robustness_phi_minus(capsys):
     doc = run_json(capsys, "robustness", "--state", "bell:phi-")
     assert abs(doc["value"] - 1.0) < 1e-6
     assert doc["certificate_residual"] >= 0.0
-    assert doc["iterations"] > 0
+    assert doc["iterations"] == 0  # the closed-form bracket is exact on a Bell state: no interior-point iteration
 
 
 def test_robustness_identity(capsys):
@@ -383,6 +383,13 @@ def test_relax_sweep_with_a_tiny_tmax_fits_no_decay_time():
     proc = run_subprocess("relax-sweep", "--tmax", "1e-200", "--steps", "3")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "# tau_c=none tau_r=none tau_w=none" in proc.stdout
+
+
+def test_relax_sweep_of_a_curve_that_starts_at_zero_has_no_cutoff(capsys):
+    # F = 0 exactly at t = 0 for bd:0,0,1, then positive: no detection ends
+    code, out, _ = run(capsys, "relax-sweep", "--state", "bd:0,0,1", "--steps", "5", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[2].startswith("# tau_c=none ")
 
 
 def fitted_taus(proc):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import bd, bd_weights, random_density_matrix, random_physical_c
+from conftest import bd, bd_weights, entangled_ginibre, random_density_matrix, random_physical_c
 from witnesslab import (
     BellDiagonalParams,
     BellKind,
@@ -122,7 +122,7 @@ def test_robustness_agrees_with_oracle_on_bell_diagonal_sample():
 def test_robustness_iteration_cap_raises_with_bounds(monkeypatch):
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
     with pytest.raises(ConvergenceError, match="3-iteration cap") as err:
-        generalized_robustness(bell_state(BellKind.PHI_MINUS))
+        generalized_robustness(entangled_ginibre(11))
     assert err.value.lower is not None and err.value.upper is not None
     assert err.value.lower <= err.value.upper
 

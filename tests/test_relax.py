@@ -293,6 +293,19 @@ def test_crossing_time_none_when_no_sign_change():
     assert crossing_time(s, "F") is None
 
 
+@pytest.mark.parametrize("f, want", [
+    ([0.0, 1.0, 2.0], None),  # starts at 0 and rises: nothing ended
+    ([0.0, 0.0, -1.0], None),  # starts at 0 and falls: no nonzero value before the zeros
+    ([-1.0, 0.0, -2.0], None),  # touches 0 and keeps its sign
+    ([1.0, 0.0, 0.0], None),  # ends on zeros
+    ([-1.0, 0.0, 1.0], 1.0),  # a zero between opposite signs is the change
+    ([-1.0, 0.0, 0.0, 1.0], 1.0),  # the first of the zeros between them
+    ([-2.0, -1.0, 0.0, 3.0], 2.0),
+])
+def test_a_zero_is_a_sign_change_only_between_opposite_signs(f, want):
+    assert crossing_time(_series(np.arange(len(f), dtype=float), f=f), "F") == want
+
+
 def test_crossing_time_lands_in_bracketing_interval():
     times = np.linspace(0.0, 1.0, 11)
     vals = np.linspace(-0.33, 0.41, 11)
@@ -362,6 +375,22 @@ def test_crossing_time_gr_ends_exactly_where_the_robustness_reaches_zero():
             assert gr[k - 1] > 0.0 and gr[k] == 0.0, c
         ends += dies
     assert ends > 100
+
+
+def test_a_witness_that_starts_at_zero_on_the_grid_never_ends_at_time_zero():
+    # W = 0 exactly at t = 0 on some octahedron faces, then positive: no detection to end
+    starts_at_zero = 0
+    for c in _bd_grid():
+        series = sweep(bd(*c), PAPER_T2, bell_witness(BellKind.PHI_MINUS), t_max=0.6, steps=20)
+        xx, yy, zz = _correlation_columns(_relax(bd(*c).matrix, series.times, PAPER_T2))
+        for kind in BellKind:
+            w = bell_witness(kind).value(xx, yy, zz)
+            tau = crossing_time(dataclasses.replace(series, w_values=w), "W")
+            assert tau is None or tau > 0.0, (c, kind)
+            if w[0] == 0.0:
+                starts_at_zero += 1
+                assert (tau is None) == bool((w[1:] >= 0.0).all()), (c, kind)
+    assert starts_at_zero == 60  # 15 grid points under each Bell witness
 
 
 def test_no_witness_outlives_the_robustness():

@@ -1,0 +1,109 @@
+"""The closed-form two-qubit robustness bracket L <= GR <= U.
+
+rho^PT has at most one negative eigenvalue lam; with e its eigenvector and
+a >= b the Schmidt coefficients of e, L = |lam| / a^2 comes from the dual
+witness (|e><e|)^PT / a^2 and U = |lam| (1 + 4ab) / (1 + ab) from an explicit
+primal omega.  Where U - L is below the solver's gap the robustness takes
+the closed form with no interior-point iteration.  These checks hold the
+bracket against the solver, the Bell-diagonal oracle and 2 |lam|.
+"""
+
+import numpy as np
+
+from conftest import bd, bd_weights, haar_unitary, random_physical_c
+from test_robustness_stress import check_certified, ginibre_states, named_states
+from witnesslab import BellDiagonalParams, DensityMatrix, generalized_robustness, gr_oracle_bd
+from witnesslab import optim
+from witnesslab.qmat import _pt_arr, from_pauli_coords
+
+GAP = 1e-8
+
+
+def npt_bracket(rho):
+    """L, U and the closed mask of the NPT states of a (k, 4, 4) stack, with those states and their lambda_min."""
+    m = _pt_arr(rho)
+    lam = np.linalg.eigvalsh(m)[:, 0]
+    npt = lam < -optim.NPT_CUT
+    low, high, closed, _, _ = optim._bracket(m[npt], lam[npt])
+    return low, high, closed, rho[npt], lam[npt]
+
+
+def rotated_bell_diagonal(rng, n):
+    """n entangled Bell-diagonal states, each turned by a random local unitary on both spins."""
+    out = []
+    while len(out) < n:
+        c = random_physical_c(rng)
+        if bd_weights(c).max() > 0.5 + 1e-3:
+            u = np.kron(haar_unitary(rng), haar_unitary(rng))
+            out.append(u @ bd(*c).matrix @ u.conj().T)
+    return np.stack(out)
+
+
+def pure_states(rng, n):
+    """n Haar-random pure two-qubit states |psi><psi|."""
+    psi = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    return psi[:, :, None] * psi[:, None, :].conj()
+
+
+def stress_sets():
+    return np.concatenate([ginibre_states(np.random.default_rng(20261018), 2400), named_states()])
+
+
+def test_the_bracket_holds_the_robustness_on_the_stress_sets():
+    rho = stress_sets()
+    low, high, _, _, _ = npt_bracket(rho)
+    values, _, _, failures, lower, _, lam = optim._robustness(rho)
+    assert not failures
+    npt = lam < -optim.NPT_CUT
+    assert npt.sum() > 2000
+    # L <= GR <= value to rounding, and value <= U within the solver's gap
+    assert np.all(low <= values[npt] * (1.0 + 1e-14))
+    assert np.all(values[npt] <= high + GAP)
+    assert np.all(low - GAP <= lower[npt])
+    assert np.all(high >= low * (1.0 - 1e-14))
+
+
+def test_the_bracket_is_exact_on_rotated_bell_diagonal_and_pure_states():
+    rng = np.random.default_rng(5501)
+    for rho in (rotated_bell_diagonal(rng, 200), pure_states(rng, 200)):
+        low, high, closed, states, lam = npt_bracket(rho)
+        assert len(states) == len(rho) and closed.all()
+        np.testing.assert_allclose(low, -2.0 * lam, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(high, -2.0 * lam, rtol=0, atol=1e-12)
+
+
+def test_the_closed_form_is_certified_on_rotated_bell_diagonal_states():
+    rho = rotated_bell_diagonal(np.random.default_rng(5502), 200)
+    values, iterations, omega, failures, lower, witness, _ = optim._robustness(rho)
+    assert not failures and not iterations.any()
+    assert check_certified(rho, values, iterations, omega, lower, witness).all()
+    for k in range(0, len(rho), 20):  # one point alone takes the same path, bit for bit
+        result = generalized_robustness(DensityMatrix(rho[k]))
+        assert (result.value, result.lower, result.iterations) == (values[k], lower[k], 0)
+        assert np.array_equal(result.witness.matrix, witness[k])
+
+
+def test_the_closed_form_equals_the_bell_diagonal_oracle():
+    rng = np.random.default_rng(5503)
+    checked = 0
+    while checked < 200:
+        c = random_physical_c(rng)
+        if bd_weights(c).max() <= 0.5 + 1e-9:
+            continue
+        result = generalized_robustness(bd(*c))
+        assert result.iterations == 0
+        assert abs(result.value - gr_oracle_bd(BellDiagonalParams(*c))) <= 1e-12
+        checked += 1
+
+
+def test_the_closed_form_is_within_the_gap_of_a_forced_solve():
+    rng = np.random.default_rng(5504)
+    rho = np.concatenate([stress_sets(), rotated_bell_diagonal(rng, 100), pure_states(rng, 100)])
+    values, iterations, _, _, _, _, lam = optim._robustness(rho)
+    closed = (lam < -optim.NPT_CUT) & (iterations == 0)
+    assert closed.sum() > 800
+    x, _, forced_iterations, failures = optim._central_path(_pt_arr(rho[closed]), lam[closed])
+    assert not failures and forced_iterations.all()
+    forced = np.trace(from_pauli_coords(x), axis1=-2, axis2=-1).real
+    np.testing.assert_allclose(values[closed], forced, rtol=0, atol=GAP)

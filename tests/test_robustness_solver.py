@@ -6,7 +6,7 @@ no reference solution."""
 import numpy as np
 import pytest
 
-from conftest import bd, bd_weights, random_density_matrix, random_physical_c
+from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_density_matrix, random_physical_c
 from witnesslab import (
     BellKind,
     ConvergenceError,
@@ -114,7 +114,8 @@ def test_newton_system_matches_finite_differences_of_the_barrier(t):
 
 
 def test_cholesky_failure_raises_with_bounds(monkeypatch):
-    rho = bell_state(BellKind.PHI_MINUS)  # rho^PT has min eigenvalue -1/2, robustness 1
+    rho = entangled_ginibre(13)  # its bracket stays open, so the solver runs
+    lam_min = np.linalg.eigvalsh(pt(rho.matrix))[0]
     calls = []
 
     def never_positive_definite(blocks):
@@ -126,13 +127,14 @@ def test_cholesky_failure_raises_with_bounds(monkeypatch):
     with pytest.raises(ConvergenceError, match="not positive definite") as err:
         generalized_robustness(rho)
     assert len(calls) == 1  # the start point's check, and no step taken after it
-    start = 4.0 * (1.5 * 0.5 + 0.05)  # Tr of the start point omega = x_0 * identity
+    start = 4.0 * (1.5 * -lam_min + 0.05)  # Tr of the start point omega = x_0 * identity
     assert err.value.upper == pytest.approx(start)
     assert err.value.lower == 0.0  # the start's gap 4 x_0 + 1/2 exceeds its value
 
 
 def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
-    rho = bell_state(BellKind.PHI_MINUS)
+    rho = entangled_ginibre(13)
+    value = generalized_robustness(rho).value
     cholesky = optim._cholesky
     calls = []
 
@@ -152,7 +154,7 @@ def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
     gap = sum(np.trace(s[b] @ z[b]).real for b in range(2))
     assert err.value.upper == pytest.approx(upper, rel=1e-14)
     assert err.value.lower == pytest.approx(max(0.0, upper - gap), rel=1e-12, abs=1e-15)
-    assert 0.0 <= err.value.lower <= 1.0 <= err.value.upper
+    assert 0.0 <= err.value.lower <= value <= err.value.upper
 
 
 def test_an_all_ppt_stack_is_answered_without_a_solve(monkeypatch):
@@ -237,11 +239,6 @@ def test_one_shared_right_hand_side_solves_as_one_per_row():
         per_row = optim._schur_solve(mm, np.tile(shared, (n, 1)))
     assert np.all(np.isfinite(dx))
     assert np.array_equal(dx, per_row)
-
-
-def haar_unitary(rng):
-    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def entangled_states(rng, n):

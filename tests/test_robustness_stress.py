@@ -1,5 +1,7 @@
 """The robustness solver on a large seeded set: every solve converges, with
 a certified gap of at most 1e-8 and a certificate that verifies to 1e-9.
+The pure and Bell-like states take the closed-form bracket, which must meet
+the same certificate checks with no interior-point iteration.
 
 The inputs are 2,400 Ginibre states of rank 1 to 4 (rank-deficient states
 put the optimum on the boundary of both cones, where an interior-point
@@ -37,11 +39,14 @@ def named_states():
 
 def check_certified(rho, values, iterations, omega, lower, witness):
     npt = np.linalg.eigvalsh(_pt_arr(rho))[:, 0] < -1e-12
-    assert np.array_equal(iterations > 0, npt)
-    assert not values[~npt].any() and not lower[~npt].any()
+    assert np.array_equal(values > 0, npt)
+    assert not iterations[~npt].any() and not lower[~npt].any()
+    # lower <= value exactly on both paths: a solve stops inside its gap, and the
+    # closed form (no iteration) clamps L to U where they differ by rounding
     gap = values[npt] - lower[npt]
     assert np.all(gap >= 0.0) and np.all(gap <= GAP)
-    # the primal certificate: (rho + omega)^PT >= 0, with omega >= 0
+    # the primal certificate: (rho + omega)^PT >= 0, with omega >= 0 and Tr omega = value
+    np.testing.assert_allclose(np.trace(omega[npt], axis1=1, axis2=2).real, values[npt], rtol=0, atol=1e-12)
     mix = (rho[npt] + omega[npt]) / (1.0 + values[npt])[:, None, None]
     assert np.linalg.eigvalsh(_pt_arr(mix))[:, 0].min() >= -RESIDUAL
     assert np.linalg.eigvalsh(omega[npt])[:, 0].min() >= -RESIDUAL
@@ -60,6 +65,11 @@ def test_every_seeded_ginibre_solve_is_certified():
     npt = check_certified(rho, values, iterations, omega, lower, witness)
     assert npt.sum() > 2000
     assert iterations[npt].max() <= 20
+    # every pure state (rank 1, every fourth) takes the closed form, whose bracket closes to rounding
+    pure = np.arange(len(rho)) % 4 == 0
+    assert npt[pure].all() and not iterations[pure].any()
+    assert np.all(values[pure] - lower[pure] <= 1e-15)
+    assert iterations[~pure & npt].all()
 
 
 def test_named_states_are_certified_alone_and_together():
@@ -69,6 +79,9 @@ def test_named_states_are_certified_alone_and_together():
     npt = check_certified(rho, values, iterations, omega, lower, witness)
     assert npt.all()
     np.testing.assert_allclose(values, [1, 1, 1, 1, 0.01, 1.5e-4, 0.2], rtol=0, atol=GAP)
+    # Bell-diagonal and pure (GRAPE) states: the closed form, with no interior-point iteration
+    assert not iterations.any()
+    assert np.array_equal(lower[:6], values[:6]) and values[6] - lower[6] <= 1e-15
     for k, matrix in enumerate(rho):
         result = generalized_robustness(DensityMatrix(matrix))
         assert (result.value, result.lower, result.iterations) == (values[k], lower[k], iterations[k])

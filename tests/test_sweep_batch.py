@@ -1,7 +1,8 @@
 """The batched sweep against its one-point functions.
 
-``sweep`` relaxes the whole time grid as one coordinate array and solves
-every entangled point in one interior-point loop.  Each point must still equal
+``sweep`` relaxes the whole time grid as one coordinate array, takes the
+closed-form robustness wherever its bracket closes and solves every other
+entangled point in one interior-point loop.  Each point must still equal
 ``f_witness_state``, ``eval_witness`` and ``generalized_robustness`` of
 ``relax_channel(rho0, float(t), p)`` bit for bit, with the same iteration
 count and dual bound, and a point whose solve fails must name its sweep time.
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from conftest import random_density_matrix
+from conftest import entangled_ginibre
 from witnesslab import (
     BellKind,
     ConvergenceError,
@@ -47,28 +48,23 @@ def rotated_pseudo_pure():
     return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
-def entangled_ginibre(seed):
-    rng = np.random.default_rng(seed)
-    while True:
-        rho = random_density_matrix(rng)
-        if np.linalg.eigvalsh(_pt_arr(rho.matrix))[0] < -0.05:
-            return rho
-
-
+# the last field says whether the entangled points take the closed-form bracket (no local
+# Bloch vectors: Bell-diagonal states and their local rotations) or the interior-point solver
 CASES = {
-    "phi-": (bell_state(BellKind.PHI_MINUS), 0.6, 200),
-    "rotated-pseudo-pure": (rotated_pseudo_pure(), 0.6, 200),
-    "ginibre-1": (entangled_ginibre(1), 0.6, 200),
-    "ginibre-2": (entangled_ginibre(2), 0.6, 200),
-    "ginibre-3": (entangled_ginibre(3), 0.6, 200),
+    "phi-": (bell_state(BellKind.PHI_MINUS), 0.6, 200, True),
+    "rotated-pseudo-pure": (rotated_pseudo_pure(), 0.6, 200, True),
+    "ginibre-1": (entangled_ginibre(1), 0.6, 200, False),
+    "ginibre-2": (entangled_ginibre(2), 0.6, 200, False),
+    "ginibre-3": (entangled_ginibre(3), 0.6, 200, False),
     # every point entangled and more of them than one chunk holds
-    "phi-, two chunks": (bell_state(BellKind.PHI_MINUS), 0.25, optim._CHUNK + 44),
+    "phi-, two chunks": (bell_state(BellKind.PHI_MINUS), 0.25, optim._CHUNK + 44, True),
+    "ginibre-3, two chunks": (entangled_ginibre(3), 0.05, optim._CHUNK + 44, False),
 }
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
-    rho0, t_max, steps = CASES[name]
+    rho0, t_max, steps, closed_form = CASES[name]
     w = bell_witness(BellKind.PHI_MINUS)
     series = sweep(rho0, PAPER_T2, w, t_max, steps)
     # the solver's own iteration counts and dual bounds for the grid, formed as the sweep forms them
@@ -76,7 +72,6 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
     _, iterations, _, failures, lower, witness, pt_min = optim._robustness(states)
     assert not failures
     assert np.array_equal(pt_min, series.pt_min_values)
-    solved = 0
     for k, t in enumerate(series.times):
         rho_t = relax_channel(rho0, float(t), PAPER_T2)
         assert np.array_equal(rho_t.matrix, states[k])
@@ -88,10 +83,10 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
         assert single.lower == lower[k]
         if single.witness is not None:
             assert np.array_equal(single.witness.matrix, witness[k])
-        solved += single.iterations > 0
-    assert solved > 0
+    entangled, solved = series.gr_values > 0, iterations > 0
+    assert entangled.any() and np.array_equal(solved, entangled & (not closed_form))
     if steps > optim._CHUNK:
-        assert solved > optim._CHUNK  # the solve crossed a chunk boundary
+        assert entangled.sum() > optim._CHUNK  # the entangled points fill more than one chunk
 
 
 def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
@@ -110,9 +105,9 @@ def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
 
 
 def test_sweep_names_the_earliest_failing_time(monkeypatch):
-    rho0 = bell_state(BellKind.PHI_MINUS)
+    rho0 = entangled_ginibre(3)  # entangled at every grid time, and each point goes to the solver
     w = bell_witness(BellKind.PHI_MINUS)
-    times = np.linspace(0.0, 0.2, 12)
+    times = np.linspace(0.0, 0.02, 12)
     targets = [_pt_arr(relax_channel(rho0, float(times[k]), PAPER_T2).matrix) for k in (9, 4)]
     cholesky = optim._cholesky
 
@@ -129,7 +124,7 @@ def test_sweep_names_the_earliest_failing_time(monkeypatch):
     with pytest.raises(ConvergenceError) as single:
         generalized_robustness(relax_channel(rho0, float(times[4]), PAPER_T2))
     with pytest.raises(ConvergenceError) as err:
-        sweep(rho0, PAPER_T2, w, 0.2, 12)
+        sweep(rho0, PAPER_T2, w, 0.02, 12)
     assert str(err.value) == f"robustness solver failed at sweep time t = {times[4]:.6g} s: {single.value}"
     assert "not positive definite" in str(err.value)
     assert (err.value.lower, err.value.upper) == (single.value.lower, single.value.upper)
