@@ -1,7 +1,9 @@
 """Optimization kernel: generalized robustness of entanglement computed as a
 two-cone semidefinite program by a primal-dual interior-point method, or in
-closed form where the two-qubit bracket already closes to the solver's gap
-(exact for two qubits via the positive partial transpose criterion)."""
+closed form where one of two certified brackets already closes to the
+solver's gap: the two-qubit bracket from the negative eigenvector of the
+partial transpose, or the one from the best product state (exact for two
+qubits via the positive partial transpose criterion)."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError
 from .qmat import PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _pt_arr, _trusted_state, _two_spin_state
-from .qmat import from_pauli_coords
+from .qmat import from_pauli_coords, pauli_coords
 from .states import BellDiagonalParams, bell_probabilities
 
 _E0 = np.eye(16)[0]
@@ -33,6 +35,8 @@ _FRACTION_GAIN = 0.09
 _MAX_ITERATIONS = 100
 # NPT points solved together at most: about 30 KB of solver temporaries each
 _CHUNK = 256
+# alternating half-step pairs of the product-state search that every point still open after _bracket takes
+_PRODUCT_STEPS = 12
 # a point is solved when lambda_min of its partial transpose is below -NPT_CUT; any other point is PPT, robustness 0
 NPT_CUT = 1e-12
 
@@ -46,11 +50,14 @@ class RobustnessResult:
     omega normalized to unit trace whenever value > 0.  ``witness`` = Z_2^PT
     has witness <= 1 and witness^PT >= 0, so ``lower`` = -Tr(witness rho)
     bounds the robustness from below, within 1e-8 of ``value``.  They come
-    from the final dual iterate of the interior-point solver, or, where the
-    closed-form bracket of ``_bracket`` already closes within 1e-8, from its
-    primal omega and dual witness with no solve.  ``iterations`` counts
-    interior-point iterations, so it is 0 on that closed path as well as for
-    a PPT state.  A PPT state has value and lower 0 and no witness.
+    from the final dual iterate of the interior-point solver, or, where a
+    closed-form bracket already closes within 1e-8, from its primal omega
+    and dual witness with no solve: ``_bracket``'s, from the negative
+    eigenvector of rho^PT, or else ``_product_bracket``'s, whose omega is
+    a pure product state and whose witness is (|f><f|)^PT / a_f^2 for one
+    vector f.  ``iterations`` counts interior-point iterations, so it is 0
+    on those closed paths as well as for a PPT state.  A PPT state has
+    value and lower 0 and no witness.
 
     By the duality of Brandao, PRA 72, 022310 (2005), ``witness`` is the
     optimal witness of rho with W <= 1: it minimizes Tr(W rho) over every W
@@ -281,38 +288,130 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray):
     return x_out, z_out, iterations, failures
 
 
-def _bracket(m: np.ndarray, lam_min: np.ndarray):
+def _bracket(e: np.ndarray, lam_min: np.ndarray):
     """Closed-form bounds L <= GR <= U of NPT points, and the certificate and witness of the points where they close.
 
-    m is the (k, 4, 4) stack of partial transposes and lam_min their
-    smallest eigenvalues.  For two qubits m has at most one negative
-    eigenvalue lam (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)); let e be
-    its eigenvector, with Schmidt coefficients a >= b.  The dual witness
-    Z_2^PT with Z_2 = |e><e| / a^2 gives L = |lam| / a^2 (Brandao, PRA 72,
-    022310 (2005)).  The primal omega = c ((|e><e|)^PT + ab 1) with
-    c = |lam| / (1 + ab) is PSD, and so is (rho + omega)^PT =
+    lam_min is the stack of the smallest eigenvalues of the partial
+    transposes m, and e the (k, 4) stack of their eigenvectors.  For two
+    qubits m has at most one negative eigenvalue lam (Sanpera, Tarrach &
+    Vidal, PRA 58, 826 (1998)); let a >= b be the Schmidt coefficients of
+    its eigenvector e.
+    The dual witness Z_2^PT with Z_2 = |e><e| / a^2 gives L = |lam| / a^2
+    (Brandao, PRA 72, 022310 (2005)).  The primal omega = c ((|e><e|)^PT +
+    ab 1) with c = |lam| / (1 + ab) is PSD, and so is (rho + omega)^PT =
     m + c |e><e| + c ab 1, so U = Tr omega = |lam| (1 + 4ab) / (1 + ab).
     When e is maximally entangled, as for every state with no local Bloch
-    vectors and every pure state, L = U = 2 |lam|.  a^2 - b^2 is taken as
-    the length of the Bloch vector of e's reduced matrix on spin I, which
-    keeps a^2 accurate near 1/2, where sqrt(1 - 4 a^2 b^2) would cancel to
-    about 1e-8.  Returns L and U of every point, the mask of the points
-    with U - L < _GAP (the certificate contract of a finished solve), and
-    omega and the witness of those points, or None for both when no point
-    closes.
+    vectors and every pure state, L = U = 2 |lam|.  a^2 - b^2 comes from
+    _schmidt, accurate near a^2 = 1/2.  Returns L and U of every point, the
+    mask of the points with U - L < _GAP (the certificate contract of a
+    finished solve), and omega and the witness of those points, or None for
+    both when no point closes.  The points it leaves open go on to
+    _product_bracket.
     """
-    e = _umath_linalg.eigh_lo(m, signature="D->dD")[1][..., 0].reshape(-1, 2, 2)  # e_ij on |i>_I |j>_S
-    r = e @ e.conj().swapaxes(-1, -2)
-    a2_twice = 1.0 + np.hypot(r[:, 0, 0].real - r[:, 1, 1].real, 2.0 * np.abs(r[:, 0, 1]))
+    a2_twice = 1.0 + _schmidt(e)[1]
     ab_twice = np.sqrt(a2_twice * (2.0 - a2_twice))
     lower, upper = lam_min * (-2.0 / a2_twice), lam_min * (6.0 / (2.0 + ab_twice) - 4.0)
     closed = upper - lower < _GAP
     if not np.count_nonzero(closed):
         return lower, upper, closed, None, None
-    vec, ab, neg = e[closed].reshape(-1, 4), 0.5 * ab_twice[closed], -lam_min[closed]
+    vec, ab, neg = e[closed], 0.5 * ab_twice[closed], -lam_min[closed]
     proj_pt = _pt_arr(vec[:, :, None] * vec[:, None, :].conj())  # (|e><e|)^PT
     omega = (neg / (1.0 + ab))[:, None, None] * (proj_pt + ab[:, None, None] * np.eye(4))
     return lower, upper, closed, omega, proj_pt * (2.0 / a2_twice[closed])[:, None, None]
+
+
+def _schmidt(v: np.ndarray):
+    """Reduced matrices r on spin I of a (k, 4) stack of vectors (v_ij on |i>_I |j>_S), and a^2 - b^2 of each.
+
+    a^2 - b^2, the difference of v's squared Schmidt coefficients, is the
+    length of the Bloch vector of r, taken by hypot: near a = b, where
+    sqrt(1 - 4 a^2 b^2) of a unit vector would cancel to about 1e-8, it
+    stays accurate.
+    """
+    v = v.reshape(-1, 2, 2)
+    r = v @ v.conj().swapaxes(-1, -2)
+    return r, np.hypot(r[:, 0, 0].real - r[:, 1, 1].real, 2.0 * np.abs(r[:, 0, 1]))
+
+
+def _dual_bound(m: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """-Tr(m Z_2) of each point of (k, 4, 4) stacks: the lower bound that the dual Z_2 certifies."""
+    return -(m.reshape(-1, 1, 16) @ z2.conj().reshape(-1, 16, 1)).real[:, 0, 0]
+
+
+def _spinor(n: np.ndarray) -> np.ndarray:
+    """A unit 2-vector |u> with <u|sigma|u> = n for each unit Bloch vector n of a (..., 3) stack.
+
+    (1 + n_z, n_x + i n_y) and (n_x - i n_y, 1 - n_z) are both |u> up to
+    norm and phase; the longer one is taken.
+    """
+    nz, nxy = n[..., 2], n[..., 0] + 1j * n[..., 1]
+    up = nz >= 0.0
+    u = np.stack([np.where(up, 1.0 + nz, nxy.conj()), np.where(up, nxy, 1.0 - nz)], axis=-1)
+    return u / np.sqrt(2.0 + 2.0 * np.abs(nz))[..., None]
+
+
+# a second eigenvalue <= 0 of m, or a zero Bloch vector in the search, is NaN, which leaves the point open
+@np.errstate(invalid="ignore", divide="ignore")
+def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
+    """Bounds L <= GR <= U of NPT points from a product vector, and the certificate and witness where they close.
+
+    m is the (k, 4, 4) stack of partial transposes and lam, vecs their
+    eigenpairs, lowest first.  For every product vector w = u (x) v with
+    q = <w|m^-1|w> < 0, U = -1/q bounds the robustness from above: omega =
+    U |conj(u) (x) v><conj(u) (x) v| has omega^PT = U |w><w|, and
+    m + U |w><w| is PSD and singular, because det(m + t |w><w|) =
+    det(m) (1 + t q) and m has exactly one negative eigenvalue (Sanpera,
+    Tarrach & Vidal 1998).  For every vector f, Z_2 = |f><f| / a_f^2 with
+    a_f^2 the larger squared Schmidt coefficient of f gives L =
+    -<f|m|f> / a_f^2 (Brandao 2005); here f = m^-1 w, so L = -q / a_f^2.
+    Where the optimal dual Z_2 has rank one and its vector is not maximally
+    entangled, complementary slackness makes the optimal omega such a
+    product pure state, and the bounds meet at the w that minimizes q.
+
+    The search for it alternates exact half-steps from the leading Schmidt
+    vector of m's negative eigenvector on spin I: v is the lowest
+    eigenvector of the 2x2 matrix <u|m^-1|u> (taken on spin I), then u
+    that of <v|m^-1|v> (taken on spin S).  With X the Pauli coordinates of
+    m^-1 and n_I, n_S the Bloch vectors of u and v, <u|m^-1|u> is
+    (X_0S + X_IS^T n_I) . sigma / 4 plus a multiple of 1, so a half-step is
+    n_S = -g / |g| with g = X_0S + X_IS^T n_I: one 3x3 product and a
+    normalization.  Every point takes _PRODUCT_STEPS steps, so its result
+    is its own.  Returns L and U of every point, the mask of the points
+    with |U - L| < _GAP, and omega and the witness of those points, or None
+    for both when no point closes.  U is inf where q >= 0; L is NaN and U
+    inf where m has a second eigenvalue <= 0 or e is maximally entangled
+    (no start: _bracket closes those points).
+    """
+    inv = np.where(lam[:, 1:2] > 0.0, 1.0 / lam, np.nan)
+    m_inv = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    # the search's (k, 3, 1) columns, negated so that each half-step normalizes -g with no further sign
+    x = -pauli_coords(m_inv).reshape(-1, 4, 4)  # x[:, alpha, beta] = -Tr(m^-1 sigma_alpha (x) sigma_beta)
+    x_s, x_i, x_is = x[:, 0, 1:, None], x[:, 1:, 0, None], x[:, 1:, 1:]
+    x_si = x_is.swapaxes(-1, -2)
+    r = _schmidt(vecs[..., 0])[0]  # e's reduced matrix on spin I: its Bloch vector is e's leading Schmidt vector's
+    n_i = np.stack([2.0 * r[:, 0, 1].real, -2.0 * r[:, 0, 1].imag, (r[:, 0, 0] - r[:, 1, 1]).real], axis=-1)[..., None]
+    n_i = n_i / np.sqrt(n_i.swapaxes(-1, -2) @ n_i)
+    for _ in range(_PRODUCT_STEPS):
+        g = x_s + x_si @ n_i
+        n_s = g / np.sqrt(g.swapaxes(-1, -2) @ g)
+        g = x_i + x_is @ n_s
+        n_i = g / np.sqrt(g.swapaxes(-1, -2) @ g)
+    uv = _spinor(np.concatenate([n_i, n_s], axis=-1).swapaxes(-1, -2))
+    w = (uv[:, 0, :, None] * uv[:, 1, None, :]).reshape(-1, 4)
+    f = (m_inv @ w[:, :, None])[..., 0]
+    q = (w.conj() * f).sum(axis=-1).real
+    upper = np.where(q < 0.0, -1.0 / q, np.inf)
+    r, diff = _schmidt(f)
+    a2 = 0.5 * (r[:, 0, 0].real + r[:, 1, 1].real + diff)  # a_f^2 of f, not normalized
+    z2 = (f[:, :, None] * f[:, None, :].conj()) / a2[:, None, None]
+    lower = _dual_bound(m, z2)
+    # L <= U in exact arithmetic: a U below L by more than rounding comes from an inaccurate m^-1
+    closed = np.abs(upper - lower) < _GAP
+    if not np.count_nonzero(closed):
+        return lower, upper, closed, None, None
+    w = w[closed]
+    omega = upper[closed][:, None, None] * _pt_arr(w[:, :, None] * w[:, None, :].conj())
+    return lower, upper, closed, omega, _pt_arr(z2[closed])
 
 
 def _robustness(rho: np.ndarray):
@@ -322,13 +421,17 @@ def _robustness(rho: np.ndarray):
     without a solve.  An NPT point whose closed-form bracket (_bracket)
     closes to below the solver's gap takes it, with no iteration: every
     state with no local Bloch vectors, every pure state and any state with
-    a tiny |lambda_min|.  The other NPT points are solved together by
-    _central_path, the HKM predictor-corrector method (Helmberg, Rendl,
-    Vanderbei & Wolkowicz 1996; Mehrotra 1992) from a feasible start, each
-    to a duality gap below 1e-8, in chunks of _CHUNK, which bounds the
-    solver's temporaries; the chunks stop at the first one with a failure.
+    a tiny |lambda_min|.  So does a point whose product bracket
+    (_product_bracket) then closes: most states whose optimal omega is a
+    product pure state.  One eigh of the NPT points serves both.  The
+    other NPT points are solved together by _central_path, the HKM
+    predictor-corrector method (Helmberg, Rendl, Vanderbei & Wolkowicz
+    1996; Mehrotra 1992) from a feasible start, each to a duality gap below
+    1e-8, in chunks of _CHUNK, which bounds the solver's temporaries; the
+    chunks stop at the first one with a failure, whose ConvergenceError
+    carries the tightest of the solver's and the two brackets' bounds.
     Returns the values, the interior-point iterations (0 on the closed
-    path), the optimal omegas (zero for PPT points), the failures by index,
+    paths), the optimal omegas (zero for PPT points), the failures by index,
     the dual fields (the lower bounds -Tr(m Z_2) and the witnesses Z_2^PT,
     zero for PPT points), and the lambda_min of every point's partial
     transpose.
@@ -340,23 +443,39 @@ def _robustness(rho: np.ndarray):
     iterations = np.zeros(len(m), dtype=int)
     omega, witness = np.zeros(m.shape, dtype=complex), np.zeros(m.shape, dtype=complex)
     failures = {}
-    solve = npt
-    if len(npt):  # a PPT stack skips the bracket's eigh, which costs as much as its eigvalsh
-        low, high, closed, closed_omega, closed_witness = _bracket(m[npt], lam_min[npt])
-        if closed_omega is not None:
-            idx = npt[closed]
-            values[idx], omega[idx], witness[idx] = high[closed], closed_omega, closed_witness
-            lower[idx] = np.minimum(low[closed], values[idx])  # L can exceed U = 2 |lam| by rounding
-        solve = npt[~closed]
+    if not len(npt):  # a PPT stack skips the brackets' eigh, which costs as much as its eigvalsh
+        return values, iterations, omega, failures, lower, witness, lam_min
+
+    def close(idx, low, high, closed_omega, closed_witness):
+        values[idx], omega[idx], witness[idx] = high, closed_omega, closed_witness
+        lower[idx] = np.minimum(low, high)  # L can exceed U by rounding
+
+    lam, vecs = _umath_linalg.eigh_lo(m[npt], signature="D->dD")
+    low, high, closed, closed_omega, closed_witness = _bracket(vecs[..., 0], lam_min[npt])
+    if closed_omega is not None:
+        close(npt[closed], low[closed], high[closed], closed_omega, closed_witness)
+    rest = ~closed
+    solve, low, high = npt[rest], low[rest], high[rest]
+    if not len(solve):  # the search's fixed steps cost about as much on an empty stack
+        return values, iterations, omega, failures, lower, witness, lam_min
+    low_p, high_p, closed, closed_omega, closed_witness = _product_bracket(m[solve], lam[rest], vecs[rest])
+    if closed_omega is not None:
+        close(solve[closed], low_p[closed], high_p[closed], closed_omega, closed_witness)
+    rest = ~closed
+    solve, low, high = solve[rest], np.fmax(low[rest], low_p[rest]), np.fmin(high[rest], high_p[rest])
     for start in range(0, len(solve), _CHUNK):
         idx = solve[start:start + _CHUNK]
         x, z2, iterations[idx], chunk_failures = _central_path(m[idx], lam_min[idx])
         if chunk_failures:
-            failures = {int(idx[i]): exc for i, exc in chunk_failures.items()}
+            failures = {
+                int(idx[i]): ConvergenceError(str(exc), lower=max(exc.lower, float(low[start + i])),
+                                              upper=min(exc.upper, float(high[start + i])))
+                for i, exc in chunk_failures.items()
+            }
             break
         omega[idx] = chunk = from_pauli_coords(x)
         values[idx] = np.trace(chunk, axis1=-2, axis2=-1).real
-        lower[idx] = -(m[idx].reshape(-1, 1, 16) @ z2.conj().reshape(-1, 16, 1)).real[:, 0, 0]
+        lower[idx] = _dual_bound(m[idx], z2)
         witness[idx] = _pt_arr(z2)
     return values, iterations, omega, failures, lower, witness, lam_min
 
@@ -372,13 +491,20 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     of its eigenvector (Sanpera, Tarrach & Vidal 1998; Brandao 2005)
     closes within 1e-8, as for every state with no local Bloch vectors and
     every pure state, the result is U with L as ``lower`` and no iteration.
-    Otherwise it is solved as a semidefinite program by a feasible-start
-    primal-dual interior-point method: HKM directions (Helmberg, Rendl,
-    Vanderbei & Wolkowicz 1996) with Mehrotra's predictor-corrector (1992),
-    from omega a multiple of the identity and the dual Z_1 = Z_2 = 1/2,
-    until the duality gap is below 1e-8.  Every iterate is strictly
-    feasible, so the certificate always verifies, and the final dual
-    iterate gives the result's ``lower`` bound and ``witness``.  This is the
+    Else a search over product vectors w = u (x) v gives a second bracket:
+    U = -1/q with q = <w|(rho^PT)^-1|w> < 0, from the primal omega =
+    U |conj(u) (x) v><conj(u) (x) v|, and L from the dual witness of
+    f = (rho^PT)^-1 w; where it closes within 1e-8, as for most states whose
+    optimal omega is a product pure state, the result is that U with no
+    iteration.  Otherwise it is solved as a semidefinite program by a
+    feasible-start primal-dual interior-point method: HKM directions
+    (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) with Mehrotra's
+    predictor-corrector (1992), from omega a multiple of the identity and
+    the dual Z_1 = Z_2 = 1/2, until the duality gap is below 1e-8.  Every
+    iterate is strictly feasible, so the certificate always verifies, and
+    the final dual iterate gives the result's ``lower`` bound and
+    ``witness``.  A solve that fails raises ``ConvergenceError`` with the
+    tightest of the solver's and the two brackets' bounds.  This is the
     one-point case of the batched solver that ``relax.sweep`` runs over a
     whole time grid.
     """

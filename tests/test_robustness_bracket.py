@@ -5,13 +5,15 @@ a >= b the Schmidt coefficients of e, L = |lam| / a^2 comes from the dual
 witness (|e><e|)^PT / a^2 and U = |lam| (1 + 4ab) / (1 + ab) from an explicit
 primal omega.  Where U - L is below the solver's gap the robustness takes
 the closed form with no interior-point iteration.  These checks hold the
-bracket against the solver, the Bell-diagonal oracle and 2 |lam|.
+bracket against the solver, the Bell-diagonal oracle and 2 |lam|, and
+every closed form, this one's and the product bracket's, against a forced
+solve.
 """
 
 import numpy as np
 
 from conftest import bd, bd_weights, haar_unitary, random_physical_c
-from test_robustness_stress import check_certified, ginibre_states, named_states
+from test_robustness_stress import bracket_routes, check_certified, ginibre_states, named_states
 from witnesslab import BellDiagonalParams, DensityMatrix, generalized_robustness, gr_oracle_bd
 from witnesslab import optim
 from witnesslab.qmat import _pt_arr, from_pauli_coords
@@ -24,7 +26,8 @@ def npt_bracket(rho):
     m = _pt_arr(rho)
     lam = np.linalg.eigvalsh(m)[:, 0]
     npt = lam < -optim.NPT_CUT
-    low, high, closed, _, _ = optim._bracket(m[npt], lam[npt])
+    e = np.linalg.eigh(m[npt])[1][..., 0]  # the eigenvectors of the negative eigenvalues
+    low, high, closed, _, _ = optim._bracket(e, lam[npt])
     return low, high, closed, rho[npt], lam[npt]
 
 
@@ -103,6 +106,7 @@ def test_the_closed_form_is_within_the_gap_of_a_forced_solve():
     values, iterations, _, _, _, _, lam = optim._robustness(rho)
     closed = (lam < -optim.NPT_CUT) & (iterations == 0)
     assert closed.sum() > 800
+    assert bracket_routes(rho)[1].sum() > 800  # the product bracket's points among them
     x, _, forced_iterations, failures = optim._central_path(_pt_arr(rho[closed]), lam[closed])
     assert not failures and forced_iterations.all()
     forced = np.trace(from_pauli_coords(x), axis1=-2, axis2=-1).real

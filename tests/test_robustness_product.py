@@ -1,0 +1,166 @@
+"""The product bracket: bounds of the robustness from a product vector.
+
+For every product vector w = u (x) v with q = <w|m^-1|w> < 0 (m = rho^PT),
+U = -1/q bounds the robustness from above, and for every vector f,
+L = -<f|m|f> / a_f^2 (a_f^2 the larger squared Schmidt coefficient of f)
+bounds it from below.  The search in ``optim._product_bracket`` only picks
+w and f = m^-1 w; where the two meet within the solver's gap, the point
+takes them with no interior-point iteration.  These checks hold the bounds
+for any choice and for the search's, a point's bits alone and in a stack,
+and the points that stay open against the solver.  The stress tests and
+the forced-solve test of the bracket hold the closed points to the same
+certificate checks and to the solver's value.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from conftest import entangled_ginibre
+from test_robustness_stress import bracket_routes, ginibre_states, named_states
+from test_sweep_batch import PAPER_T2, isotropic_with_bloch
+from witnesslab import ConvergenceError, DensityMatrix, generalized_robustness
+from witnesslab import optim, relax
+from witnesslab.qmat import _pt_arr
+
+GAP = 1e-8
+
+
+def stress_sets():
+    rng = np.random.default_rng(20261018)
+    return np.concatenate([ginibre_states(rng, 2400), named_states()])
+
+
+def unit(rng, shape):
+    z = rng.standard_normal(shape + (2,)) + 1j * rng.standard_normal(shape + (2,))
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def test_any_product_vector_and_any_vector_bound_the_robustness():
+    rho = stress_sets()
+    values, _, _, failures, lower, _, lam = optim._robustness(rho)
+    assert not failures
+    npt = lam < -optim.NPT_CUT
+    m, values, lower = _pt_arr(rho[npt]), values[npt], lower[npt]
+    m_inv = np.linalg.inv(m)
+    rng = np.random.default_rng(6601)
+    upper_checked = 0
+    for _ in range(20):
+        u, v = unit(rng, (len(m),)), unit(rng, (len(m),))
+        w = (u[:, :, None] * v[:, None, :]).reshape(-1, 4)
+        q = np.einsum("ka,kab,kb->k", w.conj(), m_inv, w).real
+        neg = q < 0.0
+        upper = -1.0 / q[neg]
+        assert np.all(upper >= lower[neg] - 1e-12)
+        # m + U |w><w| is PSD and singular: U is the smallest such weight
+        lifted = m[neg] + upper[:, None, None] * (w[neg, :, None] * w[neg, None, :].conj())
+        lam_lifted = np.linalg.eigvalsh(lifted)[:, 0]
+        assert np.all(np.abs(lam_lifted) <= 1e-9 * (1.0 + upper))
+        upper_checked += neg.sum()
+        # any vector f gives a lower bound; a_f^2 from the singular values of f as a 2x2 matrix
+        f = rng.standard_normal((len(m), 4)) + 1j * rng.standard_normal((len(m), 4))
+        a2 = np.linalg.svd(f.reshape(-1, 2, 2), compute_uv=False)[:, 0] ** 2
+        low = -np.einsum("ka,kab,kb->k", f.conj(), m, f).real / a2
+        assert np.all(low <= values + 1e-12)
+    assert upper_checked > 2000
+
+
+def test_the_optimizer_s_bounds_hold_on_every_npt_point():
+    rho = stress_sets()
+    values, _, _, failures, lower, _, lam = optim._robustness(rho)
+    assert not failures
+    npt = lam < -optim.NPT_CUT
+    m = _pt_arr(rho[npt])
+    eig_lam, vecs = np.linalg.eigh(m)
+    low, high, closed, omega, witness = optim._product_bracket(m, eig_lam, vecs)
+    # a maximally entangled negative eigenvector (pure and Bell-like states, which _bracket closes) gives
+    # the search no start: NaN, the point stays open
+    schmidt = bracket_routes(rho)[0][npt]
+    assert np.array_equal(np.isnan(low), np.isnan(low) & schmidt) and np.isfinite(low).sum() > 1500
+    assert not np.any(low > values[npt] + 1e-12)
+    assert np.all(high >= lower[npt] - 1e-12)
+    assert closed.sum() > 800 and len(omega) == len(witness) == closed.sum()
+    # Tr omega = U, omega / U is a pure product state, and the witness gives L = -Tr(W rho) on the closed points
+    np.testing.assert_allclose(np.trace(omega, axis1=1, axis2=2).real, high[closed], rtol=0, atol=1e-12)
+    assert np.all(np.linalg.eigvalsh(omega / high[closed][:, None, None])[:, -2] <= 1e-12)
+    # and the primal certificate: (rho + omega)^PT = m + omega^PT is PSD
+    assert np.linalg.eigvalsh(m[closed] + _pt_arr(omega))[:, 0].min() >= -1e-9
+    np.testing.assert_allclose(-np.einsum("kab,kba->k", witness, rho[npt][closed]).real, low[closed],
+                               rtol=0, atol=1e-12)
+
+
+def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
+    rho = ginibre_states(np.random.default_rng(6603), 120)
+    m = _pt_arr(rho)
+    npt = np.linalg.eigvalsh(m)[:, 0] < -optim.NPT_CUT
+    m = m[npt]
+    lam, vecs = np.linalg.eigh(m)
+    low, high, closed, omega, witness = optim._product_bracket(m, lam, vecs)
+    assert 0 < closed.sum() < len(m)
+    position = np.cumsum(closed) - 1
+    for k in range(len(m)):
+        one = optim._product_bracket(m[k:k + 1], lam[k:k + 1], vecs[k:k + 1])
+        assert (one[0].tobytes(), one[1].tobytes(), bool(one[2][0])) == (
+            low[k:k + 1].tobytes(), high[k:k + 1].tobytes(), bool(closed[k]))
+        if closed[k]:
+            assert one[3][0].tobytes() == omega[position[k]].tobytes()
+            assert one[4][0].tobytes() == witness[position[k]].tobytes()
+    values, iterations, all_omega, _, lower, all_witness, _ = optim._robustness(rho)
+    _, product, _ = bracket_routes(rho)
+    for k in np.flatnonzero(product)[:30]:
+        result = generalized_robustness(DensityMatrix(rho[k]))
+        assert (result.value, result.lower, result.iterations) == (values[k], lower[k], iterations[k])
+        assert result.witness.matrix.tobytes() == all_witness[k].tobytes()
+        assert result.certificate_state.matrix.tobytes() == (all_omega[k] / values[k]).tobytes()
+
+
+def test_the_isotropic_state_with_a_bloch_vector_still_solves():
+    rho = isotropic_with_bloch()
+    schmidt, product, product_gap = bracket_routes(rho.matrix[None])
+    assert not schmidt[0] and not product[0] and product_gap[0] > 1e-3
+    result = generalized_robustness(rho)
+    assert abs(result.value - 0.25) <= GAP and result.lower <= result.value <= result.lower + GAP
+    assert result.iterations > 0
+
+
+def test_a_singular_partial_transpose_leaves_the_point_open():
+    # a second eigenvalue 0 or below: m^-1 is not the inverse of a one-negative-eigenvalue m, so no bound
+    rng = np.random.default_rng(6604)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    spectra = np.array([[-0.1, 0.0, 0.3, 0.8], [-0.1, -1e-17, 0.3, 0.8], [-0.1, 0.05, 0.3, 0.75]])
+    m = np.stack([(q * s) @ q.conj().T for s in spectra])
+    lam, vecs = np.linalg.eigh(m)
+    lam[:2, 1] = spectra[:2, 1]  # the eigenvalues exactly as set
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low, high, closed, _, _ = optim._product_bracket(m, lam, vecs)
+    assert np.isnan(low[:2]).all() and np.isinf(high[:2]).all() and not closed[:2].any()
+    assert np.isfinite(low[2]) and np.isfinite(high[2]) and low[2] <= high[2] * (1.0 + 1e-14)
+
+
+def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
+    times = np.linspace(0.0, 0.05, 40)
+    states = np.concatenate([relax._relax(isotropic_with_bloch().matrix, times, PAPER_T2),
+                             relax._relax(entangled_ginibre(13).matrix, times[:5], PAPER_T2)])
+    monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
+    _, _, _, failures, _, _, lam_min = optim._robustness(states)
+    assert len(failures) > 30
+    m = _pt_arr(states)
+    lam, vecs = np.linalg.eigh(m)
+    low, high, _, _, _ = optim._bracket(vecs[..., 0], lam_min)
+    low_p, high_p, _, _, _ = optim._product_bracket(m, lam, vecs)
+    tighter = 0
+    for k, exc in failures.items():
+        _, _, _, alone = optim._central_path(m[k:k + 1], lam_min[k:k + 1])
+        raw = alone[0]
+        assert str(exc) == str(raw) and "3-iteration cap" in str(exc)
+        assert exc.lower == max(raw.lower, low[k], np.nan_to_num(low_p[k], nan=-np.inf))
+        assert exc.upper == min(raw.upper, high[k], high_p[k])
+        assert exc.lower <= exc.upper
+        tighter += (exc.lower, exc.upper) != (raw.lower, raw.upper)
+    assert tighter > 0
+    with pytest.raises(ConvergenceError) as single:
+        generalized_robustness(DensityMatrix(states[min(failures)]))
+    exc = failures[min(failures)]
+    assert (single.value.lower, single.value.upper) == (exc.lower, exc.upper)

@@ -113,9 +113,20 @@ def test_newton_system_matches_finite_differences_of_the_barrier(t):
         np.testing.assert_allclose(mm, mm.T, rtol=0, atol=1e-12 * np.abs(mm).max())
 
 
+def bracket_bounds(rho):
+    """The tighter of the two closed-form brackets of one NPT state: (max(L, L_prod), min(U, U_prod))."""
+    m = pt(rho.matrix)[None]
+    lam, vecs = np.linalg.eigh(m)
+    low, high, closed, _, _ = optim._bracket(vecs[..., 0], lam[:, 0])
+    low_p, high_p, closed_p, _, _ = optim._product_bracket(m, lam, vecs)
+    assert not closed[0] and not closed_p[0]  # neither closes, so the solver runs
+    return max(low[0], low_p[0]), min(high[0], high_p[0])
+
+
 def test_cholesky_failure_raises_with_bounds(monkeypatch):
-    rho = entangled_ginibre(13)  # its bracket stays open, so the solver runs
+    rho = entangled_ginibre(13)  # neither bracket closes, so the solver runs
     lam_min = np.linalg.eigvalsh(pt(rho.matrix))[0]
+    low, high = bracket_bounds(rho)
     calls = []
 
     def never_positive_definite(blocks):
@@ -128,33 +139,42 @@ def test_cholesky_failure_raises_with_bounds(monkeypatch):
         generalized_robustness(rho)
     assert len(calls) == 1  # the start point's check, and no step taken after it
     start = 4.0 * (1.5 * -lam_min + 0.05)  # Tr of the start point omega = x_0 * identity
-    assert err.value.upper == pytest.approx(start)
-    assert err.value.lower == 0.0  # the start's gap 4 x_0 + 1/2 exceeds its value
+    # the start's gap 4 x_0 + 1/2 exceeds its value, so its lower bound is 0: the brackets' bounds are tighter
+    assert start > high and low > 0.0
+    assert (err.value.lower, err.value.upper) == (low, high)
+    assert err.value.upper == pytest.approx(0.0993732879, rel=1e-9)  # the product bracket's U
+    assert err.value.lower == pytest.approx(0.0961876501, rel=1e-9)  # and its L
 
 
 def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
     rho = entangled_ginibre(13)
     value = generalized_robustness(rho).value
+    low, high = bracket_bounds(rho)
     cholesky = optim._cholesky
-    calls = []
+    # the 3rd iterate's bounds are looser than the brackets', the 7th's tighter on both sides
+    for failing_call, iterate_binds in ((4, False), (8, True)):
+        calls = []
 
-    def fails_at_the_fourth_iterate(blocks):
-        calls.append(blocks)
-        if len(calls) < 4:
-            return cholesky(blocks)
-        nan = np.full(blocks.shape, np.nan, dtype=complex)
-        return nan, nan, np.arange(len(blocks))
+        def fails_at_that_iterate(blocks):
+            calls.append(blocks)
+            if len(calls) < failing_call:
+                return cholesky(blocks)
+            nan = np.full(blocks.shape, np.nan, dtype=complex)
+            return nan, nan, np.arange(len(blocks))
 
-    monkeypatch.setattr(optim, "_cholesky", fails_at_the_fourth_iterate)
-    with pytest.raises(ConvergenceError, match="not positive definite") as err:
-        generalized_robustness(rho)
-    # the third iterate's bounds: Tr(omega) = 4 x_0, less the gap from its S and Z
-    s, z = calls[2][0, :2], calls[2][0, 2:]
-    upper = np.trace(s[0]).real
-    gap = sum(np.trace(s[b] @ z[b]).real for b in range(2))
-    assert err.value.upper == pytest.approx(upper, rel=1e-14)
-    assert err.value.lower == pytest.approx(max(0.0, upper - gap), rel=1e-12, abs=1e-15)
-    assert 0.0 <= err.value.lower <= value <= err.value.upper
+        monkeypatch.setattr(optim, "_cholesky", fails_at_that_iterate)
+        with pytest.raises(ConvergenceError, match="not positive definite") as err:
+            generalized_robustness(rho)
+        # the last checked iterate's bounds: Tr(omega) = 4 x_0, less the gap from its S and Z
+        s, z = calls[-2][0, :2], calls[-2][0, 2:]
+        upper = np.trace(s[0]).real
+        gap = sum(np.trace(s[b] @ z[b]).real for b in range(2))
+        lower = max(0.0, upper - gap)
+        assert (upper < high and lower > low) == iterate_binds
+        # the reported interval is the tightest of the iterate's and the two brackets'
+        assert err.value.upper == pytest.approx(min(upper, high), rel=1e-14)
+        assert err.value.lower == pytest.approx(max(lower, low), rel=1e-12, abs=1e-15)
+        assert 0.0 <= err.value.lower <= value <= err.value.upper
 
 
 def test_an_all_ppt_stack_is_answered_without_a_solve(monkeypatch):

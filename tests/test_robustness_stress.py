@@ -1,7 +1,8 @@
 """The robustness solver on a large seeded set: every solve converges, with
 a certified gap of at most 1e-8 and a certificate that verifies to 1e-9.
-The pure and Bell-like states take the closed-form bracket, which must meet
-the same certificate checks with no interior-point iteration.
+The pure and Bell-like states take the closed-form bracket, and most states
+whose optimal omega is a product pure state take the product bracket; both
+must meet the same certificate checks with no interior-point iteration.
 
 The inputs are 2,400 Ginibre states of rank 1 to 4 (rank-deficient states
 put the optimum on the boundary of both cones, where an interior-point
@@ -37,6 +38,20 @@ def named_states():
     return np.stack([rho.matrix for rho in states])
 
 
+def bracket_routes(rho):
+    """Where each state of a stack goes: the masks of the NPT states that _bracket closes, of those that
+    _product_bracket closes after it, and the product bracket's |U - L| of every NPT state (inf for PPT)."""
+    m = _pt_arr(rho)
+    lam_min = np.linalg.eigvalsh(m)[:, 0]
+    npt = lam_min < -optim.NPT_CUT
+    lam, vecs = np.linalg.eigh(m[npt])
+    schmidt, product, product_gap = np.zeros(len(rho), bool), np.zeros(len(rho), bool), np.full(len(rho), np.inf)
+    schmidt[npt] = optim._bracket(vecs[..., 0], lam_min[npt])[2]
+    low, high, product[npt], _, _ = optim._product_bracket(m[npt], lam, vecs)
+    product_gap[npt] = np.abs(high - low)
+    return schmidt, product & ~schmidt, product_gap
+
+
 def check_certified(rho, values, iterations, omega, lower, witness):
     npt = np.linalg.eigvalsh(_pt_arr(rho))[:, 0] < -1e-12
     assert np.array_equal(values > 0, npt)
@@ -69,7 +84,12 @@ def test_every_seeded_ginibre_solve_is_certified():
     pure = np.arange(len(rho)) % 4 == 0
     assert npt[pure].all() and not iterations[pure].any()
     assert np.all(values[pure] - lower[pure] <= 1e-15)
-    assert iterations[~pure & npt].all()
+    # three routes: the closed form, then the product bracket, then the solver for what neither closes
+    schmidt, product, product_gap = bracket_routes(rho)
+    solved = iterations > 0
+    assert np.array_equal(solved, npt & ~schmidt & ~product)
+    assert np.all(product_gap[solved] >= GAP)
+    assert product[~pure].sum() > 700 and solved.sum() > 500
 
 
 def test_named_states_are_certified_alone_and_together():
@@ -100,3 +120,4 @@ def test_every_certificate_passes_the_state_check():
             DensityMatrix(cert.matrix)  # raises unless it is a state within PSD_TOL
             certified += 1
     assert certified > 150
+    assert bracket_routes(rho)[1].sum() > 50  # among them, points the product bracket closes
