@@ -1,9 +1,10 @@
 """Optimization kernel: generalized robustness of entanglement computed as a
 two-cone semidefinite program by a primal-dual interior-point method, or in
-closed form where one of two certified brackets already closes to the
+closed form where one of three certified brackets already closes to the
 solver's gap: the two-qubit bracket from the negative eigenvector of the
-partial transpose, or the one from the best product state (exact for two
-qubits via the positive partial transpose criterion)."""
+partial transpose, the one from the best product state, or the one from the
+locally rotated Bell witness (exact for two qubits via the positive partial
+transpose criterion)."""
 
 from __future__ import annotations
 
@@ -16,14 +17,13 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError
-from .qmat import PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _pt_arr, _trusted_state, _two_spin_state
+from .qmat import _Q, PT_SIGN, DensityMatrix, HermitianOp, _pt_arr, _trusted_state, _two_spin_state
 from .qmat import from_pauli_coords, pauli_coords
 from .states import BellDiagonalParams, bell_probabilities
 
 _E0 = np.eye(16)[0]
 _MINUS_C = -4.0 * _E0  # -grad Tr(omega), Tr(omega) = 4 x_0: the predictor's right-hand side, added to the corrector's
 _MINUS_C.setflags(write=False)
-_Q = TWO_SPIN_PAULIS.reshape(16, 16)  # row k is vec(P_k): x @ _Q is vec(sum_k x_k P_k)
 _QB = np.stack([_Q, PT_SIGN[:, None] * _Q])  # rows vec(P_k) and vec(P_k^PT)
 _QB_CONJ = _QB.conj()
 # duality gap sum_b Tr(S_b Z_b) at which a robustness solve stops: value - lower is below it
@@ -55,9 +55,11 @@ class RobustnessResult:
     and dual witness with no solve: ``_bracket``'s, from the negative
     eigenvector of rho^PT, or else ``_product_bracket``'s, whose omega is
     a pure product state and whose witness is (|f><f|)^PT / a_f^2 for one
-    vector f.  ``iterations`` counts interior-point iterations, so it is 0
-    on those closed paths as well as for a PPT state.  A PPT state has
-    value and lower 0 and no witness.
+    vector f, or else ``_bell_bracket``'s, whose witness is the locally
+    rotated Bell witness (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2.
+    ``iterations`` counts interior-point iterations, so it is 0 on those
+    closed paths as well as for a PPT state.  A PPT state has value and
+    lower 0 and no witness.
 
     By the duality of Brandao, PRA 72, 022310 (2005), ``witness`` is the
     optimal witness of rho with W <= 1: it minimizes Tr(W rho) over every W
@@ -380,7 +382,8 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     with |U - L| < _GAP, and omega and the witness of those points, or None
     for both when no point closes.  U is inf where q >= 0; L is NaN and U
     inf where m has a second eigenvalue <= 0 or e is maximally entangled
-    (no start: _bracket closes those points).
+    (no start: _bracket closes those points).  The points it leaves open
+    go on to _bell_bracket.
     """
     inv = np.where(lam[:, 1:2] > 0.0, 1.0 / lam, np.nan)
     m_inv = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
@@ -414,22 +417,79 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     return lower, upper, closed, omega, _pt_arr(z2[closed])
 
 
+def _bell_bracket(m: np.ndarray):
+    """Bounds L <= GR <= U from the locally optimal Bell witness, and the certificate and witness where they close.
+
+    m is the (k, 4, 4) stack of partial transposes.  With x_ab = Tr(rho
+    sigma_a (x) sigma_b), T = x_ij (i, j >= 1) the correlation matrix and
+    T = U diag(s) V^T its SVD, R = -U diag(1, 1, d) V^T with d = det(-U V^T)
+    is the rotation that minimizes tr(R^T T) (R. & M. Horodecki, PRA 54,
+    1838 (1996)); the sign d is what makes det R = 1.  W = (1 + sum_ij R_ij
+    sigma_i (x) sigma_j) / 2 is then a local rotation of (1 + XX + YY + ZZ)
+    / 2: eigenvalues (1, 1, 1, -1), so W <= 1, and W^PT = 2 |f><f| with f
+    maximally entangled.  So L = -Tr(W rho) = (s_1 + s_2 + d s_3 - Tr rho) / 2
+    bounds the robustness of every state from below (Brandao, PRA 72,
+    022310 (2005)).
+    Where W is the optimal witness, complementary slackness asks of the
+    optimal omega that omega g = 0, with g the -1 eigenvector of W, and
+    (m + omega^PT) f = 0: 16 real equations in omega's Pauli coordinates,
+    of rank 11, on whose solutions Tr omega = L.  Their minimum-norm
+    least-squares solution (a solution wherever they have one, as where W
+    is optimal) is, in the coordinates y_ab of 4 omega, with a and b the
+    Bloch vectors of spins I and S:
+        y_00 = L, y_i0 = -(a + R b)_i / 2, y_0j = -(R^T a + b)_j / 2,
+        y_ij = L R_ij / 3 - (T - R T^T R)_ij / 4.
+    With eps = max(0, -lambda_min(omega), -lambda_min(m + omega^PT)),
+    omega + eps 1 is a primal certificate, so U = L + 4 eps.  Returns L and
+    U of every point, the mask of the points with U - L < _GAP, and omega +
+    eps 1 and W of those points, or None for both when no point closes.
+    Every point's numbers come from its own slices.
+    """
+    x = (pauli_coords(m) * PT_SIGN).reshape(-1, 4, 4)  # rho's coordinates from m's
+    t = x[:, 1:, 1:]
+    u, s, vt = np.linalg.svd(t)
+    d = -np.sign(_umath_linalg.det(u, signature="d->d") * _umath_linalg.det(vt, signature="d->d"))
+    u[..., 2] *= d[:, None]
+    r = -(u @ vt)
+    lower = 0.5 * (s[:, 0] + s[:, 1] + d * s[:, 2] - x[:, 0, 0])
+    a, b = x[:, 1:, :1], x[:, :1, 1:]  # a column and a row
+    y = np.empty_like(x)
+    y[:, 0, 0] = lower
+    y[:, 1:, :1] = -0.5 * (a + r @ b.swapaxes(-1, -2))
+    y[:, :1, 1:] = -0.5 * (a.swapaxes(-1, -2) @ r + b)
+    y[:, 1:, 1:] = (lower / 3.0)[:, None, None] * r - 0.25 * (t - r @ t.swapaxes(-1, -2) @ r)
+    blocks = _pauli_blocks(0.25 * y.reshape(-1, 16))  # omega and omega^PT
+    blocks[:, 1] += m
+    eps = np.maximum(0.0, -_umath_linalg.eigvalsh_lo(blocks, signature="D->d")[..., 0].min(axis=-1))
+    upper = lower + 4.0 * eps
+    closed = upper - lower < _GAP
+    if not np.count_nonzero(closed):
+        return lower, upper, closed, None, None
+    omega = blocks[closed, 0] + eps[closed, None, None] * np.eye(4)
+    w = np.zeros((np.count_nonzero(closed), 4, 4))
+    w[:, 0, 0] = 0.5
+    w[:, 1:, 1:] = 0.5 * r[closed]
+    return lower, upper, closed, omega, from_pauli_coords(w.reshape(-1, 16))
+
+
 def _robustness(rho: np.ndarray):
     """Generalized robustness of each state of a (k, 4, 4) stack of density matrices.
 
     Points whose partial transpose has lambda_min >= -NPT_CUT are PPT, 0
-    without a solve.  An NPT point whose closed-form bracket (_bracket)
-    closes to below the solver's gap takes it, with no iteration: every
-    state with no local Bloch vectors, every pure state and any state with
-    a tiny |lambda_min|.  So does a point whose product bracket
-    (_product_bracket) then closes: most states whose optimal omega is a
-    product pure state.  One eigh of the NPT points serves both.  The
-    other NPT points are solved together by _central_path, the HKM
-    predictor-corrector method (Helmberg, Rendl, Vanderbei & Wolkowicz
-    1996; Mehrotra 1992) from a feasible start, each to a duality gap below
-    1e-8, in chunks of _CHUNK, which bounds the solver's temporaries; the
-    chunks stop at the first one with a failure, whose ConvergenceError
-    carries the tightest of the solver's and the two brackets' bounds.
+    without a solve.  Each NPT point then meets three closed-form brackets
+    in turn and takes the first that closes to below the solver's gap, with
+    no iteration: _bracket, from the negative eigenvector of its partial
+    transpose (every state with no local Bloch vectors, every pure state
+    and any state with a tiny |lambda_min|); _product_bracket (most states
+    whose optimal omega is a product pure state); and _bell_bracket (most
+    states whose optimal witness is a locally rotated Bell witness).  One
+    eigh of the NPT points serves the first two.  The other NPT points are
+    solved together by _central_path, the HKM predictor-corrector method
+    (Helmberg, Rendl, Vanderbei & Wolkowicz 1996; Mehrotra 1992) from a
+    feasible start, each to a duality gap below 1e-8, in chunks of _CHUNK,
+    which bounds the solver's temporaries; the chunks stop at the first one
+    with a failure, whose ConvergenceError carries the tightest of the
+    solver's and the three brackets' bounds.
     Returns the values, the interior-point iterations (0 on the closed
     paths), the optimal omegas (zero for PPT points), the failures by index,
     the dual fields (the lower bounds -Tr(m Z_2) and the witnesses Z_2^PT,
@@ -446,23 +506,23 @@ def _robustness(rho: np.ndarray):
     if not len(npt):  # a PPT stack skips the brackets' eigh, which costs as much as its eigvalsh
         return values, iterations, omega, failures, lower, witness, lam_min
 
-    def close(idx, low, high, closed_omega, closed_witness):
-        values[idx], omega[idx], witness[idx] = high, closed_omega, closed_witness
-        lower[idx] = np.minimum(low, high)  # L can exceed U by rounding
+    def narrow(points, bracket, low=-np.inf, high=np.inf):
+        """Close the points where a bracket closes; those left open keep the tighter of their bounds and its."""
+        low_b, high_b, closed, closed_omega, closed_witness = bracket
+        if closed_omega is not None:
+            idx = points[closed]
+            values[idx], omega[idx], witness[idx] = high_b[closed], closed_omega, closed_witness
+            lower[idx] = np.minimum(low_b[closed], high_b[closed])  # L can exceed U by rounding
+        rest = ~closed
+        return rest, points[rest], np.fmax(low, low_b)[rest], np.fmin(high, high_b)[rest]
 
     lam, vecs = _umath_linalg.eigh_lo(m[npt], signature="D->dD")
-    low, high, closed, closed_omega, closed_witness = _bracket(vecs[..., 0], lam_min[npt])
-    if closed_omega is not None:
-        close(npt[closed], low[closed], high[closed], closed_omega, closed_witness)
-    rest = ~closed
-    solve, low, high = npt[rest], low[rest], high[rest]
-    if not len(solve):  # the search's fixed steps cost about as much on an empty stack
-        return values, iterations, omega, failures, lower, witness, lam_min
-    low_p, high_p, closed, closed_omega, closed_witness = _product_bracket(m[solve], lam[rest], vecs[rest])
-    if closed_omega is not None:
-        close(solve[closed], low_p[closed], high_p[closed], closed_omega, closed_witness)
-    rest = ~closed
-    solve, low, high = solve[rest], np.fmax(low[rest], low_p[rest]), np.fmin(high[rest], high_p[rest])
+    rest, solve, low, high = narrow(npt, _bracket(vecs[..., 0], lam_min[npt]))
+    # an empty stack skips the later brackets: the search's fixed steps cost about as much on it
+    if len(solve):
+        rest, solve, low, high = narrow(solve, _product_bracket(m[solve], lam[rest], vecs[rest]), low, high)
+    if len(solve):
+        _, solve, low, high = narrow(solve, _bell_bracket(m[solve]), low, high)
     for start in range(0, len(solve), _CHUNK):
         idx = solve[start:start + _CHUNK]
         x, z2, iterations[idx], chunk_failures = _central_path(m[idx], lam_min[idx])
@@ -496,6 +556,13 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     U |conj(u) (x) v><conj(u) (x) v|, and L from the dual witness of
     f = (rho^PT)^-1 w; where it closes within 1e-8, as for most states whose
     optimal omega is a product pure state, the result is that U with no
+    iteration.  Else the Bell witness W = (1 + sum_ij R_ij sigma_i (x)
+    sigma_j) / 2, with R the rotation that minimizes tr(R^T T) over the
+    correlation matrix T (Horodecki 1996), gives a third bracket: L =
+    -Tr(W rho), and U = L + 4 eps from the minimum-norm omega that
+    complementary slackness with W allows, lifted by eps 1 until it is
+    feasible; where it closes within 1e-8, as for most states whose optimal
+    witness is a rotated Bell witness, the result is that U with no
     iteration.  Otherwise it is solved as a semidefinite program by a
     feasible-start primal-dual interior-point method: HKM directions
     (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) with Mehrotra's
@@ -504,7 +571,7 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     iterate is strictly feasible, so the certificate always verifies, and
     the final dual iterate gives the result's ``lower`` bound and
     ``witness``.  A solve that fails raises ``ConvergenceError`` with the
-    tightest of the solver's and the two brackets' bounds.  This is the
+    tightest of the solver's and the three brackets' bounds.  This is the
     one-point case of the batched solver that ``relax.sweep`` runs over a
     whole time grid.
     """

@@ -6,8 +6,8 @@ witness (|e><e|)^PT / a^2 and U = |lam| (1 + 4ab) / (1 + ab) from an explicit
 primal omega.  Where U - L is below the solver's gap the robustness takes
 the closed form with no interior-point iteration.  These checks hold the
 bracket against the solver, the Bell-diagonal oracle and 2 |lam|, and
-every closed form, this one's and the product bracket's, against a forced
-solve.
+every closed form, this one's and the product and Bell brackets', against a
+forced solve.
 """
 
 import numpy as np

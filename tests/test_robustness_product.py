@@ -107,7 +107,7 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
             assert one[3][0].tobytes() == omega[position[k]].tobytes()
             assert one[4][0].tobytes() == witness[position[k]].tobytes()
     values, iterations, all_omega, _, lower, all_witness, _ = optim._robustness(rho)
-    _, product, _ = bracket_routes(rho)
+    _, product, _, _ = bracket_routes(rho)
     for k in np.flatnonzero(product)[:30]:
         result = generalized_robustness(DensityMatrix(rho[k]))
         assert (result.value, result.lower, result.iterations) == (values[k], lower[k], iterations[k])
@@ -116,12 +116,15 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
 
 
 def test_the_isotropic_state_with_a_bloch_vector_still_solves():
-    rho = isotropic_with_bloch()
-    schmidt, product, product_gap = bracket_routes(rho.matrix[None])
-    assert not schmidt[0] and not product[0] and product_gap[0] > 1e-3
-    result = generalized_robustness(rho)
-    assert abs(result.value - 0.25) <= GAP and result.lower <= result.value <= result.lower + GAP
-    assert result.iterations > 0
+    # at weight 0.5 the Bell bracket closes it; nearer the threshold no bracket does
+    for weight, bloch, value, solves in ((0.5, 0.1, 0.25, False), (0.4, 0.3, 0.1, True)):
+        rho = isotropic_with_bloch(weight, bloch)
+        schmidt, product, bell, open_gap = bracket_routes(rho.matrix[None])
+        assert not schmidt[0] and not product[0] and bell[0] != solves
+        assert (open_gap[0] > 1e-3) == solves
+        result = generalized_robustness(rho)
+        assert abs(result.value - value) <= GAP and result.lower <= result.value <= result.lower + GAP
+        assert (result.iterations > 0) == solves
 
 
 def test_a_singular_partial_transpose_leaves_the_point_open():
@@ -140,8 +143,8 @@ def test_a_singular_partial_transpose_leaves_the_point_open():
 
 
 def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
-    times = np.linspace(0.0, 0.05, 40)
-    states = np.concatenate([relax._relax(isotropic_with_bloch().matrix, times, PAPER_T2),
+    times = np.linspace(0.0, 0.01, 40)
+    states = np.concatenate([relax._relax(entangled_ginibre(20).matrix, times, PAPER_T2),
                              relax._relax(entangled_ginibre(13).matrix, times[:5], PAPER_T2)])
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
     _, _, _, failures, _, _, lam_min = optim._robustness(states)
@@ -150,16 +153,18 @@ def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
     lam, vecs = np.linalg.eigh(m)
     low, high, _, _, _ = optim._bracket(vecs[..., 0], lam_min)
     low_p, high_p, _, _, _ = optim._product_bracket(m, lam, vecs)
-    tighter = 0
+    low_b, high_b, _, _, _ = optim._bell_bracket(m)
+    tighter, bell_binds = 0, 0
     for k, exc in failures.items():
         _, _, _, alone = optim._central_path(m[k:k + 1], lam_min[k:k + 1])
         raw = alone[0]
         assert str(exc) == str(raw) and "3-iteration cap" in str(exc)
-        assert exc.lower == max(raw.lower, low[k], np.nan_to_num(low_p[k], nan=-np.inf))
-        assert exc.upper == min(raw.upper, high[k], high_p[k])
+        assert exc.lower == max(raw.lower, low[k], np.nan_to_num(low_p[k], nan=-np.inf), low_b[k])
+        assert exc.upper == min(raw.upper, high[k], high_p[k], high_b[k])
         assert exc.lower <= exc.upper
         tighter += (exc.lower, exc.upper) != (raw.lower, raw.upper)
-    assert tighter > 0
+        bell_binds += exc.lower == low_b[k] > max(raw.lower, low[k], np.nan_to_num(low_p[k], nan=-np.inf))
+    assert tighter > 30 and bell_binds > 30  # the Bell witness gives most of them their lower bound
     with pytest.raises(ConvergenceError) as single:
         generalized_robustness(DensityMatrix(states[min(failures)]))
     exc = failures[min(failures)]

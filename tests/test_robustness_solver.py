@@ -114,17 +114,18 @@ def test_newton_system_matches_finite_differences_of_the_barrier(t):
 
 
 def bracket_bounds(rho):
-    """The tighter of the two closed-form brackets of one NPT state: (max(L, L_prod), min(U, U_prod))."""
+    """The tightest of the three closed-form brackets of one NPT state: (max(L, L_prod, L_bell), min(U, ...))."""
     m = pt(rho.matrix)[None]
     lam, vecs = np.linalg.eigh(m)
     low, high, closed, _, _ = optim._bracket(vecs[..., 0], lam[:, 0])
     low_p, high_p, closed_p, _, _ = optim._product_bracket(m, lam, vecs)
-    assert not closed[0] and not closed_p[0]  # neither closes, so the solver runs
-    return max(low[0], low_p[0]), min(high[0], high_p[0])
+    low_b, high_b, closed_b, _, _ = optim._bell_bracket(m)
+    assert not closed[0] and not closed_p[0] and not closed_b[0]  # none closes, so the solver runs
+    return max(low[0], low_p[0], low_b[0]), min(high[0], high_p[0], high_b[0])
 
 
 def test_cholesky_failure_raises_with_bounds(monkeypatch):
-    rho = entangled_ginibre(13)  # neither bracket closes, so the solver runs
+    rho = entangled_ginibre(13)  # no bracket closes, so the solver runs
     lam_min = np.linalg.eigvalsh(pt(rho.matrix))[0]
     low, high = bracket_bounds(rho)
     calls = []
@@ -143,7 +144,7 @@ def test_cholesky_failure_raises_with_bounds(monkeypatch):
     assert start > high and low > 0.0
     assert (err.value.lower, err.value.upper) == (low, high)
     assert err.value.upper == pytest.approx(0.0993732879, rel=1e-9)  # the product bracket's U
-    assert err.value.lower == pytest.approx(0.0961876501, rel=1e-9)  # and its L
+    assert err.value.lower == pytest.approx(0.0993348596, rel=1e-9)  # the Bell bracket's L
 
 
 def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
@@ -151,8 +152,9 @@ def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
     value = generalized_robustness(rho).value
     low, high = bracket_bounds(rho)
     cholesky = optim._cholesky
-    # the 3rd iterate's bounds are looser than the brackets', the 7th's tighter on both sides
-    for failing_call, iterate_binds in ((4, False), (8, True)):
+    # the 3rd iterate's bounds are looser than the brackets', the 7th's upper bound is tighter; the Bell
+    # bracket's L, within 3e-10 of the value, stays tighter than any unfinished iterate's lower bound
+    for failing_call, upper_binds in ((4, False), (8, True)):
         calls = []
 
         def fails_at_that_iterate(blocks):
@@ -170,7 +172,7 @@ def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
         upper = np.trace(s[0]).real
         gap = sum(np.trace(s[b] @ z[b]).real for b in range(2))
         lower = max(0.0, upper - gap)
-        assert (upper < high and lower > low) == iterate_binds
+        assert (upper < high) == upper_binds and lower < low
         # the reported interval is the tightest of the iterate's and the two brackets'
         assert err.value.upper == pytest.approx(min(upper, high), rel=1e-14)
         assert err.value.lower == pytest.approx(max(lower, low), rel=1e-12, abs=1e-15)

@@ -1,8 +1,11 @@
 """The robustness solver on a large seeded set: every solve converges, with
 a certified gap of at most 1e-8 and a certificate that verifies to 1e-9.
-The pure and Bell-like states take the closed-form bracket, and most states
-whose optimal omega is a product pure state take the product bracket; both
-must meet the same certificate checks with no interior-point iteration.
+The pure and Bell-like states take the closed-form bracket, most states
+whose optimal omega is a product pure state take the product bracket, and
+most states whose optimal witness is a locally rotated Bell witness take
+the Bell bracket; all three must meet the same certificate checks with no
+interior-point iteration.  A forced solve of every entangled state holds
+the solver itself to those checks on the whole set.
 
 The inputs are 2,400 Ginibre states of rank 1 to 4 (rank-deficient states
 put the optimum on the boundary of both cones, where an interior-point
@@ -14,7 +17,7 @@ import numpy as np
 
 from witnesslab import BellKind, DensityMatrix, bell_state, generalized_robustness, pseudo_pure
 from witnesslab import grape_target_pipeline, optim
-from witnesslab.qmat import _pt_arr
+from witnesslab.qmat import _pt_arr, from_pauli_coords
 
 GAP = 1e-8
 RESIDUAL = 1e-9
@@ -40,16 +43,20 @@ def named_states():
 
 def bracket_routes(rho):
     """Where each state of a stack goes: the masks of the NPT states that _bracket closes, of those that
-    _product_bracket closes after it, and the product bracket's |U - L| of every NPT state (inf for PPT)."""
+    _product_bracket closes after it, and of those that _bell_bracket closes after both, and the smaller of
+    the product and Bell brackets' |U - L| of every NPT state (inf for PPT)."""
     m = _pt_arr(rho)
     lam_min = np.linalg.eigvalsh(m)[:, 0]
     npt = lam_min < -optim.NPT_CUT
     lam, vecs = np.linalg.eigh(m[npt])
-    schmidt, product, product_gap = np.zeros(len(rho), bool), np.zeros(len(rho), bool), np.full(len(rho), np.inf)
+    schmidt, product, bell = (np.zeros(len(rho), bool) for _ in range(3))
+    open_gap = np.full(len(rho), np.inf)
     schmidt[npt] = optim._bracket(vecs[..., 0], lam_min[npt])[2]
     low, high, product[npt], _, _ = optim._product_bracket(m[npt], lam, vecs)
-    product_gap[npt] = np.abs(high - low)
-    return schmidt, product & ~schmidt, product_gap
+    low_b, high_b, bell[npt], _, _ = optim._bell_bracket(m[npt])
+    open_gap[npt] = np.fmin(np.abs(high - low), np.abs(high_b - low_b))
+    product &= ~schmidt
+    return schmidt, product, bell & ~schmidt & ~product, open_gap
 
 
 def check_certified(rho, values, iterations, omega, lower, witness):
@@ -84,12 +91,27 @@ def test_every_seeded_ginibre_solve_is_certified():
     pure = np.arange(len(rho)) % 4 == 0
     assert npt[pure].all() and not iterations[pure].any()
     assert np.all(values[pure] - lower[pure] <= 1e-15)
-    # three routes: the closed form, then the product bracket, then the solver for what neither closes
-    schmidt, product, product_gap = bracket_routes(rho)
+    # four routes: the closed form, the product bracket, the Bell bracket, then the solver for what none closes
+    schmidt, product, bell, open_gap = bracket_routes(rho)
     solved = iterations > 0
-    assert np.array_equal(solved, npt & ~schmidt & ~product)
-    assert np.all(product_gap[solved] >= GAP)
-    assert product[~pure].sum() > 700 and solved.sum() > 500
+    assert np.array_equal(solved, npt & ~schmidt & ~product & ~bell)
+    assert np.all(open_gap[solved] >= GAP)
+    assert product[~pure].sum() > 700 and bell.sum() > 450 and solved.sum() > 150
+    # the solver itself on every NPT state, closed or not: a forced solve meets the same checks
+    values, lower, iterations = np.zeros(len(rho)), np.zeros(len(rho)), np.zeros(len(rho), int)
+    omega, witness = np.zeros_like(rho), np.zeros_like(rho)
+    m = _pt_arr(rho)
+    lam_min = np.linalg.eigvalsh(m)[:, 0]
+    points = np.flatnonzero(npt)
+    for start in range(0, len(points), optim._CHUNK):
+        idx = points[start:start + optim._CHUNK]
+        x, z2, iterations[idx], failed = optim._central_path(m[idx], lam_min[idx])
+        assert not failed
+        omega[idx] = from_pauli_coords(x)
+        values[idx] = np.trace(omega[idx], axis1=1, axis2=2).real
+        lower[idx], witness[idx] = optim._dual_bound(m[idx], z2), _pt_arr(z2)
+    assert iterations[npt].all() and iterations.max() <= 20
+    check_certified(rho, values, iterations, omega, lower, witness)
 
 
 def test_named_states_are_certified_alone_and_together():
@@ -120,4 +142,5 @@ def test_every_certificate_passes_the_state_check():
             DensityMatrix(cert.matrix)  # raises unless it is a state within PSD_TOL
             certified += 1
     assert certified > 150
-    assert bracket_routes(rho)[1].sum() > 50  # among them, points the product bracket closes
+    _, product, bell, _ = bracket_routes(rho)
+    assert product.sum() > 50 and bell.sum() > 50  # among them, points the product and Bell brackets close

@@ -1,11 +1,11 @@
 """The batched sweep against its one-point functions.
 
 ``sweep`` relaxes the whole time grid as one coordinate array, takes the
-closed-form robustness wherever its bracket or the product bracket closes
-and solves every other entangled point in one interior-point loop.  Each
-point must still equal ``f_witness_state``, ``eval_witness`` and
-``generalized_robustness`` of ``relax_channel(rho0, float(t), p)`` bit for
-bit, with the same iteration count and dual bound, and a point whose solve
+closed-form robustness wherever its bracket, the product bracket or the
+Bell bracket closes and solves every other entangled point in one
+interior-point loop.  Each point must still equal ``f_witness_state``,
+``eval_witness`` and ``generalized_robustness`` of
+``relax_channel(rho0, float(t), p)`` bit for bit, with the same iteration count and dual bound, and a point whose solve
 fails must name its sweep time.
 """
 
@@ -50,11 +50,17 @@ def rotated_pseudo_pure():
     return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
-def isotropic_with_bloch():
-    """0.5 |phi+><phi+| + 0.5 (1 + 0.1 Z)/2 (x) 1/2: a local Bloch vector keeps its bracket open, and its
-    optimal omega is not a product pure state, so most points of its relaxation go to the solver."""
+def isotropic_with_bloch(weight=0.5, bloch=0.1):
+    """weight |phi+><phi+| + (1 - weight) (1 + bloch Z)/2 (x) 1/2.
+
+    A local Bloch vector keeps its bracket open, and its optimal omega is not a
+    product pure state.  At the defaults the Bell bracket closes it and most
+    points of its relaxation; at weight 0.4 and bloch 0.3, nearer the
+    threshold weight 1/3, no bracket closes it and the solver runs.
+    """
     z_i = np.kron(np.diag([1.0, -1.0]), np.eye(2))
-    return DensityMatrix(0.5 * bell_state(BellKind.PHI_PLUS).matrix + 0.5 * (np.eye(4) + 0.1 * z_i) / 4.0)
+    mixed = (np.eye(4) + bloch * z_i) / 4.0
+    return DensityMatrix(weight * bell_state(BellKind.PHI_PLUS).matrix + (1.0 - weight) * mixed)
 
 
 # the last field says whether every entangled point takes the closed-form bracket (no local
@@ -68,8 +74,10 @@ CASES = {
     # every point entangled and more of them than one chunk holds
     "phi-, two chunks": (bell_state(BellKind.PHI_MINUS), 0.25, optim._CHUNK + 44, True),
     "ginibre-3, two chunks": (entangled_ginibre(3), 0.05, optim._CHUNK + 44, False),
-    # more solved points than one chunk holds
-    "isotropic with a Bloch vector, two solver chunks": (isotropic_with_bloch(), 0.05, optim._CHUNK + 44, False),
+    # more entangled points than one chunk holds, most closed by the Bell bracket
+    "isotropic with a Bloch vector, two chunks": (isotropic_with_bloch(), 0.05, optim._CHUNK + 44, False),
+    # more solved points than one chunk holds: no bracket closes any point
+    "ginibre-20, two solver chunks": (entangled_ginibre(20), 0.01, optim._CHUNK + 44, False),
 }
 
 
@@ -95,25 +103,27 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
         if single.witness is not None:
             assert np.array_equal(single.witness.matrix, witness[k])
     entangled, solved = series.gr_values > 0, iterations > 0
-    schmidt, product, product_gap = bracket_routes(states)
-    assert entangled.any() and np.array_equal(solved, entangled & ~schmidt & ~product)
-    assert np.all(product_gap[solved] >= optim._GAP)
+    schmidt, product, bell, open_gap = bracket_routes(states)
+    assert entangled.any() and np.array_equal(solved, entangled & ~schmidt & ~product & ~bell)
+    assert np.all(open_gap[solved] >= optim._GAP)
     assert np.array_equal(schmidt[entangled], np.full(entangled.sum(), closed_form))
     if not closed_form:
         assert solved.any()
     if steps > optim._CHUNK:
         assert entangled.sum() > optim._CHUNK  # the entangled points fill more than one chunk
         if name.startswith("isotropic"):
+            assert bell.sum() > optim._CHUNK  # most of them closed by the Bell bracket
+        if "solver chunks" in name:
             assert solved.sum() > optim._CHUNK  # and the solved ones do too
 
 
 def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
+    states = relax._relax(entangled_ginibre(20).matrix, np.linspace(0.0, 0.01, 9), PAPER_T2)
     times = np.linspace(0.0, 0.25, 9)
-    states = relax._relax(entangled_ginibre(5).matrix, times, PAPER_T2)
     states = np.concatenate([states, relax._relax(bell_state(BellKind.PHI_MINUS).matrix, times, PAPER_T2)])
-    schmidt, product, _ = bracket_routes(states)
-    to_solver = (np.linalg.eigvalsh(_pt_arr(states))[:, 0] < -optim.NPT_CUT) & ~schmidt & ~product
-    assert to_solver.any()  # neither bracket closes these, so they reach _central_path
+    schmidt, product, bell, _ = bracket_routes(states)
+    to_solver = (np.linalg.eigvalsh(_pt_arr(states))[:, 0] < -optim.NPT_CUT) & ~schmidt & ~product & ~bell
+    assert to_solver.sum() > 5  # no bracket closes these, so they reach _central_path
     for cap in (2, 5):
         monkeypatch.setattr(optim, "_MAX_ITERATIONS", cap)
         _, _, _, failures, _, _, _ = optim._robustness(states)
@@ -130,8 +140,8 @@ def test_sweep_names_the_earliest_failing_time(monkeypatch):
     rho0 = entangled_ginibre(3)  # entangled at every grid time
     w = bell_witness(BellKind.PHI_MINUS)
     times = np.linspace(0.0, 0.02, 12)
-    schmidt, product, _ = bracket_routes(relax._relax(rho0.matrix, times, PAPER_T2))
-    assert not (schmidt | product)[[4, 9]].any()  # neither bracket closes the two targets: they reach the solver
+    schmidt, product, bell, _ = bracket_routes(relax._relax(rho0.matrix, times, PAPER_T2))
+    assert not (schmidt | product | bell)[[4, 9]].any()  # no bracket closes the two targets: they reach the solver
     targets = [_pt_arr(relax_channel(rho0, float(times[k]), PAPER_T2).matrix) for k in (9, 4)]
     cholesky = optim._cholesky
 
