@@ -39,13 +39,8 @@ TWO_SPIN_PAULIS.setflags(write=False)
 # sign picked up by each Pauli string under partial transpose on spin I (Y^T = -Y)
 PT_SIGN = np.array([-1.0 if lab[0] == "Y" else 1.0 for lab in TWO_SPIN_LABELS])
 PT_SIGN.setflags(write=False)
-# row k is vec(P_k): x @ _Q is vec(sum_k x_k P_k), and vec(m^T) @ _Q.T holds Tr(P_k m)
+# row k is vec(P_k): x @ _Q is vec(sum_k x_k P_k)
 _Q = TWO_SPIN_PAULIS.reshape(16, 16)
-_Q_T = np.ascontiguousarray(_Q.T)
-# the real and imaginary part of each entry of sum_k x_k P_k sum 2 or 4 terms sign * x_k: column j lists
-# them by ascending k, padded with zero signs
-_TERM_K = np.argsort(_Q.view(np.float64) == 0.0, axis=0, kind="stable")[:4]
-_TERM_SIGN = np.take_along_axis(_Q.view(np.float64), _TERM_K, axis=0)
 
 # elementwise absolute tolerance for hermiticity, a state's trace and the tomography spill
 TOL_EQ = 1e-10
@@ -56,27 +51,17 @@ PSD_TOL = 1e-9
 def pauli_coords(m: np.ndarray) -> np.ndarray:
     """The 16 real coordinates Tr(P_k m) of a 4x4 matrix, in TWO_SPIN_LABELS order.
 
-    A (..., 4, 4) stack gives (..., 16), each row from its own (1, 16) @ (16, 16)
-    product, so as for its matrix alone.  Tr(P_k m) sums P_k[a, b] m[b, a] with
-    a, b in row-major order, which is the order of vec(m^T).
+    A (..., 4, 4) stack gives (..., 16), each row computed as for its matrix alone.
     """
-    rows = np.swapaxes(m, -1, -2).reshape(np.shape(m)[:-2] + (1, 16))
-    return (rows @ _Q_T).real[..., 0, :]
+    return np.real(np.einsum("kab,...ba->...k", TWO_SPIN_PAULIS, m))
 
 
 def from_pauli_coords(x) -> np.ndarray:
     """sum_k x_k P_k, so from_pauli_coords(pauli_coords(m)) == 4 m for Hermitian m.
 
-    Rows of a (..., 16) array of reals give a (..., 4, 4) stack.  Each real
-    and imaginary part adds its terms to +0 in order of k, as a sum over k
-    does: a matmul would associate them otherwise and move entries by an
-    ulp, and with them the last bits of every state and robustness
-    certificate made from coordinates.
+    Rows of a (..., 16) array give a (..., 4, 4) stack.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty(x.shape[:-1] + (32,))
-    np.add.reduce(x[..., _TERM_K] * _TERM_SIGN, axis=-2, initial=0.0, out=out)
-    return out.view(complex).reshape(x.shape[:-1] + (4, 4))
+    return np.einsum("...k,kab->...ab", x, TWO_SPIN_PAULIS)
 
 
 def _as_operator_array(matrix) -> np.ndarray:

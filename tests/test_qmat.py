@@ -272,25 +272,6 @@ def test_pauli_coords_order_follows_labels():
     assert TWO_SPIN_LABELS[0] == "II"
 
 
-def test_coordinate_conversions_match_their_sums_over_k():
-    # from_pauli_coords adds its terms in order of k, so it equals the plain loop bit for bit, signed zeros
-    # included; pauli_coords is a matmul, whose association of four terms is the BLAS's, so within rounding
-    rng = np.random.default_rng(212)
-    for n in (1, 2, 7, 257):
-        x = rng.standard_normal((n, 16))
-        x[x < -1.2], x[x > 1.2] = 0.0, -0.0
-        want = np.zeros((n, 4, 4), dtype=complex)
-        for k in range(16):
-            want = want + x[:, k, None, None] * TWO_SPIN_PAULIS[k]
-        assert from_pauli_coords(x).tobytes() == want.tobytes()
-        assert from_pauli_coords(x[0]).tobytes() == want[0].tobytes()
-        m = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
-        sums = np.stack([np.trace(TWO_SPIN_PAULIS[k] @ m, axis1=-2, axis2=-1).real for k in range(16)], axis=-1)
-        np.testing.assert_allclose(pauli_coords(m), sums, rtol=0, atol=1e-14)
-        for k in range(n):  # each row as for its matrix alone
-            assert pauli_coords(m[k]).tobytes() == pauli_coords(m)[k].tobytes()
-
-
 def test_tolerances_are_read_only():
     # the two tolerances are qmat constants; no settable tolerance object exists
     assert qmat.TOL_EQ == 1e-10

@@ -6,25 +6,22 @@ W^PT >= 0, so L = -Tr(W rho) bounds the robustness of every state from
 below; the minimum-norm omega that complementary slackness with W allows,
 lifted by eps 1 until it is feasible, bounds it from above.  These checks
 hold both bounds against the solver on the stress sets, the closed
-certificates against the state check and a forced solve, L against local
-unitaries, the witness against ``bell_witness`` on Bell-diagonal states,
-and a point's bits alone and in a stack.
+certificates against the state check, L against local unitaries, the
+witness against ``bell_witness`` on Bell-diagonal states, and a point's
+bits alone and in a stack.  test_robustness_bracket holds the closed
+values against a forced solve.
 """
 
 import numpy as np
 
 from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_physical_c
-from test_robustness_stress import bracket_routes, ginibre_states, named_states
+from test_robustness_bracket import stress_sets
+from test_robustness_stress import bracket_routes, ginibre_states
 from witnesslab import BellKind, DensityMatrix, bell_witness, generalized_robustness
 from witnesslab import optim
-from witnesslab.qmat import TWO_SPIN_LABELS, _pt_arr, from_pauli_coords, pauli_coords
+from witnesslab.qmat import TWO_SPIN_LABELS, _pt_arr, pauli_coords
 
 GAP = 1e-8
-
-
-def stress_sets():
-    rng = np.random.default_rng(20261018)
-    return np.concatenate([ginibre_states(rng, 2400), named_states()])
 
 
 def test_the_bounds_hold_the_robustness_on_the_stress_sets():
@@ -63,17 +60,6 @@ def test_closed_certificates_are_states_and_witnesses_are_valid():
     eig_pt = np.linalg.eigvalsh(_pt_arr(witness))
     np.testing.assert_allclose(eig_pt, np.broadcast_to([0.0, 0.0, 0.0, 2.0], eig.shape), rtol=0, atol=1e-13)
     np.testing.assert_allclose(low[closed], -np.einsum("kab,kba->k", witness, rho[closed]).real, rtol=0, atol=1e-13)
-
-
-def test_the_closed_form_is_within_the_gap_of_a_forced_solve():
-    rho = stress_sets()
-    values, iterations, _, _, lower, _, lam = optim._robustness(rho)
-    _, _, bell, _ = bracket_routes(rho)
-    assert not iterations[bell].any() and np.all(lower[bell] <= values[bell])
-    x, _, forced_iterations, failures = optim._central_path(_pt_arr(rho[bell]), lam[bell])
-    assert not failures and forced_iterations.all()
-    forced = np.trace(from_pauli_coords(x), axis1=-2, axis2=-1).real
-    np.testing.assert_allclose(values[bell], forced, rtol=0, atol=GAP)
 
 
 def test_the_lower_bound_does_not_change_under_local_unitaries():

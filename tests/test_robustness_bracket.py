@@ -106,7 +106,8 @@ def test_the_closed_form_is_within_the_gap_of_a_forced_solve():
     values, iterations, _, _, _, _, lam = optim._robustness(rho)
     closed = (lam < -optim.NPT_CUT) & (iterations == 0)
     assert closed.sum() > 800
-    assert bracket_routes(rho)[1].sum() > 800  # the product bracket's points among them
+    _, product, bell, _ = bracket_routes(rho)
+    assert product.sum() > 800 and bell.sum() > 500  # the product and Bell brackets' points among them
     x, _, forced_iterations, failures = optim._central_path(_pt_arr(rho[closed]), lam[closed])
     assert not failures and forced_iterations.all()
     forced = np.trace(from_pauli_coords(x), axis1=-2, axis2=-1).real

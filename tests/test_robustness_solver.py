@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_density_matrix, random_physical_c
+from test_robustness_stress import ginibre_states
 from witnesslab import (
     BellKind,
     ConvergenceError,
@@ -148,13 +149,14 @@ def test_cholesky_failure_raises_with_bounds(monkeypatch):
 
 
 def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
-    rho = entangled_ginibre(13)
+    # a rank-2 state of the stress set that no bracket closes: its brackets' bounds are within 3e-8 of the
+    # value, so only the last iterate before the solve ends is tighter than them
+    rho = DensityMatrix(ginibre_states(np.random.default_rng(20261018), 690)[-1])
     value = generalized_robustness(rho).value
     low, high = bracket_bounds(rho)
     cholesky = optim._cholesky
-    # the 3rd iterate's bounds are looser than the brackets', the 7th's upper bound is tighter; the Bell
-    # bracket's L, within 3e-10 of the value, stays tighter than any unfinished iterate's lower bound
-    for failing_call, upper_binds in ((4, False), (8, True)):
+    # the 3rd iterate's bounds are looser than the brackets', the 8th's tighter on both sides
+    for failing_call, iterate_binds in ((4, False), (9, True)):
         calls = []
 
         def fails_at_that_iterate(blocks):
@@ -172,8 +174,8 @@ def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
         upper = np.trace(s[0]).real
         gap = sum(np.trace(s[b] @ z[b]).real for b in range(2))
         lower = max(0.0, upper - gap)
-        assert (upper < high) == upper_binds and lower < low
-        # the reported interval is the tightest of the iterate's and the two brackets'
+        assert (upper < high and lower > low) == iterate_binds
+        # the reported interval is the tightest of the iterate's and the three brackets'
         assert err.value.upper == pytest.approx(min(upper, high), rel=1e-14)
         assert err.value.lower == pytest.approx(max(lower, low), rel=1e-12, abs=1e-15)
         assert 0.0 <= err.value.lower <= value <= err.value.upper
