@@ -9,8 +9,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import StructuralError, bounded_int
-from .qmat import SIGMA_I, SIGMA_X, SIGMA_Z, TWO_SPIN_LABELS, DensityMatrix, _as_operator_array
-from .qmat import _trusted_state, _two_spin_state, pauli_coords
+from .qmat import SIGMA_I, SIGMA_X, SIGMA_Z, DensityMatrix, _as_operator_array
+from .qmat import _pauli_columns, _trusted_state, _two_spin_state
 from .states import BellKind, ThermalParams, _BELL_VECTORS, thermal_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -110,8 +110,7 @@ def superdense_run(thermal: ThermalParams, m: Message) -> SuperdenseResult:
     rho1 = epr_gate().apply(thermal_state(thermal))
     encoded = message_operator(m).apply(rho1)
     rho_f = _epr_inverse().apply(encoded)
-    coords = pauli_coords(rho_f.matrix)
-    mz_i, mz_s = (float(coords[TWO_SPIN_LABELS.index(lab)]) for lab in ("ZI", "IZ"))
+    mz_i, mz_s = _pauli_columns(rho_f.matrix, ("ZI", "IZ")).tolist()
     return SuperdenseResult(rho1=rho1, rho_f=rho_f, mz_i=mz_i, mz_s=mz_s)
 
 

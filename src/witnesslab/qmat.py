@@ -18,6 +18,7 @@ Conventions fixed once and inherited everywhere:
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,26 +43,102 @@ PT_SIGN.setflags(write=False)
 # row k is vec(P_k): x @ _Q is vec(sum_k x_k P_k)
 _Q = TWO_SPIN_PAULIS.reshape(16, 16)
 
+
+def _conversion_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Pauli-coordinate conversions as (4, K) gather tables: source and sign of term t of output j.
+
+    Each Pauli string has four nonzero entries, all +-1 or +-i, so each
+    output float is four signed input floats.  pauli_coords: the real part
+    of P_k[a, b] m[b, a] is +-Re m[b, a] or -+Im m[b, a], float 2 (4b + a)
+    or 2 (4b + a) + 1 of m's float view, with the terms in the row-major
+    order of P_k's nonzero entries.  from_pauli_coords: floats 2 (4a + b)
+    and 2 (4a + b) + 1 of the output, the real and imaginary parts of entry
+    (a, b), are the sums of P_k[a, b].real x_k and P_k[a, b].imag x_k over
+    the four strings with P_k[a, b] != 0, in order of k; a part with only 2
+    or 0 such terms has zero-sign terms in their place.
+    """
+    k, a, b = np.nonzero(TWO_SPIN_PAULIS)
+    p = TWO_SPIN_PAULIS[k, a, b]
+    coord_src = (2 * (4 * b + a) + (p.imag != 0)).reshape(16, 4).T
+    coord_sign = (p.real - p.imag).reshape(16, 4).T
+    a, b, k = np.nonzero(TWO_SPIN_PAULIS.transpose(1, 2, 0))
+    p = TWO_SPIN_PAULIS[k, a, b]
+    entry_src = np.repeat(k.reshape(16, 4).T, 2, axis=1)
+    entry_sign = np.stack([p.real, p.imag], axis=-1).reshape(16, 4, 2).transpose(1, 0, 2).reshape(4, 32)
+    tables = tuple(np.ascontiguousarray(t) for t in (coord_src, coord_sign, entry_src, entry_sign))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+_COORD_SRC, _COORD_SIGN, _ENTRY_SRC, _ENTRY_SIGN = _conversion_tables()
+
 # elementwise absolute tolerance for hermiticity, a state's trace and the tomography spill
 TOL_EQ = 1e-10
 # how far below zero an eigenvalue may sit and still count as PSD
 PSD_TOL = 1e-9
 
 
+def _gather_sum(rows: np.ndarray, src: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """sum_t sign[t, j] * rows[..., src[t, j]], added to +0 in order of t: a C-contiguous (..., K) array.
+
+    No BLAS call: the terms and their order are the tables', so a row's
+    bits do not depend on the stack it sits in.
+    """
+    if rows.size == rows.shape[-1]:
+        # one row: take is the cheaper gather, and its C-ordered terms give a C-ordered sum
+        g, out = rows.take(src, -1), None
+    else:
+        # a stack: fancy indexing leaves the batch axis innermost, so the sum runs
+        # along long rows, into a C-ordered buffer (its own layout would follow g's)
+        g, out = rows[..., src], np.empty(rows.shape[:-1] + src.shape[1:])
+    g *= sign
+    return np.add.reduce(g, -2, None, out, False, 0.0)
+
+
+def _coords(m, src: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    m = np.ascontiguousarray(m, dtype=complex)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a (..., 4, 4) array, got shape {m.shape}")
+    return _gather_sum(m.reshape(m.shape[:-2] + (16,)).view(float), src, sign)
+
+
 def pauli_coords(m: np.ndarray) -> np.ndarray:
     """The 16 real coordinates Tr(P_k m) of a 4x4 matrix, in TWO_SPIN_LABELS order.
 
-    A (..., 4, 4) stack gives (..., 16), each row computed as for its matrix alone.
+    A (..., 4, 4) stack gives (..., 16), each row computed as for its matrix
+    alone: each coordinate is its four signed entries of m added to +0 in
+    the row-major order of P_k's nonzero entries, with no BLAS call.  The
+    result is C-contiguous.
     """
-    return np.real(np.einsum("kab,...ba->...k", TWO_SPIN_PAULIS, m))
+    return _coords(m, _COORD_SRC, _COORD_SIGN)
+
+
+@lru_cache(maxsize=None)
+def _column_tables(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    cols = [TWO_SPIN_LABELS.index(lab) for lab in labels]
+    tables = _COORD_SRC[:, cols], _COORD_SIGN[:, cols]
+    for t in tables:
+        t.setflags(write=False)  # shared by every caller through the cache
+    return tables
+
+
+def _pauli_columns(m, labels: tuple[str, ...]) -> np.ndarray:
+    """The coordinates of ``labels`` alone: pauli_coords(m)'s columns, bit for bit."""
+    return _coords(m, *_column_tables(labels))
 
 
 def from_pauli_coords(x) -> np.ndarray:
     """sum_k x_k P_k, so from_pauli_coords(pauli_coords(m)) == 4 m for Hermitian m.
 
-    Rows of a (..., 16) array give a (..., 4, 4) stack.
+    Rows of a real (..., 16) array give a (..., 4, 4) stack.  The real and
+    the imaginary part of each entry are its terms x_k P_k[a, b] added to +0
+    in order of k, with no BLAS call.  The result is C-contiguous.
     """
-    return np.einsum("...k,kab->...ab", x, TWO_SPIN_PAULIS)
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (16,):
+        raise ValueError(f"expected a (..., 16) array, got shape {x.shape}")
+    return _gather_sum(x, _ENTRY_SRC, _ENTRY_SIGN).view(complex).reshape(x.shape[:-1] + (4, 4))
 
 
 def _as_operator_array(matrix) -> np.ndarray:

@@ -17,16 +17,16 @@ import numpy as np
 
 from .circuits import Gate
 from .errors import DomainError, bounded_int
-from .qmat import PSD_TOL, SIGMA_I, SIGMA_X, SIGMA_Y, TOL_EQ, TWO_SPIN_LABELS, DensityMatrix
-from .qmat import _trusted_state, _two_spin_state, from_pauli_coords, pauli_coords
+from .qmat import PSD_TOL, SIGMA_I, SIGMA_X, SIGMA_Y, TOL_EQ, DensityMatrix
+from .qmat import _pauli_columns, _trusted_state, _two_spin_state, from_pauli_coords
 from .states import _expectation_coords
 from .witness import CorrelationPair
 
 # Pauli coordinates each nucleus's lines are read from: <X>, <Y> of the
 # observed spin, then the same with the partner spin's Z attached
 _LINE_COORDS = {
-    "I": [TWO_SPIN_LABELS.index(lab) for lab in ("XI", "YI", "XZ", "YZ")],
-    "S": [TWO_SPIN_LABELS.index(lab) for lab in ("IX", "IY", "ZX", "ZY")],
+    "I": ("XI", "YI", "XZ", "YZ"),
+    "S": ("IX", "IY", "ZX", "ZY"),
 }
 
 # Receiver phase per nucleus.  With the pulse convention below, the raw
@@ -100,7 +100,7 @@ def simulate_lines(rho: DensityMatrix, nucleus: str, prep: PulseSpec | None) -> 
         raise DomainError(f"nucleus must be 'I' or 'S', got {nucleus!r}")
     _two_spin_state(rho, "simulate_lines")
     rho_p = prep_pulse_unitary(prep).apply(rho) if prep is not None else rho
-    x, y, xz, yz = pauli_coords(rho_p.matrix)[_LINE_COORDS[nucleus]]
+    x, y, xz, yz = _pauli_columns(rho_p.matrix, _LINE_COORDS[nucleus])
     phase = _RECEIVER_PHASE[nucleus]
     a, b = phase * complex(x, -y), phase * complex(xz, -yz)
     return SpectrumPair(nucleus=nucleus, line_low=(a + b) / 2, line_high=(a - b) / 2)
