@@ -3,8 +3,9 @@ two-cone semidefinite program by a primal-dual interior-point method, or in
 closed form where one of three certified brackets already closes to the
 solver's gap: the two-qubit bracket from the negative eigenvector of the
 partial transpose, the one from the best product state, or the one from the
-locally rotated Bell witness (exact for two qubits via the positive partial
-transpose criterion)."""
+locally rotated Bell witness, whose primal omega a phase-1 Newton completion
+finds where the minimum-norm one is not PSD (exact for two qubits via the
+positive partial transpose criterion)."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError
-from .qmat import _Q, PT_SIGN, DensityMatrix, HermitianOp, _pt_arr, _trusted_state, _two_spin_state
+from .qmat import _Q, PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _pt_arr, _trusted_state, _two_spin_state
 from .qmat import from_pauli_coords, pauli_coords
 from .states import BellDiagonalParams, bell_probabilities
 
@@ -37,6 +38,9 @@ _MAX_ITERATIONS = 100
 _CHUNK = 256
 # alternating half-step pairs of the product-state search that every point still open after _bracket takes
 _PRODUCT_STEPS = 12
+# phase-1 Newton steps the Bell completion takes at most, and the growth of its weight on t per step
+_COMPLETION_STEPS = 20
+_COMPLETION_GROWTH = 8.0
 # a point is solved when lambda_min of its partial transpose is below -NPT_CUT; any other point is PPT, robustness 0
 NPT_CUT = 1e-12
 
@@ -56,10 +60,12 @@ class RobustnessResult:
     eigenvector of rho^PT, or else ``_product_bracket``'s, whose omega is
     a pure product state and whose witness is (|f><f|)^PT / a_f^2 for one
     vector f, or else ``_bell_bracket``'s, whose witness is the locally
-    rotated Bell witness (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2.
-    ``iterations`` counts interior-point iterations, so it is 0 on those
-    closed paths as well as for a PPT state.  A PPT state has value and
-    lower 0 and no witness.
+    rotated Bell witness (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2 and whose
+    omega is the minimum-norm one that complementary slackness with it
+    allows or, where that is not PSD, the one its completion finds in the
+    same set.  ``iterations`` counts interior-point iterations, so it is 0
+    on those closed paths as well as for a PPT state.  A PPT state has
+    value and lower 0 and no witness.
 
     By the duality of Brandao, PRA 72, 022310 (2005), ``witness`` is the
     optimal witness of rho with W <= 1: it minimizes Tr(W rho) over every W
@@ -417,6 +423,118 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     return lower, upper, closed, omega, _pt_arr(z2[closed])
 
 
+def _completion_tables():
+    """The Bell completion's constant tables, in the frame where the Bell witness is W_0 = (1 + XX + YY + ZZ) / 2.
+
+    W_0's -1 eigenvector is psi-, with g_perp = (|00>, |11>, (|01> + |10>) /
+    sqrt 2) spanning its complement, and W_0^PT = 2 |phi+><phi+|, with
+    f_perp = (|01>, |10>, (|00> - |11>) / sqrt 2) spanning phi+'s.  Row k of
+    the (32, 36) table maps Pauli coordinates to the two compressions, held
+    as two complex 3x3 blocks in their real view: coordinate k of omega
+    (rows 0-15) to g_perp^H P_k g_perp / 4 and f_perp^H P_k^PT f_perp / 4,
+    and coordinate k of rho (rows 16-31) to the second alone.  The 5 omegas
+    with omega psi- = 0 and omega^PT phi+ = 0 are the correlation blocks
+    sum_ij S_ij sigma_i (x) sigma_j / 4 with S real, symmetric and
+    traceless; the (5, 9) basis holds an orthonormal basis of those S, and
+    the (6, 2, 3, 3) directions hold their compressions and, last, those of
+    -t 1 (-1 in both blocks).
+    """
+    s = np.sqrt(0.5)
+    g_perp = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, s, s, 0]], dtype=complex).T
+    f_perp = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [s, 0, 0, -s]], dtype=complex).T
+    table = np.zeros((32, 2, 3, 3), dtype=complex)
+    table[:16, 0] = g_perp.conj().T @ TWO_SPIN_PAULIS @ g_perp / 4.0
+    table[:16, 1] = table[16:, 1] = PT_SIGN[:, None, None] * (f_perp.conj().T @ TWO_SPIN_PAULIS @ f_perp) / 4.0
+    basis = np.zeros((5, 3, 3))
+    basis[0, 0, 1] = basis[0, 1, 0] = basis[1, 0, 2] = basis[1, 2, 0] = basis[2, 1, 2] = basis[2, 2, 1] = s
+    basis[3, 0, 0], basis[3, 1, 1] = s, -s
+    basis[4] = np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+    directions = np.empty((6, 2, 3, 3), dtype=complex)
+    correlations = np.zeros((5, 4, 4))
+    correlations[:, 1:, 1:] = basis
+    directions[:5] = np.tensordot(correlations.reshape(5, 16), table[:16], 1)
+    directions[5] = -np.eye(3)
+    tables = (np.ascontiguousarray(table.reshape(32, 18)).view(float), basis.reshape(5, 9),
+              np.ascontiguousarray(directions.swapaxes(0, 1)),
+              np.ascontiguousarray(directions.reshape(6, 18)).view(float))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+_COMPLETION_TABLE, _CORRELATION_BASIS, _DIRECTIONS, _DIRECTIONS_FLAT = _completion_tables()
+# the identity in both blocks, in their real view: the inner product with a block pair is its trace
+_EYES = np.ascontiguousarray(np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3)).reshape(18)).view(float)
+
+
+# a block that Cholesky cannot factor or a singular Newton system is NaN: the point stops at its last iterate
+@np.errstate(invalid="ignore", divide="ignore")
+def _bell_completion(x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Pauli coordinates (k, 4, 4) of an omega that complementary slackness with W allows, PSD where one was found.
+
+    x holds rho's coordinates, y those of the minimum-norm omega and r the
+    rotation R of _bell_bracket.  In the frame where W is W_0 (spin S's
+    coordinates turned by R^T), omega = omega_0 + sum_ij S_ij sigma_i (x)
+    sigma_j / 4 with S real, symmetric and traceless keeps omega g = 0 and
+    (m + omega^PT) f = 0 and Tr omega = L, so omega >= 0 and
+    m + omega^PT >= 0 ask only that the compressions A = G^H omega G and
+    B = F^H (m + omega^PT) F be PSD, with G and F orthonormal bases of the
+    complements of g and f.  With c the 5 coordinates of S, a phase-1
+    barrier method maximizes t subject to A(c) >= t and B(c) >= t: damped
+    Newton steps (step 1 / (1 + lambda) while the Newton decrement lambda
+    exceeds 1/4) on -w t - log det(A - t) - log det(B - t), the weight w
+    starting at Tr (A - t)^-1 + Tr (B - t)^-1 and growing by
+    _COMPLETION_GROWTH per step, from c = 0 and t = 2 lambda_min of the
+    minimum-norm compressions.  A point stops once t > 0, or once t stalls
+    below 0 (four more steps like its last would not lift it to 0), or
+    after _COMPLETION_STEPS steps.  Every point's numbers come from its
+    own slices.  The caller checks the result with the full 4x4 eigvalsh,
+    as it checks the minimum-norm omega.
+    """
+    k = len(y)
+    rot = np.zeros((k, 4, 4))
+    rot[:, 0, 0] = 1.0
+    rot[:, 1:, 1:] = r.swapaxes(-1, -2)
+    v = (np.stack([y, x], axis=1) @ rot[:, None]).reshape(k, 1, 32)  # both in W_0's frame
+    base = (v @ _COMPLETION_TABLE).view(complex).reshape(k, 2, 3, 3)
+    lam = _umath_linalg.eigvalsh_lo(base, signature="D->d")[..., 0].min(axis=-1)
+    z = np.zeros((k, 6))  # c, then t
+    z[:, 5] = lam + np.minimum(lam, 0.0)
+    points = (z[:, 5] < 0.0).nonzero()[0]
+    zp, base, weight = z[points], base[points], None
+    for step in range(_COMPLETION_STEPS):
+        if not len(points):
+            break
+        chol = _umath_linalg.cholesky_lo(base + (zp[:, None] @ _DIRECTIONS_FLAT).view(complex).reshape(-1, 2, 3, 3),
+                                         signature="D->D")
+        inv_l = _umath_linalg.inv(chol, signature="D->D")
+        # L^-1 C_j L^-H: the barrier's Hessian is their Gram matrix, its gradient minus their traces
+        scaled = inv_l[:, :, None] @ _DIRECTIONS @ inv_l.conj().swapaxes(-1, -2)[:, :, None]
+        gram = scaled.swapaxes(1, 2).reshape(-1, 6, 18).view(float)
+        rhs = (gram @ _EYES[:, None])[..., 0]
+        if weight is None:
+            weight = -rhs[:, 5]  # the t-gradient is 0 at the start
+        rhs[:, 5] += weight
+        dz = _umath_linalg.solve1(gram @ gram.swapaxes(-1, -2), rhs, signature="dd->d")
+        decrement = np.sqrt((rhs[:, None] @ dz[:, :, None])[:, 0, 0])
+        t_last = zp[:, 5]
+        moved = zp + np.where(decrement > 0.25, 1.0 / (1.0 + decrement), 1.0)[:, None] * dz
+        failed = np.isnan(moved).any(axis=1)
+        zp = np.where(failed[:, None], zp, moved)
+        t = zp[:, 5]
+        keep = (t < 0.0) & ~failed
+        if step:
+            keep &= t + 4.0 * (t - t_last) >= 0.0
+        if not keep.all():
+            z[points[~keep]] = zp[~keep]
+            points, zp, base, weight = points[keep], zp[keep], base[keep], weight[keep]
+        weight = _COMPLETION_GROWTH * weight
+    z[points] = zp
+    y = y.copy()
+    y[:, 1:, 1:] += (z[:, None, :5] @ _CORRELATION_BASIS).reshape(k, 3, 3) @ r
+    return y
+
+
 def _bell_bracket(m: np.ndarray):
     """Bounds L <= GR <= U from the locally optimal Bell witness, and the certificate and witness where they close.
 
@@ -440,10 +558,13 @@ def _bell_bracket(m: np.ndarray):
         y_00 = L, y_i0 = -(a + R b)_i / 2, y_0j = -(R^T a + b)_j / 2,
         y_ij = L R_ij / 3 - (T - R T^T R)_ij / 4.
     With eps = max(0, -lambda_min(omega), -lambda_min(m + omega^PT)),
-    omega + eps 1 is a primal certificate, so U = L + 4 eps.  Returns L and
-    U of every point, the mask of the points with U - L < _GAP, and omega +
-    eps 1 and W of those points, or None for both when no point closes.
-    Every point's numbers come from its own slices.
+    omega + eps 1 is a primal certificate, so U = L + 4 eps.  Where that U -
+    L is not below _GAP (the minimum-norm omega is not PSD), _bell_completion
+    searches the same set, and a point keeps whichever of the two omegas has
+    the smaller eps.  Returns L and U of every point, the mask of the points
+    with U - L < _GAP, and omega + eps 1 and W of those points, or None for
+    both when no point closes.  Every point's numbers come from its own
+    slices.
     """
     x = (pauli_coords(m) * PT_SIGN).reshape(-1, 4, 4)  # rho's coordinates from m's
     t = x[:, 1:, 1:]
@@ -458,10 +579,15 @@ def _bell_bracket(m: np.ndarray):
     y[:, 1:, :1] = -0.5 * (a + r @ b.swapaxes(-1, -2))
     y[:, :1, 1:] = -0.5 * (a.swapaxes(-1, -2) @ r + b)
     y[:, 1:, 1:] = (lower / 3.0)[:, None, None] * r - 0.25 * (t - r @ t.swapaxes(-1, -2) @ r)
-    blocks = _pauli_blocks(0.25 * y.reshape(-1, 16))  # omega and omega^PT
-    blocks[:, 1] += m
-    eps = np.maximum(0.0, -_umath_linalg.eigvalsh_lo(blocks, signature="D->d")[..., 0].min(axis=-1))
+    blocks, eps = _lift(m, y)
     upper = lower + 4.0 * eps
+    # U - L >= _GAP or NaN: the completion moves omega within the same set, and a point keeps the tighter omega
+    rest = (~(upper - lower < _GAP)).nonzero()[0]
+    if len(rest):
+        blocks_c, eps_c = _lift(m[rest], _bell_completion(x[rest], y[rest], r[rest]))
+        better = eps_c < eps[rest]
+        blocks[rest[better]], eps[rest[better]] = blocks_c[better], eps_c[better]
+        upper = lower + 4.0 * eps
     closed = upper - lower < _GAP
     if not np.count_nonzero(closed):
         return lower, upper, closed, None, None
@@ -470,6 +596,13 @@ def _bell_bracket(m: np.ndarray):
     w[:, 0, 0] = 0.5
     w[:, 1:, 1:] = 0.5 * r[closed]
     return lower, upper, closed, omega, from_pauli_coords(w.reshape(-1, 16))
+
+
+def _lift(m: np.ndarray, y: np.ndarray):
+    """omega and m + omega^PT of each point, omega the coordinates y / 4, and eps = max(0, -their lambda_min)."""
+    blocks = _pauli_blocks(0.25 * y.reshape(-1, 16))
+    blocks[:, 1] += m
+    return blocks, np.maximum(0.0, -_umath_linalg.eigvalsh_lo(blocks, signature="D->d")[..., 0].min(axis=-1))
 
 
 def _robustness(rho: np.ndarray):
@@ -481,15 +614,17 @@ def _robustness(rho: np.ndarray):
     no iteration: _bracket, from the negative eigenvector of its partial
     transpose (every state with no local Bloch vectors, every pure state
     and any state with a tiny |lambda_min|); _product_bracket (most states
-    whose optimal omega is a product pure state); and _bell_bracket (most
-    states whose optimal witness is a locally rotated Bell witness).  One
-    eigh of the NPT points serves the first two.  The other NPT points are
+    whose optimal omega is a product pure state); and _bell_bracket with its
+    completion (nearly every state whose optimal witness is a locally
+    rotated Bell witness).  One eigh of the NPT points serves the first
+    two.  The other NPT points are
     solved together by _central_path, the HKM predictor-corrector method
     (Helmberg, Rendl, Vanderbei & Wolkowicz 1996; Mehrotra 1992) from a
     feasible start, each to a duality gap below 1e-8, in chunks of _CHUNK,
     which bounds the solver's temporaries; the chunks stop at the first one
     with a failure, whose ConvergenceError carries the tightest of the
-    solver's and the three brackets' bounds.
+    solver's and the three brackets' bounds (the Bell bracket's U from the
+    tighter of its minimum-norm and completed omegas).
     Returns the values, the interior-point iterations (0 on the closed
     paths), the optimal omegas (zero for PPT points), the failures by index,
     the dual fields (the lower bounds -Tr(m Z_2) and the witnesses Z_2^PT,
@@ -561,7 +696,10 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     correlation matrix T (Horodecki 1996), gives a third bracket: L =
     -Tr(W rho), and U = L + 4 eps from the minimum-norm omega that
     complementary slackness with W allows, lifted by eps 1 until it is
-    feasible; where it closes within 1e-8, as for most states whose optimal
+    feasible; where eps is not below the gap, a phase-1 barrier Newton
+    method searches the same 5-dimensional set for an omega that is PSD
+    with (rho + omega)^PT, in at most 20 steps, and the same check gives U.
+    Where it closes within 1e-8, as for nearly every state whose optimal
     witness is a rotated Bell witness, the result is that U with no
     iteration.  Otherwise it is solved as a semidefinite program by a
     feasible-start primal-dual interior-point method: HKM directions

@@ -85,15 +85,19 @@ def _gather_sum(rows: np.ndarray, src: np.ndarray, sign: np.ndarray) -> np.ndarr
     No BLAS call: the terms and their order are the tables', so a row's
     bits do not depend on the stack it sits in.
     """
+    ndim = rows.ndim
     if rows.size == rows.shape[-1]:
-        # one row: take is the cheaper gather, and its C-ordered terms give a C-ordered sum
-        g, out = rows.take(src, -1), None
-    else:
-        # a stack: fancy indexing leaves the batch axis innermost, so the sum runs
-        # along long rows, into a C-ordered buffer (its own layout would follow g's)
-        g, out = rows[..., src], np.empty(rows.shape[:-1] + src.shape[1:])
+        # one row, alone or as a stack of one: take is the cheaper gather, its 2-D terms meet the
+        # signs with no broadcast, and its C-ordered terms give a C-ordered sum
+        g = (rows if ndim == 1 else rows.reshape(-1)).take(src)
+        g *= sign
+        total = np.add.reduce(g, 0, None, None, False, 0.0)
+        return total if ndim == 1 else total[(None,) * (ndim - 1)]
+    # a stack: fancy indexing leaves the batch axis innermost, so the sum runs
+    # along long rows, into a C-ordered buffer (its own layout would follow g's)
+    g = rows[..., src]
     g *= sign
-    return np.add.reduce(g, -2, None, out, False, 0.0)
+    return np.add.reduce(g, -2, None, np.empty(rows.shape[:-1] + src.shape[1:]), False, 0.0)
 
 
 def _coords(m, src: np.ndarray, sign: np.ndarray) -> np.ndarray:

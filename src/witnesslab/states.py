@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StructuralError
 from .qmat import TWO_SPIN_LABELS, DensityMatrix, _two_spin_state, from_pauli_coords, pauli_coords
 
 # non-identity Pauli strings, the order used by pauli_vector and tomography
@@ -173,5 +173,10 @@ def from_pauli_vector(expectations) -> DensityMatrix:
 
     Raises if the reconstructed matrix is not a valid state; use
     ``readout.pauli_tomography`` for noisy data that may need projection.
+    A NaN or infinite expectation raises before the inversion, whose
+    zero-sign terms would turn an infinity into an "invalid" warning.
     """
-    return DensityMatrix(from_pauli_coords(_expectation_coords(expectations)) / 4.0)
+    x = _expectation_coords(expectations)
+    if not np.isfinite(x).all():
+        raise StructuralError("matrix has NaN or infinite entries")
+    return DensityMatrix(from_pauli_coords(x) / 4.0)

@@ -122,7 +122,7 @@ def test_robustness_agrees_with_oracle_on_bell_diagonal_sample():
 def test_robustness_iteration_cap_raises_with_bounds(monkeypatch):
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
     with pytest.raises(ConvergenceError, match="3-iteration cap") as err:
-        generalized_robustness(entangled_ginibre(13))  # no bracket closes it, so the solver runs
+        generalized_robustness(entangled_ginibre(268))  # product class: no bracket closes it, so the solver runs
     assert err.value.lower is not None and err.value.upper is not None
     assert err.value.lower <= err.value.upper
 

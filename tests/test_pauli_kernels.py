@@ -1,6 +1,7 @@
 """The Pauli-coordinate gather kernels against the einsums they replaced, bit for bit."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,19 @@ def test_seeded_stacks_match_the_einsums(shape):
     for m in (h, g, h.real):
         check_both(m, rng.standard_normal(shape + (16,)))
     check_both(h, pauli_coords(h))
+
+
+def test_one_row_gives_the_same_bytes_alone_in_a_stack_of_one_and_in_a_larger_stack():
+    # one row takes the 2-D gather whatever its leading axes of length 1; a larger stack the fancy-index one
+    rng = np.random.default_rng(20261020)
+    h, x = random_stack(rng, (9,)), rng.standard_normal((9, 16))
+    coords, columns, matrices = pauli_coords(h), _pauli_columns(h, ("XX", "YY", "ZZ")), from_pauli_coords(x)
+    for k in (0, 4, 8):
+        for lead in ((), (1,), (1, 1)):
+            assert_same_bits(pauli_coords(h[k].reshape(lead + (4, 4))), coords[k].reshape(lead + (16,)))
+            assert_same_bits(_pauli_columns(h[k].reshape(lead + (4, 4)), ("XX", "YY", "ZZ")),
+                             columns[k].reshape(lead + (3,)))
+            assert_same_bits(from_pauli_coords(x[k].reshape(lead + (16,))), matrices[k].reshape(lead + (4, 4)))
 
 
 def test_exact_and_signed_zeros_match_the_einsums():
@@ -142,13 +156,13 @@ def test_wrong_shapes_raise_value_error_as_the_einsums_did():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("k", [0, 4, 14])
 def test_non_finite_expectations_raise_the_same_errors(value, k):
-    # the einsum turned an infinite coordinate into NaN entries everywhere and
-    # the gather keeps it infinite; the matrix check rejects both alike.  The
-    # floating-point "invalid" warnings on the way are silenced to read the error alone.
+    # from_pauli_vector checks its expectations before the inversion, so no floating-point
+    # exception comes first: under warnings as errors and raising errstate the error is its own
     e = np.zeros(15)
     e[k] = value
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(StructuralError, match=r"^matrix has NaN or infinite entries$"):
             from_pauli_vector(e)
-    with pytest.raises(DomainError, match=r"^expectations must lie in \[-1, 1\]$"):
-        pauli_tomography(e)
+        with pytest.raises(DomainError, match=r"^expectations must lie in \[-1, 1\]$"):
+            pauli_tomography(e)

@@ -52,14 +52,7 @@ def test_hermitian_op_rejects_non_hermitian():
         HermitianOp(m)
 
 
-def test_hermitian_op_rejects_bad_dims():
-    with pytest.raises(StructuralError):
-        HermitianOp(np.eye(3, dtype=complex))
-    with pytest.raises(StructuralError):
-        HermitianOp(np.ones((2, 3), dtype=complex))
-
-
-@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4), (8, 8)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 3), (2, 4), (8, 8)], ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("make", [HermitianOp, DensityMatrix, lambda m: Gate(m, "g")],
                          ids=["HermitianOp", "DensityMatrix", "Gate"])
 def test_operators_are_two_spin_by_construction(make, shape):

@@ -3,20 +3,24 @@
 R, the rotation that minimizes tr(R^T T) over the correlation matrix T,
 gives W = (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2 with W <= 1 and
 W^PT >= 0, so L = -Tr(W rho) bounds the robustness of every state from
-below; the minimum-norm omega that complementary slackness with W allows,
-lifted by eps 1 until it is feasible, bounds it from above.  These checks
-hold both bounds against the solver on the stress sets, the closed
-certificates against the state check, L against local unitaries, the
-witness against ``bell_witness`` on Bell-diagonal states, and a point's
-bits alone and in a stack.  test_robustness_bracket holds the closed
-values against a forced solve.
+below; an omega that complementary slackness with W allows, the
+minimum-norm one or else the completion's, lifted by eps 1 until it is
+feasible, bounds it from above.  These checks hold both bounds against the
+solver on the stress sets, the closed certificates against the state
+check, L against local unitaries, the witness against ``bell_witness`` on
+Bell-diagonal states, a point's bits alone and in a stack, the completion
+against a forced solve, and a product-class point against the solver.
+test_robustness_bracket holds the closed values against a forced solve.
 """
+
+import warnings
 
 import numpy as np
 
 from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_physical_c
 from test_robustness_bracket import stress_sets
 from test_robustness_stress import bracket_routes, ginibre_states
+from test_sweep_batch import isotropic_with_bloch
 from witnesslab import BellKind, DensityMatrix, bell_witness, generalized_robustness
 from witnesslab import optim
 from witnesslab.qmat import TWO_SPIN_LABELS, _pt_arr, pauli_coords
@@ -36,11 +40,14 @@ def test_the_bounds_hold_the_robustness_on_the_stress_sets():
     assert np.all(high[npt] >= lower[npt] - 1e-12)
     assert np.all(high >= low)
     # the closed points: U - L below the gap, and L within it of the value
-    assert np.all(high[closed] - low[closed] < GAP) and closed[npt].sum() > 1000
+    assert np.all(high[closed] - low[closed] < GAP) and closed[npt].sum() > 1300
     assert np.all(np.abs(values[closed] - low[closed]) <= GAP)
-    # the points it closes after the other two brackets are a share of those the solver would take
+    # it closes most points the other two brackets leave open; the few it leaves are product class,
+    # where W is not optimal: L sits more than the gap below the robustness
     _, _, bell, open_gap = bracket_routes(rho)
-    assert bell.sum() > 450 and np.count_nonzero(np.isfinite(open_gap) & (open_gap >= GAP)) > 150
+    still_open = np.isfinite(open_gap) & (open_gap >= GAP)
+    assert bell.sum() > 700 and 10 < still_open.sum() < 30
+    assert np.all(low[still_open] < values[still_open] - GAP)
 
 
 def test_closed_certificates_are_states_and_witnesses_are_valid():
@@ -116,12 +123,98 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
         assert result.certificate_state.matrix.tobytes() == (all_omega[k] / values[k]).tobytes()
 
 
+def test_the_completion_closes_the_points_the_minimum_norm_omega_leaves_open(monkeypatch):
+    rho = np.stack([entangled_ginibre(13).matrix, entangled_ginibre(20).matrix, isotropic_with_bloch(0.4, 0.3).matrix])
+    m = _pt_arr(rho)
+    low, high, closed, omega, witness = optim._bell_bracket(m)
+    assert closed.all() and np.all(low <= high) and np.all(high - low <= 1e-15)
+    # omega >= 0 and (rho + omega)^PT >= 0 by the full 4x4 eigvalsh, and Tr omega = U
+    assert np.linalg.eigvalsh(omega)[:, 0].min() >= 0.0
+    assert np.linalg.eigvalsh(m + _pt_arr(omega))[:, 0].min() >= 0.0
+    np.testing.assert_allclose(np.trace(omega, axis1=1, axis2=2).real, high, rtol=0, atol=1e-15)
+    # each value within 1e-8 of a forced solve's
+    lam_min = np.linalg.eigvalsh(m)[:, 0]
+    x, _, iterations, failures = optim._central_path(m, lam_min)
+    assert not failures and iterations.all()
+    assert np.all(np.abs(high - 4.0 * x[:, 0]) <= GAP)
+    for k in range(len(rho)):
+        result = generalized_robustness(DensityMatrix(rho[k]))
+        assert (result.value, result.iterations) == (high[k], 0)
+        assert result.lower <= result.value <= result.lower + GAP
+        assert result.certificate_state.matrix.tobytes() == (omega[k] / high[k]).tobytes()
+        assert result.witness.matrix.tobytes() == witness[k].tobytes()
+    # the minimum-norm omega alone leaves each of them open, with the same L
+    monkeypatch.setattr(optim, "_COMPLETION_STEPS", 0)
+    low_0, high_0, closed_0, _, _ = optim._bell_bracket(m)
+    assert not closed_0.any() and np.all(high_0 - low_0 > 1e-4) and np.array_equal(low_0, low)
+
+
 def test_a_point_no_bracket_closes_still_solves():
-    rho = entangled_ginibre(13)
+    rho = entangled_ginibre(268)  # product class: the Bell witness is not optimal, so no omega of its set is feasible
     schmidt, product, bell, open_gap = bracket_routes(rho.matrix[None])
-    assert not (schmidt | product | bell)[0] and open_gap[0] > 1e-5
+    assert not (schmidt | product | bell)[0] and open_gap[0] > GAP  # the product bracket sits 4e-8 open
     low, high, _, _, _ = optim._bell_bracket(_pt_arr(rho.matrix[None]))
     result = generalized_robustness(rho)
     assert result.iterations > 0 and result.lower <= result.value <= result.lower + GAP
-    # its optimal witness is still the Bell witness: L is within the gap, while U is not
-    assert low[0] <= result.value <= low[0] + GAP < high[0]
+    # L more than the gap below the value, and the completion's U above it
+    assert low[0] < result.value - GAP < result.value < high[0]
+
+
+def test_the_completion_takes_a_bounded_number_of_steps(monkeypatch):
+    # one Cholesky of the compressions per Newton step, and none elsewhere in the bracket
+    steps = []
+    lapack = optim._umath_linalg
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(lapack, name)
+
+        @staticmethod
+        def cholesky_lo(*args, **kwargs):
+            steps[-1] += 1
+            return lapack.cholesky_lo(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "_umath_linalg", Counted())
+    assert optim._COMPLETION_STEPS <= 25
+    bell_class = [entangled_ginibre(13), entangled_ginibre(20), isotropic_with_bloch(0.4, 0.3)]
+    product_class = [entangled_ginibre(seed) for seed in (83, 268, 385)]
+    for rho, closes in [(rho, True) for rho in bell_class] + [(rho, False) for rho in product_class]:
+        steps.append(0)
+        assert optim._bell_bracket(_pt_arr(rho.matrix[None]))[2][0] == closes
+    # the Bell class closes within a few steps; the product class stalls below t = 0 well before the cap
+    assert all(0 < n <= 8 for n in steps[:3]) and all(3 <= n < optim._COMPLETION_STEPS // 2 for n in steps[3:])
+    # a cap of one step bounds every point alike
+    monkeypatch.setattr(optim, "_COMPLETION_STEPS", 1)
+    steps.append(0)
+    optim._bell_bracket(_pt_arr(np.stack([rho.matrix for rho in bell_class + product_class])))
+    assert steps[-1] == 1
+
+
+def test_a_failed_newton_step_ends_the_search_at_its_last_iterate(monkeypatch):
+    # a Cholesky that fails on the second step: the point keeps the first step's omega, with no warning
+    # (CI runs with RuntimeWarning as an error) and a finite U no looser than the minimum-norm one
+    rho = np.stack([entangled_ginibre(13).matrix, entangled_ginibre(268).matrix])
+    m = _pt_arr(rho)
+    monkeypatch.setattr(optim, "_COMPLETION_STEPS", 0)
+    low_0, high_0, _, _, _ = optim._bell_bracket(m)
+    monkeypatch.setattr(optim, "_COMPLETION_STEPS", 1)
+    low_1, high_1, _, _, _ = optim._bell_bracket(m)
+    monkeypatch.undo()
+    lapack, calls = optim._umath_linalg, []
+
+    class FailsOnTheSecondStep:
+        def __getattr__(self, name):
+            return getattr(lapack, name)
+
+        @staticmethod
+        def cholesky_lo(blocks, **kwargs):
+            calls.append(len(blocks))
+            chol = lapack.cholesky_lo(blocks, **kwargs)
+            return chol if len(calls) == 1 else np.full_like(chol, np.nan)
+
+    monkeypatch.setattr(optim, "_umath_linalg", FailsOnTheSecondStep())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low, high, closed, _, _ = optim._bell_bracket(m)
+    assert calls == [2, 2] and not closed.any()
+    assert np.array_equal(low, low_0) and np.array_equal(high, high_1) and np.all(high < high_0)

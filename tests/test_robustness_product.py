@@ -115,16 +115,20 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
         assert result.certificate_state.matrix.tobytes() == (all_omega[k] / values[k]).tobytes()
 
 
-def test_the_isotropic_state_with_a_bloch_vector_still_solves():
-    # at weight 0.5 the Bell bracket closes it; nearer the threshold no bracket does
-    for weight, bloch, value, solves in ((0.5, 0.1, 0.25, False), (0.4, 0.3, 0.1, True)):
+def test_the_isotropic_state_with_a_bloch_vector_closes_without_a_solve(monkeypatch):
+    # at weight 0.5 the minimum-norm omega of the Bell bracket closes it; nearer the threshold only the completion does
+    cases = ((0.5, 0.1, 0.25, False), (0.4, 0.3, 0.1, True))
+    for weight, bloch, value, _ in cases:
         rho = isotropic_with_bloch(weight, bloch)
         schmidt, product, bell, open_gap = bracket_routes(rho.matrix[None])
-        assert not schmidt[0] and not product[0] and bell[0] != solves
-        assert (open_gap[0] > 1e-3) == solves
+        assert not schmidt[0] and not product[0] and bell[0] and open_gap[0] < GAP
         result = generalized_robustness(rho)
         assert abs(result.value - value) <= GAP and result.lower <= result.value <= result.lower + GAP
-        assert (result.iterations > 0) == solves
+        assert result.iterations == 0
+    monkeypatch.setattr(optim, "_COMPLETION_STEPS", 0)
+    for weight, bloch, _, completed in cases:
+        low, high, closed, _, _ = optim._bell_bracket(_pt_arr(isotropic_with_bloch(weight, bloch).matrix[None]))
+        assert closed[0] != completed and (high[0] - low[0] > 1e-3) == completed
 
 
 def test_a_singular_partial_transpose_leaves_the_point_open():
@@ -144,28 +148,44 @@ def test_a_singular_partial_transpose_leaves_the_point_open():
 
 def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
     times = np.linspace(0.0, 0.01, 40)
+    # Bell class, closed by the completion, then 10 product-class points that still solve
     states = np.concatenate([relax._relax(entangled_ginibre(20).matrix, times, PAPER_T2),
-                             relax._relax(entangled_ginibre(13).matrix, times[:5], PAPER_T2)])
-    monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
-    _, _, _, failures, _, _, lam_min = optim._robustness(states)
-    assert len(failures) > 30
+                             relax._relax(entangled_ginibre(13).matrix, times[:5], PAPER_T2),
+                             relax._relax(entangled_ginibre(268).matrix, times[:10] / 5.0, PAPER_T2)])
+    product_class = np.arange(len(states)) >= 45
     m = _pt_arr(states)
     lam, vecs = np.linalg.eigh(m)
-    low, high, _, _, _ = optim._bracket(vecs[..., 0], lam_min)
-    low_p, high_p, _, _, _ = optim._product_bracket(m, lam, vecs)
-    low_b, high_b, _, _, _ = optim._bell_bracket(m)
-    tighter, bell_binds = 0, 0
-    for k, exc in failures.items():
-        _, _, _, alone = optim._central_path(m[k:k + 1], lam_min[k:k + 1])
-        raw = alone[0]
-        assert str(exc) == str(raw) and "3-iteration cap" in str(exc)
-        assert exc.lower == max(raw.lower, low[k], np.nan_to_num(low_p[k], nan=-np.inf), low_b[k])
-        assert exc.upper == min(raw.upper, high[k], high_p[k], high_b[k])
-        assert exc.lower <= exc.upper
-        tighter += (exc.lower, exc.upper) != (raw.lower, raw.upper)
-        bell_binds += exc.lower == low_b[k] > max(raw.lower, low[k], np.nan_to_num(low_p[k], nan=-np.inf))
-    assert tighter > 30 and bell_binds > 30  # the Bell witness gives most of them their lower bound
-    with pytest.raises(ConvergenceError) as single:
-        generalized_robustness(DensityMatrix(states[min(failures)]))
-    exc = failures[min(failures)]
-    assert (single.value.lower, single.value.upper) == (exc.lower, exc.upper)
+    monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
+    minimum_norm_upper = None
+    # no completion (the Bell class reaches the solver), one completion step (part of it does), the full completion
+    for steps in (0, 1, optim._COMPLETION_STEPS):
+        monkeypatch.setattr(optim, "_COMPLETION_STEPS", steps)
+        _, _, _, failures, _, _, lam_min = optim._robustness(states)
+        low, high, _, _, _ = optim._bracket(vecs[..., 0], lam_min)
+        low_p, high_p, _, _, _ = optim._product_bracket(m, lam, vecs)
+        low_b, high_b, _, _, _ = optim._bell_bracket(m)
+        if minimum_norm_upper is None:
+            minimum_norm_upper = high_b
+        tighter, bell_binds, completion_tightens = 0, 0, 0
+        for k, exc in failures.items():
+            _, _, _, alone = optim._central_path(m[k:k + 1], lam_min[k:k + 1])
+            raw = alone[0]
+            assert str(exc) == str(raw) and "3-iteration cap" in str(exc)
+            assert exc.lower == max(raw.lower, low[k], np.nan_to_num(low_p[k], nan=-np.inf), low_b[k])
+            assert exc.upper == min(raw.upper, high[k], high_p[k], high_b[k])
+            assert exc.lower <= exc.upper
+            tighter += (exc.lower, exc.upper) != (raw.lower, raw.upper)
+            bell_binds += exc.lower == low_b[k] > max(raw.lower, low[k], np.nan_to_num(low_p[k], nan=-np.inf))
+            completion_tightens += high_b[k] < minimum_norm_upper[k]
+        if steps == 0:
+            assert len(failures) > 40 and tighter > 40
+            assert bell_binds > 30  # the Bell witness gives most of them their lower bound
+        elif steps == 1:
+            # an unclosed completion still hands on a tighter U than the minimum-norm omega's
+            assert 10 < len(failures) < 25 and completion_tightens > 10
+        else:
+            assert sorted(failures) == np.flatnonzero(product_class).tolist()
+        with pytest.raises(ConvergenceError) as single:
+            generalized_robustness(DensityMatrix(states[min(failures)]))
+        exc = failures[min(failures)]
+        assert (single.value.lower, single.value.upper) == (exc.lower, exc.upper)

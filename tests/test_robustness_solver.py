@@ -126,7 +126,7 @@ def bracket_bounds(rho):
 
 
 def test_cholesky_failure_raises_with_bounds(monkeypatch):
-    rho = entangled_ginibre(13)  # no bracket closes, so the solver runs
+    rho = entangled_ginibre(268)  # product class: no bracket closes, so the solver runs
     lam_min = np.linalg.eigvalsh(pt(rho.matrix))[0]
     low, high = bracket_bounds(rho)
     calls = []
@@ -144,8 +144,8 @@ def test_cholesky_failure_raises_with_bounds(monkeypatch):
     # the start's gap 4 x_0 + 1/2 exceeds its value, so its lower bound is 0: the brackets' bounds are tighter
     assert start > high and low > 0.0
     assert (err.value.lower, err.value.upper) == (low, high)
-    assert err.value.upper == pytest.approx(0.0993732879, rel=1e-9)  # the product bracket's U
-    assert err.value.lower == pytest.approx(0.0993348596, rel=1e-9)  # the Bell bracket's L
+    assert err.value.upper == pytest.approx(0.105744662899, rel=1e-9)  # the product bracket's U
+    assert err.value.lower == pytest.approx(0.105744621141, rel=1e-9)  # and its L
 
 
 def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):

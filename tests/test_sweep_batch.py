@@ -54,36 +54,38 @@ def isotropic_with_bloch(weight=0.5, bloch=0.1):
     """weight |phi+><phi+| + (1 - weight) (1 + bloch Z)/2 (x) 1/2.
 
     A local Bloch vector keeps its bracket open, and its optimal omega is not a
-    product pure state.  At the defaults the Bell bracket closes it and most
-    points of its relaxation; at weight 0.4 and bloch 0.3, nearer the
-    threshold weight 1/3, no bracket closes it and the solver runs.
+    product pure state.  At the defaults the Bell bracket's minimum-norm omega
+    closes it and most points of its relaxation; at weight 0.4 and bloch 0.3,
+    nearer the threshold weight 1/3, only the Bell bracket's completion does.
     """
     z_i = np.kron(np.diag([1.0, -1.0]), np.eye(2))
     mixed = (np.eye(4) + bloch * z_i) / 4.0
     return DensityMatrix(weight * bell_state(BellKind.PHI_PLUS).matrix + (1.0 - weight) * mixed)
 
 
-# the last field says whether every entangled point takes the closed-form bracket (no local
-# Bloch vectors: Bell-diagonal states and their local rotations), or the brackets leave some to the solver
+# the last field names where the entangled points go: "schmidt" when every one takes the closed-form bracket (no
+# local Bloch vectors: Bell-diagonal states and their local rotations), "brackets" when the three brackets close
+# every one, and "solver" when some are left to the solver
 CASES = {
-    "phi-": (bell_state(BellKind.PHI_MINUS), 0.6, 200, True),
-    "rotated-pseudo-pure": (rotated_pseudo_pure(), 0.6, 200, True),
-    "ginibre-1": (entangled_ginibre(1), 0.6, 200, False),
-    "ginibre-2": (entangled_ginibre(2), 0.6, 200, False),
-    "ginibre-3": (entangled_ginibre(3), 0.6, 200, False),
+    "phi-": (bell_state(BellKind.PHI_MINUS), 0.6, 200, "schmidt"),
+    "rotated-pseudo-pure": (rotated_pseudo_pure(), 0.6, 200, "schmidt"),
+    "ginibre-1": (entangled_ginibre(1), 0.6, 200, "solver"),
+    "ginibre-2": (entangled_ginibre(2), 0.6, 200, "brackets"),
+    "ginibre-3": (entangled_ginibre(3), 0.6, 200, "brackets"),
+    "ginibre-268": (entangled_ginibre(268), 0.6, 200, "solver"),
     # every point entangled and more of them than one chunk holds
-    "phi-, two chunks": (bell_state(BellKind.PHI_MINUS), 0.25, optim._CHUNK + 44, True),
-    "ginibre-3, two chunks": (entangled_ginibre(3), 0.05, optim._CHUNK + 44, False),
+    "phi-, two chunks": (bell_state(BellKind.PHI_MINUS), 0.25, optim._CHUNK + 44, "schmidt"),
+    "ginibre-3, two chunks": (entangled_ginibre(3), 0.05, optim._CHUNK + 44, "brackets"),
     # more entangled points than one chunk holds, most closed by the Bell bracket
-    "isotropic with a Bloch vector, two chunks": (isotropic_with_bloch(), 0.05, optim._CHUNK + 44, False),
-    # more solved points than one chunk holds: no bracket closes any point
-    "ginibre-20, two solver chunks": (entangled_ginibre(20), 0.01, optim._CHUNK + 44, False),
+    "isotropic with a Bloch vector, two chunks": (isotropic_with_bloch(), 0.05, optim._CHUNK + 44, "brackets"),
+    # more solved points than one chunk holds: a product-class state, which no bracket closes, barely relaxed
+    "ginibre-268, two solver chunks": (entangled_ginibre(268), 0.001, optim._CHUNK + 44, "solver"),
 }
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
-    rho0, t_max, steps, closed_form = CASES[name]
+    rho0, t_max, steps, route = CASES[name]
     w = bell_witness(BellKind.PHI_MINUS)
     series = sweep(rho0, PAPER_T2, w, t_max, steps)
     # the solver's own iteration counts and dual bounds for the grid, formed as the sweep forms them
@@ -106,9 +108,8 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
     schmidt, product, bell, open_gap = bracket_routes(states)
     assert entangled.any() and np.array_equal(solved, entangled & ~schmidt & ~product & ~bell)
     assert np.all(open_gap[solved] >= optim._GAP)
-    assert np.array_equal(schmidt[entangled], np.full(entangled.sum(), closed_form))
-    if not closed_form:
-        assert solved.any()
+    assert np.array_equal(schmidt[entangled], np.full(entangled.sum(), route == "schmidt"))
+    assert solved.any() == (route == "solver")
     if steps > optim._CHUNK:
         assert entangled.sum() > optim._CHUNK  # the entangled points fill more than one chunk
         if name.startswith("isotropic"):
@@ -118,7 +119,7 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
 
 
 def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
-    states = relax._relax(entangled_ginibre(20).matrix, np.linspace(0.0, 0.01, 9), PAPER_T2)
+    states = relax._relax(entangled_ginibre(268).matrix, np.linspace(0.0, 0.002, 9), PAPER_T2)
     times = np.linspace(0.0, 0.25, 9)
     states = np.concatenate([states, relax._relax(bell_state(BellKind.PHI_MINUS).matrix, times, PAPER_T2)])
     schmidt, product, bell, _ = bracket_routes(states)
@@ -137,9 +138,9 @@ def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
 
 
 def test_sweep_names_the_earliest_failing_time(monkeypatch):
-    rho0 = entangled_ginibre(3)  # entangled at every grid time
+    rho0 = entangled_ginibre(268)  # entangled at every grid time
     w = bell_witness(BellKind.PHI_MINUS)
-    times = np.linspace(0.0, 0.02, 12)
+    times = np.linspace(0.0, 0.002, 12)
     schmidt, product, bell, _ = bracket_routes(relax._relax(rho0.matrix, times, PAPER_T2))
     assert not (schmidt | product | bell)[[4, 9]].any()  # no bracket closes the two targets: they reach the solver
     targets = [_pt_arr(relax_channel(rho0, float(times[k]), PAPER_T2).matrix) for k in (9, 4)]
@@ -158,7 +159,7 @@ def test_sweep_names_the_earliest_failing_time(monkeypatch):
     with pytest.raises(ConvergenceError) as single:
         generalized_robustness(relax_channel(rho0, float(times[4]), PAPER_T2))
     with pytest.raises(ConvergenceError) as err:
-        sweep(rho0, PAPER_T2, w, 0.02, 12)
+        sweep(rho0, PAPER_T2, w, 0.002, 12)
     assert str(err.value) == f"robustness solver failed at sweep time t = {times[4]:.6g} s: {single.value}"
     assert "not positive definite" in str(err.value)
     assert (err.value.lower, err.value.upper) == (single.value.lower, single.value.upper)
