@@ -61,9 +61,9 @@ class RobustnessResult:
     a pure product state and whose witness is (|f><f|)^PT / a_f^2 for one
     vector f, or else ``_bell_bracket``'s, whose witness is the locally
     rotated Bell witness (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2 and whose
-    omega is the minimum-norm one that complementary slackness with it
-    allows or, where that is not PSD, the one its completion finds in the
-    same set.  ``iterations`` counts interior-point iterations, so it is 0
+    omega is the one its completion finds in the set that complementary
+    slackness with it allows, starting at the minimum-norm one of that set.
+    ``iterations`` counts interior-point iterations, so it is 0
     on those closed paths as well as for a PPT state.  A PPT state has
     value and lower 0 and no witness.
 
@@ -488,8 +488,9 @@ def _bell_completion(x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
     minimum-norm compressions.  A point stops once t > 0, or once t stalls
     below 0 (four more steps like its last would not lift it to 0), or
     after _COMPLETION_STEPS steps.  Every point's numbers come from its
-    own slices.  The caller checks the result with the full 4x4 eigvalsh,
-    as it checks the minimum-norm omega.
+    own slices.  A point whose minimum-norm compressions are PSD (t >= 0
+    at the start) takes no step, so its omega is the minimum-norm one.  The
+    caller checks the result with the full 4x4 eigvalsh.
     """
     k = len(y)
     rot = np.zeros((k, 4, 4))
@@ -557,11 +558,12 @@ def _bell_bracket(m: np.ndarray):
     Bloch vectors of spins I and S:
         y_00 = L, y_i0 = -(a + R b)_i / 2, y_0j = -(R^T a + b)_j / 2,
         y_ij = L R_ij / 3 - (T - R T^T R)_ij / 4.
-    With eps = max(0, -lambda_min(omega), -lambda_min(m + omega^PT)),
-    omega + eps 1 is a primal certificate, so U = L + 4 eps.  Where that U -
-    L is not below _GAP (the minimum-norm omega is not PSD), _bell_completion
-    searches the same set, and a point keeps whichever of the two omegas has
-    the smaller eps.  Returns L and U of every point, the mask of the points
+    _bell_completion starts from that omega, leaves it as it is where its
+    compressions are already PSD, and else searches the same set for one
+    whose compressions are.  With eps = max(0, -lambda_min(omega),
+    -lambda_min(m + omega^PT)) of the omega it returns, from one full 4x4
+    eigvalsh, omega + eps 1 is a primal certificate, so U = L + 4 eps.
+    Returns L and U of every point, the mask of the points
     with U - L < _GAP, and omega + eps 1 and W of those points, or None for
     both when no point closes.  Every point's numbers come from its own
     slices.
@@ -579,15 +581,10 @@ def _bell_bracket(m: np.ndarray):
     y[:, 1:, :1] = -0.5 * (a + r @ b.swapaxes(-1, -2))
     y[:, :1, 1:] = -0.5 * (a.swapaxes(-1, -2) @ r + b)
     y[:, 1:, 1:] = (lower / 3.0)[:, None, None] * r - 0.25 * (t - r @ t.swapaxes(-1, -2) @ r)
-    blocks, eps = _lift(m, y)
+    blocks = _pauli_blocks(0.25 * _bell_completion(x, y, r).reshape(-1, 16))  # omega and m + omega^PT
+    blocks[:, 1] += m
+    eps = np.maximum(0.0, -_umath_linalg.eigvalsh_lo(blocks, signature="D->d")[..., 0].min(axis=-1))
     upper = lower + 4.0 * eps
-    # U - L >= _GAP or NaN: the completion moves omega within the same set, and a point keeps the tighter omega
-    rest = (~(upper - lower < _GAP)).nonzero()[0]
-    if len(rest):
-        blocks_c, eps_c = _lift(m[rest], _bell_completion(x[rest], y[rest], r[rest]))
-        better = eps_c < eps[rest]
-        blocks[rest[better]], eps[rest[better]] = blocks_c[better], eps_c[better]
-        upper = lower + 4.0 * eps
     closed = upper - lower < _GAP
     if not np.count_nonzero(closed):
         return lower, upper, closed, None, None
@@ -596,13 +593,6 @@ def _bell_bracket(m: np.ndarray):
     w[:, 0, 0] = 0.5
     w[:, 1:, 1:] = 0.5 * r[closed]
     return lower, upper, closed, omega, from_pauli_coords(w.reshape(-1, 16))
-
-
-def _lift(m: np.ndarray, y: np.ndarray):
-    """omega and m + omega^PT of each point, omega the coordinates y / 4, and eps = max(0, -their lambda_min)."""
-    blocks = _pauli_blocks(0.25 * y.reshape(-1, 16))
-    blocks[:, 1] += m
-    return blocks, np.maximum(0.0, -_umath_linalg.eigvalsh_lo(blocks, signature="D->d")[..., 0].min(axis=-1))
 
 
 def _robustness(rho: np.ndarray):
@@ -623,8 +613,8 @@ def _robustness(rho: np.ndarray):
     feasible start, each to a duality gap below 1e-8, in chunks of _CHUNK,
     which bounds the solver's temporaries; the chunks stop at the first one
     with a failure, whose ConvergenceError carries the tightest of the
-    solver's and the three brackets' bounds (the Bell bracket's U from the
-    tighter of its minimum-norm and completed omegas).
+    solver's and the three brackets' bounds (the Bell bracket's U from its
+    completed omega).
     Returns the values, the interior-point iterations (0 on the closed
     paths), the optimal omegas (zero for PPT points), the failures by index,
     the dual fields (the lower bounds -Tr(m Z_2) and the witnesses Z_2^PT,
@@ -694,11 +684,12 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     iteration.  Else the Bell witness W = (1 + sum_ij R_ij sigma_i (x)
     sigma_j) / 2, with R the rotation that minimizes tr(R^T T) over the
     correlation matrix T (Horodecki 1996), gives a third bracket: L =
-    -Tr(W rho), and U = L + 4 eps from the minimum-norm omega that
-    complementary slackness with W allows, lifted by eps 1 until it is
-    feasible; where eps is not below the gap, a phase-1 barrier Newton
-    method searches the same 5-dimensional set for an omega that is PSD
-    with (rho + omega)^PT, in at most 20 steps, and the same check gives U.
+    -Tr(W rho), and U = L + 4 eps from an omega that complementary
+    slackness with W allows, lifted by eps 1 until it is feasible: a
+    phase-1 barrier Newton method starts at the minimum-norm omega of that
+    5-dimensional set and, where it is not PSD with (rho + omega)^PT,
+    searches the set for one that is, in at most 20 steps; one eigvalsh
+    check of the omega it ends at gives eps.
     Where it closes within 1e-8, as for nearly every state whose optimal
     witness is a rotated Bell witness, the result is that U with no
     iteration.  Otherwise it is solved as a semidefinite program by a

@@ -98,12 +98,11 @@ def test_classify_bd_rejects_non_finite_or_misshapen_triples():
             classify_bd(c)
 
 
-@pytest.mark.parametrize("rho", [NOT_A_STATE], ids=["not-a-state"])
 @pytest.mark.parametrize("reader", STATE_READERS)
-def test_two_spin_readers_reject_a_single_spin_state(reader, rho):
+def test_two_spin_readers_reject_a_non_state_operator(reader):
     name = reader.split("-")[0]
     with pytest.raises(DomainError, match=re.escape(name) + ".*two-spin DensityMatrix"):
-        STATE_READERS[reader](rho)
+        STATE_READERS[reader](NOT_A_STATE)
 
 
 def eigvalsh_is_valid(coeffs):

@@ -3,13 +3,14 @@
 R, the rotation that minimizes tr(R^T T) over the correlation matrix T,
 gives W = (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2 with W <= 1 and
 W^PT >= 0, so L = -Tr(W rho) bounds the robustness of every state from
-below; an omega that complementary slackness with W allows, the
-minimum-norm one or else the completion's, lifted by eps 1 until it is
+below; an omega that complementary slackness with W allows, the one the
+completion reaches from the minimum-norm one, lifted by eps 1 until it is
 feasible, bounds it from above.  These checks hold both bounds against the
 solver on the stress sets, the closed certificates against the state
 check, L against local unitaries, the witness against ``bell_witness`` on
 Bell-diagonal states, a point's bits alone and in a stack, the completion
-against a forced solve, and a product-class point against the solver.
+against the minimum-norm omega it starts from and against a forced solve,
+and a product-class point against the solver.
 test_robustness_bracket holds the closed values against a forced solve.
 """
 
@@ -147,6 +148,24 @@ def test_the_completion_closes_the_points_the_minimum_norm_omega_leaves_open(mon
     monkeypatch.setattr(optim, "_COMPLETION_STEPS", 0)
     low_0, high_0, closed_0, _, _ = optim._bell_bracket(m)
     assert not closed_0.any() and np.all(high_0 - low_0 > 1e-4) and np.array_equal(low_0, low)
+
+
+def test_the_completion_keeps_every_point_the_minimum_norm_omega_closes_and_loosens_none(monkeypatch):
+    # the minimum-norm omega is the completion's step 0, so no second lift of it is needed
+    m = _pt_arr(stress_sets())
+    m = m[np.linalg.eigvalsh(m)[:, 0] < -optim.NPT_CUT]
+    low, high, closed, omega, witness = optim._bell_bracket(m)
+    monkeypatch.setattr(optim, "_COMPLETION_STEPS", 0)
+    low_0, high_0, closed_0, omega_0, witness_0 = optim._bell_bracket(m)
+    assert len(m) > 2000 and np.array_equal(low, low_0)
+    # the closed mask only grows, and the completion closes points of its own
+    assert closed[closed_0].all() and closed_0.sum() > 1000 and (closed & ~closed_0).sum() > 100
+    # a point closed at 0 steps keeps its U, omega and witness bit for bit
+    kept = (np.cumsum(closed) - 1)[closed_0]
+    assert high[closed_0].tobytes() == high_0[closed_0].tobytes()
+    assert omega[kept].tobytes() == omega_0.tobytes() and witness[kept].tobytes() == witness_0.tobytes()
+    # U is never above the 0-step U, and below it on most points the minimum-norm omega leaves open
+    assert np.all(high <= high_0) and (high < high_0).sum() > 1000
 
 
 def test_a_point_no_bracket_closes_still_solves():

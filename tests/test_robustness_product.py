@@ -18,18 +18,14 @@ import numpy as np
 import pytest
 
 from conftest import entangled_ginibre
-from test_robustness_stress import bracket_routes, ginibre_states, named_states
+from test_robustness_bracket import stress_sets
+from test_robustness_stress import bracket_routes, ginibre_states
 from test_sweep_batch import PAPER_T2, isotropic_with_bloch
 from witnesslab import ConvergenceError, DensityMatrix, generalized_robustness
 from witnesslab import optim, relax
 from witnesslab.qmat import _pt_arr
 
 GAP = 1e-8
-
-
-def stress_sets():
-    rng = np.random.default_rng(20261018)
-    return np.concatenate([ginibre_states(rng, 2400), named_states()])
 
 
 def unit(rng, shape):
