@@ -2,14 +2,16 @@
 two-cone semidefinite program by a primal-dual interior-point method, or in
 closed form where one of three certified brackets already closes to the
 solver's gap: the two-qubit bracket from the negative eigenvector of the
-partial transpose, the one from the best product state, or the one from the
-locally rotated Bell witness, whose primal omega a phase-1 Newton completion
-finds where the minimum-norm one is not PSD (exact for two qubits via the
-positive partial transpose criterion)."""
+partial transpose, the one from the best product state, whose search runs on
+plain Python floats one point at a time, or the one from the locally rotated
+Bell witness, whose primal omega a phase-1 Newton completion finds where the
+minimum-norm one is not PSD (exact for two qubits via the positive partial
+transpose criterion)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import nan, sqrt
 
 import numpy as np
 # numpy's private LAPACK gufuncs: the interior-point loop calls them directly, because the public
@@ -346,19 +348,51 @@ def _dual_bound(m: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return -(m.reshape(-1, 1, 16) @ z2.conj().reshape(-1, 16, 1)).real[:, 0, 0]
 
 
-def _spinor(n: np.ndarray) -> np.ndarray:
-    """A unit 2-vector |u> with <u|sigma|u> = n for each unit Bloch vector n of a (..., 3) stack.
+def _spinor(n1: float, n2: float, n3: float) -> tuple[complex, complex]:
+    """A unit 2-vector |u> with <u|sigma|u> = n for a unit Bloch vector n = (n1, n2, n3).
 
-    (1 + n_z, n_x + i n_y) and (n_x - i n_y, 1 - n_z) are both |u> up to
-    norm and phase; the longer one is taken.
+    (1 + n3, n1 + i n2) and (n1 - i n2, 1 - n3) are both |u> up to norm and
+    phase; the longer one is taken.
     """
-    nz, nxy = n[..., 2], n[..., 0] + 1j * n[..., 1]
-    up = nz >= 0.0
-    u = np.stack([np.where(up, 1.0 + nz, nxy.conj()), np.where(up, nxy, 1.0 - nz)], axis=-1)
-    return u / np.sqrt(2.0 + 2.0 * np.abs(nz))[..., None]
+    scale = 1.0 / sqrt(2.0 + 2.0 * abs(n3))
+    if n3 >= 0.0:
+        return complex((1.0 + n3) * scale, 0.0), complex(n1 * scale, n2 * scale)
+    return complex(n1 * scale, -n2 * scale), complex((1.0 - n3) * scale, 0.0)
 
 
-# a second eigenvalue <= 0 of m, or a zero Bloch vector in the search, is NaN, which leaves the point open
+def _product_search(x: list, r: list) -> list:
+    """The 4 entries of one point's product vector w = u (x) v, searched on plain Python floats.
+
+    x holds -X, the point's negated Pauli coordinates of m^-1, row by row
+    with X_00 left out: X_0S, then X_I0 and the row of X_IS of each Bloch
+    axis of spin I in turn.  r is e's reduced matrix on spin I; its Bloch
+    vector, normalized, is the start n_I.  Each of the _PRODUCT_STEPS
+    half-step pairs sets n_S = g / |g| with g = -(X_0S + X_IS^T n_I), then
+    n_I = g / |g| with g = -(X_I0 + X_IS n_S).  A zero g or start vector
+    gives NaN, as numpy's 0/0 would, so the point stays open.
+    """
+    s1, s2, s3, i1, a11, a12, a13, i2, a21, a22, a23, i3, a31, a32, a33 = x
+    (r00, r01), (_, r11) = r
+    n1, n2, n3 = 2.0 * r01.real, -2.0 * r01.imag, r00.real - r11.real
+    norm = sqrt(n1 * n1 + n2 * n2 + n3 * n3) or nan
+    n1, n2, n3 = n1 / norm, n2 / norm, n3 / norm
+    for _ in range(_PRODUCT_STEPS):
+        g1 = s1 + (a11 * n1 + a21 * n2 + a31 * n3)
+        g2 = s2 + (a12 * n1 + a22 * n2 + a32 * n3)
+        g3 = s3 + (a13 * n1 + a23 * n2 + a33 * n3)
+        norm = sqrt(g1 * g1 + g2 * g2 + g3 * g3) or nan
+        t1, t2, t3 = g1 / norm, g2 / norm, g3 / norm
+        g1 = i1 + (a11 * t1 + a12 * t2 + a13 * t3)
+        g2 = i2 + (a21 * t1 + a22 * t2 + a23 * t3)
+        g3 = i3 + (a31 * t1 + a32 * t2 + a33 * t3)
+        norm = sqrt(g1 * g1 + g2 * g2 + g3 * g3) or nan
+        n1, n2, n3 = g1 / norm, g2 / norm, g3 / norm
+    u0, u1 = _spinor(n1, n2, n3)
+    v0, v1 = _spinor(t1, t2, t3)
+    return [u0 * v0, u0 * v1, u1 * v0, u1 * v1]
+
+
+# a second eigenvalue <= 0 of m gives a NaN inverse, as a zero vector gives a NaN search: the point stays open
 @np.errstate(invalid="ignore", divide="ignore")
 def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     """Bounds L <= GR <= U of NPT points from a product vector, and the certificate and witness where they close.
@@ -384,29 +418,23 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     (X_0S + X_IS^T n_I) . sigma / 4 plus a multiple of 1, so a half-step is
     n_S = -g / |g| with g = X_0S + X_IS^T n_I: one 3x3 product and a
     normalization.  Every point takes _PRODUCT_STEPS steps, so its result
-    is its own.  Returns L and U of every point, the mask of the points
-    with |U - L| < _GAP, and omega and the witness of those points, or None
-    for both when no point closes.  U is inf where q >= 0; L is NaN and U
+    is its own.  The search runs one point at a time on plain Python floats
+    (_product_search), from the Pauli coordinates of m^-1 and e's reduced
+    matrix read once: on the one or few points a call usually brings, a
+    numpy call per operation costs more than its arithmetic, while a stack
+    of thousands of points pays the same cost per point as a single one.
+    Returns L and U of every point, the mask of the points with
+    |U - L| < _GAP, and omega and the witness of those points, or None for
+    both when no point closes.  U is inf where q >= 0; L is NaN and U
     inf where m has a second eigenvalue <= 0 or e is maximally entangled
     (no start: _bracket closes those points).  The points it leaves open
     go on to _bell_bracket.
     """
     inv = np.where(lam[:, 1:2] > 0.0, 1.0 / lam, np.nan)
     m_inv = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    # the search's (k, 3, 1) columns, negated so that each half-step normalizes -g with no further sign
-    x = -pauli_coords(m_inv).reshape(-1, 4, 4)  # x[:, alpha, beta] = -Tr(m^-1 sigma_alpha (x) sigma_beta)
-    x_s, x_i, x_is = x[:, 0, 1:, None], x[:, 1:, 0, None], x[:, 1:, 1:]
-    x_si = x_is.swapaxes(-1, -2)
+    x = -pauli_coords(m_inv)[:, 1:]  # negated, so that each half-step normalizes g with no further sign
     r = _schmidt(vecs[..., 0])[0]  # e's reduced matrix on spin I: its Bloch vector is e's leading Schmidt vector's
-    n_i = np.stack([2.0 * r[:, 0, 1].real, -2.0 * r[:, 0, 1].imag, (r[:, 0, 0] - r[:, 1, 1]).real], axis=-1)[..., None]
-    n_i = n_i / np.sqrt(n_i.swapaxes(-1, -2) @ n_i)
-    for _ in range(_PRODUCT_STEPS):
-        g = x_s + x_si @ n_i
-        n_s = g / np.sqrt(g.swapaxes(-1, -2) @ g)
-        g = x_i + x_is @ n_s
-        n_i = g / np.sqrt(g.swapaxes(-1, -2) @ g)
-    uv = _spinor(np.concatenate([n_i, n_s], axis=-1).swapaxes(-1, -2))
-    w = (uv[:, 0, :, None] * uv[:, 1, None, :]).reshape(-1, 4)
+    w = np.array([_product_search(*point) for point in zip(x.tolist(), r.tolist())], dtype=complex).reshape(-1, 4)
     f = (m_inv @ w[:, :, None])[..., 0]
     q = (w.conj() * f).sum(axis=-1).real
     upper = np.where(q < 0.0, -1.0 / q, np.inf)

@@ -53,8 +53,10 @@ class SweepSeries:
     first zero crossing of the F curve (detection cutoff);
     ``tau_w`` and ``tau_r`` are 1/e times of log-linear exponential fits to
     the witness curve's distance from its equilibrium value and to the
-    robustness curve.  Any of them is None when the corresponding feature
-    does not exist in the sweep.
+    robustness curve.  The robustness curve reaches 0 at a finite time, where
+    the state turns PPT, so ``tau_r`` is a scale of its decay, not the time
+    it ends (``crossing_time(series, "GR")``).  Any of them is None when the
+    corresponding feature does not exist in the sweep.
     """
 
     times: np.ndarray

@@ -20,11 +20,13 @@ def entangled_ginibre(seed):
     not send it to the interior-point solver: one of the closed-form brackets
     closes nearly every such state.  Of seeds 1-400 only 83, 268 and 385
     reach the solver at t = 0; they are product class, where the Bell
-    witness is not optimal.  Seeds 13 and 20 are Bell class: the Bell
-    bracket's completion closes them.  Of the 200-point relaxation sweep to
-    0.6 s under the paper's T2s, seed 1 solves 2 points and seeds 2 and 3
-    none; seed 268 solves every point up to about 2 ms.  A test that needs
-    the solver must use 268 (or 83, 385), or check that the solver ran.
+    witness is not optimal.  Seed 8 is product class too, but the product
+    bracket closes it after the first bracket leaves it open.  Seeds 13 and
+    20 are Bell class: the Bell bracket's completion closes them.  Of the
+    200-point relaxation sweep to 0.6 s under the paper's T2s, seed 1
+    solves 2 points and seeds 2 and 3 none; seed 268 solves every point up
+    to about 2 ms.  A test that needs the solver must use 268 (or 83, 385),
+    or check that the solver ran.
     """
     rng = np.random.default_rng(seed)
     while True:

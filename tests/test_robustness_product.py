@@ -6,12 +6,14 @@ L = -<f|m|f> / a_f^2 (a_f^2 the larger squared Schmidt coefficient of f)
 bounds it from below.  The search in ``optim._product_bracket`` only picks
 w and f = m^-1 w; where the two meet within the solver's gap, the point
 takes them with no interior-point iteration.  These checks hold the bounds
-for any choice and for the search's, a point's bits alone and in a stack,
-and the points that stay open against the solver.  The stress tests and
+for any choice and for the search's, the plain-float search against the
+same search on numpy stacks, a point's bits alone and in a stack, and the
+points that stay open against the solver.  The stress tests and
 the forced-solve test of the bracket hold the closed points to the same
 certificate checks and to the solver's value.
 """
 
+import cmath
 import warnings
 
 import numpy as np
@@ -21,9 +23,10 @@ from conftest import entangled_ginibre
 from test_robustness_bracket import stress_sets
 from test_robustness_stress import bracket_routes, ginibre_states
 from test_sweep_batch import PAPER_T2, isotropic_with_bloch
-from witnesslab import ConvergenceError, DensityMatrix, generalized_robustness
+from witnesslab import BellKind, ConvergenceError, DensityMatrix, generalized_robustness
 from witnesslab import optim, relax
-from witnesslab.qmat import _pt_arr
+from witnesslab.qmat import _pt_arr, pauli_coords
+from witnesslab.states import _BELL_VECTORS
 
 GAP = 1e-8
 
@@ -31,6 +34,79 @@ GAP = 1e-8
 def unit(rng, shape):
     z = rng.standard_normal(shape + (2,)) + 1j * rng.standard_normal(shape + (2,))
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def search_inputs(lam, vecs):
+    """The search's inputs as _product_bracket forms them: -X of m^-1 without X_00, and e's reduced matrix."""
+    inv = np.where(lam[:, 1:2] > 0.0, 1.0 / lam, np.nan)
+    m_inv = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return -pauli_coords(m_inv)[:, 1:], optim._schmidt(vecs[..., 0])[0]
+
+
+@np.errstate(invalid="ignore", divide="ignore")
+def stacked_search(x, r):
+    """The reference: the same search as numpy stacks, _PRODUCT_STEPS half-step pairs on (k, 3, 1) columns."""
+    x = np.concatenate([np.zeros((len(x), 1)), x], axis=1).reshape(-1, 4, 4)
+    x_s, x_i, x_is = x[:, 0, 1:, None], x[:, 1:, 0, None], x[:, 1:, 1:]
+    x_si = x_is.swapaxes(-1, -2)
+    n_i = np.stack([2.0 * r[:, 0, 1].real, -2.0 * r[:, 0, 1].imag, (r[:, 0, 0] - r[:, 1, 1]).real], axis=-1)[..., None]
+    n_i = n_i / np.sqrt(n_i.swapaxes(-1, -2) @ n_i)
+    for _ in range(optim._PRODUCT_STEPS):
+        g = x_s + x_si @ n_i
+        n_s = g / np.sqrt(g.swapaxes(-1, -2) @ g)
+        g = x_i + x_is @ n_s
+        n_i = g / np.sqrt(g.swapaxes(-1, -2) @ g)
+    n = np.concatenate([n_i, n_s], axis=-1).swapaxes(-1, -2)  # the Bloch vectors of u and v, (k, 2, 3)
+    nz, nxy = n[..., 2], n[..., 0] + 1j * n[..., 1]
+    up = nz >= 0.0
+    uv = np.stack([np.where(up, 1.0 + nz, nxy.conj()), np.where(up, nxy, 1.0 - nz)], axis=-1)
+    uv = uv / np.sqrt(2.0 + 2.0 * np.abs(nz))[..., None]
+    return (uv[:, 0, :, None] * uv[:, 1, None, :]).reshape(-1, 4)
+
+
+def test_the_plain_float_search_matches_the_stacked_numpy_search(monkeypatch):
+    m = _pt_arr(stress_sets())
+    m = m[np.linalg.eigvalsh(m)[:, 0] < -optim.NPT_CUT]
+    lam, vecs = np.linalg.eigh(m)
+    # the points the search sees: on a few that _bracket closes, e is maximally entangled but for rounding, and
+    # the search, started from that rounding, goes elsewhere on each side
+    keep = ~optim._bracket(vecs[..., 0], lam[:, 0])[2]
+    m, lam, vecs = m[keep], lam[keep], vecs[keep]
+    x, r = search_inputs(lam, vecs)
+    w = np.array([optim._product_search(*point) for point in zip(x.tolist(), r.tolist())])
+    w_ref = stacked_search(x, r)
+    # only rounding apart: numpy's stacked products may fuse a multiply and an add, plain floats do not
+    assert len(m) > 1500 and np.isfinite(w).all() and np.isfinite(w_ref).all()
+    np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
+    low, high, closed, _, _ = optim._product_bracket(m, lam, vecs)
+    rows = iter(w_ref.tolist())
+    monkeypatch.setattr(optim, "_product_search", lambda *_: next(rows))
+    low_ref, high_ref, closed_ref, _, _ = optim._product_bracket(m, lam, vecs)
+    assert next(rows, None) is None
+    assert np.array_equal(closed, closed_ref) and closed.sum() > 800
+    np.testing.assert_allclose(low, low_ref, rtol=0, atol=1e-14)  # NaN where the other is NaN
+    np.testing.assert_allclose(high, high_ref, rtol=0, atol=1e-14)  # inf where the other is inf
+
+
+def test_a_degenerate_search_leaves_the_point_open_without_a_warning():
+    # e maximally entangled (a zero start Bloch vector), and a second eigenvalue <= 0 of m (a NaN inverse)
+    s = np.sqrt(0.5)
+    bell = np.stack([_BELL_VECTORS[kind] for kind in (BellKind.PSI_MINUS, BellKind.PHI_PLUS,
+                                                       BellKind.PHI_MINUS, BellKind.PSI_PLUS)], axis=1)
+    product = np.kron(np.eye(2), [[s, s], [s, -s]]).astype(complex)  # e = |0>|+>, not entangled
+    vecs = np.stack([bell, product, product])
+    lam = np.array([[-0.2, 0.3, 0.4, 0.5], [-0.2, 0.0, 0.5, 0.7], [-0.2, -1e-17, 0.5, 0.7]])
+    m = (vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low, high, closed, omega, _ = optim._product_bracket(m, lam, vecs)
+        # coefficients (the kernel takes -X) whose first half-step gives g = 0 exactly: all zero, or -X_IS = 1
+        # with -X_0S = -n_I
+        start = [[1.0 + 0j, 0j], [0j, 0j]]  # n_I = (0, 0, 1)
+        cancel = [0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+        for coeffs in ([0.0] * 15, cancel):
+            assert all(cmath.isnan(z) for z in optim._product_search(coeffs, start))
+    assert np.isnan(low).all() and np.isinf(high).all() and not closed.any() and omega is None
 
 
 def test_any_product_vector_and_any_vector_bound_the_robustness():
