@@ -5,7 +5,9 @@ solver's gap: the two-qubit bracket from the negative eigenvector of the
 partial transpose, the one from the best product state, whose search runs on
 plain Python floats one point at a time, or the one from the locally rotated
 Bell witness, whose primal omega a phase-1 Newton completion finds where the
-minimum-norm one is not PSD (exact for two qubits via the positive partial
+minimum-norm one is not PSD and a lower bound in hand does not already rule
+it out.  The points all three leave open take the product search again,
+longer, before the solver (exact for two qubits via the positive partial
 transpose criterion)."""
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ _FRACTION_GAIN = 0.09
 _MAX_ITERATIONS = 100
 # NPT points solved together at most: about 30 KB of solver temporaries each
 _CHUNK = 256
-# alternating half-step pairs of the product-state search that every point still open after _bracket takes
+# alternating half-step pairs of the product-state search that every point still open after _bracket takes,
+# and of the longer one that the points every bracket leaves open take before the interior-point solver
 _PRODUCT_STEPS = 12
+_PRODUCT_STEPS_LAST = 100
 # phase-1 Newton steps the Bell completion takes at most, and the growth of its weight on t per step
 _COMPLETION_STEPS = 20
 _COMPLETION_GROWTH = 8.0
@@ -64,7 +68,9 @@ class RobustnessResult:
     vector f, or else ``_bell_bracket``'s, whose witness is the locally
     rotated Bell witness (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2 and whose
     omega is the one its completion finds in the set that complementary
-    slackness with it allows, starting at the minimum-norm one of that set.
+    slackness with it allows, starting at the minimum-norm one of that set,
+    or else ``_product_bracket``'s again, from a search of
+    _PRODUCT_STEPS_LAST half-step pairs in place of _PRODUCT_STEPS.
     ``iterations`` counts interior-point iterations, so it is 0
     on those closed paths as well as for a PPT state.  A PPT state has
     value and lower 0 and no witness.
@@ -360,14 +366,14 @@ def _spinor(n1: float, n2: float, n3: float) -> tuple[complex, complex]:
     return complex(n1 * scale, -n2 * scale), complex((1.0 - n3) * scale, 0.0)
 
 
-def _product_search(x: list, r: list) -> list:
+def _product_search(x: list, r: list, steps: int = _PRODUCT_STEPS) -> list:
     """The 4 entries of one point's product vector w = u (x) v, searched on plain Python floats.
 
     x holds -X, the point's negated Pauli coordinates of m^-1, row by row
     with X_00 left out: X_0S, then X_I0 and the row of X_IS of each Bloch
     axis of spin I in turn.  r is e's reduced matrix on spin I; its Bloch
-    vector, normalized, is the start n_I.  Each of the _PRODUCT_STEPS
-    half-step pairs sets n_S = g / |g| with g = -(X_0S + X_IS^T n_I), then
+    vector, normalized, is the start n_I.  Each of the steps half-step
+    pairs sets n_S = g / |g| with g = -(X_0S + X_IS^T n_I), then
     n_I = g / |g| with g = -(X_I0 + X_IS n_S).  A zero g or start vector
     gives NaN, as numpy's 0/0 would, so the point stays open.
     """
@@ -376,7 +382,7 @@ def _product_search(x: list, r: list) -> list:
     n1, n2, n3 = 2.0 * r01.real, -2.0 * r01.imag, r00.real - r11.real
     norm = sqrt(n1 * n1 + n2 * n2 + n3 * n3) or nan
     n1, n2, n3 = n1 / norm, n2 / norm, n3 / norm
-    for _ in range(_PRODUCT_STEPS):
+    for _ in range(steps):
         g1 = s1 + (a11 * n1 + a21 * n2 + a31 * n3)
         g2 = s2 + (a12 * n1 + a22 * n2 + a32 * n3)
         g3 = s3 + (a13 * n1 + a23 * n2 + a33 * n3)
@@ -394,7 +400,7 @@ def _product_search(x: list, r: list) -> list:
 
 # a second eigenvalue <= 0 of m gives a NaN inverse, as a zero vector gives a NaN search: the point stays open
 @np.errstate(invalid="ignore", divide="ignore")
-def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
+def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: int = _PRODUCT_STEPS):
     """Bounds L <= GR <= U of NPT points from a product vector, and the certificate and witness where they close.
 
     m is the (k, 4, 4) stack of partial transposes and lam, vecs their
@@ -417,8 +423,11 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     m^-1 and n_I, n_S the Bloch vectors of u and v, <u|m^-1|u> is
     (X_0S + X_IS^T n_I) . sigma / 4 plus a multiple of 1, so a half-step is
     n_S = -g / |g| with g = X_0S + X_IS^T n_I: one 3x3 product and a
-    normalization.  Every point takes _PRODUCT_STEPS steps, so its result
-    is its own.  The search runs one point at a time on plain Python floats
+    normalization.  Every point of a call takes the same ``steps``
+    half-step pairs, so its result is its own: _PRODUCT_STEPS on every
+    point _bracket leaves open, and _PRODUCT_STEPS_LAST, from the same
+    start, on the points that _bell_bracket then leaves open too, before
+    the solver.  The search runs one point at a time on plain Python floats
     (_product_search), from the Pauli coordinates of m^-1 and e's reduced
     matrix read once: on the one or few points a call usually brings, a
     numpy call per operation costs more than its arithmetic, while a stack
@@ -427,14 +436,16 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     |U - L| < _GAP, and omega and the witness of those points, or None for
     both when no point closes.  U is inf where q >= 0; L is NaN and U
     inf where m has a second eigenvalue <= 0 or e is maximally entangled
-    (no start: _bracket closes those points).  The points it leaves open
-    go on to _bell_bracket.
+    (no start: _bracket closes those points).  The points the first
+    search leaves open go on to _bell_bracket, those the longer one leaves
+    open to _central_path.
     """
     inv = np.where(lam[:, 1:2] > 0.0, 1.0 / lam, np.nan)
     m_inv = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     x = -pauli_coords(m_inv)[:, 1:]  # negated, so that each half-step normalizes g with no further sign
     r = _schmidt(vecs[..., 0])[0]  # e's reduced matrix on spin I: its Bloch vector is e's leading Schmidt vector's
-    w = np.array([_product_search(*point) for point in zip(x.tolist(), r.tolist())], dtype=complex).reshape(-1, 4)
+    w = np.array([_product_search(xk, rk, steps) for xk, rk in zip(x.tolist(), r.tolist())],
+                 dtype=complex).reshape(-1, 4)
     f = (m_inv @ w[:, :, None])[..., 0]
     q = (w.conj() * f).sum(axis=-1).real
     upper = np.where(q < 0.0, -1.0 / q, np.inf)
@@ -497,7 +508,7 @@ _EYES = np.ascontiguousarray(np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3)
 
 # a block that Cholesky cannot factor or a singular Newton system is NaN: the point stops at its last iterate
 @np.errstate(invalid="ignore", divide="ignore")
-def _bell_completion(x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _bell_completion(x: np.ndarray, y: np.ndarray, r: np.ndarray, skip: np.ndarray) -> np.ndarray:
     """Pauli coordinates (k, 4, 4) of an omega that complementary slackness with W allows, PSD where one was found.
 
     x holds rho's coordinates, y those of the minimum-norm omega and r the
@@ -517,8 +528,10 @@ def _bell_completion(x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
     below 0 (four more steps like its last would not lift it to 0), or
     after _COMPLETION_STEPS steps.  Every point's numbers come from its
     own slices.  A point whose minimum-norm compressions are PSD (t >= 0
-    at the start) takes no step, so its omega is the minimum-norm one.  The
-    caller checks the result with the full 4x4 eigvalsh.
+    at the start) takes no step, so its omega is the minimum-norm one; so
+    does a point in ``skip``, the points where the caller knows that no
+    omega of the set can close the bracket.  The caller checks the result
+    with the full 4x4 eigvalsh.
     """
     k = len(y)
     rot = np.zeros((k, 4, 4))
@@ -529,7 +542,7 @@ def _bell_completion(x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
     lam = _umath_linalg.eigvalsh_lo(base, signature="D->d")[..., 0].min(axis=-1)
     z = np.zeros((k, 6))  # c, then t
     z[:, 5] = lam + np.minimum(lam, 0.0)
-    points = (z[:, 5] < 0.0).nonzero()[0]
+    points = ((z[:, 5] < 0.0) & ~skip).nonzero()[0]
     zp, base, weight = z[points], base[points], None
     for step in range(_COMPLETION_STEPS):
         if not len(points):
@@ -564,7 +577,7 @@ def _bell_completion(x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
     return y
 
 
-def _bell_bracket(m: np.ndarray):
+def _bell_bracket(m: np.ndarray, floor: np.ndarray | float = -np.inf):
     """Bounds L <= GR <= U from the locally optimal Bell witness, and the certificate and witness where they close.
 
     m is the (k, 4, 4) stack of partial transposes.  With x_ab = Tr(rho
@@ -591,6 +604,13 @@ def _bell_bracket(m: np.ndarray):
     whose compressions are.  With eps = max(0, -lambda_min(omega),
     -lambda_min(m + omega^PT)) of the omega it returns, from one full 4x4
     eigvalsh, omega + eps 1 is a primal certificate, so U = L + 4 eps.
+    floor is a lower bound of GR that the caller already holds, per point
+    or one for all (-inf by default).  Where L <= floor - _GAP, U >= GR >=
+    floor >= L + _GAP, so no omega closes the bracket: those points, the
+    product class where W is not optimal, skip the completion and keep the
+    minimum-norm omega, which is still lifted and checked, so that their U
+    still bounds GR from above.  A point where W is optimal has L = GR >=
+    floor and is never skipped.
     Returns L and U of every point, the mask of the points
     with U - L < _GAP, and omega + eps 1 and W of those points, or None for
     both when no point closes.  Every point's numbers come from its own
@@ -609,7 +629,8 @@ def _bell_bracket(m: np.ndarray):
     y[:, 1:, :1] = -0.5 * (a + r @ b.swapaxes(-1, -2))
     y[:, :1, 1:] = -0.5 * (a.swapaxes(-1, -2) @ r + b)
     y[:, 1:, 1:] = (lower / 3.0)[:, None, None] * r - 0.25 * (t - r @ t.swapaxes(-1, -2) @ r)
-    blocks = _pauli_blocks(0.25 * _bell_completion(x, y, r).reshape(-1, 16))  # omega and m + omega^PT
+    skip = lower <= floor - _GAP  # U >= GR >= floor: no omega closes these points
+    blocks = _pauli_blocks(0.25 * _bell_completion(x, y, r, skip).reshape(-1, 16))  # omega and m + omega^PT
     blocks[:, 1] += m
     eps = np.maximum(0.0, -_umath_linalg.eigvalsh_lo(blocks, signature="D->d")[..., 0].min(axis=-1))
     upper = lower + 4.0 * eps
@@ -627,22 +648,27 @@ def _robustness(rho: np.ndarray):
     """Generalized robustness of each state of a (k, 4, 4) stack of density matrices.
 
     Points whose partial transpose has lambda_min >= -NPT_CUT are PPT, 0
-    without a solve.  Each NPT point then meets three closed-form brackets
-    in turn and takes the first that closes to below the solver's gap, with
-    no iteration: _bracket, from the negative eigenvector of its partial
-    transpose (every state with no local Bloch vectors, every pure state
-    and any state with a tiny |lambda_min|); _product_bracket (most states
+    without a solve.  Each NPT point then meets four closed-form bracket
+    stages in turn and takes the first that closes to below the solver's
+    gap, with no iteration: _bracket, from the negative eigenvector of its
+    partial transpose (every state with no local Bloch vectors, every pure
+    state and any state with a tiny |lambda_min|); _product_bracket (most states
     whose optimal omega is a product pure state); and _bell_bracket with its
     completion (nearly every state whose optimal witness is a locally
-    rotated Bell witness).  One eigh of the NPT points serves the first
-    two.  The other NPT points are
+    rotated Bell witness), which skips the completion on the points whose
+    Bell bound L is already more than the gap below the running lower
+    bound.  The points all three leave open, product class, take
+    _product_bracket again with the longer search of _PRODUCT_STEPS_LAST
+    half-step pairs from the same start.  One eigh of the NPT points serves
+    both product searches and the first bracket.  The other NPT points are
     solved together by _central_path, the HKM predictor-corrector method
     (Helmberg, Rendl, Vanderbei & Wolkowicz 1996; Mehrotra 1992) from a
     feasible start, each to a duality gap below 1e-8, in chunks of _CHUNK,
     which bounds the solver's temporaries; the chunks stop at the first one
     with a failure, whose ConvergenceError carries the tightest of the
-    solver's and the three brackets' bounds (the Bell bracket's U from its
-    completed omega).
+    solver's and the four bracket stages' bounds (the Bell bracket's U from
+    its completed omega, or its minimum-norm one where it skipped the
+    completion).
     Returns the values, the interior-point iterations (0 on the closed
     paths), the optimal omegas (zero for PPT points), the failures by index,
     the dual fields (the lower bounds -Tr(m Z_2) and the witnesses Z_2^PT,
@@ -675,7 +701,12 @@ def _robustness(rho: np.ndarray):
     if len(solve):
         rest, solve, low, high = narrow(solve, _product_bracket(m[solve], lam[rest], vecs[rest]), low, high)
     if len(solve):
-        _, solve, low, high = narrow(solve, _bell_bracket(m[solve]), low, high)
+        _, solve, low, high = narrow(solve, _bell_bracket(m[solve], low), low, high)
+    # a search no longer than the first would only repeat a prefix of its steps
+    if len(solve) and _PRODUCT_STEPS_LAST > _PRODUCT_STEPS:
+        at = np.searchsorted(npt, solve)  # the rows of the points left open in the eigh of the NPT points
+        last = _product_bracket(m[solve], lam[at], vecs[at], _PRODUCT_STEPS_LAST)
+        _, solve, low, high = narrow(solve, last, low, high)
     for start in range(0, len(solve), _CHUNK):
         idx = solve[start:start + _CHUNK]
         x, z2, iterations[idx], chunk_failures = _central_path(m[idx], lam_min[idx])
@@ -717,10 +748,16 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     phase-1 barrier Newton method starts at the minimum-norm omega of that
     5-dimensional set and, where it is not PSD with (rho + omega)^PT,
     searches the set for one that is, in at most 20 steps; one eigvalsh
-    check of the omega it ends at gives eps.
+    check of the omega it ends at gives eps.  Where L is already more than
+    1e-8 below the lower bound of the first two brackets, no omega of that
+    set can close the bracket, so the search is skipped and the
+    minimum-norm omega is checked as it is.
     Where it closes within 1e-8, as for nearly every state whose optimal
     witness is a rotated Bell witness, the result is that U with no
-    iteration.  Otherwise it is solved as a semidefinite program by a
+    iteration.  Else the product search runs again, 100 half-step pairs in
+    place of 12, and where its bracket closes within 1e-8, as for the
+    product-class states the first search leaves open, the result is its U
+    with no iteration.  Otherwise it is solved as a semidefinite program by a
     feasible-start primal-dual interior-point method: HKM directions
     (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) with Mehrotra's
     predictor-corrector (1992), from omega a multiple of the identity and
@@ -728,7 +765,7 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     iterate is strictly feasible, so the certificate always verifies, and
     the final dual iterate gives the result's ``lower`` bound and
     ``witness``.  A solve that fails raises ``ConvergenceError`` with the
-    tightest of the solver's and the three brackets' bounds.  This is the
+    tightest of the solver's and the brackets' bounds.  This is the
     one-point case of the batched solver that ``relax.sweep`` runs over a
     whole time grid.
     """

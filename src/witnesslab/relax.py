@@ -121,7 +121,10 @@ def _fit_decay_time(times: np.ndarray, values: np.ndarray) -> float | None:
     if v0 <= 0 or mask.sum() < 2 or np.ptp(values[mask]) == 0:
         return None
     t_max = float(times[-1])
-    slope = float(np.polyfit(times[mask] / t_max, np.log(values[mask]), 1)[0])
+    x = times[mask] / t_max
+    x -= x.mean()
+    y = np.log(values[mask])
+    slope = float(x @ (y - y.mean()) / (x @ x))  # the least-squares slope, in closed form
     if slope >= 0:
         return None
     tau = -t_max / slope

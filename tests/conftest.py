@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from witnesslab import BellDiagonalParams, DensityMatrix, bell_diagonal, partial_transpose, pauli_vector
@@ -19,20 +22,32 @@ def entangled_ginibre(seed):
     Its negative eigenvector is not maximally entangled, but that alone does
     not send it to the interior-point solver: one of the closed-form brackets
     closes nearly every such state.  Of seeds 1-400 only 83, 268 and 385
-    reach the solver at t = 0; they are product class, where the Bell
-    witness is not optimal.  Seed 8 is product class too, but the product
-    bracket closes it after the first bracket leaves it open.  Seeds 13 and
-    20 are Bell class: the Bell bracket's completion closes them.  Of the
-    200-point relaxation sweep to 0.6 s under the paper's T2s, seed 1
-    solves 2 points and seeds 2 and 3 none; seed 268 solves every point up
-    to about 2 ms.  A test that needs the solver must use 268 (or 83, 385),
-    or check that the solver ran.
+    are left open by the first three brackets at t = 0; they are product
+    class, where the Bell witness is not optimal, and the longer product
+    search now closes them, so none of seeds 1-400 reaches the solver.
+    Seed 8 is product class too, but the first product search closes it
+    after the first bracket leaves it open.  Seeds 13 and 20 are Bell
+    class: the Bell bracket's completion closes them.  Of the 200-point
+    relaxation sweep to 0.6 s under the paper's T2s, the first three
+    brackets leave 2 points of seed 1 open, none of seeds 2 and 3, and
+    every point of seed 268 up to about 2 ms; the longer search closes all
+    of them.  A test that needs the solver must use 268 (or 83, 385) with
+    optim._PRODUCT_STEPS_LAST pinned to 0, or check that the solver ran.
     """
     rng = np.random.default_rng(seed)
     while True:
         rho = random_density_matrix(rng)
         if np.linalg.eigvalsh(partial_transpose(rho).matrix)[0] < -0.05:
             return rho
+
+
+def bench_inputs():
+    """The benchmark's seeded input generator, bench/inputs.py, loaded from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_physical_c(rng):

@@ -10,7 +10,9 @@ solver on the stress sets, the closed certificates against the state
 check, L against local unitaries, the witness against ``bell_witness`` on
 Bell-diagonal states, a point's bits alone and in a stack, the completion
 against the minimum-norm omega it starts from and against a forced solve,
-and a product-class point against the solver.
+a product-class point against the solver, and the certified skip of the
+completion where L is already more than the gap below a lower bound in
+hand.
 test_robustness_bracket holds the closed values against a forced solve.
 """
 
@@ -168,7 +170,8 @@ def test_the_completion_keeps_every_point_the_minimum_norm_omega_closes_and_loos
     assert np.all(high <= high_0) and (high < high_0).sum() > 1000
 
 
-def test_a_point_no_bracket_closes_still_solves():
+def test_a_point_no_bracket_closes_still_solves(monkeypatch):
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
     rho = entangled_ginibre(268)  # product class: the Bell witness is not optimal, so no omega of its set is feasible
     schmidt, product, bell, open_gap = bracket_routes(rho.matrix[None])
     assert not (schmidt | product | bell)[0] and open_gap[0] > GAP  # the product bracket sits 4e-8 open
@@ -237,3 +240,66 @@ def test_a_failed_newton_step_ends_the_search_at_its_last_iterate(monkeypatch):
         low, high, closed, _, _ = optim._bell_bracket(m)
     assert calls == [2, 2] and not closed.any()
     assert np.array_equal(low, low_0) and np.array_equal(high, high_1) and np.all(high < high_0)
+
+
+def test_the_skip_changes_no_value_lower_or_route_on_the_stress_sets(monkeypatch):
+    rho = stress_sets()
+    m = _pt_arr(rho)
+    lam_min = np.linalg.eigvalsh(m)[:, 0]
+    npt = lam_min < -optim.NPT_CUT
+    lam, vecs = np.linalg.eigh(m[npt])
+    low_s, _, closed_s, _, _ = optim._bracket(vecs[..., 0], lam_min[npt])
+    low_p, _, closed_p, _, _ = optim._product_bracket(m[npt], lam, vecs)
+    left = ~closed_s & ~closed_p  # the points that reach the Bell bracket, and their running lower bound
+    floor = np.fmax(low_s, low_p)[left]
+    low, high, closed, omega, witness = optim._bell_bracket(m[npt][left], floor)
+    low_0, high_0, closed_0, omega_0, witness_0 = optim._bell_bracket(m[npt][left])
+    # the same closed points with the same bits, and every point the bracket leaves open skipped
+    assert np.array_equal(closed, closed_0) and low.tobytes() == low_0.tobytes()
+    assert high[closed].tobytes() == high_0[closed].tobytes()
+    assert omega.tobytes() == omega_0.tobytes() and witness.tobytes() == witness_0.tobytes()
+    assert np.array_equal(low <= floor - GAP, ~closed) and (~closed).sum() > 10
+    # end to end: every value, lower bound, omega, witness and iteration count as with floor = -inf,
+    # with the longer search and with the solver in its place
+    bell_bracket = optim._bell_bracket
+    for steps in (optim._PRODUCT_STEPS_LAST, 0):
+        monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", steps)
+        monkeypatch.setattr(optim, "_bell_bracket", bell_bracket)
+        skipped = optim._robustness(rho)
+        monkeypatch.setattr(optim, "_bell_bracket", lambda m, floor: bell_bracket(m))
+        unskipped = optim._robustness(rho)
+        assert not skipped[3] and not unskipped[3]
+        for a, b in zip(skipped[:3] + skipped[4:], unskipped[:3] + unskipped[4:]):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_the_completion_takes_no_step_on_product_class_points_and_skips_no_bell_class_point(monkeypatch):
+    # every Cholesky of a robustness call counted: the completion's, one per Newton step, and the solver's
+    steps = []
+    lapack = optim._umath_linalg
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(lapack, name)
+
+        @staticmethod
+        def cholesky_lo(*args, **kwargs):
+            steps[-1] += 1
+            return lapack.cholesky_lo(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "_umath_linalg", Counted())
+    bell_class = [entangled_ginibre(13), entangled_ginibre(20), isotropic_with_bloch(0.4, 0.3)]
+    product_class = [entangled_ginibre(seed) for seed in (83, 268, 385)]
+    bell_bracket = optim._bell_bracket
+    counts = {}
+    for skip in (True, False):
+        if not skip:
+            monkeypatch.setattr(optim, "_bell_bracket", lambda m, floor: bell_bracket(m))
+        for rho in bell_class + product_class:
+            steps.append(0)
+            _, iterations, _, failures, _, _, _ = optim._robustness(rho.matrix[None])
+            assert not failures and iterations[0] == 0
+        counts[skip] = steps[-6:]
+    # the product class takes no step with the skip, and 3 or more without it; the Bell class takes its own steps
+    assert counts[True][3:] == [0, 0, 0] and all(n >= 3 for n in counts[False][3:])
+    assert counts[True][:3] == counts[False][:3] and all(n > 0 for n in counts[True][:3])

@@ -8,7 +8,9 @@ w and f = m^-1 w; where the two meet within the solver's gap, the point
 takes them with no interior-point iteration.  These checks hold the bounds
 for any choice and for the search's, the plain-float search against the
 same search on numpy stacks, a point's bits alone and in a stack, and the
-points that stay open against the solver.  The stress tests and
+points that stay open against the solver, and the longer search that
+closes the points every bracket leaves open against a forced solve.  The
+stress tests and
 the forced-solve test of the bracket hold the closed points to the same
 certificate checks and to the solver's value.
 """
@@ -19,9 +21,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import entangled_ginibre
+from conftest import bench_inputs, entangled_ginibre
 from test_robustness_bracket import stress_sets
-from test_robustness_stress import bracket_routes, ginibre_states
+from test_robustness_stress import bracket_routes, check_certified, ginibre_states
 from test_sweep_batch import PAPER_T2, isotropic_with_bloch
 from witnesslab import BellKind, ConvergenceError, DensityMatrix, generalized_robustness
 from witnesslab import optim, relax
@@ -228,6 +230,7 @@ def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
     m = _pt_arr(states)
     lam, vecs = np.linalg.eigh(m)
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
     minimum_norm_upper = None
     # no completion (the Bell class reaches the solver), one completion step (part of it does), the full completion
     for steps in (0, 1, optim._COMPLETION_STEPS):
@@ -261,3 +264,42 @@ def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
             generalized_robustness(DensityMatrix(states[min(failures)]))
         exc = failures[min(failures)]
         assert (single.value.lower, single.value.upper) == (exc.lower, exc.upper)
+
+
+def bench_robustness_inputs():
+    """The benchmark's robustness inputs of seeds 41 and 97, rounds 0-99, as one (4000, 4, 4) stack."""
+    make_round = bench_inputs().make_round
+    return np.stack([item["matrix"] for seed in (41, 97) for index in range(100)
+                     for item in make_round("robustness", seed, index)])
+
+
+def test_the_longer_search_closes_every_point_the_brackets_leave_open(monkeypatch):
+    # the three product-class seeds, seed 268 barely relaxed, the stress sets and the bench's robustness inputs
+    rho = np.concatenate([np.stack([entangled_ginibre(seed).matrix for seed in (83, 268, 385)]),
+                          relax._relax(entangled_ginibre(268).matrix, np.linspace(0.0, 0.002, 12), PAPER_T2),
+                          stress_sets(), bench_robustness_inputs()])
+    closed = optim._robustness(rho)
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    solved = optim._robustness(rho)
+    monkeypatch.undo()
+    values, iterations, omega, failures, lower, witness, _ = closed
+    assert not failures and not solved[3]
+    left = solved[1] > 0  # the points every bracket leaves open
+    assert left[:15].all() and left.sum() > 50
+    # the longer search closes each of them with no iteration, within the gap and within it of the solve
+    assert not iterations.any()
+    assert np.all(values[left] - lower[left] >= 0.0) and np.all(values[left] - lower[left] < GAP)
+    assert np.abs(values[left] - solved[0][left]).max() < GAP
+    # and meets the certificate checks; omega, a pure product state, and (rho + omega)^PT, singular, are PSD
+    check_certified(rho[left], values[left], iterations[left], omega[left], lower[left], witness[left])
+    assert np.linalg.eigvalsh(omega[left])[:, 0].min() >= -1e-12
+    assert np.linalg.eigvalsh(_pt_arr(rho[left] + omega[left]))[:, 0].min() >= -1e-12
+    # every other point keeps its bits
+    for with_search, without in zip(closed[:3] + closed[4:], solved[:3] + solved[4:]):
+        assert with_search[~left].tobytes() == without[~left].tobytes()
+    # and each closed point has the same bits alone as in the stack
+    for k in np.flatnonzero(left):
+        result = generalized_robustness(DensityMatrix(rho[k]))
+        assert (result.value, result.lower, result.iterations) == (values[k], lower[k], 0)
+        assert result.witness.matrix.tobytes() == witness[k].tobytes()
+        assert result.certificate_state.matrix.tobytes() == (omega[k] / values[k]).tobytes()

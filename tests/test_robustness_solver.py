@@ -126,6 +126,7 @@ def bracket_bounds(rho):
 
 
 def test_cholesky_failure_raises_with_bounds(monkeypatch):
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
     rho = entangled_ginibre(268)  # product class: no bracket closes, so the solver runs
     lam_min = np.linalg.eigvalsh(pt(rho.matrix))[0]
     low, high = bracket_bounds(rho)
@@ -152,6 +153,7 @@ def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
     # a rank-2 state of the stress set that no bracket closes: its brackets' bounds are within 3e-8 of the
     # value, so only the last iterate before the solve ends is tighter than them
     rho = DensityMatrix(ginibre_states(np.random.default_rng(20261018), 690)[-1])
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
     value = generalized_robustness(rho).value
     low, high = bracket_bounds(rho)
     cholesky = optim._cholesky

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from conftest import entangled_ginibre
+from conftest import bench_inputs, entangled_ginibre
 from test_robustness_stress import bracket_routes
 from witnesslab import (
     BellKind,
@@ -84,8 +84,10 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
+def test_sweep_equals_the_one_point_functions_bit_for_bit(name, monkeypatch):
     rho0, t_max, steps, route = CASES[name]
+    if route == "solver":  # no longer search: the solver takes what the brackets leave
+        monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)
     w = bell_witness(BellKind.PHI_MINUS)
     series = sweep(rho0, PAPER_T2, w, t_max, steps)
     # the solver's own iteration counts and dual bounds for the grid, formed as the sweep forms them
@@ -119,6 +121,7 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name):
 
 
 def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
     states = relax._relax(entangled_ginibre(268).matrix, np.linspace(0.0, 0.002, 9), PAPER_T2)
     times = np.linspace(0.0, 0.25, 9)
     states = np.concatenate([states, relax._relax(bell_state(BellKind.PHI_MINUS).matrix, times, PAPER_T2)])
@@ -138,6 +141,7 @@ def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
 
 
 def test_sweep_names_the_earliest_failing_time(monkeypatch):
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
     rho0 = entangled_ginibre(268)  # entangled at every grid time
     w = bell_witness(BellKind.PHI_MINUS)
     times = np.linspace(0.0, 0.002, 12)
@@ -220,6 +224,42 @@ def test_extreme_time_ratios_raise_no_warning(t_max, p):
         unit = sweep(rho0, RelaxationParams(1.0, 1.0, 1.0, 1.0), w, 1.0, 3)
         assert series.tau_r == pytest.approx(1e308 * unit.tau_r, rel=1e-12)
         assert series.tau_w == pytest.approx(1e308 * unit.tau_w, rel=1e-12)
+
+
+def polyfit_decay_time(times, values):
+    """The reference fit: numpy's polyfit of log(values) against t/t_max, with the same rules for None."""
+    v0 = abs(values[0])
+    mask = values > 1e-3 * v0
+    if v0 <= 0 or mask.sum() < 2 or np.ptp(values[mask]) == 0:
+        return None
+    slope = float(np.polyfit(times[mask] / times[-1], np.log(values[mask]), 1)[0])
+    tau = -float(times[-1]) / slope if slope < 0 else np.inf
+    return tau if tau < np.inf else None
+
+
+def test_fitted_times_match_a_polyfit_reference():
+    make_round = bench_inputs().make_round
+    w_phi = bell_witness(BellKind.PHI_MINUS)
+    runs = [(rho0, PAPER_T2, w_phi, t_max, steps) for rho0, t_max, steps, _ in CASES.values()]
+    for seed, index in itertools.product((41, 97), range(3)):  # the bench's sweep mix
+        for item in make_round("sweep", seed, index):
+            if item["matrix"] is not None:
+                rho0 = DensityMatrix(item["matrix"])
+            elif item["kind"] == "pseudo-pure":
+                rho0 = pseudo_pure(item["eps"], bell_state(BellKind(item["bell"])))
+            else:
+                rho0 = bell_state(BellKind(item["bell"]))
+            runs.append((rho0, RelaxationParams(*item["params"]), bell_witness(BellKind(item["witness"])), 0.6, 200))
+    fitted = 0
+    for rho0, p, w, t_max, steps in runs:
+        series = sweep(rho0, p, w, t_max, steps)
+        for tau, values in ((series.tau_r, series.gr_values), (series.tau_w, np.abs(series.w_values - w.c_i))):
+            reference = polyfit_decay_time(series.times, values)
+            assert (tau is None) == (reference is None)
+            if tau is not None:
+                assert abs(tau - reference) <= 1e-12 * reference
+                fitted += 1
+    assert fitted > 100
 
 
 def test_stacked_positivity_test_agrees_with_lapack_on_every_point():
