@@ -24,7 +24,7 @@ from . import __version__
 from .errors import ConvergenceError, DomainError, StructuralError
 from .circuits import Message, superdense_run
 from .optim import generalized_robustness
-from .qmat import PSD_TOL, DensityMatrix, _pt_arr
+from .qmat import PSD_TOL, DensityMatrix, _eigvalsh, _pt_arr
 from .readout import add_noise
 from .relax import _MAX_STEPS, RelaxationParams, sweep
 from .states import BellDiagonalParams, BellKind, ThermalParams, _bd_operator, bell_state
@@ -218,7 +218,7 @@ def _certificate_residual(rho: DensityMatrix, result) -> float:
     if result.certificate_state is None or result.value == 0.0:
         return 0.0
     mix = (rho.matrix + result.value * result.certificate_state.matrix) / (1.0 + result.value)
-    lam = float(np.linalg.eigvalsh(_pt_arr(mix))[0])
+    lam = float(_eigvalsh(_pt_arr(mix))[0])
     return max(0.0, -lam)
 
 

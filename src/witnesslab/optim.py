@@ -22,8 +22,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError
-from .qmat import _Q, PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _pt_arr, _trusted_state, _two_spin_state
-from .qmat import from_pauli_coords, pauli_coords
+from .qmat import _Q, PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _eigh, _eigvalsh, _pt_arr, _trusted_op
+from .qmat import _trusted_state, _two_spin_state, from_pauli_coords, pauli_coords
 from .states import BellDiagonalParams, bell_probabilities
 
 _E0 = np.eye(16)[0]
@@ -304,7 +304,7 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray):
     return x_out, z_out, iterations, failures
 
 
-def _bracket(e: np.ndarray, lam_min: np.ndarray):
+def _bracket(e: np.ndarray, lam_min: np.ndarray, diff: np.ndarray | None = None):
     """Closed-form bounds L <= GR <= U of NPT points, and the certificate and witness of the points where they close.
 
     lam_min is the stack of the smallest eigenvalues of the partial
@@ -317,14 +317,14 @@ def _bracket(e: np.ndarray, lam_min: np.ndarray):
     ab 1) with c = |lam| / (1 + ab) is PSD, and so is (rho + omega)^PT =
     m + c |e><e| + c ab 1, so U = Tr omega = |lam| (1 + 4ab) / (1 + ab).
     When e is maximally entangled, as for every state with no local Bloch
-    vectors and every pure state, L = U = 2 |lam|.  a^2 - b^2 comes from
-    _schmidt, accurate near a^2 = 1/2.  Returns L and U of every point, the
-    mask of the points with U - L < _GAP (the certificate contract of a
-    finished solve), and omega and the witness of those points, or None for
-    both when no point closes.  The points it leaves open go on to
-    _product_bracket.
+    vectors and every pure state, L = U = 2 |lam|.  a^2 - b^2 is diff, the
+    caller's _schmidt(e), or else comes from _schmidt(e) here: accurate near
+    a^2 = 1/2.  Returns L and U of every point, the mask of the points with
+    U - L < _GAP (the certificate contract of a finished solve), and omega
+    and the witness of those points, or None for both when no point closes.
+    The points it leaves open go on to _product_bracket.
     """
-    a2_twice = 1.0 + _schmidt(e)[1]
+    a2_twice = 1.0 + (_schmidt(e)[1] if diff is None else diff)
     ab_twice = np.sqrt(a2_twice * (2.0 - a2_twice))
     lower, upper = lam_min * (-2.0 / a2_twice), lam_min * (6.0 / (2.0 + ab_twice) - 4.0)
     closed = upper - lower < _GAP
@@ -400,7 +400,8 @@ def _product_search(x: list, r: list, steps: int = _PRODUCT_STEPS) -> list:
 
 # a second eigenvalue <= 0 of m gives a NaN inverse, as a zero vector gives a NaN search: the point stays open
 @np.errstate(invalid="ignore", divide="ignore")
-def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: int = _PRODUCT_STEPS):
+def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: int = _PRODUCT_STEPS,
+                     r: np.ndarray | None = None):
     """Bounds L <= GR <= U of NPT points from a product vector, and the certificate and witness where they close.
 
     m is the (k, 4, 4) stack of partial transposes and lam, vecs their
@@ -429,7 +430,8 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
     start, on the points that _bell_bracket then leaves open too, before
     the solver.  The search runs one point at a time on plain Python floats
     (_product_search), from the Pauli coordinates of m^-1 and e's reduced
-    matrix read once: on the one or few points a call usually brings, a
+    matrix r on spin I (_schmidt(e)'s, where the caller does not pass it)
+    read once: on the one or few points a call usually brings, a
     numpy call per operation costs more than its arithmetic, while a stack
     of thousands of points pays the same cost per point as a single one.
     Returns L and U of every point, the mask of the points with
@@ -443,7 +445,8 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
     inv = np.where(lam[:, 1:2] > 0.0, 1.0 / lam, np.nan)
     m_inv = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     x = -pauli_coords(m_inv)[:, 1:]  # negated, so that each half-step normalizes g with no further sign
-    r = _schmidt(vecs[..., 0])[0]  # e's reduced matrix on spin I: its Bloch vector is e's leading Schmidt vector's
+    if r is None:
+        r = _schmidt(vecs[..., 0])[0]  # e's reduced matrix on spin I: its Bloch vector is e's leading Schmidt vector's
     w = np.array([_product_search(xk, rk, steps) for xk, rk in zip(x.tolist(), r.tolist())],
                  dtype=complex).reshape(-1, 4)
     f = (m_inv @ w[:, :, None])[..., 0]
@@ -508,14 +511,14 @@ _EYES = np.ascontiguousarray(np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3)
 
 # a block that Cholesky cannot factor or a singular Newton system is NaN: the point stops at its last iterate
 @np.errstate(invalid="ignore", divide="ignore")
-def _bell_completion(x: np.ndarray, y: np.ndarray, r: np.ndarray, skip: np.ndarray) -> np.ndarray:
+def _bell_completion(yx: np.ndarray, r: np.ndarray, skip: np.ndarray) -> np.ndarray:
     """Pauli coordinates (k, 4, 4) of an omega that complementary slackness with W allows, PSD where one was found.
 
-    x holds rho's coordinates, y those of the minimum-norm omega and r the
-    rotation R of _bell_bracket.  In the frame where W is W_0 (spin S's
-    coordinates turned by R^T), omega = omega_0 + sum_ij S_ij sigma_i (x)
-    sigma_j / 4 with S real, symmetric and traceless keeps omega g = 0 and
-    (m + omega^PT) f = 0 and Tr omega = L, so omega >= 0 and
+    yx (k, 2, 4, 4) holds the coordinates of the minimum-norm omega, then
+    rho's, and r the rotation R of _bell_bracket.  In the frame where W is
+    W_0 (spin S's coordinates turned by R^T), omega = omega_0 + sum_ij S_ij
+    sigma_i (x) sigma_j / 4 with S real, symmetric and traceless keeps
+    omega g = 0 and (m + omega^PT) f = 0 and Tr omega = L, so omega >= 0 and
     m + omega^PT >= 0 ask only that the compressions A = G^H omega G and
     B = F^H (m + omega^PT) F be PSD, with G and F orthonormal bases of the
     complements of g and f.  With c the 5 coordinates of S, a phase-1
@@ -533,11 +536,11 @@ def _bell_completion(x: np.ndarray, y: np.ndarray, r: np.ndarray, skip: np.ndarr
     omega of the set can close the bracket.  The caller checks the result
     with the full 4x4 eigvalsh.
     """
-    k = len(y)
+    k = len(yx)
     rot = np.zeros((k, 4, 4))
     rot[:, 0, 0] = 1.0
     rot[:, 1:, 1:] = r.swapaxes(-1, -2)
-    v = (np.stack([y, x], axis=1) @ rot[:, None]).reshape(k, 1, 32)  # both in W_0's frame
+    v = (yx @ rot[:, None]).reshape(k, 1, 32)  # both in W_0's frame
     base = (v @ _COMPLETION_TABLE).view(complex).reshape(k, 2, 3, 3)
     lam = _umath_linalg.eigvalsh_lo(base, signature="D->d")[..., 0].min(axis=-1)
     z = np.zeros((k, 6))  # c, then t
@@ -572,7 +575,7 @@ def _bell_completion(x: np.ndarray, y: np.ndarray, r: np.ndarray, skip: np.ndarr
             points, zp, base, weight = points[keep], zp[keep], base[keep], weight[keep]
         weight = _COMPLETION_GROWTH * weight
     z[points] = zp
-    y = y.copy()
+    y = yx[:, 0].copy()
     y[:, 1:, 1:] += (z[:, None, :5] @ _CORRELATION_BASIS).reshape(k, 3, 3) @ r
     return y
 
@@ -616,7 +619,9 @@ def _bell_bracket(m: np.ndarray, floor: np.ndarray | float = -np.inf):
     both when no point closes.  Every point's numbers come from its own
     slices.
     """
-    x = (pauli_coords(m) * PT_SIGN).reshape(-1, 4, 4)  # rho's coordinates from m's
+    yx = np.empty((len(m), 2, 4, 4))  # the minimum-norm omega's coordinates, then rho's, as the completion takes them
+    y, x = yx[:, 0], yx[:, 1]
+    np.multiply(pauli_coords(m).reshape(-1, 4, 4), PT_SIGN.reshape(4, 4), out=x)  # rho's coordinates from m's
     t = x[:, 1:, 1:]
     u, s, vt = np.linalg.svd(t)
     d = -np.sign(_umath_linalg.det(u, signature="d->d") * _umath_linalg.det(vt, signature="d->d"))
@@ -624,13 +629,12 @@ def _bell_bracket(m: np.ndarray, floor: np.ndarray | float = -np.inf):
     r = -(u @ vt)
     lower = 0.5 * (s[:, 0] + s[:, 1] + d * s[:, 2] - x[:, 0, 0])
     a, b = x[:, 1:, :1], x[:, :1, 1:]  # a column and a row
-    y = np.empty_like(x)
     y[:, 0, 0] = lower
     y[:, 1:, :1] = -0.5 * (a + r @ b.swapaxes(-1, -2))
     y[:, :1, 1:] = -0.5 * (a.swapaxes(-1, -2) @ r + b)
     y[:, 1:, 1:] = (lower / 3.0)[:, None, None] * r - 0.25 * (t - r @ t.swapaxes(-1, -2) @ r)
     skip = lower <= floor - _GAP  # U >= GR >= floor: no omega closes these points
-    blocks = _pauli_blocks(0.25 * _bell_completion(x, y, r, skip).reshape(-1, 16))  # omega and m + omega^PT
+    blocks = _pauli_blocks(0.25 * _bell_completion(yx, r, skip).reshape(-1, 16))  # omega and m + omega^PT
     blocks[:, 1] += m
     eps = np.maximum(0.0, -_umath_linalg.eigvalsh_lo(blocks, signature="D->d")[..., 0].min(axis=-1))
     upper = lower + 4.0 * eps
@@ -659,8 +663,9 @@ def _robustness(rho: np.ndarray):
     Bell bound L is already more than the gap below the running lower
     bound.  The points all three leave open, product class, take
     _product_bracket again with the longer search of _PRODUCT_STEPS_LAST
-    half-step pairs from the same start.  One eigh of the NPT points serves
-    both product searches and the first bracket.  The other NPT points are
+    half-step pairs from the same start.  One eigh of the NPT points, and
+    one Schmidt read of their negative eigenvectors, serve both product
+    searches and the first bracket.  The other NPT points are
     solved together by _central_path, the HKM predictor-corrector method
     (Helmberg, Rendl, Vanderbei & Wolkowicz 1996; Mehrotra 1992) from a
     feasible start, each to a duality gap below 1e-8, in chunks of _CHUNK,
@@ -676,7 +681,7 @@ def _robustness(rho: np.ndarray):
     transpose.
     """
     m = _pt_arr(rho)
-    lam_min = np.linalg.eigvalsh(m)[:, 0]
+    lam_min = _eigvalsh(m)[:, 0]
     npt = (lam_min < -NPT_CUT).nonzero()[0]
     values, lower = np.zeros(len(m)), np.zeros(len(m))
     iterations = np.zeros(len(m), dtype=int)
@@ -689,23 +694,26 @@ def _robustness(rho: np.ndarray):
         """Close the points where a bracket closes; those left open keep the tighter of their bounds and its."""
         low_b, high_b, closed, closed_omega, closed_witness = bracket
         if closed_omega is not None:
-            idx = points[closed]
-            values[idx], omega[idx], witness[idx] = high_b[closed], closed_omega, closed_witness
-            lower[idx] = np.minimum(low_b[closed], high_b[closed])  # L can exceed U by rounding
+            idx, value = points[closed], high_b[closed]
+            values[idx], omega[idx], witness[idx] = value, closed_omega, closed_witness
+            lower[idx] = np.minimum(low_b[closed], value)  # L can exceed U by rounding
         rest = ~closed
         return rest, points[rest], np.fmax(low, low_b)[rest], np.fmin(high, high_b)[rest]
 
-    lam, vecs = _umath_linalg.eigh_lo(m[npt], signature="D->dD")
-    rest, solve, low, high = narrow(npt, _bracket(vecs[..., 0], lam_min[npt]))
+    lam, vecs = _eigh(m[npt])
+    e = vecs[..., 0]
+    r, diff = _schmidt(e)
+    rest, solve, low, high = narrow(npt, _bracket(e, lam_min[npt], diff))
     # an empty stack skips the later brackets: the search's fixed steps cost about as much on it
     if len(solve):
-        rest, solve, low, high = narrow(solve, _product_bracket(m[solve], lam[rest], vecs[rest]), low, high)
+        product = _product_bracket(m[solve], lam[rest], vecs[rest], _PRODUCT_STEPS, r[rest])
+        rest, solve, low, high = narrow(solve, product, low, high)
     if len(solve):
         _, solve, low, high = narrow(solve, _bell_bracket(m[solve], low), low, high)
     # a search no longer than the first would only repeat a prefix of its steps
     if len(solve) and _PRODUCT_STEPS_LAST > _PRODUCT_STEPS:
         at = np.searchsorted(npt, solve)  # the rows of the points left open in the eigh of the NPT points
-        last = _product_bracket(m[solve], lam[at], vecs[at], _PRODUCT_STEPS_LAST)
+        last = _product_bracket(m[solve], lam[at], vecs[at], _PRODUCT_STEPS_LAST, r[at])
         _, solve, low, high = narrow(solve, last, low, high)
     for start in range(0, len(solve), _CHUNK):
         idx = solve[start:start + _CHUNK]
@@ -781,7 +789,7 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
         certificate_state=_trusted_state(omega[0] / value),
         iterations=int(iterations[0]),
         lower=float(lower[0]),
-        witness=HermitianOp(witness[0]),
+        witness=_trusted_op(witness[0]),  # Z_2^PT or a bracket's W: Hermitian as built
     )
 
 
@@ -798,5 +806,5 @@ def gr_oracle_bd(params: BellDiagonalParams) -> float:
 def negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
     _two_spin_state(rho, "negativity")
-    eigs = np.linalg.eigvalsh(_pt_arr(rho.matrix))
+    eigs = _eigvalsh(_pt_arr(rho.matrix))
     return float(-eigs[eigs < 0].sum())

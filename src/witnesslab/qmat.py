@@ -12,7 +12,16 @@ Conventions fixed once and inherited everywhere:
 * ``TOL_EQ`` and ``PSD_TOL`` are the two tolerances that judge inputs; a
   rule's own cut lives beside its code (``optim.NPT_CUT``, the 1e-9
   Bell-weight slack in ``states``), and ``WITNESSLAB_TOL`` sets only the
-  CLI's ``psd_tol``.
+  CLI's ``psd_tol``;
+* every eigendecomposition whose result the program acts on runs through
+  ``_eigvalsh`` and ``_eigh``: numpy.linalg's own LAPACK gufuncs, so the
+  same bits, without its per-call wrapper, and with its failure contract
+  (a NaN eigenvalue raises ``LinAlgError``).  Only the inner calls of
+  ``optim``'s solver and Bell bracket, where a NaN marks a point that
+  stays open or fails, call the gufuncs bare;
+* an operator or state is checked once, where it enters the program;
+  ``_trusted_op`` and ``_trusted_state`` hold a matrix the program built
+  Hermitian, or a state, by construction, with no second check.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
+# numpy.linalg's private LAPACK gufuncs, the ones its eigvalsh and eigh call (the same names in numpy 1.x and 2.x)
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DomainError, NumericalConsistencyError, StructuralError
 
@@ -145,11 +156,31 @@ def from_pauli_coords(x) -> np.ndarray:
     return _gather_sum(x, _ENTRY_SRC, _ENTRY_SIGN).view(complex).reshape(x.shape[:-1] + (4, 4))
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of a complex (..., n, n) Hermitian array, bit for bit, without its wrapper.
+
+    The lower triangle is read, as there.  A NaN eigenvalue, LAPACK's mark
+    of a decomposition that failed, raises LinAlgError.
+    """
+    w = _umath_linalg.eigvalsh_lo(a, signature="D->d")
+    if np.count_nonzero(np.isnan(w)):
+        raise LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a complex (..., n, n) Hermitian array, bit for bit, without its wrapper; as ``_eigvalsh``."""
+    w, v = _umath_linalg.eigh_lo(a, signature="D->dD")
+    if np.count_nonzero(np.isnan(w)):
+        raise LinAlgError("Eigenvalues did not converge")
+    return w, v
+
+
 def _as_operator_array(matrix) -> np.ndarray:
     arr = np.array(matrix, dtype=complex)
     if arr.shape != (4, 4):
         raise StructuralError(f"expected a two-spin 4x4 matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise StructuralError("matrix has NaN or infinite entries")
     arr.setflags(write=False)
     return arr
@@ -160,7 +191,9 @@ class HermitianOp:
     """A 4x4 Hermitian matrix.
 
     Inputs that fail the hermiticity check are rejected outright; silently
-    symmetrizing would mask bugs upstream.
+    symmetrizing would mask bugs upstream.  ``_trusted_op`` makes one
+    without the check, under one rule: the program built the matrix
+    Hermitian (the robustness witness, Z_2^PT or a closed-form W).
     """
 
     matrix: np.ndarray
@@ -168,7 +201,7 @@ class HermitianOp:
     def __post_init__(self):
         arr = _as_operator_array(self.matrix)
         object.__setattr__(self, "matrix", arr)
-        if np.max(np.abs(arr - arr.conj().T)) > TOL_EQ:
+        if np.abs(arr - arr.conj().T).max() > TOL_EQ:
             raise StructuralError(f"matrix is not Hermitian within TOL_EQ = {TOL_EQ:g}")
 
 
@@ -194,10 +227,10 @@ class DensityMatrix(HermitianOp):
         if not 0.0 <= psd_tol < np.inf:
             raise DomainError(f"psd_tol must be finite and nonnegative, got {psd_tol}")
         super().__post_init__()
-        tr = np.trace(self.matrix)
+        tr = self.matrix.trace()
         if abs(tr - 1.0) > TOL_EQ:
             raise StructuralError(f"trace must be 1, got {tr}")
-        lam_min = float(np.linalg.eigvalsh(self.matrix)[0])
+        lam_min = float(_eigvalsh(self.matrix)[0])
         if lam_min < -psd_tol:
             raise StructuralError(f"not positive semidefinite: min eigenvalue {lam_min}")
 
@@ -211,16 +244,29 @@ def _two_spin_state(rho, caller: str) -> None:
         raise DomainError(f"{caller} needs a two-spin DensityMatrix, got {type(rho).__name__}")
 
 
+def _trusted(cls, matrix: np.ndarray):
+    matrix.setflags(write=False)
+    op = object.__new__(cls)
+    object.__setattr__(op, "matrix", matrix)
+    return op
+
+
+def _trusted_op(matrix: np.ndarray) -> HermitianOp:
+    """A HermitianOp holding ``matrix`` (a complex 4x4 array no other code holds), unchecked.
+
+    Only for a matrix that the program built Hermitian (see ``HermitianOp``);
+    every other operator goes through ``HermitianOp``.
+    """
+    return _trusted(HermitianOp, matrix)
+
+
 def _trusted_state(matrix: np.ndarray) -> DensityMatrix:
     """A DensityMatrix holding ``matrix`` (a fresh complex 4x4 array), unchecked.
 
     Only for a matrix that is a state by construction (see ``DensityMatrix``);
     every other state goes through ``DensityMatrix``.
     """
-    matrix.setflags(write=False)
-    rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "matrix", matrix)
-    return rho
+    return _trusted(DensityMatrix, matrix)
 
 
 def _pt_arr(arr: np.ndarray) -> np.ndarray:
@@ -246,8 +292,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]."""
     _two_spin_state(rho, "fidelity")
     _two_spin_state(sigma, "fidelity")
-    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals, vecs = _eigh(rho.matrix)
     sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    inner = np.linalg.eigvalsh(sqrt_rho @ sigma.matrix @ sqrt_rho)
+    inner = _eigvalsh(sqrt_rho @ sigma.matrix @ sqrt_rho)
     root = float(np.sum(np.sqrt(np.clip(inner, 0.0, None))))
     return min(1.0, root * root)

@@ -18,7 +18,7 @@ import numpy as np
 from .circuits import Gate
 from .errors import DomainError, bounded_int
 from .qmat import PSD_TOL, SIGMA_I, SIGMA_X, SIGMA_Y, TOL_EQ, DensityMatrix
-from .qmat import _pauli_columns, _trusted_state, _two_spin_state, from_pauli_coords
+from .qmat import _eigh, _pauli_columns, _trusted_state, _two_spin_state, from_pauli_coords
 from .states import _expectation_coords
 from .witness import CorrelationPair
 
@@ -160,7 +160,7 @@ def pauli_tomography(expectations) -> TomographyResult:
     if not np.all(np.abs(x) <= 1.0 + TOL_EQ):
         raise DomainError("expectations must lie in [-1, 1]")
     raw = from_pauli_coords(x) / 4.0
-    vals, vecs = np.linalg.eigh(raw)
+    vals, vecs = _eigh(raw)
     if vals[0] >= -PSD_TOL:
         return TomographyResult(state=_trusted_state(raw), projection_distance=0.0)
     clipped = np.clip(vals, 0.0, None)

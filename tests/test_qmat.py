@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import witnesslab
-from conftest import bd, local_coords, random_density_matrix
+from conftest import bd, entangled_ginibre, local_coords, random_density_matrix
+from test_sweep_batch import PAPER_T2
 from witnesslab import (
     DensityMatrix,
     Gate,
@@ -20,13 +21,14 @@ from witnesslab import (
     BellKind,
     DomainError,
 )
-from witnesslab import qmat
+from witnesslab import optim, qmat, relax
 from witnesslab.qmat import (
     SIGMA_I,
     SIGMA_X,
     SIGMA_Z,
     TWO_SPIN_LABELS,
     TWO_SPIN_PAULIS,
+    _pt_arr,
     from_pauli_coords,
     pauli_coords,
 )
@@ -285,3 +287,42 @@ def test_density_matrix_takes_its_own_psd_tolerance():
     for bad in (np.nan, np.inf, -np.inf, -1e-6):
         with pytest.raises(DomainError, match="psd_tol"):
             DensityMatrix(m, psd_tol=bad)
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK helpers
+# ---------------------------------------------------------------------------
+
+def test_the_lapack_helpers_give_the_bytes_of_np_linalg():
+    # numpy.linalg's own gufuncs without its wrapper: one 4x4, a stack of one and a 200-point relaxed stack
+    rho = entangled_ginibre(3).matrix
+    relaxed = relax._relax(rho, np.linspace(0.0, 0.6, 200), PAPER_T2)
+    for a in (rho, _pt_arr(rho)[None], _pt_arr(relaxed)):
+        w = qmat._eigvalsh(a)
+        assert w.dtype == np.float64 and w.tobytes() == np.linalg.eigvalsh(a).tobytes()
+        (w, v), (w_ref, v_ref) = qmat._eigh(a), np.linalg.eigh(a)
+        assert v.dtype == np.complex128 and v.shape == a.shape
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
+class _FailedLapack:
+    """numpy's LAPACK gufuncs as they answer a decomposition that failed: NaN in every output."""
+
+    @staticmethod
+    def eigvalsh_lo(a, signature):
+        return np.full(a.shape[:-1], np.nan)
+
+    @staticmethod
+    def eigh_lo(a, signature):
+        return np.full(a.shape[:-1], np.nan), np.full(a.shape, np.nan, dtype=complex)
+
+
+def test_a_failed_decomposition_raises_and_accepts_nothing(monkeypatch):
+    mixed = np.eye(4, dtype=complex) / 4.0  # PPT: a NaN lambda_min must not read as PPT
+    states = np.stack([mixed, bell_state(BellKind.PHI_PLUS).matrix])
+    monkeypatch.setattr(qmat, "_umath_linalg", _FailedLapack)
+    with pytest.raises(np.linalg.LinAlgError):
+        DensityMatrix(mixed)
+    for stack in (states[:1], states[1:], states):
+        with pytest.raises(np.linalg.LinAlgError):
+            optim._robustness(stack)
