@@ -2,18 +2,34 @@
 two-cone semidefinite program by a primal-dual interior-point method, or in
 closed form where one of three certified brackets already closes to the
 solver's gap: the two-qubit bracket from the negative eigenvector of the
-partial transpose, the one from the best product state, whose search runs on
-plain Python floats one point at a time, or the one from the locally rotated
-Bell witness, whose primal omega a phase-1 Newton completion finds where the
-minimum-norm one is not PSD and a lower bound in hand does not already rule
-it out.  The points all three leave open take the product search again,
-longer, before the solver (exact for two qubits via the positive partial
-transpose criterion)."""
+partial transpose, the one from the best product state, or the one from the
+locally rotated Bell witness, whose primal omega a phase-1 Newton completion
+finds where the minimum-norm one is not PSD and a lower bound in hand does
+not already rule it out.  The points all three leave open take the product
+search again, longer, before the solver (exact for two qubits via the
+positive partial transpose criterion).
+
+The first bracket's bounds and closure test, and the whole product bracket
+from the eigenpairs of the partial transpose to its closure test, are one
+kernel of real arithmetic: +, -, *, / and sqrt in a fixed order, with
+comparisons, & and a select, and no matmul, reduction or complex product.
+IEEE 754 rounds each of those operations correctly, so the same lines give
+the same bits on plain Python floats and on numpy (k,) lanes (_run).  Each
+phase (_bracket_lines, _search_lines, _tail_lines) runs on floats, one point
+at a time, for a stack below its cutoff (_BRACKET_LANES, _SEARCH_LANES,
+_TAIL_LANES, the measured crossovers), where numpy's cost per call is more
+than the arithmetic, and on lanes from there.  A degenerate point (no
+inverse, a zero vector to normalize) is open by an explicit mask, and its
+divisor is lifted to 1, so neither executor divides by zero or makes a NaN
+on the way.  The eigendecompositions, the Bell bracket and its completion,
+the solver, and the complex assembly of omega and the witness of the points
+a bracket closes stay whole-stack numpy.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import nan, sqrt
+from math import inf, nan, sqrt
 
 import numpy as np
 # numpy's private LAPACK gufuncs: the interior-point loop calls them directly, because the public
@@ -22,11 +38,13 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError
-from .qmat import _Q, PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _eigh, _eigvalsh, _pt_arr, _trusted_op
-from .qmat import _trusted_state, _two_spin_state, from_pauli_coords, pauli_coords
+from .qmat import _Q, PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _eigh, _eigvalsh, _pt_arr, _svd
+from .qmat import _trusted_op, _trusted_state, _two_spin_state, from_pauli_coords, pauli_coords
 from .states import BellDiagonalParams, bell_probabilities
 
 _E0 = np.eye(16)[0]
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
 _MINUS_C = -4.0 * _E0  # -grad Tr(omega), Tr(omega) = 4 x_0: the predictor's right-hand side, added to the corrector's
 _MINUS_C.setflags(write=False)
 _QB = np.stack([_Q, PT_SIGN[:, None] * _Q])  # rows vec(P_k) and vec(P_k^PT)
@@ -44,6 +62,12 @@ _CHUNK = 256
 # and of the longer one that the points every bracket leaves open take before the interior-point solver
 _PRODUCT_STEPS = 12
 _PRODUCT_STEPS_LAST = 100
+# stack sizes from which _bracket's bounds, the product search and the product bracket's tail run on numpy
+# lanes in place of plain floats: the crossovers measured per call, where the floats' cost, which grows with
+# the points, passes the lanes', which is nearly fixed up to a few hundred points
+_BRACKET_LANES = 12
+_SEARCH_LANES = 30
+_TAIL_LANES = 25
 # phase-1 Newton steps the Bell completion takes at most, and the growth of its weight on t per step
 _COMPLETION_STEPS = 20
 _COMPLETION_GROWTH = 8.0
@@ -304,6 +328,48 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray):
     return x_out, z_out, iterations, failures
 
 
+def _pick(c, a, b):
+    """np.where of the float executor: a where c holds, else b."""
+    return a if c else b
+
+
+def _run(lines, lanes: bool, inputs, *args):
+    """Run a kernel phase's lines over the k points of a stack: on (k,) numpy lanes, or on plain floats point by point.
+
+    Each input is a float64 array, (k, n) for a sequence of n values of
+    each point or (k,) for one, or the outputs of an earlier run.  The
+    lines take (sqrt, where), then one argument per input, then args.
+    They use +, -, *, / and sqrt, comparisons, & and where, and nothing
+    else; IEEE 754 rounds each of those correctly, so a point gets the same
+    bits from both executors.  With ``lanes`` they run once, on (k,) arrays
+    with np.sqrt and np.where, and return columns; else once per point, on
+    Python floats with math.sqrt and _pick, and return a list of k rows.
+    An empty stack runs on lanes.
+    """
+    if not lanes:
+        points = list(zip(*[a if isinstance(a, list) else _table(a).tolist() for a in inputs]))
+        if points:
+            return [lines(sqrt, _pick, *point, *args) for point in points]
+    return lines(np.sqrt, np.where, *[a if isinstance(a, tuple) else _table(a).T for a in inputs], *args)
+
+
+def _table(out) -> np.ndarray:
+    """A (k, n) or (k,) float array as it is, or a phase's outputs, rows or columns, as one (k, n) float array."""
+    if isinstance(out, np.ndarray):
+        return out
+    return np.array(out, dtype=float) if isinstance(out, list) else np.array(out, dtype=float).T
+
+
+def _bracket_lines(sqrt, where, lam, diff):
+    """_bracket's bounds of one point or one lane: L, U, U - L < _GAP, 2 a^2 and 2 ab."""
+    a2_twice = 1.0 + diff
+    ab_twice = a2_twice * (2.0 - a2_twice)
+    ab_twice = sqrt(where(ab_twice > 0.0, ab_twice, 0.0))  # b = 0 where rounding puts a^2 above 1
+    lower = lam * (-2.0 / a2_twice)
+    upper = lam * (6.0 / (2.0 + ab_twice) - 4.0)
+    return lower, upper, upper - lower < _GAP, a2_twice, ab_twice
+
+
 def _bracket(e: np.ndarray, lam_min: np.ndarray, diff: np.ndarray | None = None):
     """Closed-form bounds L <= GR <= U of NPT points, and the certificate and witness of the points where they close.
 
@@ -319,20 +385,23 @@ def _bracket(e: np.ndarray, lam_min: np.ndarray, diff: np.ndarray | None = None)
     When e is maximally entangled, as for every state with no local Bloch
     vectors and every pure state, L = U = 2 |lam|.  a^2 - b^2 is diff, the
     caller's _schmidt(e), or else comes from _schmidt(e) here: accurate near
-    a^2 = 1/2.  Returns L and U of every point, the mask of the points with
-    U - L < _GAP (the certificate contract of a finished solve), and omega
-    and the witness of those points, or None for both when no point closes.
-    The points it leaves open go on to _product_bracket.
+    a^2 = 1/2.  The bounds and the closure test are the real arithmetic of
+    _bracket_lines, run on plain floats below _BRACKET_LANES points and on
+    numpy lanes from there (_run): the same bits either way.  Returns L and
+    U of every point, the mask of the points with U - L < _GAP (the
+    certificate contract of a finished solve), and omega and the witness of
+    those points, assembled as whole-stack numpy, or None for both when no
+    point closes.  The points it leaves open go on to _product_bracket.
     """
-    a2_twice = 1.0 + (_schmidt(e)[1] if diff is None else diff)
-    ab_twice = np.sqrt(a2_twice * (2.0 - a2_twice))
-    lower, upper = lam_min * (-2.0 / a2_twice), lam_min * (6.0 / (2.0 + ab_twice) - 4.0)
-    closed = upper - lower < _GAP
+    diff = _schmidt(e)[1] if diff is None else diff
+    out = _run(_bracket_lines, len(lam_min) >= _BRACKET_LANES, (lam_min, diff))
+    lower, upper, closed, a2_twice, ab_twice = out if isinstance(out, tuple) else _table(out).T
+    closed = closed.astype(bool, copy=False)
     if not np.count_nonzero(closed):
         return lower, upper, closed, None, None
     vec, ab, neg = e[closed], 0.5 * ab_twice[closed], -lam_min[closed]
     proj_pt = _pt_arr(vec[:, :, None] * vec[:, None, :].conj())  # (|e><e|)^PT
-    omega = (neg / (1.0 + ab))[:, None, None] * (proj_pt + ab[:, None, None] * np.eye(4))
+    omega = (neg / (1.0 + ab))[:, None, None] * (proj_pt + ab[:, None, None] * _EYE4)
     return lower, upper, closed, omega, proj_pt * (2.0 / a2_twice[closed])[:, None, None]
 
 
@@ -354,52 +423,149 @@ def _dual_bound(m: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return -(m.reshape(-1, 1, 16) @ z2.conj().reshape(-1, 16, 1)).real[:, 0, 0]
 
 
-def _spinor(n1: float, n2: float, n3: float) -> tuple[complex, complex]:
-    """A unit 2-vector |u> with <u|sigma|u> = n for a unit Bloch vector n = (n1, n2, n3).
+def _search_lines(sqrt, where, lam, vec, start, steps):
+    """The product search of one point or one lane: m^-1's entries, u's and v's Bloch vectors, and the mask.
 
-    (1 + n3, n1 + i n2) and (n1 - i n2, 1 - n3) are both |u> up to norm and
-    phase; the longer one is taken.
+    lam holds m's eigenvalues l_0 <= ... <= l_3 and vec its eigenvectors,
+    entry i of eigenvector k as the floats x_ik, y_ik of vec[8 i + 2 k],
+    vec[8 i + 2 k + 1].  m^-1 = s_3 1 + sum_{k<3} (s_k - s_3) v_k v_k^H with
+    s_k = 1 / l_k, so eigenvector 3 is not read; its entries c_ij (c_00,
+    c_11, c_22, c_33, then re and im of c_01, c_02, c_03, c_12, c_13, c_23)
+    give -X / 2, X the Pauli coordinates of m^-1 (X_00 is not needed): the
+    search is the same for any positive multiple of X.  start holds e's
+    reduced matrix r on spin I, as the float view of its 4 entries: its
+    Bloch vector, normalized, is n_I.  Each of the steps half-step pairs
+    takes g = -(X_0S + X_IS^T n_I) / 2, whose direction is n_S, then
+    n_I = h / |h| with h = |g| (-(X_I0 + X_IS n_S) / 2) = |g| (-X_I0 / 2) -
+    X_IS g / 2, so a step divides once; n_S = g / |g| of the last step.
+    A zero g makes h zero too.  The mask is False where m has a second
+    eigenvalue <= 0, or the start vector, an h or the last g is 0; each
+    such divisor is lifted to 1 by adding the test's 0 or 1, so every value
+    stays finite and no division fails.
     """
-    scale = 1.0 / sqrt(2.0 + 2.0 * abs(n3))
-    if n3 >= 0.0:
-        return complex((1.0 + n3) * scale, 0.0), complex(n1 * scale, n2 * scale)
-    return complex(n1 * scale, -n2 * scale), complex((1.0 - n3) * scale, 0.0)
-
-
-def _product_search(x: list, r: list, steps: int = _PRODUCT_STEPS) -> list:
-    """The 4 entries of one point's product vector w = u (x) v, searched on plain Python floats.
-
-    x holds -X, the point's negated Pauli coordinates of m^-1, row by row
-    with X_00 left out: X_0S, then X_I0 and the row of X_IS of each Bloch
-    axis of spin I in turn.  r is e's reduced matrix on spin I; its Bloch
-    vector, normalized, is the start n_I.  Each of the steps half-step
-    pairs sets n_S = g / |g| with g = -(X_0S + X_IS^T n_I), then
-    n_I = g / |g| with g = -(X_I0 + X_IS n_S).  A zero g or start vector
-    gives NaN, as numpy's 0/0 would, so the point stays open.
-    """
-    s1, s2, s3, i1, a11, a12, a13, i2, a21, a22, a23, i3, a31, a32, a33 = x
-    (r00, r01), (_, r11) = r
-    n1, n2, n3 = 2.0 * r01.real, -2.0 * r01.imag, r00.real - r11.real
-    norm = sqrt(n1 * n1 + n2 * n2 + n3 * n3) or nan
+    l0, l1, l2, l3 = lam
+    (x00, y00, x01, y01, x02, y02, _, _, x10, y10, x11, y11, x12, y12, _, _,
+     x20, y20, x21, y21, x22, y22, _, _, x30, y30, x31, y31, x32, y32, _, _) = vec
+    ok = l1 > 0.0
+    s3 = 1.0 / (l3 + (l3 == 0.0))
+    d0 = 1.0 / (l0 + (l0 == 0.0)) - s3
+    d1 = 1.0 / (l1 + (l1 == 0.0)) - s3
+    d2 = 1.0 / (l2 + (l2 == 0.0)) - s3
+    # (s_k - s_3) v_k, row by row
+    p00, q00, p01, q01, p02, q02 = d0 * x00, d0 * y00, d1 * x01, d1 * y01, d2 * x02, d2 * y02
+    p10, q10, p11, q11, p12, q12 = d0 * x10, d0 * y10, d1 * x11, d1 * y11, d2 * x12, d2 * y12
+    p20, q20, p21, q21, p22, q22 = d0 * x20, d0 * y20, d1 * x21, d1 * y21, d2 * x22, d2 * y22
+    p30, q30, p31, q31, p32, q32 = d0 * x30, d0 * y30, d1 * x31, d1 * y31, d2 * x32, d2 * y32
+    c00 = s3 + (p00 * x00 + q00 * y00) + (p01 * x01 + q01 * y01) + (p02 * x02 + q02 * y02)
+    c11 = s3 + (p10 * x10 + q10 * y10) + (p11 * x11 + q11 * y11) + (p12 * x12 + q12 * y12)
+    c22 = s3 + (p20 * x20 + q20 * y20) + (p21 * x21 + q21 * y21) + (p22 * x22 + q22 * y22)
+    c33 = s3 + (p30 * x30 + q30 * y30) + (p31 * x31 + q31 * y31) + (p32 * x32 + q32 * y32)
+    c01r = (p00 * x10 + q00 * y10) + (p01 * x11 + q01 * y11) + (p02 * x12 + q02 * y12)
+    c01i = (q00 * x10 - p00 * y10) + (q01 * x11 - p01 * y11) + (q02 * x12 - p02 * y12)
+    c02r = (p00 * x20 + q00 * y20) + (p01 * x21 + q01 * y21) + (p02 * x22 + q02 * y22)
+    c02i = (q00 * x20 - p00 * y20) + (q01 * x21 - p01 * y21) + (q02 * x22 - p02 * y22)
+    c03r = (p00 * x30 + q00 * y30) + (p01 * x31 + q01 * y31) + (p02 * x32 + q02 * y32)
+    c03i = (q00 * x30 - p00 * y30) + (q01 * x31 - p01 * y31) + (q02 * x32 - p02 * y32)
+    c12r = (p10 * x20 + q10 * y20) + (p11 * x21 + q11 * y21) + (p12 * x22 + q12 * y22)
+    c12i = (q10 * x20 - p10 * y20) + (q11 * x21 - p11 * y21) + (q12 * x22 - p12 * y22)
+    c13r = (p10 * x30 + q10 * y30) + (p11 * x31 + q11 * y31) + (p12 * x32 + q12 * y32)
+    c13i = (q10 * x30 - p10 * y30) + (q11 * x31 - p11 * y31) + (q12 * x32 - p12 * y32)
+    c23r = (p20 * x30 + q20 * y30) + (p21 * x31 + q21 * y31) + (p22 * x32 + q22 * y32)
+    c23i = (q20 * x30 - p20 * y30) + (q21 * x31 - p21 * y31) + (q22 * x32 - p22 * y32)
+    # -X / 2: X_0S, X_I0 and X_IS row by row, from the traces Tr(m^-1 sigma_a (x) sigma_b)
+    s1, s2, s3 = -(c01r + c23r), c01i + c23i, 0.5 * ((c11 - c00) + (c33 - c22))
+    i1, i2, i3 = -(c02r + c13r), c02i + c13i, 0.5 * ((c22 - c00) + (c33 - c11))
+    a11, a12, a13 = -(c03r + c12r), c03i - c12i, c13r - c02r
+    a21, a22, a23 = c03i + c12i, c03r - c12r, c02i - c13i
+    a31, a32, a33 = c23r - c01r, c01i - c23i, 0.5 * ((c11 - c00) + (c22 - c33))
+    r00, _, r01r, r01i, _, _, r11, _ = start
+    n1, n2, n3 = 2.0 * r01r, -2.0 * r01i, r00 - r11
+    norm = sqrt(n1 * n1 + n2 * n2 + n3 * n3)
+    lifted = norm == 0.0  # a zero divisor, lifted to 1: the point stays open
+    norm = norm + lifted
     n1, n2, n3 = n1 / norm, n2 / norm, n3 / norm
     for _ in range(steps):
         g1 = s1 + (a11 * n1 + a21 * n2 + a31 * n3)
         g2 = s2 + (a12 * n1 + a22 * n2 + a32 * n3)
         g3 = s3 + (a13 * n1 + a23 * n2 + a33 * n3)
-        norm = sqrt(g1 * g1 + g2 * g2 + g3 * g3) or nan
-        t1, t2, t3 = g1 / norm, g2 / norm, g3 / norm
-        g1 = i1 + (a11 * t1 + a12 * t2 + a13 * t3)
-        g2 = i2 + (a21 * t1 + a22 * t2 + a23 * t3)
-        g3 = i3 + (a31 * t1 + a32 * t2 + a33 * t3)
-        norm = sqrt(g1 * g1 + g2 * g2 + g3 * g3) or nan
-        n1, n2, n3 = g1 / norm, g2 / norm, g3 / norm
-    u0, u1 = _spinor(n1, n2, n3)
-    v0, v1 = _spinor(t1, t2, t3)
-    return [u0 * v0, u0 * v1, u1 * v0, u1 * v1]
+        size = sqrt(g1 * g1 + g2 * g2 + g3 * g3)
+        # |g| (i + A g / |g|): n_I's direction with no division by |g|; a zero g gives zero here too
+        h1 = size * i1 + (a11 * g1 + a12 * g2 + a13 * g3)
+        h2 = size * i2 + (a21 * g1 + a22 * g2 + a23 * g3)
+        h3 = size * i3 + (a31 * g1 + a32 * g2 + a33 * g3)
+        norm = sqrt(h1 * h1 + h2 * h2 + h3 * h3)
+        zero = norm == 0.0
+        lifted = lifted | zero
+        norm = norm + zero
+        n1, n2, n3 = h1 / norm, h2 / norm, h3 / norm
+    zero = size == 0.0
+    size = size + zero
+    return (c00, c11, c22, c33, c01r, c01i, c02r, c02i, c03r, c03i, c12r, c12i, c13r, c13i, c23r, c23i,
+            n1, n2, n3, g1 / size, g2 / size, g3 / size, ok > (lifted | zero))
 
 
-# a second eigenvalue <= 0 of m gives a NaN inverse, as a zero vector gives a NaN search: the point stays open
-@np.errstate(invalid="ignore", divide="ignore")
+def _tail_lines(sqrt, where, found, pt):
+    """The product bracket of one point or one lane from its search: L, U, the closure mask, w, f and a_f^2.
+
+    found is _search_lines' output, pt the float view of m's 16 entries.
+    u and v, the spinors of the Bloch vectors n_I and n_S: of (1 + n_3,
+    n_1 + i n_2) and (n_1 - i n_2, 1 - n_3), both |u> up to norm and
+    phase, the longer one, normalized.  Then w = u (x) v, f = m^-1 w,
+    q = Re <w|f>, U = -1/q where q < 0 and else inf, f's reduced matrix r
+    on spin I, a_f^2 = (Tr r + |Bloch vector of r|) / 2, and
+    L = -<f|m|f> / a_f^2, NaN where the search's mask is False.  The point
+    closes where the mask holds, q < 0 and |U - L| < _GAP.
+    """
+    (c00, c11, c22, c33, c01r, c01i, c02r, c02i, c03r, c03i, c12r, c12i, c13r, c13i, c23r, c23i,
+     n1, n2, n3, t1, t2, t3, ok) = found
+    (h00, _, h01r, h01i, h02r, h02i, h03r, h03i, _, _, h11, _, h12r, h12i, h13r, h13i,
+     _, _, _, _, h22, _, h23r, h23i, _, _, _, _, _, _, h33, _) = pt
+    ok = ok > 0.0  # the mask comes as 1.0 or 0.0
+    up = n3 >= 0.0
+    scale = 1.0 / sqrt(2.0 + 2.0 * abs(n3))
+    big, x, y = (1.0 + abs(n3)) * scale, n1 * scale, n2 * scale
+    u0r, u0i, u1r, u1i = where(up, big, x), where(up, 0.0, -y), where(up, x, big), where(up, y, 0.0)
+    up = t3 >= 0.0
+    scale = 1.0 / sqrt(2.0 + 2.0 * abs(t3))
+    big, x, y = (1.0 + abs(t3)) * scale, t1 * scale, t2 * scale
+    v0r, v0i, v1r, v1i = where(up, big, x), where(up, 0.0, -y), where(up, x, big), where(up, y, 0.0)
+    w0r, w0i = u0r * v0r - u0i * v0i, u0r * v0i + u0i * v0r
+    w1r, w1i = u0r * v1r - u0i * v1i, u0r * v1i + u0i * v1r
+    w2r, w2i = u1r * v0r - u1i * v0i, u1r * v0i + u1i * v0r
+    w3r, w3i = u1r * v1r - u1i * v1i, u1r * v1i + u1i * v1r
+    # f = m^-1 w, the entries below the diagonal the conjugates of those above
+    f0r = c00 * w0r + (c01r * w1r - c01i * w1i) + (c02r * w2r - c02i * w2i) + (c03r * w3r - c03i * w3i)
+    f0i = c00 * w0i + (c01r * w1i + c01i * w1r) + (c02r * w2i + c02i * w2r) + (c03r * w3i + c03i * w3r)
+    f1r = (c01r * w0r + c01i * w0i) + c11 * w1r + (c12r * w2r - c12i * w2i) + (c13r * w3r - c13i * w3i)
+    f1i = (c01r * w0i - c01i * w0r) + c11 * w1i + (c12r * w2i + c12i * w2r) + (c13r * w3i + c13i * w3r)
+    f2r = (c02r * w0r + c02i * w0i) + (c12r * w1r + c12i * w1i) + c22 * w2r + (c23r * w3r - c23i * w3i)
+    f2i = (c02r * w0i - c02i * w0r) + (c12r * w1i - c12i * w1r) + c22 * w2i + (c23r * w3i + c23i * w3r)
+    f3r = (c03r * w0r + c03i * w0i) + (c13r * w1r + c13i * w1i) + (c23r * w2r + c23i * w2i) + c33 * w3r
+    f3i = (c03r * w0i - c03i * w0r) + (c13r * w1i - c13i * w1r) + (c23r * w2i - c23i * w2r) + c33 * w3i
+    q = (w0r * f0r + w0i * f0i) + (w1r * f1r + w1i * f1i) + (w2r * f2r + w2i * f2i) + (w3r * f3r + w3i * f3i)
+    # conj(f_i) f_j = re_ij + i im_ij: f's reduced matrix and <f|m|f> share them
+    e0, e1, e2, e3 = f0r * f0r + f0i * f0i, f1r * f1r + f1i * f1i, f2r * f2r + f2i * f2i, f3r * f3r + f3i * f3i
+    re01, im01 = f0r * f1r + f0i * f1i, f0r * f1i - f0i * f1r
+    re02, im02 = f0r * f2r + f0i * f2i, f0r * f2i - f0i * f2r
+    re03, im03 = f0r * f3r + f0i * f3i, f0r * f3i - f0i * f3r
+    re12, im12 = f1r * f2r + f1i * f2i, f1r * f2i - f1i * f2r
+    re13, im13 = f1r * f3r + f1i * f3i, f1r * f3i - f1i * f3r
+    re23, im23 = f2r * f3r + f2i * f3i, f2r * f3i - f2i * f3r
+    r00, r11, r01r, r01i = e0 + e1, e2 + e3, re02 + re13, im02 + im13  # r_01 = conj(re + i im)
+    d = r00 - r11
+    a2 = 0.5 * ((r00 + r11) + sqrt(d * d + 4.0 * (r01r * r01r + r01i * r01i)))
+    fmf = ((h00 * e0 + h11 * e1) + (h22 * e2 + h33 * e3)) + 2.0 * (
+        ((h01r * re01 - h01i * im01) + (h02r * re02 - h02i * im02)) +
+        ((h03r * re03 - h03i * im03) + (h12r * re12 - h12i * im12)) +
+        ((h13r * re13 - h13i * im13) + (h23r * re23 - h23i * im23)))
+    neg = q < 0.0
+    upper = -1.0 / where(neg, q, -1.0)
+    lower = -fmf / (a2 + (a2 == 0.0))
+    closed = ok & neg & (abs(upper - lower) < _GAP)
+    return (w0r, w0i, w1r, w1i, w2r, w2i, w3r, w3i, f0r, f0i, f1r, f1i, f2r, f2i, f3r, f3i,
+            a2, where(ok, lower, nan), where(ok & neg, upper, inf), closed)
+
+
 def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: int = _PRODUCT_STEPS,
                      r: np.ndarray | None = None):
     """Bounds L <= GR <= U of NPT points from a product vector, and the certificate and witness where they close.
@@ -412,7 +578,7 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
     det(m) (1 + t q) and m has exactly one negative eigenvalue (Sanpera,
     Tarrach & Vidal 1998).  For every vector f, Z_2 = |f><f| / a_f^2 with
     a_f^2 the larger squared Schmidt coefficient of f gives L =
-    -<f|m|f> / a_f^2 (Brandao 2005); here f = m^-1 w, so L = -q / a_f^2.
+    -<f|m|f> / a_f^2 (Brandao 2005); here f = m^-1 w.
     Where the optimal dual Z_2 has rank one and its vector is not maximally
     entangled, complementary slackness makes the optimal omega such a
     product pure state, and the bounds meet at the w that minimizes q.
@@ -428,41 +594,44 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
     half-step pairs, so its result is its own: _PRODUCT_STEPS on every
     point _bracket leaves open, and _PRODUCT_STEPS_LAST, from the same
     start, on the points that _bell_bracket then leaves open too, before
-    the solver.  The search runs one point at a time on plain Python floats
-    (_product_search), from the Pauli coordinates of m^-1 and e's reduced
-    matrix r on spin I (_schmidt(e)'s, where the caller does not pass it)
-    read once: on the one or few points a call usually brings, a
-    numpy call per operation costs more than its arithmetic, while a stack
-    of thousands of points pays the same cost per point as a single one.
+    the solver.  The start is e's reduced matrix r on spin I (_schmidt(e)'s,
+    where the caller does not pass it).
+
+    Everything from the eigenpairs to the closure test is real arithmetic,
+    written once in two phases: _search_lines (m^-1 and its coordinates,
+    the search) and _tail_lines (w, f, q, U, a_f^2, L and the test).  Each
+    phase runs on plain Python floats, one point at a time, below its
+    cutoff (_SEARCH_LANES, _TAIL_LANES points), where a numpy call per
+    operation costs more than its arithmetic, and on numpy (k,) lanes from
+    there, where the per-point cost of the floats grows past a call's
+    fixed cost: the same bits either way (_run).  A point is open by an
+    explicit mask where m has a second eigenvalue <= 0, e is maximally
+    entangled (a zero start: _bracket closes those points) or a half-step
+    meets a zero vector; no division meets a zero and no NaN is made on
+    the way.  m^-1 comes from three eigenvectors and the identity, so its
+    bits are the kernel's own, not those of a stacked matmul.
     Returns L and U of every point, the mask of the points with
-    |U - L| < _GAP, and omega and the witness of those points, or None for
-    both when no point closes.  U is inf where q >= 0; L is NaN and U
-    inf where m has a second eigenvalue <= 0 or e is maximally entangled
-    (no start: _bracket closes those points).  The points the first
-    search leaves open go on to _bell_bracket, those the longer one leaves
-    open to _central_path.
+    |U - L| < _GAP, and omega and the witness of those points, assembled
+    as whole-stack numpy, or None for both when no point closes.  U is inf
+    where q >= 0 or the mask is False, and L is NaN where the mask is
+    False.  The points the first search leaves open go on to _bell_bracket,
+    those the longer one leaves open to _central_path.
     """
-    inv = np.where(lam[:, 1:2] > 0.0, 1.0 / lam, np.nan)
-    m_inv = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    x = -pauli_coords(m_inv)[:, 1:]  # negated, so that each half-step normalizes g with no further sign
+    k = len(m)
     if r is None:
         r = _schmidt(vecs[..., 0])[0]  # e's reduced matrix on spin I: its Bloch vector is e's leading Schmidt vector's
-    w = np.array([_product_search(xk, rk, steps) for xk, rk in zip(x.tolist(), r.tolist())],
-                 dtype=complex).reshape(-1, 4)
-    f = (m_inv @ w[:, :, None])[..., 0]
-    q = (w.conj() * f).sum(axis=-1).real
-    upper = np.where(q < 0.0, -1.0 / q, np.inf)
-    r, diff = _schmidt(f)
-    a2 = 0.5 * (r[:, 0, 0].real + r[:, 1, 1].real + diff)  # a_f^2 of f, not normalized
-    z2 = (f[:, :, None] * f[:, None, :].conj()) / a2[:, None, None]
-    lower = _dual_bound(m, z2)
-    # L <= U in exact arithmetic: a U below L by more than rounding comes from an inaccurate m^-1
-    closed = np.abs(upper - lower) < _GAP
+    vec = np.ascontiguousarray(vecs).reshape(k, 16).view(np.float64)
+    start = np.ascontiguousarray(r).reshape(k, 4).view(np.float64)
+    found = _run(_search_lines, k >= _SEARCH_LANES, (lam, vec, start), steps)
+    pt = np.ascontiguousarray(m).reshape(k, 16).view(np.float64)
+    out = _table(_run(_tail_lines, k >= _TAIL_LANES, (found, pt)))
+    lower, upper, closed = out[:, 17], out[:, 18], out[:, 19] != 0.0
     if not np.count_nonzero(closed):
         return lower, upper, closed, None, None
-    w = w[closed]
-    omega = upper[closed][:, None, None] * _pt_arr(w[:, :, None] * w[:, None, :].conj())
-    return lower, upper, closed, omega, _pt_arr(z2[closed])
+    out = out[closed]
+    wf = out[:, :16].view(complex).reshape(-1, 2, 4)  # w, then f
+    proj_pt = _pt_arr(wf[..., :, None] * wf[..., None, :].conj())  # (|w><w|)^PT, then (|f><f|)^PT
+    return lower, upper, closed, out[:, 18, None, None] * proj_pt[:, 0], proj_pt[:, 1] / out[:, 16, None, None]
 
 
 def _completion_tables():
@@ -533,8 +702,11 @@ def _bell_completion(yx: np.ndarray, r: np.ndarray, skip: np.ndarray) -> np.ndar
     own slices.  A point whose minimum-norm compressions are PSD (t >= 0
     at the start) takes no step, so its omega is the minimum-norm one; so
     does a point in ``skip``, the points where the caller knows that no
-    omega of the set can close the bracket.  The caller checks the result
-    with the full 4x4 eigvalsh.
+    omega of the set can close the bracket.  Those points keep the
+    minimum-norm coordinates as they are, bit for bit: only the points that
+    step take the correction sum_j c_j S_j R (a zero one would turn a -0.0
+    into +0.0), and a call where none steps returns yx[:, 0] itself.  The
+    caller checks the result with the full 4x4 eigvalsh.
     """
     k = len(yx)
     rot = np.zeros((k, 4, 4))
@@ -545,7 +717,9 @@ def _bell_completion(yx: np.ndarray, r: np.ndarray, skip: np.ndarray) -> np.ndar
     lam = _umath_linalg.eigvalsh_lo(base, signature="D->d")[..., 0].min(axis=-1)
     z = np.zeros((k, 6))  # c, then t
     z[:, 5] = lam + np.minimum(lam, 0.0)
-    points = ((z[:, 5] < 0.0) & ~skip).nonzero()[0]
+    points = stepped = ((z[:, 5] < 0.0) & ~skip).nonzero()[0]
+    if not len(points):  # no point steps: every omega is the minimum-norm one
+        return yx[:, 0]
     zp, base, weight = z[points], base[points], None
     for step in range(_COMPLETION_STEPS):
         if not len(points):
@@ -576,7 +750,7 @@ def _bell_completion(yx: np.ndarray, r: np.ndarray, skip: np.ndarray) -> np.ndar
         weight = _COMPLETION_GROWTH * weight
     z[points] = zp
     y = yx[:, 0].copy()
-    y[:, 1:, 1:] += (z[:, None, :5] @ _CORRELATION_BASIS).reshape(k, 3, 3) @ r
+    y[stepped, 1:, 1:] += (z[stepped, None, :5] @ _CORRELATION_BASIS).reshape(-1, 3, 3) @ r[stepped]
     return y
 
 
@@ -623,7 +797,7 @@ def _bell_bracket(m: np.ndarray, floor: np.ndarray | float = -np.inf):
     y, x = yx[:, 0], yx[:, 1]
     np.multiply(pauli_coords(m).reshape(-1, 4, 4), PT_SIGN.reshape(4, 4), out=x)  # rho's coordinates from m's
     t = x[:, 1:, 1:]
-    u, s, vt = np.linalg.svd(t)
+    u, s, vt = _svd(t)
     d = -np.sign(_umath_linalg.det(u, signature="d->d") * _umath_linalg.det(vt, signature="d->d"))
     u[..., 2] *= d[:, None]
     r = -(u @ vt)
@@ -641,7 +815,7 @@ def _bell_bracket(m: np.ndarray, floor: np.ndarray | float = -np.inf):
     closed = upper - lower < _GAP
     if not np.count_nonzero(closed):
         return lower, upper, closed, None, None
-    omega = blocks[closed, 0] + eps[closed, None, None] * np.eye(4)
+    omega = blocks[closed, 0] + eps[closed, None, None] * _EYE4
     w = np.zeros((np.count_nonzero(closed), 4, 4))
     w[:, 0, 0] = 0.5
     w[:, 1:, 1:] = 0.5 * r[closed]
@@ -691,29 +865,40 @@ def _robustness(rho: np.ndarray):
         return values, iterations, omega, failures, lower, witness, lam_min
 
     def narrow(points, bracket, low=-np.inf, high=np.inf):
-        """Close the points where a bracket closes; those left open keep the tighter of their bounds and its."""
-        low_b, high_b, closed, closed_omega, closed_witness = bracket
-        if closed_omega is not None:
-            idx, value = points[closed], high_b[closed]
-            values[idx], omega[idx], witness[idx] = value, closed_omega, closed_witness
-            lower[idx] = np.minimum(low_b[closed], value)  # L can exceed U by rounding
-        rest = ~closed
-        return rest, points[rest], np.fmax(low, low_b)[rest], np.fmin(high, high_b)[rest]
+        """Close the points where a bracket closes; those left open keep the tighter of their bounds and its.
 
-    lam, vecs = _eigh(m[npt])
+        Returns the rows of ``points`` left open (a slice of all of them where none closes), those points,
+        and their bounds.
+        """
+        low_b, high_b, closed, closed_omega, closed_witness = bracket
+        if closed_omega is None:
+            return slice(None), points, np.fmax(low, low_b), np.fmin(high, high_b)
+        idx, value = points[closed], high_b[closed]
+        values[idx], omega[idx], witness[idx] = value, closed_omega, closed_witness
+        lower[idx] = np.minimum(low_b[closed], value)  # L can exceed U by rounding
+        rest = ~closed
+        if len(left := points[rest]):
+            return rest, left, np.fmax(low, low_b)[rest], np.fmin(high, high_b)[rest]
+        return rest, left, low_b[rest], high_b[rest]  # no point left open: no bounds to carry on
+
+    def rows(points):
+        """m of the points: m itself, with no copy, where they are all of its rows."""
+        return m if len(points) == len(m) else m[points]
+
+    lam, vecs = _eigh(rows(npt))
     e = vecs[..., 0]
     r, diff = _schmidt(e)
-    rest, solve, low, high = narrow(npt, _bracket(e, lam_min[npt], diff))
+    rest, solve, low, high = narrow(npt, _bracket(e, lam_min if len(npt) == len(m) else lam_min[npt], diff))
     # an empty stack skips the later brackets: the search's fixed steps cost about as much on it
     if len(solve):
-        product = _product_bracket(m[solve], lam[rest], vecs[rest], _PRODUCT_STEPS, r[rest])
+        product = _product_bracket(rows(solve), lam[rest], vecs[rest], _PRODUCT_STEPS, r[rest])
         rest, solve, low, high = narrow(solve, product, low, high)
     if len(solve):
-        _, solve, low, high = narrow(solve, _bell_bracket(m[solve], low), low, high)
+        _, solve, low, high = narrow(solve, _bell_bracket(rows(solve), low), low, high)
     # a search no longer than the first would only repeat a prefix of its steps
     if len(solve) and _PRODUCT_STEPS_LAST > _PRODUCT_STEPS:
         at = np.searchsorted(npt, solve)  # the rows of the points left open in the eigh of the NPT points
-        last = _product_bracket(m[solve], lam[at], vecs[at], _PRODUCT_STEPS_LAST, r[at])
+        last = _product_bracket(rows(solve), lam[at], vecs[at], _PRODUCT_STEPS_LAST, r[at])
         _, solve, low, high = narrow(solve, last, low, high)
     for start in range(0, len(solve), _CHUNK):
         idx = solve[start:start + _CHUNK]
@@ -775,7 +960,11 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     ``witness``.  A solve that fails raises ``ConvergenceError`` with the
     tightest of the solver's and the brackets' bounds.  This is the
     one-point case of the batched solver that ``relax.sweep`` runs over a
-    whole time grid.
+    whole time grid.  The first two brackets' arithmetic runs here on plain
+    Python floats, and in a sweep on numpy lanes once a stack reaches
+    _BRACKET_LANES, _SEARCH_LANES or _TAIL_LANES points: the same lines, so
+    the same bits, and a degenerate point is left open by an explicit mask
+    on both.
     """
     _two_spin_state(rho, "generalized_robustness")
     values, iterations, omega, failures, lower, witness, _ = _robustness(rho.matrix[None])

@@ -14,9 +14,10 @@ Conventions fixed once and inherited everywhere:
   Bell-weight slack in ``states``), and ``WITNESSLAB_TOL`` sets only the
   CLI's ``psd_tol``;
 * every eigendecomposition whose result the program acts on runs through
-  ``_eigvalsh`` and ``_eigh``: numpy.linalg's own LAPACK gufuncs, so the
-  same bits, without its per-call wrapper, and with its failure contract
-  (a NaN eigenvalue raises ``LinAlgError``).  Only the inner calls of
+  ``_eigvalsh`` and ``_eigh``, and every SVD through ``_svd``: numpy.linalg's
+  own LAPACK gufuncs, so the same bits, without its per-call wrapper, and
+  with its failure contract (a NaN eigenvalue or singular value raises
+  ``LinAlgError``).  Only the inner calls of
   ``optim``'s solver and Bell bracket, where a NaN marks a point that
   stays open or fails, call the gufuncs bare;
 * an operator or state is checked once, where it enters the program;
@@ -174,6 +175,22 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.count_nonzero(np.isnan(w)):
         raise LinAlgError("Eigenvalues did not converge")
     return w, v
+
+
+# the gufunc np.linalg.svd calls for full_matrices=True on a square matrix: svd_f in numpy 2.x, svd_n_f in 1.x
+_SVD_F = getattr(_umath_linalg, "svd_f", None) or _umath_linalg.svd_n_f
+
+
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd of a real (..., n, n) array, bit for bit, without its wrapper: U, s and V^T.
+
+    A NaN singular value, LAPACK's mark of a decomposition that failed,
+    raises LinAlgError, as there.
+    """
+    u, s, vt = _SVD_F(a, signature="d->ddd")
+    if np.count_nonzero(np.isnan(s)):
+        raise LinAlgError("SVD did not converge")
+    return u, s, vt
 
 
 def _as_operator_array(matrix) -> np.ndarray:

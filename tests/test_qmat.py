@@ -305,6 +305,23 @@ def test_the_lapack_helpers_give_the_bytes_of_np_linalg():
         assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
 
 
+def test_the_svd_helper_gives_the_bytes_of_np_linalg():
+    # the gufunc numpy.linalg.svd calls, chosen by name at import: a seeded (k, 3, 3) stack, k = 1 included
+    rng = np.random.default_rng(6630)
+    for k in (1, 2, 50):
+        a = rng.standard_normal((k, 3, 3))
+        (u, s, vt), (u_ref, s_ref, vt_ref) = qmat._svd(a), np.linalg.svd(a)
+        assert u.dtype == s.dtype == vt.dtype == np.float64
+        assert u.tobytes() == u_ref.tobytes() and s.tobytes() == s_ref.tobytes() and vt.tobytes() == vt_ref.tobytes()
+
+
+def test_a_failed_svd_raises(monkeypatch):
+    monkeypatch.setattr(qmat, "_SVD_F", lambda a, signature: (np.full(a.shape, np.nan), np.full(a.shape[:-1], np.nan),
+                                                             np.full(a.shape, np.nan)))
+    with pytest.raises(np.linalg.LinAlgError):
+        qmat._svd(np.eye(3)[None])
+
+
 class _FailedLapack:
     """numpy's LAPACK gufuncs as they answer a decomposition that failed: NaN in every output."""
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_physical_c
 from test_robustness_bracket import stress_sets
-from test_robustness_stress import bracket_routes, ginibre_states
+from test_robustness_product import bench_robustness_inputs
+from test_robustness_stress import bracket_routes, ginibre_states, named_states
 from test_sweep_batch import isotropic_with_bloch
 from witnesslab import BellKind, DensityMatrix, bell_witness, generalized_robustness
 from witnesslab import optim
@@ -303,3 +304,39 @@ def test_the_completion_takes_no_step_on_product_class_points_and_skips_no_bell_
     # the product class takes no step with the skip, and 3 or more without it; the Bell class takes its own steps
     assert counts[True][3:] == [0, 0, 0] and all(n >= 3 for n in counts[False][3:])
     assert counts[True][:3] == counts[False][:3] and all(n > 0 for n in counts[True][:3])
+
+
+def test_a_completion_with_no_step_adds_no_correction(monkeypatch):
+    # only the points that step take the correction sum_j z_j S_j R; the others keep the minimum-norm omega's
+    # coordinates as they are, where adding a zero correction would only turn a -0.0 into +0.0
+    bds = np.stack([bd(*c).matrix for c in ([-0.9, -0.8, -0.7], [0.3, -0.9, 0.4], [0.5, 0.5, -0.9])])
+    rho = np.concatenate([bds, named_states(), stress_sets(), bench_robustness_inputs()])
+    rng = np.random.default_rng(6620)
+    yx = rng.standard_normal((5, 2, 4, 4))
+    yx[:, 0, 1, 2] = -0.0
+    r = np.stack([np.eye(3)] * 5)
+    completed = optim._bell_completion(yx, r, np.ones(5, bool))  # every point skipped: no step
+    assert completed.tobytes() == yx[:, 0].tobytes() and np.signbit(completed[:, 1, 2]).all()
+    completion = optim._bell_completion
+
+    def zero_correction_everywhere(yx, r, skip):
+        y = completion(yx, r, skip).copy()
+        y[:, 1:, 1:] += (np.zeros((len(y), 1, 5)) @ optim._CORRELATION_BASIS).reshape(-1, 3, 3) @ r
+        return y
+
+    m = _pt_arr(rho)
+    m = m[np.linalg.eigvalsh(m)[:, 0] < -optim.NPT_CUT]
+    skipped, robustness = optim._bell_bracket(m), optim._robustness(rho)
+    monkeypatch.setattr(optim, "_bell_completion", zero_correction_everywhere)
+    added, robustness_added = optim._bell_bracket(m), optim._robustness(rho)
+    low, high, closed, omega, witness = skipped
+    assert closed.sum() > 1000 and (~closed).sum() > 100
+    # L, U, the closure, the value and the witness keep their bytes; omega may differ in the sign of a zero only
+    for a, b in zip((low, high, closed, witness), (added[0], added[1], added[2], added[4])):
+        assert a.tobytes() == b.tobytes()
+    assert np.array_equal(omega, added[3])
+    values, _, all_omega, failures, lower, all_witness, _ = robustness
+    assert not failures and not robustness_added[3]
+    for a, b in zip((values, lower, all_witness), (robustness_added[0], robustness_added[4], robustness_added[5])):
+        assert a.tobytes() == b.tobytes()
+    assert np.array_equal(all_omega, robustness_added[2])

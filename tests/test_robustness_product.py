@@ -7,7 +7,8 @@ bounds it from below.  The search in ``optim._product_bracket`` only picks
 w and f = m^-1 w; where the two meet within the solver's gap, the point
 takes them with no interior-point iteration.  These checks hold the bounds
 for any choice and for the search's, the plain-float search against the
-same search on numpy stacks, a point's bits alone and in a stack, and the
+same search on numpy stacks, a point's bits alone and in a stack and on
+either executor of the kernel, and the
 points that stay open against the solver, and the longer search that
 closes the points every bracket leaves open against a forced solve.  The
 stress tests and
@@ -15,7 +16,6 @@ the forced-solve test of the bracket hold the closed points to the same
 certificate checks and to the solver's value.
 """
 
-import cmath
 import warnings
 
 import numpy as np
@@ -66,7 +66,35 @@ def stacked_search(x, r):
     return (uv[:, 0, :, None] * uv[:, 1, None, :]).reshape(-1, 4)
 
 
-def test_the_plain_float_search_matches_the_stacked_numpy_search(monkeypatch):
+def kernel_table(m, lam, vecs, lanes, steps=optim._PRODUCT_STEPS, r=None):
+    """The product kernel's outputs of each point as _product_bracket runs it, both phases on one executor.
+
+    Columns: w and f as floats (8 each), a_f^2, L, U, and the closure mask.
+    """
+    k = len(m)
+    r = optim._schmidt(vecs[..., 0])[0] if r is None else r
+    vec = np.ascontiguousarray(vecs).reshape(k, 16).view(float)
+    start = np.ascontiguousarray(r).reshape(k, 4).view(float)
+    found = optim._run(optim._search_lines, lanes, (lam, vec, start), steps)
+    pt = np.ascontiguousarray(m).reshape(k, 16).view(float)
+    return optim._table(optim._run(optim._tail_lines, lanes, (found, pt)))
+
+
+@np.errstate(invalid="ignore", divide="ignore")
+def numpy_bounds(m, lam, vecs, w):
+    """The bounds of a product vector w as whole-stack numpy: f = m^-1 w, U = -1/q, L = -Tr(m |f><f|) / a_f^2."""
+    inv = np.where(lam[:, 1:2] > 0.0, 1.0 / lam, np.nan)
+    m_inv = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    f = (m_inv @ w[:, :, None])[..., 0]
+    q = (w.conj() * f).sum(axis=-1).real
+    upper = np.where(q < 0.0, -1.0 / q, np.inf)
+    r, diff = optim._schmidt(f)
+    a2 = 0.5 * (r[:, 0, 0].real + r[:, 1, 1].real + diff)
+    lower = optim._dual_bound(m, (f[:, :, None] * f[:, None, :].conj()) / a2[:, None, None])
+    return lower, upper, np.abs(upper - lower) < GAP
+
+
+def test_the_plain_float_search_matches_the_stacked_numpy_search():
     m = _pt_arr(stress_sets())
     m = m[np.linalg.eigvalsh(m)[:, 0] < -optim.NPT_CUT]
     lam, vecs = np.linalg.eigh(m)
@@ -74,24 +102,35 @@ def test_the_plain_float_search_matches_the_stacked_numpy_search(monkeypatch):
     # the search, started from that rounding, goes elsewhere on each side
     keep = ~optim._bracket(vecs[..., 0], lam[:, 0])[2]
     m, lam, vecs = m[keep], lam[keep], vecs[keep]
-    x, r = search_inputs(lam, vecs)
-    w = np.array([optim._product_search(*point) for point in zip(x.tolist(), r.tolist())])
-    w_ref = stacked_search(x, r)
-    # only rounding apart: numpy's stacked products may fuse a multiply and an add, plain floats do not
+    w_ref = stacked_search(*search_inputs(lam, vecs))
+    # the kernel on plain floats and on lanes: the same bytes
+    table = kernel_table(m, lam, vecs, lanes=False)
+    assert table.tobytes() == kernel_table(m, lam, vecs, lanes=True).tobytes()
+    w = np.ascontiguousarray(table[:, :8]).view(complex)
+    # only rounding apart: numpy's stacked products may fuse a multiply and an add, plain floats do not, and the
+    # kernel forms m^-1 from three of the eigenvectors and the identity, not as one matmul
     assert len(m) > 1500 and np.isfinite(w).all() and np.isfinite(w_ref).all()
     np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
     low, high, closed, _, _ = optim._product_bracket(m, lam, vecs)
-    rows = iter(w_ref.tolist())
-    monkeypatch.setattr(optim, "_product_search", lambda *_: next(rows))
-    low_ref, high_ref, closed_ref, _, _ = optim._product_bracket(m, lam, vecs)
-    assert next(rows, None) is None
+    low_ref, high_ref, closed_ref = numpy_bounds(m, lam, vecs, w_ref)
     assert np.array_equal(closed, closed_ref) and closed.sum() > 800
-    np.testing.assert_allclose(low, low_ref, rtol=0, atol=1e-14)  # NaN where the other is NaN
-    np.testing.assert_allclose(high, high_ref, rtol=0, atol=1e-14)  # inf where the other is inf
+    np.testing.assert_allclose(low[closed], low_ref[closed], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(high[closed], high_ref[closed], rtol=0, atol=1e-14)
+    # an open point's U = -1/q moves by dq / q^2 with the rounding of m^-1: 14 ulp of U on 5 of them here
+    np.testing.assert_allclose(low, low_ref, rtol=1e-14, atol=1e-14)  # NaN where the other is NaN
+    np.testing.assert_allclose(high, high_ref, rtol=1e-14, atol=1e-14)  # inf where the other is inf
 
 
-def test_a_degenerate_search_leaves_the_point_open_without_a_warning():
-    # e maximally entangled (a zero start Bloch vector), and a second eigenvalue <= 0 of m (a NaN inverse)
+def executors(monkeypatch):
+    """Pin the product bracket's phases to plain floats, then to lanes, at any stack size, in turn."""
+    for cutoff in (10 ** 9, 0):
+        monkeypatch.setattr(optim, "_SEARCH_LANES", cutoff)
+        monkeypatch.setattr(optim, "_TAIL_LANES", cutoff)
+        yield cutoff == 0
+
+
+def test_a_degenerate_search_leaves_the_point_open_without_a_warning(monkeypatch):
+    # e maximally entangled (a zero start Bloch vector), and a second eigenvalue <= 0 of m (no inverse)
     s = np.sqrt(0.5)
     bell = np.stack([_BELL_VECTORS[kind] for kind in (BellKind.PSI_MINUS, BellKind.PHI_PLUS,
                                                        BellKind.PHI_MINUS, BellKind.PSI_PLUS)], axis=1)
@@ -99,16 +138,20 @@ def test_a_degenerate_search_leaves_the_point_open_without_a_warning():
     vecs = np.stack([bell, product, product])
     lam = np.array([[-0.2, 0.3, 0.4, 0.5], [-0.2, 0.0, 0.5, 0.7], [-0.2, -1e-17, 0.5, 0.7]])
     m = (vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        low, high, closed, omega, _ = optim._product_bracket(m, lam, vecs)
-        # coefficients (the kernel takes -X) whose first half-step gives g = 0 exactly: all zero, or -X_IS = 1
-        # with -X_0S = -n_I
-        start = [[1.0 + 0j, 0j], [0j, 0j]]  # n_I = (0, 0, 1)
-        cancel = [0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
-        for coeffs in ([0.0] * 15, cancel):
-            assert all(cmath.isnan(z) for z in optim._product_search(coeffs, start))
-    assert np.isnan(low).all() and np.isinf(high).all() and not closed.any() and omega is None
+    # eigenpairs whose first half-step gives g = 0 exactly: m^-1 = 2 (all coordinates but X_00 zero, from any
+    # start), and m^-1 diagonal with -X_0S = (0, 0, c) and -X_IS = diag(0, 0, c) from the start n_I = (0, 0, -1)
+    basis = np.stack([np.eye(4, dtype=complex)] * 2)
+    flat = np.array([[0.5, 0.5, 0.5, 0.5], [-0.25, 0.25, 0.5, 0.5]])
+    starts = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    for lanes in executors(monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low, high, closed, omega, _ = optim._product_bracket(m, lam, vecs)
+            assert np.isnan(low).all() and np.isinf(high).all() and not closed.any() and omega is None
+            low, high, closed, omega, _ = optim._product_bracket(basis * flat[:, None, :], flat, basis,
+                                                                 optim._PRODUCT_STEPS, starts)
+            assert np.isnan(low).all() and np.isinf(high).all() and not closed.any() and omega is None
+            assert not kernel_table(basis * flat[:, None, :], flat, basis, lanes, r=starts)[:, -1].any()
 
 
 def test_any_product_vector_and_any_vector_bound_the_robustness():
@@ -205,7 +248,7 @@ def test_the_isotropic_state_with_a_bloch_vector_closes_without_a_solve(monkeypa
         assert closed[0] != completed and (high[0] - low[0] > 1e-3) == completed
 
 
-def test_a_singular_partial_transpose_leaves_the_point_open():
+def test_a_singular_partial_transpose_leaves_the_point_open(monkeypatch):
     # a second eigenvalue 0 or below: m^-1 is not the inverse of a one-negative-eigenvalue m, so no bound
     rng = np.random.default_rng(6604)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
@@ -213,11 +256,12 @@ def test_a_singular_partial_transpose_leaves_the_point_open():
     m = np.stack([(q * s) @ q.conj().T for s in spectra])
     lam, vecs = np.linalg.eigh(m)
     lam[:2, 1] = spectra[:2, 1]  # the eigenvalues exactly as set
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        low, high, closed, _, _ = optim._product_bracket(m, lam, vecs)
-    assert np.isnan(low[:2]).all() and np.isinf(high[:2]).all() and not closed[:2].any()
-    assert np.isfinite(low[2]) and np.isfinite(high[2]) and low[2] <= high[2] * (1.0 + 1e-14)
+    for _ in executors(monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low, high, closed, _, _ = optim._product_bracket(m, lam, vecs)
+        assert np.isnan(low[:2]).all() and np.isinf(high[:2]).all() and not closed[:2].any()
+        assert np.isfinite(low[2]) and np.isfinite(high[2]) and low[2] <= high[2] * (1.0 + 1e-14)
 
 
 def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
