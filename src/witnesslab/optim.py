@@ -15,15 +15,16 @@ kernel of real arithmetic: +, -, *, / and sqrt in a fixed order, with
 comparisons, & and a select, and no matmul, reduction or complex product.
 IEEE 754 rounds each of those operations correctly, so the same lines give
 the same bits on plain Python floats and on numpy (k,) lanes (_run).  Each
-phase (_bracket_lines, _search_lines, _tail_lines) runs on floats, one point
-at a time, for a stack below its cutoff (_BRACKET_LANES, _SEARCH_LANES,
-_TAIL_LANES, the measured crossovers), where numpy's cost per call is more
-than the arithmetic, and on lanes from there.  A degenerate point (no
-inverse, a zero vector to normalize) is open by an explicit mask, and its
-divisor is lifted to 1, so neither executor divides by zero or makes a NaN
-on the way.  The eigendecompositions, the Bell bracket and its completion,
-the solver, and the complex assembly of omega and the witness of the points
-a bracket closes stay whole-stack numpy.
+of the two stages (_bracket_lines, and _product_lines: _search_lines, then
+_tail_lines) runs on floats, one point at a time, for a stack below its
+cutoff (_BRACKET_LANES, _PRODUCT_LANES, the measured crossovers), where
+numpy's cost per call is more than the arithmetic, and on lanes from
+there.  A degenerate point (no inverse, a zero vector to normalize) is open
+by an explicit mask, and its divisor is lifted to 1, so neither executor
+divides by zero or makes a NaN on the way.  The eigendecompositions, the
+Bell bracket and its completion, the solver, and the complex assembly of
+omega and the witness of the points a bracket closes stay whole-stack
+numpy.
 """
 
 from __future__ import annotations
@@ -62,12 +63,11 @@ _CHUNK = 256
 # and of the longer one that the points every bracket leaves open take before the interior-point solver
 _PRODUCT_STEPS = 12
 _PRODUCT_STEPS_LAST = 100
-# stack sizes from which _bracket's bounds, the product search and the product bracket's tail run on numpy
-# lanes in place of plain floats: the crossovers measured per call, where the floats' cost, which grows with
-# the points, passes the lanes', which is nearly fixed up to a few hundred points
+# stack sizes from which _bracket's bounds and the product bracket run on numpy lanes in place of plain floats:
+# the crossovers measured per call, where the floats' cost, which grows with the points, passes the lanes',
+# which is nearly fixed up to a few hundred points
 _BRACKET_LANES = 12
-_SEARCH_LANES = 30
-_TAIL_LANES = 25
+_PRODUCT_LANES = 30
 # phase-1 Newton steps the Bell completion takes at most, and the growth of its weight on t per step
 _COMPLETION_STEPS = 20
 _COMPLETION_GROWTH = 8.0
@@ -334,29 +334,27 @@ def _pick(c, a, b):
 
 
 def _run(lines, lanes: bool, inputs, *args):
-    """Run a kernel phase's lines over the k points of a stack: on (k,) numpy lanes, or on plain floats point by point.
+    """Run a kernel stage's lines over the k points of a stack: on (k,) numpy lanes, or on plain floats point by point.
 
     Each input is a float64 array, (k, n) for a sequence of n values of
-    each point or (k,) for one, or the outputs of an earlier run.  The
-    lines take (sqrt, where), then one argument per input, then args.
-    They use +, -, *, / and sqrt, comparisons, & and where, and nothing
-    else; IEEE 754 rounds each of those correctly, so a point gets the same
-    bits from both executors.  With ``lanes`` they run once, on (k,) arrays
-    with np.sqrt and np.where, and return columns; else once per point, on
-    Python floats with math.sqrt and _pick, and return a list of k rows.
-    An empty stack runs on lanes.
+    each point or (k,) for one.  The lines take (sqrt, where), then one
+    argument per input, then args.  They use +, -, *, / and sqrt,
+    comparisons, & and where, and nothing else; IEEE 754 rounds each of
+    those correctly, so a point gets the same bits from both executors.
+    With ``lanes`` they run once, on (k,) arrays with np.sqrt and np.where,
+    and return columns; else once per point, on Python floats with
+    math.sqrt and _pick, and return a list of k rows.  An empty stack runs
+    on lanes.
     """
     if not lanes:
-        points = list(zip(*[a if isinstance(a, list) else _table(a).tolist() for a in inputs]))
+        points = list(zip(*[a.tolist() for a in inputs]))
         if points:
             return [lines(sqrt, _pick, *point, *args) for point in points]
-    return lines(np.sqrt, np.where, *[a if isinstance(a, tuple) else _table(a).T for a in inputs], *args)
+    return lines(np.sqrt, np.where, *[a.T for a in inputs], *args)
 
 
 def _table(out) -> np.ndarray:
-    """A (k, n) or (k,) float array as it is, or a phase's outputs, rows or columns, as one (k, n) float array."""
-    if isinstance(out, np.ndarray):
-        return out
+    """A stage's outputs, rows from the floats or columns from the lanes, as one (k, n) float array."""
     return np.array(out, dtype=float) if isinstance(out, list) else np.array(out, dtype=float).T
 
 
@@ -520,7 +518,6 @@ def _tail_lines(sqrt, where, found, pt):
      n1, n2, n3, t1, t2, t3, ok) = found
     (h00, _, h01r, h01i, h02r, h02i, h03r, h03i, _, _, h11, _, h12r, h12i, h13r, h13i,
      _, _, _, _, h22, _, h23r, h23i, _, _, _, _, _, _, h33, _) = pt
-    ok = ok > 0.0  # the mask comes as 1.0 or 0.0
     up = n3 >= 0.0
     scale = 1.0 / sqrt(2.0 + 2.0 * abs(n3))
     big, x, y = (1.0 + abs(n3)) * scale, n1 * scale, n2 * scale
@@ -566,6 +563,11 @@ def _tail_lines(sqrt, where, found, pt):
             a2, where(ok, lower, nan), where(ok & neg, upper, inf), closed)
 
 
+def _product_lines(sqrt, where, lam, vec, start, pt, steps):
+    """The product bracket of one point or one lane: _tail_lines on _search_lines' output."""
+    return _tail_lines(sqrt, where, _search_lines(sqrt, where, lam, vec, start, steps), pt)
+
+
 def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: int = _PRODUCT_STEPS,
                      r: np.ndarray | None = None):
     """Bounds L <= GR <= U of NPT points from a product vector, and the certificate and witness where they close.
@@ -598,18 +600,18 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
     where the caller does not pass it).
 
     Everything from the eigenpairs to the closure test is real arithmetic,
-    written once in two phases: _search_lines (m^-1 and its coordinates,
-    the search) and _tail_lines (w, f, q, U, a_f^2, L and the test).  Each
-    phase runs on plain Python floats, one point at a time, below its
-    cutoff (_SEARCH_LANES, _TAIL_LANES points), where a numpy call per
-    operation costs more than its arithmetic, and on numpy (k,) lanes from
-    there, where the per-point cost of the floats grows past a call's
-    fixed cost: the same bits either way (_run).  A point is open by an
-    explicit mask where m has a second eigenvalue <= 0, e is maximally
-    entangled (a zero start: _bracket closes those points) or a half-step
-    meets a zero vector; no division meets a zero and no NaN is made on
-    the way.  m^-1 comes from three eigenvectors and the identity, so its
-    bits are the kernel's own, not those of a stacked matmul.
+    written once: _search_lines (m^-1 and its coordinates, the search),
+    then _tail_lines (w, f, q, U, a_f^2, L and the test), the two as
+    _product_lines.  It runs on plain Python floats, one point at a time,
+    below _PRODUCT_LANES points, where a numpy call per operation costs
+    more than its arithmetic, and on numpy (k,) lanes from there, where the
+    per-point cost of the floats grows past a call's fixed cost: the same
+    bits either way (_run).  A point is open by an explicit mask where m
+    has a second eigenvalue <= 0, e is maximally entangled (a zero start:
+    _bracket closes those points) or a half-step meets a zero vector; no
+    division meets a zero and no NaN is made on the way.  m^-1 comes from
+    three eigenvectors and the identity, so its bits are the kernel's own,
+    not those of a stacked matmul.
     Returns L and U of every point, the mask of the points with
     |U - L| < _GAP, and omega and the witness of those points, assembled
     as whole-stack numpy, or None for both when no point closes.  U is inf
@@ -622,9 +624,8 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
         r = _schmidt(vecs[..., 0])[0]  # e's reduced matrix on spin I: its Bloch vector is e's leading Schmidt vector's
     vec = np.ascontiguousarray(vecs).reshape(k, 16).view(np.float64)
     start = np.ascontiguousarray(r).reshape(k, 4).view(np.float64)
-    found = _run(_search_lines, k >= _SEARCH_LANES, (lam, vec, start), steps)
     pt = np.ascontiguousarray(m).reshape(k, 16).view(np.float64)
-    out = _table(_run(_tail_lines, k >= _TAIL_LANES, (found, pt)))
+    out = _table(_run(_product_lines, k >= _PRODUCT_LANES, (lam, vec, start, pt), steps))
     lower, upper, closed = out[:, 17], out[:, 18], out[:, 19] != 0.0
     if not np.count_nonzero(closed):
         return lower, upper, closed, None, None
@@ -962,9 +963,8 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     one-point case of the batched solver that ``relax.sweep`` runs over a
     whole time grid.  The first two brackets' arithmetic runs here on plain
     Python floats, and in a sweep on numpy lanes once a stack reaches
-    _BRACKET_LANES, _SEARCH_LANES or _TAIL_LANES points: the same lines, so
-    the same bits, and a degenerate point is left open by an explicit mask
-    on both.
+    _BRACKET_LANES or _PRODUCT_LANES points: the same lines, so the same
+    bits, and a degenerate point is left open by an explicit mask on both.
     """
     _two_spin_state(rho, "generalized_robustness")
     values, iterations, omega, failures, lower, witness, _ = _robustness(rho.matrix[None])

@@ -1,12 +1,12 @@
 """The closed-form stages' real-arithmetic kernel: one set of lines, two executors.
 
 ``_bracket``'s bounds and the whole product bracket, from the eigenpairs to
-the closure test, are written once in +, -, *, / and sqrt.  Each phase runs
+the closure test, are written once in +, -, *, / and sqrt.  Each stage runs
 them on plain Python floats, point by point, below its cutoff and on numpy
 (k,) lanes from there; IEEE 754 rounds those operations correctly, so the
 two give the same bits.  These checks hold every point to the same bytes
-alone and in stacks of 1, 2, 27, 30 and 10,000, which sit on both sides of
-every cutoff; ``_bracket``'s bounds to the bytes of its numpy formula on either
+alone and in stacks of 2, 30 and 10,000, which sit on both sides of every
+cutoff; ``_bracket``'s bounds to the bytes of its numpy formula on either
 executor; and a 10,000-step sweep, whose product stacks run on lanes, to its
 one-point replay through ``generalized_robustness``.
 """
@@ -25,9 +25,8 @@ from witnesslab import optim, relax
 from witnesslab.qmat import _pt_arr
 
 GAP = 1e-8
-CUTOFFS = ("_BRACKET_LANES", "_SEARCH_LANES", "_TAIL_LANES")
-# 27 runs the product search on floats and its tail on lanes: the one stack size whose phases differ
-STACKS = (2, 27, 30, 10_000)
+CUTOFFS = ("_BRACKET_LANES", "_PRODUCT_LANES")
+STACKS = (2, 30, 10_000)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +78,6 @@ def stacked(stage, n, rows):
 def test_the_stacks_sit_on_both_sides_of_every_cutoff():
     for name in CUTOFFS:
         assert 2 < getattr(optim, name) <= 30, name
-    assert optim._TAIL_LANES <= 27 < optim._SEARCH_LANES
 
 
 def test_every_point_gives_the_same_bytes_alone_and_in_stacks(states, npt_eigen):
@@ -131,8 +129,8 @@ def test_a_long_sweep_replays_bit_for_bit_through_generalized_robustness(monkeyp
                         lambda m, *args: (sizes.append(len(m)), product_bracket(m, *args))[1])
     series = sweep(rho0, PAPER_T2, w, 0.6, steps)
     monkeypatch.undo()
-    # the product bracket's stack runs on lanes in both phases
-    assert sizes and sizes[0] >= max(optim._SEARCH_LANES, optim._TAIL_LANES) and sizes[0] > 1000
+    # the product bracket's stack runs on lanes
+    assert sizes and sizes[0] >= optim._PRODUCT_LANES and sizes[0] > 1000
     states = relax._relax(rho0.matrix, series.times, PAPER_T2)
     values, _, omega, failures, lower, witness, _ = optim._robustness(states)
     assert not failures and values.tobytes() == series.gr_values.tobytes()
@@ -148,14 +146,14 @@ def test_a_long_sweep_replays_bit_for_bit_through_generalized_robustness(monkeyp
 
 
 def test_generalized_robustness_takes_the_float_executor_and_the_sweep_the_lanes(monkeypatch):
-    # one point: every phase on floats; its value agrees with the lanes' bit for bit (the sweep test above)
+    # one point: both stages on floats; its value agrees with the lanes' bit for bit (the sweep test above)
     rho = DensityMatrix(entangled_ginibre(8).matrix)
     used = []
     run = optim._run
     monkeypatch.setattr(optim, "_run",
                         lambda lines, lanes, *a: (used.append((lines.__name__, lanes)), run(lines, lanes, *a))[1])
     generalized_robustness(rho)
-    assert used == [("_bracket_lines", False), ("_search_lines", False), ("_tail_lines", False)]
+    assert used == [("_bracket_lines", False), ("_product_lines", False)]
 
 
 @pytest.mark.parametrize("lanes", [False, True])

@@ -17,6 +17,7 @@ certificate checks and to the solver's value.
 """
 
 import warnings
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -38,16 +39,12 @@ def unit(rng, shape):
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def search_inputs(lam, vecs):
-    """The search's inputs as _product_bracket forms them: -X of m^-1 without X_00, and e's reduced matrix."""
-    inv = np.where(lam[:, 1:2] > 0.0, 1.0 / lam, np.nan)
-    m_inv = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return -pauli_coords(m_inv)[:, 1:], optim._schmidt(vecs[..., 0])[0]
-
-
 @np.errstate(invalid="ignore", divide="ignore")
 def stacked_search(x, r):
-    """The reference: the same search as numpy stacks, _PRODUCT_STEPS half-step pairs on (k, 3, 1) columns."""
+    """The reference: the same search as numpy stacks, _PRODUCT_STEPS half-step pairs on (k, 3, 1) columns.
+
+    Returns w = u (x) v and the Bloch vectors of u and v.
+    """
     x = np.concatenate([np.zeros((len(x), 1)), x], axis=1).reshape(-1, 4, 4)
     x_s, x_i, x_is = x[:, 0, 1:, None], x[:, 1:, 0, None], x[:, 1:, 1:]
     x_si = x_is.swapaxes(-1, -2)
@@ -63,35 +60,52 @@ def stacked_search(x, r):
     up = nz >= 0.0
     uv = np.stack([np.where(up, 1.0 + nz, nxy.conj()), np.where(up, nxy, 1.0 - nz)], axis=-1)
     uv = uv / np.sqrt(2.0 + 2.0 * np.abs(nz))[..., None]
-    return (uv[:, 0, :, None] * uv[:, 1, None, :]).reshape(-1, 4)
+    return (uv[:, 0, :, None] * uv[:, 1, None, :]).reshape(-1, 4), n
+
+
+def kernel_inputs(lam, vecs, r=None):
+    """The kernel's per-point inputs from the eigenpairs: the float views of vecs and of e's reduced matrix r."""
+    k = len(lam)
+    r = optim._schmidt(vecs[..., 0])[0] if r is None else r
+    return np.ascontiguousarray(vecs).reshape(k, 16).view(float), np.ascontiguousarray(r).reshape(k, 4).view(float)
 
 
 def kernel_table(m, lam, vecs, lanes, steps=optim._PRODUCT_STEPS, r=None):
-    """The product kernel's outputs of each point as _product_bracket runs it, both phases on one executor.
+    """The product kernel's outputs of each point as _product_bracket runs it, on one executor.
 
     Columns: w and f as floats (8 each), a_f^2, L, U, and the closure mask.
     """
-    k = len(m)
-    r = optim._schmidt(vecs[..., 0])[0] if r is None else r
-    vec = np.ascontiguousarray(vecs).reshape(k, 16).view(float)
-    start = np.ascontiguousarray(r).reshape(k, 4).view(float)
-    found = optim._run(optim._search_lines, lanes, (lam, vec, start), steps)
-    pt = np.ascontiguousarray(m).reshape(k, 16).view(float)
-    return optim._table(optim._run(optim._tail_lines, lanes, (found, pt)))
+    pt = np.ascontiguousarray(m).reshape(len(m), 16).view(float)
+    return optim._table(optim._run(optim._product_lines, lanes, (lam, *kernel_inputs(lam, vecs, r), pt), steps))
 
 
-@np.errstate(invalid="ignore", divide="ignore")
-def numpy_bounds(m, lam, vecs, w):
-    """The bounds of a product vector w as whole-stack numpy: f = m^-1 w, U = -1/q, L = -Tr(m |f><f|) / a_f^2."""
-    inv = np.where(lam[:, 1:2] > 0.0, 1.0 / lam, np.nan)
-    m_inv = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    f = (m_inv @ w[:, :, None])[..., 0]
-    q = (w.conj() * f).sum(axis=-1).real
-    upper = np.where(q < 0.0, -1.0 / q, np.inf)
-    r, diff = optim._schmidt(f)
-    a2 = 0.5 * (r[:, 0, 0].real + r[:, 1, 1].real + diff)
-    lower = optim._dual_bound(m, (f[:, :, None] * f[:, None, :].conj()) / a2[:, None, None])
-    return lower, upper, np.abs(upper - lower) < GAP
+def kernel_inverse(lam, vecs):
+    """m^-1 as the kernel forms it: the (k, 4, 4) Hermitian matrix of the entries that _search_lines returns first."""
+    c = optim._table(optim._run(optim._search_lines, False, (lam, *kernel_inputs(lam, vecs)), 1))
+    m_inv = np.zeros((len(lam), 4, 4), dtype=complex)
+    m_inv[:, range(4), range(4)] = c[:, :4]
+    upper = np.triu_indices(4, 1)  # (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), as the kernel orders them
+    m_inv[:, upper[0], upper[1]] = c[:, 4:16:2] + 1j * c[:, 5:16:2]
+    m_inv[:, upper[1], upper[0]] = c[:, 4:16:2] - 1j * c[:, 5:16:2]
+    return m_inv
+
+
+def search_inputs(lam, vecs):
+    """The search's inputs from the kernel's m^-1: -X of m^-1 without X_00, and e's reduced matrix."""
+    return -pauli_coords(kernel_inverse(lam, vecs))[:, 1:], optim._schmidt(vecs[..., 0])[0]
+
+
+def kernel_tail(m, lam, vecs, n):
+    """L, U and the closure of the Bloch vectors n of u and v, (k, 2, 3), from the kernel's own m^-1 and tail.
+
+    The kernel's search gives m^-1's entries and the mask; n stands for the
+    Bloch vectors it found, so only they, and through them w, differ.
+    """
+    found = optim._run(optim._search_lines, False, (lam, *kernel_inputs(lam, vecs)), optim._PRODUCT_STEPS)
+    pt = np.ascontiguousarray(m).reshape(len(m), 16).view(float).tolist()
+    rows = [optim._tail_lines(sqrt, optim._pick, (*row[:16], *bloch, row[-1]), entries)
+            for row, bloch, entries in zip(found, n.reshape(-1, 6).tolist(), pt)]
+    return optim._table(rows)[:, -3:].T
 
 
 def test_the_plain_float_search_matches_the_stacked_numpy_search():
@@ -102,30 +116,26 @@ def test_the_plain_float_search_matches_the_stacked_numpy_search():
     # the search, started from that rounding, goes elsewhere on each side
     keep = ~optim._bracket(vecs[..., 0], lam[:, 0])[2]
     m, lam, vecs = m[keep], lam[keep], vecs[keep]
-    w_ref = stacked_search(*search_inputs(lam, vecs))
+    w_ref, n_ref = stacked_search(*search_inputs(lam, vecs))
     # the kernel on plain floats and on lanes: the same bytes
     table = kernel_table(m, lam, vecs, lanes=False)
     assert table.tobytes() == kernel_table(m, lam, vecs, lanes=True).tobytes()
     w = np.ascontiguousarray(table[:, :8]).view(complex)
-    # only rounding apart: numpy's stacked products may fuse a multiply and an add, plain floats do not, and the
-    # kernel forms m^-1 from three of the eigenvectors and the identity, not as one matmul
+    # only rounding apart: numpy's stacked products may fuse a multiply and an add, plain floats do not
     assert len(m) > 1500 and np.isfinite(w).all() and np.isfinite(w_ref).all()
     np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
+    # the bounds of the reference's Bloch vectors from the kernel's own m^-1 and tail, so that only w differs
     low, high, closed, _, _ = optim._product_bracket(m, lam, vecs)
-    low_ref, high_ref, closed_ref = numpy_bounds(m, lam, vecs, w_ref)
+    low_ref, high_ref, closed_ref = kernel_tail(m, lam, vecs, n_ref)
     assert np.array_equal(closed, closed_ref) and closed.sum() > 800
-    np.testing.assert_allclose(low[closed], low_ref[closed], rtol=0, atol=1e-14)
-    np.testing.assert_allclose(high[closed], high_ref[closed], rtol=0, atol=1e-14)
-    # an open point's U = -1/q moves by dq / q^2 with the rounding of m^-1: 14 ulp of U on 5 of them here
-    np.testing.assert_allclose(low, low_ref, rtol=1e-14, atol=1e-14)  # NaN where the other is NaN
-    np.testing.assert_allclose(high, high_ref, rtol=1e-14, atol=1e-14)  # inf where the other is inf
+    np.testing.assert_allclose(low, low_ref, rtol=0, atol=1e-14)  # NaN where the other is NaN
+    np.testing.assert_allclose(high, high_ref, rtol=0, atol=1e-14)  # inf where the other is inf
 
 
 def executors(monkeypatch):
-    """Pin the product bracket's phases to plain floats, then to lanes, at any stack size, in turn."""
+    """Pin the product bracket to plain floats, then to lanes, at any stack size, in turn."""
     for cutoff in (10 ** 9, 0):
-        monkeypatch.setattr(optim, "_SEARCH_LANES", cutoff)
-        monkeypatch.setattr(optim, "_TAIL_LANES", cutoff)
+        monkeypatch.setattr(optim, "_PRODUCT_LANES", cutoff)
         yield cutoff == 0
 
 
