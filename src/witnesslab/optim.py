@@ -1,13 +1,14 @@
-"""Optimization kernel: generalized robustness of entanglement computed as a
-two-cone semidefinite program by a primal-dual interior-point method, or in
-closed form where one of three certified brackets already closes to the
-solver's gap: the two-qubit bracket from the negative eigenvector of the
+"""Optimization kernel: generalized robustness of entanglement, a two-cone
+semidefinite program (exact for two qubits via the positive partial
+transpose criterion), in closed form from certified brackets that close to
+within 1e-8: the two-qubit bracket from the negative eigenvector of the
 partial transpose, the one from the best product state, or the one from the
 locally rotated Bell witness, whose primal omega a phase-1 Newton completion
 finds where the minimum-norm one is not PSD and a lower bound in hand does
-not already rule it out.  The points all three leave open take the product
-search again, longer, before the solver (exact for two qubits via the
-positive partial transpose criterion).
+not already rule it out; the points all three leave open take the product
+search again, longer.  A primal-dual interior-point solver is the fallback
+for a point that no stage closes, one point at a time: no measured workload
+leaves a point open, so nothing needs the solver batched.
 
 The first bracket's bounds and closure test, and the whole product bracket
 from the eigenpairs of the partial transpose to its closure test, are one
@@ -22,9 +23,8 @@ numpy's cost per call is more than the arithmetic, and on lanes from
 there.  A degenerate point (no inverse, a zero vector to normalize) is open
 by an explicit mask, and its divisor is lifted to 1, so neither executor
 divides by zero or makes a NaN on the way.  The eigendecompositions, the
-Bell bracket and its completion, the solver, and the complex assembly of
-omega and the witness of the points a bracket closes stay whole-stack
-numpy.
+Bell bracket and its completion, and the complex assembly of omega and the
+witness of the points a bracket closes stay whole-stack numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import inf, nan, sqrt
 
 import numpy as np
-# numpy's private LAPACK gufuncs: the interior-point loop calls them directly, because the public
+# numpy's private LAPACK gufuncs: the Bell stages and the interior-point loop call them directly, because the public
 # wrappers cost about 4 us a call in argument checks and cholesky raises for a whole stack
 # where the gufunc answers per block (NaN output for a block it cannot factor or solve)
 from numpy.linalg import _umath_linalg
@@ -57,8 +57,6 @@ _FRACTION = 0.9
 _FRACTION_GAIN = 0.09
 # iterations one robustness solve may take
 _MAX_ITERATIONS = 100
-# NPT points solved together at most: about 30 KB of solver temporaries each
-_CHUNK = 256
 # alternating half-step pairs of the product-state search that every point still open after _bracket takes,
 # and of the longer one that the points every bracket leaves open take before the interior-point solver
 _PRODUCT_STEPS = 12
@@ -259,14 +257,14 @@ def _step(blocks, chol, inv_l, gap):
 
 # a failed LAPACK call marks its block with NaN, which the loop reads; a PSD direction has an infinite step
 @np.errstate(invalid="ignore", divide="ignore")
-def _central_path(m: np.ndarray, lam_min: np.ndarray):
-    """Solve the robustness SDP for k NPT points at once by a primal-dual interior-point method.
+def _central_path(m: np.ndarray, lam_min: float):
+    """Solve the robustness SDP of one NPT point by a primal-dual interior-point method.
 
-    m is the (k, 4, 4) stack of partial transposes and lam_min their
-    smallest eigenvalues.  The primal is the 16 real Pauli coordinates x of
-    omega, with slacks S_1 = omega and S_2 = m + omega^PT; the dual is
-    Z_1, Z_2 >= 0 with Z_1 + Z_2^PT = 1; the gap is sum_b Tr(S_b Z_b).  The
-    start, omega = x_0 * identity with x_0 = 1.5 |lam_min| + 0.05 and
+    m is the 4x4 partial transpose and lam_min its smallest eigenvalue.  The
+    primal is the 16 real Pauli coordinates x of omega, with slacks
+    S_1 = omega and S_2 = m + omega^PT; the dual is Z_1, Z_2 >= 0 with
+    Z_1 + Z_2^PT = 1; the gap is sum_b Tr(S_b Z_b).  The start,
+    omega = x_0 * identity with x_0 = 1.5 |lam_min| + 0.05 and
     Z_1 = Z_2 = 1/2, is feasible on both sides, and every step keeps it so.
     Each iteration takes the HKM direction (Helmberg, Rendl, Vanderbei &
     Wolkowicz, SIAM J. Optim. 6, 342 (1996)) with Mehrotra's
@@ -276,56 +274,39 @@ def _central_path(m: np.ndarray, lam_min: np.ndarray):
     rank 1-4 Ginibre states, and no eigensolve), and the corrector, solved
     with the same Schur matrix, goes 0.9 + 0.09 min(1, a_p, a_d) of the
     largest feasible steps a_p, a_d, at most 1 (a fixed 0.98 drove about 1
-    rank-deficient state in 5,000 onto the boundary of its cone).  A point
-    leaves when its gap is below _GAP or when it fails.  Every point's
-    numbers come from its own slices, so a point takes the same steps alone
-    or in a sweep.  S_1, S_2, Z_1, Z_2 share one (k, 4, 4, 4) stack per
-    iterate: S is written into it from x, Z by the step that made it, and
-    _cholesky factors it whole.  Returns the final x (k, 16) and Z_2
-    (k, 4, 4), the iterations of each point that finished, and a
-    ConvergenceError for each point that failed, by index, bounded by its
-    last positive definite iterate.
+    rank-deficient state in 5,000 onto the boundary of its cone).  The
+    point is a (1, ...) stack to the helpers, which take stacks: S_1, S_2,
+    Z_1, Z_2 share one (1, 4, 4, 4) stack per iterate, S written into it
+    from x, Z by the step that made it, and _cholesky factors it whole.
+    Returns x (16,), Z_2 (4, 4) and the iterations once the gap is below
+    _GAP; raises ConvergenceError at the iteration cap or at an iterate
+    that is not positive definite, bounded by its last positive definite
+    iterate.
     """
-    k = len(m)
-    x = np.zeros((k, 16))
-    x[:, 0] = 1.5 * (-lam_min) + 0.05  # omega = x_0 * identity: both slacks positive definite
-    shift = np.zeros((k, 2, 4, 4), dtype=complex)
-    shift[:, 1] = m
-    blocks = np.empty((k, 4, 4, 4), dtype=complex)  # S_1, S_2, Z_1, Z_2 of each point
-    blocks[:, 2:] = 0.5 * np.eye(4)
-    points = np.arange(k)  # the point each active row belongs to
-    x_out, z_out, iterations, failures = np.zeros((k, 16)), np.zeros((k, 4, 4), dtype=complex), np.zeros(k, dtype=int), {}
-    x_checked, gap_checked = x, np.full(k, np.inf)  # each row's last positive definite iterate, for its bounds
-
-    def fail(rows, reason):
-        for i in rows:
-            upper = 4.0 * x_checked[i, 0]
-            failures[int(points[i])] = ConvergenceError(reason, lower=max(0.0, upper - gap_checked[i]), upper=upper)
-
+    x = np.zeros((1, 16))
+    x[0, 0] = 1.5 * (-lam_min) + 0.05  # omega = x_0 * identity: both slacks positive definite
+    shift = np.zeros((1, 2, 4, 4), dtype=complex)
+    shift[0, 1] = m
+    blocks = np.empty((1, 4, 4, 4), dtype=complex)  # S_1, S_2, Z_1, Z_2
+    blocks[0, 2:] = 0.5 * np.eye(4)
+    upper, lower = 4.0 * x[0, 0], 0.0  # the bounds of the last positive definite iterate
     for iteration in range(_MAX_ITERATIONS + 1):
         np.add(_pauli_blocks(x), shift, out=blocks[:, :2])
         chol, inv_l, failed = _cholesky(blocks)
+        if len(failed):
+            raise ConvergenceError("robustness iterate is not positive definite", lower=lower, upper=upper)
         gap = _gap(blocks)
-        done = gap < _GAP
-        if len(failed) or done.any():
-            fail(failed, "robustness iterate is not positive definite")
-            done[failed] = False
-            x_out[points[done]], z_out[points[done]], iterations[points[done]] = x[done], blocks[done, 3], iteration
-            keep = ~done
-            keep[failed] = False
-            x, blocks, shift, chol, inv_l, gap, points = (
-                x[keep], blocks[keep], shift[keep], chol[keep], inv_l[keep], gap[keep], points[keep])
-            if not len(points):
-                break
-        x_checked, gap_checked = x, gap
+        if gap[0] < _GAP:
+            return x[0], blocks[0, 3], iteration
+        upper = 4.0 * x[0, 0]
+        lower = max(0.0, upper - gap[0])
         if iteration == _MAX_ITERATIONS:
-            fail(range(len(points)), f"robustness solver hit the {_MAX_ITERATIONS}-iteration cap")
-            break
+            raise ConvergenceError(f"robustness solver hit the {_MAX_ITERATIONS}-iteration cap",
+                                   lower=lower, upper=upper)
         dx, d, alpha = _step(blocks, chol, inv_l, gap)
         stack = np.empty_like(blocks)  # the next iterate's: Z from this step, S from x at the top of the loop
         np.add(blocks[:, 2:], alpha[:, 1, None, None, None] * d[:, 2:], out=stack[:, 2:])
         x, blocks = x + alpha[:, :1] * dx, stack
-    return x_out, z_out, iterations, failures
 
 
 def _pick(c, a, b):
@@ -840,20 +821,20 @@ def _robustness(rho: np.ndarray):
     _product_bracket again with the longer search of _PRODUCT_STEPS_LAST
     half-step pairs from the same start.  One eigh of the NPT points, and
     one Schmidt read of their negative eigenvectors, serve both product
-    searches and the first bracket.  The other NPT points are
-    solved together by _central_path, the HKM predictor-corrector method
-    (Helmberg, Rendl, Vanderbei & Wolkowicz 1996; Mehrotra 1992) from a
-    feasible start, each to a duality gap below 1e-8, in chunks of _CHUNK,
-    which bounds the solver's temporaries; the chunks stop at the first one
-    with a failure, whose ConvergenceError carries the tightest of the
+    searches and the first bracket.  The NPT points no stage closes are
+    solved one at a time, in index order, by _central_path, the HKM
+    predictor-corrector method (Helmberg, Rendl, Vanderbei & Wolkowicz
+    1996; Mehrotra 1992) from a feasible start, each to a duality gap below
+    1e-8.  The first point whose solve fails ends the call, and later
+    points stay unsolved: its ConvergenceError carries the tightest of the
     solver's and the four bracket stages' bounds (the Bell bracket's U from
     its completed omega, or its minimum-norm one where it skipped the
     completion).
     Returns the values, the interior-point iterations (0 on the closed
-    paths), the optimal omegas (zero for PPT points), the failures by index,
-    the dual fields (the lower bounds -Tr(m Z_2) and the witnesses Z_2^PT,
-    zero for PPT points), and the lambda_min of every point's partial
-    transpose.
+    paths), the optimal omegas (zero for PPT points), the failures by index
+    (at most one, that first failure), the dual fields (the lower bounds
+    -Tr(m Z_2) and the witnesses Z_2^PT, zero for PPT points), and the
+    lambda_min of every point's partial transpose.
     """
     m = _pt_arr(rho)
     lam_min = _eigvalsh(m)[:, 0]
@@ -901,20 +882,17 @@ def _robustness(rho: np.ndarray):
         at = np.searchsorted(npt, solve)  # the rows of the points left open in the eigh of the NPT points
         last = _product_bracket(rows(solve), lam[at], vecs[at], _PRODUCT_STEPS_LAST, r[at])
         _, solve, low, high = narrow(solve, last, low, high)
-    for start in range(0, len(solve), _CHUNK):
-        idx = solve[start:start + _CHUNK]
-        x, z2, iterations[idx], chunk_failures = _central_path(m[idx], lam_min[idx])
-        if chunk_failures:
-            failures = {
-                int(idx[i]): ConvergenceError(str(exc), lower=max(exc.lower, float(low[start + i])),
-                                              upper=min(exc.upper, float(high[start + i])))
-                for i, exc in chunk_failures.items()
-            }
+    for j, i in enumerate(solve):
+        try:
+            x, z2, iterations[i] = _central_path(m[i], lam_min[i])
+        except ConvergenceError as exc:  # the first failing point ends the call
+            failures[int(i)] = ConvergenceError(str(exc), lower=max(exc.lower, float(low[j])),
+                                                upper=min(exc.upper, float(high[j])))
             break
-        omega[idx] = chunk = from_pauli_coords(x)
-        values[idx] = np.trace(chunk, axis1=-2, axis2=-1).real
-        lower[idx] = _dual_bound(m[idx], z2)
-        witness[idx] = _pt_arr(z2)
+        omega[i] = from_pauli_coords(x)
+        values[i] = np.trace(omega[i]).real
+        lower[i] = _dual_bound(m[i], z2)[0]
+        witness[i] = _pt_arr(z2)
     return values, iterations, omega, failures, lower, witness, lam_min
 
 
@@ -951,18 +929,19 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     iteration.  Else the product search runs again, 100 half-step pairs in
     place of 12, and where its bracket closes within 1e-8, as for the
     product-class states the first search leaves open, the result is its U
-    with no iteration.  Otherwise it is solved as a semidefinite program by a
-    feasible-start primal-dual interior-point method: HKM directions
-    (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) with Mehrotra's
-    predictor-corrector (1992), from omega a multiple of the identity and
+    with no iteration.  Otherwise, as a fallback, it is solved as a
+    semidefinite program by a feasible-start primal-dual interior-point
+    method: HKM directions (Helmberg, Rendl, Vanderbei & Wolkowicz 1996)
+    with Mehrotra's predictor-corrector (1992), from omega a multiple of the identity and
     the dual Z_1 = Z_2 = 1/2, until the duality gap is below 1e-8.  Every
     iterate is strictly feasible, so the certificate always verifies, and
     the final dual iterate gives the result's ``lower`` bound and
     ``witness``.  A solve that fails raises ``ConvergenceError`` with the
     tightest of the solver's and the brackets' bounds.  This is the
-    one-point case of the batched solver that ``relax.sweep`` runs over a
-    whole time grid.  The first two brackets' arithmetic runs here on plain
-    Python floats, and in a sweep on numpy lanes once a stack reaches
+    one-point case of the stages that ``relax.sweep`` runs over a whole
+    time grid, where the solver takes its points one at a time as it does
+    here.  The first two brackets' arithmetic runs here on plain Python
+    floats, and in a sweep on numpy lanes once a stack reaches
     _BRACKET_LANES or _PRODUCT_LANES points: the same lines, so the same
     bits, and a degenerate point is left open by an explicit mask on both.
     """

@@ -19,7 +19,7 @@ from .qmat import DensityMatrix, _trusted_state, _two_spin_state, from_pauli_coo
 from .optim import NPT_CUT, _robustness
 from .witness import PauliWitness, _correlation_columns, _f_values
 
-# largest sweep grid: each point runs one robustness solve
+# largest sweep grid: each point takes one robustness value, from a closed-form stage or a solve
 _MAX_STEPS = 10_000
 
 
@@ -143,8 +143,10 @@ def sweep(
     Each grid point relaxes the initial state directly (the channel forms a
     semigroup, so chaining would give the same result but impose an order).
     The grid is relaxed as one array, F and W are read from its Pauli
-    coordinates, and the entangled points are solved together; every point
-    equals the one-point functions applied to ``relax_channel(rho0, t, p)``.
+    coordinates, and the entangled points take the robustness stages as one
+    stack, the solver one point at a time; every point equals the one-point
+    functions applied to ``relax_channel(rho0, t, p)``.  The first point
+    whose solve fails, the earliest time, ends the sweep.
     """
     steps = bounded_int(steps, "steps", 2, _MAX_STEPS)
     if not 0.0 < t_max < np.inf:
@@ -158,8 +160,7 @@ def sweep(
     f_vals, w_vals = _f_values(xx, zz), w.value(xx, yy, zz)
     gr_vals, _, _, failures, _, _, pt_min = _robustness(states)
     if failures:
-        k = min(failures)
-        exc = failures[k]
+        [(k, exc)] = failures.items()
         raise ConvergenceError(
             f"robustness solver failed at sweep time t = {times[k]:.6g} s: {exc}",
             lower=exc.lower,

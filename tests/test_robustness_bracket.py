@@ -108,7 +108,7 @@ def test_the_closed_form_is_within_the_gap_of_a_forced_solve():
     assert closed.sum() > 800
     _, product, bell, _ = bracket_routes(rho)
     assert product.sum() > 800 and bell.sum() > 500  # the product and Bell brackets' points among them
-    x, _, forced_iterations, failures = optim._central_path(_pt_arr(rho[closed]), lam[closed])
-    assert not failures and forced_iterations.all()
-    forced = np.trace(from_pauli_coords(x), axis1=-2, axis2=-1).real
+    solves = [optim._central_path(m, lam_min) for m, lam_min in zip(_pt_arr(rho[closed]), lam[closed])]
+    assert all(iterations for _, _, iterations in solves)
+    forced = [np.trace(from_pauli_coords(x)).real for x, _, _ in solves]
     np.testing.assert_allclose(values[closed], forced, rtol=0, atol=GAP)

@@ -25,7 +25,7 @@ import pytest
 from conftest import bench_inputs, entangled_ginibre
 from test_robustness_bracket import stress_sets
 from test_robustness_stress import bracket_routes, check_certified, ginibre_states
-from test_sweep_batch import PAPER_T2, isotropic_with_bloch
+from test_sweep_batch import PAPER_T2, isotropic_with_bloch, one_point_failures
 from witnesslab import BellKind, ConvergenceError, DensityMatrix, HermitianOp, generalized_robustness
 from witnesslab import optim, relax
 from witnesslab.qmat import TOL_EQ, _pt_arr, pauli_coords
@@ -283,13 +283,14 @@ def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
     product_class = np.arange(len(states)) >= 45
     m = _pt_arr(states)
     lam, vecs = np.linalg.eigh(m)
+    lam_min = np.linalg.eigvalsh(m)[:, 0]
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
     monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
     minimum_norm_upper = None
     # no completion (the Bell class reaches the solver), one completion step (part of it does), the full completion
     for steps in (0, 1, optim._COMPLETION_STEPS):
         monkeypatch.setattr(optim, "_COMPLETION_STEPS", steps)
-        _, _, _, failures, _, _, lam_min = optim._robustness(states)
+        failures = one_point_failures(states)  # every point that fails, not only a stack's first
         low, high, _, _, _ = optim._bracket(vecs[..., 0], lam_min)
         low_p, high_p, _, _, _ = optim._product_bracket(m, lam, vecs)
         low_b, high_b, _, _, _ = optim._bell_bracket(m, np.fmax(low, low_p))  # the floor _robustness passes
@@ -297,8 +298,9 @@ def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
             minimum_norm_upper = high_b
         tighter, bell_binds, completion_tightens = 0, 0, 0
         for k, exc in failures.items():
-            _, _, _, alone = optim._central_path(m[k:k + 1], lam_min[k:k + 1])
-            raw = alone[0]
+            with pytest.raises(ConvergenceError) as alone:
+                optim._central_path(m[k], lam_min[k])
+            raw = alone.value
             assert str(exc) == str(raw) and "3-iteration cap" in str(exc)
             assert exc.lower == max(raw.lower, low[k], np.nan_to_num(low_p[k], nan=-np.inf), low_b[k])
             assert exc.upper == min(raw.upper, high[k], high_p[k], high_b[k])

@@ -2,9 +2,9 @@
 
 ``sweep`` relaxes the whole time grid as one coordinate array, takes the
 closed-form robustness wherever its bracket, the product bracket or the
-Bell bracket closes and solves every other entangled point in one
-interior-point loop.  Each point must still equal ``f_witness_state``,
-``eval_witness`` and ``generalized_robustness`` of
+Bell bracket closes and solves every other entangled point by the
+interior-point solver, one point at a time.  Each point must still equal
+``f_witness_state``, ``eval_witness`` and ``generalized_robustness`` of
 ``relax_channel(rho0, float(t), p)`` bit for bit, with the same iteration count and dual bound, and a point whose solve
 fails must name its sweep time.
 """
@@ -17,6 +17,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from conftest import bench_inputs, entangled_ginibre
+from test_robustness_bracket import stress_sets
 from test_robustness_stress import bracket_routes
 from witnesslab import (
     BellKind,
@@ -73,13 +74,13 @@ CASES = {
     "ginibre-2": (entangled_ginibre(2), 0.6, 200, "brackets"),
     "ginibre-3": (entangled_ginibre(3), 0.6, 200, "brackets"),
     "ginibre-268": (entangled_ginibre(268), 0.6, 200, "solver"),
-    # every point entangled and more of them than one chunk holds
-    "phi-, two chunks": (bell_state(BellKind.PHI_MINUS), 0.25, optim._CHUNK + 44, "schmidt"),
-    "ginibre-3, two chunks": (entangled_ginibre(3), 0.05, optim._CHUNK + 44, "brackets"),
-    # more entangled points than one chunk holds, most closed by the Bell bracket
-    "isotropic with a Bloch vector, two chunks": (isotropic_with_bloch(), 0.05, optim._CHUNK + 44, "brackets"),
-    # more solved points than one chunk holds: a product-class state, which no bracket closes, barely relaxed
-    "ginibre-268, two solver chunks": (entangled_ginibre(268), 0.001, optim._CHUNK + 44, "solver"),
+    # every point entangled, and more than 256 of them
+    "phi-, 300 points": (bell_state(BellKind.PHI_MINUS), 0.25, 300, "schmidt"),
+    "ginibre-3, 300 points": (entangled_ginibre(3), 0.05, 300, "brackets"),
+    # more than 256 entangled points, most closed by the Bell bracket
+    "isotropic with a Bloch vector, 300 points": (isotropic_with_bloch(), 0.05, 300, "brackets"),
+    # more than 256 solved points: a product-class state, which no bracket closes, barely relaxed
+    "ginibre-268, 300 solved points": (entangled_ginibre(268), 0.001, 300, "solver"),
 }
 
 
@@ -112,12 +113,12 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name, monkeypatch):
     assert np.all(open_gap[solved] >= optim._GAP)
     assert np.array_equal(schmidt[entangled], np.full(entangled.sum(), route == "schmidt"))
     assert solved.any() == (route == "solver")
-    if steps > optim._CHUNK:
-        assert entangled.sum() > optim._CHUNK  # the entangled points fill more than one chunk
+    if steps > 256:
+        assert entangled.sum() > 256  # more than 256 entangled points
         if name.startswith("isotropic"):
-            assert bell.sum() > optim._CHUNK  # most of them closed by the Bell bracket
-        if "solver chunks" in name:
-            assert solved.sum() > optim._CHUNK  # and the solved ones do too
+            assert bell.sum() > 256  # most of them closed by the Bell bracket
+        if "solved points" in name:
+            assert solved.sum() > 256  # and as many solved ones
 
 
 def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
@@ -131,13 +132,65 @@ def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
     for cap in (2, 5):
         monkeypatch.setattr(optim, "_MAX_ITERATIONS", cap)
         _, _, _, failures, _, _, _ = optim._robustness(states)
-        assert failures
-        for k, exc in failures.items():
+        alone = one_point_failures(states)
+        assert sorted(alone) == np.flatnonzero(to_solver).tolist()  # each point left to the solver fails at the cap
+        # the stack's call ends at its first failing point, with the error that point gives alone
+        [(k, exc)] = failures.items()
+        assert k == min(alone) and (str(exc), exc.lower, exc.upper) == (str(alone[k]), alone[k].lower, alone[k].upper)
+        for k, exc in alone.items():
             with pytest.raises(ConvergenceError) as single:
                 generalized_robustness(DensityMatrix(states[k]))
-            assert to_solver[k]
             assert str(exc) == str(single.value)
             assert (exc.lower, exc.upper) == (single.value.lower, single.value.upper)
+
+
+def one_point_failures(states):
+    """The failure of each state that fails in a _robustness call of its own, by index.
+
+    A stack's call stops at its first failing point, so this is how every
+    point that fails is seen.
+    """
+    failures = {}
+    for k in range(len(states)):
+        failed = optim._robustness(states[k:k + 1])[3]
+        if failed:
+            failures[k] = failed[0]
+    return failures
+
+
+def test_the_first_failing_point_ends_the_call_with_its_one_point_bounds(monkeypatch):
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # past the stress set's first solver point, so that points solved within the cap come before the first failure
+    rho = stress_sets()[100:]
+    uncapped = optim._robustness(rho)[1]
+    solver = np.flatnonzero(uncapped)
+    cap = 8
+    first = solver[uncapped[solver] > cap][0]
+    earlier, later = solver[solver < first], solver[solver > first]
+    # solver points within the cap come before and after it
+    assert (uncapped[earlier] <= cap).all() and (uncapped[later] <= cap).any()
+    pt, calls = _pt_arr(rho), []
+    central_path = optim._central_path
+
+    def spy(m, lam_min):
+        assert m.shape == (4, 4)  # one point a call
+        calls.append(int(np.flatnonzero((pt == m).all(axis=(1, 2)))[0]))
+        return central_path(m, lam_min)
+
+    monkeypatch.setattr(optim, "_central_path", spy)
+    monkeypatch.setattr(optim, "_MAX_ITERATIONS", cap)
+    values, iterations, omega, failures, lower, witness, _ = optim._robustness(rho)
+    # one point at a time, in index order, up to the first that fails: no later point is solved
+    assert calls == solver[solver <= first].tolist()
+    assert list(failures) == [first]
+    assert len(earlier) and np.array_equal(iterations[earlier], uncapped[earlier])
+    assert not iterations[later].any() and not values[later].any() and not omega[later].any()
+    assert not lower[later].any() and not witness[later].any()
+    # and its error is the one the point gives alone, bounds and all
+    with pytest.raises(ConvergenceError, match=f"{cap}-iteration cap") as single:
+        generalized_robustness(DensityMatrix(rho[first]))
+    exc = failures[first]
+    assert (str(exc), exc.lower, exc.upper) == (str(single.value), single.value.lower, single.value.upper)
 
 
 def test_sweep_names_the_earliest_failing_time(monkeypatch):
