@@ -6,9 +6,10 @@ partial transpose, the one from the best product state, or the one from the
 locally rotated Bell witness, whose primal omega a phase-1 Newton completion
 finds where the minimum-norm one is not PSD and a lower bound in hand does
 not already rule it out; the points all three leave open take the product
-search again, longer.  A primal-dual interior-point solver is the fallback
-for a point that no stage closes, one point at a time: no measured workload
-leaves a point open, so nothing needs the solver batched.
+search again, longer.  A primal-dual interior-point solver is the last
+stage, for a point that no bracket closes: one point's own 4x4 linear
+algebra, one point at a time, since no measured workload leaves a point
+open.
 
 The first bracket's bounds and closure test, and the whole product bracket
 from the eigenpairs of the partial transpose to its closure test, are one
@@ -34,8 +35,8 @@ from math import inf, nan, sqrt
 
 import numpy as np
 # numpy's private LAPACK gufuncs: the Bell stages and the interior-point loop call them directly, because the public
-# wrappers cost about 4 us a call in argument checks and cholesky raises for a whole stack
-# where the gufunc answers per block (NaN output for a block it cannot factor or solve)
+# wrappers cost about 4 us a call in argument checks, and a gufunc answers a block it cannot factor or solve with
+# NaN output where np.linalg raises: the Bell completion reads that per point of its stack, the solver per block
 from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError
@@ -79,23 +80,23 @@ class RobustnessResult:
 
     ``value`` is the minimal trace of a PSD operator omega such that
     rho + omega has a positive partial transpose; ``certificate_state`` is
-    omega normalized to unit trace whenever value > 0.  ``witness`` = Z_2^PT
-    has witness <= 1 and witness^PT >= 0, so ``lower`` = -Tr(witness rho)
+    omega normalized to unit trace whenever value > 0.  ``witness`` has
+    witness <= 1 and witness^PT >= 0, so ``lower`` = -Tr(witness rho)
     bounds the robustness from below, within 1e-8 of ``value``.  They come
-    from the final dual iterate of the interior-point solver, or, where a
-    closed-form bracket already closes within 1e-8, from its primal omega
-    and dual witness with no solve: ``_bracket``'s, from the negative
-    eigenvector of rho^PT, or else ``_product_bracket``'s, whose omega is
-    a pure product state and whose witness is (|f><f|)^PT / a_f^2 for one
-    vector f, or else ``_bell_bracket``'s, whose witness is the locally
-    rotated Bell witness (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2 and whose
-    omega is the one its completion finds in the set that complementary
-    slackness with it allows, starting at the minimum-norm one of that set,
-    or else ``_product_bracket``'s again, from a search of
-    _PRODUCT_STEPS_LAST half-step pairs in place of _PRODUCT_STEPS.
-    ``iterations`` counts interior-point iterations, so it is 0
-    on those closed paths as well as for a PPT state.  A PPT state has
-    value and lower 0 and no witness.
+    from the first closed-form bracket that closes within 1e-8, its primal
+    omega and its dual witness, with no solve: ``_bracket``'s, from the
+    negative eigenvector of rho^PT, or else ``_product_bracket``'s, whose
+    omega is a pure product state and whose witness is (|f><f|)^PT / a_f^2
+    for one vector f, or else ``_bell_bracket``'s, whose witness is the
+    locally rotated Bell witness (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2
+    and whose omega is the one its completion finds in the set that
+    complementary slackness with it allows, starting at the minimum-norm
+    one of that set, or else ``_product_bracket``'s again, from a search of
+    _PRODUCT_STEPS_LAST half-step pairs in place of _PRODUCT_STEPS.  Where
+    none closes, the interior-point solver's final iterate gives them, the
+    witness as Z_2^PT of its dual Z_2.  ``iterations`` counts
+    interior-point iterations, so it is 0 on the closed paths as well as
+    for a PPT state.  A PPT state has value and lower 0 and no witness.
 
     By the duality of Brandao, PRA 72, 022310 (2005), ``witness`` is the
     optimal witness of rho with W <= 1: it minimizes Tr(W rho) over every W
@@ -122,13 +123,13 @@ def _pauli_blocks(x: np.ndarray) -> np.ndarray:
 
 
 def _traces(g: np.ndarray) -> np.ndarray:
-    """Re sum_b Tr(F_bk g_b) over leading axes, F_1k = P_k and F_2k = P_k^PT: rows conj(Q_b) vec(g_b)."""
-    tr = (_QB_CONJ @ g.reshape(g.shape[:-2] + (16, 1))).real[..., 0]
-    return tr[..., 0, :] + tr[..., 1, :]
+    """Re sum_b Tr(F_bk g_b) of a (2, 4, 4) pair, F_1k = P_k and F_2k = P_k^PT: rows conj(Q_b) vec(g_b)."""
+    tr = (_QB_CONJ @ g.reshape(2, 16, 1)).real[..., 0]
+    return tr[0] + tr[1]
 
 
 def _schur_matrix(inv_l: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """M_kl = Re sum_b Tr(F_bk Z_b F_bl S_b^-1), the HKM Schur matrix, from (n, 2, 4, 4) factors.
+    """M_kl = Re sum_b Tr(F_bk Z_b F_bl S_b^-1), the HKM Schur matrix, from (2, 4, 4) factors.
 
     inv_l holds L_b^-1 for S_b = L_b L_b^H and r holds R_b for Z_b = R_b R_b^H.
     The trace is the real inner product of G_bk = L_b^-1 F_bk R_b and G_bl,
@@ -137,47 +138,37 @@ def _schur_matrix(inv_l: np.ndarray, r: np.ndarray) -> np.ndarray:
     and PSD by construction.  At Z_b = S_b^-1 it is the Hessian of
     -log det S_1 - log det S_2.
     """
-    # (n, a, b, block, c, d) holds L_b^-T[a, c] R_b[b, d]; order C so that the reshape does not copy
-    kron = np.multiply(inv_l.transpose(0, 3, 1, 2)[:, :, None, :, :, None],
-                       r.transpose(0, 2, 1, 3)[:, None, :, :, None, :], order="C")
-    g = _Q @ kron.reshape(-1, 16, 32)
-    g[..., 16:] *= PT_SIGN[:, None]  # F_2k = s_k P_k
+    # (a, b, block, c, d) holds L_b^-T[a, c] R_b[b, d]; order C so that the reshape does not copy
+    kron = np.multiply(inv_l.transpose(2, 0, 1)[:, None, :, :, None], r.transpose(1, 0, 2)[None, :, :, None, :],
+                       order="C")
+    g = _Q @ kron.reshape(16, 32)
+    g[:, 16:] *= PT_SIGN[:, None]  # F_2k = s_k P_k
     g = g.view(np.float64)  # real and imaginary parts side by side: Re(g g^H) = g g^T
-    return g @ g.swapaxes(-1, -2)
+    return g @ g.T
 
 
 def _schur_solve(mm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """M dx = rhs for each point of a (n, 16, 16) stack, with rhs (n, 16) or one (16,) for every point.
-
-    One LAPACK solve serves every point, and each row of it has the same
-    bits as that point's own solve.  A singular M gives a NaN row; only
-    those rows are solved again, with a small jitter.
-    """
+    """M dx = rhs; a singular M gives NaN, and is solved once more with 1e-10 of its mean diagonal added."""
     dx = _umath_linalg.solve1(mm, rhs, signature="dd->d")
-    for i in np.isnan(dx[:, 0]).nonzero()[0]:
-        dx[i] = _jittered_solve(mm[i], np.broadcast_to(rhs, dx.shape)[i])
+    if np.isnan(dx[0]):
+        jitter = 1e-10 * np.trace(mm) / 16.0
+        dx = _umath_linalg.solve1(mm + jitter * np.eye(16), rhs, signature="dd->d")
     return dx
 
 
-def _jittered_solve(mm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The solve of one point whose Schur matrix is singular: 1e-10 of its mean diagonal added."""
-    jitter = 1e-10 * np.trace(mm) / 16.0
-    return _umath_linalg.solve1(mm + jitter * np.eye(16), rhs, signature="dd->d")
-
-
 def _cholesky(blocks: np.ndarray):
-    """Cholesky factors L of (..., b, 4, 4) blocks, their inverses, and the points with a block not positive definite.
+    """Cholesky factors L of one point's (b, 4, 4) blocks, their inverses, and whether a block is not positive definite.
 
     The gufuncs fill a block they cannot factor with NaN, so the verdict is
-    the one np.linalg.cholesky raises on; one unbatched point gives [0] or [].
+    the one np.linalg.cholesky raises on.
     """
     chol = _umath_linalg.cholesky_lo(blocks, signature="D->D")
     inv_l = _umath_linalg.inv(chol, signature="D->D")
-    return chol, inv_l, np.atleast_1d(np.isnan(inv_l[..., 0, 0].real).any(axis=-1)).nonzero()[0]
+    return chol, inv_l, bool(np.isnan(inv_l[:, 0, 0].real).any())
 
 
 def _direction(mm, z2, s_inv2, rhs, base):
-    """HKM direction of a stack of points from M dx = rhs: dx and d = [dS_1, dS_2, dZ_1, dZ_2] (n, 4, 4, 4).
+    """HKM direction from M dx = rhs: dx and d = [dS_1, dS_2, dZ_1, dZ_2] (4, 4, 4).
 
     dZ_2 = base - Z_2 dS_2 S_2^-1, made Hermitian, with base = target_2 - Z_2
     for the aim target_2 S_2 of Z_2 S_2 (0 for the predictor), and
@@ -185,28 +176,28 @@ def _direction(mm, z2, s_inv2, rhs, base):
     rounding of the solve.
     """
     dx = _schur_solve(mm, rhs)
-    d = np.empty((len(dx), 4, 4, 4), dtype=complex)
-    d[:, :2] = _pauli_blocks(dx)
-    dz2 = d[:, 3]
-    np.subtract(base, z2 @ d[:, 1] @ s_inv2, out=dz2)
-    np.add(dz2, dz2.conj().swapaxes(-1, -2), out=dz2)
+    d = np.empty((4, 4, 4), dtype=complex)
+    d[:2] = _pauli_blocks(dx)
+    dz2 = d[3]
+    np.subtract(base, z2 @ d[1] @ s_inv2, out=dz2)
+    np.add(dz2, dz2.conj().T, out=dz2)
     np.multiply(dz2, 0.5, out=dz2)
-    np.negative(_pt_arr(dz2), out=d[:, 2])
+    np.negative(_pt_arr(dz2), out=d[2])
     return dx, d
 
 
 def _max_steps(inv_l, inv_lh, d):
-    """Largest primal and dual steps (n, 2) along d that keep S_1, S_2 and Z_1, Z_2 PSD; inf along a PSD direction.
+    """Largest primal and dual steps (2,) along d that keep S_1, S_2 and Z_1, Z_2 PSD; inf along a PSD direction.
 
     X + a D stays PSD while a <= 1 / -lambda_min(L^-1 D L^-H), X = L L^H
     and inv_lh = L^-H: one eigvalsh over the four blocks.
     """
-    lam = _umath_linalg.eigvalsh_lo(inv_l @ d @ inv_lh, signature="D->d")[..., 0]
-    return 1.0 / np.maximum(0.0, -lam.reshape(-1, 2, 2).min(axis=-1))
+    lam = _umath_linalg.eigvalsh_lo(inv_l @ d @ inv_lh, signature="D->d")[:, 0]
+    return 1.0 / np.maximum(0.0, -lam.reshape(2, 2).min(axis=-1))
 
 
 def _affine_steps(inv_l, inv_lh, d):
-    """Primal and dual steps (n, 2) along the predictor's d, at most 1, from a bound in place of an eigvalsh.
+    """Primal and dual steps (2,) along the predictor's d, at most 1, from a bound in place of an eigvalsh.
 
     A = L^-1 D L^-H of each block has lambda_min >= tr/4 - sqrt(3/4 (|A|_F^2 - tr^2/4))
     (Wolkowicz & Styan, Linear Algebra Appl. 29, 471 (1980)), so the steps
@@ -214,45 +205,45 @@ def _affine_steps(inv_l, inv_lh, d):
     """
     a = inv_l @ d @ inv_lh
     tr = np.trace(a, axis1=-2, axis2=-1).real
-    flat = a.view(np.float64).reshape(a.shape[:-2] + (1, 32))
-    frobenius = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    flat = a.view(np.float64).reshape(4, 1, 32)
+    frobenius = (flat @ flat.swapaxes(-1, -2))[:, 0, 0]
     lam = tr / 4.0 - np.sqrt(np.maximum(0.0, 0.75 * (frobenius - tr * tr / 4.0)))
-    return 1.0 / np.maximum(1.0, -lam.reshape(-1, 2, 2).min(axis=-1))
+    return 1.0 / np.maximum(1.0, -lam.reshape(2, 2).min(axis=-1))
 
 
 def _gap(blocks):
-    """sum_b Tr(S_b Z_b) of each point of a stack of [S_1, S_2, Z_1, Z_2] Hermitian blocks.
+    """sum_b Tr(S_b Z_b) of [S_1, S_2, Z_1, Z_2] Hermitian blocks.
 
-    It is the real inner product of the point's S and Z entries, the first
-    and second 64 reals of its contiguous block.
+    It is the real inner product of the S and Z entries, the first and
+    second 64 reals of the contiguous blocks.
     """
-    flat = blocks.view(np.float64).reshape(-1, 2, 64)
-    return (flat[:, :1] @ flat[:, 1:].swapaxes(-1, -2))[:, 0, 0]
+    flat = blocks.view(np.float64).reshape(2, 64)
+    return (flat[:1] @ flat[1:].T)[0, 0]
 
 
 def _step(blocks, chol, inv_l, gap):
-    """One predictor-corrector step of each point: dx, d = [dS_1, dS_2, dZ_1, dZ_2] (n, 4, 4, 4) and the steps (n, 2).
+    """One predictor-corrector step: dx, d = [dS_1, dS_2, dZ_1, dZ_2] (4, 4, 4) and the primal and dual steps (2,).
 
-    blocks is the iterate's [S_1, S_2, Z_1, Z_2] stack, chol and inv_l are
-    its Cholesky factors and their inverses, and gap is sum_b Tr(S_b Z_b).
+    blocks is the iterate's [S_1, S_2, Z_1, Z_2], chol and inv_l are its
+    Cholesky factors and their inverses, and gap is sum_b Tr(S_b Z_b).
     The step's temporaries end with it, so none outlives the iteration.
     """
-    mm = _schur_matrix(inv_l[:, :2], chol[:, 2:])  # the step's largest temporaries: L^-H comes after
+    mm = _schur_matrix(inv_l[:2], chol[2:])  # the step's largest temporaries: L^-H comes after
     inv_lh = inv_l.conj().swapaxes(-1, -2)
-    s_inv = inv_lh[:, :2] @ inv_l[:, :2]
+    s_inv = inv_lh[:2] @ inv_l[:2]
     mu = gap / 8.0
-    z2, s_inv2 = blocks[:, 3], s_inv[:, 1]
+    z2, s_inv2 = blocks[3], s_inv[1]
     # predictor: the affine-scaling direction, toward Z_b S_b = 0
     dx, d = _direction(mm, z2, s_inv2, _MINUS_C, -z2)
     alpha = _affine_steps(inv_l, inv_lh, d)
-    mu_aff = _gap(blocks.reshape(-1, 2, 2, 4, 4) + alpha[:, :, None, None, None] * d.reshape(-1, 2, 2, 4, 4)) / 8.0
-    sigma_mu = (mu_aff / mu) ** 3 * mu
+    mu_aff = _gap(blocks.reshape(2, 2, 4, 4) + alpha[:, None, None, None] * d.reshape(2, 2, 4, 4)) / 8.0
+    sigma_mu = np.power(mu_aff / mu, 3) * mu  # numpy's power: the scalar ** rounds differently
     # corrector: toward Z_b S_b = sigma mu - dZ_b dS_b, from the same M
-    target = sigma_mu[:, None, None, None] * s_inv - d[:, 2:] @ d[:, :2] @ s_inv
-    dx, d = _direction(mm, z2, s_inv2, _traces(target) + _MINUS_C, target[:, 1] - z2)
+    target = sigma_mu * s_inv - d[2:] @ d[:2] @ s_inv
+    dx, d = _direction(mm, z2, s_inv2, _traces(target) + _MINUS_C, target[1] - z2)
     a_max = _max_steps(inv_l, inv_lh, d)
-    fraction = _FRACTION + _FRACTION_GAIN * np.minimum(1.0, a_max.min(axis=1))
-    return dx, d, np.minimum(1.0, fraction[:, None] * a_max)
+    fraction = _FRACTION + _FRACTION_GAIN * np.minimum(1.0, a_max.min())
+    return dx, d, np.minimum(1.0, fraction * a_max)
 
 
 # a failed LAPACK call marks its block with NaN, which the loop reads; a PSD direction has an infinite step
@@ -274,39 +265,41 @@ def _central_path(m: np.ndarray, lam_min: float):
     rank 1-4 Ginibre states, and no eigensolve), and the corrector, solved
     with the same Schur matrix, goes 0.9 + 0.09 min(1, a_p, a_d) of the
     largest feasible steps a_p, a_d, at most 1 (a fixed 0.98 drove about 1
-    rank-deficient state in 5,000 onto the boundary of its cone).  The
-    point is a (1, ...) stack to the helpers, which take stacks: S_1, S_2,
-    Z_1, Z_2 share one (1, 4, 4, 4) stack per iterate, S written into it
+    rank-deficient state in 5,000 onto the boundary of its cone).  S_1,
+    S_2, Z_1, Z_2 share one (4, 4, 4) array per iterate, S written into it
     from x, Z by the step that made it, and _cholesky factors it whole.
-    Returns x (16,), Z_2 (4, 4) and the iterations once the gap is below
-    _GAP; raises ConvergenceError at the iteration cap or at an iterate
-    that is not positive definite, bounded by its last positive definite
-    iterate.
+    Once the gap is below _GAP, returns what a closed bracket stage gives
+    its point: omega, its trace (the value), the lower bound -Tr(m Z_2)
+    that the dual certifies, the witness Z_2^PT, and the iterations.
+    Raises ConvergenceError at the iteration cap or at an iterate that is
+    not positive definite, bounded by its last positive definite iterate.
     """
-    x = np.zeros((1, 16))
-    x[0, 0] = 1.5 * (-lam_min) + 0.05  # omega = x_0 * identity: both slacks positive definite
-    shift = np.zeros((1, 2, 4, 4), dtype=complex)
-    shift[0, 1] = m
-    blocks = np.empty((1, 4, 4, 4), dtype=complex)  # S_1, S_2, Z_1, Z_2
-    blocks[0, 2:] = 0.5 * np.eye(4)
-    upper, lower = 4.0 * x[0, 0], 0.0  # the bounds of the last positive definite iterate
+    x = np.zeros(16)
+    x[0] = 1.5 * (-lam_min) + 0.05  # omega = x_0 * identity: both slacks positive definite
+    shift = np.zeros((2, 4, 4), dtype=complex)
+    shift[1] = m
+    blocks = np.empty((4, 4, 4), dtype=complex)  # S_1, S_2, Z_1, Z_2
+    blocks[2:] = 0.5 * np.eye(4)
+    upper, lower = 4.0 * x[0], 0.0  # the bounds of the last positive definite iterate
     for iteration in range(_MAX_ITERATIONS + 1):
-        np.add(_pauli_blocks(x), shift, out=blocks[:, :2])
+        np.add(_pauli_blocks(x), shift, out=blocks[:2])
         chol, inv_l, failed = _cholesky(blocks)
-        if len(failed):
+        if failed:
             raise ConvergenceError("robustness iterate is not positive definite", lower=lower, upper=upper)
         gap = _gap(blocks)
-        if gap[0] < _GAP:
-            return x[0], blocks[0, 3], iteration
-        upper = 4.0 * x[0, 0]
-        lower = max(0.0, upper - gap[0])
+        if gap < _GAP:
+            omega, z2 = from_pauli_coords(x), blocks[3]
+            certified = -(m.reshape(1, 16) @ z2.conj().reshape(16, 1)).real[0, 0]  # -Tr(m Z_2)
+            return omega, np.trace(omega).real, certified, _pt_arr(z2), iteration
+        upper = 4.0 * x[0]
+        lower = max(0.0, upper - gap)
         if iteration == _MAX_ITERATIONS:
             raise ConvergenceError(f"robustness solver hit the {_MAX_ITERATIONS}-iteration cap",
                                    lower=lower, upper=upper)
         dx, d, alpha = _step(blocks, chol, inv_l, gap)
         stack = np.empty_like(blocks)  # the next iterate's: Z from this step, S from x at the top of the loop
-        np.add(blocks[:, 2:], alpha[:, 1, None, None, None] * d[:, 2:], out=stack[:, 2:])
-        x, blocks = x + alpha[:, :1] * dx, stack
+        np.add(blocks[2:], alpha[1] * d[2:], out=stack[2:])
+        x, blocks = x + alpha[0] * dx, stack
 
 
 def _pick(c, a, b):
@@ -395,11 +388,6 @@ def _schmidt(v: np.ndarray):
     v = v.reshape(-1, 2, 2)
     r = v @ v.conj().swapaxes(-1, -2)
     return r, np.hypot(r[:, 0, 0].real - r[:, 1, 1].real, 2.0 * np.abs(r[:, 0, 1]))
-
-
-def _dual_bound(m: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """-Tr(m Z_2) of each point of (k, 4, 4) stacks: the lower bound that the dual Z_2 certifies."""
-    return -(m.reshape(-1, 1, 16) @ z2.conj().reshape(-1, 16, 1)).real[:, 0, 0]
 
 
 def _search_lines(sqrt, where, lam, vec, start, steps):
@@ -808,33 +796,35 @@ def _robustness(rho: np.ndarray):
     """Generalized robustness of each state of a (k, 4, 4) stack of density matrices.
 
     Points whose partial transpose has lambda_min >= -NPT_CUT are PPT, 0
-    without a solve.  Each NPT point then meets four closed-form bracket
-    stages in turn and takes the first that closes to below the solver's
-    gap, with no iteration: _bracket, from the negative eigenvector of its
-    partial transpose (every state with no local Bloch vectors, every pure
-    state and any state with a tiny |lambda_min|); _product_bracket (most states
-    whose optimal omega is a product pure state); and _bell_bracket with its
-    completion (nearly every state whose optimal witness is a locally
-    rotated Bell witness), which skips the completion on the points whose
-    Bell bound L is already more than the gap below the running lower
-    bound.  The points all three leave open, product class, take
-    _product_bracket again with the longer search of _PRODUCT_STEPS_LAST
-    half-step pairs from the same start.  One eigh of the NPT points, and
-    one Schmidt read of their negative eigenvectors, serve both product
-    searches and the first bracket.  The NPT points no stage closes are
-    solved one at a time, in index order, by _central_path, the HKM
-    predictor-corrector method (Helmberg, Rendl, Vanderbei & Wolkowicz
-    1996; Mehrotra 1992) from a feasible start, each to a duality gap below
-    1e-8.  The first point whose solve fails ends the call, and later
-    points stay unsolved: its ConvergenceError carries the tightest of the
-    solver's and the four bracket stages' bounds (the Bell bracket's U from
-    its completed omega, or its minimum-norm one where it skipped the
-    completion).
+    without a solve.  The NPT points then meet the stages in turn, each on
+    the rows of one eigh of their partial transposes that the stages before
+    it left open, and take the first that closes to below the solver's gap:
+    _bracket, from the negative eigenvector of its partial transpose (every
+    state with no local Bloch vectors, every pure state and any state with
+    a tiny |lambda_min|); _product_bracket with _PRODUCT_STEPS half-step
+    pairs (most states whose optimal omega is a product pure state);
+    _bell_bracket with its completion (nearly every state whose optimal
+    witness is a locally rotated Bell witness), which skips the completion
+    on the points whose Bell bound L is already more than the gap below the
+    running lower bound; and _product_bracket again with the longer search
+    of _PRODUCT_STEPS_LAST pairs from the same start, for the product-class
+    points the others leave open.  A point left open keeps the tightest of
+    the stages' bounds.  The open rows are a slice of all of them until a
+    point closes, and m and lambda_min themselves serve where every point is
+    NPT, so that a one-state call gathers nothing.  The last stage is
+    _central_path, the HKM predictor-corrector method (Helmberg, Rendl,
+    Vanderbei & Wolkowicz 1996; Mehrotra 1992) from a feasible start, which
+    solves the points no bracket closes one at a time, in index order, each
+    to a duality gap below 1e-8.  The first point whose solve fails ends the
+    call, and later points stay unsolved: its ConvergenceError carries the
+    tightest of the solver's and the bracket stages' bounds (the Bell
+    bracket's U from its completed omega, or its minimum-norm one where it
+    skipped the completion).
     Returns the values, the interior-point iterations (0 on the closed
-    paths), the optimal omegas (zero for PPT points), the failures by index
-    (at most one, that first failure), the dual fields (the lower bounds
-    -Tr(m Z_2) and the witnesses Z_2^PT, zero for PPT points), and the
-    lambda_min of every point's partial transpose.
+    paths), the optimal omegas (zero for PPT points), that first failure as
+    (index, ConvergenceError) or None, the dual fields (the lower bounds
+    -Tr(W rho) and the witnesses W, zero for PPT points), and the lambda_min
+    of every point's partial transpose.
     """
     m = _pt_arr(rho)
     lam_min = _eigvalsh(m)[:, 0]
@@ -842,58 +832,40 @@ def _robustness(rho: np.ndarray):
     values, lower = np.zeros(len(m)), np.zeros(len(m))
     iterations = np.zeros(len(m), dtype=int)
     omega, witness = np.zeros(m.shape, dtype=complex), np.zeros(m.shape, dtype=complex)
-    failures = {}
     if not len(npt):  # a PPT stack skips the brackets' eigh, which costs as much as its eigvalsh
-        return values, iterations, omega, failures, lower, witness, lam_min
-
-    def narrow(points, bracket, low=-np.inf, high=np.inf):
-        """Close the points where a bracket closes; those left open keep the tighter of their bounds and its.
-
-        Returns the rows of ``points`` left open (a slice of all of them where none closes), those points,
-        and their bounds.
-        """
-        low_b, high_b, closed, closed_omega, closed_witness = bracket
-        if closed_omega is None:
-            return slice(None), points, np.fmax(low, low_b), np.fmin(high, high_b)
-        idx, value = points[closed], high_b[closed]
-        values[idx], omega[idx], witness[idx] = value, closed_omega, closed_witness
-        lower[idx] = np.minimum(low_b[closed], value)  # L can exceed U by rounding
-        rest = ~closed
-        if len(left := points[rest]):
-            return rest, left, np.fmax(low, low_b)[rest], np.fmin(high, high_b)[rest]
-        return rest, left, low_b[rest], high_b[rest]  # no point left open: no bounds to carry on
-
-    def rows(points):
-        """m of the points: m itself, with no copy, where they are all of its rows."""
-        return m if len(points) == len(m) else m[points]
-
-    lam, vecs = _eigh(rows(npt))
+        return values, iterations, omega, None, lower, witness, lam_min
+    m_npt, lam_npt = (m, lam_min) if len(npt) == len(m) else (m[npt], lam_min[npt])
+    lam, vecs = _eigh(m_npt)
     e = vecs[..., 0]
     r, diff = _schmidt(e)
-    rest, solve, low, high = narrow(npt, _bracket(e, lam_min if len(npt) == len(m) else lam_min[npt], diff))
-    # an empty stack skips the later brackets: the search's fixed steps cost about as much on it
-    if len(solve):
-        product = _product_bracket(rows(solve), lam[rest], vecs[rest], _PRODUCT_STEPS, r[rest])
-        rest, solve, low, high = narrow(solve, product, low, high)
-    if len(solve):
-        _, solve, low, high = narrow(solve, _bell_bracket(rows(solve), low), low, high)
-    # a search no longer than the first would only repeat a prefix of its steps
-    if len(solve) and _PRODUCT_STEPS_LAST > _PRODUCT_STEPS:
-        at = np.searchsorted(npt, solve)  # the rows of the points left open in the eigh of the NPT points
-        last = _product_bracket(rows(solve), lam[at], vecs[at], _PRODUCT_STEPS_LAST, r[at])
-        _, solve, low, high = narrow(solve, last, low, high)
-    for j, i in enumerate(solve):
+    stages = [lambda rows, low: _bracket(e[rows], lam_npt[rows], diff[rows]),
+              lambda rows, low: _product_bracket(m_npt[rows], lam[rows], vecs[rows], _PRODUCT_STEPS, r[rows]),
+              lambda rows, low: _bell_bracket(m_npt[rows], low)]
+    if _PRODUCT_STEPS_LAST > _PRODUCT_STEPS:  # a search no longer than the first would only repeat a prefix of it
+        stages.append(lambda rows, low: _product_bracket(m_npt[rows], lam[rows], vecs[rows], _PRODUCT_STEPS_LAST,
+                                                         r[rows]))
+    rows, low, high = slice(None), -np.inf, np.inf  # the open rows of the eigh, and their bounds
+    for stage in stages:
+        low_b, high_b, closed, closed_omega, closed_witness = stage(rows, low)
+        if closed_omega is None:
+            low, high = np.fmax(low, low_b), np.fmin(high, high_b)
+            continue
+        points, value = npt[rows][closed], high_b[closed]
+        values[points], omega[points], witness[points] = value, closed_omega, closed_witness
+        lower[points] = np.minimum(low_b[closed], value)  # L can exceed U by rounding
+        if len(points) == len(closed):  # every point closed: a later stage costs about as much on no point
+            return values, iterations, omega, None, lower, witness, lam_min
+        rest = ~closed
+        rows = rest.nonzero()[0] if isinstance(rows, slice) else rows[rest]
+        low, high = np.fmax(low, low_b)[rest], np.fmin(high, high_b)[rest]
+    for j, i in enumerate(npt[rows]):
         try:
-            x, z2, iterations[i] = _central_path(m[i], lam_min[i])
+            omega[i], values[i], lower[i], witness[i], iterations[i] = _central_path(m[i], lam_min[i])
         except ConvergenceError as exc:  # the first failing point ends the call
-            failures[int(i)] = ConvergenceError(str(exc), lower=max(exc.lower, float(low[j])),
-                                                upper=min(exc.upper, float(high[j])))
-            break
-        omega[i] = from_pauli_coords(x)
-        values[i] = np.trace(omega[i]).real
-        lower[i] = _dual_bound(m[i], z2)[0]
-        witness[i] = _pt_arr(z2)
-    return values, iterations, omega, failures, lower, witness, lam_min
+            failure = int(i), ConvergenceError(str(exc), lower=max(exc.lower, float(low[j])),
+                                               upper=min(exc.upper, float(high[j])))
+            return values, iterations, omega, failure, lower, witness, lam_min
+    return values, iterations, omega, None, lower, witness, lam_min
 
 
 def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
@@ -946,9 +918,9 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     bits, and a degenerate point is left open by an explicit mask on both.
     """
     _two_spin_state(rho, "generalized_robustness")
-    values, iterations, omega, failures, lower, witness, _ = _robustness(rho.matrix[None])
-    if failures:
-        raise failures[0]
+    values, iterations, omega, failure, lower, witness, _ = _robustness(rho.matrix[None])
+    if failure:
+        raise failure[1]
     if values[0] == 0:
         return RobustnessResult(value=0.0, certificate_state=None, iterations=0, lower=0.0, witness=None)
     value = float(values[0])

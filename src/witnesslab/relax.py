@@ -158,9 +158,9 @@ def sweep(
     states = _relax(rho0.matrix, times, p)
     xx, yy, zz = _correlation_columns(states)
     f_vals, w_vals = _f_values(xx, zz), w.value(xx, yy, zz)
-    gr_vals, _, _, failures, _, _, pt_min = _robustness(states)
-    if failures:
-        [(k, exc)] = failures.items()
+    gr_vals, _, _, failure, _, _, pt_min = _robustness(states)
+    if failure:
+        k, exc = failure
         raise ConvergenceError(
             f"robustness solver failed at sweep time t = {times[k]:.6g} s: {exc}",
             lower=exc.lower,

@@ -139,8 +139,8 @@ def test_the_completion_closes_the_points_the_minimum_norm_omega_leaves_open(mon
     # each value within 1e-8 of a forced solve's
     lam_min = np.linalg.eigvalsh(m)[:, 0]
     solves = [optim._central_path(m[k], lam_min[k]) for k in range(len(rho))]
-    assert all(iterations for _, _, iterations in solves)
-    assert np.all(np.abs(high - [4.0 * x[0] for x, _, _ in solves]) <= GAP)
+    assert all(iterations for _, _, _, _, iterations in solves)
+    assert np.all(np.abs(high - [value for _, value, _, _, _ in solves]) <= GAP)
     for k in range(len(rho)):
         result = generalized_robustness(DensityMatrix(rho[k]))
         assert (result.value, result.iterations) == (high[k], 0)

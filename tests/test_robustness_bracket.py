@@ -16,7 +16,7 @@ from conftest import bd, bd_weights, haar_unitary, random_physical_c
 from test_robustness_stress import bracket_routes, check_certified, ginibre_states, named_states
 from witnesslab import BellDiagonalParams, DensityMatrix, generalized_robustness, gr_oracle_bd
 from witnesslab import optim
-from witnesslab.qmat import _pt_arr, from_pauli_coords
+from witnesslab.qmat import _pt_arr
 
 GAP = 1e-8
 
@@ -109,6 +109,6 @@ def test_the_closed_form_is_within_the_gap_of_a_forced_solve():
     _, product, bell, _ = bracket_routes(rho)
     assert product.sum() > 800 and bell.sum() > 500  # the product and Bell brackets' points among them
     solves = [optim._central_path(m, lam_min) for m, lam_min in zip(_pt_arr(rho[closed]), lam[closed])]
-    assert all(iterations for _, _, iterations in solves)
-    forced = [np.trace(from_pauli_coords(x)).real for x, _, _ in solves]
+    assert all(iterations for _, _, _, _, iterations in solves)
+    forced = [value for _, value, _, _, _ in solves]
     np.testing.assert_allclose(values[closed], forced, rtol=0, atol=GAP)

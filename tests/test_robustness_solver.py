@@ -79,7 +79,7 @@ def test_schur_matrix_is_the_sum_of_traces_over_both_blocks():
             ]
             for k in range(16)
         ])
-        got = optim._schur_matrix(inv_l[None], r[None])[0]
+        got = optim._schur_matrix(inv_l, r)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
         np.testing.assert_allclose(got, got.T, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -92,11 +92,11 @@ def test_newton_system_matches_finite_differences_of_the_barrier(t):
     eye = np.eye(16)
     for _ in range(4):
         m, x = feasible_point(rng)
-        inv_l = np.linalg.inv(np.linalg.cholesky(slack_blocks(m, x)))[None]
+        inv_l = np.linalg.inv(np.linalg.cholesky(slack_blocks(m, x)))
         s_inv = inv_l.conj().swapaxes(-1, -2) @ inv_l
         # Z_b = R_b R_b^H with R_b = L_b^-H / sqrt(t), any factor serves
-        mm = optim._schur_matrix(inv_l, inv_l.conj().swapaxes(-1, -2) / np.sqrt(t))[0]
-        rhs = (optim._traces(s_inv / t) - 4.0 * optim._E0)[0]
+        mm = optim._schur_matrix(inv_l, inv_l.conj().swapaxes(-1, -2) / np.sqrt(t))
+        rhs = optim._traces(s_inv / t) - 4.0 * optim._E0
         f = lambda y: barrier(y, m, t)  # noqa: E731
         h = 1e-6
         fd_grad = np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in eye])
@@ -135,7 +135,7 @@ def test_cholesky_failure_raises_with_bounds(monkeypatch):
     def never_positive_definite(blocks):
         calls.append(blocks)
         nan = np.full(blocks.shape, np.nan, dtype=complex)
-        return nan, nan, np.arange(len(blocks))
+        return nan, nan, True
 
     monkeypatch.setattr(optim, "_cholesky", never_positive_definite)
     with pytest.raises(ConvergenceError, match="not positive definite") as err:
@@ -166,13 +166,13 @@ def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
             if len(calls) < failing_call:
                 return cholesky(blocks)
             nan = np.full(blocks.shape, np.nan, dtype=complex)
-            return nan, nan, np.arange(len(blocks))
+            return nan, nan, True
 
         monkeypatch.setattr(optim, "_cholesky", fails_at_that_iterate)
         with pytest.raises(ConvergenceError, match="not positive definite") as err:
             generalized_robustness(rho)
         # the last checked iterate's bounds: Tr(omega) = 4 x_0, less the gap from its S and Z
-        s, z = calls[-2][0, :2], calls[-2][0, 2:]
+        s, z = calls[-2][:2], calls[-2][2:]
         upper = np.trace(s[0]).real
         gap = sum(np.trace(s[b] @ z[b]).real for b in range(2))
         lower = max(0.0, upper - gap)
@@ -193,78 +193,39 @@ def test_an_all_ppt_stack_is_answered_without_a_solve(monkeypatch):
     ppt += [bd(*random_physical_c(rng)).matrix for _ in range(200)]
     ppt = np.array([m for m in ppt if np.linalg.eigvalsh(pt(m))[0] >= 0.0])
     assert len(ppt) > 20
-    values, iterations, omega, failures, lower, witness, pt_min = optim._robustness(ppt)
+    values, iterations, omega, failure, lower, witness, pt_min = optim._robustness(ppt)
     assert (pt_min >= -optim.NPT_CUT).all()
     assert not values.any() and not iterations.any() and not omega.any()
     assert not lower.any() and not witness.any()
-    assert failures == {}
+    assert failure is None
     result = generalized_robustness(DensityMatrix(ppt[1]))
     assert result.value == 0.0 and result.lower == 0.0 and result.witness is None
 
 
-def test_one_unbatched_point_gives_its_verdict_as_an_index_array():
-    blocks = feasible_blocks(np.random.default_rng(3303), 1)[0]
-    with np.errstate(invalid="ignore"):
-        assert optim._cholesky(blocks)[2].tolist() == []
-        assert optim._cholesky(-blocks)[2].tolist() == [0]
-
-
-def feasible_blocks(rng, n):
-    """Slack blocks of n random strictly feasible points, stacked as (n, 2, 4, 4)."""
-    return np.stack([slack_blocks(*feasible_point(rng)) for _ in range(n)])
-
-
-def schur_system(rng, n, singular):
-    """n Schur matrices at random dual points and right-hand sides; the rows in
-    singular get rank 15 (row and column 5 zeroed)."""
-    inv_l = np.linalg.inv(np.linalg.cholesky(feasible_blocks(rng, n)))
-    r = np.linalg.cholesky(np.stack([np.stack([random_pd(rng), random_pd(rng)]) for _ in range(n)]))
+def schur_system(rng, singular):
+    """A Schur matrix at a random dual point and a right-hand side; a singular one gets rank 15 (row and
+    column 5 zeroed)."""
+    inv_l = np.linalg.inv(np.linalg.cholesky(slack_blocks(*feasible_point(rng))))
+    r = np.linalg.cholesky(np.stack([random_pd(rng), random_pd(rng)]))
     mm = optim._schur_matrix(inv_l, r)
-    mm[singular, 5, :] = 0.0
-    mm[singular, :, 5] = 0.0
-    return mm, rng.standard_normal((n, 16))
+    if singular:
+        mm[5, :] = 0.0
+        mm[:, 5] = 0.0
+    return mm, rng.standard_normal(16)
 
 
 def test_singular_hessian_takes_the_jittered_step():
-    mm, rhs = schur_system(np.random.default_rng(3301), 1, [0])
-    assert np.linalg.matrix_rank(mm[0]) == 15
-    # the solver runs its kernels with invalid-value warnings off: a failed solve is a NaN row
+    mm, rhs = schur_system(np.random.default_rng(3301), singular=True)
+    assert np.linalg.matrix_rank(mm) == 15
+    # the solver runs its kernels with invalid-value warnings off: a failed solve is a NaN
     with np.errstate(invalid="ignore"):
         dx = optim._schur_solve(mm, rhs)
-    jitter = 1e-10 * np.trace(mm[0]) / 16.0
+    jitter = 1e-10 * np.trace(mm) / 16.0
     assert np.all(np.isfinite(dx))
-    assert np.array_equal(dx[0], np.linalg.solve(mm[0] + jitter * np.eye(16), rhs[0]))
-
-
-def test_singular_rows_of_a_stack_are_the_only_ones_solved_again(monkeypatch):
-    n = 7
-    mm, rhs = schur_system(np.random.default_rng(3302), n, [1, 4, 5])
-    jittered = []
-    jittered_solve = optim._jittered_solve
-
-    def spy(mm, rhs):
-        jittered.append(mm)
-        return jittered_solve(mm, rhs)
-
-    monkeypatch.setattr(optim, "_jittered_solve", spy)
-    with np.errstate(invalid="ignore"):
-        dx = optim._schur_solve(mm, rhs)
-        assert len(jittered) == 3  # rows 1, 4 and 5
-        assert np.all(np.isfinite(dx))
-        for i in range(n):
-            assert np.array_equal(dx[i], optim._schur_solve(mm[i:i + 1], rhs[i:i + 1])[0])
-    assert len(jittered) == 6  # and once more each on its own
-
-
-def test_one_shared_right_hand_side_solves_as_one_per_row():
-    n = 5
-    mm, rhs = schur_system(np.random.default_rng(3304), n, [2])
-    shared = rhs[0]
-    with np.errstate(invalid="ignore"):
-        dx = optim._schur_solve(mm, shared)
-        per_row = optim._schur_solve(mm, np.tile(shared, (n, 1)))
-    assert np.all(np.isfinite(dx))
-    assert np.array_equal(dx, per_row)
+    assert np.array_equal(dx, np.linalg.solve(mm + jitter * np.eye(16), rhs))
+    # a nonsingular M solves as it is, with no jitter
+    mm, rhs = schur_system(np.random.default_rng(3302), singular=False)
+    assert np.array_equal(optim._schur_solve(mm, rhs), np.linalg.solve(mm, rhs))
 
 
 def entangled_states(rng, n):

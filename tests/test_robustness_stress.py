@@ -19,7 +19,7 @@ import numpy as np
 
 from witnesslab import BellKind, DensityMatrix, bell_state, generalized_robustness, pseudo_pure
 from witnesslab import grape_target_pipeline, optim
-from witnesslab.qmat import _pt_arr, from_pauli_coords
+from witnesslab.qmat import _pt_arr
 
 GAP = 1e-8
 RESIDUAL = 1e-9
@@ -108,11 +108,29 @@ def test_every_seeded_ginibre_solve_is_certified(monkeypatch):
     m = _pt_arr(rho)
     lam_min = np.linalg.eigvalsh(m)[:, 0]
     for k in np.flatnonzero(npt):
-        x, z2, iterations[k] = optim._central_path(m[k], lam_min[k])
-        omega[k] = from_pauli_coords(x)
-        values[k] = np.trace(omega[k]).real
-        lower[k], witness[k] = optim._dual_bound(m[k], z2)[0], _pt_arr(z2)
+        omega[k], values[k], lower[k], witness[k], iterations[k] = optim._central_path(m[k], lam_min[k])
     assert iterations[npt].all() and iterations.max() <= 20
+    check_certified(rho, values, iterations, omega, lower, witness)
+
+
+def test_a_solved_point_gets_from_the_solver_alone_what_the_robustness_stores(monkeypatch):
+    # the solver is the last stage: like a closed bracket, it gives its point omega, value, lower and witness
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    rho = ginibre_states(np.random.default_rng(20261020), 1200)
+    values, iterations, omega, failure, lower, witness, lam_min = optim._robustness(rho)
+    assert failure is None
+    solved = np.flatnonzero(iterations)
+    assert len(solved) >= 5
+    m = _pt_arr(rho)
+    alone = [optim._central_path(m[k], lam_min[k]) for k in solved]
+    for k, (omega_k, value, lower_k, witness_k, iterations_k) in zip(solved, alone):
+        assert omega_k.tobytes() == omega[k].tobytes() and witness_k.tobytes() == witness[k].tobytes()
+        assert np.float64(value).tobytes() == values[k].tobytes()
+        assert np.float64(lower_k).tobytes() == lower[k].tobytes()
+        assert iterations_k == iterations[k]
+    # and they pass the certificate checks, as the stack's points do
+    fields = [np.array([solve[j] for solve in alone]) for j in (1, 4, 0, 2, 3)]
+    assert check_certified(rho[solved], *fields).all()
     check_certified(rho, values, iterations, omega, lower, witness)
 
 

@@ -131,11 +131,11 @@ def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
     assert to_solver.sum() > 5  # no bracket closes these, so they reach _central_path
     for cap in (2, 5):
         monkeypatch.setattr(optim, "_MAX_ITERATIONS", cap)
-        _, _, _, failures, _, _, _ = optim._robustness(states)
+        _, _, _, failure, _, _, _ = optim._robustness(states)
         alone = one_point_failures(states)
         assert sorted(alone) == np.flatnonzero(to_solver).tolist()  # each point left to the solver fails at the cap
         # the stack's call ends at its first failing point, with the error that point gives alone
-        [(k, exc)] = failures.items()
+        k, exc = failure
         assert k == min(alone) and (str(exc), exc.lower, exc.upper) == (str(alone[k]), alone[k].lower, alone[k].upper)
         for k, exc in alone.items():
             with pytest.raises(ConvergenceError) as single:
@@ -152,9 +152,9 @@ def one_point_failures(states):
     """
     failures = {}
     for k in range(len(states)):
-        failed = optim._robustness(states[k:k + 1])[3]
-        if failed:
-            failures[k] = failed[0]
+        failure = optim._robustness(states[k:k + 1])[3]
+        if failure:
+            failures[k] = failure[1]
     return failures
 
 
@@ -179,17 +179,17 @@ def test_the_first_failing_point_ends_the_call_with_its_one_point_bounds(monkeyp
 
     monkeypatch.setattr(optim, "_central_path", spy)
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", cap)
-    values, iterations, omega, failures, lower, witness, _ = optim._robustness(rho)
+    values, iterations, omega, failure, lower, witness, _ = optim._robustness(rho)
     # one point at a time, in index order, up to the first that fails: no later point is solved
     assert calls == solver[solver <= first].tolist()
-    assert list(failures) == [first]
+    assert failure[0] == first
     assert len(earlier) and np.array_equal(iterations[earlier], uncapped[earlier])
     assert not iterations[later].any() and not values[later].any() and not omega[later].any()
     assert not lower[later].any() and not witness[later].any()
     # and its error is the one the point gives alone, bounds and all
     with pytest.raises(ConvergenceError, match=f"{cap}-iteration cap") as single:
         generalized_robustness(DensityMatrix(rho[first]))
-    exc = failures[first]
+    exc = failure[1]
     assert (str(exc), exc.lower, exc.upper) == (str(single.value), single.value.lower, single.value.upper)
 
 
@@ -205,12 +205,12 @@ def test_sweep_names_the_earliest_failing_time(monkeypatch):
 
     def not_positive_definite_at_the_targets(blocks):
         # the slacks of a point are omega and m + omega^PT, so m is their difference
-        m = blocks[..., 1, :, :] - _pt_arr(blocks[..., 0, :, :])
-        hit = [np.max(np.abs(m[i] - target)) < 1e-9 for i in range(len(m)) for target in targets]
-        forced = np.flatnonzero(np.reshape(hit, (len(m), -1)).any(axis=1))
+        m = blocks[1] - _pt_arr(blocks[0])
         chol, inv_l, failed = cholesky(blocks)
-        chol[forced] = inv_l[forced] = np.nan
-        return chol, inv_l, np.union1d(failed, forced)
+        if any(np.max(np.abs(m - target)) < 1e-9 for target in targets):
+            chol[:] = inv_l[:] = np.nan
+            failed = True
+        return chol, inv_l, failed
 
     monkeypatch.setattr(optim, "_cholesky", not_positive_definite_at_the_targets)
     with pytest.raises(ConvergenceError) as single:
@@ -334,7 +334,7 @@ def test_stacked_positivity_test_agrees_with_lapack_on_every_point():
         except np.linalg.LinAlgError:
             want.append(True)
     with np.errstate(invalid="ignore"):
-        assert np.array_equal(optim._cholesky(blocks)[2], np.flatnonzero(want))
+        assert [optim._cholesky(b)[2] for b in blocks] == want  # one point at a time, as the solver factors them
     assert 0 < sum(want) < n
 
 
