@@ -4,12 +4,11 @@ transpose criterion), in closed form from certified brackets that close to
 within 1e-8: the two-qubit bracket from the negative eigenvector of the
 partial transpose, the one from the best product state, or the one from the
 locally rotated Bell witness, whose primal omega a phase-1 Newton completion
-finds where the minimum-norm one is not PSD and a lower bound in hand does
-not already rule it out; the points all three leave open take the product
-search again, longer.  A primal-dual interior-point solver is the last
-stage, for a point that no bracket closes: one point's own 4x4 linear
-algebra, one point at a time, since no measured workload leaves a point
-open.
+finds where the minimum-norm one is not PSD; the points all three leave
+open take the product search again, longer.  A primal-dual interior-point
+solver is the last stage, for a point that no bracket closes: one point's
+own 4x4 linear algebra, one point at a time, since no measured workload
+leaves a point open.
 
 The first bracket's bounds and closure test, and the whole product bracket
 from the eigenpairs of the partial transpose to its closure test, are one
@@ -18,12 +17,12 @@ comparisons, & and a select, and no matmul, reduction or complex product.
 IEEE 754 rounds each of those operations correctly, so the same lines give
 the same bits on plain Python floats and on numpy (k,) lanes (_run).  Each
 of the two stages (_bracket_lines, and _product_lines: _search_lines, then
-_tail_lines) runs on floats, one point at a time, for a stack below its
-cutoff (_BRACKET_LANES, _PRODUCT_LANES, the measured crossovers), where
-numpy's cost per call is more than the arithmetic, and on lanes from
-there.  A degenerate point (no inverse, a zero vector to normalize) is open
-by an explicit mask, and its divisor is lifted to 1, so neither executor
-divides by zero or makes a NaN on the way.  The eigendecompositions, the
+_tail_lines) runs on floats, one point at a time, for a stack below one
+cutoff (_LANES, the product bracket's measured crossover), where numpy's
+cost per call is more than the arithmetic, and on lanes from there.  A
+degenerate point (no inverse, a zero vector to normalize) is open by an
+explicit mask, and its divisor is lifted to 1, so neither executor divides
+by zero or makes a NaN on the way.  The eigendecompositions, the
 Bell bracket and its completion, and the complex assembly of omega and the
 witness of the points a bracket closes stay whole-stack numpy.
 """
@@ -62,11 +61,10 @@ _MAX_ITERATIONS = 100
 # and of the longer one that the points every bracket leaves open take before the interior-point solver
 _PRODUCT_STEPS = 12
 _PRODUCT_STEPS_LAST = 100
-# stack sizes from which _bracket's bounds and the product bracket run on numpy lanes in place of plain floats:
-# the crossovers measured per call, where the floats' cost, which grows with the points, passes the lanes',
-# which is nearly fixed up to a few hundred points
-_BRACKET_LANES = 12
-_PRODUCT_LANES = 30
+# stack size from which the kernel's lines run on numpy lanes in place of plain floats: the product bracket's
+# measured crossover, where the floats' cost, which grows with the points, passes the lanes', which is nearly
+# fixed up to a few hundred points
+_LANES = 30
 # phase-1 Newton steps the Bell completion takes at most, and the growth of its weight on t per step
 _COMPLETION_STEPS = 20
 _COMPLETION_GROWTH = 8.0
@@ -307,29 +305,22 @@ def _pick(c, a, b):
     return a if c else b
 
 
-def _run(lines, lanes: bool, inputs, *args):
-    """Run a kernel stage's lines over the k points of a stack: on (k,) numpy lanes, or on plain floats point by point.
+def _run(lines, inputs, *args) -> np.ndarray:
+    """Run a kernel stage's lines over the k points of a stack, and return their n outputs as one (k, n) float table.
 
     Each input is a float64 array, (k, n) for a sequence of n values of
     each point or (k,) for one.  The lines take (sqrt, where), then one
     argument per input, then args.  They use +, -, *, / and sqrt,
     comparisons, & and where, and nothing else; IEEE 754 rounds each of
     those correctly, so a point gets the same bits from both executors.
-    With ``lanes`` they run once, on (k,) arrays with np.sqrt and np.where,
-    and return columns; else once per point, on Python floats with
-    math.sqrt and _pick, and return a list of k rows.  An empty stack runs
-    on lanes.
+    Below _LANES points they run once per point, on Python floats with
+    math.sqrt and _pick; from there, and on an empty stack, once on (k,)
+    arrays with np.sqrt and np.where.  A mask comes back as 0.0 or 1.0.
     """
-    if not lanes:
-        points = list(zip(*[a.tolist() for a in inputs]))
-        if points:
-            return [lines(sqrt, _pick, *point, *args) for point in points]
-    return lines(np.sqrt, np.where, *[a.T for a in inputs], *args)
-
-
-def _table(out) -> np.ndarray:
-    """A stage's outputs, rows from the floats or columns from the lanes, as one (k, n) float array."""
-    return np.array(out, dtype=float) if isinstance(out, list) else np.array(out, dtype=float).T
+    if 0 < len(inputs[0]) < _LANES:
+        return np.array([lines(sqrt, _pick, *point, *args) for point in zip(*[a.tolist() for a in inputs])],
+                        dtype=float)
+    return np.array(lines(np.sqrt, np.where, *[a.T for a in inputs], *args), dtype=float).T
 
 
 def _bracket_lines(sqrt, where, lam, diff):
@@ -342,7 +333,7 @@ def _bracket_lines(sqrt, where, lam, diff):
     return lower, upper, upper - lower < _GAP, a2_twice, ab_twice
 
 
-def _bracket(e: np.ndarray, lam_min: np.ndarray, diff: np.ndarray | None = None):
+def _bracket(e: np.ndarray, lam_min: np.ndarray, diff: np.ndarray):
     """Closed-form bounds L <= GR <= U of NPT points, and the certificate and witness of the points where they close.
 
     lam_min is the stack of the smallest eigenvalues of the partial
@@ -356,19 +347,17 @@ def _bracket(e: np.ndarray, lam_min: np.ndarray, diff: np.ndarray | None = None)
     m + c |e><e| + c ab 1, so U = Tr omega = |lam| (1 + 4ab) / (1 + ab).
     When e is maximally entangled, as for every state with no local Bloch
     vectors and every pure state, L = U = 2 |lam|.  a^2 - b^2 is diff, the
-    caller's _schmidt(e), or else comes from _schmidt(e) here: accurate near
-    a^2 = 1/2.  The bounds and the closure test are the real arithmetic of
-    _bracket_lines, run on plain floats below _BRACKET_LANES points and on
-    numpy lanes from there (_run): the same bits either way.  Returns L and
-    U of every point, the mask of the points with U - L < _GAP (the
-    certificate contract of a finished solve), and omega and the witness of
-    those points, assembled as whole-stack numpy, or None for both when no
-    point closes.  The points it leaves open go on to _product_bracket.
+    caller's _schmidt(e): accurate near a^2 = 1/2.  The bounds and the
+    closure test are the real arithmetic of _bracket_lines, run on plain
+    floats below _LANES points and on numpy lanes from there (_run): the
+    same bits either way.  Returns L and U of every point, the mask of the
+    points with U - L < _GAP (the certificate contract of a finished
+    solve), and omega and the witness of those points, assembled as
+    whole-stack numpy, or None for both when no point closes.  The points
+    it leaves open go on to _product_bracket.
     """
-    diff = _schmidt(e)[1] if diff is None else diff
-    out = _run(_bracket_lines, len(lam_min) >= _BRACKET_LANES, (lam_min, diff))
-    lower, upper, closed, a2_twice, ab_twice = out if isinstance(out, tuple) else _table(out).T
-    closed = closed.astype(bool, copy=False)
+    lower, upper, closed, a2_twice, ab_twice = _run(_bracket_lines, (lam_min, diff)).T
+    closed = closed != 0.0
     if not np.count_nonzero(closed):
         return lower, upper, closed, None, None
     vec, ab, neg = e[closed], 0.5 * ab_twice[closed], -lam_min[closed]
@@ -537,15 +526,16 @@ def _product_lines(sqrt, where, lam, vec, start, pt, steps):
     return _tail_lines(sqrt, where, _search_lines(sqrt, where, lam, vec, start, steps), pt)
 
 
-def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: int = _PRODUCT_STEPS,
-                     r: np.ndarray | None = None):
+def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: int, r: np.ndarray):
     """Bounds L <= GR <= U of NPT points from a product vector, and the certificate and witness where they close.
 
-    m is the (k, 4, 4) stack of partial transposes and lam, vecs their
-    eigenpairs, lowest first.  For every product vector w = u (x) v with
-    q = <w|m^-1|w> < 0, U = -1/q bounds the robustness from above: omega =
-    U |conj(u) (x) v><conj(u) (x) v| has omega^PT = U |w><w|, and
-    m + U |w><w| is PSD and singular, because det(m + t |w><w|) =
+    m is the (k, 4, 4) stack of partial transposes, lam, vecs their
+    eigenpairs, lowest first, and r the reduced matrices on spin I of the
+    negative eigenvectors e, from _schmidt.  For every product vector
+    w = u (x) v with q = <w|m^-1|w> < 0, U = -1/q bounds the robustness
+    from above: omega = U |conj(u) (x) v><conj(u) (x) v| has
+    omega^PT = U |w><w|, and m + U |w><w| is PSD and singular, because
+    det(m + t |w><w|) =
     det(m) (1 + t q) and m has exactly one negative eigenvalue (Sanpera,
     Tarrach & Vidal 1998).  For every vector f, Z_2 = |f><f| / a_f^2 with
     a_f^2 the larger squared Schmidt coefficient of f gives L =
@@ -565,20 +555,19 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
     half-step pairs, so its result is its own: _PRODUCT_STEPS on every
     point _bracket leaves open, and _PRODUCT_STEPS_LAST, from the same
     start, on the points that _bell_bracket then leaves open too, before
-    the solver.  The start is e's reduced matrix r on spin I (_schmidt(e)'s,
-    where the caller does not pass it).
+    the solver.  The start is e's reduced matrix r on spin I.
 
     Everything from the eigenpairs to the closure test is real arithmetic,
     written once: _search_lines (m^-1 and its coordinates, the search),
     then _tail_lines (w, f, q, U, a_f^2, L and the test), the two as
     _product_lines.  It runs on plain Python floats, one point at a time,
-    below _PRODUCT_LANES points, where a numpy call per operation costs
-    more than its arithmetic, and on numpy (k,) lanes from there, where the
-    per-point cost of the floats grows past a call's fixed cost: the same
-    bits either way (_run).  A point is open by an explicit mask where m
-    has a second eigenvalue <= 0, e is maximally entangled (a zero start:
-    _bracket closes those points) or a half-step meets a zero vector; no
-    division meets a zero and no NaN is made on the way.  m^-1 comes from
+    below _LANES points, where a numpy call per operation costs more than
+    its arithmetic, and on numpy (k,) lanes from there, where the per-point
+    cost of the floats grows past a call's fixed cost: the same bits either
+    way (_run).  A point is open by an explicit mask where m has a second
+    eigenvalue <= 0, e is maximally entangled (a zero start: _bracket
+    closes those points) or a half-step meets a zero vector; no division
+    meets a zero and no NaN is made on the way.  m^-1 comes from
     three eigenvectors and the identity, so its bits are the kernel's own,
     not those of a stacked matmul.
     Returns L and U of every point, the mask of the points with
@@ -589,12 +578,10 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
     those the longer one leaves open to _central_path.
     """
     k = len(m)
-    if r is None:
-        r = _schmidt(vecs[..., 0])[0]  # e's reduced matrix on spin I: its Bloch vector is e's leading Schmidt vector's
     vec = np.ascontiguousarray(vecs).reshape(k, 16).view(np.float64)
-    start = np.ascontiguousarray(r).reshape(k, 4).view(np.float64)
+    start = np.ascontiguousarray(r).reshape(k, 4).view(np.float64)  # its Bloch vector is e's leading Schmidt vector's
     pt = np.ascontiguousarray(m).reshape(k, 16).view(np.float64)
-    out = _table(_run(_product_lines, k >= _PRODUCT_LANES, (lam, vec, start, pt), steps))
+    out = _run(_product_lines, (lam, vec, start, pt), steps)
     lower, upper, closed = out[:, 17], out[:, 18], out[:, 19] != 0.0
     if not np.count_nonzero(closed):
         return lower, upper, closed, None, None
@@ -650,7 +637,7 @@ _EYES = np.ascontiguousarray(np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3)
 
 # a block that Cholesky cannot factor or a singular Newton system is NaN: the point stops at its last iterate
 @np.errstate(invalid="ignore", divide="ignore")
-def _bell_completion(yx: np.ndarray, r: np.ndarray, skip: np.ndarray) -> np.ndarray:
+def _bell_completion(yx: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Pauli coordinates (k, 4, 4) of an omega that complementary slackness with W allows, PSD where one was found.
 
     yx (k, 2, 4, 4) holds the coordinates of the minimum-norm omega, then
@@ -670,13 +657,12 @@ def _bell_completion(yx: np.ndarray, r: np.ndarray, skip: np.ndarray) -> np.ndar
     below 0 (four more steps like its last would not lift it to 0), or
     after _COMPLETION_STEPS steps.  Every point's numbers come from its
     own slices.  A point whose minimum-norm compressions are PSD (t >= 0
-    at the start) takes no step, so its omega is the minimum-norm one; so
-    does a point in ``skip``, the points where the caller knows that no
-    omega of the set can close the bracket.  Those points keep the
-    minimum-norm coordinates as they are, bit for bit: only the points that
-    step take the correction sum_j c_j S_j R (a zero one would turn a -0.0
-    into +0.0), and a call where none steps returns yx[:, 0] itself.  The
-    caller checks the result with the full 4x4 eigvalsh.
+    at the start) takes no step, so its omega is the minimum-norm one, and
+    it keeps the minimum-norm coordinates as they are, bit for bit: only
+    the points that step take the correction sum_j c_j S_j R (a zero one
+    would turn a -0.0 into +0.0), and a call where none steps returns
+    yx[:, 0] itself.  The caller checks the result with the full 4x4
+    eigvalsh.
     """
     k = len(yx)
     rot = np.zeros((k, 4, 4))
@@ -687,7 +673,7 @@ def _bell_completion(yx: np.ndarray, r: np.ndarray, skip: np.ndarray) -> np.ndar
     lam = _umath_linalg.eigvalsh_lo(base, signature="D->d")[..., 0].min(axis=-1)
     z = np.zeros((k, 6))  # c, then t
     z[:, 5] = lam + np.minimum(lam, 0.0)
-    points = stepped = ((z[:, 5] < 0.0) & ~skip).nonzero()[0]
+    points = stepped = (z[:, 5] < 0.0).nonzero()[0]
     if not len(points):  # no point steps: every omega is the minimum-norm one
         return yx[:, 0]
     zp, base, weight = z[points], base[points], None
@@ -724,7 +710,7 @@ def _bell_completion(yx: np.ndarray, r: np.ndarray, skip: np.ndarray) -> np.ndar
     return y
 
 
-def _bell_bracket(m: np.ndarray, floor: np.ndarray | float = -np.inf):
+def _bell_bracket(m: np.ndarray):
     """Bounds L <= GR <= U from the locally optimal Bell witness, and the certificate and witness where they close.
 
     m is the (k, 4, 4) stack of partial transposes.  With x_ab = Tr(rho
@@ -751,13 +737,6 @@ def _bell_bracket(m: np.ndarray, floor: np.ndarray | float = -np.inf):
     whose compressions are.  With eps = max(0, -lambda_min(omega),
     -lambda_min(m + omega^PT)) of the omega it returns, from one full 4x4
     eigvalsh, omega + eps 1 is a primal certificate, so U = L + 4 eps.
-    floor is a lower bound of GR that the caller already holds, per point
-    or one for all (-inf by default).  Where L <= floor - _GAP, U >= GR >=
-    floor >= L + _GAP, so no omega closes the bracket: those points, the
-    product class where W is not optimal, skip the completion and keep the
-    minimum-norm omega, which is still lifted and checked, so that their U
-    still bounds GR from above.  A point where W is optimal has L = GR >=
-    floor and is never skipped.
     Returns L and U of every point, the mask of the points
     with U - L < _GAP, and omega + eps 1 and W of those points, or None for
     both when no point closes.  Every point's numbers come from its own
@@ -777,8 +756,7 @@ def _bell_bracket(m: np.ndarray, floor: np.ndarray | float = -np.inf):
     y[:, 1:, :1] = -0.5 * (a + r @ b.swapaxes(-1, -2))
     y[:, :1, 1:] = -0.5 * (a.swapaxes(-1, -2) @ r + b)
     y[:, 1:, 1:] = (lower / 3.0)[:, None, None] * r - 0.25 * (t - r @ t.swapaxes(-1, -2) @ r)
-    skip = lower <= floor - _GAP  # U >= GR >= floor: no omega closes these points
-    blocks = _pauli_blocks(0.25 * _bell_completion(yx, r, skip).reshape(-1, 16))  # omega and m + omega^PT
+    blocks = _pauli_blocks(0.25 * _bell_completion(yx, r).reshape(-1, 16))  # omega and m + omega^PT
     blocks[:, 1] += m
     eps = np.maximum(0.0, -_umath_linalg.eigvalsh_lo(blocks, signature="D->d")[..., 0].min(axis=-1))
     upper = lower + 4.0 * eps
@@ -804,11 +782,9 @@ def _robustness(rho: np.ndarray):
     a tiny |lambda_min|); _product_bracket with _PRODUCT_STEPS half-step
     pairs (most states whose optimal omega is a product pure state);
     _bell_bracket with its completion (nearly every state whose optimal
-    witness is a locally rotated Bell witness), which skips the completion
-    on the points whose Bell bound L is already more than the gap below the
-    running lower bound; and _product_bracket again with the longer search
-    of _PRODUCT_STEPS_LAST pairs from the same start, for the product-class
-    points the others leave open.  A point left open keeps the tightest of
+    witness is a locally rotated Bell witness); and _product_bracket again
+    with the longer search of _PRODUCT_STEPS_LAST pairs from the same
+    start, for the product-class points the others leave open.  A point left open keeps the tightest of
     the stages' bounds.  The open rows are a slice of all of them until a
     point closes, and m and lambda_min themselves serve where every point is
     NPT, so that a one-state call gathers nothing.  The last stage is
@@ -818,8 +794,7 @@ def _robustness(rho: np.ndarray):
     to a duality gap below 1e-8.  The first point whose solve fails ends the
     call, and later points stay unsolved: its ConvergenceError carries the
     tightest of the solver's and the bracket stages' bounds (the Bell
-    bracket's U from its completed omega, or its minimum-norm one where it
-    skipped the completion).
+    bracket's U from its completed omega).
     Returns the values, the interior-point iterations (0 on the closed
     paths), the optimal omegas (zero for PPT points), that first failure as
     (index, ConvergenceError) or None, the dual fields (the lower bounds
@@ -838,15 +813,13 @@ def _robustness(rho: np.ndarray):
     lam, vecs = _eigh(m_npt)
     e = vecs[..., 0]
     r, diff = _schmidt(e)
-    stages = [lambda rows, low: _bracket(e[rows], lam_npt[rows], diff[rows]),
-              lambda rows, low: _product_bracket(m_npt[rows], lam[rows], vecs[rows], _PRODUCT_STEPS, r[rows]),
-              lambda rows, low: _bell_bracket(m_npt[rows], low)]
-    if _PRODUCT_STEPS_LAST > _PRODUCT_STEPS:  # a search no longer than the first would only repeat a prefix of it
-        stages.append(lambda rows, low: _product_bracket(m_npt[rows], lam[rows], vecs[rows], _PRODUCT_STEPS_LAST,
-                                                         r[rows]))
+    stages = (lambda rows: _bracket(e[rows], lam_npt[rows], diff[rows]),
+              lambda rows: _product_bracket(m_npt[rows], lam[rows], vecs[rows], _PRODUCT_STEPS, r[rows]),
+              lambda rows: _bell_bracket(m_npt[rows]),
+              lambda rows: _product_bracket(m_npt[rows], lam[rows], vecs[rows], _PRODUCT_STEPS_LAST, r[rows]))
     rows, low, high = slice(None), -np.inf, np.inf  # the open rows of the eigh, and their bounds
     for stage in stages:
-        low_b, high_b, closed, closed_omega, closed_witness = stage(rows, low)
+        low_b, high_b, closed, closed_omega, closed_witness = stage(rows)
         if closed_omega is None:
             low, high = np.fmax(low, low_b), np.fmin(high, high_b)
             continue
@@ -892,16 +865,12 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     phase-1 barrier Newton method starts at the minimum-norm omega of that
     5-dimensional set and, where it is not PSD with (rho + omega)^PT,
     searches the set for one that is, in at most 20 steps; one eigvalsh
-    check of the omega it ends at gives eps.  Where L is already more than
-    1e-8 below the lower bound of the first two brackets, no omega of that
-    set can close the bracket, so the search is skipped and the
-    minimum-norm omega is checked as it is.
-    Where it closes within 1e-8, as for nearly every state whose optimal
-    witness is a rotated Bell witness, the result is that U with no
-    iteration.  Else the product search runs again, 100 half-step pairs in
-    place of 12, and where its bracket closes within 1e-8, as for the
-    product-class states the first search leaves open, the result is its U
-    with no iteration.  Otherwise, as a fallback, it is solved as a
+    check of the omega it ends at gives eps.  Where it closes within 1e-8,
+    as for nearly every state whose optimal witness is a rotated Bell
+    witness, the result is that U with no iteration.  Else the product
+    search runs again, 100 half-step pairs in place of 12, and where its
+    bracket closes within 1e-8, as for the product-class states the first
+    search leaves open, the result is its U with no iteration.  Otherwise, as a fallback, it is solved as a
     semidefinite program by a feasible-start primal-dual interior-point
     method: HKM directions (Helmberg, Rendl, Vanderbei & Wolkowicz 1996)
     with Mehrotra's predictor-corrector (1992), from omega a multiple of the identity and
@@ -913,9 +882,9 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     one-point case of the stages that ``relax.sweep`` runs over a whole
     time grid, where the solver takes its points one at a time as it does
     here.  The first two brackets' arithmetic runs here on plain Python
-    floats, and in a sweep on numpy lanes once a stack reaches
-    _BRACKET_LANES or _PRODUCT_LANES points: the same lines, so the same
-    bits, and a degenerate point is left open by an explicit mask on both.
+    floats, and in a sweep on numpy lanes once a stack reaches _LANES
+    points: the same lines, so the same bits, and a degenerate point is
+    left open by an explicit mask on both.
     """
     _two_spin_state(rho, "generalized_robustness")
     values, iterations, omega, failure, lower, witness, _ = _robustness(rho.matrix[None])

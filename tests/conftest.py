@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from witnesslab import BellDiagonalParams, DensityMatrix, bell_diagonal, partial_transpose, pauli_vector
+from witnesslab import BellDiagonalParams, DensityMatrix, bell_diagonal, optim, partial_transpose, pauli_vector
+from witnesslab.qmat import _eigh, _eigvalsh, _pt_arr
 from witnesslab.states import PAULI_LABELS
 
 
@@ -32,13 +33,31 @@ def entangled_ginibre(seed):
     brackets leave 2 points of seed 1 open, none of seeds 2 and 3, and
     every point of seed 268 up to about 2 ms; the longer search closes all
     of them.  A test that needs the solver must use 268 (or 83, 385) with
-    optim._PRODUCT_STEPS_LAST pinned to 0, or check that the solver ran.
+    optim._PRODUCT_STEPS_LAST pinned to optim._PRODUCT_STEPS, so that the
+    longer search only repeats the first, or check that the solver ran.
     """
     rng = np.random.default_rng(seed)
     while True:
         rho = random_density_matrix(rng)
         if np.linalg.eigvalsh(partial_transpose(rho).matrix)[0] < -0.05:
             return rho
+
+
+def stage_inputs(rho):
+    """The robustness stages' inputs for the NPT states of a (k, 4, 4) stack, formed as optim._robustness forms them.
+
+    Returns their partial transposes m, lambda_min of each (an eigvalsh),
+    the eigenpairs lam, vecs of one eigh, the negative eigenvectors e, and
+    e's reduced matrices r on spin I and a^2 - b^2 from optim._schmidt.
+    """
+    m = _pt_arr(rho)
+    lam_min = _eigvalsh(m)[:, 0]
+    npt = lam_min < -optim.NPT_CUT
+    m, lam_min = m[npt], lam_min[npt]
+    lam, vecs = _eigh(m)
+    e = vecs[..., 0]
+    r, diff = optim._schmidt(e)
+    return m, lam_min, lam, vecs, e, r, diff
 
 
 def bench_inputs():

@@ -10,8 +10,11 @@ import pytest
 from jsonschema import validate
 
 import witnesslab
-from witnesslab import BellKind, DensityMatrix, StructuralError, bell_state, f_witness_state, relax
+from conftest import entangled_ginibre, stage_inputs
+from witnesslab import BellKind, DensityMatrix, StructuralError, bell_state, f_witness_state, generalized_robustness
+from witnesslab import optim, relax
 from witnesslab.cli import load_state_json, main, parse_state_spec, save_state_json
+from witnesslab.qmat import _pt_arr
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schemas" / "output.schema.json").read_text())
 
@@ -134,6 +137,47 @@ def test_robustness_identity(capsys):
 def test_robustness_undetected_state(capsys):
     doc = run_json(capsys, "robustness", "--state", "bd:-0.2,1.0,0.2")
     assert abs(doc["value"] - 0.2) < 1e-6
+
+
+@pytest.mark.parametrize("seed, route", [(8, "product"), (3, "bell"), (13, "completion"), (268, "longer search"),
+                                         (268, "solver")])
+def test_robustness_of_a_ginibre_state_end_to_end_on_its_route(seed, route, tmp_path, monkeypatch):
+    rho = entangled_ginibre(seed)
+    m, lam_min, lam, vecs, e, r, diff = stage_inputs(rho.matrix[None])
+    if route == "product":
+        # the first bracket leaves it open and the product bracket closes it
+        assert not optim._bracket(e, lam_min, diff)[2][0] and optim._product_bracket(
+            m, lam, vecs, optim._PRODUCT_STEPS, r)[2][0]
+    elif route == "bell":
+        # the first two brackets leave it open and the Bell bracket closes it
+        assert not optim._bracket(e, lam_min, diff)[2][0] and not optim._product_bracket(
+            m, lam, vecs, optim._PRODUCT_STEPS, r)[2][0]
+        assert optim._bell_bracket(m)[2][0]
+    elif route == "completion":
+        # the minimum-norm omega leaves it open; the completion closes it
+        assert optim._bell_bracket(m)[2][0]
+        monkeypatch.setattr(optim, "_COMPLETION_STEPS", 0)
+        assert not optim._bell_bracket(m)[2][0]
+    elif route == "longer search":
+        # the search at its first length leaves it open, and the longer one closes it
+        assert not optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)[2][0]
+        assert optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS_LAST, r)[2][0]
+    else:
+        # the longer search only repeats the first: no bracket closes it, so the solver runs
+        monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
+        result = generalized_robustness(rho)
+        assert result.value > 0 and result.iterations > 0 and result.lower <= result.value <= result.lower + 1e-8
+        # the certificate: rho + value * sigma, normalized, has a PSD partial transpose to 1e-9
+        mix = (rho.matrix + result.value * result.certificate_state.matrix) / (1.0 + result.value)
+        assert np.linalg.eigvalsh(_pt_arr(mix))[0] >= -1e-9
+        assert np.linalg.eigvalsh(result.certificate_state.matrix)[0] >= -1e-9
+        return
+    state = tmp_path / f"ginibre-{seed}.json"
+    save_state_json(rho, state)
+    proc = run_subprocess("robustness", "--state", f"file:{state}", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    d = json.loads(proc.stdout)
+    assert d["value"] > 0 and d["iterations"] == 0 and d["certificate_residual"] <= 1e-9, d
 
 
 # ---------------------------------------------------------------------------

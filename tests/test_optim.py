@@ -121,7 +121,8 @@ def test_robustness_agrees_with_oracle_on_bell_diagonal_sample():
 
 def test_robustness_iteration_cap_raises_with_bounds(monkeypatch):
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # the longer search only repeats the first: the solver takes what the brackets leave
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     with pytest.raises(ConvergenceError, match="3-iteration cap") as err:
         generalized_robustness(entangled_ginibre(268))  # product class: no bracket closes it, so the solver runs
     assert err.value.lower is not None and err.value.upper is not None

@@ -10,23 +10,24 @@ solver on the stress sets, the closed certificates against the state
 check, L against local unitaries, the witness against ``bell_witness`` on
 Bell-diagonal states, a point's bits alone and in a stack, the completion
 against the minimum-norm omega it starts from and against a forced solve,
-a product-class point against the solver, and the certified skip of the
-completion where L is already more than the gap below a lower bound in
-hand.
+a product-class point against the solver, and that no point whose L is
+already more than the gap below a lower bound in hand closes, completion
+or not.
 test_robustness_bracket holds the closed values against a forced solve.
 """
 
 import warnings
 
 import numpy as np
+import pytest
 
-from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_physical_c
+from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_physical_c, stage_inputs
 from test_robustness_bracket import stress_sets
 from test_robustness_product import bench_robustness_inputs
 from test_robustness_stress import bracket_routes, ginibre_states, named_states
-from test_sweep_batch import isotropic_with_bloch
+from test_sweep_batch import PAPER_T2, isotropic_with_bloch
 from witnesslab import BellKind, DensityMatrix, bell_witness, generalized_robustness
-from witnesslab import optim
+from witnesslab import optim, relax
 from witnesslab.qmat import TWO_SPIN_LABELS, _pt_arr, pauli_coords
 
 GAP = 1e-8
@@ -172,7 +173,8 @@ def test_the_completion_keeps_every_point_the_minimum_norm_omega_closes_and_loos
 
 
 def test_a_point_no_bracket_closes_still_solves(monkeypatch):
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # the longer search only repeats the first: the solver takes what the brackets leave
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     rho = entangled_ginibre(268)  # product class: the Bell witness is not optimal, so no omega of its set is feasible
     schmidt, product, bell, open_gap = bracket_routes(rho.matrix[None])
     assert not (schmidt | product | bell)[0] and open_gap[0] > GAP  # the product bracket sits 4e-8 open
@@ -243,39 +245,20 @@ def test_a_failed_newton_step_ends_the_search_at_its_last_iterate(monkeypatch):
     assert np.array_equal(low, low_0) and np.array_equal(high, high_1) and np.all(high < high_0)
 
 
-def test_the_skip_changes_no_value_lower_or_route_on_the_stress_sets(monkeypatch):
-    rho = stress_sets()
-    m = _pt_arr(rho)
-    lam_min = np.linalg.eigvalsh(m)[:, 0]
-    npt = lam_min < -optim.NPT_CUT
-    lam, vecs = np.linalg.eigh(m[npt])
-    low_s, _, closed_s, _, _ = optim._bracket(vecs[..., 0], lam_min[npt])
-    low_p, _, closed_p, _, _ = optim._product_bracket(m[npt], lam, vecs)
-    left = ~closed_s & ~closed_p  # the points that reach the Bell bracket, and their running lower bound
+def test_no_point_below_a_lower_bound_in_hand_closes_in_the_bell_bracket():
+    # where L <= max(L_schmidt, L_product) - gap, U >= GR >= L + gap: no omega of the completion's set closes the
+    # point, so every point that reaches the Bell bracket may take the completion without a change of route
+    m, lam_min, lam, vecs, e, r, diff = stage_inputs(stress_sets())
+    low_s, _, closed_s, _, _ = optim._bracket(e, lam_min, diff)
+    low_p, _, closed_p, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
+    left = ~closed_s & ~closed_p  # the points that reach the Bell bracket, and the lower bound they hold
     floor = np.fmax(low_s, low_p)[left]
-    low, high, closed, omega, witness = optim._bell_bracket(m[npt][left], floor)
-    low_0, high_0, closed_0, omega_0, witness_0 = optim._bell_bracket(m[npt][left])
-    # the same closed points with the same bits, and every point the bracket leaves open skipped
-    assert np.array_equal(closed, closed_0) and low.tobytes() == low_0.tobytes()
-    assert high[closed].tobytes() == high_0[closed].tobytes()
-    assert omega.tobytes() == omega_0.tobytes() and witness.tobytes() == witness_0.tobytes()
-    assert np.array_equal(low <= floor - GAP, ~closed) and (~closed).sum() > 10
-    # end to end: every value, lower bound, omega, witness and iteration count as with floor = -inf,
-    # with the longer search and with the solver in its place
-    bell_bracket = optim._bell_bracket
-    for steps in (optim._PRODUCT_STEPS_LAST, 0):
-        monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", steps)
-        monkeypatch.setattr(optim, "_bell_bracket", bell_bracket)
-        skipped = optim._robustness(rho)
-        monkeypatch.setattr(optim, "_bell_bracket", lambda m, floor: bell_bracket(m))
-        unskipped = optim._robustness(rho)
-        assert not skipped[3] and not unskipped[3]
-        for a, b in zip(skipped[:3] + skipped[4:], unskipped[:3] + unskipped[4:]):
-            assert a.tobytes() == b.tobytes()
+    low, high, closed, _, _ = optim._bell_bracket(m[left])
+    assert not closed[low <= floor - GAP].any() and (~closed).sum() > 10
 
 
-def test_the_completion_takes_no_step_on_product_class_points_and_skips_no_bell_class_point(monkeypatch):
-    # every Cholesky of a robustness call counted: the completion's, one per Newton step, and the solver's
+def counted_choleskys(monkeypatch):
+    """A list whose last entry counts every Cholesky of optim's LAPACK calls from the time it is appended."""
     steps = []
     lapack = optim._umath_linalg
 
@@ -289,21 +272,35 @@ def test_the_completion_takes_no_step_on_product_class_points_and_skips_no_bell_
             return lapack.cholesky_lo(*args, **kwargs)
 
     monkeypatch.setattr(optim, "_umath_linalg", Counted())
+    return steps
+
+
+def test_the_completion_takes_steps_on_product_class_points_and_its_own_on_bell_class_points(monkeypatch):
+    # every Cholesky of a robustness call counted: the completion's, one per Newton step, and the solver's
+    steps = counted_choleskys(monkeypatch)
     bell_class = [entangled_ginibre(13), entangled_ginibre(20), isotropic_with_bloch(0.4, 0.3)]
     product_class = [entangled_ginibre(seed) for seed in (83, 268, 385)]
-    bell_bracket = optim._bell_bracket
-    counts = {}
-    for skip in (True, False):
-        if not skip:
-            monkeypatch.setattr(optim, "_bell_bracket", lambda m, floor: bell_bracket(m))
-        for rho in bell_class + product_class:
-            steps.append(0)
-            _, iterations, _, failures, _, _, _ = optim._robustness(rho.matrix[None])
-            assert not failures and iterations[0] == 0
-        counts[skip] = steps[-6:]
-    # the product class takes no step with the skip, and 3 or more without it; the Bell class takes its own steps
-    assert counts[True][3:] == [0, 0, 0] and all(n >= 3 for n in counts[False][3:])
-    assert counts[True][:3] == counts[False][:3] and all(n > 0 for n in counts[True][:3])
+    for rho in bell_class + product_class:
+        steps.append(0)
+        _, iterations, _, failures, _, _, _ = optim._robustness(rho.matrix[None])
+        assert not failures and iterations[0] == 0
+    for rho in bell_class + product_class:  # and the Bell bracket alone on each
+        steps.append(0)
+        optim._bell_bracket(stage_inputs(rho.matrix[None])[0])
+    robustness, alone = steps[:6], steps[6:]
+    # the product class takes 3 or more steps and the Bell class a positive count, each as many as its bracket alone
+    assert all(n >= 3 for n in robustness[3:]) and all(n > 0 for n in robustness[:3])
+    assert robustness == alone
+
+
+def completion_inputs(rho):
+    """What _bell_bracket hands its completion for the NPT states of a stack: yx and the rotations r."""
+    captured = []
+    completion = optim._bell_completion
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optim, "_bell_completion", lambda yx, r: (captured.append((yx, r)), completion(yx, r))[1])
+        optim._bell_bracket(stage_inputs(rho)[0])
+    return captured[0]
 
 
 def test_a_completion_with_no_step_adds_no_correction(monkeypatch):
@@ -311,16 +308,25 @@ def test_a_completion_with_no_step_adds_no_correction(monkeypatch):
     # coordinates as they are, where adding a zero correction would only turn a -0.0 into +0.0
     bds = np.stack([bd(*c).matrix for c in ([-0.9, -0.8, -0.7], [0.3, -0.9, 0.4], [0.5, 0.5, -0.9])])
     rho = np.concatenate([bds, named_states(), stress_sets(), bench_robustness_inputs()])
-    rng = np.random.default_rng(6620)
-    yx = rng.standard_normal((5, 2, 4, 4))
-    yx[:, 0, 1, 2] = -0.0
-    r = np.stack([np.eye(3)] * 5)
-    completed = optim._bell_completion(yx, r, np.ones(5, bool))  # every point skipped: no step
+    # the Bell-route points of a relaxed isotropic state with a Bloch vector, whose minimum-norm omega has a -0.0
+    # coordinate, and of them those whose minimum-norm compressions are PSD: each alone takes no Newton step
+    isotropic = relax._relax(isotropic_with_bloch().matrix, np.linspace(0.0, 0.05, 40), PAPER_T2)
+    bell = bracket_routes(isotropic)[2]
+    yx, r = completion_inputs(isotropic[bell])
+    steps = counted_choleskys(monkeypatch)
+    for k in range(len(yx)):
+        steps.append(0)
+        optim._bell_completion(yx[k:k + 1], r[k:k + 1])
+    monkeypatch.undo()
+    no_step = np.array(steps) == 0
+    yx, r = yx[no_step], r[no_step]
+    assert bell.sum() > 30 and len(yx) > 30 and np.signbit(yx[:, 0, 1, 2]).all()
+    completed = optim._bell_completion(yx, r)  # no point steps
     assert completed.tobytes() == yx[:, 0].tobytes() and np.signbit(completed[:, 1, 2]).all()
     completion = optim._bell_completion
 
-    def zero_correction_everywhere(yx, r, skip):
-        y = completion(yx, r, skip).copy()
+    def zero_correction_everywhere(yx, r):
+        y = completion(yx, r).copy()
         y[:, 1:, 1:] += (np.zeros((len(y), 1, 5)) @ optim._CORRELATION_BASIS).reshape(-1, 3, 3) @ r
         return y
 

@@ -12,7 +12,7 @@ forced solve.
 
 import numpy as np
 
-from conftest import bd, bd_weights, haar_unitary, random_physical_c
+from conftest import bd, bd_weights, haar_unitary, random_physical_c, stage_inputs
 from test_robustness_stress import bracket_routes, check_certified, ginibre_states, named_states
 from witnesslab import BellDiagonalParams, DensityMatrix, generalized_robustness, gr_oracle_bd
 from witnesslab import optim
@@ -23,12 +23,10 @@ GAP = 1e-8
 
 def npt_bracket(rho):
     """L, U and the closed mask of the NPT states of a (k, 4, 4) stack, with those states and their lambda_min."""
-    m = _pt_arr(rho)
-    lam = np.linalg.eigvalsh(m)[:, 0]
-    npt = lam < -optim.NPT_CUT
-    e = np.linalg.eigh(m[npt])[1][..., 0]  # the eigenvectors of the negative eigenvalues
-    low, high, closed, _, _ = optim._bracket(e, lam[npt])
-    return low, high, closed, rho[npt], lam[npt]
+    npt = np.linalg.eigvalsh(_pt_arr(rho))[:, 0] < -optim.NPT_CUT
+    _, lam_min, _, _, e, _, diff = stage_inputs(rho)  # e: the eigenvectors of the negative eigenvalues
+    low, high, closed, _, _ = optim._bracket(e, lam_min, diff)
+    return low, high, closed, rho[npt], lam_min
 
 
 def rotated_bell_diagonal(rng, n):

@@ -2,10 +2,10 @@
 
 ``_bracket``'s bounds and the whole product bracket, from the eigenpairs to
 the closure test, are written once in +, -, *, / and sqrt.  Each stage runs
-them on plain Python floats, point by point, below its cutoff and on numpy
+them on plain Python floats, point by point, below one cutoff and on numpy
 (k,) lanes from there; IEEE 754 rounds those operations correctly, so the
 two give the same bits.  These checks hold every point to the same bytes
-alone and in stacks of 2, 30 and 10,000, which sit on both sides of every
+alone and in stacks of 2, 30 and 10,000, which sit on both sides of the
 cutoff; ``_bracket``'s bounds to the bytes of its numpy formula on either
 executor; and a 10,000-step sweep, whose product stacks run on lanes, to its
 one-point replay through ``generalized_robustness``.
@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import entangled_ginibre
+from conftest import entangled_ginibre, stage_inputs
 from test_robustness_bracket import stress_sets
 from test_robustness_product import bench_robustness_inputs
 from test_sweep_batch import PAPER_T2
@@ -25,7 +25,6 @@ from witnesslab import optim, relax
 from witnesslab.qmat import _pt_arr
 
 GAP = 1e-8
-CUTOFFS = ("_BRACKET_LANES", "_PRODUCT_LANES")
 STACKS = (2, 30, 10_000)
 
 
@@ -35,14 +34,8 @@ def states():
 
 
 @pytest.fixture(scope="module")
-def npt_eigen(states):
-    """The NPT points' partial transposes, lambda_min, eigenpairs and e's Schmidt data, as _robustness forms them."""
-    m = _pt_arr(states)
-    lam_min = np.linalg.eigvalsh(m)[:, 0]
-    m, lam_min = m[lam_min < -optim.NPT_CUT], lam_min[lam_min < -optim.NPT_CUT]
-    lam, vecs = np.linalg.eigh(m)
-    r, diff = optim._schmidt(vecs[..., 0])
-    return m, lam_min, lam, vecs, r, diff
+def npt_inputs(states):
+    return stage_inputs(states)
 
 
 def bracket_rows(out):
@@ -76,13 +69,11 @@ def stacked(stage, n, rows):
 
 
 def test_the_stacks_sit_on_both_sides_of_every_cutoff():
-    for name in CUTOFFS:
-        assert 2 < getattr(optim, name) <= 30, name
+    assert 2 < optim._LANES <= 30
 
 
-def test_every_point_gives_the_same_bytes_alone_and_in_stacks(states, npt_eigen):
-    m, lam_min, lam, vecs, r, diff = npt_eigen
-    e = vecs[..., 0]
+def test_every_point_gives_the_same_bytes_alone_and_in_stacks(states, npt_inputs):
+    m, lam_min, lam, vecs, e, r, diff = npt_inputs
     n = len(m)
     assert n > 3000
     alone = [bracket_rows(optim._bracket(e[i:i + 1], lam_min[i:i + 1], diff[i:i + 1]))[0] for i in range(n)]
@@ -112,10 +103,10 @@ def numpy_bracket(e, lam_min, diff):
 
 
 @pytest.mark.parametrize("lanes", [False, True])
-def test_bracket_bounds_are_the_bytes_of_the_numpy_formula(npt_eigen, lanes, monkeypatch):
-    m, lam_min, lam, vecs, r, diff = npt_eigen
-    monkeypatch.setattr(optim, "_BRACKET_LANES", 0 if lanes else 10 ** 9)
-    got, want = optim._bracket(vecs[..., 0], lam_min, diff), numpy_bracket(vecs[..., 0], lam_min, diff)
+def test_bracket_bounds_are_the_bytes_of_the_numpy_formula(npt_inputs, lanes, monkeypatch):
+    m, lam_min, lam, vecs, e, r, diff = npt_inputs
+    monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
+    got, want = optim._bracket(e, lam_min, diff), numpy_bracket(e, lam_min, diff)
     assert got[2].sum() > 1000 and (~got[2]).sum() > 1000
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -130,7 +121,7 @@ def test_a_long_sweep_replays_bit_for_bit_through_generalized_robustness(monkeyp
     series = sweep(rho0, PAPER_T2, w, 0.6, steps)
     monkeypatch.undo()
     # the product bracket's stack runs on lanes
-    assert sizes and sizes[0] >= optim._PRODUCT_LANES and sizes[0] > 1000
+    assert sizes and sizes[0] >= optim._LANES and sizes[0] > 1000
     states = relax._relax(rho0.matrix, series.times, PAPER_T2)
     values, _, omega, failures, lower, witness, _ = optim._robustness(states)
     assert not failures and values.tobytes() == series.gr_values.tobytes()
@@ -150,8 +141,8 @@ def test_generalized_robustness_takes_the_float_executor_and_the_sweep_the_lanes
     rho = DensityMatrix(entangled_ginibre(8).matrix)
     used = []
     run = optim._run
-    monkeypatch.setattr(optim, "_run",
-                        lambda lines, lanes, *a: (used.append((lines.__name__, lanes)), run(lines, lanes, *a))[1])
+    monkeypatch.setattr(optim, "_run", lambda lines, inputs, *a: (
+        used.append((lines.__name__, len(inputs[0]) >= optim._LANES)), run(lines, inputs, *a))[1])
     generalized_robustness(rho)
     assert used == [("_bracket_lines", False), ("_product_lines", False)]
 
@@ -159,7 +150,7 @@ def test_generalized_robustness_takes_the_float_executor_and_the_sweep_the_lanes
 @pytest.mark.parametrize("lanes", [False, True])
 def test_a_schmidt_difference_rounded_above_one_closes_with_b_zero(lanes, monkeypatch):
     # a^2 - b^2 = 1 + 2^-51 puts 2 a^2 (2 - 2 a^2) below 0: b = 0 there, on both executors and with no warning
-    monkeypatch.setattr(optim, "_BRACKET_LANES", 0 if lanes else 10 ** 9)
+    monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
     e = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=complex)
     lam = np.array([-0.125])
     with warnings.catch_warnings():

@@ -22,7 +22,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from conftest import bench_inputs, entangled_ginibre
+from conftest import bench_inputs, entangled_ginibre, stage_inputs
 from test_robustness_bracket import stress_sets
 from test_robustness_stress import bracket_routes, check_certified, ginibre_states
 from test_sweep_batch import PAPER_T2, isotropic_with_bloch, one_point_failures
@@ -63,25 +63,31 @@ def stacked_search(x, r):
     return (uv[:, 0, :, None] * uv[:, 1, None, :]).reshape(-1, 4), n
 
 
-def kernel_inputs(lam, vecs, r=None):
+def run_on(lanes, lines, inputs, *args):
+    """optim._run on one executor at any stack size: numpy lanes, or plain floats point by point."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
+        return optim._run(lines, inputs, *args)
+
+
+def kernel_inputs(vecs, r):
     """The kernel's per-point inputs from the eigenpairs: the float views of vecs and of e's reduced matrix r."""
-    k = len(lam)
-    r = optim._schmidt(vecs[..., 0])[0] if r is None else r
+    k = len(vecs)
     return np.ascontiguousarray(vecs).reshape(k, 16).view(float), np.ascontiguousarray(r).reshape(k, 4).view(float)
 
 
-def kernel_table(m, lam, vecs, lanes, steps=optim._PRODUCT_STEPS, r=None):
+def kernel_table(m, lam, vecs, r, lanes, steps=optim._PRODUCT_STEPS):
     """The product kernel's outputs of each point as _product_bracket runs it, on one executor.
 
     Columns: w and f as floats (8 each), a_f^2, L, U, and the closure mask.
     """
     pt = np.ascontiguousarray(m).reshape(len(m), 16).view(float)
-    return optim._table(optim._run(optim._product_lines, lanes, (lam, *kernel_inputs(lam, vecs, r), pt), steps))
+    return run_on(lanes, optim._product_lines, (lam, *kernel_inputs(vecs, r), pt), steps)
 
 
-def kernel_inverse(lam, vecs):
+def kernel_inverse(lam, vecs, r):
     """m^-1 as the kernel forms it: the (k, 4, 4) Hermitian matrix of the entries that _search_lines returns first."""
-    c = optim._table(optim._run(optim._search_lines, False, (lam, *kernel_inputs(lam, vecs)), 1))
+    c = run_on(False, optim._search_lines, (lam, *kernel_inputs(vecs, r)), 1)
     m_inv = np.zeros((len(lam), 4, 4), dtype=complex)
     m_inv[:, range(4), range(4)] = c[:, :4]
     upper = np.triu_indices(4, 1)  # (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), as the kernel orders them
@@ -90,43 +96,41 @@ def kernel_inverse(lam, vecs):
     return m_inv
 
 
-def search_inputs(lam, vecs):
+def search_inputs(lam, vecs, r):
     """The search's inputs from the kernel's m^-1: -X of m^-1 without X_00, and e's reduced matrix."""
-    return -pauli_coords(kernel_inverse(lam, vecs))[:, 1:], optim._schmidt(vecs[..., 0])[0]
+    return -pauli_coords(kernel_inverse(lam, vecs, r))[:, 1:], r
 
 
-def kernel_tail(m, lam, vecs, n):
+def kernel_tail(m, lam, vecs, r, n):
     """L, U and the closure of the Bloch vectors n of u and v, (k, 2, 3), from the kernel's own m^-1 and tail.
 
     The kernel's search gives m^-1's entries and the mask; n stands for the
     Bloch vectors it found, so only they, and through them w, differ.
     """
-    found = optim._run(optim._search_lines, False, (lam, *kernel_inputs(lam, vecs)), optim._PRODUCT_STEPS)
+    found = run_on(False, optim._search_lines, (lam, *kernel_inputs(vecs, r)), optim._PRODUCT_STEPS).tolist()
     pt = np.ascontiguousarray(m).reshape(len(m), 16).view(float).tolist()
-    rows = [optim._tail_lines(sqrt, optim._pick, (*row[:16], *bloch, row[-1]), entries)
+    rows = [optim._tail_lines(sqrt, optim._pick, (*row[:16], *bloch, row[-1] != 0.0), entries)
             for row, bloch, entries in zip(found, n.reshape(-1, 6).tolist(), pt)]
-    return optim._table(rows)[:, -3:].T
+    return np.array(rows, dtype=float)[:, -3:].T
 
 
 def test_the_plain_float_search_matches_the_stacked_numpy_search():
-    m = _pt_arr(stress_sets())
-    m = m[np.linalg.eigvalsh(m)[:, 0] < -optim.NPT_CUT]
-    lam, vecs = np.linalg.eigh(m)
+    m, lam_min, lam, vecs, e, r, diff = stage_inputs(stress_sets())
     # the points the search sees: on a few that _bracket closes, e is maximally entangled but for rounding, and
     # the search, started from that rounding, goes elsewhere on each side
-    keep = ~optim._bracket(vecs[..., 0], lam[:, 0])[2]
-    m, lam, vecs = m[keep], lam[keep], vecs[keep]
-    w_ref, n_ref = stacked_search(*search_inputs(lam, vecs))
+    keep = ~optim._bracket(e, lam_min, diff)[2]
+    m, lam, vecs, r = m[keep], lam[keep], vecs[keep], r[keep]
+    w_ref, n_ref = stacked_search(*search_inputs(lam, vecs, r))
     # the kernel on plain floats and on lanes: the same bytes
-    table = kernel_table(m, lam, vecs, lanes=False)
-    assert table.tobytes() == kernel_table(m, lam, vecs, lanes=True).tobytes()
+    table = kernel_table(m, lam, vecs, r, lanes=False)
+    assert table.tobytes() == kernel_table(m, lam, vecs, r, lanes=True).tobytes()
     w = np.ascontiguousarray(table[:, :8]).view(complex)
     # only rounding apart: numpy's stacked products may fuse a multiply and an add, plain floats do not
     assert len(m) > 1500 and np.isfinite(w).all() and np.isfinite(w_ref).all()
     np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
     # the bounds of the reference's Bloch vectors from the kernel's own m^-1 and tail, so that only w differs
-    low, high, closed, _, _ = optim._product_bracket(m, lam, vecs)
-    low_ref, high_ref, closed_ref = kernel_tail(m, lam, vecs, n_ref)
+    low, high, closed, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
+    low_ref, high_ref, closed_ref = kernel_tail(m, lam, vecs, r, n_ref)
     assert np.array_equal(closed, closed_ref) and closed.sum() > 800
     np.testing.assert_allclose(low, low_ref, rtol=0, atol=1e-14)  # NaN where the other is NaN
     np.testing.assert_allclose(high, high_ref, rtol=0, atol=1e-14)  # inf where the other is inf
@@ -135,7 +139,7 @@ def test_the_plain_float_search_matches_the_stacked_numpy_search():
 def executors(monkeypatch):
     """Pin the product bracket to plain floats, then to lanes, at any stack size, in turn."""
     for cutoff in (10 ** 9, 0):
-        monkeypatch.setattr(optim, "_PRODUCT_LANES", cutoff)
+        monkeypatch.setattr(optim, "_LANES", cutoff)
         yield cutoff == 0
 
 
@@ -148,6 +152,7 @@ def test_a_degenerate_search_leaves_the_point_open_without_a_warning(monkeypatch
     vecs = np.stack([bell, product, product])
     lam = np.array([[-0.2, 0.3, 0.4, 0.5], [-0.2, 0.0, 0.5, 0.7], [-0.2, -1e-17, 0.5, 0.7]])
     m = (vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    r = optim._schmidt(vecs[..., 0])[0]
     # eigenpairs whose first half-step gives g = 0 exactly: m^-1 = 2 (all coordinates but X_00 zero, from any
     # start), and m^-1 diagonal with -X_0S = (0, 0, c) and -X_IS = diag(0, 0, c) from the start n_I = (0, 0, -1)
     basis = np.stack([np.eye(4, dtype=complex)] * 2)
@@ -156,12 +161,12 @@ def test_a_degenerate_search_leaves_the_point_open_without_a_warning(monkeypatch
     for lanes in executors(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            low, high, closed, omega, _ = optim._product_bracket(m, lam, vecs)
+            low, high, closed, omega, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
             assert np.isnan(low).all() and np.isinf(high).all() and not closed.any() and omega is None
             low, high, closed, omega, _ = optim._product_bracket(basis * flat[:, None, :], flat, basis,
                                                                  optim._PRODUCT_STEPS, starts)
             assert np.isnan(low).all() and np.isinf(high).all() and not closed.any() and omega is None
-            assert not kernel_table(basis * flat[:, None, :], flat, basis, lanes, r=starts)[:, -1].any()
+            assert not kernel_table(basis * flat[:, None, :], flat, basis, starts, lanes)[:, -1].any()
 
 
 def test_any_product_vector_and_any_vector_bound_the_robustness():
@@ -198,9 +203,8 @@ def test_the_optimizer_s_bounds_hold_on_every_npt_point():
     values, _, _, failures, lower, _, lam = optim._robustness(rho)
     assert not failures
     npt = lam < -optim.NPT_CUT
-    m = _pt_arr(rho[npt])
-    eig_lam, vecs = np.linalg.eigh(m)
-    low, high, closed, omega, witness = optim._product_bracket(m, eig_lam, vecs)
+    m, _, eig_lam, vecs, _, r, _ = stage_inputs(rho)
+    low, high, closed, omega, witness = optim._product_bracket(m, eig_lam, vecs, optim._PRODUCT_STEPS, r)
     # a maximally entangled negative eigenvector (pure and Bell-like states, which _bracket closes) gives
     # the search no start: NaN, the point stays open
     schmidt = bracket_routes(rho)[0][npt]
@@ -219,15 +223,12 @@ def test_the_optimizer_s_bounds_hold_on_every_npt_point():
 
 def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
     rho = ginibre_states(np.random.default_rng(6603), 120)
-    m = _pt_arr(rho)
-    npt = np.linalg.eigvalsh(m)[:, 0] < -optim.NPT_CUT
-    m = m[npt]
-    lam, vecs = np.linalg.eigh(m)
-    low, high, closed, omega, witness = optim._product_bracket(m, lam, vecs)
+    m, _, lam, vecs, _, r, _ = stage_inputs(rho)
+    low, high, closed, omega, witness = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
     assert 0 < closed.sum() < len(m)
     position = np.cumsum(closed) - 1
     for k in range(len(m)):
-        one = optim._product_bracket(m[k:k + 1], lam[k:k + 1], vecs[k:k + 1])
+        one = optim._product_bracket(m[k:k + 1], lam[k:k + 1], vecs[k:k + 1], optim._PRODUCT_STEPS, r[k:k + 1])
         assert (one[0].tobytes(), one[1].tobytes(), bool(one[2][0])) == (
             low[k:k + 1].tobytes(), high[k:k + 1].tobytes(), bool(closed[k]))
         if closed[k]:
@@ -266,10 +267,11 @@ def test_a_singular_partial_transpose_leaves_the_point_open(monkeypatch):
     m = np.stack([(q * s) @ q.conj().T for s in spectra])
     lam, vecs = np.linalg.eigh(m)
     lam[:2, 1] = spectra[:2, 1]  # the eigenvalues exactly as set
+    r = optim._schmidt(vecs[..., 0])[0]
     for _ in executors(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            low, high, closed, _, _ = optim._product_bracket(m, lam, vecs)
+            low, high, closed, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
         assert np.isnan(low[:2]).all() and np.isinf(high[:2]).all() and not closed[:2].any()
         assert np.isfinite(low[2]) and np.isfinite(high[2]) and low[2] <= high[2] * (1.0 + 1e-14)
 
@@ -281,19 +283,19 @@ def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
                              relax._relax(entangled_ginibre(13).matrix, times[:5], PAPER_T2),
                              relax._relax(entangled_ginibre(268).matrix, times[:10] / 5.0, PAPER_T2)])
     product_class = np.arange(len(states)) >= 45
-    m = _pt_arr(states)
-    lam, vecs = np.linalg.eigh(m)
-    lam_min = np.linalg.eigvalsh(m)[:, 0]
+    m, lam_min, lam, vecs, e, r, diff = stage_inputs(states)
+    assert len(m) == len(states)  # every point NPT
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # the longer search only repeats the first: the solver takes what the brackets leave
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     minimum_norm_upper = None
     # no completion (the Bell class reaches the solver), one completion step (part of it does), the full completion
     for steps in (0, 1, optim._COMPLETION_STEPS):
         monkeypatch.setattr(optim, "_COMPLETION_STEPS", steps)
         failures = one_point_failures(states)  # every point that fails, not only a stack's first
-        low, high, _, _, _ = optim._bracket(vecs[..., 0], lam_min)
-        low_p, high_p, _, _, _ = optim._product_bracket(m, lam, vecs)
-        low_b, high_b, _, _, _ = optim._bell_bracket(m, np.fmax(low, low_p))  # the floor _robustness passes
+        low, high, _, _, _ = optim._bracket(e, lam_min, diff)
+        low_p, high_p, _, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
+        low_b, high_b, _, _, _ = optim._bell_bracket(m)
         if minimum_norm_upper is None:
             minimum_norm_upper = high_b
         tighter, bell_binds, completion_tightens = 0, 0, 0
@@ -312,10 +314,10 @@ def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
             assert len(failures) > 40 and tighter > 40
             assert bell_binds > 30  # the Bell witness gives most of them their lower bound
         elif steps == 1:
-            # an unclosed completion still hands on a tighter U than the minimum-norm omega's; the
-            # product-class points, whose Bell bound is below the floor, skip it and keep that U
+            # an unclosed completion still hands on a tighter U than the minimum-norm omega's, on the Bell-class
+            # points and on the product-class points, whose Bell bound is below the other brackets' L, alike
             completed = [k for k in failures if not product_class[k]]
-            assert 10 < len(failures) < 25 and completion_tightens == len(completed) > 5
+            assert 10 < len(failures) < 25 and completion_tightens == len(failures) and len(completed) > 5
         else:
             assert sorted(failures) == np.flatnonzero(product_class).tolist()
         with pytest.raises(ConvergenceError) as single:
@@ -353,7 +355,8 @@ def test_the_longer_search_closes_every_point_the_brackets_leave_open(monkeypatc
                           relax._relax(entangled_ginibre(268).matrix, np.linspace(0.0, 0.002, 12), PAPER_T2),
                           stress_sets(), bench_robustness_inputs()])
     closed = optim._robustness(rho)
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # the longer search only repeats the first: the solver takes what the brackets leave
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     solved = optim._robustness(rho)
     monkeypatch.undo()
     values, iterations, omega, failures, lower, witness, _ = closed

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_density_matrix, random_physical_c
+from conftest import stage_inputs
 from test_robustness_stress import ginibre_states
 from witnesslab import (
     BellKind,
@@ -116,17 +117,17 @@ def test_newton_system_matches_finite_differences_of_the_barrier(t):
 
 def bracket_bounds(rho):
     """The tightest of the three closed-form brackets of one NPT state: (max(L, L_prod, L_bell), min(U, ...))."""
-    m = pt(rho.matrix)[None]
-    lam, vecs = np.linalg.eigh(m)
-    low, high, closed, _, _ = optim._bracket(vecs[..., 0], lam[:, 0])
-    low_p, high_p, closed_p, _, _ = optim._product_bracket(m, lam, vecs)
+    m, lam_min, lam, vecs, e, r, diff = stage_inputs(rho.matrix[None])
+    low, high, closed, _, _ = optim._bracket(e, lam_min, diff)
+    low_p, high_p, closed_p, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
     low_b, high_b, closed_b, _, _ = optim._bell_bracket(m)
     assert not closed[0] and not closed_p[0] and not closed_b[0]  # none closes, so the solver runs
     return max(low[0], low_p[0], low_b[0]), min(high[0], high_p[0], high_b[0])
 
 
 def test_cholesky_failure_raises_with_bounds(monkeypatch):
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # the longer search only repeats the first: the solver takes what the brackets leave
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     rho = entangled_ginibre(268)  # product class: no bracket closes, so the solver runs
     lam_min = np.linalg.eigvalsh(pt(rho.matrix))[0]
     low, high = bracket_bounds(rho)
@@ -153,7 +154,8 @@ def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
     # a rank-2 state of the stress set that no bracket closes: its brackets' bounds are within 3e-8 of the
     # value, so only the last iterate before the solve ends is tighter than them
     rho = DensityMatrix(ginibre_states(np.random.default_rng(20261018), 690)[-1])
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # the longer search only repeats the first: the solver takes what the brackets leave
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     value = generalized_robustness(rho).value
     low, high = bracket_bounds(rho)
     cholesky = optim._cholesky

@@ -17,6 +17,7 @@ and just above its separability threshold 1/3, and the GRAPE state.
 
 import numpy as np
 
+from conftest import stage_inputs
 from witnesslab import BellKind, DensityMatrix, bell_state, generalized_robustness, pseudo_pure
 from witnesslab import grape_target_pipeline, optim
 from witnesslab.qmat import _pt_arr
@@ -47,15 +48,13 @@ def bracket_routes(rho):
     """Where each state of a stack goes: the masks of the NPT states that _bracket closes, of those that
     _product_bracket closes after it, and of those that _bell_bracket closes after both, and the smaller of
     the product and Bell brackets' |U - L| of every NPT state (inf for PPT)."""
-    m = _pt_arr(rho)
-    lam_min = np.linalg.eigvalsh(m)[:, 0]
-    npt = lam_min < -optim.NPT_CUT
-    lam, vecs = np.linalg.eigh(m[npt])
+    npt = np.linalg.eigvalsh(_pt_arr(rho))[:, 0] < -optim.NPT_CUT
+    m, lam_min, lam, vecs, e, r, diff = stage_inputs(rho)
     schmidt, product, bell = (np.zeros(len(rho), bool) for _ in range(3))
     open_gap = np.full(len(rho), np.inf)
-    schmidt[npt] = optim._bracket(vecs[..., 0], lam_min[npt])[2]
-    low, high, product[npt], _, _ = optim._product_bracket(m[npt], lam, vecs)
-    low_b, high_b, bell[npt], _, _ = optim._bell_bracket(m[npt])
+    schmidt[npt] = optim._bracket(e, lam_min, diff)[2]
+    low, high, product[npt], _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
+    low_b, high_b, bell[npt], _, _ = optim._bell_bracket(m)
     open_gap[npt] = np.fmin(np.abs(high - low), np.abs(high_b - low_b))
     product &= ~schmidt
     return schmidt, product, bell & ~schmidt & ~product, open_gap
@@ -83,7 +82,8 @@ def check_certified(rho, values, iterations, omega, lower, witness):
 
 
 def test_every_seeded_ginibre_solve_is_certified(monkeypatch):
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # the longer search only repeats the first: the solver takes what the brackets leave
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     rho = ginibre_states(np.random.default_rng(20261018), 2400)
     values, iterations, omega, failures, lower, witness, _ = optim._robustness(rho)
     assert not failures
@@ -115,7 +115,8 @@ def test_every_seeded_ginibre_solve_is_certified(monkeypatch):
 
 def test_a_solved_point_gets_from_the_solver_alone_what_the_robustness_stores(monkeypatch):
     # the solver is the last stage: like a closed bracket, it gives its point omega, value, lower and witness
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # the longer search only repeats the first: the solver takes what the brackets leave
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     rho = ginibre_states(np.random.default_rng(20261020), 1200)
     values, iterations, omega, failure, lower, witness, lam_min = optim._robustness(rho)
     assert failure is None

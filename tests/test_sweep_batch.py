@@ -87,8 +87,8 @@ CASES = {
 @pytest.mark.parametrize("name", list(CASES))
 def test_sweep_equals_the_one_point_functions_bit_for_bit(name, monkeypatch):
     rho0, t_max, steps, route = CASES[name]
-    if route == "solver":  # no longer search: the solver takes what the brackets leave
-        monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)
+    if route == "solver":  # the longer search only repeats the first: the solver takes what the brackets leave
+        monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     w = bell_witness(BellKind.PHI_MINUS)
     series = sweep(rho0, PAPER_T2, w, t_max, steps)
     # the solver's own iteration counts and dual bounds for the grid, formed as the sweep forms them
@@ -122,7 +122,8 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name, monkeypatch):
 
 
 def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # the longer search only repeats the first: the solver takes what the brackets leave
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     states = relax._relax(entangled_ginibre(268).matrix, np.linspace(0.0, 0.002, 9), PAPER_T2)
     times = np.linspace(0.0, 0.25, 9)
     states = np.concatenate([states, relax._relax(bell_state(BellKind.PHI_MINUS).matrix, times, PAPER_T2)])
@@ -159,7 +160,8 @@ def one_point_failures(states):
 
 
 def test_the_first_failing_point_ends_the_call_with_its_one_point_bounds(monkeypatch):
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # the longer search only repeats the first: the solver takes what the brackets leave
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     # past the stress set's first solver point, so that points solved within the cap come before the first failure
     rho = stress_sets()[100:]
     uncapped = optim._robustness(rho)[1]
@@ -194,7 +196,8 @@ def test_the_first_failing_point_ends_the_call_with_its_one_point_bounds(monkeyp
 
 
 def test_sweep_names_the_earliest_failing_time(monkeypatch):
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", 0)  # no longer search: the solver takes what the brackets leave
+    # the longer search only repeats the first: the solver takes what the brackets leave
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     rho0 = entangled_ginibre(268)  # entangled at every grid time
     w = bell_witness(BellKind.PHI_MINUS)
     times = np.linspace(0.0, 0.002, 12)
