@@ -10,21 +10,19 @@ solver is the last stage, for a point that no bracket closes: one point's
 own 4x4 linear algebra, one point at a time, since no measured workload
 leaves a point open.
 
-The first bracket's bounds and closure test, and the whole product bracket
-from the eigenpairs of the partial transpose to its closure test, are one
-kernel of real arithmetic: +, -, *, / and sqrt in a fixed order, with
-comparisons, & and a select, and no matmul, reduction or complex product.
-IEEE 754 rounds each of those operations correctly, so the same lines give
-the same bits on plain Python floats and on numpy (k,) lanes (_run).  Each
-of the two stages (_bracket_lines, and _product_lines: _search_lines, then
-_tail_lines) runs on floats, one point at a time, for a stack below one
-cutoff (_LANES, the product bracket's measured crossover), where numpy's
-cost per call is more than the arithmetic, and on lanes from there.  A
-degenerate point (no inverse, a zero vector to normalize) is open by an
-explicit mask, and its divisor is lifted to 1, so neither executor divides
-by zero or makes a NaN on the way.  The eigendecompositions, the
-Bell bracket and its completion, and the complex assembly of omega and the
-witness of the points a bracket closes stay whole-stack numpy.
+The first bracket's bounds and closure test, the product bracket from the
+eigenpairs of the partial transpose to its closure test, and what follows
+the solve of each Newton step of the Bell completion are one kernel of real
+arithmetic: +, -, *, / and sqrt in a fixed order, with comparisons, & and |
+and a select, and no matmul, reduction or complex product.  IEEE 754 rounds
+each of those correctly, so the same lines (_bracket_lines, _product_lines,
+_newton_lines) give the same bits on plain Python floats, one point at a
+time, below _LANES points and on numpy (k,) lanes from there (_run).  A
+degenerate point of the first two is open by an explicit mask, with no
+division by zero and no NaN on the way.  The eigendecompositions, the Bell
+bracket's SVD and 3x3 products, each completion step's Cholesky, inverse,
+Gram products and solve, and the complex assembly of omega and the witness
+stay whole-stack numpy.
 """
 
 from __future__ import annotations
@@ -311,7 +309,7 @@ def _run(lines, inputs, *args) -> np.ndarray:
     Each input is a float64 array, (k, n) for a sequence of n values of
     each point or (k,) for one.  The lines take (sqrt, where), then one
     argument per input, then args.  They use +, -, *, / and sqrt,
-    comparisons, & and where, and nothing else; IEEE 754 rounds each of
+    comparisons, &, | and where, and nothing else; IEEE 754 rounds each of
     those correctly, so a point gets the same bits from both executors.
     Below _LANES points they run once per point, on Python floats with
     math.sqrt and _pick; from there, and on an empty stack, once on (k,)
@@ -560,16 +558,13 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
     Everything from the eigenpairs to the closure test is real arithmetic,
     written once: _search_lines (m^-1 and its coordinates, the search),
     then _tail_lines (w, f, q, U, a_f^2, L and the test), the two as
-    _product_lines.  It runs on plain Python floats, one point at a time,
-    below _LANES points, where a numpy call per operation costs more than
-    its arithmetic, and on numpy (k,) lanes from there, where the per-point
-    cost of the floats grows past a call's fixed cost: the same bits either
-    way (_run).  A point is open by an explicit mask where m has a second
-    eigenvalue <= 0, e is maximally entangled (a zero start: _bracket
-    closes those points) or a half-step meets a zero vector; no division
-    meets a zero and no NaN is made on the way.  m^-1 comes from
-    three eigenvectors and the identity, so its bits are the kernel's own,
-    not those of a stacked matmul.
+    _product_lines, run on plain Python floats below _LANES points and on
+    numpy (k,) lanes from there: the same bits either way (_run).  A point
+    is open by an explicit mask where m has a second eigenvalue <= 0, e is
+    maximally entangled (a zero start: _bracket closes those points) or a
+    half-step meets a zero vector; no division meets a zero and no NaN is
+    made on the way.  m^-1 comes from three eigenvectors and the identity,
+    so its bits are the kernel's own, not those of a stacked matmul.
     Returns L and U of every point, the mask of the points with
     |U - L| < _GAP, and omega and the witness of those points, assembled
     as whole-stack numpy, or None for both when no point closes.  U is inf
@@ -604,8 +599,8 @@ def _completion_tables():
     with omega psi- = 0 and omega^PT phi+ = 0 are the correlation blocks
     sum_ij S_ij sigma_i (x) sigma_j / 4 with S real, symmetric and
     traceless; the (5, 9) basis holds an orthonormal basis of those S, and
-    the (6, 2, 3, 3) directions hold their compressions and, last, those of
-    -t 1 (-1 in both blocks).
+    the directions hold their compressions and, last, those of -t 1 (-1 in
+    both blocks), as rows of 36 reals and side by side per block.
     """
     s = np.sqrt(0.5)
     g_perp = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, s, s, 0]], dtype=complex).T
@@ -623,20 +618,37 @@ def _completion_tables():
     directions[:5] = np.tensordot(correlations.reshape(5, 16), table[:16], 1)
     directions[5] = -np.eye(3)
     tables = (np.ascontiguousarray(table.reshape(32, 18)).view(float), basis.reshape(5, 9),
-              np.ascontiguousarray(directions.swapaxes(0, 1)),
-              np.ascontiguousarray(directions.reshape(6, 18)).view(float))
+              directions.reshape(6, 18).view(float), directions.transpose(1, 2, 0, 3).reshape(2, 3, 18))
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
-_COMPLETION_TABLE, _CORRELATION_BASIS, _DIRECTIONS, _DIRECTIONS_FLAT = _completion_tables()
+_COMPLETION_TABLE, _CORRELATION_BASIS, _DIRECTIONS_FLAT, _DIRECTIONS = _completion_tables()
 # the identity in both blocks, in their real view: the inner product with a block pair is its trace
 _EYES = np.ascontiguousarray(np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3)).reshape(18)).view(float)
 
 
-# a block that Cholesky cannot factor or a singular Newton system is NaN: the point stops at its last iterate
-@np.errstate(invalid="ignore", divide="ignore")
+def _newton_lines(sqrt, where, dec2, dz, z, weight, first):
+    """After the solve of a Bell completion step, of one point or one lane: its z and weight, and whether it goes on.
+
+    dec2 = rhs . dz, the squared Newton decrement lambda^2, counts as 0 where
+    rounding puts it below 0 (a full step either way); z moves 1 / (1 +
+    lambda) of dz while lambda > 1/4, else all of it.  A NaN in the moved z
+    (a failed Cholesky or solve) stops the point at its last z, as do t >= 0
+    and, after the first step, a t four more such steps would not lift to 0.
+    """
+    decrement = sqrt(where(dec2 > 0.0, dec2, 0.0))
+    a = where(decrement > 0.25, 1.0 / (1.0 + decrement), 1.0)  # the step length
+    (d0, d1, d2, d3, d4, d5), (z0, z1, z2, z3, z4, z5) = dz, z
+    m0, m1, m2, m3, m4, m5 = z0 + a * d0, z1 + a * d1, z2 + a * d2, z3 + a * d3, z4 + a * d4, z5 + a * d5
+    failed = (m0 != m0) | (m1 != m1) | (m2 != m2) | (m3 != m3) | (m4 != m4) | (m5 != m5)  # a NaN
+    t = where(failed, z5, m5)
+    keep = ((t < 0.0) > failed) & (first | (t + 4.0 * (t - z5) >= 0.0))
+    return (where(failed, z0, m0), where(failed, z1, m1), where(failed, z2, m2), where(failed, z3, m3),
+            where(failed, z4, m4), t, _COMPLETION_GROWTH * weight, keep)
+
+
 def _bell_completion(yx: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Pauli coordinates (k, 4, 4) of an omega that complementary slackness with W allows, PSD where one was found.
 
@@ -648,65 +660,52 @@ def _bell_completion(yx: np.ndarray, r: np.ndarray) -> np.ndarray:
     m + omega^PT >= 0 ask only that the compressions A = G^H omega G and
     B = F^H (m + omega^PT) F be PSD, with G and F orthonormal bases of the
     complements of g and f.  With c the 5 coordinates of S, a phase-1
-    barrier method maximizes t subject to A(c) >= t and B(c) >= t: damped
-    Newton steps (step 1 / (1 + lambda) while the Newton decrement lambda
-    exceeds 1/4) on -w t - log det(A - t) - log det(B - t), the weight w
-    starting at Tr (A - t)^-1 + Tr (B - t)^-1 and growing by
-    _COMPLETION_GROWTH per step, from c = 0 and t = 2 lambda_min of the
-    minimum-norm compressions.  A point stops once t > 0, or once t stalls
-    below 0 (four more steps like its last would not lift it to 0), or
-    after _COMPLETION_STEPS steps.  Every point's numbers come from its
-    own slices.  A point whose minimum-norm compressions are PSD (t >= 0
-    at the start) takes no step, so its omega is the minimum-norm one, and
-    it keeps the minimum-norm coordinates as they are, bit for bit: only
-    the points that step take the correction sum_j c_j S_j R (a zero one
-    would turn a -0.0 into +0.0), and a call where none steps returns
-    yx[:, 0] itself.  The caller checks the result with the full 4x4
-    eigvalsh.
+    barrier method maximizes t subject to A(c) >= t and B(c) >= t: at most
+    _COMPLETION_STEPS damped Newton steps on -w t - log det(A - t) - log
+    det(B - t) from c = 0 and t = 2 lambda_min of the minimum-norm
+    compressions, w starting at Tr (A - t)^-1 + Tr (B - t)^-1 and growing
+    by _COMPLETION_GROWTH per step.  Each step's LAPACK and matmul calls
+    are whole-stack numpy on the points still stepping, and what follows
+    its solve is _newton_lines, on floats below _LANES such points and on
+    lanes from there (_run).  A point whose minimum-norm compressions are
+    PSD takes no step and keeps their coordinates bit for bit: only the
+    points that step take the correction sum_j c_j S_j R (a zero one would
+    turn a -0.0 into +0.0).  Every point's numbers come from its own
+    slices.  The caller checks the result with the full 4x4 eigvalsh.
     """
-    k = len(yx)
-    rot = np.zeros((k, 4, 4))
+    rot = np.zeros((len(yx), 4, 4))
     rot[:, 0, 0] = 1.0
     rot[:, 1:, 1:] = r.swapaxes(-1, -2)
-    v = (yx @ rot[:, None]).reshape(k, 1, 32)  # both in W_0's frame
-    base = (v @ _COMPLETION_TABLE).view(complex).reshape(k, 2, 3, 3)
-    lam = _umath_linalg.eigvalsh_lo(base, signature="D->d")[..., 0].min(axis=-1)
-    z = np.zeros((k, 6))  # c, then t
-    z[:, 5] = lam + np.minimum(lam, 0.0)
-    points = stepped = (z[:, 5] < 0.0).nonzero()[0]
-    if not len(points):  # no point steps: every omega is the minimum-norm one
+    base = (yx @ rot[:, None]).reshape(-1, 1, 32) @ _COMPLETION_TABLE  # both in W_0's frame, in their real view
+    lam = _umath_linalg.eigvalsh_lo(base.view(complex).reshape(-1, 2, 3, 3), signature="D->d")[..., 0].min(axis=-1)
+    stepped = (lam < 0.0).nonzero()[0]
+    if not len(stepped):  # no point steps: every omega is the minimum-norm one
         return yx[:, 0]
-    zp, base, weight = z[points], base[points], None
-    for step in range(_COMPLETION_STEPS):
-        if not len(points):
-            break
-        chol = _umath_linalg.cholesky_lo(base + (zp[:, None] @ _DIRECTIONS_FLAT).view(complex).reshape(-1, 2, 3, 3),
-                                         signature="D->D")
-        inv_l = _umath_linalg.inv(chol, signature="D->D")
-        # L^-1 C_j L^-H: the barrier's Hessian is their Gram matrix, its gradient minus their traces
-        scaled = inv_l[:, :, None] @ _DIRECTIONS @ inv_l.conj().swapaxes(-1, -2)[:, :, None]
-        gram = scaled.swapaxes(1, 2).reshape(-1, 6, 18).view(float)
-        rhs = (gram @ _EYES[:, None])[..., 0]
-        if weight is None:
-            weight = -rhs[:, 5]  # the t-gradient is 0 at the start
-        rhs[:, 5] += weight
-        dz = _umath_linalg.solve1(gram @ gram.swapaxes(-1, -2), rhs, signature="dd->d")
-        decrement = np.sqrt((rhs[:, None] @ dz[:, :, None])[:, 0, 0])
-        t_last = zp[:, 5]
-        moved = zp + np.where(decrement > 0.25, 1.0 / (1.0 + decrement), 1.0)[:, None] * dz
-        failed = np.isnan(moved).any(axis=1)
-        zp = np.where(failed[:, None], zp, moved)
-        t = zp[:, 5]
-        keep = (t < 0.0) & ~failed
-        if step:
-            keep &= t + 4.0 * (t - t_last) >= 0.0
-        if not keep.all():
-            z[points[~keep]] = zp[~keep]
-            points, zp, base, weight = points[keep], zp[keep], base[keep], weight[keep]
-        weight = _COMPLETION_GROWTH * weight
-    z[points] = zp
+    z = np.zeros((len(stepped), 6))  # c, then t, of the points that step
+    z[:, 5] = 2.0 * lam[stepped]
+    points, zp, base, weight = slice(None), z, base[stepped], None  # the rows of z still stepping
+    with np.errstate(invalid="ignore", divide="ignore"):  # a failed Cholesky or solve gives NaN, and no warning
+        for step in range(_COMPLETION_STEPS):
+            blocks = (base + zp[:, None] @ _DIRECTIONS_FLAT).view(complex).reshape(-1, 2, 3, 3)
+            inv_l = _umath_linalg.inv(_umath_linalg.cholesky_lo(blocks, signature="D->D"), signature="D->D")
+            # L^-1 C_j L^-H, six per matmul: the barrier's Hessian is their Gram matrix, its gradient minus their traces
+            left = (inv_l @ _DIRECTIONS).reshape(-1, 2, 3, 6, 3).swapaxes(2, 3).reshape(-1, 2, 18, 3)
+            scaled = (left @ inv_l.conj().swapaxes(-1, -2)).reshape(-1, 2, 6, 9).swapaxes(1, 2)
+            gram = scaled.reshape(-1, 6, 18).view(float)
+            rhs = gram @ _EYES
+            weight = -rhs[:, 5] if weight is None else weight  # the t-gradient is 0 at the start
+            rhs[:, 5] += weight
+            dz = _umath_linalg.solve1(gram @ gram.swapaxes(-1, -2), rhs, signature="dd->d")
+            out = _run(_newton_lines, ((rhs[:, None] @ dz[:, :, None])[:, 0, 0], dz, zp, weight), not step)
+            z[points], weight, rows = out[:, :6], out[:, 6], out[:, 7].nonzero()[0]
+            if len(rows) < len(out):  # the points that stop keep their rows of z
+                if not len(rows):
+                    break
+                points = rows if isinstance(points, slice) else points[rows]
+                base, weight = base[rows], weight[rows]
+            zp = z[points]
     y = yx[:, 0].copy()
-    y[stepped, 1:, 1:] += (z[stepped, None, :5] @ _CORRELATION_BASIS).reshape(-1, 3, 3) @ r[stepped]
+    y[stepped, 1:, 1:] = yx[stepped, 0, 1:, 1:] + (z[:, None, :5] @ _CORRELATION_BASIS).reshape(-1, 3, 3) @ r[stepped]
     return y
 
 
@@ -737,10 +736,11 @@ def _bell_bracket(m: np.ndarray):
     whose compressions are.  With eps = max(0, -lambda_min(omega),
     -lambda_min(m + omega^PT)) of the omega it returns, from one full 4x4
     eigvalsh, omega + eps 1 is a primal certificate, so U = L + 4 eps.
-    Returns L and U of every point, the mask of the points
-    with U - L < _GAP, and omega + eps 1 and W of those points, or None for
-    both when no point closes.  Every point's numbers come from its own
-    slices.
+    Returns L and U of every point, the mask of the points with U - L <
+    _GAP, and omega + eps 1 and W of those points, or None for both when no
+    point closes.  Every point's numbers come from its own slices.  This
+    arithmetic is whole-stack numpy; in the completion, only what follows
+    each Newton solve runs on floats or lanes (_newton_lines).
     """
     yx = np.empty((len(m), 2, 4, 4))  # the minimum-norm omega's coordinates, then rho's, as the completion takes them
     y, x = yx[:, 0], yx[:, 1]
@@ -881,10 +881,10 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     tightest of the solver's and the brackets' bounds.  This is the
     one-point case of the stages that ``relax.sweep`` runs over a whole
     time grid, where the solver takes its points one at a time as it does
-    here.  The first two brackets' arithmetic runs here on plain Python
-    floats, and in a sweep on numpy lanes once a stack reaches _LANES
-    points: the same lines, so the same bits, and a degenerate point is
-    left open by an explicit mask on both.
+    here.  The first two brackets' arithmetic and what follows each solve
+    of the Bell completion run here on plain Python floats, and in a sweep
+    on numpy lanes once a stack reaches _LANES points: the same lines, so
+    the same bits.
     """
     _two_spin_state(rho, "generalized_robustness")
     values, iterations, omega, failure, lower, witness, _ = _robustness(rho.matrix[None])

@@ -215,9 +215,11 @@ def test_the_completion_takes_a_bounded_number_of_steps(monkeypatch):
     assert steps[-1] == 1
 
 
-def test_a_failed_newton_step_ends_the_search_at_its_last_iterate(monkeypatch):
+@pytest.mark.parametrize("lanes", [False, True])
+def test_a_failed_newton_step_ends_the_search_at_its_last_iterate(lanes, monkeypatch):
     # a Cholesky that fails on the second step: the point keeps the first step's omega, with no warning
-    # (CI runs with RuntimeWarning as an error) and a finite U no looser than the minimum-norm one
+    # (CI runs with RuntimeWarning as an error) and a finite U no looser than the minimum-norm one, whether the
+    # step's bookkeeping runs on floats or on lanes
     rho = np.stack([entangled_ginibre(13).matrix, entangled_ginibre(268).matrix])
     m = _pt_arr(rho)
     monkeypatch.setattr(optim, "_COMPLETION_STEPS", 0)
@@ -225,6 +227,7 @@ def test_a_failed_newton_step_ends_the_search_at_its_last_iterate(monkeypatch):
     monkeypatch.setattr(optim, "_COMPLETION_STEPS", 1)
     low_1, high_1, _, _, _ = optim._bell_bracket(m)
     monkeypatch.undo()
+    monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
     lapack, calls = optim._umath_linalg, []
 
     class FailsOnTheSecondStep:

@@ -1,14 +1,18 @@
 """The closed-form stages' real-arithmetic kernel: one set of lines, two executors.
 
-``_bracket``'s bounds and the whole product bracket, from the eigenpairs to
-the closure test, are written once in +, -, *, / and sqrt.  Each stage runs
-them on plain Python floats, point by point, below one cutoff and on numpy
-(k,) lanes from there; IEEE 754 rounds those operations correctly, so the
-two give the same bits.  These checks hold every point to the same bytes
-alone and in stacks of 2, 30 and 10,000, which sit on both sides of the
-cutoff; ``_bracket``'s bounds to the bytes of its numpy formula on either
-executor; and a 10,000-step sweep, whose product stacks run on lanes, to its
-one-point replay through ``generalized_robustness``.
+``_bracket``'s bounds, the whole product bracket, from the eigenpairs to
+the closure test, and what follows the solve of each Newton step of the Bell
+completion are written once in +, -, *, / and sqrt.  Each stage runs them on
+plain Python floats, point by point, below one cutoff and on numpy (k,)
+lanes from there; IEEE 754 rounds those operations correctly, so the two
+give the same bits.  These checks hold every point to the same bytes alone
+and in stacks of 2, 30 and 10,000, which sit on both sides of the cutoff:
+in ``_bracket``, in the product bracket, in the Bell bracket on the points
+those two leave open (stepping, not stepping, and product-class points that
+stall open) and in the whole robustness; ``_bracket``'s bounds to the bytes
+of its numpy formula on either executor; and a 10,000-step sweep, whose
+product stacks run on lanes, to its one-point replay through
+``generalized_robustness``.
 """
 
 import warnings
@@ -72,19 +76,37 @@ def test_the_stacks_sit_on_both_sides_of_every_cutoff():
     assert 2 < optim._LANES <= 30
 
 
-def test_every_point_gives_the_same_bytes_alone_and_in_stacks(states, npt_inputs):
+def test_every_point_gives_the_same_bytes_alone_and_in_stacks(states, npt_inputs, monkeypatch):
     m, lam_min, lam, vecs, e, r, diff = npt_inputs
     n = len(m)
     assert n > 3000
     alone = [bracket_rows(optim._bracket(e[i:i + 1], lam_min[i:i + 1], diff[i:i + 1]))[0] for i in range(n)]
     assert sum(row[2] for row in alone) > 1000  # closed points, whose omega and witness are compared too
     stacked(lambda idx: bracket_rows(optim._bracket(e[idx], lam_min[idx], diff[idx])), n, alone)
+    open_first = np.array([not row[2] for row in alone])
     # the product bracket on every NPT point: the maximally entangled e of a point _bracket closes gives NaN
     alone = [bracket_rows(optim._product_bracket(m[i:i + 1], lam[i:i + 1], vecs[i:i + 1],
                                                  optim._PRODUCT_STEPS, r[i:i + 1]))[0] for i in range(n)]
     assert sum(row[2] for row in alone) > 1000
     stacked(lambda idx: bracket_rows(optim._product_bracket(m[idx], lam[idx], vecs[idx], optim._PRODUCT_STEPS,
                                                             r[idx])), n, alone)
+    # the Bell bracket on the points both leave open: one _run per Newton step of the completion, on floats alone
+    # and in the stacks of 2 and 30, and on lanes in the stack of 10,000 until few of its points still step
+    left = m[open_first & ~np.array([row[2] for row in alone])]
+    runs, run = [], optim._run
+    with monkeypatch.context() as patch:
+        patch.setattr(optim, "_run", lambda lines, inputs, *a: (runs.append(len(inputs[0])), run(lines, inputs, *a))[1])
+        alone, steps = [], []
+        for i in range(len(left)):
+            runs.clear()
+            alone.append(bracket_rows(optim._bell_bracket(left[i:i + 1]))[0])
+            steps.append(len(runs))
+        steps, closed = np.array(steps), np.array([row[2] for row in alone])
+        # points that take no step, points that step and close, and product-class points that stall open
+        assert (steps == 0).sum() > 500 and (closed & (steps > 0)).sum() > 200 and (~closed & (steps > 2)).sum() > 10
+        runs.clear()
+        stacked(lambda idx: bracket_rows(optim._bell_bracket(left[idx])), len(left), alone)
+        assert min(runs) < optim._LANES <= max(runs)
     # and the whole robustness, whose stack of 10,000 sends thousands of points to the product bracket, on lanes
     alone = [robustness_rows(optim._robustness(states[i:i + 1]))[0] for i in range(len(states))]
     stacked(lambda idx: robustness_rows(optim._robustness(states[idx])), len(states), alone)
@@ -145,6 +167,18 @@ def test_generalized_robustness_takes_the_float_executor_and_the_sweep_the_lanes
         used.append((lines.__name__, len(inputs[0]) >= optim._LANES)), run(lines, inputs, *a))[1])
     generalized_robustness(rho)
     assert used == [("_bracket_lines", False), ("_product_lines", False)]
+
+
+@pytest.mark.parametrize("lanes", [False, True])
+def test_a_newton_decrement_rounded_below_zero_takes_a_full_step(lanes, monkeypatch):
+    # rhs . dz of a near-singular Newton system can round below 0: it counts as 0, where math.sqrt would raise and
+    # np.sqrt give NaN, so both executors take the full step, with no warning
+    monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
+    dz, z = np.array([[0.125, -0.25, 0.375, 0.0, 0.5, 0.25]]), np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = optim._run(optim._newton_lines, (np.array([-2.0 ** -60]), dz, z, np.array([3.0])), True)
+    assert out.tolist() == [[0.125, -0.25, 0.375, 0.0, 0.5, -0.25, 3.0 * optim._COMPLETION_GROWTH, 1.0]]
 
 
 @pytest.mark.parametrize("lanes", [False, True])
