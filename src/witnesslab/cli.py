@@ -7,6 +7,10 @@ Exit codes: 0 success, 2 usage error or unwritable output, 3 domain error
 (unphysical input), 4 solver non-convergence.  Identical
 invocations produce byte-identical output; JSON documents validate against
 schemas/output.schema.json.
+
+Only errors, qmat and states load with this module.  Each subcommand imports
+the modules it runs, so that ``witness`` loads no robustness solver and
+``sdc`` loads no witness code.
 """
 
 from __future__ import annotations
@@ -21,24 +25,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, DomainError, StructuralError
-from .circuits import Message, superdense_run
-from .optim import generalized_robustness
+from .errors import _MAX_RESOLUTION, _MAX_STEPS, ConvergenceError, DomainError, StructuralError
 from .qmat import PSD_TOL, DensityMatrix, _eigvalsh, _pt_arr
-from .readout import add_noise
-from .relax import _MAX_STEPS, RelaxationParams, sweep
 from .states import BellDiagonalParams, BellKind, ThermalParams, _bd_operator, bell_state
-from .witness import (
-    _MAX_RESOLUTION,
-    BDClass,
-    _correlations,
-    _f_values,
-    _region_planes,
-    bell_witness,
-    eval_witness,
-    optimal_witness,
-    witness_is_valid,
-)
 
 _KIND_NAMES = {k.value: k for k in BellKind}
 _MAX_STATE_BYTES = 1 << 16  # a save_state_json file is about 1.2 KB
@@ -130,9 +119,13 @@ def _verdict(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_witness(args):
+    from .witness import _correlations, _f_values, bell_witness
+
     labels = ("XX", "YY", "ZZ")
     corr = dict(zip(labels, _correlations(parse_state_spec(args.state, args.psd_tol))))
     if args.noise != 0.0:  # add_noise rejects negative and NaN sigma
+        from .readout import add_noise
+
         corr = {
             lab: add_noise(v, args.noise, args.seed + k)
             for k, (lab, v) in enumerate(corr.items())
@@ -180,6 +173,8 @@ def _cmd_witness(args):
 
 
 def _cmd_optimal_witness(args):
+    from .witness import eval_witness, optimal_witness, witness_is_valid
+
     kinds = list(BellKind) if args.all else [_KIND_NAMES[args.kind]]
     rows = []
     for kind in kinds:
@@ -223,6 +218,8 @@ def _certificate_residual(rho: DensityMatrix, result) -> float:
 
 
 def _cmd_robustness(args):
+    from .optim import generalized_robustness
+
     rho = parse_state_spec(args.state, args.psd_tol)
     result = generalized_robustness(rho)
     residual = _certificate_residual(rho, result)
@@ -247,6 +244,9 @@ def _cmd_robustness(args):
 
 
 def _cmd_relax_sweep(args):
+    from .relax import RelaxationParams, sweep
+    from .witness import bell_witness
+
     rho = parse_state_spec(args.state, args.psd_tol)
     params = RelaxationParams(t1_i=args.t1i, t2_i=args.t2i, t1_s=args.t1s, t2_s=args.t2s)
     w = bell_witness(_KIND_NAMES[args.witness])
@@ -272,6 +272,8 @@ def _cmd_relax_sweep(args):
 
 
 def _cmd_detect_region(args):
+    from .witness import BDClass, _region_planes
+
     # a bad resolution is a domain error here, before any output
     axis, planes = _region_planes(args.resolution)
     text = [repr(v) for v in axis]  # also json's encoding of these finite floats
@@ -313,6 +315,8 @@ def _decode_bit(mz: float) -> int | None:
 
 
 def _cmd_sdc(args):
+    from .circuits import Message, superdense_run
+
     try:
         eps = [float(p) for p in args.eps.split(",")]
         msg = [int(p) for p in args.msg.split(",")]

@@ -1,6 +1,12 @@
-"""Exception classes shared across the package, and the integer check that raises one."""
+"""Exception classes shared across the package, the integer check that raises one, and
+the two grid bounds it checks (here, so that the CLI's help prints them and loads no solver)."""
 
 import operator
+
+# largest relax.sweep grid: each point takes one robustness value, from a closed-form stage or a solve
+_MAX_STEPS = 10_000
+# largest witness.detection_region_grid resolution: 101^3 is about a million points
+_MAX_RESOLUTION = 101
 
 
 class StructuralError(ValueError):

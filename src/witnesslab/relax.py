@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, bounded_int
+from .errors import _MAX_STEPS, ConvergenceError, DomainError, bounded_int
 from .qmat import DensityMatrix, _trusted_state, _two_spin_state, from_pauli_coords, pauli_coords
 from .optim import NPT_CUT, _robustness
 from .witness import PauliWitness, _correlation_columns, _f_values
-
-# largest sweep grid: each point takes one robustness value, from a closed-form stage or a solve
-_MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, bounded_int
+from .errors import _MAX_RESOLUTION, DomainError, bounded_int
 from .qmat import PSD_TOL, PT_SIGN, DensityMatrix, HermitianOp, _pauli_columns, _two_spin_state
 from .states import _BD_COORDS, BELL_CORRELATIONS, BellKind, _bd_operator, _bell_spectrum
 from .states import _in_octahedron, _is_physical
-
-# largest detection_region_grid resolution: 101^3 is about a million points
-_MAX_RESOLUTION = 101
 
 
 @dataclass(frozen=True)

@@ -345,14 +345,13 @@ def test_env_var_overrides_psd_tolerance(tmp_path, capsys, monkeypatch):
 def test_env_var_judges_the_state_argument_and_nothing_else(tmp_path, capsys, monkeypatch):
     # WITNESSLAB_TOL=1e-6 admits the -1e-7 file state; a DensityMatrix that library
     # code builds of the same matrix inside that call is judged at the default
-    import witnesslab.cli as cli_mod
-    from witnesslab import DensityMatrix, StructuralError
+    from witnesslab import DensityMatrix, StructuralError, witness
 
     lam = (0.4, 0.3, 0.3 + 1e-7, -1e-7)
     path = tmp_path / "edge.json"
     entries = [{"re": lam[i] if i == j else 0.0, "im": 0.0} for i in range(4) for j in range(4)]
     path.write_text(json.dumps({"entries": entries}))
-    correlations, judged = cli_mod._correlations, []
+    correlations, judged = witness._correlations, []
 
     def judge_again(rho):
         with pytest.raises(StructuralError, match="positive semidefinite"):
@@ -360,7 +359,8 @@ def test_env_var_judges_the_state_argument_and_nothing_else(tmp_path, capsys, mo
         judged.append(rho)
         return correlations(rho)
 
-    monkeypatch.setattr(cli_mod, "_correlations", judge_again)
+    # the witness subcommand imports _correlations from its home module on each call
+    monkeypatch.setattr(witness, "_correlations", judge_again)
     monkeypatch.setenv("WITNESSLAB_TOL", "1e-6")
     code, _, err = run(capsys, "witness", "--state", f"file:{path}")
     assert code == 0, err
@@ -374,13 +374,12 @@ def test_env_var_bad_value(capsys, monkeypatch):
 
 
 def test_exit_code_4_on_solver_non_convergence(capsys, monkeypatch):
-    import witnesslab.cli as cli_mod
     from witnesslab import ConvergenceError
 
     def explode(rho):
         raise ConvergenceError("stalled", lower=0.9, upper=1.1)
 
-    monkeypatch.setattr(cli_mod, "generalized_robustness", explode)
+    monkeypatch.setattr(optim, "generalized_robustness", explode)  # the robustness subcommand's import
     code, _, err = run(capsys, "robustness", "--state", "bell:phi-")
     assert code == 4
     assert "0.9" in err and "1.1" in err
