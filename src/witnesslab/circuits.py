@@ -9,14 +9,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import StructuralError, bounded_int
-from .qmat import SIGMA_I, SIGMA_X, SIGMA_Z, DensityMatrix, _as_operator_array
-from .qmat import _pauli_columns, _trusted_state, _two_spin_state
+from .qmat import SIGMA_I, SIGMA_X, SIGMA_Z, TWO_SPIN_LABELS, DensityMatrix, _as_operator_array
+from .qmat import _trusted_state, _two_spin_state
 from .states import BellKind, ThermalParams, _BELL_VECTORS, thermal_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+# the Pauli coordinates of <Z_I>, <Z_S>
+_MAGNETIZATION_COORDS = np.array([TWO_SPIN_LABELS.index(lab) for lab in ("ZI", "IZ")])
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def superdense_run(thermal: ThermalParams, m: Message) -> SuperdenseResult:
     rho1 = epr_gate().apply(thermal_state(thermal))
     encoded = message_operator(m).apply(rho1)
     rho_f = _epr_inverse().apply(encoded)
-    mz_i, mz_s = _pauli_columns(rho_f.matrix, ("ZI", "IZ")).tolist()
+    mz_i, mz_s = rho_f._coords[_MAGNETIZATION_COORDS].tolist()
     return SuperdenseResult(rho1=rho1, rho_f=rho_f, mz_i=mz_i, mz_s=mz_s)
 
 

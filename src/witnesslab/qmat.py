@@ -22,13 +22,17 @@ Conventions fixed once and inherited everywhere:
   stays open or fails, call the gufuncs bare;
 * an operator or state is checked once, where it enters the program;
   ``_trusted_op`` and ``_trusted_state`` hold a matrix the program built
-  Hermitian, or a state, by construction, with no second check.
+  Hermitian, or a state, by construction, with no second check;
+* a state's 16 Pauli coordinates are read once, through the state
+  (``DensityMatrix._coords``), and a state the program makes from
+  coordinates keeps them (``_keep_coords``): no other module gathers them
+  from a state's matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 # numpy.linalg's private LAPACK gufuncs, the ones its eigvalsh and eigh call (the same names in numpy 1.x and 2.x)
@@ -112,36 +116,19 @@ def _gather_sum(rows: np.ndarray, src: np.ndarray, sign: np.ndarray) -> np.ndarr
     return np.add.reduce(g, -2, None, np.empty(rows.shape[:-1] + src.shape[1:]), False, 0.0)
 
 
-def _coords(m, src: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    m = np.ascontiguousarray(m, dtype=complex)
-    if m.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a (..., 4, 4) array, got shape {m.shape}")
-    return _gather_sum(m.reshape(m.shape[:-2] + (16,)).view(float), src, sign)
-
-
 def pauli_coords(m: np.ndarray) -> np.ndarray:
     """The 16 real coordinates Tr(P_k m) of a 4x4 matrix, in TWO_SPIN_LABELS order.
 
     A (..., 4, 4) stack gives (..., 16), each row computed as for its matrix
     alone: each coordinate is its four signed entries of m added to +0 in
     the row-major order of P_k's nonzero entries, with no BLAS call.  The
-    result is C-contiguous.
+    result is C-contiguous.  A state's own coordinates are
+    ``DensityMatrix._coords``.
     """
-    return _coords(m, _COORD_SRC, _COORD_SIGN)
-
-
-@lru_cache(maxsize=None)
-def _column_tables(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    cols = [TWO_SPIN_LABELS.index(lab) for lab in labels]
-    tables = _COORD_SRC[:, cols], _COORD_SIGN[:, cols]
-    for t in tables:
-        t.setflags(write=False)  # shared by every caller through the cache
-    return tables
-
-
-def _pauli_columns(m, labels: tuple[str, ...]) -> np.ndarray:
-    """The coordinates of ``labels`` alone: pauli_coords(m)'s columns, bit for bit."""
-    return _coords(m, *_column_tables(labels))
+    m = np.ascontiguousarray(m, dtype=complex)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a (..., 4, 4) array, got shape {m.shape}")
+    return _gather_sum(m.reshape(m.shape[:-2] + (16,)).view(float), _COORD_SRC, _COORD_SIGN)
 
 
 def from_pauli_coords(x) -> np.ndarray:
@@ -231,7 +218,7 @@ class DensityMatrix(HermitianOp):
     passes that check.  ``_trusted_state`` makes one without it, under one
     rule: the matrix is a state by construction, the image of a validated
     state under a unitary or a CPTP map (``Gate.apply``, ``relax_channel``),
-    a tomography result whose spectrum was just checked or clipped
+    a tomography result whose spectrum was just checked or projected
     (``pauli_tomography``), or the robustness certificate (omega over its
     trace: positive definite by the solver's last Cholesky factor, or PSD
     by construction on the closed-form path).
@@ -250,6 +237,18 @@ class DensityMatrix(HermitianOp):
         lam_min = float(_eigvalsh(self.matrix)[0])
         if lam_min < -psd_tol:
             raise StructuralError(f"not positive semidefinite: min eigenvalue {lam_min}")
+
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """The 16 Pauli coordinates Tr(P_k rho), read-only: read from the matrix on first use.
+
+        A state the program made from coordinates holds those instead
+        (``_keep_coords``).  Every reader of a state's coordinates reads
+        them here, so each is read once.
+        """
+        x = pauli_coords(self.matrix)
+        x.setflags(write=False)
+        return x
 
 
 del DensityMatrix.psd_tol  # init-only: the class default would read as every state's tolerance
@@ -284,6 +283,17 @@ def _trusted_state(matrix: np.ndarray) -> DensityMatrix:
     every other state goes through ``DensityMatrix``.
     """
     return _trusted(DensityMatrix, matrix)
+
+
+def _keep_coords(state: DensityMatrix, x: np.ndarray) -> DensityMatrix:
+    """``state``, whose matrix the program made as from_pauli_coords(x) / 4, keeping ``x`` as its coordinates.
+
+    ``x`` is a (16,) array no other code holds.  The exact coordinates are
+    handed on, not read back from the rounded matrix.
+    """
+    x.setflags(write=False)
+    state.__dict__["_coords"] = x  # where the cached_property keeps its value
+    return state
 
 
 def _pt_arr(arr: np.ndarray) -> np.ndarray:

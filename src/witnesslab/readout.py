@@ -17,16 +17,16 @@ import numpy as np
 
 from .circuits import Gate
 from .errors import DomainError, bounded_int
-from .qmat import PSD_TOL, SIGMA_I, SIGMA_X, SIGMA_Y, TOL_EQ, DensityMatrix
-from .qmat import _eigh, _pauli_columns, _trusted_state, _two_spin_state, from_pauli_coords
+from .qmat import PSD_TOL, SIGMA_I, SIGMA_X, SIGMA_Y, TOL_EQ, TWO_SPIN_LABELS, DensityMatrix
+from .qmat import _eigh, _keep_coords, _trusted_state, _two_spin_state, from_pauli_coords
 from .states import _expectation_coords
 from .witness import CorrelationPair
 
 # Pauli coordinates each nucleus's lines are read from: <X>, <Y> of the
 # observed spin, then the same with the partner spin's Z attached
 _LINE_COORDS = {
-    "I": ("XI", "YI", "XZ", "YZ"),
-    "S": ("IX", "IY", "ZX", "ZY"),
+    nucleus: np.array([TWO_SPIN_LABELS.index(lab) for lab in labels])
+    for nucleus, labels in (("I", ("XI", "YI", "XZ", "YZ")), ("S", ("IX", "IY", "ZX", "ZY")))
 }
 
 # Receiver phase per nucleus.  With the pulse convention below, the raw
@@ -100,7 +100,7 @@ def simulate_lines(rho: DensityMatrix, nucleus: str, prep: PulseSpec | None) -> 
         raise DomainError(f"nucleus must be 'I' or 'S', got {nucleus!r}")
     _two_spin_state(rho, "simulate_lines")
     rho_p = prep_pulse_unitary(prep).apply(rho) if prep is not None else rho
-    x, y, xz, yz = _pauli_columns(rho_p.matrix, _LINE_COORDS[nucleus])
+    x, y, xz, yz = rho_p._coords[_LINE_COORDS[nucleus]].tolist()
     phase = _RECEIVER_PHASE[nucleus]
     a, b = phase * complex(x, -y), phase * complex(xz, -yz)
     return SpectrumPair(nucleus=nucleus, line_low=(a + b) / 2, line_high=(a - b) / 2)
@@ -145,15 +145,32 @@ class TomographyResult:
     projection_distance: float
 
 
+def _simplex_projection(vals: np.ndarray) -> np.ndarray:
+    """The nearest probability vector to ascending ``vals``: max(vals - theta, 0), summing to 1.
+
+    theta comes from one pass over the descending values and their running
+    sums (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)): it is
+    (sum of the r largest - 1) / r for the largest r whose r-th largest
+    value still exceeds it.
+    """
+    desc = vals[::-1]
+    theta = (np.cumsum(desc) - 1.0) / np.arange(1, desc.size + 1)
+    r = np.flatnonzero(desc > theta)[-1]  # r = 0 always qualifies: desc[0] > desc[0] - 1
+    return np.maximum(vals - theta[r], 0.0)
+
+
 def pauli_tomography(expectations) -> TomographyResult:
     """Linear inversion of 15 Pauli expectations, projected back to a state.
 
-    Noisy data can produce negative eigenvalues; those are clipped to zero
-    and the spectrum renormalized, which is reported via the projection
-    distance (zero when the raw inversion was already physical).  Either
-    way the state is Hermitian with unit trace by construction and its
-    spectrum has just been checked or clipped, so it is made with
-    ``qmat._trusted_state``.
+    Noisy data can produce negative eigenvalues.  Then the result is the
+    nearest state to the raw inversion in the Frobenius norm: its
+    eigenvectors, with the eigenvalues projected onto the probability
+    simplex (``_simplex_projection``), and the projection distance is the
+    distance to it (zero when the raw inversion was already physical).  A
+    raw inversion that needs no projection keeps the coordinates (1, e) it
+    was made from.  Either way the state is Hermitian with unit trace by
+    construction and its spectrum has just been checked or projected, so
+    it is made with ``qmat._trusted_state``.
     """
     x = _expectation_coords(expectations)
     # a state's own Pauli vector can spill past +-1 by rounding
@@ -162,10 +179,8 @@ def pauli_tomography(expectations) -> TomographyResult:
     raw = from_pauli_coords(x) / 4.0
     vals, vecs = _eigh(raw)
     if vals[0] >= -PSD_TOL:
-        return TomographyResult(state=_trusted_state(raw), projection_distance=0.0)
-    clipped = np.clip(vals, 0.0, None)
-    clipped /= clipped.sum()
-    projected = (vecs * clipped) @ vecs.conj().T
+        return TomographyResult(state=_keep_coords(_trusted_state(raw), x), projection_distance=0.0)
+    projected = (vecs * _simplex_projection(vals)) @ vecs.conj().T
     distance = float(np.linalg.norm(projected - raw))
     return TomographyResult(state=_trusted_state(projected), projection_distance=distance)
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _MAX_STEPS, ConvergenceError, DomainError, bounded_int
-from .qmat import DensityMatrix, _trusted_state, _two_spin_state, from_pauli_coords, pauli_coords
+from .qmat import DensityMatrix, _keep_coords, _trusted_state, _two_spin_state, from_pauli_coords
 from .optim import NPT_CUT, _robustness
-from .witness import PauliWitness, _correlation_columns, _f_values
+from .witness import _CORRELATION_COORDS, PauliWitness, _f_values
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ class SweepSeries:
             raise DomainError("times must be strictly increasing")
 
 
-def _relax(matrix: np.ndarray, times: np.ndarray, p: RelaxationParams) -> np.ndarray:
-    """(N, 4, 4) states reached from one 4x4 state after each of N times.
+def _relax(coords: np.ndarray, times: np.ndarray, p: RelaxationParams) -> np.ndarray:
+    """(N, 16) Pauli coordinates reached from a state's 16 coordinates after each of N times.
 
     Spin I's and spin S's I, X, Y, Z components shrink by 1, exp(-t/T2),
     exp(-t/T2), exp(-t/T1), and the Pauli coordinate of P_I x P_S by the
@@ -86,7 +86,7 @@ def _relax(matrix: np.ndarray, times: np.ndarray, p: RelaxationParams) -> np.nda
     with np.errstate(over="ignore"):
         f = np.exp(-times[:, None, None] / lifetimes)
     table = (f[:, 0, :, None] * f[:, 1, None, :]).reshape(-1, 16)
-    return from_pauli_coords(table * pauli_coords(matrix)) / 4.0
+    return table * coords
 
 
 def relax_channel(rho: DensityMatrix, t: float, p: RelaxationParams) -> DensityMatrix:
@@ -97,12 +97,14 @@ def relax_channel(rho: DensityMatrix, t: float, p: RelaxationParams) -> DensityM
     sends everything to the maximally mixed state.  This is the one-point
     case of the grid that ``sweep`` relaxes.  Being CPTP, it maps the
     validated input to a state, which is made with ``qmat._trusted_state``
-    and not checked again.
+    and not checked again; the state keeps the decayed coordinates its
+    matrix was made from.
     """
     _two_spin_state(rho, "relax_channel")
     if not 0.0 <= t < np.inf:
         raise DomainError(f"time must be finite and nonnegative, got {t}")
-    return _trusted_state(_relax(rho.matrix, np.array([t], dtype=float), p)[0])
+    x = _relax(rho._coords, np.array([t], dtype=float), p)[0]
+    return _keep_coords(_trusted_state(from_pauli_coords(x) / 4.0), x)
 
 
 def _fit_decay_time(times: np.ndarray, values: np.ndarray) -> float | None:
@@ -139,10 +141,11 @@ def sweep(
 
     Each grid point relaxes the initial state directly (the channel forms a
     semigroup, so chaining would give the same result but impose an order).
-    The grid is relaxed as one array, F and W are read from its Pauli
-    coordinates, and the entangled points take the robustness stages as one
-    stack, the solver one point at a time; every point equals the one-point
-    functions applied to ``relax_channel(rho0, t, p)``.  The first point
+    The grid is relaxed as one (N, 16) coordinate array, F and W are read
+    from it, its matrices are built for the robustness alone, and the
+    entangled points take the robustness stages as one stack, the solver
+    one point at a time; every point equals the one-point functions applied
+    to ``relax_channel(rho0, t, p)``.  The first point
     whose solve fails, the earliest time, ends the sweep.
     """
     steps = bounded_int(steps, "steps", 2, _MAX_STEPS)
@@ -152,10 +155,10 @@ def sweep(
     times = np.linspace(0.0, t_max, steps)
     if not (np.diff(times) > 0).all():  # a subnormal t_max rounds grid points together
         raise DomainError(f"t_max = {t_max} is too small for steps = {steps}: the time grid repeats a time")
-    states = _relax(rho0.matrix, times, p)
-    xx, yy, zz = _correlation_columns(states)
+    coords = _relax(rho0._coords, times, p)
+    xx, yy, zz = coords[:, _CORRELATION_COORDS].T
     f_vals, w_vals = _f_values(xx, zz), w.value(xx, yy, zz)
-    gr_vals, _, _, failure, _, _, pt_min = _robustness(states)
+    gr_vals, _, _, failure, _, _, pt_min = _robustness(from_pauli_coords(coords) / 4.0)
     if failure:
         k, exc = failure
         raise ConvergenceError(

@@ -8,7 +8,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .qmat import TWO_SPIN_LABELS, DensityMatrix, _two_spin_state, from_pauli_coords, pauli_coords
+from .qmat import TWO_SPIN_LABELS, DensityMatrix, _keep_coords, _two_spin_state, from_pauli_coords
 
 # non-identity Pauli strings, the order used by pauli_vector and tomography
 PAULI_LABELS = TWO_SPIN_LABELS[1:]
@@ -157,7 +157,7 @@ def pseudo_pure(eps: float, rho1: DensityMatrix) -> DensityMatrix:
 def pauli_vector(rho: DensityMatrix) -> np.ndarray:
     """Expectations of the 15 non-identity Pauli strings, in PAULI_LABELS order."""
     _two_spin_state(rho, "pauli_vector")
-    return pauli_coords(rho.matrix)[1:]
+    return rho._coords[1:].copy()  # the caller's own array; the state's coordinates are read-only
 
 
 def _expectation_coords(expectations) -> np.ndarray:
@@ -174,9 +174,11 @@ def from_pauli_vector(expectations) -> DensityMatrix:
     Raises if the reconstructed matrix is not a valid state; use
     ``readout.pauli_tomography`` for noisy data that may need projection.
     A NaN or infinite expectation raises before the inversion, whose
-    zero-sign terms would turn an infinity into an "invalid" warning.
+    zero-sign terms would turn an infinity into an "invalid" warning.  The
+    state keeps the coordinates (1, e) it was built from, so its
+    ``pauli_vector`` is the input, bit for bit.
     """
     x = _expectation_coords(expectations)
     if not np.isfinite(x).all():
         raise StructuralError("matrix has NaN or infinite entries")
-    return DensityMatrix(from_pauli_coords(x) / 4.0)
+    return _keep_coords(DensityMatrix(from_pauli_coords(x) / 4.0), x)

@@ -11,9 +11,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import _MAX_RESOLUTION, DomainError, bounded_int
-from .qmat import PSD_TOL, PT_SIGN, DensityMatrix, HermitianOp, _pauli_columns, _two_spin_state
+from .qmat import PSD_TOL, PT_SIGN, DensityMatrix, HermitianOp, _two_spin_state
 from .states import _BD_COORDS, BELL_CORRELATIONS, BellKind, _bd_operator, _bell_spectrum
 from .states import _in_octahedron, _is_physical
+
+# the Pauli coordinates of <XX>, <YY>, <ZZ>
+_CORRELATION_COORDS = np.array(_BD_COORDS[1:])
 
 
 @dataclass(frozen=True)
@@ -63,16 +66,10 @@ def f_witness(corr: CorrelationPair) -> float:
     return float(_f_values(corr.w1, corr.w2))
 
 
-def _correlation_columns(m: np.ndarray) -> np.ndarray:
-    """<XX>, <YY>, <ZZ> of a 4x4 state, or of each one in a (..., 4, 4) stack, as axis 0."""
-    cols = _pauli_columns(m, ("XX", "YY", "ZZ"))
-    return cols.transpose(-1, *range(cols.ndim - 1))  # np.moveaxis(cols, -1, 0), minus its Python overhead
-
-
 def _correlations(rho: DensityMatrix) -> tuple[float, float, float]:
     """(<XX>, <YY>, <ZZ>) of a two-spin state, read off its Pauli coordinates."""
     _two_spin_state(rho, "f_witness_state or eval_witness")
-    return tuple(_correlation_columns(rho.matrix).tolist())
+    return tuple(rho._coords[_CORRELATION_COORDS].tolist())
 
 
 def _f_values(xx, zz):

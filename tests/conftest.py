@@ -5,8 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from witnesslab import BellDiagonalParams, DensityMatrix, bell_diagonal, optim, partial_transpose, pauli_vector
-from witnesslab.qmat import _eigh, _eigvalsh, _pt_arr
+from witnesslab import BellDiagonalParams, DensityMatrix, bell_diagonal, optim, partial_transpose, pauli_vector, relax
+from witnesslab.qmat import _eigh, _eigvalsh, _pt_arr, from_pauli_coords
 from witnesslab.states import PAULI_LABELS
 
 
@@ -41,6 +41,11 @@ def entangled_ginibre(seed):
         rho = random_density_matrix(rng)
         if np.linalg.eigvalsh(partial_transpose(rho).matrix)[0] < -0.05:
             return rho
+
+
+def relaxed_states(rho, times, p):
+    """The (N, 4, 4) stack a sweep of rho hands the robustness stages: its relaxed coordinates as matrices."""
+    return from_pauli_coords(relax._relax(rho._coords, times, p)) / 4.0
 
 
 def stage_inputs(rho):

@@ -7,11 +7,8 @@ import numpy as np
 import pytest
 
 from witnesslab import BellKind, DomainError, StructuralError, bell_state, from_pauli_vector, pauli_tomography
-from witnesslab.qmat import TWO_SPIN_LABELS, TWO_SPIN_PAULIS, _pauli_columns, _pt_arr, from_pauli_coords, pauli_coords
-from witnesslab.readout import _LINE_COORDS
+from witnesslab.qmat import TWO_SPIN_PAULIS, _pt_arr, from_pauli_coords, pauli_coords
 
-# every label set a caller reads alone, and a single label
-COLUMN_SETS = [("XX", "YY", "ZZ"), ("ZI", "IZ"), _LINE_COORDS["I"], _LINE_COORDS["S"], ("II",)]
 # sha256 of both conversions of dyadic_inputs(), recorded on numpy 2.4.6
 CONVERSIONS_SHA256 = "7a598e20ca53b0e329537895a024c692007125ee39d223431e817b8f3f4c7076"
 
@@ -33,12 +30,8 @@ def assert_same_bits(got, want):
 
 
 def check_both(m, x):
-    """Both conversions, and every column read, equal the references bit for bit."""
-    coords = pauli_coords(m)
-    assert_same_bits(coords, einsum_coords(m))
-    for labels in COLUMN_SETS:
-        cols = [TWO_SPIN_LABELS.index(lab) for lab in labels]
-        assert_same_bits(_pauli_columns(m, labels), np.ascontiguousarray(coords[..., cols]))
+    """Both conversions equal the references bit for bit."""
+    assert_same_bits(pauli_coords(m), einsum_coords(m))
     assert_same_bits(from_pauli_coords(x), einsum_matrix(x))
 
 
@@ -61,12 +54,10 @@ def test_one_row_gives_the_same_bytes_alone_in_a_stack_of_one_and_in_a_larger_st
     # one row takes the 2-D gather whatever its leading axes of length 1; a larger stack the fancy-index one
     rng = np.random.default_rng(20261020)
     h, x = random_stack(rng, (9,)), rng.standard_normal((9, 16))
-    coords, columns, matrices = pauli_coords(h), _pauli_columns(h, ("XX", "YY", "ZZ")), from_pauli_coords(x)
+    coords, matrices = pauli_coords(h), from_pauli_coords(x)
     for k in (0, 4, 8):
         for lead in ((), (1,), (1, 1)):
             assert_same_bits(pauli_coords(h[k].reshape(lead + (4, 4))), coords[k].reshape(lead + (16,)))
-            assert_same_bits(_pauli_columns(h[k].reshape(lead + (4, 4)), ("XX", "YY", "ZZ")),
-                             columns[k].reshape(lead + (3,)))
             assert_same_bits(from_pauli_coords(x[k].reshape(lead + (16,))), matrices[k].reshape(lead + (4, 4)))
 
 
@@ -108,8 +99,6 @@ def test_a_row_gives_the_same_bits_alone_and_in_a_stack():
         assert_same_bits(pauli_coords(m[i:i + 1]), coords[i:i + 1])
         assert_same_bits(from_pauli_coords(x[i]), matrices[i])
         assert_same_bits(from_pauli_coords(x[i:i + 1]), matrices[i:i + 1])
-        for labels in COLUMN_SETS:
-            assert_same_bits(_pauli_columns(m[i], labels), _pauli_columns(m, labels)[i])
 
 
 def test_non_contiguous_inputs_match_the_einsums():

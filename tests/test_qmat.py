@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import witnesslab
-from conftest import bd, entangled_ginibre, local_coords, random_density_matrix
+from conftest import bd, entangled_ginibre, local_coords, random_density_matrix, relaxed_states
 from test_sweep_batch import PAPER_T2
 from witnesslab import (
     DensityMatrix,
@@ -21,7 +21,7 @@ from witnesslab import (
     BellKind,
     DomainError,
 )
-from witnesslab import optim, qmat, relax
+from witnesslab import optim, qmat
 from witnesslab.qmat import (
     SIGMA_I,
     SIGMA_X,
@@ -296,7 +296,7 @@ def test_density_matrix_takes_its_own_psd_tolerance():
 def test_the_lapack_helpers_give_the_bytes_of_np_linalg():
     # numpy.linalg's own gufuncs without its wrapper: one 4x4, a stack of one and a 200-point relaxed stack
     rho = entangled_ginibre(3).matrix
-    relaxed = relax._relax(rho, np.linspace(0.0, 0.6, 200), PAPER_T2)
+    relaxed = relaxed_states(entangled_ginibre(3), np.linspace(0.0, 0.6, 200), PAPER_T2)
     for a in (rho, _pt_arr(rho)[None], _pt_arr(relaxed)):
         w = qmat._eigvalsh(a)
         assert w.dtype == np.float64 and w.tobytes() == np.linalg.eigvalsh(a).tobytes()

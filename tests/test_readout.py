@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from conftest import bd, random_density_matrix
 from witnesslab import (
@@ -20,8 +21,8 @@ from witnesslab import (
     read_correlations,
     simulate_lines,
 )
-from witnesslab.qmat import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOp
-from witnesslab.readout import READOUT_PULSE, SpectrumPair
+from witnesslab.qmat import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOp, from_pauli_coords
+from witnesslab.readout import READOUT_PULSE, SpectrumPair, _simplex_projection
 
 IDENTITY = DensityMatrix(np.eye(4, dtype=complex) / 4)
 
@@ -248,6 +249,88 @@ def test_tomography_round_trips_a_pure_states_own_pauli_vector():
         result = pauli_tomography(pauli_vector(rho))
         assert np.max(np.abs(result.state.matrix - rho.matrix)) < 1e-12
         assert result.projection_distance == 0.0
+
+
+def raw_inversion(e):
+    return from_pauli_coords(np.concatenate(([1.0], e))) / 4.0
+
+
+def unphysical_expectations(rng, n):
+    """n seeded expectation vectors whose raw inversion has an eigenvalue below -1e-6.
+
+    Noisy pure and mixed states, as tomography meets them, and points of the cube [-1, 1]^15.
+    """
+    out = []
+    while len(out) < n:
+        if len(out) % 3 == 2:
+            e = rng.uniform(-1.0, 1.0, 15)
+        else:
+            clean = pauli_vector(random_density_matrix(rng, rank=int(rng.integers(1, 5))))
+            e = np.clip(clean + rng.normal(0.0, 0.05, 15), -1.0, 1.0)
+        if np.linalg.eigvalsh(raw_inversion(e))[0] < -1e-6:
+            out.append(e)
+    return out
+
+
+def clip_and_rescale(raw):
+    vals, vecs = np.linalg.eigh(raw)
+    clipped = np.clip(vals, 0.0, None)
+    return (vecs * (clipped / clipped.sum())) @ vecs.conj().T
+
+
+def test_tomography_is_never_farther_from_the_raw_inversion_than_clip_and_rescale():
+    rng = np.random.default_rng(3811)
+    closer = 0
+    for e in unphysical_expectations(rng, 300):
+        raw = raw_inversion(e)
+        result = pauli_tomography(e)
+        clipped = np.linalg.norm(clip_and_rescale(raw) - raw)
+        assert result.projection_distance == np.linalg.norm(result.state.matrix - raw)
+        assert result.projection_distance <= clipped + 1e-12
+        assert np.linalg.eigvalsh(result.state.matrix)[0] >= -1e-12
+        assert abs(np.trace(result.state.matrix) - 1.0) < 1e-12
+        closer += result.projection_distance < clipped - 1e-9
+    assert closer > 150
+
+
+def nearest_state_search(raw, rng, starts=2):
+    """min ||sigma - raw||_F over every state sigma = A A^H / Tr(A A^H), by BFGS from random A: the best of starts."""
+    def distance2(a):
+        g = (a[:16] + 1j * a[16:]).reshape(4, 4)
+        sigma = g @ g.conj().T
+        return np.sum(np.abs(sigma / np.trace(sigma).real - raw) ** 2)
+
+    runs = [minimize(distance2, rng.standard_normal(32), method="BFGS", options={"gtol": 1e-10}) for _ in range(starts)]
+    best = min(runs, key=lambda r: r.fun)
+    g = (best.x[:16] + 1j * best.x[16:]).reshape(4, 4)
+    sigma = g @ g.conj().T
+    return sigma / np.trace(sigma).real
+
+
+def test_tomography_matches_a_brute_force_nearest_state_search():
+    rng = np.random.default_rng(3812)
+    for e in unphysical_expectations(rng, 4):
+        raw = raw_inversion(e)
+        result = pauli_tomography(e)
+        found = nearest_state_search(raw, rng)
+        d_found = np.linalg.norm(found - raw)
+        # no state the search finds is nearer, and it finds this one: the nearest state is unique
+        assert result.projection_distance <= d_found + 1e-12
+        assert d_found ** 2 - result.projection_distance ** 2 < 1e-9
+        assert np.linalg.norm(found - result.state.matrix) < 1e-4
+
+
+def test_tomography_returns_a_psd_input_unchanged():
+    rng = np.random.default_rng(3813)
+    for _ in range(100):
+        e = pauli_vector(random_density_matrix(rng, rank=int(rng.integers(1, 5))))
+        result = pauli_tomography(e)
+        assert result.projection_distance == 0.0
+        assert result.state.matrix.tobytes() == raw_inversion(e).tobytes()
+    # the projection itself leaves a spectrum on the simplex where it is, up to rounding of its sum
+    for _ in range(100):
+        p = np.sort(rng.dirichlet(np.full(4, 0.5)))
+        assert np.max(np.abs(_simplex_projection(p) - p)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from conftest import bd, bd_weights, random_density_matrix
+from conftest import bd, bd_weights, random_density_matrix, relaxed_states
 from witnesslab import (
     BellKind,
     DensityMatrix,
@@ -25,7 +25,7 @@ from witnesslab import (
 from witnesslab.qmat import SIGMA_X, TWO_SPIN_LABELS, TWO_SPIN_PAULIS, HermitianOp, _pt_arr
 from witnesslab.optim import NPT_CUT
 from witnesslab.relax import _relax
-from witnesslab.witness import _correlation_columns
+from witnesslab.witness import _CORRELATION_COORDS
 
 PAPER_T2 = RelaxationParams(t1_i=10.0, t2_i=0.31, t1_s=10.0, t2_s=0.11)
 
@@ -165,7 +165,7 @@ def test_channel_is_its_grid_row_bit_for_bit():
     times = np.array([0.0, 0.013, 0.1, 0.7, 5.0])
     for _ in range(10):
         rho = random_density_matrix(rng)
-        grid = _relax(rho.matrix, times, PAPER_T2)
+        grid = relaxed_states(rho, times, PAPER_T2)
         for k, t in enumerate(times):
             out = relax_channel(rho, float(t), PAPER_T2)
             assert np.array_equal(out.matrix, grid[k])
@@ -382,7 +382,7 @@ def test_a_witness_that_starts_at_zero_on_the_grid_never_ends_at_time_zero():
     starts_at_zero = 0
     for c in _bd_grid():
         series = sweep(bd(*c), PAPER_T2, bell_witness(BellKind.PHI_MINUS), t_max=0.6, steps=20)
-        xx, yy, zz = _correlation_columns(_relax(bd(*c).matrix, series.times, PAPER_T2))
+        xx, yy, zz = _relax(bd(*c)._coords, series.times, PAPER_T2)[:, _CORRELATION_COORDS].T
         for kind in BellKind:
             w = bell_witness(kind).value(xx, yy, zz)
             tau = crossing_time(dataclasses.replace(series, w_values=w), "W")
@@ -406,7 +406,7 @@ def test_no_witness_outlives_the_robustness():
             tau_gr = np.inf if series.pt_min_values[-1] < -NPT_CUT else -np.inf
         tau_f = crossing_time(series, "F")
         assert tau_f is None or tau_f <= tau_gr
-        xx, yy, zz = _correlation_columns(_relax(rho0.matrix, series.times, PAPER_T2))
+        xx, yy, zz = _relax(rho0._coords, series.times, PAPER_T2)[:, _CORRELATION_COORDS].T
         for kind in BellKind:
             w_series = dataclasses.replace(series, w_values=bell_witness(kind).value(xx, yy, zz))
             tau_w = crossing_time(w_series, "W")

@@ -21,13 +21,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_physical_c, stage_inputs
+from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_physical_c, relaxed_states, stage_inputs
 from test_robustness_bracket import stress_sets
 from test_robustness_product import bench_robustness_inputs
 from test_robustness_stress import bracket_routes, ginibre_states, named_states
 from test_sweep_batch import PAPER_T2, isotropic_with_bloch
 from witnesslab import BellKind, DensityMatrix, bell_witness, generalized_robustness
-from witnesslab import optim, relax
+from witnesslab import optim
 from witnesslab.qmat import TWO_SPIN_LABELS, _pt_arr, pauli_coords
 
 GAP = 1e-8
@@ -313,7 +313,7 @@ def test_a_completion_with_no_step_adds_no_correction(monkeypatch):
     rho = np.concatenate([bds, named_states(), stress_sets(), bench_robustness_inputs()])
     # the Bell-route points of a relaxed isotropic state with a Bloch vector, whose minimum-norm omega has a -0.0
     # coordinate, and of them those whose minimum-norm compressions are PSD: each alone takes no Newton step
-    isotropic = relax._relax(isotropic_with_bloch().matrix, np.linspace(0.0, 0.05, 40), PAPER_T2)
+    isotropic = relaxed_states(isotropic_with_bloch(), np.linspace(0.0, 0.05, 40), PAPER_T2)
     bell = bracket_routes(isotropic)[2]
     yx, r = completion_inputs(isotropic[bell])
     steps = counted_choleskys(monkeypatch)

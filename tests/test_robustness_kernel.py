@@ -20,12 +20,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import entangled_ginibre, stage_inputs
+from conftest import entangled_ginibre, relaxed_states, stage_inputs
 from test_robustness_bracket import stress_sets
 from test_robustness_product import bench_robustness_inputs
 from test_sweep_batch import PAPER_T2
 from witnesslab import DensityMatrix, bell_witness, BellKind, generalized_robustness, relax_channel, sweep
-from witnesslab import optim, relax
+from witnesslab import optim
 from witnesslab.qmat import _pt_arr
 
 GAP = 1e-8
@@ -144,7 +144,7 @@ def test_a_long_sweep_replays_bit_for_bit_through_generalized_robustness(monkeyp
     monkeypatch.undo()
     # the product bracket's stack runs on lanes
     assert sizes and sizes[0] >= optim._LANES and sizes[0] > 1000
-    states = relax._relax(rho0.matrix, series.times, PAPER_T2)
+    states = relaxed_states(rho0, series.times, PAPER_T2)
     values, _, omega, failures, lower, witness, _ = optim._robustness(states)
     assert not failures and values.tobytes() == series.gr_values.tobytes()
     entangled = np.flatnonzero(values > 0)

@@ -22,12 +22,12 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from conftest import bench_inputs, entangled_ginibre, stage_inputs
+from conftest import bench_inputs, entangled_ginibre, relaxed_states, stage_inputs
 from test_robustness_bracket import stress_sets
 from test_robustness_stress import bracket_routes, check_certified, ginibre_states
 from test_sweep_batch import PAPER_T2, isotropic_with_bloch, one_point_failures
 from witnesslab import BellKind, ConvergenceError, DensityMatrix, HermitianOp, generalized_robustness
-from witnesslab import optim, relax
+from witnesslab import optim
 from witnesslab.qmat import TOL_EQ, _pt_arr, pauli_coords
 from witnesslab.states import _BELL_VECTORS
 
@@ -279,9 +279,9 @@ def test_a_singular_partial_transpose_leaves_the_point_open(monkeypatch):
 def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
     times = np.linspace(0.0, 0.01, 40)
     # Bell class, closed by the completion, then 10 product-class points that still solve
-    states = np.concatenate([relax._relax(entangled_ginibre(20).matrix, times, PAPER_T2),
-                             relax._relax(entangled_ginibre(13).matrix, times[:5], PAPER_T2),
-                             relax._relax(entangled_ginibre(268).matrix, times[:10] / 5.0, PAPER_T2)])
+    states = np.concatenate([relaxed_states(entangled_ginibre(20), times, PAPER_T2),
+                             relaxed_states(entangled_ginibre(13), times[:5], PAPER_T2),
+                             relaxed_states(entangled_ginibre(268), times[:10] / 5.0, PAPER_T2)])
     product_class = np.arange(len(states)) >= 45
     m, lam_min, lam, vecs, e, r, diff = stage_inputs(states)
     assert len(m) == len(states)  # every point NPT
@@ -352,7 +352,7 @@ def test_every_witness_is_a_read_only_hermitian_op_as_built():
 def test_the_longer_search_closes_every_point_the_brackets_leave_open(monkeypatch):
     # the three product-class seeds, seed 268 barely relaxed, the stress sets and the bench's robustness inputs
     rho = np.concatenate([np.stack([entangled_ginibre(seed).matrix for seed in (83, 268, 385)]),
-                          relax._relax(entangled_ginibre(268).matrix, np.linspace(0.0, 0.002, 12), PAPER_T2),
+                          relaxed_states(entangled_ginibre(268), np.linspace(0.0, 0.002, 12), PAPER_T2),
                           stress_sets(), bench_robustness_inputs()])
     closed = optim._robustness(rho)
     # the longer search only repeats the first: the solver takes what the brackets leave

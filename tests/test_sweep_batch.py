@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from conftest import bench_inputs, entangled_ginibre
+from conftest import bench_inputs, entangled_ginibre, relaxed_states
 from test_robustness_bracket import stress_sets
 from test_robustness_stress import bracket_routes
 from witnesslab import (
@@ -92,7 +92,7 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name, monkeypatch):
     w = bell_witness(BellKind.PHI_MINUS)
     series = sweep(rho0, PAPER_T2, w, t_max, steps)
     # the solver's own iteration counts and dual bounds for the grid, formed as the sweep forms them
-    states = relax._relax(rho0.matrix, series.times, PAPER_T2)
+    states = relaxed_states(rho0, series.times, PAPER_T2)
     _, iterations, _, failures, lower, witness, pt_min = optim._robustness(states)
     assert not failures
     assert np.array_equal(pt_min, series.pt_min_values)
@@ -124,9 +124,9 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name, monkeypatch):
 def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
     # the longer search only repeats the first: the solver takes what the brackets leave
     monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
-    states = relax._relax(entangled_ginibre(268).matrix, np.linspace(0.0, 0.002, 9), PAPER_T2)
+    states = relaxed_states(entangled_ginibre(268), np.linspace(0.0, 0.002, 9), PAPER_T2)
     times = np.linspace(0.0, 0.25, 9)
-    states = np.concatenate([states, relax._relax(bell_state(BellKind.PHI_MINUS).matrix, times, PAPER_T2)])
+    states = np.concatenate([states, relaxed_states(bell_state(BellKind.PHI_MINUS), times, PAPER_T2)])
     schmidt, product, bell, _ = bracket_routes(states)
     to_solver = (np.linalg.eigvalsh(_pt_arr(states))[:, 0] < -optim.NPT_CUT) & ~schmidt & ~product & ~bell
     assert to_solver.sum() > 5  # no bracket closes these, so they reach _central_path
@@ -201,7 +201,7 @@ def test_sweep_names_the_earliest_failing_time(monkeypatch):
     rho0 = entangled_ginibre(268)  # entangled at every grid time
     w = bell_witness(BellKind.PHI_MINUS)
     times = np.linspace(0.0, 0.002, 12)
-    schmidt, product, bell, _ = bracket_routes(relax._relax(rho0.matrix, times, PAPER_T2))
+    schmidt, product, bell, _ = bracket_routes(relaxed_states(rho0, times, PAPER_T2))
     assert not (schmidt | product | bell)[[4, 9]].any()  # no bracket closes the two targets: they reach the solver
     targets = [_pt_arr(relax_channel(rho0, float(times[k]), PAPER_T2).matrix) for k in (9, 4)]
     cholesky = optim._cholesky
