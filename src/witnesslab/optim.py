@@ -31,9 +31,10 @@ from dataclasses import dataclass
 from math import inf, nan, sqrt
 
 import numpy as np
-# numpy's private LAPACK gufuncs: the Bell stages and the interior-point loop call them directly, because the public
-# wrappers cost about 4 us a call in argument checks, and a gufunc answers a block it cannot factor or solve with
-# NaN output where np.linalg raises: the Bell completion reads that per point of its stack, the solver per block
+# numpy's private LAPACK gufuncs: the PPT certificate, the Bell stages and the interior-point loop call them directly,
+# because the public wrappers cost about 4 us a call in argument checks, and a gufunc answers a block it cannot factor
+# or solve with NaN output where np.linalg raises: the certificate and the Bell completion read that per point of
+# their stacks, the solver per block
 from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError
@@ -68,6 +69,29 @@ _COMPLETION_STEPS = 20
 _COMPLETION_GROWTH = 8.0
 # a point is solved when lambda_min of its partial transpose is below -NPT_CUT; any other point is PPT, robustness 0
 NPT_CUT = 1e-12
+
+
+def _ppt_certified(m: np.ndarray) -> np.ndarray:
+    """Mask of the points of a (k, 4, 4) stack of partial transposes that one Cholesky factorization proves PPT.
+
+    A point is certified when LAPACK factors m + (NPT_CUT / 2) 1.  A
+    factorization that runs to completion gives the exact factor L of a
+    nearby matrix: L L^H = m + (NPT_CUT / 2) 1 + E with |E| <= gamma_5 |L|
+    |L^H| entrywise (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3; complex arithmetic raises the constant by
+    a small factor).  So |E|_2 <= gamma_5 |L|_F^2 = gamma_5 Tr(L L^H),
+    O(1e-15) for a state's partial transpose, whose trace is 1, and L L^H
+    is PSD: lambda_min(m) >= -NPT_CUT / 2 - O(1e-15).  The eigvalsh that
+    decides a point is backward stable, off by O(1e-15) on a matrix of norm
+    at most 1, so its lambda_min is above -NPT_CUT and it would call the
+    point PPT too: no certified point changes its verdict.  A factorization
+    that fails gives NaN, with no warning, and leaves the point to that
+    eigvalsh; so does a PSD point that rounding keeps from factoring.
+    Every point's verdict comes from its own slice.
+    """
+    with np.errstate(invalid="ignore"):  # a failed factorization is NaN, and no warning
+        chol = _umath_linalg.cholesky_lo(m + 0.5 * NPT_CUT * _EYE4, signature="D->D")
+    return ~np.isnan(chol[:, 0, 0].real)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ Conventions fixed once and inherited everywhere:
   with its failure contract (a NaN eigenvalue or singular value raises
   ``LinAlgError``).  Only the inner calls of
   ``optim``'s solver and Bell bracket, where a NaN marks a point that
-  stays open or fails, call the gufuncs bare;
+  stays open or fails, and the sweep's PPT certificate
+  (``optim._ppt_certified``), where a NaN marks a point it does not
+  certify, call the gufuncs bare;
 * an operator or state is checked once, where it enters the program;
   ``_trusted_op`` and ``_trusted_state`` hold a matrix the program built
   Hermitian, or a state, by construction, with no second check;
@@ -320,7 +322,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     _two_spin_state(rho, "fidelity")
     _two_spin_state(sigma, "fidelity")
     vals, vecs = _eigh(rho.matrix)
-    sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    sqrt_rho = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
     inner = _eigvalsh(sqrt_rho @ sigma.matrix @ sqrt_rho)
-    root = float(np.sum(np.sqrt(np.clip(inner, 0.0, None))))
+    root = float(np.sum(np.sqrt(np.maximum(inner, 0.0))))
     return min(1.0, root * root)

@@ -10,13 +10,14 @@ is therefore a diagonal Pauli-transfer map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import _MAX_STEPS, ConvergenceError, DomainError, bounded_int
-from .qmat import DensityMatrix, _keep_coords, _trusted_state, _two_spin_state, from_pauli_coords
-from .optim import NPT_CUT, _robustness
+from .qmat import PT_SIGN, DensityMatrix, _eigvalsh, _keep_coords, _trusted_state, _two_spin_state, from_pauli_coords
+from .optim import NPT_CUT, _ppt_certified, _robustness
 from .witness import _CORRELATION_COORDS, PauliWitness, _f_values
 
 
@@ -45,8 +46,11 @@ class RelaxationParams:
 class SweepSeries:
     """Sampled decay curves plus the extracted characteristic times.
 
-    ``pt_min_values`` is lambda_min of each point's partial transpose, the
-    curve whose sign change ends GR (``crossing_time``).  ``tau_c`` is the
+    ``partial_transposes`` is the (N, 4, 4) stack of the points' partial
+    transposes, and ``pt_min_values``, computed from it on first read, is
+    lambda_min of each, the curve whose sign change ends GR
+    (``crossing_time``): an eigvalsh of the whole stack, the bits the
+    robustness stages' own eigvalsh gives each point.  ``tau_c`` is the
     first zero crossing of the F curve (detection cutoff);
     ``tau_w`` and ``tau_r`` are 1/e times of log-linear exponential fits to
     the witness curve's distance from its equilibrium value and to the
@@ -60,17 +64,24 @@ class SweepSeries:
     f_values: np.ndarray
     w_values: np.ndarray
     gr_values: np.ndarray
-    pt_min_values: np.ndarray
+    partial_transposes: np.ndarray = field(repr=False, compare=False)
     tau_c: float | None
     tau_r: float | None
     tau_w: float | None
 
     def __post_init__(self):
         n = self.times.size
-        if not all(v.size == n for v in (self.f_values, self.w_values, self.gr_values, self.pt_min_values)):
+        if not all(v.size == n for v in (self.f_values, self.w_values, self.gr_values)):
             raise DomainError("sweep arrays must share one length")
+        if self.partial_transposes.shape != (n, 4, 4):
+            raise DomainError(f"partial_transposes must have shape ({n}, 4, 4), got {self.partial_transposes.shape}")
         if n >= 2 and not np.all(np.diff(self.times) > 0):
             raise DomainError("times must be strictly increasing")
+
+    @cached_property
+    def pt_min_values(self) -> np.ndarray:
+        """lambda_min of each point's partial transpose, computed on first read."""
+        return _eigvalsh(self.partial_transposes)[:, 0]
 
 
 def _relax(coords: np.ndarray, times: np.ndarray, p: RelaxationParams) -> np.ndarray:
@@ -117,13 +128,16 @@ def _fit_decay_time(times: np.ndarray, values: np.ndarray) -> float | None:
     """
     v0 = abs(values[0])
     mask = values > 1e-3 * v0
-    if v0 <= 0 or mask.sum() < 2 or np.ptp(values[mask]) == 0:
+    if v0 <= 0 or np.count_nonzero(mask) < 2:
+        return None
+    y = values[mask]
+    if y.max() == y.min():  # finite values, so their spread is 0 exactly when they are equal
         return None
     t_max = float(times[-1])
     x = times[mask] / t_max
-    x -= x.mean()
-    y = np.log(values[mask])
-    slope = float(x @ (y - y.mean()) / (x @ x))  # the least-squares slope, in closed form
+    x -= x.sum() / x.size
+    y = np.log(y)
+    slope = float(x @ (y - y.sum() / y.size) / (x @ x))  # the least-squares slope, in closed form
     if slope >= 0:
         return None
     tau = -t_max / slope
@@ -142,11 +156,17 @@ def sweep(
     Each grid point relaxes the initial state directly (the channel forms a
     semigroup, so chaining would give the same result but impose an order).
     The grid is relaxed as one (N, 16) coordinate array, F and W are read
-    from it, its matrices are built for the robustness alone, and the
-    entangled points take the robustness stages as one stack, the solver
-    one point at a time; every point equals the one-point functions applied
-    to ``relax_channel(rho0, t, p)``.  The first point
-    whose solve fails, the earliest time, ends the sweep.
+    from it, and its partial transposes are built from it with the signs
+    of PT_SIGN: the same Pauli strings in the same order, signs flipped
+    exactly, so the bits of ``_pt_arr`` of its matrices.  One Cholesky
+    factorization of the stack (``optim._ppt_certified``) proves most PPT
+    points PPT, robustness 0; only the points it leaves take
+    ``optim._robustness``, whose eigvalsh decides each as a one-point call
+    does, so the certificate changes no verdict.  Its NPT points take the
+    robustness stages as one stack, the solver one point at a time; every
+    point equals the one-point functions applied to ``relax_channel(rho0,
+    t, p)``.  The first point whose solve fails, the earliest time, ends the
+    sweep.  ``pt_min_values`` is computed when first read.
     """
     steps = bounded_int(steps, "steps", 2, _MAX_STEPS)
     if not 0.0 < t_max < np.inf:
@@ -158,11 +178,14 @@ def sweep(
     coords = _relax(rho0._coords, times, p)
     xx, yy, zz = coords[:, _CORRELATION_COORDS].T
     f_vals, w_vals = _f_values(xx, zz), w.value(xx, yy, zz)
-    gr_vals, _, _, failure, _, _, pt_min = _robustness(from_pauli_coords(coords) / 4.0)
+    m = from_pauli_coords(coords * PT_SIGN) / 4.0
+    candidates = (~_ppt_certified(m)).nonzero()[0]
+    gr_vals = np.zeros(steps)
+    gr_vals[candidates], _, _, failure, _, _, _ = _robustness(from_pauli_coords(coords[candidates]) / 4.0)
     if failure:
         k, exc = failure
         raise ConvergenceError(
-            f"robustness solver failed at sweep time t = {times[k]:.6g} s: {exc}",
+            f"robustness solver failed at sweep time t = {times[candidates[k]]:.6g} s: {exc}",
             lower=exc.lower,
             upper=exc.upper,
         ) from exc
@@ -172,7 +195,7 @@ def sweep(
         f_values=f_vals,
         w_values=w_vals,
         gr_values=gr_vals,
-        pt_min_values=pt_min,
+        partial_transposes=m,
         tau_c=_sign_change(times, f_vals),
         tau_r=_fit_decay_time(times, gr_vals),
         # the witness curve decays toward its maximally mixed value c_i, not zero

@@ -141,9 +141,9 @@ def _in_octahedron(c1: float, c2: float, c3: float) -> bool:
 
 def thermal_state(params: ThermalParams) -> DensityMatrix:
     """Product of single-spin equilibrium states diag((1+eps)/2, (1-eps)/2)."""
-    spin_i = np.diag([(1 + params.eps_i) / 2, (1 - params.eps_i) / 2])
-    spin_s = np.diag([(1 + params.eps_s) / 2, (1 - params.eps_s) / 2])
-    return DensityMatrix(np.kron(spin_i, spin_s).astype(complex))
+    spin_i = np.array([(1 + params.eps_i) / 2, (1 - params.eps_i) / 2])
+    spin_s = np.array([(1 + params.eps_s) / 2, (1 - params.eps_s) / 2])
+    return DensityMatrix(np.diag(np.outer(spin_i, spin_s).ravel().astype(complex)))
 
 
 def pseudo_pure(eps: float, rho1: DensityMatrix) -> DensityMatrix:

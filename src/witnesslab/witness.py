@@ -74,7 +74,7 @@ def _correlations(rho: DensityMatrix) -> tuple[float, float, float]:
 
 def _f_values(xx, zz):
     """f_witness of <XX> and <ZZ>, elementwise, with rounding spill past +-1 clipped first."""
-    return 0.5 - 0.25 * (1.0 + np.abs(np.clip(xx, -1, 1))) * (1.0 + np.abs(np.clip(zz, -1, 1)))
+    return 0.5 - 0.25 * (1.0 + np.minimum(np.abs(xx), 1.0)) * (1.0 + np.minimum(np.abs(zz), 1.0))
 
 
 def f_witness_state(rho: DensityMatrix) -> float:

@@ -65,6 +65,13 @@ def stage_inputs(rho):
     return m, lam_min, lam, vecs, e, r, diff
 
 
+def parity_values(seed, n=100_000):
+    """n seeded values over and past [-1, 1], with +-0, spill of one ulp past +-1, +-inf and NaN."""
+    spill = np.nextafter(1.0, 2.0)
+    special = [0.0, -0.0, 1.0, -1.0, spill, -spill, np.inf, -np.inf, np.nan]
+    return np.concatenate([np.random.default_rng(seed).uniform(-1.5, 1.5, n), special])
+
+
 def bench_inputs():
     """The benchmark's seeded input generator, bench/inputs.py, loaded from the checkout."""
     path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import witnesslab
-from conftest import bd, entangled_ginibre, local_coords, random_density_matrix, relaxed_states
+from conftest import bd, entangled_ginibre, local_coords, parity_values, random_density_matrix, relaxed_states
 from test_sweep_batch import PAPER_T2
 from witnesslab import (
     DensityMatrix,
@@ -233,6 +233,24 @@ def test_fidelity_is_symmetric():
     for _ in range(20):
         a, b = random_density_matrix(rng), random_density_matrix(rng)
         assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-10
+
+
+def test_fidelity_keeps_the_bits_of_clipping_below_at_zero():
+    v = parity_values(4)
+    assert np.maximum(v, 0.0).tobytes() == np.clip(v, 0.0, None).tobytes()
+
+    def clipped_fidelity(rho, sigma):
+        vals, vecs = np.linalg.eigh(rho.matrix)
+        sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+        inner = np.linalg.eigvalsh(sqrt_rho @ sigma.matrix @ sqrt_rho)
+        root = float(np.sum(np.sqrt(np.clip(inner, 0.0, None))))
+        return min(1.0, root * root)
+
+    rng = np.random.default_rng(31)
+    # rank 1 and 2 states have eigenvalues that round below zero, which the clip takes to 0
+    states = [random_density_matrix(rng, rank=r) for r in (1, 2, 4) for _ in range(40)]
+    for a, b in zip(states, states[1:] + states[:1]):
+        assert fidelity(a, b) == clipped_fidelity(a, b)
 
 
 def test_hermitian_op_rejects_non_finite_entries():

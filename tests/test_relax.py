@@ -270,17 +270,21 @@ def test_sweep_records_fitted_times():
 # ---------------------------------------------------------------------------
 
 def _series(times, f=None, w=None, gr=None, pt_min=None):
+    """A series with the given curves; its partial transposes are pt_min times the identity, so lambda_min is pt_min."""
     n = len(times)
-    return SweepSeries(
+    pt_min = np.asarray(pt_min if pt_min is not None else np.zeros(n), dtype=float)
+    series = SweepSeries(
         times=np.asarray(times, dtype=float),
         f_values=np.asarray(f if f is not None else np.zeros(n), dtype=float),
         w_values=np.asarray(w if w is not None else np.zeros(n), dtype=float),
         gr_values=np.asarray(gr if gr is not None else np.zeros(n), dtype=float),
-        pt_min_values=np.asarray(pt_min if pt_min is not None else np.zeros(n), dtype=float),
+        partial_transposes=pt_min[:, None, None] * np.eye(4, dtype=complex),
         tau_c=None,
         tau_r=None,
         tau_w=None,
     )
+    assert np.array_equal(series.pt_min_values, pt_min)
+    return series
 
 
 def test_crossing_time_linear_interpolation():
@@ -450,7 +454,7 @@ def test_series_validation():
             f_values=np.zeros(3),
             w_values=np.zeros(2),
             gr_values=np.zeros(2),
-            pt_min_values=np.zeros(2),
+            partial_transposes=np.zeros((2, 4, 4), dtype=complex),
             tau_c=None,
             tau_r=None,
             tau_w=None,
@@ -461,10 +465,10 @@ def test_series_validation():
             f_values=np.zeros(2),
             w_values=np.zeros(2),
             gr_values=np.zeros(2),
-            pt_min_values=np.zeros(2),
+            partial_transposes=np.zeros((2, 4, 4), dtype=complex),
             tau_c=None,
             tau_r=None,
             tau_w=None,
         )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="partial_transposes"):
         _series([0.0, 1.0], pt_min=np.zeros(3))

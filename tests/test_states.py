@@ -208,3 +208,13 @@ def test_pauli_vector_round_trip():
 def test_from_pauli_vector_shape_check():
     with pytest.raises(DomainError):
         from_pauli_vector(np.zeros(14))
+
+
+def test_thermal_state_keeps_the_bytes_of_the_kronecker_product():
+    rng = np.random.default_rng(17)
+    pairs = [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(2000)] + [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    for eps_i, eps_s in pairs:
+        spin_i = np.diag([(1 + eps_i) / 2, (1 - eps_i) / 2])
+        spin_s = np.diag([(1 + eps_s) / 2, (1 - eps_s) / 2])
+        reference = np.kron(spin_i, spin_s).astype(complex)
+        assert thermal_state(ThermalParams(eps_i, eps_s)).matrix.tobytes() == reference.tobytes()

@@ -293,11 +293,11 @@ def polyfit_decay_time(times, values):
     return tau if tau < np.inf else None
 
 
-def test_fitted_times_match_a_polyfit_reference():
+def bench_sweep_runs(seeds, rounds):
+    """The sweep arguments of the bench's sweep mix over the given seeds and rounds."""
     make_round = bench_inputs().make_round
-    w_phi = bell_witness(BellKind.PHI_MINUS)
-    runs = [(rho0, PAPER_T2, w_phi, t_max, steps) for rho0, t_max, steps, _ in CASES.values()]
-    for seed, index in itertools.product((41, 97), range(3)):  # the bench's sweep mix
+    runs = []
+    for seed, index in itertools.product(seeds, range(rounds)):
         for item in make_round("sweep", seed, index):
             if item["matrix"] is not None:
                 rho0 = DensityMatrix(item["matrix"])
@@ -306,6 +306,13 @@ def test_fitted_times_match_a_polyfit_reference():
             else:
                 rho0 = bell_state(BellKind(item["bell"]))
             runs.append((rho0, RelaxationParams(*item["params"]), bell_witness(BellKind(item["witness"])), 0.6, 200))
+    return runs
+
+
+def test_fitted_times_match_a_polyfit_reference():
+    w_phi = bell_witness(BellKind.PHI_MINUS)
+    runs = [(rho0, PAPER_T2, w_phi, t_max, steps) for rho0, t_max, steps, _ in CASES.values()]
+    runs += bench_sweep_runs((41, 97), 3)
     fitted = 0
     for rho0, p, w, t_max, steps in runs:
         series = sweep(rho0, p, w, t_max, steps)
@@ -316,6 +323,34 @@ def test_fitted_times_match_a_polyfit_reference():
                 assert abs(tau - reference) <= 1e-12 * reference
                 fitted += 1
     assert fitted > 100
+
+
+def mean_and_ptp_decay_time(times, values):
+    """The decay fit in its mean and ptp form, whose bits _fit_decay_time keeps."""
+    v0 = abs(values[0])
+    mask = values > 1e-3 * v0
+    if v0 <= 0 or mask.sum() < 2 or np.ptp(values[mask]) == 0:
+        return None
+    t_max = float(times[-1])
+    x = times[mask] / t_max
+    x -= x.mean()
+    y = np.log(values[mask])
+    slope = float(x @ (y - y.mean()) / (x @ x))
+    if slope >= 0:
+        return None
+    tau = -t_max / slope
+    return tau if tau < np.inf else None
+
+
+def test_fitted_times_keep_the_bits_of_the_mean_and_ptp_form():
+    curves = fitted = 0
+    for rho0, p, w, t_max, steps in bench_sweep_runs((41,), 20):
+        series = sweep(rho0, p, w, t_max, steps)
+        for values in (series.gr_values, np.abs(series.w_values - w.c_i)):
+            tau = relax._fit_decay_time(series.times, values)
+            assert tau == mean_and_ptp_decay_time(series.times, values)  # a float or None, never NaN
+            curves, fitted = curves + 1, fitted + (tau is not None)
+    assert curves == 560 and fitted > 400
 
 
 def test_stacked_positivity_test_agrees_with_lapack_on_every_point():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bd, random_physical_c, random_separable
+from conftest import bd, parity_values, random_physical_c, random_separable
 from witnesslab import (
     BDClass,
     BellDiagonalParams,
@@ -25,7 +25,7 @@ from witnesslab import (
     witness_matrix,
 )
 from witnesslab.states import _in_octahedron, _is_physical
-from witnesslab.witness import _classify
+from witnesslab.witness import _classify, _f_values
 
 IDENTITY = DensityMatrix(np.eye(4, dtype=complex) / 4)
 
@@ -34,6 +34,18 @@ def test_f_reference_values():
     assert abs(f_witness(CorrelationPair(-1.0, 1.0)) + 0.5) < 1e-12
     assert abs(f_witness(CorrelationPair(-0.2, 0.2)) - 0.14) < 1e-12
     assert abs(f_witness(CorrelationPair(0.0, 0.0)) - 0.25) < 1e-12
+
+
+def test_f_values_keep_the_bits_of_clip_then_abs():
+    xx, zz = parity_values(1), np.random.default_rng(2).permutation(parity_values(3))
+
+    def clipped(v):
+        return 1.0 + np.abs(np.clip(v, -1, 1))
+
+    reference = 0.5 - 0.25 * clipped(xx) * clipped(zz)
+    assert _f_values(xx, zz).tobytes() == reference.tobytes()
+    for x, z in zip(xx[-9:].tolist(), zz[:9].tolist()):  # plain floats, as f_witness passes them
+        assert np.float64(_f_values(x, z)).tobytes() == np.float64(0.5 - 0.25 * clipped(x) * clipped(z)).tobytes()
 
 
 def test_f_rejects_out_of_range_correlations():
