@@ -81,12 +81,13 @@ def _ppt_certified(m: np.ndarray) -> np.ndarray:
     Algorithms, 2nd ed., Thm 10.3; complex arithmetic raises the constant by
     a small factor).  So |E|_2 <= gamma_5 |L|_F^2 = gamma_5 Tr(L L^H),
     O(1e-15) for a state's partial transpose, whose trace is 1, and L L^H
-    is PSD: lambda_min(m) >= -NPT_CUT / 2 - O(1e-15).  The eigvalsh that
-    decides a point is backward stable, off by O(1e-15) on a matrix of norm
-    at most 1, so its lambda_min is above -NPT_CUT and it would call the
-    point PPT too: no certified point changes its verdict.  A factorization
-    that fails gives NaN, with no warning, and leaves the point to that
-    eigvalsh; so does a PSD point that rounding keeps from factoring.
+    is PSD: lambda_min(m) >= -NPT_CUT / 2 - O(1e-15).  The eigh that
+    decides a point in _robustness is backward stable, off by O(1e-15) on a
+    matrix of norm at most 1, so its lambda_min is above -NPT_CUT and it
+    would call the point PPT too: no certified point changes its verdict.
+    A factorization that fails gives NaN, with no warning, and leaves the
+    point to that eigh; so does a PSD point that rounding keeps from
+    factoring.
     Every point's verdict comes from its own slice.
     """
     with np.errstate(invalid="ignore"):  # a failed factorization is NaN, and no warning
@@ -794,12 +795,14 @@ def _bell_bracket(m: np.ndarray):
     return lower, upper, closed, omega, from_pauli_coords(w.reshape(-1, 16))
 
 
-def _robustness(rho: np.ndarray):
-    """Generalized robustness of each state of a (k, 4, 4) stack of density matrices.
+def _robustness(m: np.ndarray):
+    """Generalized robustness of each state of a stack, from the (k, 4, 4) stack m of their partial transposes.
 
-    Points whose partial transpose has lambda_min >= -NPT_CUT are PPT, 0
-    without a solve.  The NPT points then meet the stages in turn, each on
-    the rows of one eigh of their partial transposes that the stages before
+    One eigh of m decides and starts every point: for two qubits m has at
+    most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826
+    (1998)), so a point whose lambda_min is >= -NPT_CUT is PPT, 0 without a
+    solve, and the eigenpairs of the others feed every stage.  The NPT
+    points meet the stages in turn, each on the rows that the stages before
     it left open, and take the first that closes to below the solver's gap:
     _bracket, from the negative eigenvector of its partial transpose (every
     state with no local Bloch vectors, every pure state and any state with
@@ -810,9 +813,9 @@ def _robustness(rho: np.ndarray):
     with the longer search of _PRODUCT_STEPS_LAST pairs from the same
     start, for the product-class points the others leave open.  A point left open keeps the tightest of
     the stages' bounds.  The open rows are a slice of all of them until a
-    point closes, and m and lambda_min themselves serve where every point is
-    NPT, so that a one-state call gathers nothing.  The last stage is
-    _central_path, the HKM predictor-corrector method (Helmberg, Rendl,
+    point closes, and m and the eigenpairs themselves serve where every
+    point is NPT, so that a one-state call gathers nothing.  The last stage
+    is _central_path, the HKM predictor-corrector method (Helmberg, Rendl,
     Vanderbei & Wolkowicz 1996; Mehrotra 1992) from a feasible start, which
     solves the points no bracket closes one at a time, in index order, each
     to a duality gap below 1e-8.  The first point whose solve fails ends the
@@ -823,25 +826,25 @@ def _robustness(rho: np.ndarray):
     paths), the optimal omegas (zero for PPT points), that first failure as
     (index, ConvergenceError) or None, the dual fields (the lower bounds
     -Tr(W rho) and the witnesses W, zero for PPT points), and the lambda_min
-    of every point's partial transpose.
+    of every point's partial transpose, the eigh's.
     """
-    m = _pt_arr(rho)
-    lam_min = _eigvalsh(m)[:, 0]
+    lam, vecs = _eigh(m)
+    lam_min = lam[:, 0]
     npt = (lam_min < -NPT_CUT).nonzero()[0]
     values, lower = np.zeros(len(m)), np.zeros(len(m))
     iterations = np.zeros(len(m), dtype=int)
     omega, witness = np.zeros(m.shape, dtype=complex), np.zeros(m.shape, dtype=complex)
-    if not len(npt):  # a PPT stack skips the brackets' eigh, which costs as much as its eigvalsh
+    if not len(npt):
         return values, iterations, omega, None, lower, witness, lam_min
-    m_npt, lam_npt = (m, lam_min) if len(npt) == len(m) else (m[npt], lam_min[npt])
-    lam, vecs = _eigh(m_npt)
-    e = vecs[..., 0]
+    if len(npt) < len(m):
+        m, lam, vecs = m[npt], lam[npt], vecs[npt]
+    lam_npt, e = lam[:, 0], vecs[..., 0]
     r, diff = _schmidt(e)
     stages = (lambda rows: _bracket(e[rows], lam_npt[rows], diff[rows]),
-              lambda rows: _product_bracket(m_npt[rows], lam[rows], vecs[rows], _PRODUCT_STEPS, r[rows]),
-              lambda rows: _bell_bracket(m_npt[rows]),
-              lambda rows: _product_bracket(m_npt[rows], lam[rows], vecs[rows], _PRODUCT_STEPS_LAST, r[rows]))
-    rows, low, high = slice(None), -np.inf, np.inf  # the open rows of the eigh, and their bounds
+              lambda rows: _product_bracket(m[rows], lam[rows], vecs[rows], _PRODUCT_STEPS, r[rows]),
+              lambda rows: _bell_bracket(m[rows]),
+              lambda rows: _product_bracket(m[rows], lam[rows], vecs[rows], _PRODUCT_STEPS_LAST, r[rows]))
+    rows, low, high = slice(None), -np.inf, np.inf  # the open rows of the NPT points, and their bounds
     for stage in stages:
         low_b, high_b, closed, closed_omega, closed_witness = stage(rows)
         if closed_omega is None:
@@ -855,9 +858,10 @@ def _robustness(rho: np.ndarray):
         rest = ~closed
         rows = rest.nonzero()[0] if isinstance(rows, slice) else rows[rest]
         low, high = np.fmax(low, low_b)[rest], np.fmin(high, high_b)[rest]
-    for j, i in enumerate(npt[rows]):
+    for j, row in enumerate(np.arange(len(npt))[rows]):
+        i = npt[row]
         try:
-            omega[i], values[i], lower[i], witness[i], iterations[i] = _central_path(m[i], lam_min[i])
+            omega[i], values[i], lower[i], witness[i], iterations[i] = _central_path(m[row], lam_npt[row])
         except ConvergenceError as exc:  # the first failing point ends the call
             failure = int(i), ConvergenceError(str(exc), lower=max(exc.lower, float(low[j])),
                                                upper=min(exc.upper, float(high[j])))
@@ -870,7 +874,9 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
 
     Separability of two qubits is exactly positivity of the partial
     transpose, so this value is the minimal weight of an arbitrary state that
-    must be mixed in before rho turns separable.  When the closed-form
+    must be mixed in before rho turns separable.  One eigh of rho^PT decides
+    and starts the point: lambda_min >= -NPT_CUT is PPT, value 0, and its
+    eigenpairs feed every stage below.  When the closed-form
     bracket L = |lam| / a^2 <= GR <= U = |lam| (1 + 4ab) / (1 + ab) of the
     negative eigenvalue lam of rho^PT and the Schmidt coefficients a >= b
     of its eigenvector (Sanpera, Tarrach & Vidal 1998; Brandao 2005)
@@ -904,14 +910,14 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     ``witness``.  A solve that fails raises ``ConvergenceError`` with the
     tightest of the solver's and the brackets' bounds.  This is the
     one-point case of the stages that ``relax.sweep`` runs over a whole
-    time grid, where the solver takes its points one at a time as it does
-    here.  The first two brackets' arithmetic and what follows each solve
-    of the Bell completion run here on plain Python floats, and in a sweep
-    on numpy lanes once a stack reaches _LANES points: the same lines, so
-    the same bits.
+    time grid, on the partial transposes it already holds, where the solver
+    takes its points one at a time as it does here.  The first two
+    brackets' arithmetic and what follows each solve of the Bell completion
+    run here on plain Python floats, and in a sweep on numpy lanes once a
+    stack reaches _LANES points: the same lines, so the same bits.
     """
     _two_spin_state(rho, "generalized_robustness")
-    values, iterations, omega, failure, lower, witness, _ = _robustness(rho.matrix[None])
+    values, iterations, omega, failure, lower, witness, _ = _robustness(_pt_arr(rho.matrix)[None])
     if failure:
         raise failure[1]
     if values[0] == 0:

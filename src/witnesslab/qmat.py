@@ -17,11 +17,13 @@ Conventions fixed once and inherited everywhere:
   ``_eigvalsh`` and ``_eigh``, and every SVD through ``_svd``: numpy.linalg's
   own LAPACK gufuncs, so the same bits, without its per-call wrapper, and
   with its failure contract (a NaN eigenvalue or singular value raises
-  ``LinAlgError``).  Only the inner calls of
-  ``optim``'s solver and Bell bracket, where a NaN marks a point that
-  stays open or fails, and the sweep's PPT certificate
-  (``optim._ppt_certified``), where a NaN marks a point it does not
-  certify, call the gufuncs bare;
+  ``LinAlgError``).  The robustness stages decompose a stack of partial
+  transposes once, with ``_eigh``: its lambda_min decides each point's PPT
+  verdict and ``relax.SweepSeries.pt_min_values``, and its eigenpairs start
+  every bracket.  Only the inner calls of ``optim``'s solver and Bell
+  bracket, where a NaN marks a point that stays open or fails, and the
+  sweep's PPT certificate (``optim._ppt_certified``), where a NaN marks a
+  point it does not certify, call the gufuncs bare;
 * an operator or state is checked once, where it enters the program;
   ``_trusted_op`` and ``_trusted_state`` hold a matrix the program built
   Hermitian, or a state, by construction, with no second check;

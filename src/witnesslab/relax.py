@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import _MAX_STEPS, ConvergenceError, DomainError, bounded_int
-from .qmat import PT_SIGN, DensityMatrix, _eigvalsh, _keep_coords, _trusted_state, _two_spin_state, from_pauli_coords
+from .qmat import PT_SIGN, DensityMatrix, _eigh, _keep_coords, _trusted_state, _two_spin_state, from_pauli_coords
 from .optim import NPT_CUT, _ppt_certified, _robustness
 from .witness import _CORRELATION_COORDS, PauliWitness, _f_values
 
@@ -42,16 +42,18 @@ class RelaxationParams:
                 raise DomainError(f"t2_{spin} = {t2} exceeds 2*t1_{spin} = {2 * t1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSeries:
     """Sampled decay curves plus the extracted characteristic times.
 
     ``partial_transposes`` is the (N, 4, 4) stack of the points' partial
     transposes, and ``pt_min_values``, computed from it on first read, is
     lambda_min of each, the curve whose sign change ends GR
-    (``crossing_time``): an eigvalsh of the whole stack, the bits the
-    robustness stages' own eigvalsh gives each point.  ``tau_c`` is the
-    first zero crossing of the F curve (detection cutoff);
+    (``crossing_time``): an eigh of the whole stack, the bits of the eigh
+    that decides each point in ``optim._robustness``, so the GR crossing
+    and the verdict keep one rule.  A series compares equal only to itself
+    and hashes by identity, as its array fields have no single truth value.
+    ``tau_c`` is the first zero crossing of the F curve (detection cutoff);
     ``tau_w`` and ``tau_r`` are 1/e times of log-linear exponential fits to
     the witness curve's distance from its equilibrium value and to the
     robustness curve.  The robustness curve reaches 0 at a finite time, where
@@ -64,7 +66,7 @@ class SweepSeries:
     f_values: np.ndarray
     w_values: np.ndarray
     gr_values: np.ndarray
-    partial_transposes: np.ndarray = field(repr=False, compare=False)
+    partial_transposes: np.ndarray = field(repr=False)
     tau_c: float | None
     tau_r: float | None
     tau_w: float | None
@@ -81,7 +83,7 @@ class SweepSeries:
     @cached_property
     def pt_min_values(self) -> np.ndarray:
         """lambda_min of each point's partial transpose, computed on first read."""
-        return _eigvalsh(self.partial_transposes)[:, 0]
+        return _eigh(self.partial_transposes)[0][:, 0]
 
 
 def _relax(coords: np.ndarray, times: np.ndarray, p: RelaxationParams) -> np.ndarray:
@@ -160,8 +162,8 @@ def sweep(
     of PT_SIGN: the same Pauli strings in the same order, signs flipped
     exactly, so the bits of ``_pt_arr`` of its matrices.  One Cholesky
     factorization of the stack (``optim._ppt_certified``) proves most PPT
-    points PPT, robustness 0; only the points it leaves take
-    ``optim._robustness``, whose eigvalsh decides each as a one-point call
+    points PPT, robustness 0; only the rows of the stack it leaves go on to
+    ``optim._robustness``, whose one eigh decides each as a one-point call
     does, so the certificate changes no verdict.  Its NPT points take the
     robustness stages as one stack, the solver one point at a time; every
     point equals the one-point functions applied to ``relax_channel(rho0,
@@ -181,7 +183,7 @@ def sweep(
     m = from_pauli_coords(coords * PT_SIGN) / 4.0
     candidates = (~_ppt_certified(m)).nonzero()[0]
     gr_vals = np.zeros(steps)
-    gr_vals[candidates], _, _, failure, _, _, _ = _robustness(from_pauli_coords(coords[candidates]) / 4.0)
+    gr_vals[candidates], _, _, failure, _, _, _ = _robustness(m[candidates])
     if failure:
         k, exc = failure
         raise ConvergenceError(
@@ -229,8 +231,14 @@ def crossing_time(series: SweepSeries, quantity: str) -> float | None:
     when the partial transpose has a negative eigenvalue (Sanpera, Tarrach &
     Vidal, PRA 58, 826 (1998)), so GR ends at the first sign change of
     lambda_min + NPT_CUT, the cut below which the solver solves a point.
+    Only a GR query reads ``pt_min_values``, and so decomposes the stack.
     """
-    curves = {"F": series.f_values, "W": series.w_values, "GR": series.pt_min_values + NPT_CUT}
-    if quantity not in curves:
+    if quantity == "F":
+        curve = series.f_values
+    elif quantity == "W":
+        curve = series.w_values
+    elif quantity == "GR":
+        curve = series.pt_min_values + NPT_CUT
+    else:
         raise DomainError(f"quantity must be 'F', 'W' or 'GR', got {quantity!r}")
-    return _sign_change(series.times, curves[quantity])
+    return _sign_change(series.times, curve)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from witnesslab import BellDiagonalParams, DensityMatrix, bell_diagonal, optim, partial_transpose, pauli_vector, relax
-from witnesslab.qmat import _eigh, _eigvalsh, _pt_arr, from_pauli_coords
+from witnesslab.qmat import _eigh, _pt_arr, from_pauli_coords
 from witnesslab.states import PAULI_LABELS
 
 
@@ -44,23 +44,26 @@ def entangled_ginibre(seed):
 
 
 def relaxed_states(rho, times, p):
-    """The (N, 4, 4) stack a sweep of rho hands the robustness stages: its relaxed coordinates as matrices."""
+    """The (N, 4, 4) stack of rho relaxed to each time as a sweep forms it: its relaxed coordinates as matrices.
+
+    _pt_arr of it is, bit for bit, the stack of partial transposes the sweep builds and hands the robustness stages.
+    """
     return from_pauli_coords(relax._relax(rho._coords, times, p)) / 4.0
 
 
 def stage_inputs(rho):
     """The robustness stages' inputs for the NPT states of a (k, 4, 4) stack, formed as optim._robustness forms them.
 
-    Returns their partial transposes m, lambda_min of each (an eigvalsh),
-    the eigenpairs lam, vecs of one eigh, the negative eigenvectors e, and
-    e's reduced matrices r on spin I and a^2 - b^2 from optim._schmidt.
+    Returns their partial transposes m, lambda_min of each, the eigenpairs
+    lam, vecs of the one eigh that gives lambda_min and decides which states
+    are NPT, the negative eigenvectors e, and e's reduced matrices r on
+    spin I and a^2 - b^2 from optim._schmidt.
     """
     m = _pt_arr(rho)
-    lam_min = _eigvalsh(m)[:, 0]
-    npt = lam_min < -optim.NPT_CUT
-    m, lam_min = m[npt], lam_min[npt]
     lam, vecs = _eigh(m)
-    e = vecs[..., 0]
+    npt = lam[:, 0] < -optim.NPT_CUT
+    m, lam, vecs = m[npt], lam[npt], vecs[npt]
+    lam_min, e = lam[:, 0], vecs[..., 0]
     r, diff = optim._schmidt(e)
     return m, lam_min, lam, vecs, e, r, diff
 

@@ -1,10 +1,10 @@
 """The sweep's PPT certificate: one Cholesky factorization of m + (NPT_CUT / 2) 1 per partial transpose m.
 
-A point the certificate passes must be one that the eigvalsh rule
-(lambda_min >= -NPT_CUT) also calls PPT, so that no verdict changes; the
-stacks here put lambda_min(rho^PT) on both sides of the cut, within 1e-16
-of it.  A certificate whose margin reached past the cut would pass the
-points between -2e-12 and -1e-12.
+A point the certificate passes must be one that the robustness stages'
+rule (lambda_min >= -NPT_CUT, from their one eigh) also calls PPT, so that
+no verdict changes; the stacks here put lambda_min(rho^PT) on both sides
+of the cut, within 1e-16 of it.  A certificate whose margin reached past
+the cut would pass the points between -2e-12 and -1e-12.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from witnesslab import (
     sweep,
 )
 from witnesslab import optim, relax
-from witnesslab.qmat import _eigvalsh, _pt_arr
+from witnesslab.qmat import _eigh, _eigvalsh, _pt_arr
 
 PAPER_T2 = RelaxationParams(t1_i=10.0, t2_i=0.31, t1_s=10.0, t2_s=0.11)
 # lambda_min(rho^PT) of the stacks' states: past the cut, on it within 1e-16, inside it, on the PPT boundary and past it
@@ -60,6 +60,8 @@ def test_a_certified_point_is_ppt_by_the_eigvalsh_rule():
     lam = _eigvalsh(m)[:, 0]
     certified = optim._ppt_certified(m)
     assert np.all(lam[certified] >= -optim.NPT_CUT)
+    # and by the eigh's lambda_min, the rule that decides a point in optim._robustness
+    assert np.all(_eigh(m)[0][certified, 0] >= -optim.NPT_CUT)
     # the stack straddles the cut: points past it, points between it and -NPT_CUT / 2, and PPT points
     assert np.count_nonzero(lam < -optim.NPT_CUT) >= 25
     assert np.count_nonzero((lam >= -optim.NPT_CUT) & (lam < -0.5 * optim.NPT_CUT)) >= 15
@@ -95,7 +97,7 @@ def test_a_sweep_across_the_cut_equals_the_one_point_robustness():
 
 
 @pytest.mark.parametrize("near_cut", [False, True], ids=["paper grid", "across the cut"])
-def test_pt_min_values_are_the_eigvalsh_of_the_stack_read_on_first_use(near_cut):
+def test_pt_min_values_are_the_eigh_of_the_stack_read_on_first_use(near_cut):
     if near_cut:
         rho0, w, t_max, steps = next(near_cut_sweeps())
     else:
@@ -105,7 +107,8 @@ def test_pt_min_values_are_the_eigvalsh_of_the_stack_read_on_first_use(near_cut)
     assert np.array_equal(series.partial_transposes, m)  # built from signed coordinates, the bits of _pt_arr
     assert "pt_min_values" not in vars(series)  # not computed by the sweep
     pt_min = series.pt_min_values
-    assert np.array_equal(pt_min, _eigvalsh(m)[:, 0]) and series.pt_min_values is pt_min
+    # the lambda_min of the eigh that decides each point in optim._robustness, so the GR crossing follows the verdict
+    assert np.array_equal(pt_min, _eigh(m)[0][:, 0]) and series.pt_min_values is pt_min
     assert "partial_transposes" not in repr(series)
 
 
@@ -113,17 +116,51 @@ def test_only_the_uncertified_points_reach_the_robustness_stages(monkeypatch):
     seen = []
     robustness = relax._robustness
 
-    def spy(rho):
-        seen.append(rho)
-        return robustness(rho)
+    def spy(m):
+        seen.append(m)
+        return robustness(m)
 
     monkeypatch.setattr(relax, "_robustness", spy)
     for rho0 in entangled_states(3, 3):
         series = sweep(rho0, PAPER_T2, bell_witness(BellKind.PHI_MINUS), 0.6, 200)
         npt = np.flatnonzero(series.pt_min_values < -optim.NPT_CUT)
         assert 0 < len(npt) < 200
-        # the NPT points and no other, as their own states
-        assert np.array_equal(seen.pop(), relaxed_states(rho0, series.times[npt], PAPER_T2))
+        # the NPT points and no other, as their own partial transposes
+        assert np.array_equal(seen.pop(), _pt_arr(relaxed_states(rho0, series.times[npt], PAPER_T2)))
+
+
+def test_one_eigh_decides_and_starts_every_point(monkeypatch):
+    calls, handed = [], []
+    robustness = optim._robustness
+
+    def spy(m):
+        handed.append(m)
+        calls.append("robustness")
+        out = robustness(m)
+        calls.append("done")
+        return out
+
+    def recorded(name, decompose):
+        def call(a):
+            calls.append((name, a))
+            return decompose(a)
+        return call
+
+    monkeypatch.setattr(optim, "_robustness", spy)
+    monkeypatch.setattr(relax, "_robustness", spy)
+    monkeypatch.setattr(optim, "_eigh", recorded("eigh", optim._eigh))
+    monkeypatch.setattr(optim, "_eigvalsh", recorded("eigvalsh", optim._eigvalsh))
+    rho0 = entangled_states(3, 1)[0]
+    generalized_robustness(rho0)
+    series = sweep(rho0, PAPER_T2, bell_witness(BellKind.PHI_MINUS), 0.6, 200)
+    # one eigh of the stack handed over in each call, and no eigvalsh
+    assert [c if isinstance(c, str) else c[0] for c in calls] == ["robustness", "eigh", "done"] * 2
+    assert calls[1][1] is handed[0] and calls[4][1] is handed[1]
+    assert handed[0].tobytes() == _pt_arr(rho0.matrix)[None].tobytes()
+    # the sweep hands over the rows of its own stack that the certificate leaves, bit for bit
+    candidates = np.flatnonzero(~optim._ppt_certified(series.partial_transposes))
+    assert 0 < len(candidates) < 200
+    assert handed[1].tobytes() == series.partial_transposes[candidates].tobytes()
 
 
 def test_a_failure_names_its_grid_time_when_certified_points_come_first(monkeypatch):

@@ -360,4 +360,4 @@ def test_a_failed_decomposition_raises_and_accepts_nothing(monkeypatch):
         DensityMatrix(mixed)
     for stack in (states[:1], states[1:], states):
         with pytest.raises(np.linalg.LinAlgError):
-            optim._robustness(stack)
+            optim._robustness(_pt_arr(stack))

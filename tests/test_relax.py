@@ -251,6 +251,13 @@ def test_sweep_f_and_w_detect_in_the_same_region():
         assert np.sign(f) == np.sign(w)
 
 
+def test_sweeps_compare_by_identity_and_hash():
+    args = (bell_state(BellKind.PHI_MINUS), PAPER_T2, bell_witness(BellKind.PHI_MINUS), 0.6, 20)
+    s, t = sweep(*args), sweep(*args)
+    assert s == s and s != t  # no elementwise comparison of the array fields, so no ValueError
+    assert {s} == {s} and len({s, t}) == 2
+
+
 def test_sweep_validates_steps():
     with pytest.raises(DomainError):
         sweep(bell_state(BellKind.PHI_MINUS), PAPER_T2, bell_witness(BellKind.PHI_MINUS), 0.5, 1)
@@ -317,6 +324,16 @@ def test_crossing_time_lands_in_bracketing_interval():
     tc = crossing_time(s, "W")
     k = np.searchsorted(times, tc)
     assert vals[k - 1] < 0 <= vals[k]
+
+
+def test_crossing_time_decomposes_the_partial_transposes_only_for_gr():
+    series = sweep(bell_state(BellKind.PHI_MINUS), PAPER_T2, bell_witness(BellKind.PHI_MINUS), 0.6, 60)
+    crossing_time(series, "F")
+    crossing_time(series, "W")
+    with pytest.raises(DomainError):
+        crossing_time(series, "gr")
+    assert "pt_min_values" not in vars(series)
+    assert crossing_time(series, "GR") is not None and "pt_min_values" in vars(series)
 
 
 def test_crossing_time_gr_level():

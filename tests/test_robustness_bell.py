@@ -35,7 +35,7 @@ GAP = 1e-8
 
 def test_the_bounds_hold_the_robustness_on_the_stress_sets():
     rho = stress_sets()
-    values, _, _, failures, lower, _, lam = optim._robustness(rho)
+    values, _, _, failures, lower, _, lam = optim._robustness(_pt_arr(rho))
     assert not failures
     low, high, closed, _, _ = optim._bell_bracket(_pt_arr(rho))
     npt = lam < -optim.NPT_CUT
@@ -118,7 +118,7 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
         if closed[k]:
             assert one[3][0].tobytes() == omega[position[k]].tobytes()
             assert one[4][0].tobytes() == witness[position[k]].tobytes()
-    values, iterations, all_omega, _, lower, all_witness, _ = optim._robustness(rho)
+    values, iterations, all_omega, _, lower, all_witness, _ = optim._robustness(_pt_arr(rho))
     _, _, bell, _ = bracket_routes(rho)
     assert bell.sum() > 10
     for k in np.flatnonzero(bell):
@@ -285,7 +285,7 @@ def test_the_completion_takes_steps_on_product_class_points_and_its_own_on_bell_
     product_class = [entangled_ginibre(seed) for seed in (83, 268, 385)]
     for rho in bell_class + product_class:
         steps.append(0)
-        _, iterations, _, failures, _, _, _ = optim._robustness(rho.matrix[None])
+        _, iterations, _, failures, _, _, _ = optim._robustness(_pt_arr(rho.matrix[None]))
         assert not failures and iterations[0] == 0
     for rho in bell_class + product_class:  # and the Bell bracket alone on each
         steps.append(0)
@@ -335,9 +335,9 @@ def test_a_completion_with_no_step_adds_no_correction(monkeypatch):
 
     m = _pt_arr(rho)
     m = m[np.linalg.eigvalsh(m)[:, 0] < -optim.NPT_CUT]
-    skipped, robustness = optim._bell_bracket(m), optim._robustness(rho)
+    skipped, robustness = optim._bell_bracket(m), optim._robustness(_pt_arr(rho))
     monkeypatch.setattr(optim, "_bell_completion", zero_correction_everywhere)
-    added, robustness_added = optim._bell_bracket(m), optim._robustness(rho)
+    added, robustness_added = optim._bell_bracket(m), optim._robustness(_pt_arr(rho))
     low, high, closed, omega, witness = skipped
     assert closed.sum() > 1000 and (~closed).sum() > 100
     # L, U, the closure, the value and the witness keep their bytes; omega may differ in the sign of a zero only

@@ -54,7 +54,7 @@ def stress_sets():
 def test_the_bracket_holds_the_robustness_on_the_stress_sets():
     rho = stress_sets()
     low, high, _, _, _ = npt_bracket(rho)
-    values, _, _, failures, lower, _, lam = optim._robustness(rho)
+    values, _, _, failures, lower, _, lam = optim._robustness(_pt_arr(rho))
     assert not failures
     npt = lam < -optim.NPT_CUT
     assert npt.sum() > 2000
@@ -76,7 +76,7 @@ def test_the_bracket_is_exact_on_rotated_bell_diagonal_and_pure_states():
 
 def test_the_closed_form_is_certified_on_rotated_bell_diagonal_states():
     rho = rotated_bell_diagonal(np.random.default_rng(5502), 200)
-    values, iterations, omega, failures, lower, witness, _ = optim._robustness(rho)
+    values, iterations, omega, failures, lower, witness, _ = optim._robustness(_pt_arr(rho))
     assert not failures and not iterations.any()
     assert check_certified(rho, values, iterations, omega, lower, witness).all()
     for k in range(0, len(rho), 20):  # one point alone takes the same path, bit for bit
@@ -101,7 +101,7 @@ def test_the_closed_form_equals_the_bell_diagonal_oracle():
 def test_the_closed_form_is_within_the_gap_of_a_forced_solve():
     rng = np.random.default_rng(5504)
     rho = np.concatenate([stress_sets(), rotated_bell_diagonal(rng, 100), pure_states(rng, 100)])
-    values, iterations, _, _, _, _, lam = optim._robustness(rho)
+    values, iterations, _, _, _, _, lam = optim._robustness(_pt_arr(rho))
     closed = (lam < -optim.NPT_CUT) & (iterations == 0)
     assert closed.sum() > 800
     _, product, bell, _ = bracket_routes(rho)

@@ -108,8 +108,8 @@ def test_every_point_gives_the_same_bytes_alone_and_in_stacks(states, npt_inputs
         stacked(lambda idx: bracket_rows(optim._bell_bracket(left[idx])), len(left), alone)
         assert min(runs) < optim._LANES <= max(runs)
     # and the whole robustness, whose stack of 10,000 sends thousands of points to the product bracket, on lanes
-    alone = [robustness_rows(optim._robustness(states[i:i + 1]))[0] for i in range(len(states))]
-    stacked(lambda idx: robustness_rows(optim._robustness(states[idx])), len(states), alone)
+    alone = [robustness_rows(optim._robustness(_pt_arr(states[i:i + 1])))[0] for i in range(len(states))]
+    stacked(lambda idx: robustness_rows(optim._robustness(_pt_arr(states[idx]))), len(states), alone)
 
 
 def numpy_bracket(e, lam_min, diff):
@@ -145,7 +145,7 @@ def test_a_long_sweep_replays_bit_for_bit_through_generalized_robustness(monkeyp
     # the product bracket's stack runs on lanes
     assert sizes and sizes[0] >= optim._LANES and sizes[0] > 1000
     states = relaxed_states(rho0, series.times, PAPER_T2)
-    values, _, omega, failures, lower, witness, _ = optim._robustness(states)
+    values, _, omega, failures, lower, witness, _ = optim._robustness(_pt_arr(states))
     assert not failures and values.tobytes() == series.gr_values.tobytes()
     entangled = np.flatnonzero(values > 0)
     for k in np.unique(np.concatenate([np.arange(0, steps, 499), entangled[::60], entangled[-3:]])):

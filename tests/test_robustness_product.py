@@ -171,7 +171,7 @@ def test_a_degenerate_search_leaves_the_point_open_without_a_warning(monkeypatch
 
 def test_any_product_vector_and_any_vector_bound_the_robustness():
     rho = stress_sets()
-    values, _, _, failures, lower, _, lam = optim._robustness(rho)
+    values, _, _, failures, lower, _, lam = optim._robustness(_pt_arr(rho))
     assert not failures
     npt = lam < -optim.NPT_CUT
     m, values, lower = _pt_arr(rho[npt]), values[npt], lower[npt]
@@ -200,7 +200,7 @@ def test_any_product_vector_and_any_vector_bound_the_robustness():
 
 def test_the_optimizer_s_bounds_hold_on_every_npt_point():
     rho = stress_sets()
-    values, _, _, failures, lower, _, lam = optim._robustness(rho)
+    values, _, _, failures, lower, _, lam = optim._robustness(_pt_arr(rho))
     assert not failures
     npt = lam < -optim.NPT_CUT
     m, _, eig_lam, vecs, _, r, _ = stage_inputs(rho)
@@ -234,7 +234,7 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
         if closed[k]:
             assert one[3][0].tobytes() == omega[position[k]].tobytes()
             assert one[4][0].tobytes() == witness[position[k]].tobytes()
-    values, iterations, all_omega, _, lower, all_witness, _ = optim._robustness(rho)
+    values, iterations, all_omega, _, lower, all_witness, _ = optim._robustness(_pt_arr(rho))
     _, product, _, _ = bracket_routes(rho)
     for k in np.flatnonzero(product)[:30]:
         result = generalized_robustness(DensityMatrix(rho[k]))
@@ -354,10 +354,10 @@ def test_the_longer_search_closes_every_point_the_brackets_leave_open(monkeypatc
     rho = np.concatenate([np.stack([entangled_ginibre(seed).matrix for seed in (83, 268, 385)]),
                           relaxed_states(entangled_ginibre(268), np.linspace(0.0, 0.002, 12), PAPER_T2),
                           stress_sets(), bench_robustness_inputs()])
-    closed = optim._robustness(rho)
+    closed = optim._robustness(_pt_arr(rho))
     # the longer search only repeats the first: the solver takes what the brackets leave
     monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
-    solved = optim._robustness(rho)
+    solved = optim._robustness(_pt_arr(rho))
     monkeypatch.undo()
     values, iterations, omega, failures, lower, witness, _ = closed
     assert not failures and not solved[3]

@@ -22,7 +22,7 @@ from witnesslab import (
     relax_channel,
 )
 from witnesslab import optim
-from witnesslab.qmat import TWO_SPIN_LABELS, TWO_SPIN_PAULIS, pauli_coords
+from witnesslab.qmat import TWO_SPIN_LABELS, TWO_SPIN_PAULIS, _pt_arr, pauli_coords
 
 # the solver stops at a duality gap below 1e-8
 GAP = 1.0e-8
@@ -195,7 +195,7 @@ def test_an_all_ppt_stack_is_answered_without_a_solve(monkeypatch):
     ppt += [bd(*random_physical_c(rng)).matrix for _ in range(200)]
     ppt = np.array([m for m in ppt if np.linalg.eigvalsh(pt(m))[0] >= 0.0])
     assert len(ppt) > 20
-    values, iterations, omega, failure, lower, witness, pt_min = optim._robustness(ppt)
+    values, iterations, omega, failure, lower, witness, pt_min = optim._robustness(_pt_arr(ppt))
     assert (pt_min >= -optim.NPT_CUT).all()
     assert not values.any() and not iterations.any() and not omega.any()
     assert not lower.any() and not witness.any()
@@ -306,9 +306,12 @@ def test_dual_witness_of_a_bell_diagonal_state_is_the_optimal_witness_lp():
 
 
 def test_newton_steps_per_npt_solve_stay_within_budget():
-    # a count, not a time: the predictor-corrector iterations on a fixed set of states
+    # a count, not a time: the predictor-corrector iterations on a fixed set of states, each solved by the
+    # interior-point method itself, since a closed-form bracket closes every one of them and would report 0
     states = entangled_states(np.random.default_rng(4205), 200)
-    _, iterations, _, failures, _, _, _ = optim._robustness(np.stack([rho.matrix for rho in states]))
-    assert not failures
+    m = _pt_arr(np.stack([rho.matrix for rho in states]))
+    lam_min = np.linalg.eigvalsh(m)[:, 0]
+    iterations = np.array([optim._central_path(m[k], lam_min[k])[4] for k in range(len(m))])
+    assert len(iterations) == 200 and iterations.min() > 0
     assert iterations.mean() <= 12
     assert iterations.max() <= 20

@@ -85,7 +85,7 @@ def test_every_seeded_ginibre_solve_is_certified(monkeypatch):
     # the longer search only repeats the first: the solver takes what the brackets leave
     monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     rho = ginibre_states(np.random.default_rng(20261018), 2400)
-    values, iterations, omega, failures, lower, witness, _ = optim._robustness(rho)
+    values, iterations, omega, failures, lower, witness, _ = optim._robustness(_pt_arr(rho))
     assert not failures
     npt = check_certified(rho, values, iterations, omega, lower, witness)
     assert npt.sum() > 2000
@@ -118,7 +118,7 @@ def test_a_solved_point_gets_from_the_solver_alone_what_the_robustness_stores(mo
     # the longer search only repeats the first: the solver takes what the brackets leave
     monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     rho = ginibre_states(np.random.default_rng(20261020), 1200)
-    values, iterations, omega, failure, lower, witness, lam_min = optim._robustness(rho)
+    values, iterations, omega, failure, lower, witness, lam_min = optim._robustness(_pt_arr(rho))
     assert failure is None
     solved = np.flatnonzero(iterations)
     assert len(solved) >= 5
@@ -137,7 +137,7 @@ def test_a_solved_point_gets_from_the_solver_alone_what_the_robustness_stores(mo
 
 def test_named_states_are_certified_alone_and_together():
     rho = named_states()
-    values, iterations, omega, failures, lower, witness, _ = optim._robustness(rho)
+    values, iterations, omega, failures, lower, witness, _ = optim._robustness(_pt_arr(rho))
     assert not failures
     npt = check_certified(rho, values, iterations, omega, lower, witness)
     assert npt.all()

@@ -93,7 +93,7 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name, monkeypatch):
     series = sweep(rho0, PAPER_T2, w, t_max, steps)
     # the solver's own iteration counts and dual bounds for the grid, formed as the sweep forms them
     states = relaxed_states(rho0, series.times, PAPER_T2)
-    _, iterations, _, failures, lower, witness, pt_min = optim._robustness(states)
+    _, iterations, _, failures, lower, witness, pt_min = optim._robustness(_pt_arr(states))
     assert not failures
     assert np.array_equal(pt_min, series.pt_min_values)
     for k, t in enumerate(series.times):
@@ -132,7 +132,7 @@ def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
     assert to_solver.sum() > 5  # no bracket closes these, so they reach _central_path
     for cap in (2, 5):
         monkeypatch.setattr(optim, "_MAX_ITERATIONS", cap)
-        _, _, _, failure, _, _, _ = optim._robustness(states)
+        _, _, _, failure, _, _, _ = optim._robustness(_pt_arr(states))
         alone = one_point_failures(states)
         assert sorted(alone) == np.flatnonzero(to_solver).tolist()  # each point left to the solver fails at the cap
         # the stack's call ends at its first failing point, with the error that point gives alone
@@ -153,7 +153,7 @@ def one_point_failures(states):
     """
     failures = {}
     for k in range(len(states)):
-        failure = optim._robustness(states[k:k + 1])[3]
+        failure = optim._robustness(_pt_arr(states[k:k + 1]))[3]
         if failure:
             failures[k] = failure[1]
     return failures
@@ -164,7 +164,7 @@ def test_the_first_failing_point_ends_the_call_with_its_one_point_bounds(monkeyp
     monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     # past the stress set's first solver point, so that points solved within the cap come before the first failure
     rho = stress_sets()[100:]
-    uncapped = optim._robustness(rho)[1]
+    uncapped = optim._robustness(_pt_arr(rho))[1]
     solver = np.flatnonzero(uncapped)
     cap = 8
     first = solver[uncapped[solver] > cap][0]
@@ -181,7 +181,7 @@ def test_the_first_failing_point_ends_the_call_with_its_one_point_bounds(monkeyp
 
     monkeypatch.setattr(optim, "_central_path", spy)
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", cap)
-    values, iterations, omega, failure, lower, witness, _ = optim._robustness(rho)
+    values, iterations, omega, failure, lower, witness, _ = optim._robustness(_pt_arr(rho))
     # one point at a time, in index order, up to the first that fails: no later point is solved
     assert calls == solver[solver <= first].tolist()
     assert failure[0] == first
