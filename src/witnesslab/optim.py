@@ -10,19 +10,25 @@ solver is the last stage, for a point that no bracket closes: one point's
 own 4x4 linear algebra, one point at a time, since no measured workload
 leaves a point open.
 
-The first bracket's bounds and closure test, the product bracket from the
-eigenpairs of the partial transpose to its closure test, and what follows
-the solve of each Newton step of the Bell completion are one kernel of real
-arithmetic: +, -, *, / and sqrt in a fixed order, with comparisons, & and |
-and a select, and no matmul, reduction or complex product.  IEEE 754 rounds
-each of those correctly, so the same lines (_bracket_lines, _product_lines,
-_newton_lines) give the same bits on plain Python floats, one point at a
-time, below _LANES points and on numpy (k,) lanes from there (_run).  A
-degenerate point of the first two is open by an explicit mask, with no
-division by zero and no NaN on the way.  The eigendecompositions, the Bell
-bracket's SVD and 3x3 products, each completion step's Cholesky, inverse,
-Gram products and solve, and the complex assembly of omega and the witness
-stay whole-stack numpy.
+Each stage's arithmetic from its decompositions to its bounds is one
+kernel of real arithmetic: +, -, *, / and sqrt in a fixed order, with
+comparisons, & and | and a select, and no matmul, reduction or complex
+product.  IEEE 754 rounds each of those correctly, so the same lines give
+the same bits on plain Python floats, one point at a time, below _LANES
+points and on numpy (k,) lanes from there (_run): the first bracket from
+the negative eigenvector's floats, its Schmidt coefficients included, to
+its closure test (_bracket_lines); the product bracket from the eigenpairs
+of the partial transpose to its closure test (_product_lines); the Bell
+bracket's coordinates of rho, read off the partial transpose's floats
+(_coord_lines), and, from them and the SVD factors of the correlation
+matrix, its sign d, rotation R, lower bound, minimum-norm omega and the
+coordinates of its witness (_bell_lines); and what follows the solve of
+each Newton step of the Bell completion (_newton_lines).  A degenerate
+point of the first two is open by an explicit mask, with no division by
+zero and no NaN on the way.  The eigendecompositions, the Bell bracket's
+SVD and final eigvalsh check, each completion step's Cholesky, inverse,
+Gram products and solve, and the assembly of the closed points' omega and
+witness matrices stay whole-stack numpy.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError
 from .qmat import _Q, PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _eigh, _eigvalsh, _pt_arr, _svd
-from .qmat import _trusted_op, _trusted_state, _two_spin_state, from_pauli_coords, pauli_coords
+from .qmat import _trusted_op, _trusted_state, _two_spin_state, from_pauli_coords
 from .states import BellDiagonalParams, bell_probabilities
 
 _E0 = np.eye(16)[0]
@@ -338,7 +344,9 @@ def _run(lines, inputs, *args) -> np.ndarray:
     those correctly, so a point gets the same bits from both executors.
     Below _LANES points they run once per point, on Python floats with
     math.sqrt and _pick; from there, and on an empty stack, once on (k,)
-    arrays with np.sqrt and np.where.  A mask comes back as 0.0 or 1.0.
+    arrays with np.sqrt and np.where, so every output must be a lane there:
+    a constant is written as one computed from an input.  A mask comes back
+    as 0.0 or 1.0.  The table is C-ordered on floats and F-ordered on lanes.
     """
     if 0 < len(inputs[0]) < _LANES:
         return np.array([lines(sqrt, _pick, *point, *args) for point in zip(*[a.tolist() for a in inputs])],
@@ -346,18 +354,34 @@ def _run(lines, inputs, *args) -> np.ndarray:
     return np.array(lines(np.sqrt, np.where, *[a.T for a in inputs], *args), dtype=float).T
 
 
-def _bracket_lines(sqrt, where, lam, diff):
-    """_bracket's bounds of one point or one lane: L, U, U - L < _GAP, 2 a^2 and 2 ab."""
-    a2_twice = 1.0 + diff
+def _bracket_lines(sqrt, where, lam, e):
+    """_bracket's bounds of one point or one lane: L, U, U - L < _GAP, 2 a^2, 2 ab, and r00, r11, re and im r01.
+
+    e holds the negative eigenvector's 8 floats, v_ij = e[2 i + j] on
+    |i>_I |j>_S.  r = v v^H is its reduced matrix on spin I, and a^2 - b^2,
+    the length of r's Bloch vector, is sqrt(D^2 + 4 |r01|^2) with
+    D = r00 - r11.  That is as accurate near a = b as hypot: both take the
+    same D, and the rest is a sum of squares, with no cancellation, so the
+    sum and its sqrt are each a few ulps off in relative terms; where
+    sqrt(1 - 4 a^2 b^2) of a unit vector would cancel to about 1e-8, this
+    carries only D's own rounding, about an ulp of 1, which is also all that
+    1 + (a^2 - b^2) can hold.  hypot guards overflow and underflow, which a
+    unit vector's squares meet only below 1e-154, far under that ulp.
+    """
+    x0, y0, x1, y1, x2, y2, x3, y3 = e
+    r00, r11 = (x0 * x0 + y0 * y0) + (x1 * x1 + y1 * y1), (x2 * x2 + y2 * y2) + (x3 * x3 + y3 * y3)
+    r01r, r01i = (x0 * x2 + y0 * y2) + (x1 * x3 + y1 * y3), (y0 * x2 - x0 * y2) + (y1 * x3 - x1 * y3)
+    delta = r00 - r11
+    a2_twice = 1.0 + sqrt(delta * delta + 4.0 * (r01r * r01r + r01i * r01i))
     ab_twice = a2_twice * (2.0 - a2_twice)
     ab_twice = sqrt(where(ab_twice > 0.0, ab_twice, 0.0))  # b = 0 where rounding puts a^2 above 1
     lower = lam * (-2.0 / a2_twice)
     upper = lam * (6.0 / (2.0 + ab_twice) - 4.0)
-    return lower, upper, upper - lower < _GAP, a2_twice, ab_twice
+    return lower, upper, upper - lower < _GAP, a2_twice, ab_twice, r00, r11, r01r, r01i
 
 
-def _bracket(e: np.ndarray, lam_min: np.ndarray, diff: np.ndarray):
-    """Closed-form bounds L <= GR <= U of NPT points, and the certificate and witness of the points where they close.
+def _bracket(e: np.ndarray, lam_min: np.ndarray):
+    """Closed-form bounds L <= GR <= U of NPT points, the certificate and witness where they close, and r.
 
     lam_min is the stack of the smallest eigenvalues of the partial
     transposes m, and e the (k, 4) stack of their eigenvectors.  For two
@@ -369,37 +393,26 @@ def _bracket(e: np.ndarray, lam_min: np.ndarray, diff: np.ndarray):
     ab 1) with c = |lam| / (1 + ab) is PSD, and so is (rho + omega)^PT =
     m + c |e><e| + c ab 1, so U = Tr omega = |lam| (1 + 4ab) / (1 + ab).
     When e is maximally entangled, as for every state with no local Bloch
-    vectors and every pure state, L = U = 2 |lam|.  a^2 - b^2 is diff, the
-    caller's _schmidt(e): accurate near a^2 = 1/2.  The bounds and the
-    closure test are the real arithmetic of _bracket_lines, run on plain
-    floats below _LANES points and on numpy lanes from there (_run): the
-    same bits either way.  Returns L and U of every point, the mask of the
-    points with U - L < _GAP (the certificate contract of a finished
-    solve), and omega and the witness of those points, assembled as
-    whole-stack numpy, or None for both when no point closes.  The points
-    it leaves open go on to _product_bracket.
+    vectors and every pure state, L = U = 2 |lam|.  Everything from e's
+    floats to the closure test, e's reduced matrix r on spin I and a^2 - b^2
+    included, is the real arithmetic of _bracket_lines, run on plain floats
+    below _LANES points and on numpy lanes from there (_run): the same bits
+    either way.  Returns L and U of every point, the mask of the points with
+    U - L < _GAP (the certificate contract of a finished solve), omega and
+    the witness of those points, assembled as whole-stack numpy, or None
+    for both when no point closes, and the (k, 4) table of r00, r11 and the
+    real and imaginary parts of r01 of every point, where the product
+    searches start.  The points it leaves open go on to _product_bracket.
     """
-    lower, upper, closed, a2_twice, ab_twice = _run(_bracket_lines, (lam_min, diff)).T
+    out = _run(_bracket_lines, (lam_min, np.ascontiguousarray(e).view(np.float64)))
+    lower, upper, closed, a2_twice, ab_twice = out[:, :5].T
     closed = closed != 0.0
     if not np.count_nonzero(closed):
-        return lower, upper, closed, None, None
+        return lower, upper, closed, None, None, out[:, 5:]
     vec, ab, neg = e[closed], 0.5 * ab_twice[closed], -lam_min[closed]
     proj_pt = _pt_arr(vec[:, :, None] * vec[:, None, :].conj())  # (|e><e|)^PT
     omega = (neg / (1.0 + ab))[:, None, None] * (proj_pt + ab[:, None, None] * _EYE4)
-    return lower, upper, closed, omega, proj_pt * (2.0 / a2_twice[closed])[:, None, None]
-
-
-def _schmidt(v: np.ndarray):
-    """Reduced matrices r on spin I of a (k, 4) stack of vectors (v_ij on |i>_I |j>_S), and a^2 - b^2 of each.
-
-    a^2 - b^2, the difference of v's squared Schmidt coefficients, is the
-    length of the Bloch vector of r, taken by hypot: near a = b, where
-    sqrt(1 - 4 a^2 b^2) of a unit vector would cancel to about 1e-8, it
-    stays accurate.
-    """
-    v = v.reshape(-1, 2, 2)
-    r = v @ v.conj().swapaxes(-1, -2)
-    return r, np.hypot(r[:, 0, 0].real - r[:, 1, 1].real, 2.0 * np.abs(r[:, 0, 1]))
+    return lower, upper, closed, omega, proj_pt * (2.0 / a2_twice[closed])[:, None, None], out[:, 5:]
 
 
 def _search_lines(sqrt, where, lam, vec, start, steps):
@@ -412,11 +425,12 @@ def _search_lines(sqrt, where, lam, vec, start, steps):
     c_11, c_22, c_33, then re and im of c_01, c_02, c_03, c_12, c_13, c_23)
     give -X / 2, X the Pauli coordinates of m^-1 (X_00 is not needed): the
     search is the same for any positive multiple of X.  start holds e's
-    reduced matrix r on spin I, as the float view of its 4 entries: its
-    Bloch vector, normalized, is n_I.  Each of the steps half-step pairs
-    takes g = -(X_0S + X_IS^T n_I) / 2, whose direction is n_S, then
-    n_I = h / |h| with h = |g| (-(X_I0 + X_IS n_S) / 2) = |g| (-X_I0 / 2) -
-    X_IS g / 2, so a step divides once; n_S = g / |g| of the last step.
+    reduced matrix r on spin I as r00, r11 and the real and imaginary parts
+    of r01, from _bracket_lines: its Bloch vector, normalized, is n_I.  Each
+    of the steps half-step pairs takes g = -(X_0S + X_IS^T n_I) / 2, whose
+    direction is n_S, then n_I = h / |h| with h = |g| (-(X_I0 + X_IS n_S) /
+    2) = |g| (-X_I0 / 2) - X_IS g / 2, so a step divides once; n_S = g / |g|
+    of the last step.
     A zero g makes h zero too.  The mask is False where m has a second
     eigenvalue <= 0, or the start vector, an h or the last g is 0; each
     such divisor is lifted to 1 by adding the test's 0 or 1, so every value
@@ -457,7 +471,7 @@ def _search_lines(sqrt, where, lam, vec, start, steps):
     a11, a12, a13 = -(c03r + c12r), c03i - c12i, c13r - c02r
     a21, a22, a23 = c03i + c12i, c03r - c12r, c02i - c13i
     a31, a32, a33 = c23r - c01r, c01i - c23i, 0.5 * ((c11 - c00) + (c22 - c33))
-    r00, _, r01r, r01i, _, _, r11, _ = start
+    r00, r11, r01r, r01i = start
     n1, n2, n3 = 2.0 * r01r, -2.0 * r01i, r00 - r11
     norm = sqrt(n1 * n1 + n2 * n2 + n3 * n3)
     lifted = norm == 0.0  # a zero divisor, lifted to 1: the point stays open
@@ -549,20 +563,20 @@ def _product_lines(sqrt, where, lam, vec, start, pt, steps):
     return _tail_lines(sqrt, where, _search_lines(sqrt, where, lam, vec, start, steps), pt)
 
 
-def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: int, r: np.ndarray):
+def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: int, start: np.ndarray):
     """Bounds L <= GR <= U of NPT points from a product vector, and the certificate and witness where they close.
 
     m is the (k, 4, 4) stack of partial transposes, lam, vecs their
-    eigenpairs, lowest first, and r the reduced matrices on spin I of the
-    negative eigenvectors e, from _schmidt.  For every product vector
-    w = u (x) v with q = <w|m^-1|w> < 0, U = -1/q bounds the robustness
-    from above: omega = U |conj(u) (x) v><conj(u) (x) v| has
-    omega^PT = U |w><w|, and m + U |w><w| is PSD and singular, because
-    det(m + t |w><w|) =
-    det(m) (1 + t q) and m has exactly one negative eigenvalue (Sanpera,
-    Tarrach & Vidal 1998).  For every vector f, Z_2 = |f><f| / a_f^2 with
-    a_f^2 the larger squared Schmidt coefficient of f gives L =
-    -<f|m|f> / a_f^2 (Brandao 2005); here f = m^-1 w.
+    eigenpairs, lowest first, and start the (k, 4) table of the reduced
+    matrices r on spin I of the negative eigenvectors e, from _bracket.  For
+    every product vector w = u (x) v with q = <w|m^-1|w> < 0, U = -1/q
+    bounds the robustness from above: omega = U |conj(u) (x) v><conj(u) (x)
+    v| has omega^PT = U |w><w|, and m + U |w><w| is PSD and singular,
+    because det(m + t |w><w|) = det(m) (1 + t q) and m has exactly one
+    negative eigenvalue (Sanpera, Tarrach & Vidal 1998).  For every vector
+    f, Z_2 = |f><f| / a_f^2 with a_f^2 the larger squared Schmidt
+    coefficient of f gives L = -<f|m|f> / a_f^2 (Brandao 2005); here
+    f = m^-1 w.
     Where the optimal dual Z_2 has rank one and its vector is not maximally
     entangled, complementary slackness makes the optimal omega such a
     product pure state, and the bounds meet at the w that minimizes q.
@@ -599,7 +613,6 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
     """
     k = len(m)
     vec = np.ascontiguousarray(vecs).reshape(k, 16).view(np.float64)
-    start = np.ascontiguousarray(r).reshape(k, 4).view(np.float64)  # its Bloch vector is e's leading Schmidt vector's
     pt = np.ascontiguousarray(m).reshape(k, 16).view(np.float64)
     out = _run(_product_lines, (lam, vec, start, pt), steps)
     lower, upper, closed = out[:, 17], out[:, 18], out[:, 19] != 0.0
@@ -734,19 +747,97 @@ def _bell_completion(yx: np.ndarray, r: np.ndarray) -> np.ndarray:
     return y
 
 
+def _coord_lines(sqrt, where, pt):
+    """rho's 16 Pauli coordinates x_ab = Tr(rho sigma_a (x) sigma_b) of one point or one lane, from m = rho^PT.
+
+    pt is the float view of m's 16 entries.  x_ab = s_a Tr(P_ab m), with
+    s_a = -1 where a is Y: the four signed entries of m added to +0 in
+    pauli_coords' order, then negated where s_a = -1, so the bits are those
+    of pauli_coords(m) * PT_SIGN.
+    """
+    (m00r, _, m01r, m01i, m02r, m02i, m03r, m03i, m10r, m10i, m11r, _, m12r, m12i, m13r, m13i,
+     m20r, m20i, m21r, m21i, m22r, _, m23r, m23i, m30r, m30i, m31r, m31i, m32r, m32i, m33r, _) = pt
+    return (0.0 + m00r + m11r + m22r + m33r, 0.0 + m10r + m01r + m32r + m23r,
+            0.0 + m10i - m01i + m32i - m23i, 0.0 + m00r - m11r + m22r - m33r,
+            0.0 + m20r + m31r + m02r + m13r, 0.0 + m30r + m21r + m12r + m03r,
+            0.0 + m30i - m21i + m12i - m03i, 0.0 + m20r - m31r + m02r - m13r,
+            -(0.0 + m20i + m31i - m02i - m13i), -(0.0 + m30i + m21i - m12i - m03i),
+            -(0.0 - m30r + m21r + m12r - m03r), -(0.0 + m20i - m31i - m02i + m13i),
+            0.0 + m00r + m11r - m22r - m33r, 0.0 + m10r + m01r - m32r - m23r,
+            0.0 + m10i - m01i - m32i + m23i, 0.0 + m00r - m11r - m22r + m33r)
+
+
+def _bell_lines(sqrt, where, x, u, s, vt):
+    """The Bell bracket of one point or one lane: the minimum-norm omega's coordinates, rho's, W's, and R.
+
+    x holds rho's 16 coordinates x_ab (row-major in a, b), and u, s, vt the
+    SVD T = U diag(s) V^T of the correlation matrix T_ij = x_ij, i, j >= 1,
+    U and V^T row-major.  det U and det V^T are the triple products of
+    their rows, each +-1 up to rounding, so d = -1 where they have one sign
+    and +1 where not, and R = -U diag(1, 1, d) V^T, with d folded into U's
+    last column.  L = (s_1 + s_2 + d s_3 - x_00) / 2.  The coordinates y
+    of 4 omega, with a_i = x_i0 and b_j = x_0j: y_00 = L, y_i0 = -(a +
+    R b)_i / 2, y_0j = -(R^T a + b)_j / 2 and y_ij = L R_ij / 3 - (T -
+    (R T^T) R)_ij / 4, each product summed in index order.  W's are
+    w_00 = 1/2, w_ij = R_ij / 2 and 0 else, the zeros d - d, so that every
+    output is a lane.  Returns y, x as given, w, then R row-major.
+    """
+    x00, b1, b2, b3, a1, t11, t12, t13, a2, t21, t22, t23, a3, t31, t32, t33 = x
+    u11, u12, u13, u21, u22, u23, u31, u32, u33 = u
+    s1, s2, s3 = s
+    v11, v12, v13, v21, v22, v23, v31, v32, v33 = vt
+    det_u = u11 * (u22 * u33 - u23 * u32) - u12 * (u21 * u33 - u23 * u31) + u13 * (u21 * u32 - u22 * u31)
+    det_v = v11 * (v22 * v33 - v23 * v32) - v12 * (v21 * v33 - v23 * v31) + v13 * (v21 * v32 - v22 * v31)
+    d = where(det_u * det_v > 0.0, -1.0, 1.0)
+    u13, u23, u33 = u13 * d, u23 * d, u33 * d
+    r11, r12, r13 = (-(u11 * v11 + u12 * v21 + u13 * v31), -(u11 * v12 + u12 * v22 + u13 * v32),
+                     -(u11 * v13 + u12 * v23 + u13 * v33))
+    r21, r22, r23 = (-(u21 * v11 + u22 * v21 + u23 * v31), -(u21 * v12 + u22 * v22 + u23 * v32),
+                     -(u21 * v13 + u22 * v23 + u23 * v33))
+    r31, r32, r33 = (-(u31 * v11 + u32 * v21 + u33 * v31), -(u31 * v12 + u32 * v22 + u33 * v32),
+                     -(u31 * v13 + u32 * v23 + u33 * v33))
+    low = 0.5 * (s1 + s2 + d * s3 - x00)
+    y01, y02, y03 = (-0.5 * (a1 * r11 + a2 * r21 + a3 * r31 + b1), -0.5 * (a1 * r12 + a2 * r22 + a3 * r32 + b2),
+                     -0.5 * (a1 * r13 + a2 * r23 + a3 * r33 + b3))
+    y10, y20, y30 = (-0.5 * (a1 + (r11 * b1 + r12 * b2 + r13 * b3)), -0.5 * (a2 + (r21 * b1 + r22 * b2 + r23 * b3)),
+                     -0.5 * (a3 + (r31 * b1 + r32 * b2 + r33 * b3)))
+    # P = R T^T, row by row, then y_ij = L R_ij / 3 - (T - P R)_ij / 4
+    p11, p12, p13 = (r11 * t11 + r12 * t12 + r13 * t13, r11 * t21 + r12 * t22 + r13 * t23,
+                     r11 * t31 + r12 * t32 + r13 * t33)
+    p21, p22, p23 = (r21 * t11 + r22 * t12 + r23 * t13, r21 * t21 + r22 * t22 + r23 * t23,
+                     r21 * t31 + r22 * t32 + r23 * t33)
+    p31, p32, p33 = (r31 * t11 + r32 * t12 + r33 * t13, r31 * t21 + r32 * t22 + r33 * t23,
+                     r31 * t31 + r32 * t32 + r33 * t33)
+    third = low / 3.0
+    y11 = third * r11 - 0.25 * (t11 - (p11 * r11 + p12 * r21 + p13 * r31))
+    y12 = third * r12 - 0.25 * (t12 - (p11 * r12 + p12 * r22 + p13 * r32))
+    y13 = third * r13 - 0.25 * (t13 - (p11 * r13 + p12 * r23 + p13 * r33))
+    y21 = third * r21 - 0.25 * (t21 - (p21 * r11 + p22 * r21 + p23 * r31))
+    y22 = third * r22 - 0.25 * (t22 - (p21 * r12 + p22 * r22 + p23 * r32))
+    y23 = third * r23 - 0.25 * (t23 - (p21 * r13 + p22 * r23 + p23 * r33))
+    y31 = third * r31 - 0.25 * (t31 - (p31 * r11 + p32 * r21 + p33 * r31))
+    y32 = third * r32 - 0.25 * (t32 - (p31 * r12 + p32 * r22 + p33 * r32))
+    y33 = third * r33 - 0.25 * (t33 - (p31 * r13 + p32 * r23 + p33 * r33))
+    zero = d - d
+    return (low, y01, y02, y03, y10, y11, y12, y13, y20, y21, y22, y23, y30, y31, y32, y33, *x,
+            0.5 + zero, zero, zero, zero, zero, 0.5 * r11, 0.5 * r12, 0.5 * r13,
+            zero, 0.5 * r21, 0.5 * r22, 0.5 * r23, zero, 0.5 * r31, 0.5 * r32, 0.5 * r33,
+            r11, r12, r13, r21, r22, r23, r31, r32, r33)
+
+
 def _bell_bracket(m: np.ndarray):
     """Bounds L <= GR <= U from the locally optimal Bell witness, and the certificate and witness where they close.
 
     m is the (k, 4, 4) stack of partial transposes.  With x_ab = Tr(rho
     sigma_a (x) sigma_b), T = x_ij (i, j >= 1) the correlation matrix and
     T = U diag(s) V^T its SVD, R = -U diag(1, 1, d) V^T with d = det(-U V^T)
-    is the rotation that minimizes tr(R^T T) (R. & M. Horodecki, PRA 54,
-    1838 (1996)); the sign d is what makes det R = 1.  W = (1 + sum_ij R_ij
-    sigma_i (x) sigma_j) / 2 is then a local rotation of (1 + XX + YY + ZZ)
-    / 2: eigenvalues (1, 1, 1, -1), so W <= 1, and W^PT = 2 |f><f| with f
-    maximally entangled.  So L = -Tr(W rho) = (s_1 + s_2 + d s_3 - Tr rho) / 2
-    bounds the robustness of every state from below (Brandao, PRA 72,
-    022310 (2005)).
+    = -det U det V^T, +-1, is the rotation that minimizes tr(R^T T) (R. & M.
+    Horodecki, PRA 54, 1838 (1996)); the sign d is what makes det R = 1.
+    W = (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2 is then a local rotation
+    of (1 + XX + YY + ZZ) / 2: eigenvalues (1, 1, 1, -1), so W <= 1, and
+    W^PT = 2 |f><f| with f maximally entangled.  So L = -Tr(W rho) = (s_1 +
+    s_2 + d s_3 - Tr rho) / 2 bounds the robustness of every state from
+    below (Brandao, PRA 72, 022310 (2005)).
     Where W is the optimal witness, complementary slackness asks of the
     optimal omega that omega g = 0, with g the -1 eigenvector of W, and
     (m + omega^PT) f = 0: 16 real equations in omega's Pauli coordinates,
@@ -763,36 +854,31 @@ def _bell_bracket(m: np.ndarray):
     eigvalsh, omega + eps 1 is a primal certificate, so U = L + 4 eps.
     Returns L and U of every point, the mask of the points with U - L <
     _GAP, and omega + eps 1 and W of those points, or None for both when no
-    point closes.  Every point's numbers come from its own slices.  This
-    arithmetic is whole-stack numpy; in the completion, only what follows
-    each Newton solve runs on floats or lanes (_newton_lines).
+    point closes.  Every point's numbers come from its own slices.  rho's
+    coordinates (_coord_lines), and d, R, L, the minimum-norm omega and W's
+    coordinates from them and the SVD factors (_bell_lines), are kernel
+    lines, on floats below _LANES points and on lanes from there (_run), as
+    is what follows each Newton solve of the completion (_newton_lines); the
+    SVD, the completion's LAPACK calls and matmuls, the eigvalsh check and
+    the closed points' matrices are whole-stack numpy.
     """
-    yx = np.empty((len(m), 2, 4, 4))  # the minimum-norm omega's coordinates, then rho's, as the completion takes them
-    y, x = yx[:, 0], yx[:, 1]
-    np.multiply(pauli_coords(m).reshape(-1, 4, 4), PT_SIGN.reshape(4, 4), out=x)  # rho's coordinates from m's
-    t = x[:, 1:, 1:]
-    u, s, vt = _svd(t)
-    d = -np.sign(_umath_linalg.det(u, signature="d->d") * _umath_linalg.det(vt, signature="d->d"))
-    u[..., 2] *= d[:, None]
-    r = -(u @ vt)
-    lower = 0.5 * (s[:, 0] + s[:, 1] + d * s[:, 2] - x[:, 0, 0])
-    a, b = x[:, 1:, :1], x[:, :1, 1:]  # a column and a row
-    y[:, 0, 0] = lower
-    y[:, 1:, :1] = -0.5 * (a + r @ b.swapaxes(-1, -2))
-    y[:, :1, 1:] = -0.5 * (a.swapaxes(-1, -2) @ r + b)
-    y[:, 1:, 1:] = (lower / 3.0)[:, None, None] * r - 0.25 * (t - r @ t.swapaxes(-1, -2) @ r)
-    blocks = _pauli_blocks(0.25 * _bell_completion(yx, r).reshape(-1, 16))  # omega and m + omega^PT
-    blocks[:, 1] += m
+    k = len(m)
+    x = _run(_coord_lines, (np.ascontiguousarray(m).reshape(k, 16).view(np.float64),))
+    u, s, vt = _svd(x.reshape(k, 4, 4)[:, 1:, 1:])
+    out = _run(_bell_lines, (x, u.reshape(k, 9), s, vt.reshape(k, 9)))
+    # the minimum-norm omega's coordinates, then rho's: C-ordered on either executor, so the completion's matmuls
+    # see one layout and give a point the same bits alone and in a stack
+    yx = np.ascontiguousarray(out[:, :32]).reshape(k, 2, 4, 4)
+    blocks = _pauli_blocks(0.25 * _bell_completion(yx, out[:, 48:].reshape(k, 3, 3)).reshape(k, 16))
+    blocks[:, 1] += m  # omega and m + omega^PT
     eps = np.maximum(0.0, -_umath_linalg.eigvalsh_lo(blocks, signature="D->d")[..., 0].min(axis=-1))
+    lower = out[:, 0]
     upper = lower + 4.0 * eps
     closed = upper - lower < _GAP
     if not np.count_nonzero(closed):
         return lower, upper, closed, None, None
     omega = blocks[closed, 0] + eps[closed, None, None] * _EYE4
-    w = np.zeros((np.count_nonzero(closed), 4, 4))
-    w[:, 0, 0] = 0.5
-    w[:, 1:, 1:] = 0.5 * r[closed]
-    return lower, upper, closed, omega, from_pauli_coords(w.reshape(-1, 16))
+    return lower, upper, closed, omega, from_pauli_coords(out[closed, 32:48])
 
 
 def _robustness(m: np.ndarray):
@@ -806,12 +892,14 @@ def _robustness(m: np.ndarray):
     it left open, and take the first that closes to below the solver's gap:
     _bracket, from the negative eigenvector of its partial transpose (every
     state with no local Bloch vectors, every pure state and any state with
-    a tiny |lambda_min|); _product_bracket with _PRODUCT_STEPS half-step
-    pairs (most states whose optimal omega is a product pure state);
-    _bell_bracket with its completion (nearly every state whose optimal
-    witness is a locally rotated Bell witness); and _product_bracket again
-    with the longer search of _PRODUCT_STEPS_LAST pairs from the same
-    start, for the product-class points the others leave open.  A point left open keeps the tightest of
+    a tiny |lambda_min|), which takes every NPT point and hands on the
+    reduced matrices of their eigenvectors, where both product searches
+    start; _product_bracket with _PRODUCT_STEPS half-step pairs (most
+    states whose optimal omega is a product pure state); _bell_bracket with
+    its completion (nearly every state whose optimal witness is a locally
+    rotated Bell witness); and _product_bracket again with the longer search
+    of _PRODUCT_STEPS_LAST pairs from the same start, for the product-class
+    points the others leave open.  A point left open keeps the tightest of
     the stages' bounds.  The open rows are a slice of all of them until a
     point closes, and m and the eigenpairs themselves serve where every
     point is NPT, so that a one-state call gathers nothing.  The last stage
@@ -838,12 +926,12 @@ def _robustness(m: np.ndarray):
         return values, iterations, omega, None, lower, witness, lam_min
     if len(npt) < len(m):
         m, lam, vecs = m[npt], lam[npt], vecs[npt]
-    lam_npt, e = lam[:, 0], vecs[..., 0]
-    r, diff = _schmidt(e)
-    stages = (lambda rows: _bracket(e[rows], lam_npt[rows], diff[rows]),
-              lambda rows: _product_bracket(m[rows], lam[rows], vecs[rows], _PRODUCT_STEPS, r[rows]),
+    lam_npt = lam[:, 0]
+    *schmidt, start = _bracket(vecs[..., 0], lam_npt)  # every NPT point, so the first stage's rows are all
+    stages = (lambda rows: schmidt,
+              lambda rows: _product_bracket(m[rows], lam[rows], vecs[rows], _PRODUCT_STEPS, start[rows]),
               lambda rows: _bell_bracket(m[rows]),
-              lambda rows: _product_bracket(m[rows], lam[rows], vecs[rows], _PRODUCT_STEPS_LAST, r[rows]))
+              lambda rows: _product_bracket(m[rows], lam[rows], vecs[rows], _PRODUCT_STEPS_LAST, start[rows]))
     rows, low, high = slice(None), -np.inf, np.inf  # the open rows of the NPT points, and their bounds
     for stage in stages:
         low_b, high_b, closed, closed_omega, closed_witness = stage(rows)
@@ -911,8 +999,10 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     tightest of the solver's and the brackets' bounds.  This is the
     one-point case of the stages that ``relax.sweep`` runs over a whole
     time grid, on the partial transposes it already holds, where the solver
-    takes its points one at a time as it does here.  The first two
-    brackets' arithmetic and what follows each solve of the Bell completion
+    takes its points one at a time as it does here.  Each bracket's
+    arithmetic from its decompositions to its bounds (the first bracket's
+    Schmidt coefficients included, and the Bell witness's sign, rotation and
+    minimum-norm omega) and what follows each solve of the Bell completion
     run here on plain Python floats, and in a sweep on numpy lanes once a
     stack reaches _LANES points: the same lines, so the same bits.
     """

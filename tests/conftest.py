@@ -52,20 +52,34 @@ def relaxed_states(rho, times, p):
 
 
 def stage_inputs(rho):
-    """The robustness stages' inputs for the NPT states of a (k, 4, 4) stack, formed as optim._robustness forms them.
+    """The robustness stages' inputs for the NPT states of a (k, 4, 4) stack.
 
     Returns their partial transposes m, lambda_min of each, the eigenpairs
     lam, vecs of the one eigh that gives lambda_min and decides which states
-    are NPT, the negative eigenvectors e, and e's reduced matrices r on
-    spin I and a^2 - b^2 from optim._schmidt.
+    are NPT, and the negative eigenvectors e, as optim._robustness forms
+    them, and the product searches' start table of e's reduced matrices r
+    on spin I from the oracle ``schmidt``, the formula that optim._bracket's
+    Schmidt lines replace; those give it to within an ulp of 1.
     """
     m = _pt_arr(rho)
     lam, vecs = _eigh(m)
     npt = lam[:, 0] < -optim.NPT_CUT
     m, lam, vecs = m[npt], lam[npt], vecs[npt]
     lam_min, e = lam[:, 0], vecs[..., 0]
-    r, diff = optim._schmidt(e)
-    return m, lam_min, lam, vecs, e, r, diff
+    return m, lam_min, lam, vecs, e, schmidt(e)[0]
+
+
+def schmidt(v):
+    """The oracle of optim._bracket_lines' Schmidt lines, by complex matmul and hypot.
+
+    The reduced matrices r on spin I of a (k, 4) stack of vectors (v_ij on
+    |i>_I |j>_S) as the product searches' (k, 4) start table, r00, r11 and
+    the real and imaginary parts of r01, and a^2 - b^2 of each.
+    """
+    v = v.reshape(-1, 2, 2)
+    r = v @ v.conj().swapaxes(-1, -2)
+    start = np.stack([r[:, 0, 0].real, r[:, 1, 1].real, r[:, 0, 1].real, r[:, 0, 1].imag], axis=-1)
+    return start, np.hypot(r[:, 0, 0].real - r[:, 1, 1].real, 2.0 * np.abs(r[:, 0, 1]))
 
 
 def parity_values(seed, n=100_000):

@@ -143,15 +143,15 @@ def test_robustness_undetected_state(capsys):
                                          (268, "solver")])
 def test_robustness_of_a_ginibre_state_end_to_end_on_its_route(seed, route, tmp_path, monkeypatch):
     rho = entangled_ginibre(seed)
-    m, lam_min, lam, vecs, e, r, diff = stage_inputs(rho.matrix[None])
+    m, lam_min, lam, vecs, e, start = stage_inputs(rho.matrix[None])
     if route == "product":
         # the first bracket leaves it open and the product bracket closes it
-        assert not optim._bracket(e, lam_min, diff)[2][0] and optim._product_bracket(
-            m, lam, vecs, optim._PRODUCT_STEPS, r)[2][0]
+        assert not optim._bracket(e, lam_min)[2][0] and optim._product_bracket(
+            m, lam, vecs, optim._PRODUCT_STEPS, start)[2][0]
     elif route == "bell":
         # the first two brackets leave it open and the Bell bracket closes it
-        assert not optim._bracket(e, lam_min, diff)[2][0] and not optim._product_bracket(
-            m, lam, vecs, optim._PRODUCT_STEPS, r)[2][0]
+        assert not optim._bracket(e, lam_min)[2][0] and not optim._product_bracket(
+            m, lam, vecs, optim._PRODUCT_STEPS, start)[2][0]
         assert optim._bell_bracket(m)[2][0]
     elif route == "completion":
         # the minimum-norm omega leaves it open; the completion closes it
@@ -160,8 +160,8 @@ def test_robustness_of_a_ginibre_state_end_to_end_on_its_route(seed, route, tmp_
         assert not optim._bell_bracket(m)[2][0]
     elif route == "longer search":
         # the search at its first length leaves it open, and the longer one closes it
-        assert not optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)[2][0]
-        assert optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS_LAST, r)[2][0]
+        assert not optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, start)[2][0]
+        assert optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS_LAST, start)[2][0]
     else:
         # the longer search only repeats the first: no bracket closes it, so the solver runs
         monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)

@@ -251,9 +251,9 @@ def test_a_failed_newton_step_ends_the_search_at_its_last_iterate(lanes, monkeyp
 def test_no_point_below_a_lower_bound_in_hand_closes_in_the_bell_bracket():
     # where L <= max(L_schmidt, L_product) - gap, U >= GR >= L + gap: no omega of the completion's set closes the
     # point, so every point that reaches the Bell bracket may take the completion without a change of route
-    m, lam_min, lam, vecs, e, r, diff = stage_inputs(stress_sets())
-    low_s, _, closed_s, _, _ = optim._bracket(e, lam_min, diff)
-    low_p, _, closed_p, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
+    m, lam_min, lam, vecs, e, start = stage_inputs(stress_sets())
+    low_s, _, closed_s, _, _, _ = optim._bracket(e, lam_min)
+    low_p, _, closed_p, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, start)
     left = ~closed_s & ~closed_p  # the points that reach the Bell bracket, and the lower bound they hold
     floor = np.fmax(low_s, low_p)[left]
     low, high, closed, _, _ = optim._bell_bracket(m[left])

@@ -24,8 +24,8 @@ GAP = 1e-8
 def npt_bracket(rho):
     """L, U and the closed mask of the NPT states of a (k, 4, 4) stack, with those states and their lambda_min."""
     npt = np.linalg.eigvalsh(_pt_arr(rho))[:, 0] < -optim.NPT_CUT
-    _, lam_min, _, _, e, _, diff = stage_inputs(rho)  # e: the eigenvectors of the negative eigenvalues
-    low, high, closed, _, _ = optim._bracket(e, lam_min, diff)
+    _, lam_min, _, _, e, _ = stage_inputs(rho)  # e: the eigenvectors of the negative eigenvalues
+    low, high, closed, _, _, _ = optim._bracket(e, lam_min)
     return low, high, closed, rho[npt], lam_min
 
 

@@ -22,7 +22,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from conftest import bench_inputs, entangled_ginibre, relaxed_states, stage_inputs
+from conftest import bench_inputs, entangled_ginibre, relaxed_states, schmidt, stage_inputs
 from test_robustness_bracket import stress_sets
 from test_robustness_stress import bracket_routes, check_certified, ginibre_states
 from test_sweep_batch import PAPER_T2, isotropic_with_bloch, one_point_failures
@@ -40,7 +40,7 @@ def unit(rng, shape):
 
 
 @np.errstate(invalid="ignore", divide="ignore")
-def stacked_search(x, r):
+def stacked_search(x, start):
     """The reference: the same search as numpy stacks, _PRODUCT_STEPS half-step pairs on (k, 3, 1) columns.
 
     Returns w = u (x) v and the Bloch vectors of u and v.
@@ -48,7 +48,7 @@ def stacked_search(x, r):
     x = np.concatenate([np.zeros((len(x), 1)), x], axis=1).reshape(-1, 4, 4)
     x_s, x_i, x_is = x[:, 0, 1:, None], x[:, 1:, 0, None], x[:, 1:, 1:]
     x_si = x_is.swapaxes(-1, -2)
-    n_i = np.stack([2.0 * r[:, 0, 1].real, -2.0 * r[:, 0, 1].imag, (r[:, 0, 0] - r[:, 1, 1]).real], axis=-1)[..., None]
+    n_i = np.stack([2.0 * start[:, 2], -2.0 * start[:, 3], start[:, 0] - start[:, 1]], axis=-1)[..., None]
     n_i = n_i / np.sqrt(n_i.swapaxes(-1, -2) @ n_i)
     for _ in range(optim._PRODUCT_STEPS):
         g = x_s + x_si @ n_i
@@ -70,24 +70,23 @@ def run_on(lanes, lines, inputs, *args):
         return optim._run(lines, inputs, *args)
 
 
-def kernel_inputs(vecs, r):
-    """The kernel's per-point inputs from the eigenpairs: the float views of vecs and of e's reduced matrix r."""
-    k = len(vecs)
-    return np.ascontiguousarray(vecs).reshape(k, 16).view(float), np.ascontiguousarray(r).reshape(k, 4).view(float)
+def kernel_inputs(vecs, start):
+    """The kernel's per-point inputs from the eigenpairs: the float view of vecs, and the start table of e's r."""
+    return np.ascontiguousarray(vecs).reshape(len(vecs), 16).view(float), start
 
 
-def kernel_table(m, lam, vecs, r, lanes, steps=optim._PRODUCT_STEPS):
+def kernel_table(m, lam, vecs, start, lanes, steps=optim._PRODUCT_STEPS):
     """The product kernel's outputs of each point as _product_bracket runs it, on one executor.
 
     Columns: w and f as floats (8 each), a_f^2, L, U, and the closure mask.
     """
     pt = np.ascontiguousarray(m).reshape(len(m), 16).view(float)
-    return run_on(lanes, optim._product_lines, (lam, *kernel_inputs(vecs, r), pt), steps)
+    return run_on(lanes, optim._product_lines, (lam, *kernel_inputs(vecs, start), pt), steps)
 
 
-def kernel_inverse(lam, vecs, r):
+def kernel_inverse(lam, vecs, start):
     """m^-1 as the kernel forms it: the (k, 4, 4) Hermitian matrix of the entries that _search_lines returns first."""
-    c = run_on(False, optim._search_lines, (lam, *kernel_inputs(vecs, r)), 1)
+    c = run_on(False, optim._search_lines, (lam, *kernel_inputs(vecs, start)), 1)
     m_inv = np.zeros((len(lam), 4, 4), dtype=complex)
     m_inv[:, range(4), range(4)] = c[:, :4]
     upper = np.triu_indices(4, 1)  # (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), as the kernel orders them
@@ -96,18 +95,18 @@ def kernel_inverse(lam, vecs, r):
     return m_inv
 
 
-def search_inputs(lam, vecs, r):
-    """The search's inputs from the kernel's m^-1: -X of m^-1 without X_00, and e's reduced matrix."""
-    return -pauli_coords(kernel_inverse(lam, vecs, r))[:, 1:], r
+def search_inputs(lam, vecs, start):
+    """The search's inputs from the kernel's m^-1: -X of m^-1 without X_00, and the start table of e's r."""
+    return -pauli_coords(kernel_inverse(lam, vecs, start))[:, 1:], start
 
 
-def kernel_tail(m, lam, vecs, r, n):
+def kernel_tail(m, lam, vecs, start, n):
     """L, U and the closure of the Bloch vectors n of u and v, (k, 2, 3), from the kernel's own m^-1 and tail.
 
     The kernel's search gives m^-1's entries and the mask; n stands for the
     Bloch vectors it found, so only they, and through them w, differ.
     """
-    found = run_on(False, optim._search_lines, (lam, *kernel_inputs(vecs, r)), optim._PRODUCT_STEPS).tolist()
+    found = run_on(False, optim._search_lines, (lam, *kernel_inputs(vecs, start)), optim._PRODUCT_STEPS).tolist()
     pt = np.ascontiguousarray(m).reshape(len(m), 16).view(float).tolist()
     rows = [optim._tail_lines(sqrt, optim._pick, (*row[:16], *bloch, row[-1] != 0.0), entries)
             for row, bloch, entries in zip(found, n.reshape(-1, 6).tolist(), pt)]
@@ -115,22 +114,22 @@ def kernel_tail(m, lam, vecs, r, n):
 
 
 def test_the_plain_float_search_matches_the_stacked_numpy_search():
-    m, lam_min, lam, vecs, e, r, diff = stage_inputs(stress_sets())
+    m, lam_min, lam, vecs, e, start = stage_inputs(stress_sets())
     # the points the search sees: on a few that _bracket closes, e is maximally entangled but for rounding, and
     # the search, started from that rounding, goes elsewhere on each side
-    keep = ~optim._bracket(e, lam_min, diff)[2]
-    m, lam, vecs, r = m[keep], lam[keep], vecs[keep], r[keep]
-    w_ref, n_ref = stacked_search(*search_inputs(lam, vecs, r))
+    keep = ~optim._bracket(e, lam_min)[2]
+    m, lam, vecs, start = m[keep], lam[keep], vecs[keep], start[keep]
+    w_ref, n_ref = stacked_search(*search_inputs(lam, vecs, start))
     # the kernel on plain floats and on lanes: the same bytes
-    table = kernel_table(m, lam, vecs, r, lanes=False)
-    assert table.tobytes() == kernel_table(m, lam, vecs, r, lanes=True).tobytes()
+    table = kernel_table(m, lam, vecs, start, lanes=False)
+    assert table.tobytes() == kernel_table(m, lam, vecs, start, lanes=True).tobytes()
     w = np.ascontiguousarray(table[:, :8]).view(complex)
     # only rounding apart: numpy's stacked products may fuse a multiply and an add, plain floats do not
     assert len(m) > 1500 and np.isfinite(w).all() and np.isfinite(w_ref).all()
     np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
     # the bounds of the reference's Bloch vectors from the kernel's own m^-1 and tail, so that only w differs
-    low, high, closed, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
-    low_ref, high_ref, closed_ref = kernel_tail(m, lam, vecs, r, n_ref)
+    low, high, closed, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, start)
+    low_ref, high_ref, closed_ref = kernel_tail(m, lam, vecs, start, n_ref)
     assert np.array_equal(closed, closed_ref) and closed.sum() > 800
     np.testing.assert_allclose(low, low_ref, rtol=0, atol=1e-14)  # NaN where the other is NaN
     np.testing.assert_allclose(high, high_ref, rtol=0, atol=1e-14)  # inf where the other is inf
@@ -152,16 +151,16 @@ def test_a_degenerate_search_leaves_the_point_open_without_a_warning(monkeypatch
     vecs = np.stack([bell, product, product])
     lam = np.array([[-0.2, 0.3, 0.4, 0.5], [-0.2, 0.0, 0.5, 0.7], [-0.2, -1e-17, 0.5, 0.7]])
     m = (vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    r = optim._schmidt(vecs[..., 0])[0]
+    start = schmidt(vecs[..., 0])[0]
     # eigenpairs whose first half-step gives g = 0 exactly: m^-1 = 2 (all coordinates but X_00 zero, from any
     # start), and m^-1 diagonal with -X_0S = (0, 0, c) and -X_IS = diag(0, 0, c) from the start n_I = (0, 0, -1)
     basis = np.stack([np.eye(4, dtype=complex)] * 2)
     flat = np.array([[0.5, 0.5, 0.5, 0.5], [-0.25, 0.25, 0.5, 0.5]])
-    starts = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    starts = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])  # r = diag(1, 0) and diag(0, 1)
     for lanes in executors(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            low, high, closed, omega, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
+            low, high, closed, omega, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, start)
             assert np.isnan(low).all() and np.isinf(high).all() and not closed.any() and omega is None
             low, high, closed, omega, _ = optim._product_bracket(basis * flat[:, None, :], flat, basis,
                                                                  optim._PRODUCT_STEPS, starts)
@@ -203,8 +202,8 @@ def test_the_optimizer_s_bounds_hold_on_every_npt_point():
     values, _, _, failures, lower, _, lam = optim._robustness(_pt_arr(rho))
     assert not failures
     npt = lam < -optim.NPT_CUT
-    m, _, eig_lam, vecs, _, r, _ = stage_inputs(rho)
-    low, high, closed, omega, witness = optim._product_bracket(m, eig_lam, vecs, optim._PRODUCT_STEPS, r)
+    m, _, eig_lam, vecs, _, start = stage_inputs(rho)
+    low, high, closed, omega, witness = optim._product_bracket(m, eig_lam, vecs, optim._PRODUCT_STEPS, start)
     # a maximally entangled negative eigenvector (pure and Bell-like states, which _bracket closes) gives
     # the search no start: NaN, the point stays open
     schmidt = bracket_routes(rho)[0][npt]
@@ -223,12 +222,12 @@ def test_the_optimizer_s_bounds_hold_on_every_npt_point():
 
 def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
     rho = ginibre_states(np.random.default_rng(6603), 120)
-    m, _, lam, vecs, _, r, _ = stage_inputs(rho)
-    low, high, closed, omega, witness = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
+    m, _, lam, vecs, _, start = stage_inputs(rho)
+    low, high, closed, omega, witness = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, start)
     assert 0 < closed.sum() < len(m)
     position = np.cumsum(closed) - 1
     for k in range(len(m)):
-        one = optim._product_bracket(m[k:k + 1], lam[k:k + 1], vecs[k:k + 1], optim._PRODUCT_STEPS, r[k:k + 1])
+        one = optim._product_bracket(m[k:k + 1], lam[k:k + 1], vecs[k:k + 1], optim._PRODUCT_STEPS, start[k:k + 1])
         assert (one[0].tobytes(), one[1].tobytes(), bool(one[2][0])) == (
             low[k:k + 1].tobytes(), high[k:k + 1].tobytes(), bool(closed[k]))
         if closed[k]:
@@ -267,11 +266,11 @@ def test_a_singular_partial_transpose_leaves_the_point_open(monkeypatch):
     m = np.stack([(q * s) @ q.conj().T for s in spectra])
     lam, vecs = np.linalg.eigh(m)
     lam[:2, 1] = spectra[:2, 1]  # the eigenvalues exactly as set
-    r = optim._schmidt(vecs[..., 0])[0]
+    start = schmidt(vecs[..., 0])[0]
     for _ in executors(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            low, high, closed, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
+            low, high, closed, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, start)
         assert np.isnan(low[:2]).all() and np.isinf(high[:2]).all() and not closed[:2].any()
         assert np.isfinite(low[2]) and np.isfinite(high[2]) and low[2] <= high[2] * (1.0 + 1e-14)
 
@@ -283,7 +282,7 @@ def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
                              relaxed_states(entangled_ginibre(13), times[:5], PAPER_T2),
                              relaxed_states(entangled_ginibre(268), times[:10] / 5.0, PAPER_T2)])
     product_class = np.arange(len(states)) >= 45
-    m, lam_min, lam, vecs, e, r, diff = stage_inputs(states)
+    m, lam_min, lam, vecs, e, start = stage_inputs(states)
     assert len(m) == len(states)  # every point NPT
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
     # the longer search only repeats the first: the solver takes what the brackets leave
@@ -293,8 +292,8 @@ def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
     for steps in (0, 1, optim._COMPLETION_STEPS):
         monkeypatch.setattr(optim, "_COMPLETION_STEPS", steps)
         failures = one_point_failures(states)  # every point that fails, not only a stack's first
-        low, high, _, _, _ = optim._bracket(e, lam_min, diff)
-        low_p, high_p, _, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
+        low, high, _, _, _, _ = optim._bracket(e, lam_min)
+        low_p, high_p, _, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, start)
         low_b, high_b, _, _, _ = optim._bell_bracket(m)
         if minimum_norm_upper is None:
             minimum_norm_upper = high_b
@@ -331,6 +330,35 @@ def bench_robustness_inputs():
     make_round = bench_inputs().make_round
     return np.stack([item["matrix"] for seed in (41, 97) for index in range(100)
                      for item in make_round("robustness", seed, index)])
+
+
+# the stage that first closes each point of the benchmark's robustness inputs, rounds 0-99
+BENCH_ROUTES = {41: {"ppt": 500, "schmidt": 600, "product": 620, "bell": 272, "longer search": 8, "solved": 0},
+                97: {"ppt": 500, "schmidt": 600, "product": 625, "bell": 264, "longer search": 11, "solved": 0}}
+
+
+def test_the_bench_inputs_take_their_routes(monkeypatch):
+    # each stage, called on the rows the stages before it left open, counts the points it closes
+    counts = {}
+
+    def counted(route, stage):
+        def wrapped(*args):
+            out = stage(*args)
+            name = "longer search" if route == "product" and args[3] == optim._PRODUCT_STEPS_LAST else route
+            counts[name] = counts.get(name, 0) + int(np.count_nonzero(out[2]))
+            return out
+        return wrapped
+
+    for route, name in (("schmidt", "_bracket"), ("product", "_product_bracket"), ("bell", "_bell_bracket")):
+        monkeypatch.setattr(optim, name, counted(route, getattr(optim, name)))
+    rho = bench_robustness_inputs()
+    for seed, states in zip((41, 97), (rho[:2000], rho[2000:])):
+        counts.clear()
+        values, iterations, _, failures, _, _, lam_min = optim._robustness(_pt_arr(states))
+        assert not failures
+        counts["ppt"] = int(np.count_nonzero(lam_min >= -optim.NPT_CUT))
+        counts["solved"] = int(np.count_nonzero(iterations))
+        assert counts == BENCH_ROUTES[seed], seed
 
 
 def test_every_witness_is_a_read_only_hermitian_op_as_built():

@@ -117,9 +117,9 @@ def test_newton_system_matches_finite_differences_of_the_barrier(t):
 
 def bracket_bounds(rho):
     """The tightest of the three closed-form brackets of one NPT state: (max(L, L_prod, L_bell), min(U, ...))."""
-    m, lam_min, lam, vecs, e, r, diff = stage_inputs(rho.matrix[None])
-    low, high, closed, _, _ = optim._bracket(e, lam_min, diff)
-    low_p, high_p, closed_p, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
+    m, lam_min, lam, vecs, e, start = stage_inputs(rho.matrix[None])
+    low, high, closed, _, _, _ = optim._bracket(e, lam_min)
+    low_p, high_p, closed_p, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, start)
     low_b, high_b, closed_b, _, _ = optim._bell_bracket(m)
     assert not closed[0] and not closed_p[0] and not closed_b[0]  # none closes, so the solver runs
     return max(low[0], low_p[0], low_b[0]), min(high[0], high_p[0], high_b[0])

@@ -49,11 +49,11 @@ def bracket_routes(rho):
     _product_bracket closes after it, and of those that _bell_bracket closes after both, and the smaller of
     the product and Bell brackets' |U - L| of every NPT state (inf for PPT)."""
     npt = np.linalg.eigvalsh(_pt_arr(rho))[:, 0] < -optim.NPT_CUT
-    m, lam_min, lam, vecs, e, r, diff = stage_inputs(rho)
+    m, lam_min, lam, vecs, e, start = stage_inputs(rho)
     schmidt, product, bell = (np.zeros(len(rho), bool) for _ in range(3))
     open_gap = np.full(len(rho), np.inf)
-    schmidt[npt] = optim._bracket(e, lam_min, diff)[2]
-    low, high, product[npt], _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, r)
+    schmidt[npt] = optim._bracket(e, lam_min)[2]
+    low, high, product[npt], _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, start)
     low_b, high_b, bell[npt], _, _ = optim._bell_bracket(m)
     open_gap[npt] = np.fmin(np.abs(high - low), np.abs(high_b - low_b))
     product &= ~schmidt
