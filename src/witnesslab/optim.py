@@ -75,6 +75,8 @@ _COMPLETION_STEPS = 20
 _COMPLETION_GROWTH = 8.0
 # a point is solved when lambda_min of its partial transpose is below -NPT_CUT; any other point is PPT, robustness 0
 NPT_CUT = 1e-12
+# the names of _robustness's route codes, each indexed by its code: the code -1 names the last
+_ROUTES = ("ppt", "schmidt", "product", "bell", "longer search", "solved", "failed")
 
 
 def _ppt_certified(m: np.ndarray) -> np.ndarray:
@@ -709,7 +711,10 @@ def _bell_completion(yx: np.ndarray, r: np.ndarray) -> np.ndarray:
     PSD takes no step and keeps their coordinates bit for bit: only the
     points that step take the correction sum_j c_j S_j R (a zero one would
     turn a -0.0 into +0.0).  Every point's numbers come from its own
-    slices.  The caller checks the result with the full 4x4 eigvalsh.
+    slices.  On near-singular compressions one Newton step turns a last-bit
+    change of R or y into a move of up to about 3e-11 in omega, so another
+    kernel or BLAS may move the certificates of the points that step.  The
+    caller checks the result with the full 4x4 eigvalsh.
     """
     rot = np.zeros((len(yx), 4, 4))
     rot[:, 0, 0] = 1.0
@@ -913,17 +918,19 @@ def _robustness(m: np.ndarray):
     Returns the values, the interior-point iterations (0 on the closed
     paths), the optimal omegas (zero for PPT points), that first failure as
     (index, ConvergenceError) or None, the dual fields (the lower bounds
-    -Tr(W rho) and the witnesses W, zero for PPT points), and the lambda_min
-    of every point's partial transpose, the eigh's.
+    -Tr(W rho) and the witnesses W, zero for PPT points), and each point's
+    int8 route, named by _ROUTES: 0 PPT, 1-4 the stage that first closed it
+    (its place in the stage tuple: _bracket, the product search, the Bell
+    bracket, the longer search), 5 solved, and -1 left open by a failed
+    solve, that point's and every later one's.
     """
     lam, vecs = _eigh(m)
-    lam_min = lam[:, 0]
-    npt = (lam_min < -NPT_CUT).nonzero()[0]
+    npt = (lam[:, 0] < -NPT_CUT).nonzero()[0]
     values, lower = np.zeros(len(m)), np.zeros(len(m))
-    iterations = np.zeros(len(m), dtype=int)
+    iterations, route = np.zeros(len(m), dtype=int), np.zeros(len(m), dtype=np.int8)
     omega, witness = np.zeros(m.shape, dtype=complex), np.zeros(m.shape, dtype=complex)
     if not len(npt):
-        return values, iterations, omega, None, lower, witness, lam_min
+        return values, iterations, omega, None, lower, witness, route
     if len(npt) < len(m):
         m, lam, vecs = m[npt], lam[npt], vecs[npt]
     lam_npt = lam[:, 0]
@@ -933,16 +940,16 @@ def _robustness(m: np.ndarray):
               lambda rows: _bell_bracket(m[rows]),
               lambda rows: _product_bracket(m[rows], lam[rows], vecs[rows], _PRODUCT_STEPS_LAST, start[rows]))
     rows, low, high = slice(None), -np.inf, np.inf  # the open rows of the NPT points, and their bounds
-    for stage in stages:
+    for code, stage in enumerate(stages, 1):
         low_b, high_b, closed, closed_omega, closed_witness = stage(rows)
         if closed_omega is None:
             low, high = np.fmax(low, low_b), np.fmin(high, high_b)
             continue
         points, value = npt[rows][closed], high_b[closed]
-        values[points], omega[points], witness[points] = value, closed_omega, closed_witness
+        values[points], omega[points], witness[points], route[points] = value, closed_omega, closed_witness, code
         lower[points] = np.minimum(low_b[closed], value)  # L can exceed U by rounding
         if len(points) == len(closed):  # every point closed: a later stage costs about as much on no point
-            return values, iterations, omega, None, lower, witness, lam_min
+            return values, iterations, omega, None, lower, witness, route
         rest = ~closed
         rows = rest.nonzero()[0] if isinstance(rows, slice) else rows[rest]
         low, high = np.fmax(low, low_b)[rest], np.fmin(high, high_b)[rest]
@@ -953,8 +960,10 @@ def _robustness(m: np.ndarray):
         except ConvergenceError as exc:  # the first failing point ends the call
             failure = int(i), ConvergenceError(str(exc), lower=max(exc.lower, float(low[j])),
                                                upper=min(exc.upper, float(high[j])))
-            return values, iterations, omega, failure, lower, witness, lam_min
-    return values, iterations, omega, None, lower, witness, lam_min
+            route[npt[rows][j:]] = -1
+            return values, iterations, omega, failure, lower, witness, route
+        route[i] = 5
+    return values, iterations, omega, None, lower, witness, route
 
 
 def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:

@@ -10,7 +10,7 @@ import pytest
 from jsonschema import validate
 
 import witnesslab
-from conftest import entangled_ginibre, stage_inputs
+from conftest import entangled_ginibre, route_names
 from witnesslab import BellKind, DensityMatrix, StructuralError, bell_state, f_witness_state, generalized_robustness
 from witnesslab import optim, relax
 from witnesslab.cli import load_state_json, main, parse_state_spec, save_state_json
@@ -143,28 +143,14 @@ def test_robustness_undetected_state(capsys):
                                          (268, "solver")])
 def test_robustness_of_a_ginibre_state_end_to_end_on_its_route(seed, route, tmp_path, monkeypatch):
     rho = entangled_ginibre(seed)
-    m, lam_min, lam, vecs, e, start = stage_inputs(rho.matrix[None])
-    if route == "product":
-        # the first bracket leaves it open and the product bracket closes it
-        assert not optim._bracket(e, lam_min)[2][0] and optim._product_bracket(
-            m, lam, vecs, optim._PRODUCT_STEPS, start)[2][0]
-    elif route == "bell":
-        # the first two brackets leave it open and the Bell bracket closes it
-        assert not optim._bracket(e, lam_min)[2][0] and not optim._product_bracket(
-            m, lam, vecs, optim._PRODUCT_STEPS, start)[2][0]
-        assert optim._bell_bracket(m)[2][0]
-    elif route == "completion":
-        # the minimum-norm omega leaves it open; the completion closes it
-        assert optim._bell_bracket(m)[2][0]
-        monkeypatch.setattr(optim, "_COMPLETION_STEPS", 0)
-        assert not optim._bell_bracket(m)[2][0]
-    elif route == "longer search":
-        # the search at its first length leaves it open, and the longer one closes it
-        assert not optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, start)[2][0]
-        assert optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS_LAST, start)[2][0]
-    else:
-        # the longer search only repeats the first: no bracket closes it, so the solver runs
+    if route == "solver":  # the longer search only repeats the first: no bracket closes it, so the solver runs
         monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
+    # the first stage to close it; the completion's points take the Bell route
+    assert route_names(rho.matrix[None]).tolist() == [{"completion": "bell", "solver": "solved"}.get(route, route)]
+    if route == "completion":  # the minimum-norm omega alone leaves it to the solver
+        monkeypatch.setattr(optim, "_COMPLETION_STEPS", 0)
+        assert route_names(rho.matrix[None]).tolist() == ["solved"]
+    elif route == "solver":
         result = generalized_robustness(rho)
         assert result.value > 0 and result.iterations > 0 and result.lower <= result.value <= result.lower + 1e-8
         # the certificate: rho + value * sigma, normalized, has a PSD partial transpose to 1e-9

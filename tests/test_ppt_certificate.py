@@ -10,12 +10,11 @@ the cut would pass the points between -2e-12 and -1e-12.
 import numpy as np
 import pytest
 
-from conftest import bd, random_density_matrix, relaxed_states
+from conftest import PAPER_T2, bd, random_density_matrix, relaxed_states
 from witnesslab import (
     BellKind,
     ConvergenceError,
     DensityMatrix,
-    RelaxationParams,
     bell_witness,
     generalized_robustness,
     relax_channel,
@@ -24,7 +23,6 @@ from witnesslab import (
 from witnesslab import optim, relax
 from witnesslab.qmat import _eigh, _eigvalsh, _pt_arr
 
-PAPER_T2 = RelaxationParams(t1_i=10.0, t2_i=0.31, t1_s=10.0, t2_s=0.11)
 # lambda_min(rho^PT) of the stacks' states: past the cut, on it within 1e-16, inside it, on the PPT boundary and past it
 TARGETS = (-2e-12, -1.5e-12, -1e-12 - 1e-16, -1e-12, -1e-12 + 1e-16, -5e-13, 0.0, 1e-13)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import witnesslab
-from conftest import bd, entangled_ginibre, local_coords, parity_values, random_density_matrix, relaxed_states
-from test_sweep_batch import PAPER_T2
+from conftest import PAPER_T2, bd, entangled_ginibre, local_coords, parity_values, random_density_matrix
+from conftest import relaxed_states
 from witnesslab import (
     DensityMatrix,
     Gate,

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from conftest import bd, bd_weights, random_density_matrix, relaxed_states
+from conftest import PAPER_T2, bd, bd_weights, random_density_matrix, relaxed_states
 from witnesslab import (
     BellKind,
     DensityMatrix,
@@ -26,8 +26,6 @@ from witnesslab.qmat import SIGMA_X, TWO_SPIN_LABELS, TWO_SPIN_PAULIS, Hermitian
 from witnesslab.optim import NPT_CUT
 from witnesslab.relax import _relax
 from witnesslab.witness import _CORRELATION_COORDS
-
-PAPER_T2 = RelaxationParams(t1_i=10.0, t2_i=0.31, t1_s=10.0, t2_s=0.11)
 
 
 def transfer_oracle(t, p):

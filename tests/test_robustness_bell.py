@@ -21,24 +21,18 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_physical_c, relaxed_states, stage_inputs
-from test_robustness_bracket import stress_sets
-from test_robustness_product import bench_robustness_inputs
-from test_robustness_stress import bracket_routes, ginibre_states, named_states
-from test_sweep_batch import PAPER_T2, isotropic_with_bloch
+from conftest import GAP, PAPER_T2, ROUTES, bd, bd_weights, bench_robustness_inputs, entangled_ginibre, ginibre_states
+from conftest import haar_unitary, isotropic_with_bloch, named_states, random_physical_c, relaxed_states, route_names
+from conftest import stage_inputs, stress_sets
 from witnesslab import BellKind, DensityMatrix, bell_witness, generalized_robustness
 from witnesslab import optim
 from witnesslab.qmat import TWO_SPIN_LABELS, _pt_arr, pauli_coords
 
-GAP = 1e-8
 
-
-def test_the_bounds_hold_the_robustness_on_the_stress_sets():
-    rho = stress_sets()
-    values, _, _, failures, lower, _, lam = optim._robustness(_pt_arr(rho))
-    assert not failures
+def test_the_bounds_hold_the_robustness_on_the_stress_sets(stress_robustness):
+    rho, values, _, _, _, lower, _, route = stress_robustness
     low, high, closed, _, _ = optim._bell_bracket(_pt_arr(rho))
-    npt = lam < -optim.NPT_CUT
+    npt = route != 0
     # L <= GR <= value on every state, PPT ones too (GR = 0 there), and value - GAP <= lower <= GR <= U
     assert np.all(low <= values + 1e-12)
     assert np.all(low[~npt] <= 1e-12) and (~npt).sum() > 100
@@ -49,8 +43,7 @@ def test_the_bounds_hold_the_robustness_on_the_stress_sets():
     assert np.all(np.abs(values[closed] - low[closed]) <= GAP)
     # it closes most points the other two brackets leave open; the few it leaves are product class,
     # where W is not optimal: L sits more than the gap below the robustness
-    _, _, bell, open_gap = bracket_routes(rho)
-    still_open = np.isfinite(open_gap) & (open_gap >= GAP)
+    bell, still_open = ROUTES[route] == "bell", ROUTES[route] == "longer search"
     assert bell.sum() > 700 and 10 < still_open.sum() < 30
     assert np.all(low[still_open] < values[still_open] - GAP)
 
@@ -118,8 +111,8 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
         if closed[k]:
             assert one[3][0].tobytes() == omega[position[k]].tobytes()
             assert one[4][0].tobytes() == witness[position[k]].tobytes()
-    values, iterations, all_omega, _, lower, all_witness, _ = optim._robustness(_pt_arr(rho))
-    _, _, bell, _ = bracket_routes(rho)
+    values, iterations, all_omega, _, lower, all_witness, route = optim._robustness(_pt_arr(rho))
+    bell = ROUTES[route] == "bell"
     assert bell.sum() > 10
     for k in np.flatnonzero(bell):
         result = generalized_robustness(DensityMatrix(rho[k]))
@@ -156,8 +149,7 @@ def test_the_completion_closes_the_points_the_minimum_norm_omega_leaves_open(mon
 
 def test_the_completion_keeps_every_point_the_minimum_norm_omega_closes_and_loosens_none(monkeypatch):
     # the minimum-norm omega is the completion's step 0, so no second lift of it is needed
-    m = _pt_arr(stress_sets())
-    m = m[np.linalg.eigvalsh(m)[:, 0] < -optim.NPT_CUT]
+    m = stage_inputs(stress_sets())[0]  # the NPT points' partial transposes
     low, high, closed, omega, witness = optim._bell_bracket(m)
     monkeypatch.setattr(optim, "_COMPLETION_STEPS", 0)
     low_0, high_0, closed_0, omega_0, witness_0 = optim._bell_bracket(m)
@@ -176,8 +168,10 @@ def test_a_point_no_bracket_closes_still_solves(monkeypatch):
     # the longer search only repeats the first: the solver takes what the brackets leave
     monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     rho = entangled_ginibre(268)  # product class: the Bell witness is not optimal, so no omega of its set is feasible
-    schmidt, product, bell, open_gap = bracket_routes(rho.matrix[None])
-    assert not (schmidt | product | bell)[0] and open_gap[0] > GAP  # the product bracket sits 4e-8 open
+    assert route_names(rho.matrix[None]).tolist() == ["solved"]
+    m, _, lam, vecs, _, start = stage_inputs(rho.matrix[None])
+    low_p, high_p, _, _, _ = optim._product_bracket(m, lam, vecs, optim._PRODUCT_STEPS, start)
+    assert abs(high_p[0] - low_p[0]) > GAP  # the product bracket sits 4e-8 open
     low, high, _, _, _ = optim._bell_bracket(_pt_arr(rho.matrix[None]))
     result = generalized_robustness(rho)
     assert result.iterations > 0 and result.lower <= result.value <= result.lower + GAP
@@ -187,19 +181,7 @@ def test_a_point_no_bracket_closes_still_solves(monkeypatch):
 
 def test_the_completion_takes_a_bounded_number_of_steps(monkeypatch):
     # one Cholesky of the compressions per Newton step, and none elsewhere in the bracket
-    steps = []
-    lapack = optim._umath_linalg
-
-    class Counted:
-        def __getattr__(self, name):
-            return getattr(lapack, name)
-
-        @staticmethod
-        def cholesky_lo(*args, **kwargs):
-            steps[-1] += 1
-            return lapack.cholesky_lo(*args, **kwargs)
-
-    monkeypatch.setattr(optim, "_umath_linalg", Counted())
+    steps = counted_choleskys(monkeypatch)
     assert optim._COMPLETION_STEPS <= 25
     bell_class = [entangled_ginibre(13), entangled_ginibre(20), isotropic_with_bloch(0.4, 0.3)]
     product_class = [entangled_ginibre(seed) for seed in (83, 268, 385)]
@@ -314,7 +296,7 @@ def test_a_completion_with_no_step_adds_no_correction(monkeypatch):
     # the Bell-route points of a relaxed isotropic state with a Bloch vector, whose minimum-norm omega has a -0.0
     # coordinate, and of them those whose minimum-norm compressions are PSD: each alone takes no Newton step
     isotropic = relaxed_states(isotropic_with_bloch(), np.linspace(0.0, 0.05, 40), PAPER_T2)
-    bell = bracket_routes(isotropic)[2]
+    bell = route_names(isotropic) == "bell"
     yx, r = completion_inputs(isotropic[bell])
     steps = counted_choleskys(monkeypatch)
     for k in range(len(yx)):
@@ -333,8 +315,7 @@ def test_a_completion_with_no_step_adds_no_correction(monkeypatch):
         y[:, 1:, 1:] += (np.zeros((len(y), 1, 5)) @ optim._CORRELATION_BASIS).reshape(-1, 3, 3) @ r
         return y
 
-    m = _pt_arr(rho)
-    m = m[np.linalg.eigvalsh(m)[:, 0] < -optim.NPT_CUT]
+    m = stage_inputs(rho)[0]  # the NPT points' partial transposes
     skipped, robustness = optim._bell_bracket(m), optim._robustness(_pt_arr(rho))
     monkeypatch.setattr(optim, "_bell_completion", zero_correction_everywhere)
     added, robustness_added = optim._bell_bracket(m), optim._robustness(_pt_arr(rho))

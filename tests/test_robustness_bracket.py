@@ -12,13 +12,11 @@ forced solve.
 
 import numpy as np
 
-from conftest import bd, bd_weights, haar_unitary, random_physical_c, stage_inputs
-from test_robustness_stress import bracket_routes, check_certified, ginibre_states, named_states
+from conftest import GAP, ROUTES, bd, bd_weights, check_certified, haar_unitary, random_physical_c, stage_inputs
+from conftest import stress_sets
 from witnesslab import BellDiagonalParams, DensityMatrix, generalized_robustness, gr_oracle_bd
 from witnesslab import optim
-from witnesslab.qmat import _pt_arr
-
-GAP = 1e-8
+from witnesslab.qmat import _eigh, _pt_arr
 
 
 def npt_bracket(rho):
@@ -47,16 +45,10 @@ def pure_states(rng, n):
     return psi[:, :, None] * psi[:, None, :].conj()
 
 
-def stress_sets():
-    return np.concatenate([ginibre_states(np.random.default_rng(20261018), 2400), named_states()])
-
-
-def test_the_bracket_holds_the_robustness_on_the_stress_sets():
-    rho = stress_sets()
+def test_the_bracket_holds_the_robustness_on_the_stress_sets(stress_robustness):
+    rho, values, _, _, _, lower, _, route = stress_robustness
     low, high, _, _, _ = npt_bracket(rho)
-    values, _, _, failures, lower, _, lam = optim._robustness(_pt_arr(rho))
-    assert not failures
-    npt = lam < -optim.NPT_CUT
+    npt = route != 0
     assert npt.sum() > 2000
     # L <= GR <= value to rounding, and value <= U within the solver's gap
     assert np.all(low <= values[npt] * (1.0 + 1e-14))
@@ -76,8 +68,8 @@ def test_the_bracket_is_exact_on_rotated_bell_diagonal_and_pure_states():
 
 def test_the_closed_form_is_certified_on_rotated_bell_diagonal_states():
     rho = rotated_bell_diagonal(np.random.default_rng(5502), 200)
-    values, iterations, omega, failures, lower, witness, _ = optim._robustness(_pt_arr(rho))
-    assert not failures and not iterations.any()
+    values, iterations, omega, failures, lower, witness, route = optim._robustness(_pt_arr(rho))
+    assert not failures and np.all(ROUTES[route] == "schmidt")
     assert check_certified(rho, values, iterations, omega, lower, witness).all()
     for k in range(0, len(rho), 20):  # one point alone takes the same path, bit for bit
         result = generalized_robustness(DensityMatrix(rho[k]))
@@ -98,15 +90,21 @@ def test_the_closed_form_equals_the_bell_diagonal_oracle():
         checked += 1
 
 
-def test_the_closed_form_is_within_the_gap_of_a_forced_solve():
+def test_the_closed_form_is_within_the_gap_of_a_forced_solve(forced_ginibre_solves):
     rng = np.random.default_rng(5504)
     rho = np.concatenate([stress_sets(), rotated_bell_diagonal(rng, 100), pure_states(rng, 100)])
-    values, iterations, _, _, _, _, lam = optim._robustness(_pt_arr(rho))
-    closed = (lam < -optim.NPT_CUT) & (iterations == 0)
+    values, _, _, _, _, _, route = optim._robustness(_pt_arr(rho))
+    names = ROUTES[route]
+    closed = np.isin(names, ("schmidt", "product", "bell", "longer search"))
     assert closed.sum() > 800
-    _, product, bell, _ = bracket_routes(rho)
-    assert product.sum() > 800 and bell.sum() > 500  # the product and Bell brackets' points among them
-    solves = [optim._central_path(m, lam_min) for m, lam_min in zip(_pt_arr(rho[closed]), lam[closed])]
-    assert all(iterations for _, _, _, _, iterations in solves)
-    forced = [value for _, value, _, _, _ in solves]
+    assert (names == "product").sum() > 800 and (names == "bell").sum() > 500  # those brackets' points among them
+    # the seeded Ginibre set's forced solves are shared; the states after it are solved here
+    ginibre, ginibre_values, ginibre_iterations = forced_ginibre_solves[:3]
+    n = len(ginibre)
+    assert np.array_equal(rho[:n], ginibre)
+    m = _pt_arr(rho[n:])
+    lam_min = _eigh(m)[0][:, 0]
+    solves = [optim._central_path(m[k], lam_min[k]) for k in np.flatnonzero(closed[n:])]
+    assert ginibre_iterations[closed[:n]].all() and all(iterations for _, _, _, _, iterations in solves)
+    forced = np.concatenate([ginibre_values[closed[:n]], [value for _, value, _, _, _ in solves]])
     np.testing.assert_allclose(values[closed], forced, rtol=0, atol=GAP)

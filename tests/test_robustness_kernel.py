@@ -27,15 +27,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import entangled_ginibre, relaxed_states, schmidt, stage_inputs
-from test_robustness_bracket import stress_sets
-from test_robustness_product import bench_robustness_inputs
-from test_sweep_batch import PAPER_T2
+from conftest import GAP, PAPER_T2, bench_robustness_inputs, entangled_ginibre, relaxed_states, schmidt, stage_inputs
+from conftest import stress_sets
 from witnesslab import DensityMatrix, bell_witness, BellKind, generalized_robustness, relax_channel, sweep
 from witnesslab import optim
 from witnesslab.qmat import PT_SIGN, _eigh, _pt_arr, _svd, from_pauli_coords, pauli_coords
 
-GAP = 1e-8
 STACKS = (2, 30, 10_000)
 
 
@@ -47,6 +44,13 @@ def states():
 @pytest.fixture(scope="module")
 def npt_inputs(states):
     return stage_inputs(states)
+
+
+@pytest.fixture(params=[False, True])
+def lanes(request, monkeypatch):
+    """The kernel's executor at any stack size: plain floats, then numpy lanes."""
+    monkeypatch.setattr(optim, "_LANES", 0 if request.param else 10 ** 9)
+    return request.param
 
 
 def bracket_rows(out):
@@ -61,19 +65,19 @@ def bracket_rows(out):
 
 
 def robustness_rows(out):
-    """Each point's bytes of _robustness's outputs: value, iterations, omega, lower, witness and lambda_min."""
-    values, iterations, omega, failures, lower, witness, lam_min = out
+    """Each point's bytes of _robustness's outputs: value, iterations, omega, lower, witness and route."""
+    values, iterations, omega, failures, lower, witness, route = out
     assert not failures
-    return [b"".join(a[i].tobytes() for a in (values, iterations, omega, lower, witness, lam_min))
+    return [b"".join(a[i].tobytes() for a in (values, iterations, omega, lower, witness, route))
             for i in range(len(values))]
 
 
-def stacked(stage, n, rows):
-    """stage(idx) of the stacks of STACKS points cut from n points in turn (10,000 repeats them), each
-    against the points' one-point rows."""
-    for size in STACKS:
+def stacked(stage, n, rows, sizes=STACKS):
+    """stage(idx) of the stacks of each size cut from n points in turn (10,000 repeats them, and stacks of 1 take
+    every 97th point), each against the points' one-point rows."""
+    for size in sizes:
         idx = np.arange(max(size, n)) % n
-        for start in range(0, len(idx) - size + 1, size):
+        for start in range(0, len(idx) - size + 1, size if size > 1 else 97):
             chunk = idx[start:start + size]
             got = stage(chunk)
             assert len(got) == size
@@ -146,10 +150,8 @@ def numpy_bracket(e, lam_min):
     return lower, upper, closed, omega, proj_pt * (2.0 / a2_twice[closed])[:, None, None], start
 
 
-@pytest.mark.parametrize("lanes", [False, True])
-def test_bracket_bounds_are_the_bytes_of_the_numpy_formula(npt_inputs, lanes, monkeypatch):
+def test_bracket_bounds_are_the_bytes_of_the_numpy_formula(npt_inputs, lanes):
     m, lam_min, lam, vecs, e, start = npt_inputs
-    monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
     got, want = optim._bracket(e, lam_min), numpy_bracket(e, lam_min)
     assert got[2].sum() > 1000 and (~got[2]).sum() > 1000
     for a, b in zip(got, want):
@@ -203,11 +205,9 @@ def test_generalized_robustness_takes_the_float_executor_and_the_sweep_the_lanes
     assert used == [("_bracket_lines", False), ("_product_lines", False)]
 
 
-@pytest.mark.parametrize("lanes", [False, True])
-def test_a_newton_decrement_rounded_below_zero_takes_a_full_step(lanes, monkeypatch):
+def test_a_newton_decrement_rounded_below_zero_takes_a_full_step(lanes):
     # rhs . dz of a near-singular Newton system can round below 0: it counts as 0, where math.sqrt would raise and
     # np.sqrt give NaN, so both executors take the full step, with no warning
-    monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
     dz, z = np.array([[0.125, -0.25, 0.375, 0.0, 0.5, 0.25]]), np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -0.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -215,11 +215,9 @@ def test_a_newton_decrement_rounded_below_zero_takes_a_full_step(lanes, monkeypa
     assert out.tolist() == [[0.125, -0.25, 0.375, 0.0, 0.5, -0.25, 3.0 * optim._COMPLETION_GROWTH, 1.0]]
 
 
-@pytest.mark.parametrize("lanes", [False, True])
-def test_a_schmidt_difference_rounded_above_one_closes_with_b_zero(lanes, monkeypatch):
+def test_a_schmidt_difference_rounded_above_one_closes_with_b_zero(lanes):
     # e_00 = 1 + 2^-52 gives a^2 - b^2 = 1 + 2^-51, which puts 2 a^2 (2 - 2 a^2) below 0: b = 0 there, on both
     # executors and with no warning
-    monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
     e = np.array([[1.0 + 2.0 ** -52, 0.0, 0.0, 0.0]], dtype=complex)
     lam = np.array([-0.125])
     assert optim._run(optim._bracket_lines, (lam, e.view(float)))[0, 3] == 2.0 + 2.0 ** -51
@@ -286,9 +284,7 @@ def partial_transposes(states):
                            -0.0 * m[:3]])
 
 
-@pytest.mark.parametrize("lanes", [False, True])
-def test_the_coordinate_lines_are_the_bytes_of_pauli_coords(partial_transposes, lanes, monkeypatch):
-    monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
+def test_the_coordinate_lines_are_the_bytes_of_pauli_coords(partial_transposes, lanes):
     x = optim._run(optim._coord_lines, (partial_transposes.reshape(-1, 16).view(float),))
     assert x.tobytes(order="C") == (pauli_coords(partial_transposes) * PT_SIGN).tobytes()
 
@@ -303,21 +299,13 @@ def test_the_schmidt_and_bell_lines_give_the_same_bytes_alone_and_in_stacks(stat
         alone = [optim._run(lines, tuple(a[i:i + 1] for a in inputs))[0].tobytes() for i in range(n)]
         for lanes in (False, True):
             monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
-            for size in (1,) + STACKS:
-                idx = np.arange(max(size, n)) % n
-                for start in range(0, len(idx) - size + 1, size if size > 1 else 97):
-                    chunk = idx[start:start + size]
-                    got = optim._run(lines, tuple(a[chunk] for a in inputs))
-                    assert got.shape[0] == size
-                    for i, row in zip(chunk, got):
-                        assert row.tobytes() == alone[i], (lines.__name__, lanes, size, i)
+            stacked(lambda idx: [row.tobytes() for row in optim._run(lines, tuple(a[idx] for a in inputs))], n, alone,
+                    (1,) + STACKS)
             monkeypatch.undo()
 
 
-@pytest.mark.parametrize("lanes", [False, True])
-def test_d_is_minus_the_sign_of_det_u_det_vt_on_every_correlation_matrix(partial_transposes, lanes, monkeypatch):
+def test_d_is_minus_the_sign_of_det_u_det_vt_on_every_correlation_matrix(partial_transposes, lanes):
     # the rotation R = -U diag(1, 1, d) V^T gives d back as -(U^T R V)_33; det R = 1 is what d is for
-    monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
     x, u, s, vt = bell_inputs(partial_transposes)
     r = optim._run(optim._bell_lines, (x, u, s, vt))[:, 48:].reshape(-1, 3, 3)
     u, vt = u.reshape(-1, 3, 3), vt.reshape(-1, 3, 3)

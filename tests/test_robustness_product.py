@@ -8,12 +8,11 @@ w and f = m^-1 w; where the two meet within the solver's gap, the point
 takes them with no interior-point iteration.  These checks hold the bounds
 for any choice and for the search's, the plain-float search against the
 same search on numpy stacks, a point's bits alone and in a stack and on
-either executor of the kernel, and the
-points that stay open against the solver, and the longer search that
-closes the points every bracket leaves open against a forced solve.  The
-stress tests and
-the forced-solve test of the bracket hold the closed points to the same
-certificate checks and to the solver's value.
+either executor of the kernel, and the points that stay open against the
+solver, and the longer search that closes the points every bracket leaves
+open against a forced solve.  The stress tests and the forced-solve test
+of the bracket hold the closed points to the same certificate checks and
+to the solver's value.
 """
 
 import warnings
@@ -22,16 +21,13 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from conftest import bench_inputs, entangled_ginibre, relaxed_states, schmidt, stage_inputs
-from test_robustness_bracket import stress_sets
-from test_robustness_stress import bracket_routes, check_certified, ginibre_states
-from test_sweep_batch import PAPER_T2, isotropic_with_bloch, one_point_failures
+from conftest import GAP, PAPER_T2, ROUTES, bench_robustness_inputs, check_certified, entangled_ginibre
+from conftest import ginibre_states, isotropic_with_bloch, one_point_failures, relaxed_states, route_names, schmidt
+from conftest import stage_inputs, stress_sets
 from witnesslab import BellKind, ConvergenceError, DensityMatrix, HermitianOp, generalized_robustness
 from witnesslab import optim
 from witnesslab.qmat import TOL_EQ, _pt_arr, pauli_coords
 from witnesslab.states import _BELL_VECTORS
-
-GAP = 1e-8
 
 
 def unit(rng, shape):
@@ -168,11 +164,9 @@ def test_a_degenerate_search_leaves_the_point_open_without_a_warning(monkeypatch
             assert not kernel_table(basis * flat[:, None, :], flat, basis, starts, lanes)[:, -1].any()
 
 
-def test_any_product_vector_and_any_vector_bound_the_robustness():
-    rho = stress_sets()
-    values, _, _, failures, lower, _, lam = optim._robustness(_pt_arr(rho))
-    assert not failures
-    npt = lam < -optim.NPT_CUT
+def test_any_product_vector_and_any_vector_bound_the_robustness(stress_robustness):
+    rho, values, _, _, _, lower, _, route = stress_robustness
+    npt = route != 0
     m, values, lower = _pt_arr(rho[npt]), values[npt], lower[npt]
     m_inv = np.linalg.inv(m)
     rng = np.random.default_rng(6601)
@@ -197,16 +191,14 @@ def test_any_product_vector_and_any_vector_bound_the_robustness():
     assert upper_checked > 2000
 
 
-def test_the_optimizer_s_bounds_hold_on_every_npt_point():
-    rho = stress_sets()
-    values, _, _, failures, lower, _, lam = optim._robustness(_pt_arr(rho))
-    assert not failures
-    npt = lam < -optim.NPT_CUT
+def test_the_optimizer_s_bounds_hold_on_every_npt_point(stress_robustness):
+    rho, values, _, _, _, lower, _, route = stress_robustness
+    npt = route != 0
     m, _, eig_lam, vecs, _, start = stage_inputs(rho)
     low, high, closed, omega, witness = optim._product_bracket(m, eig_lam, vecs, optim._PRODUCT_STEPS, start)
     # a maximally entangled negative eigenvector (pure and Bell-like states, which _bracket closes) gives
     # the search no start: NaN, the point stays open
-    schmidt = bracket_routes(rho)[0][npt]
+    schmidt = ROUTES[route[npt]] == "schmidt"
     assert np.array_equal(np.isnan(low), np.isnan(low) & schmidt) and np.isfinite(low).sum() > 1500
     assert not np.any(low > values[npt] + 1e-12)
     assert np.all(high >= lower[npt] - 1e-12)
@@ -233,9 +225,8 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
         if closed[k]:
             assert one[3][0].tobytes() == omega[position[k]].tobytes()
             assert one[4][0].tobytes() == witness[position[k]].tobytes()
-    values, iterations, all_omega, _, lower, all_witness, _ = optim._robustness(_pt_arr(rho))
-    _, product, _, _ = bracket_routes(rho)
-    for k in np.flatnonzero(product)[:30]:
+    values, iterations, all_omega, _, lower, all_witness, route = optim._robustness(_pt_arr(rho))
+    for k in np.flatnonzero(ROUTES[route] == "product")[:30]:
         result = generalized_robustness(DensityMatrix(rho[k]))
         assert (result.value, result.lower, result.iterations) == (values[k], lower[k], iterations[k])
         assert result.witness.matrix.tobytes() == all_witness[k].tobytes()
@@ -247,8 +238,7 @@ def test_the_isotropic_state_with_a_bloch_vector_closes_without_a_solve(monkeypa
     cases = ((0.5, 0.1, 0.25, False), (0.4, 0.3, 0.1, True))
     for weight, bloch, value, _ in cases:
         rho = isotropic_with_bloch(weight, bloch)
-        schmidt, product, bell, open_gap = bracket_routes(rho.matrix[None])
-        assert not schmidt[0] and not product[0] and bell[0] and open_gap[0] < GAP
+        assert route_names(rho.matrix[None]).tolist() == ["bell"]  # the first two stages leave it open
         result = generalized_robustness(rho)
         assert abs(result.value - value) <= GAP and result.lower <= result.value <= result.lower + GAP
         assert result.iterations == 0
@@ -325,39 +315,17 @@ def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
         assert (single.value.lower, single.value.upper) == (exc.lower, exc.upper)
 
 
-def bench_robustness_inputs():
-    """The benchmark's robustness inputs of seeds 41 and 97, rounds 0-99, as one (4000, 4, 4) stack."""
-    make_round = bench_inputs().make_round
-    return np.stack([item["matrix"] for seed in (41, 97) for index in range(100)
-                     for item in make_round("robustness", seed, index)])
-
-
 # the stage that first closes each point of the benchmark's robustness inputs, rounds 0-99
 BENCH_ROUTES = {41: {"ppt": 500, "schmidt": 600, "product": 620, "bell": 272, "longer search": 8, "solved": 0},
                 97: {"ppt": 500, "schmidt": 600, "product": 625, "bell": 264, "longer search": 11, "solved": 0}}
 
 
-def test_the_bench_inputs_take_their_routes(monkeypatch):
-    # each stage, called on the rows the stages before it left open, counts the points it closes
-    counts = {}
-
-    def counted(route, stage):
-        def wrapped(*args):
-            out = stage(*args)
-            name = "longer search" if route == "product" and args[3] == optim._PRODUCT_STEPS_LAST else route
-            counts[name] = counts.get(name, 0) + int(np.count_nonzero(out[2]))
-            return out
-        return wrapped
-
-    for route, name in (("schmidt", "_bracket"), ("product", "_product_bracket"), ("bell", "_bell_bracket")):
-        monkeypatch.setattr(optim, name, counted(route, getattr(optim, name)))
+def test_the_bench_inputs_take_their_routes():
     rho = bench_robustness_inputs()
     for seed, states in zip((41, 97), (rho[:2000], rho[2000:])):
-        counts.clear()
-        values, iterations, _, failures, _, _, lam_min = optim._robustness(_pt_arr(states))
-        assert not failures
-        counts["ppt"] = int(np.count_nonzero(lam_min >= -optim.NPT_CUT))
-        counts["solved"] = int(np.count_nonzero(iterations))
+        names = route_names(states)
+        counts = {name: int(np.count_nonzero(names == name)) for name in ROUTES}
+        assert counts.pop("failed") == 0
         assert counts == BENCH_ROUTES[seed], seed
 
 
@@ -387,12 +355,12 @@ def test_the_longer_search_closes_every_point_the_brackets_leave_open(monkeypatc
     monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     solved = optim._robustness(_pt_arr(rho))
     monkeypatch.undo()
-    values, iterations, omega, failures, lower, witness, _ = closed
+    values, iterations, omega, failures, lower, witness, route = closed
     assert not failures and not solved[3]
-    left = solved[1] > 0  # the points every bracket leaves open
+    left = ROUTES[solved[6]] == "solved"  # the points every bracket leaves open
     assert left[:15].all() and left.sum() > 50
     # the longer search closes each of them with no iteration, within the gap and within it of the solve
-    assert not iterations.any()
+    assert np.all(ROUTES[route[left]] == "longer search") and not iterations.any()
     assert np.all(values[left] - lower[left] >= 0.0) and np.all(values[left] - lower[left] < GAP)
     assert np.abs(values[left] - solved[0][left]).max() < GAP
     # and meets the certificate checks; omega, a pure product state, and (rho + omega)^PT, singular, are PSD

@@ -6,9 +6,8 @@ no reference solution."""
 import numpy as np
 import pytest
 
-from conftest import bd, bd_weights, entangled_ginibre, haar_unitary, random_density_matrix, random_physical_c
-from conftest import stage_inputs
-from test_robustness_stress import ginibre_states
+from conftest import bd, bd_weights, entangled_ginibre, ginibre_states, haar_unitary, random_density_matrix
+from conftest import GAP, check_certified, random_physical_c, stage_inputs
 from witnesslab import (
     BellKind,
     ConvergenceError,
@@ -23,9 +22,6 @@ from witnesslab import (
 )
 from witnesslab import optim
 from witnesslab.qmat import TWO_SPIN_LABELS, TWO_SPIN_PAULIS, _pt_arr, pauli_coords
-
-# the solver stops at a duality gap below 1e-8
-GAP = 1.0e-8
 
 
 def pt(m):
@@ -195,8 +191,8 @@ def test_an_all_ppt_stack_is_answered_without_a_solve(monkeypatch):
     ppt += [bd(*random_physical_c(rng)).matrix for _ in range(200)]
     ppt = np.array([m for m in ppt if np.linalg.eigvalsh(pt(m))[0] >= 0.0])
     assert len(ppt) > 20
-    values, iterations, omega, failure, lower, witness, pt_min = optim._robustness(_pt_arr(ppt))
-    assert (pt_min >= -optim.NPT_CUT).all()
+    values, iterations, omega, failure, lower, witness, route = optim._robustness(_pt_arr(ppt))
+    assert not route.any()  # every point PPT
     assert not values.any() and not iterations.any() and not omega.any()
     assert not lower.any() and not witness.any()
     assert failure is None
@@ -268,15 +264,14 @@ def test_robustness_does_not_increase_under_local_relaxation():
 
 
 def certified_interval(rho):
-    """The returned value, its dual lower bound and witness, with the witness checked.
+    """The returned value, its dual lower bound and witness, with both certificates checked (check_certified).
 
     W^PT >= 0 and W <= 1 make -Tr(W rho) a lower bound on the robustness.
     """
     result = generalized_robustness(rho)
     w = result.witness.matrix
-    assert np.linalg.eigvalsh(pt(w))[0] >= -1e-12
-    assert np.linalg.eigvalsh(w)[-1] <= 1.0 + 1e-12
-    assert abs(result.lower + np.trace(w @ rho.matrix).real) <= 1e-12
+    check_certified(rho.matrix[None], np.array([result.value]), np.array([result.iterations]),
+                    result.value * result.certificate_state.matrix[None], np.array([result.lower]), w[None])
     return result.value, result.lower, w
 
 

@@ -5,8 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import entangled_ginibre, random_density_matrix
-from test_sweep_batch import PAPER_T2
+from conftest import PAPER_T2, entangled_ginibre, random_density_matrix
 from witnesslab import (
     BellKind,
     bell_state,

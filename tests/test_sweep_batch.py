@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from conftest import bench_inputs, entangled_ginibre, relaxed_states
-from test_robustness_bracket import stress_sets
-from test_robustness_stress import bracket_routes
+from conftest import PAPER_T2, ROUTES, bench_inputs, entangled_ginibre, isotropic_with_bloch, one_point_failures
+from conftest import relaxed_states, route_names, stress_sets
 from witnesslab import (
     BellKind,
     ConvergenceError,
@@ -37,8 +36,6 @@ from witnesslab import (
 from witnesslab import optim, relax
 from witnesslab.qmat import _pt_arr
 
-PAPER_T2 = RelaxationParams(t1_i=10.0, t2_i=0.31, t1_s=10.0, t2_s=0.11)
-
 
 def rotated_pseudo_pure():
     """A pseudo-pure phi- after a fixed local rotation: entangled but not Bell-diagonal."""
@@ -49,19 +46,6 @@ def rotated_pseudo_pure():
     u = np.kron(rotation(0.4, 1.1), rotation(1.3, -0.6))
     rho = pseudo_pure(0.7, bell_state(BellKind.PHI_MINUS))
     return DensityMatrix(u @ rho.matrix @ u.conj().T)
-
-
-def isotropic_with_bloch(weight=0.5, bloch=0.1):
-    """weight |phi+><phi+| + (1 - weight) (1 + bloch Z)/2 (x) 1/2.
-
-    A local Bloch vector keeps its bracket open, and its optimal omega is not a
-    product pure state.  At the defaults the Bell bracket's minimum-norm omega
-    closes it and most points of its relaxation; at weight 0.4 and bloch 0.3,
-    nearer the threshold weight 1/3, only the Bell bracket's completion does.
-    """
-    z_i = np.kron(np.diag([1.0, -1.0]), np.eye(2))
-    mixed = (np.eye(4) + bloch * z_i) / 4.0
-    return DensityMatrix(weight * bell_state(BellKind.PHI_PLUS).matrix + (1.0 - weight) * mixed)
 
 
 # the last field names where the entangled points go: "schmidt" when every one takes the closed-form bracket (no
@@ -86,16 +70,16 @@ CASES = {
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_sweep_equals_the_one_point_functions_bit_for_bit(name, monkeypatch):
-    rho0, t_max, steps, route = CASES[name]
-    if route == "solver":  # the longer search only repeats the first: the solver takes what the brackets leave
+    rho0, t_max, steps, kind = CASES[name]
+    if kind == "solver":  # the longer search only repeats the first: the solver takes what the brackets leave
         monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     w = bell_witness(BellKind.PHI_MINUS)
     series = sweep(rho0, PAPER_T2, w, t_max, steps)
-    # the solver's own iteration counts and dual bounds for the grid, formed as the sweep forms them
+    # the solver's own iteration counts, dual bounds and routes for the grid, formed as the sweep forms them
     states = relaxed_states(rho0, series.times, PAPER_T2)
-    _, iterations, _, failures, lower, witness, pt_min = optim._robustness(_pt_arr(states))
+    _, iterations, _, failures, lower, witness, route = optim._robustness(_pt_arr(states))
     assert not failures
-    assert np.array_equal(pt_min, series.pt_min_values)
+    assert np.array_equal(route == 0, series.pt_min_values >= -optim.NPT_CUT)
     for k, t in enumerate(series.times):
         rho_t = relax_channel(rho0, float(t), PAPER_T2)
         assert np.array_equal(rho_t.matrix, states[k])
@@ -107,18 +91,33 @@ def test_sweep_equals_the_one_point_functions_bit_for_bit(name, monkeypatch):
         assert single.lower == lower[k]
         if single.witness is not None:
             assert np.array_equal(single.witness.matrix, witness[k])
-    entangled, solved = series.gr_values > 0, iterations > 0
-    schmidt, product, bell, open_gap = bracket_routes(states)
-    assert entangled.any() and np.array_equal(solved, entangled & ~schmidt & ~product & ~bell)
-    assert np.all(open_gap[solved] >= optim._GAP)
-    assert np.array_equal(schmidt[entangled], np.full(entangled.sum(), route == "schmidt"))
-    assert solved.any() == (route == "solver")
+    names = ROUTES[route]
+    entangled, solved = series.gr_values > 0, names == "solved"
+    assert entangled.any() and np.array_equal(entangled, route != 0) and np.array_equal(solved, iterations > 0)
+    assert np.array_equal(names[entangled] == "schmidt", np.full(entangled.sum(), kind == "schmidt"))
+    assert solved.any() == (kind == "solver")
     if steps > 256:
         assert entangled.sum() > 256  # more than 256 entangled points
         if name.startswith("isotropic"):
-            assert bell.sum() > 256  # most of them closed by the Bell bracket
+            assert (names == "bell").sum() > 256  # most of them closed by the Bell bracket
         if "solved points" in name:
             assert solved.sum() > 256  # and as many solved ones
+
+
+def test_ppt_is_absorbing_along_every_sweep():
+    # relaxation is a semigroup of product channels, and for two qubits PPT is separability (Horodecki, Horodecki &
+    # Horodecki, PLA 223, 1 (1996)): a point after a PPT point is PPT, so the PPT route is a suffix of each sweep
+    runs = [(rho0, PAPER_T2, t_max, steps) for rho0, t_max, steps, _ in CASES.values()]
+    runs += [(rho0, p, t_max, steps) for rho0, p, _, t_max, steps in bench_sweep_runs((1, 41, 97), 20)]
+    assert len(runs) == len(CASES) + 840
+    crossed = 0
+    for rho0, p, t_max, steps in runs:
+        states = relaxed_states(rho0, np.linspace(0.0, t_max, steps), p)  # the grid as the sweep forms it
+        _, _, _, failure, _, _, route = optim._robustness(_pt_arr(states))
+        ppt = route == 0
+        assert failure is None and np.all(ppt[1:] >= ppt[:-1])
+        crossed += ppt.any() and not ppt.all()
+    assert crossed > 800  # sweeps that turn PPT inside their grid
 
 
 def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
@@ -127,14 +126,14 @@ def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
     states = relaxed_states(entangled_ginibre(268), np.linspace(0.0, 0.002, 9), PAPER_T2)
     times = np.linspace(0.0, 0.25, 9)
     states = np.concatenate([states, relaxed_states(bell_state(BellKind.PHI_MINUS), times, PAPER_T2)])
-    schmidt, product, bell, _ = bracket_routes(states)
-    to_solver = (np.linalg.eigvalsh(_pt_arr(states))[:, 0] < -optim.NPT_CUT) & ~schmidt & ~product & ~bell
+    to_solver = route_names(states) == "solved"
     assert to_solver.sum() > 5  # no bracket closes these, so they reach _central_path
     for cap in (2, 5):
         monkeypatch.setattr(optim, "_MAX_ITERATIONS", cap)
-        _, _, _, failure, _, _, _ = optim._robustness(_pt_arr(states))
+        _, _, _, failure, _, _, route = optim._robustness(_pt_arr(states))
         alone = one_point_failures(states)
         assert sorted(alone) == np.flatnonzero(to_solver).tolist()  # each point left to the solver fails at the cap
+        assert np.array_equal(ROUTES[route] == "failed", to_solver)  # the first fails, and leaves the rest open
         # the stack's call ends at its first failing point, with the error that point gives alone
         k, exc = failure
         assert k == min(alone) and (str(exc), exc.lower, exc.upper) == (str(alone[k]), alone[k].lower, alone[k].upper)
@@ -145,27 +144,13 @@ def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
             assert (exc.lower, exc.upper) == (single.value.lower, single.value.upper)
 
 
-def one_point_failures(states):
-    """The failure of each state that fails in a _robustness call of its own, by index.
-
-    A stack's call stops at its first failing point, so this is how every
-    point that fails is seen.
-    """
-    failures = {}
-    for k in range(len(states)):
-        failure = optim._robustness(_pt_arr(states[k:k + 1]))[3]
-        if failure:
-            failures[k] = failure[1]
-    return failures
-
-
 def test_the_first_failing_point_ends_the_call_with_its_one_point_bounds(monkeypatch):
     # the longer search only repeats the first: the solver takes what the brackets leave
     monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     # past the stress set's first solver point, so that points solved within the cap come before the first failure
     rho = stress_sets()[100:]
-    uncapped = optim._robustness(_pt_arr(rho))[1]
-    solver = np.flatnonzero(uncapped)
+    _, uncapped, _, _, _, _, route = optim._robustness(_pt_arr(rho))
+    solver = np.flatnonzero(ROUTES[route] == "solved")
     cap = 8
     first = solver[uncapped[solver] > cap][0]
     earlier, later = solver[solver < first], solver[solver > first]
@@ -181,10 +166,11 @@ def test_the_first_failing_point_ends_the_call_with_its_one_point_bounds(monkeyp
 
     monkeypatch.setattr(optim, "_central_path", spy)
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", cap)
-    values, iterations, omega, failure, lower, witness, _ = optim._robustness(_pt_arr(rho))
+    values, iterations, omega, failure, lower, witness, route = optim._robustness(_pt_arr(rho))
     # one point at a time, in index order, up to the first that fails: no later point is solved
     assert calls == solver[solver <= first].tolist()
     assert failure[0] == first
+    assert np.array_equal(ROUTES[route[solver]], np.where(solver < first, "solved", "failed"))
     assert len(earlier) and np.array_equal(iterations[earlier], uncapped[earlier])
     assert not iterations[later].any() and not values[later].any() and not omega[later].any()
     assert not lower[later].any() and not witness[later].any()
@@ -201,8 +187,8 @@ def test_sweep_names_the_earliest_failing_time(monkeypatch):
     rho0 = entangled_ginibre(268)  # entangled at every grid time
     w = bell_witness(BellKind.PHI_MINUS)
     times = np.linspace(0.0, 0.002, 12)
-    schmidt, product, bell, _ = bracket_routes(relaxed_states(rho0, times, PAPER_T2))
-    assert not (schmidt | product | bell)[[4, 9]].any()  # no bracket closes the two targets: they reach the solver
+    names = route_names(relaxed_states(rho0, times, PAPER_T2))
+    assert np.all(names[[4, 9]] == "solved")  # no bracket closes the two targets: they reach the solver
     targets = [_pt_arr(relax_channel(rho0, float(times[k]), PAPER_T2).matrix) for k in (9, 4)]
     cholesky = optim._cholesky
 
