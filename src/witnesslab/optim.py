@@ -26,9 +26,15 @@ coordinates of its witness (_bell_lines); and what follows the solve of
 each Newton step of the Bell completion (_newton_lines).  A degenerate
 point of the first two is open by an explicit mask, with no division by
 zero and no NaN on the way.  The eigendecompositions, the Bell bracket's
-SVD and final eigvalsh check, each completion step's Cholesky, inverse,
-Gram products and solve, and the assembly of the closed points' omega and
-witness matrices stay whole-stack numpy.
+SVD and final eigvalsh check, and each completion step's Cholesky,
+inverse, Gram products and solve stay whole-stack numpy.
+
+Only a caller that returns certificates builds them: the closed points'
+omega and witness matrices are assembled, as whole-stack numpy, when
+_robustness is called with certificates=True, as generalized_robustness
+calls it.  relax.sweep, which returns the values alone, calls it with
+certificates=False: the stages compute the same bounds, closure masks,
+routes and failures, bit for bit, and skip the matrices.
 """
 
 from __future__ import annotations
@@ -75,6 +81,9 @@ _COMPLETION_STEPS = 20
 _COMPLETION_GROWTH = 8.0
 # a point is solved when lambda_min of its partial transpose is below -NPT_CUT; any other point is PPT, robustness 0
 NPT_CUT = 1e-12
+# (NPT_CUT / 2) 1, the shift under which _ppt_certified factors a partial transpose
+_PPT_SHIFT = 0.5 * NPT_CUT * _EYE4
+_PPT_SHIFT.setflags(write=False)
 # the names of _robustness's route codes, each indexed by its code: the code -1 names the last
 _ROUTES = ("ppt", "schmidt", "product", "bell", "longer search", "solved", "failed")
 
@@ -99,7 +108,7 @@ def _ppt_certified(m: np.ndarray) -> np.ndarray:
     Every point's verdict comes from its own slice.
     """
     with np.errstate(invalid="ignore"):  # a failed factorization is NaN, and no warning
-        chol = _umath_linalg.cholesky_lo(m + 0.5 * NPT_CUT * _EYE4, signature="D->D")
+        chol = _umath_linalg.cholesky_lo(m + _PPT_SHIFT, signature="D->D")
     return ~np.isnan(chol[:, 0, 0].real)
 
 
@@ -382,7 +391,7 @@ def _bracket_lines(sqrt, where, lam, e):
     return lower, upper, upper - lower < _GAP, a2_twice, ab_twice, r00, r11, r01r, r01i
 
 
-def _bracket(e: np.ndarray, lam_min: np.ndarray):
+def _bracket(e: np.ndarray, lam_min: np.ndarray, certificates: bool = True):
     """Closed-form bounds L <= GR <= U of NPT points, the certificate and witness where they close, and r.
 
     lam_min is the stack of the smallest eigenvalues of the partial
@@ -402,14 +411,15 @@ def _bracket(e: np.ndarray, lam_min: np.ndarray):
     either way.  Returns L and U of every point, the mask of the points with
     U - L < _GAP (the certificate contract of a finished solve), omega and
     the witness of those points, assembled as whole-stack numpy, or None
-    for both when no point closes, and the (k, 4) table of r00, r11 and the
-    real and imaginary parts of r01 of every point, where the product
-    searches start.  The points it leaves open go on to _product_bracket.
+    for both when no point closes or ``certificates`` is False, and the
+    (k, 4) table of r00, r11 and the real and imaginary parts of r01 of
+    every point, where the product searches start.  The points it leaves
+    open go on to _product_bracket.
     """
     out = _run(_bracket_lines, (lam_min, np.ascontiguousarray(e).view(np.float64)))
     lower, upper, closed, a2_twice, ab_twice = out[:, :5].T
     closed = closed != 0.0
-    if not np.count_nonzero(closed):
+    if not certificates or not np.count_nonzero(closed):
         return lower, upper, closed, None, None, out[:, 5:]
     vec, ab, neg = e[closed], 0.5 * ab_twice[closed], -lam_min[closed]
     proj_pt = _pt_arr(vec[:, :, None] * vec[:, None, :].conj())  # (|e><e|)^PT
@@ -565,7 +575,8 @@ def _product_lines(sqrt, where, lam, vec, start, pt, steps):
     return _tail_lines(sqrt, where, _search_lines(sqrt, where, lam, vec, start, steps), pt)
 
 
-def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: int, start: np.ndarray):
+def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: int, start: np.ndarray,
+                     certificates: bool = True):
     """Bounds L <= GR <= U of NPT points from a product vector, and the certificate and witness where they close.
 
     m is the (k, 4, 4) stack of partial transposes, lam, vecs their
@@ -608,17 +619,18 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
     so its bits are the kernel's own, not those of a stacked matmul.
     Returns L and U of every point, the mask of the points with
     |U - L| < _GAP, and omega and the witness of those points, assembled
-    as whole-stack numpy, or None for both when no point closes.  U is inf
-    where q >= 0 or the mask is False, and L is NaN where the mask is
-    False.  The points the first search leaves open go on to _bell_bracket,
-    those the longer one leaves open to _central_path.
+    as whole-stack numpy, or None for both when no point closes or
+    ``certificates`` is False.  U is inf where q >= 0 or the mask is False,
+    and L is NaN where the mask is False.  The points the first search
+    leaves open go on to _bell_bracket, those the longer one leaves open to
+    _central_path.
     """
     k = len(m)
     vec = np.ascontiguousarray(vecs).reshape(k, 16).view(np.float64)
     pt = np.ascontiguousarray(m).reshape(k, 16).view(np.float64)
     out = _run(_product_lines, (lam, vec, start, pt), steps)
     lower, upper, closed = out[:, 17], out[:, 18], out[:, 19] != 0.0
-    if not np.count_nonzero(closed):
+    if not certificates or not np.count_nonzero(closed):
         return lower, upper, closed, None, None
     out = out[closed]
     wf = out[:, :16].view(complex).reshape(-1, 2, 4)  # w, then f
@@ -830,7 +842,7 @@ def _bell_lines(sqrt, where, x, u, s, vt):
             r11, r12, r13, r21, r22, r23, r31, r32, r33)
 
 
-def _bell_bracket(m: np.ndarray):
+def _bell_bracket(m: np.ndarray, certificates: bool = True):
     """Bounds L <= GR <= U from the locally optimal Bell witness, and the certificate and witness where they close.
 
     m is the (k, 4, 4) stack of partial transposes.  With x_ab = Tr(rho
@@ -858,14 +870,16 @@ def _bell_bracket(m: np.ndarray):
     -lambda_min(m + omega^PT)) of the omega it returns, from one full 4x4
     eigvalsh, omega + eps 1 is a primal certificate, so U = L + 4 eps.
     Returns L and U of every point, the mask of the points with U - L <
-    _GAP, and omega + eps 1 and W of those points, or None for both when no
-    point closes.  Every point's numbers come from its own slices.  rho's
-    coordinates (_coord_lines), and d, R, L, the minimum-norm omega and W's
-    coordinates from them and the SVD factors (_bell_lines), are kernel
-    lines, on floats below _LANES points and on lanes from there (_run), as
-    is what follows each Newton solve of the completion (_newton_lines); the
-    SVD, the completion's LAPACK calls and matmuls, the eigvalsh check and
-    the closed points' matrices are whole-stack numpy.
+    _GAP, and, of those points, omega + eps 1 and W's 16 Pauli coordinates
+    (W = from_pauli_coords of them, which _robustness builds where it
+    returns certificates), or None for both when no point closes or
+    ``certificates`` is False.  Every point's numbers come from its own
+    slices.  rho's coordinates (_coord_lines), and d, R, L, the minimum-norm
+    omega and W's coordinates from them and the SVD factors (_bell_lines),
+    are kernel lines, on floats below _LANES points and on lanes from there
+    (_run), as is what follows each Newton solve of the completion
+    (_newton_lines); the SVD, the completion's LAPACK calls and matmuls, the
+    eigvalsh check and the closed points' omega are whole-stack numpy.
     """
     k = len(m)
     x = _run(_coord_lines, (np.ascontiguousarray(m).reshape(k, 16).view(np.float64),))
@@ -880,13 +894,12 @@ def _bell_bracket(m: np.ndarray):
     lower = out[:, 0]
     upper = lower + 4.0 * eps
     closed = upper - lower < _GAP
-    if not np.count_nonzero(closed):
+    if not certificates or not np.count_nonzero(closed):
         return lower, upper, closed, None, None
-    omega = blocks[closed, 0] + eps[closed, None, None] * _EYE4
-    return lower, upper, closed, omega, from_pauli_coords(out[closed, 32:48])
+    return lower, upper, closed, blocks[closed, 0] + eps[closed, None, None] * _EYE4, out[closed, 32:48]
 
 
-def _robustness(m: np.ndarray):
+def _robustness(m: np.ndarray, certificates: bool = True):
     """Generalized robustness of each state of a stack, from the (k, 4, 4) stack m of their partial transposes.
 
     One eigh of m decides and starts every point: for two qubits m has at
@@ -922,32 +935,42 @@ def _robustness(m: np.ndarray):
     int8 route, named by _ROUTES: 0 PPT, 1-4 the stage that first closed it
     (its place in the stage tuple: _bracket, the product search, the Bell
     bracket, the longer search), 5 solved, and -1 left open by a failed
-    solve, that point's and every later one's.
+    solve, that point's and every later one's.  The omegas and witnesses are
+    built, W from the Bell bracket's coordinates included, only where
+    ``certificates`` holds, as generalized_robustness asks; relax.sweep,
+    which returns the values alone, passes False, and gets None for both,
+    with every other output the same, bit for bit.
     """
     lam, vecs = _eigh(m)
     npt = (lam[:, 0] < -NPT_CUT).nonzero()[0]
     values, lower = np.zeros(len(m)), np.zeros(len(m))
     iterations, route = np.zeros(len(m), dtype=int), np.zeros(len(m), dtype=np.int8)
-    omega, witness = np.zeros(m.shape, dtype=complex), np.zeros(m.shape, dtype=complex)
+    omega = witness = None
+    if certificates:
+        omega, witness = np.zeros(m.shape, dtype=complex), np.zeros(m.shape, dtype=complex)
     if not len(npt):
         return values, iterations, omega, None, lower, witness, route
     if len(npt) < len(m):
         m, lam, vecs = m[npt], lam[npt], vecs[npt]
     lam_npt = lam[:, 0]
-    *schmidt, start = _bracket(vecs[..., 0], lam_npt)  # every NPT point, so the first stage's rows are all
+    *schmidt, start = _bracket(vecs[..., 0], lam_npt, certificates)  # every NPT point: the first stage's rows are all
     stages = (lambda rows: schmidt,
-              lambda rows: _product_bracket(m[rows], lam[rows], vecs[rows], _PRODUCT_STEPS, start[rows]),
-              lambda rows: _bell_bracket(m[rows]),
-              lambda rows: _product_bracket(m[rows], lam[rows], vecs[rows], _PRODUCT_STEPS_LAST, start[rows]))
+              lambda rows: _product_bracket(m[rows], lam[rows], vecs[rows], _PRODUCT_STEPS, start[rows], certificates),
+              lambda rows: _bell_bracket(m[rows], certificates),
+              lambda rows: _product_bracket(m[rows], lam[rows], vecs[rows], _PRODUCT_STEPS_LAST, start[rows],
+                                            certificates))
     rows, low, high = slice(None), -np.inf, np.inf  # the open rows of the NPT points, and their bounds
     for code, stage in enumerate(stages, 1):
         low_b, high_b, closed, closed_omega, closed_witness = stage(rows)
-        if closed_omega is None:
+        if not np.count_nonzero(closed):
             low, high = np.fmax(low, low_b), np.fmin(high, high_b)
             continue
         points, value = npt[rows][closed], high_b[closed]
-        values[points], omega[points], witness[points], route[points] = value, closed_omega, closed_witness, code
+        values[points], route[points] = value, code
         lower[points] = np.minimum(low_b[closed], value)  # L can exceed U by rounding
+        if certificates:  # the Bell bracket hands out W's coordinates, the others W itself
+            omega[points] = closed_omega
+            witness[points] = from_pauli_coords(closed_witness) if _ROUTES[code] == "bell" else closed_witness
         if len(points) == len(closed):  # every point closed: a later stage costs about as much on no point
             return values, iterations, omega, None, lower, witness, route
         rest = ~closed
@@ -956,13 +979,15 @@ def _robustness(m: np.ndarray):
     for j, row in enumerate(np.arange(len(npt))[rows]):
         i = npt[row]
         try:
-            omega[i], values[i], lower[i], witness[i], iterations[i] = _central_path(m[row], lam_npt[row])
+            solved_omega, values[i], lower[i], solved_witness, iterations[i] = _central_path(m[row], lam_npt[row])
         except ConvergenceError as exc:  # the first failing point ends the call
             failure = int(i), ConvergenceError(str(exc), lower=max(exc.lower, float(low[j])),
                                                upper=min(exc.upper, float(high[j])))
             route[npt[rows][j:]] = -1
             return values, iterations, omega, failure, lower, witness, route
         route[i] = 5
+        if certificates:
+            omega[i], witness[i] = solved_omega, solved_witness
     return values, iterations, omega, None, lower, witness, route
 
 
@@ -1008,7 +1033,8 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
     tightest of the solver's and the brackets' bounds.  This is the
     one-point case of the stages that ``relax.sweep`` runs over a whole
     time grid, on the partial transposes it already holds, where the solver
-    takes its points one at a time as it does here.  Each bracket's
+    takes its points one at a time as it does here; only this function
+    builds the certificate and witness matrices.  Each bracket's
     arithmetic from its decompositions to its bounds (the first bracket's
     Schmidt coefficients included, and the Bell witness's sign, rotation and
     minimum-norm omega) and what follows each solve of the Bell completion

@@ -59,7 +59,10 @@ class SweepSeries:
     robustness curve.  The robustness curve reaches 0 at a finite time, where
     the state turns PPT, so ``tau_r`` is a scale of its decay, not the time
     it ends (``crossing_time(series, "GR")``).  Any of them is None when the
-    corresponding feature does not exist in the sweep.
+    corresponding feature does not exist in the sweep.  A series built here
+    is checked for one length, the stack's shape and a strictly increasing
+    time grid; ``sweep``, which has made those checks, builds its series
+    with ``_trusted_series``, unchecked.
     """
 
     times: np.ndarray
@@ -84,6 +87,17 @@ class SweepSeries:
     def pt_min_values(self) -> np.ndarray:
         """lambda_min of each point's partial transpose, computed on first read."""
         return _eigh(self.partial_transposes)[0][:, 0]
+
+
+def _trusted_series(**fields) -> SweepSeries:
+    """A SweepSeries of ``fields``, unchecked.
+
+    Only for the arrays ``sweep`` built to one length on the time grid it
+    checked; every other series goes through ``SweepSeries``.
+    """
+    series = object.__new__(SweepSeries)
+    vars(series).update(fields)
+    return series
 
 
 def _relax(coords: np.ndarray, times: np.ndarray, p: RelaxationParams) -> np.ndarray:
@@ -167,8 +181,13 @@ def sweep(
     does, so the certificate changes no verdict.  Its NPT points take the
     robustness stages as one stack, the solver one point at a time; every
     point equals the one-point functions applied to ``relax_channel(rho0,
-    t, p)``.  The first point whose solve fails, the earliest time, ends the
-    sweep.  ``pt_min_values`` is computed when first read.
+    t, p)``.  The sweep returns values, not certificates, so it calls
+    ``_robustness`` with certificates=False: no closed point's omega or
+    witness matrix is built, a solved point's are dropped, and only
+    ``generalized_robustness`` returns them.  The first point whose solve fails, the earliest time, ends
+    the sweep.  ``pt_min_values`` is computed when first read.  The arrays
+    are built here to one length on the grid checked above, so the series
+    is made with ``_trusted_series``, without ``SweepSeries``'s checks.
     """
     steps = bounded_int(steps, "steps", 2, _MAX_STEPS)
     if not 0.0 < t_max < np.inf:
@@ -183,7 +202,7 @@ def sweep(
     m = from_pauli_coords(coords * PT_SIGN) / 4.0
     candidates = (~_ppt_certified(m)).nonzero()[0]
     gr_vals = np.zeros(steps)
-    gr_vals[candidates], _, _, failure, _, _, _ = _robustness(m[candidates])
+    gr_vals[candidates], _, _, failure, _, _, _ = _robustness(m[candidates], certificates=False)
     if failure:
         k, exc = failure
         raise ConvergenceError(
@@ -192,7 +211,7 @@ def sweep(
             upper=exc.upper,
         ) from exc
 
-    return SweepSeries(
+    return _trusted_series(
         times=times,
         f_values=f_vals,
         w_values=w_vals,

@@ -458,7 +458,7 @@ def test_relax_sweep_fits_decay_times_at_every_time_scale():
 
 
 def test_relax_sweep_with_a_tmax_that_repeats_grid_times_names_both_flags(capsys, monkeypatch):
-    def no_solve(m):
+    def no_solve(m, **kwargs):
         raise AssertionError("solver reached")
 
     monkeypatch.setattr(relax, "_robustness", no_solve)

@@ -114,9 +114,9 @@ def test_only_the_uncertified_points_reach_the_robustness_stages(monkeypatch):
     seen = []
     robustness = relax._robustness
 
-    def spy(m):
+    def spy(m, **kwargs):
         seen.append(m)
-        return robustness(m)
+        return robustness(m, **kwargs)
 
     monkeypatch.setattr(relax, "_robustness", spy)
     for rho0 in entangled_states(3, 3):
@@ -131,10 +131,10 @@ def test_one_eigh_decides_and_starts_every_point(monkeypatch):
     calls, handed = [], []
     robustness = optim._robustness
 
-    def spy(m):
+    def spy(m, **kwargs):
         handed.append(m)
         calls.append("robustness")
-        out = robustness(m)
+        out = robustness(m, **kwargs)
         calls.append("done")
         return out
 
@@ -163,7 +163,7 @@ def test_one_eigh_decides_and_starts_every_point(monkeypatch):
 
 def test_a_failure_names_its_grid_time_when_certified_points_come_first(monkeypatch):
     # the stack handed to the stages starts at grid point 3, so its point 1 is grid point 4
-    def failing(rho):
+    def failing(rho, **kwargs):
         values = np.zeros(len(rho))
         return values, None, None, (1, ConvergenceError("cap", lower=0.1, upper=0.2)), None, None, None
 

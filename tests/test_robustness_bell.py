@@ -26,7 +26,7 @@ from conftest import haar_unitary, isotropic_with_bloch, named_states, random_ph
 from conftest import stage_inputs, stress_sets
 from witnesslab import BellKind, DensityMatrix, bell_witness, generalized_robustness
 from witnesslab import optim
-from witnesslab.qmat import TWO_SPIN_LABELS, _pt_arr, pauli_coords
+from witnesslab.qmat import TWO_SPIN_LABELS, _pt_arr, from_pauli_coords, pauli_coords
 
 
 def test_the_bounds_hold_the_robustness_on_the_stress_sets(stress_robustness):
@@ -51,8 +51,9 @@ def test_the_bounds_hold_the_robustness_on_the_stress_sets(stress_robustness):
 def test_closed_certificates_are_states_and_witnesses_are_valid():
     rho = stress_sets()
     m = _pt_arr(rho)
-    low, high, closed, omega, witness = optim._bell_bracket(m)
-    assert len(omega) == len(witness) == closed.sum() > 1000
+    low, high, closed, omega, coords = optim._bell_bracket(m)
+    assert len(omega) == len(coords) == closed.sum() > 1000
+    witness = from_pauli_coords(coords)  # the matrix _robustness builds of W's coordinates
     npt = np.linalg.eigvalsh(m[closed])[:, 0] < -optim.NPT_CUT
     for k in np.flatnonzero(npt)[::10]:  # omega over its trace passes the state check as is
         DensityMatrix(omega[k] / np.trace(omega[k]).real)
@@ -85,7 +86,7 @@ def test_on_bell_diagonal_states_the_witness_is_that_of_the_largest_weight():
     c = np.stack([random_physical_c(rng) for _ in range(300)])
     rho = np.stack([bd(*ci).matrix for ci in c])
     weights = np.stack([bd_weights(ci) for ci in c])
-    low, _, closed, _, witness = optim._bell_bracket(_pt_arr(rho))
+    low, _, closed, _, coords = optim._bell_bracket(_pt_arr(rho))
     np.testing.assert_allclose(low, 2.0 * weights.max(axis=1) - 1.0, rtol=0, atol=1e-14)
     assert (np.prod(c, axis=1) > 0.0).sum() > 50
     # every entangled one closes, with the bell_witness of its largest weight
@@ -95,7 +96,8 @@ def test_on_bell_diagonal_states_the_witness_is_that_of_the_largest_weight():
     for k in np.flatnonzero(entangled):
         want = np.zeros(16)
         want[columns] = bell_witness(kinds[int(np.argmax(weights[k]))]).as_tuple()
-        np.testing.assert_allclose(pauli_coords(witness[np.cumsum(closed)[k] - 1]) / 4.0, want, rtol=0, atol=1e-15)
+        witness = from_pauli_coords(coords[np.cumsum(closed)[k] - 1])
+        np.testing.assert_allclose(pauli_coords(witness) / 4.0, want, rtol=0, atol=1e-15)
 
 
 def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
@@ -124,7 +126,7 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_stack():
 def test_the_completion_closes_the_points_the_minimum_norm_omega_leaves_open(monkeypatch):
     rho = np.stack([entangled_ginibre(13).matrix, entangled_ginibre(20).matrix, isotropic_with_bloch(0.4, 0.3).matrix])
     m = _pt_arr(rho)
-    low, high, closed, omega, witness = optim._bell_bracket(m)
+    low, high, closed, omega, coords = optim._bell_bracket(m)
     assert closed.all() and np.all(low <= high) and np.all(high - low <= 1e-15)
     # omega >= 0 and (rho + omega)^PT >= 0 by the full 4x4 eigvalsh, and Tr omega = U
     assert np.linalg.eigvalsh(omega)[:, 0].min() >= 0.0
@@ -140,7 +142,7 @@ def test_the_completion_closes_the_points_the_minimum_norm_omega_leaves_open(mon
         assert (result.value, result.iterations) == (high[k], 0)
         assert result.lower <= result.value <= result.lower + GAP
         assert result.certificate_state.matrix.tobytes() == (omega[k] / high[k]).tobytes()
-        assert result.witness.matrix.tobytes() == witness[k].tobytes()
+        assert result.witness.matrix.tobytes() == from_pauli_coords(coords[k]).tobytes()
     # the minimum-norm omega alone leaves each of them open, with the same L
     monkeypatch.setattr(optim, "_COMPLETION_STEPS", 0)
     low_0, high_0, closed_0, _, _ = optim._bell_bracket(m)

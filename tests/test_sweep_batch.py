@@ -6,7 +6,8 @@ Bell bracket closes and solves every other entangled point by the
 interior-point solver, one point at a time.  Each point must still equal
 ``f_witness_state``, ``eval_witness`` and ``generalized_robustness`` of
 ``relax_channel(rho0, float(t), p)`` bit for bit, with the same iteration count and dual bound, and a point whose solve
-fails must name its sweep time.
+fails must name its sweep time.  The sweep's robustness call builds no certificate, and returns every other output of
+the certified call byte for byte.
 """
 
 import itertools
@@ -120,6 +121,73 @@ def test_ppt_is_absorbing_along_every_sweep():
     assert crossed > 800  # sweeps that turn PPT inside their grid
 
 
+def values_routes_and_failure(out):
+    """A _robustness call's values, iterations, lower bounds and routes as bytes, and its failure as text and bounds."""
+    values, iterations, _, failure, lower, _, route = out
+    failure = failure and (failure[0], str(failure[1]), failure[1].lower, failure[1].upper)
+    return values.tobytes(), iterations.tobytes(), lower.tobytes(), route.tobytes(), failure
+
+
+def test_the_values_only_path_returns_what_the_certified_path_returns(stress_robustness, monkeypatch):
+    # relax.sweep's call skips every omega and witness; all else must be the certified call's, byte for byte, solves
+    # and a failed solve included
+    rho, *certified = stress_robustness
+    calls = [(_pt_arr(rho), certified, {})]
+    for rho0, t_max, steps, kind in CASES.values():
+        pinned = {"_PRODUCT_STEPS_LAST": optim._PRODUCT_STEPS} if kind == "solver" else {}
+        calls.append((_pt_arr(relaxed_states(rho0, np.linspace(0.0, t_max, steps), PAPER_T2)), None, pinned))
+    for rho0, p, _, t_max, steps in bench_sweep_runs((1, 41, 97), 20):
+        calls.append((_pt_arr(relaxed_states(rho0, np.linspace(0.0, t_max, steps), p)), None, {}))
+    capped = {"_PRODUCT_STEPS_LAST": optim._PRODUCT_STEPS, "_MAX_ITERATIONS": 2}
+    calls.append((_pt_arr(relaxed_states(entangled_ginibre(268), np.linspace(0.0, 0.002, 9), PAPER_T2)), None, capped))
+    assert len(calls) == 1 + len(CASES) + 840 + 1
+    routes, failures = set(), 0
+    for m, out, settings in calls:
+        with monkeypatch.context() as patch:
+            for name, value in settings.items():
+                patch.setattr(optim, name, value)
+            out = out or optim._robustness(m)
+            values_only = optim._robustness(m, certificates=False)
+        assert values_only[2] is None and values_only[5] is None
+        assert values_routes_and_failure(values_only) == values_routes_and_failure(out)
+        routes.update(ROUTES[out[6]].tolist())
+        failures += out[3] is not None
+    assert routes == set(optim._ROUTES) and failures == 1  # every route, the failed one too
+
+
+def test_a_sweep_builds_no_omega_or_witness(monkeypatch):
+    # every assembly of a closed point's omega or W raises: the brackets' (|e><e|)^PT and (|w><w|)^PT, the lift by
+    # eps 1 and the identity of the first bracket's omega (optim._EYE4, read nowhere else in a sweep), and W from the
+    # Bell bracket's coordinates; and _robustness hands back no stack of them
+    def assembled(*args, **kwargs):
+        raise AssertionError("a sweep built an omega or witness matrix")
+
+    class Identity:
+        __array_ufunc__ = staticmethod(assembled)
+
+    robustness, routes = relax._robustness, []
+
+    def values_only(m, **kwargs):
+        out = robustness(m, **kwargs)
+        assert out[2] is None and out[5] is None
+        routes.extend(ROUTES[out[6]])
+        return out
+
+    runs = [(bell_state(BellKind.PHI_MINUS), 200), (entangled_ginibre(13), 200), (entangled_ginibre(13), 10_000)]
+    series = [sweep(rho0, PAPER_T2, bell_witness(BellKind.PHI_MINUS), 0.6, steps) for rho0, steps in runs]
+    grids = [_pt_arr(relaxed_states(rho0, want.times, PAPER_T2)) for (rho0, _), want in zip(runs, series)]
+    for name, value in (("_pt_arr", assembled), ("from_pauli_coords", assembled), ("_EYE4", Identity())):
+        monkeypatch.setattr(optim, name, value)
+    monkeypatch.setattr(relax, "_robustness", values_only)
+    for (rho0, steps), m, want in zip(runs, grids, series):
+        got = sweep(rho0, PAPER_T2, bell_witness(BellKind.PHI_MINUS), 0.6, steps)
+        assert got.gr_values.tobytes() == want.gr_values.tobytes()
+        with pytest.raises(AssertionError, match="omega or witness"):  # the certified call of the same grid assembles
+            optim._robustness(m)
+    # every closing stage, on floats and on lanes
+    assert set(routes) == {"schmidt", "product", "bell", "longer search"}
+
+
 def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
     # the longer search only repeats the first: the solver takes what the brackets leave
     monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
@@ -212,7 +280,7 @@ def test_sweep_names_the_earliest_failing_time(monkeypatch):
 
 
 def test_sweep_steps_are_bounded_integers(monkeypatch):
-    def no_solve(m):
+    def no_solve(m, **kwargs):
         raise AssertionError("solver reached")
 
     monkeypatch.setattr(relax, "_robustness", no_solve)
@@ -223,7 +291,7 @@ def test_sweep_steps_are_bounded_integers(monkeypatch):
 
 
 def test_a_time_grid_that_repeats_a_time_is_rejected_before_any_solve(monkeypatch):
-    def no_solve(m):
+    def no_solve(m, **kwargs):
         raise AssertionError("solver reached")
 
     monkeypatch.setattr(relax, "_robustness", no_solve)
