@@ -39,8 +39,7 @@ def entangled_ginibre(seed):
     200-point relaxation sweep to 0.6 s under the paper's T2s, the longer
     search takes 2 points of seed 1, none of seeds 2 and 3, and every point
     of seed 268 up to about 2 ms.  A test that drives the solver loop uses
-    268 (or 83, 385) with optim._PRODUCT_STEPS_LAST pinned to
-    optim._PRODUCT_STEPS, so that the longer search only repeats the first.
+    268 (or 83, 385) under the fixture longer_search_repeats_the_first.
     """
     rng = np.random.default_rng(seed)
     while True:
@@ -233,6 +232,15 @@ def check_certified(rho, values, iterations, omega, lower, witness):
     assert np.linalg.eigvalsh(w)[:, -1].max() <= 1.0 + 1e-12
     np.testing.assert_allclose(lower[npt], -np.einsum("kab,kba->k", w, rho[npt]).real, rtol=0, atol=1e-12)
     return npt
+
+
+@pytest.fixture
+def longer_search_repeats_the_first(monkeypatch):
+    """The longer search only repeats the first: the solver takes what the brackets leave.
+
+    Pins optim._PRODUCT_STEPS_LAST to optim._PRODUCT_STEPS for one test.
+    """
+    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
 
 
 @pytest.fixture(scope="session")

@@ -200,6 +200,25 @@ def test_relax_sweep_json_schema_and_lengths(capsys):
     assert doc["params"]["t2_i"] == 0.31
 
 
+# the largest grid end to end, every point's GR non-negative: phi- (every NPT point closed by the Schmidt bracket);
+# Ginibre 3 (the brackets at scale, none solved); Ginibre 20, Bell class (273 points closed by the Bell bracket's
+# kernel lines on lanes); Ginibre 13, Bell class (every closing stage on lanes, the longer search included: 369
+# points closed by the product search, 111 by the longer search and 30 by the Bell bracket)
+@pytest.mark.parametrize("seed, npt", [(None, 4831), (3, 1584), (20, 1168), (13, 510)],
+                         ids=["phi-", "ginibre-3", "ginibre-20", "ginibre-13"])
+def test_relax_sweep_at_the_largest_grid_keeps_its_npt_points(seed, npt, tmp_path):
+    argv = ["relax-sweep", "--steps", "10000", "--format", "json"]
+    if seed is not None:
+        state = tmp_path / f"ginibre-{seed}.json"
+        save_state_json(entangled_ginibre(seed), state)
+        argv += ["--state", f"file:{state}"]
+    proc = run_subprocess(*argv)
+    assert proc.returncode == 0, proc.stderr
+    series = json.loads(proc.stdout)["series"]
+    assert len(series) == 10000 and all(p["gr"] >= 0 for p in series) and series[0]["gr"] > 0
+    assert sum(p["gr"] > 0 for p in series) == npt
+
+
 # ---------------------------------------------------------------------------
 # detect-region
 # ---------------------------------------------------------------------------
@@ -218,6 +237,12 @@ def test_detect_region_json(capsys):
     doc = run_json(capsys, "detect-region", "3")
     assert doc["resolution"] == 3
     assert len(doc["points"]) == 27
+
+
+def test_detect_region_at_the_largest_resolution_streams_a_document_that_parses():
+    proc = run_subprocess("detect-region", "101", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["points"]) == 101 ** 3
 
 
 # ---------------------------------------------------------------------------

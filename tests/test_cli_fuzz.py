@@ -1,14 +1,18 @@
 """Fuzz of cli.main over valid and malformed argvs of the cheap subcommands.
 
 Every argv must end in one of the documented exit codes (0, 2, 3, 4) with
-no exception escaping.  Sizes stay small: detect-region resolutions up to 5
+no exception escaping, at the default tolerance and under WITNESSLAB_TOL=0
+and 1e-6.  Sizes stay small: detect-region resolutions up to 5
 and relax-sweep grids of at most 4 points.
 """
 
 import contextlib
 import io
 import itertools
+import os
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -64,17 +68,21 @@ ARGV = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(ARGV)
-# under WITNESSLAB_TOL=0 (a CI step) the first forms states whose spectra hold rounding
-# residues, which the tolerance does not judge; the second is an input with one (exit 3)
-@example(["sdc", "--eps", "1,1", "--msg", "1,0"])
-@example(["witness", "--state", "bd:1,0.5,-0.500000002"])
-# a t_max so small that no curve decays: no decay time is fitted
-@example(["relax-sweep", "--steps", "3", "--tmax", "1e-200"])
-# a t/T that overflows: its exp(-t/T) is exactly 0, with no warning
-@example(["relax-sweep", "--steps", "3", "--tmax", "1e300", "--t1i", "1e-10", "--t2i", "1e-10"])
-def test_main_ends_in_a_documented_exit_code(argv):
+def fuzzed(test):
+    """The fuzz: 150 argvs drawn from ARGV, then the pinned argvs below."""
+    # under WITNESSLAB_TOL=0 (test_main_ends_in_a_documented_exit_code_under_a_set_tolerance) the first
+    # forms states whose spectra hold rounding residues, which the tolerance does not judge; the second is
+    # an input with one (exit 3)
+    test = example(argv=["sdc", "--eps", "1,1", "--msg", "1,0"])(test)
+    test = example(argv=["witness", "--state", "bd:1,0.5,-0.500000002"])(test)
+    # a t_max so small that no curve decays: no decay time is fitted
+    test = example(argv=["relax-sweep", "--steps", "3", "--tmax", "1e-200"])(test)
+    # a t/T that overflows: its exp(-t/T) is exactly 0, with no warning
+    test = example(argv=["relax-sweep", "--steps", "3", "--tmax", "1e300", "--t1i", "1e-10", "--t2i", "1e-10"])(test)
+    return settings(max_examples=150, deadline=None)(given(argv=ARGV)(test))
+
+
+def check_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -82,3 +90,16 @@ def test_main_ends_in_a_documented_exit_code(argv):
     assert "Traceback" not in err.getvalue()
     if code != 0:
         assert err.getvalue(), argv
+
+
+@fuzzed
+def test_main_ends_in_a_documented_exit_code(argv):
+    check_exit_code(argv)
+
+
+# 0: a state rejected by a tight tolerance must exit 3; 1e-6: a loosened tolerance judges the --state argument alone
+@pytest.mark.parametrize("tol", ["0", "1e-6"])
+@fuzzed
+def test_main_ends_in_a_documented_exit_code_under_a_set_tolerance(tol, argv):
+    with mock.patch.dict(os.environ, {"WITNESSLAB_TOL": tol}):
+        check_exit_code(argv)

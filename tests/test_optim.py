@@ -119,10 +119,9 @@ def test_robustness_agrees_with_oracle_on_bell_diagonal_sample():
         assert abs(got - gr_oracle_bd(BellDiagonalParams(*c))) < 1e-5
 
 
+@pytest.mark.usefixtures("longer_search_repeats_the_first")
 def test_robustness_iteration_cap_raises_with_bounds(monkeypatch):
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     with pytest.raises(ConvergenceError, match="3-iteration cap") as err:
         generalized_robustness(entangled_ginibre(268))  # product class: no bracket closes it, so the solver runs
     assert err.value.lower is not None and err.value.upper is not None

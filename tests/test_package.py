@@ -1,4 +1,4 @@
-"""The package's exports load on first use, and each CLI subcommand loads only what it runs."""
+"""The package's exports load on first use, each CLI subcommand loads only what it runs, and the source rules hold."""
 
 import importlib
 import json
@@ -71,6 +71,31 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, loads):
         "    assert main(sys.argv[1:]) == 0\n"
     )
     assert loaded_after(code, *argv) == CLI_BASE | loads
+
+
+def test_the_library_and_its_cli_import_no_scipy():
+    # scipy is a test oracle only; the package loads on first use, so every submodule is named
+    code = (
+        f"import witnesslab.cli, {', '.join('witnesslab.' + name for name in SUBMODULES)}\n"
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'scipy was imported'\n"
+    )
+    assert loaded_after(code) == {"cli", *SUBMODULES}
+
+
+@pytest.mark.parametrize("where, pattern, allowed", [
+    # every eigendecomposition, SVD, Cholesky, inverse, solve and determinant calls a LAPACK gufunc
+    ("src/witnesslab", r"np\.linalg\.(eigvalsh|eigh|svd|cholesky|inv|solve|det)\(", ()),
+    # one reader of a state's Pauli coordinates, DensityMatrix._coords: only qmat and the robustness
+    # stages, which read a partial transpose, gather coordinates from a matrix
+    ("src/witnesslab", r"\bpauli_coords\(|_pauli_columns", ("qmat.py", "optim.py")),
+    # what the tests share lives in tests/conftest.py
+    ("tests", r"^(from|import) test_", ()),
+], ids=["no np.linalg wrapper", "no coordinate gather outside qmat and optim", "no test module imports another"])
+def test_a_source_rule_holds_in_every_file(where, pattern, allowed):
+    hits = [f"{path.relative_to(ROOT)}:{n}: {line}"
+            for path in sorted((ROOT / where).rglob("*.py")) if path.name not in allowed
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if re.search(pattern, line)]
+    assert hits == []
 
 
 def test_star_import_gives_exactly_the_exported_names():

@@ -166,9 +166,8 @@ def test_the_completion_keeps_every_point_the_minimum_norm_omega_closes_and_loos
     assert np.all(high <= high_0) and (high < high_0).sum() > 1000
 
 
-def test_a_point_no_bracket_closes_still_solves(monkeypatch):
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
+@pytest.mark.usefixtures("longer_search_repeats_the_first")
+def test_a_point_no_bracket_closes_still_solves():
     rho = entangled_ginibre(268)  # product class: the Bell witness is not optimal, so no omega of its set is feasible
     assert route_names(rho.matrix[None]).tolist() == ["solved"]
     m, _, lam, vecs, _, start = stage_inputs(rho.matrix[None])
@@ -202,7 +201,7 @@ def test_the_completion_takes_a_bounded_number_of_steps(monkeypatch):
 @pytest.mark.parametrize("lanes", [False, True])
 def test_a_failed_newton_step_ends_the_search_at_its_last_iterate(lanes, monkeypatch):
     # a Cholesky that fails on the second step: the point keeps the first step's omega, with no warning
-    # (CI runs with RuntimeWarning as an error) and a finite U no looser than the minimum-norm one, whether the
+    # (the suite runs with RuntimeWarning as an error) and a finite U no looser than the minimum-norm one, whether the
     # step's bookkeeping runs on floats or on lanes
     rho = np.stack([entangled_ginibre(13).matrix, entangled_ginibre(268).matrix])
     m = _pt_arr(rho)

@@ -265,6 +265,7 @@ def test_a_singular_partial_transpose_leaves_the_point_open(monkeypatch):
         assert np.isfinite(low[2]) and np.isfinite(high[2]) and low[2] <= high[2] * (1.0 + 1e-14)
 
 
+@pytest.mark.usefixtures("longer_search_repeats_the_first")
 def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
     times = np.linspace(0.0, 0.01, 40)
     # Bell class, closed by the completion, then 10 product-class points that still solve
@@ -275,8 +276,6 @@ def test_a_failed_solve_carries_the_tightest_certified_interval(monkeypatch):
     m, lam_min, lam, vecs, e, start = stage_inputs(states)
     assert len(m) == len(states)  # every point NPT
     monkeypatch.setattr(optim, "_MAX_ITERATIONS", 3)
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     minimum_norm_upper = None
     # no completion (the Bell class reaches the solver), one completion step (part of it does), the full completion
     for steps in (0, 1, optim._COMPLETION_STEPS):
@@ -345,14 +344,14 @@ def test_every_witness_is_a_read_only_hermitian_op_as_built():
     assert entangled > len(rho) // 2
 
 
-def test_the_longer_search_closes_every_point_the_brackets_leave_open(monkeypatch):
+def test_the_longer_search_closes_every_point_the_brackets_leave_open(monkeypatch, request):
     # the three product-class seeds, seed 268 barely relaxed, the stress sets and the bench's robustness inputs
     rho = np.concatenate([np.stack([entangled_ginibre(seed).matrix for seed in (83, 268, 385)]),
                           relaxed_states(entangled_ginibre(268), np.linspace(0.0, 0.002, 12), PAPER_T2),
                           stress_sets(), bench_robustness_inputs()])
     closed = optim._robustness(_pt_arr(rho))
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
+    # from here on the longer search only repeats the first: the solver takes what the brackets leave
+    request.getfixturevalue("longer_search_repeats_the_first")
     solved = optim._robustness(_pt_arr(rho))
     monkeypatch.undo()
     values, iterations, omega, failures, lower, witness, route = closed

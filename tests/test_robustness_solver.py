@@ -121,9 +121,8 @@ def bracket_bounds(rho):
     return max(low[0], low_p[0], low_b[0]), min(high[0], high_p[0], high_b[0])
 
 
+@pytest.mark.usefixtures("longer_search_repeats_the_first")
 def test_cholesky_failure_raises_with_bounds(monkeypatch):
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     rho = entangled_ginibre(268)  # product class: no bracket closes, so the solver runs
     lam_min = np.linalg.eigvalsh(pt(rho.matrix))[0]
     low, high = bracket_bounds(rho)
@@ -146,12 +145,11 @@ def test_cholesky_failure_raises_with_bounds(monkeypatch):
     assert err.value.lower == pytest.approx(0.105744621141, rel=1e-9)  # and its L
 
 
+@pytest.mark.usefixtures("longer_search_repeats_the_first")
 def test_a_later_cholesky_failure_reports_the_last_checked_bounds(monkeypatch):
     # a rank-2 state of the stress set that no bracket closes: its brackets' bounds are within 3e-8 of the
     # value, so only the last iterate before the solve ends is tighter than them
     rho = DensityMatrix(ginibre_states(np.random.default_rng(20261018), 690)[-1])
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     value = generalized_robustness(rho).value
     low, high = bracket_bounds(rho)
     cholesky = optim._cholesky

@@ -17,6 +17,7 @@ and just above its separability threshold 1/3, and the GRAPE state.
 """
 
 import numpy as np
+import pytest
 
 from conftest import GAP, ROUTES, check_certified, entangled_ginibre, ginibre_states, named_states, route_names
 from conftest import stage_inputs
@@ -25,9 +26,8 @@ from witnesslab.cli import parse_state_spec
 from witnesslab.qmat import _eigh, _pt_arr
 
 
-def test_every_seeded_ginibre_solve_is_certified(monkeypatch, forced_ginibre_solves):
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
+@pytest.mark.usefixtures("longer_search_repeats_the_first")
+def test_every_seeded_ginibre_solve_is_certified(forced_ginibre_solves):
     rho = forced_ginibre_solves[0]  # the seeded Ginibre stress set
     values, iterations, omega, failures, lower, witness, route = optim._robustness(_pt_arr(rho))
     assert not failures
@@ -51,10 +51,9 @@ def test_every_seeded_ginibre_solve_is_certified(monkeypatch, forced_ginibre_sol
     check_certified(rho, values, iterations, omega, lower, witness)
 
 
-def test_a_solved_point_gets_from_the_solver_alone_what_the_robustness_stores(monkeypatch):
+@pytest.mark.usefixtures("longer_search_repeats_the_first")
+def test_a_solved_point_gets_from_the_solver_alone_what_the_robustness_stores():
     # the solver is the last stage: like a closed bracket, it gives its point omega, value, lower and witness
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     rho = ginibre_states(np.random.default_rng(20261020), 1200)
     values, iterations, omega, failure, lower, witness, route = optim._robustness(_pt_arr(rho))
     assert failure is None
@@ -106,18 +105,18 @@ def test_every_certificate_passes_the_state_check():
     assert (names == "product").sum() > 50 and (names == "bell").sum() > 50  # among them, points those brackets close
 
 
-def test_each_route_is_taken_by_a_named_state(monkeypatch):
+def test_each_route_is_taken_by_a_named_state(request):
     cases = [(parse_state_spec("identity"), "ppt"), (parse_state_spec("bell:phi-"), "schmidt"),
              (entangled_ginibre(8), "product"), (entangled_ginibre(13), "bell"), (entangled_ginibre(20), "bell")]
     cases += [(entangled_ginibre(seed), "longer search") for seed in (83, 268, 385)]
     for rho, name in cases:
         assert route_names(rho.matrix[None]).tolist() == [name]
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
+    # from here on the longer search only repeats the first: the solver takes what the brackets leave
+    request.getfixturevalue("longer_search_repeats_the_first")
     assert route_names(entangled_ginibre(268).matrix[None]).tolist() == ["solved"]
 
 
-def test_each_route_is_the_first_stage_that_closes_the_point(monkeypatch, stress_robustness):
+def test_each_route_is_the_first_stage_that_closes_the_point(request, stress_robustness):
     # the routes built without the stage loop: each stage on the rows the stages before it left open
     rho, route = stress_robustness[0], stress_robustness[-1]
     npt = np.flatnonzero(_eigh(_pt_arr(rho))[0][:, 0] < -optim.NPT_CUT)
@@ -140,8 +139,8 @@ def test_each_route_is_the_first_stage_that_closes_the_point(monkeypatch, stress
         left = left[~closed]
     assert np.array_equal(route, want)
     assert set(want.tolist()) == {0, 1, 2, 3, 4}  # every route but the solver's
-    # the longer search only repeats the first: the solver takes what the brackets leave, and only that
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
+    # from here on the longer search only repeats the first: the solver takes what the brackets leave, and only that
+    request.getfixturevalue("longer_search_repeats_the_first")
     solved = ROUTES[optim._robustness(_pt_arr(rho))[6]] == "solved"
     assert np.array_equal(solved, want == 4)
     assert np.all(open_gap[solved] >= GAP)

@@ -188,9 +188,8 @@ def test_a_sweep_builds_no_omega_or_witness(monkeypatch):
     assert set(routes) == {"schmidt", "product", "bell", "longer search"}
 
 
+@pytest.mark.usefixtures("longer_search_repeats_the_first")
 def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     states = relaxed_states(entangled_ginibre(268), np.linspace(0.0, 0.002, 9), PAPER_T2)
     times = np.linspace(0.0, 0.25, 9)
     states = np.concatenate([states, relaxed_states(bell_state(BellKind.PHI_MINUS), times, PAPER_T2)])
@@ -212,9 +211,8 @@ def test_capped_solves_fail_with_the_one_point_bounds(monkeypatch):
             assert (exc.lower, exc.upper) == (single.value.lower, single.value.upper)
 
 
+@pytest.mark.usefixtures("longer_search_repeats_the_first")
 def test_the_first_failing_point_ends_the_call_with_its_one_point_bounds(monkeypatch):
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     # past the stress set's first solver point, so that points solved within the cap come before the first failure
     rho = stress_sets()[100:]
     _, uncapped, _, _, _, _, route = optim._robustness(_pt_arr(rho))
@@ -249,9 +247,8 @@ def test_the_first_failing_point_ends_the_call_with_its_one_point_bounds(monkeyp
     assert (str(exc), exc.lower, exc.upper) == (str(single.value), single.value.lower, single.value.upper)
 
 
+@pytest.mark.usefixtures("longer_search_repeats_the_first")
 def test_sweep_names_the_earliest_failing_time(monkeypatch):
-    # the longer search only repeats the first: the solver takes what the brackets leave
-    monkeypatch.setattr(optim, "_PRODUCT_STEPS_LAST", optim._PRODUCT_STEPS)
     rho0 = entangled_ginibre(268)  # entangled at every grid time
     w = bell_witness(BellKind.PHI_MINUS)
     times = np.linspace(0.0, 0.002, 12)
