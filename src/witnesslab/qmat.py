@@ -39,7 +39,7 @@ from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
-# numpy.linalg's private LAPACK gufuncs, the ones its eigvalsh and eigh call (the same names in numpy 1.x and 2.x)
+# numpy.linalg's private LAPACK gufuncs, the ones its eigvalsh, eigh and svd call
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DomainError, NumericalConsistencyError, StructuralError
@@ -168,8 +168,8 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-# the gufunc np.linalg.svd calls for full_matrices=True on a square matrix: svd_f in numpy 2.x, svd_n_f in 1.x
-_SVD_F = getattr(_umath_linalg, "svd_f", None) or _umath_linalg.svd_n_f
+# the gufunc np.linalg.svd calls for full_matrices=True on a square matrix
+_SVD_F = _umath_linalg.svd_f
 
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

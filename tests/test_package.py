@@ -1,4 +1,5 @@
-"""The package's exports load on first use, each CLI subcommand loads only what it runs, and the source rules hold."""
+"""The package's exports load on first use, each CLI subcommand loads only what it runs, the source rules hold,
+and the workflow tests the declared floors."""
 
 import importlib
 import json
@@ -6,8 +7,10 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import witnesslab
@@ -96,6 +99,24 @@ def test_a_source_rule_holds_in_every_file(where, pattern, allowed):
             for path in sorted((ROOT / where).rglob("*.py")) if path.name not in allowed
             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if re.search(pattern, line)]
     assert hits == []
+
+
+def _release(version):
+    """The leading release numbers of a version string as ints: "2.4.6" -> (2, 4, 6), "3.11" -> (3, 11)."""
+    return tuple(int(part) for part in re.match(r"\d+(\.\d+)*", version).group().split("."))
+
+
+def test_the_workflow_runs_the_one_configuration_the_floors_declare():
+    # pyproject.toml's floors hold for what runs tier-1, and the workflow is one job on the Python floor
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    python_floor = re.fullmatch(r">=([\d.]+)", project["requires-python"]).group(1)
+    numpy_floor = next(re.fullmatch(r"numpy>=([\d.]+)", dep).group(1)
+                       for dep in project["dependencies"] if dep.startswith("numpy"))
+    assert sys.version_info[:3] >= _release(python_floor)
+    assert _release(np.__version__) >= _release(numpy_floor)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert "matrix:" not in workflow
+    assert re.findall(r"python-version:\s*[\"']?([^\"'\s]+)", workflow) == [python_floor]
 
 
 def test_star_import_gives_exactly_the_exported_names():

@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,95 @@ def test_the_lapack_helpers_give_the_bytes_of_np_linalg():
         (w, v), (w_ref, v_ref) = qmat._eigh(a), np.linalg.eigh(a)
         assert v.dtype == np.complex128 and v.shape == a.shape
         assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
+def _pd_stack(rng, shape):
+    """A seeded stack of complex Hermitian positive-definite matrices."""
+    a = rng.standard_normal((*shape, 2)).view(complex)[..., 0]
+    return a @ a.conj().swapaxes(-1, -2) + np.eye(shape[-1])
+
+
+def _per_slice(f, a, *rest):
+    """f of each matrix of the stack a alone, with the same slice of each of rest, stacked back."""
+    lead = a.shape[:-2]
+    out = [f(a[i], *(r[i] for r in rest)) for i in np.ndindex(lead)]
+    return np.stack(out).reshape(lead + out[0].shape)
+
+
+def _quietly(f, *args, **kwargs):
+    """f called as optim calls a gufunc whose slices may fail: under errstate(invalid="ignore"), a warning an error."""
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
+        return f(*args, **kwargs)
+
+
+def _nan_in_that_slice_alone(out, lead, bad, reference):
+    """out is NaN throughout slice bad of the stack and nowhere else, and each other slice i is reference(i)'s bytes."""
+    nan = np.isnan(out).reshape(lead + (-1,))
+    assert nan[bad].all() and np.count_nonzero(nan) == nan[bad].size
+    for i in np.ndindex(lead):
+        if i != bad:
+            assert out[i].tobytes() == reference(i).tobytes()
+
+
+# the stacks optim hands the gufuncs: a solver point's four 4x4 blocks, the Bell bracket's (k, 4, 4) check and the
+# completion's (k, 2, 3, 3) blocks
+@pytest.mark.parametrize("shape", [(1, 4, 4), (30, 4, 4), (1, 2, 3, 3), (30, 2, 3, 3)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_the_solver_gufuncs_give_the_bytes_of_np_linalg_in_each_slice(shape):
+    # numpy's private gufuncs that optim calls bare, read through optim: each slice as np.linalg computes it alone
+    lapack = optim._umath_linalg
+    a = _pd_stack(np.random.default_rng(4242), shape)
+    chol = lapack.cholesky_lo(a, signature="D->D")
+    inv_l = lapack.inv(chol, signature="D->D")
+    w = lapack.eigvalsh_lo(a, signature="D->d")
+    assert chol.dtype == inv_l.dtype == np.complex128 and w.dtype == np.float64
+    assert chol.tobytes() == _per_slice(np.linalg.cholesky, a).tobytes()
+    assert inv_l.tobytes() == _per_slice(np.linalg.inv, chol).tobytes()
+    assert w.tobytes() == _per_slice(np.linalg.eigvalsh, a).tobytes()
+
+
+def test_solve1_gives_the_bytes_of_np_linalg_solve_in_each_slice():
+    # a solver step's 16x16 Schur system, and the completion's Newton systems as a (k, 6, 6) stack, k = 1 included
+    lapack, rng = optim._umath_linalg, np.random.default_rng(4243)
+    g, rhs = rng.standard_normal((16, 32)), rng.standard_normal(16)
+    x = lapack.solve1(g @ g.T, rhs, signature="dd->d")
+    assert x.dtype == np.float64 and x.tobytes() == np.linalg.solve(g @ g.T, rhs).tobytes()
+    for k in (1, 30):
+        g, rhs = rng.standard_normal((k, 6, 18)), rng.standard_normal((k, 6))
+        gram = g @ g.swapaxes(-1, -2)
+        x = lapack.solve1(gram, rhs, signature="dd->d")
+        assert x.tobytes() == _per_slice(np.linalg.solve, gram, rhs).tobytes()
+
+
+@pytest.mark.parametrize("name, signature, reference, broken", [
+    ("cholesky_lo", "D->D", np.linalg.cholesky, lambda n: -np.eye(n)),  # not positive definite
+    ("inv", "D->D", np.linalg.inv, lambda n: np.zeros((n, n))),  # singular
+    ("inv", "D->D", np.linalg.inv, lambda n: np.full((n, n), np.nan)),  # a failed factor, as optim hands it on
+    ("eigvalsh_lo", "D->d", np.linalg.eigvalsh, lambda n: np.full((n, n), np.nan)),  # NaN entries
+], ids=["cholesky_lo not positive definite", "inv singular", "inv of a failed factor", "eigvalsh_lo NaN"])
+@pytest.mark.parametrize("shape", [(5, 4, 4), (5, 2, 3, 3)], ids=lambda shape: "x".join(map(str, shape)))
+def test_a_slice_that_cannot_be_factored_is_nan_in_that_slice_alone(name, signature, reference, broken, shape):
+    # what optim reads in place of LinAlgError: no exception, no warning, and every other slice keeps its bytes
+    a = _pd_stack(np.random.default_rng(4244), shape)
+    lead = shape[:-2]
+    bad = (1,) * len(lead)
+    a[bad] = broken(shape[-1])
+    out = _quietly(getattr(optim._umath_linalg, name), a, signature=signature)
+    _nan_in_that_slice_alone(out, lead, bad, lambda i: reference(a[i]))
+
+
+@pytest.mark.parametrize("lead", [(), (5,)], ids=["one 16x16", "5x6x6"])
+def test_a_system_that_cannot_be_solved_is_nan_in_that_slice_alone(lead):
+    # one singular 16x16 Schur system, or one singular slice of a (k, 6, 6) stack
+    n = 6 if lead else 16
+    rng = np.random.default_rng(4245)
+    g, rhs = rng.standard_normal(lead + (n, 3 * n)), rng.standard_normal(lead + (n,))
+    gram = g @ g.swapaxes(-1, -2)
+    bad = (1,) * len(lead)
+    gram[bad] = 0.0
+    out = _quietly(optim._umath_linalg.solve1, gram, rhs, signature="dd->d")
+    _nan_in_that_slice_alone(out, lead, bad, lambda i: np.linalg.solve(gram[i], rhs[i]))
 
 
 def test_the_svd_helper_gives_the_bytes_of_np_linalg():
