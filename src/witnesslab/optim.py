@@ -1,33 +1,21 @@
 """Optimization kernel: generalized robustness of entanglement, a two-cone
 semidefinite program (exact for two qubits via the positive partial
-transpose criterion), in closed form from certified brackets that close to
-within 1e-8: the two-qubit bracket from the negative eigenvector of the
-partial transpose, the one from the best product state, or the one from the
-locally rotated Bell witness, whose primal omega a phase-1 Newton completion
-finds where the minimum-norm one is not PSD; the points all three leave
-open take the product search again, longer.  A primal-dual interior-point
-solver is the last stage, for a point that no bracket closes: one point's
-own 4x4 linear algebra, one point at a time, since no measured workload
-leaves a point open.
+transpose criterion), from closed-form brackets that certify it to within
+1e-8 wherever one closes, and from a primal-dual interior-point solver
+where none does: one point's own 4x4 linear algebra, one point at a time,
+since no measured workload leaves a point open.  _robustness is the one
+account of the stages, their order, their route codes and their outputs;
+each stage's math is in its own docstring.
 
-Each stage's arithmetic from its decompositions to its bounds is one
-kernel of real arithmetic: +, -, *, / and sqrt in a fixed order, with
-comparisons, & and | and a select, and no matmul, reduction or complex
-product.  IEEE 754 rounds each of those correctly, so the same lines give
-the same bits on plain Python floats, one point at a time, below _LANES
-points and on numpy (k,) lanes from there (_run): the first bracket from
-the negative eigenvector's floats, its Schmidt coefficients included, to
-its closure test (_bracket_lines); the product bracket from the eigenpairs
-of the partial transpose to its closure test (_product_lines); the Bell
-bracket's coordinates of rho, read off the partial transpose's floats
-(_coord_lines), and, from them and the SVD factors of the correlation
-matrix, its sign d, rotation R, lower bound, minimum-norm omega and the
-coordinates of its witness (_bell_lines); and what follows the solve of
-each Newton step of the Bell completion (_newton_lines).  A degenerate
-point of the first two is open by an explicit mask, with no division by
-zero and no NaN on the way.  The eigendecompositions, the Bell bracket's
-SVD and final eigvalsh check, and each completion step's Cholesky,
-inverse, Gram products and solve stay whole-stack numpy.
+Each stage's arithmetic from its decompositions to its bounds, and what
+follows each solve of the Bell completion, is kernel lines of real
+arithmetic: +, -, *, / and sqrt in a fixed order, with comparisons, &
+and | and a select, and no matmul, reduction or complex product.  IEEE
+754 rounds each of those correctly, so the same lines give the same bits
+on plain Python floats, one point at a time, below _LANES points and on
+numpy (k,) lanes from there (_run).  The decompositions and the LAPACK
+calls and matmuls around the lines stay whole-stack numpy, each point's
+numbers from its own slices.
 
 Only a caller that returns certificates builds them: the closed points'
 omega and witness matrices are assembled, as whole-stack numpy, when
@@ -51,7 +39,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError
 from .qmat import _Q, PT_SIGN, TWO_SPIN_PAULIS, DensityMatrix, HermitianOp, _eigh, _eigvalsh, _pt_arr, _svd
-from .qmat import _trusted_op, _trusted_state, _two_spin_state, from_pauli_coords
+from .qmat import _trusted_op, _trusted_state, _two_spin_state, from_pauli_coords, pauli_coords
 from .states import BellDiagonalParams, bell_probabilities
 
 _E0 = np.eye(16)[0]
@@ -68,8 +56,7 @@ _FRACTION = 0.9
 _FRACTION_GAIN = 0.09
 # iterations one robustness solve may take
 _MAX_ITERATIONS = 100
-# alternating half-step pairs of the product-state search that every point still open after _bracket takes,
-# and of the longer one that the points every bracket leaves open take before the interior-point solver
+# alternating half-step pairs of the product-state search, and of the longer one (_robustness's stages 2 and 4)
 _PRODUCT_STEPS = 12
 _PRODUCT_STEPS_LAST = 100
 # stack size from which the kernel's lines run on numpy lanes in place of plain floats: the product bracket's
@@ -120,21 +107,12 @@ class RobustnessResult:
     rho + omega has a positive partial transpose; ``certificate_state`` is
     omega normalized to unit trace whenever value > 0.  ``witness`` has
     witness <= 1 and witness^PT >= 0, so ``lower`` = -Tr(witness rho)
-    bounds the robustness from below, within 1e-8 of ``value``.  They come
-    from the first closed-form bracket that closes within 1e-8, its primal
-    omega and its dual witness, with no solve: ``_bracket``'s, from the
-    negative eigenvector of rho^PT, or else ``_product_bracket``'s, whose
-    omega is a pure product state and whose witness is (|f><f|)^PT / a_f^2
-    for one vector f, or else ``_bell_bracket``'s, whose witness is the
-    locally rotated Bell witness (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2
-    and whose omega is the one its completion finds in the set that
-    complementary slackness with it allows, starting at the minimum-norm
-    one of that set, or else ``_product_bracket``'s again, from a search of
-    _PRODUCT_STEPS_LAST half-step pairs in place of _PRODUCT_STEPS.  Where
-    none closes, the interior-point solver's final iterate gives them, the
-    witness as Z_2^PT of its dual Z_2.  ``iterations`` counts
-    interior-point iterations, so it is 0 on the closed paths as well as
-    for a PPT state.  A PPT state has value and lower 0 and no witness.
+    bounds the robustness from below, within 1e-8 of ``value``.  They are
+    the primal omega and the dual witness of the first closed-form bracket
+    that closes within 1e-8, or else of the interior-point solver's final
+    iterate (optim._robustness).  ``iterations`` counts interior-point
+    iterations, so it is 0 on the closed paths as well as for a PPT state.
+    A PPT state has value and lower 0 and no witness.
 
     By the duality of Brandao, PRA 72, 022310 (2005), ``witness`` is the
     optimal witness of rho with W <= 1: it minimizes Tr(W rho) over every W
@@ -406,15 +384,12 @@ def _bracket(e: np.ndarray, lam_min: np.ndarray, certificates: bool = True):
     When e is maximally entangled, as for every state with no local Bloch
     vectors and every pure state, L = U = 2 |lam|.  Everything from e's
     floats to the closure test, e's reduced matrix r on spin I and a^2 - b^2
-    included, is the real arithmetic of _bracket_lines, run on plain floats
-    below _LANES points and on numpy lanes from there (_run): the same bits
-    either way.  Returns L and U of every point, the mask of the points with
-    U - L < _GAP (the certificate contract of a finished solve), omega and
-    the witness of those points, assembled as whole-stack numpy, or None
-    for both when no point closes or ``certificates`` is False, and the
-    (k, 4) table of r00, r11 and the real and imaginary parts of r01 of
-    every point, where the product searches start.  The points it leaves
-    open go on to _product_bracket.
+    included, is _bracket_lines.  Returns L and U of every point, the mask
+    of the points with U - L < _GAP (the certificate contract of a finished
+    solve), omega and the witness of those points, assembled as whole-stack
+    numpy, or None for both when no point closes or ``certificates`` is
+    False, and the (k, 4) table of r00, r11 and the real and imaginary parts
+    of r01 of every point, where the product searches start.
     """
     out = _run(_bracket_lines, (lam_min, np.ascontiguousarray(e).view(np.float64)))
     lower, upper, closed, a2_twice, ab_twice = out[:, :5].T
@@ -602,28 +577,21 @@ def _product_bracket(m: np.ndarray, lam: np.ndarray, vecs: np.ndarray, steps: in
     (X_0S + X_IS^T n_I) . sigma / 4 plus a multiple of 1, so a half-step is
     n_S = -g / |g| with g = X_0S + X_IS^T n_I: one 3x3 product and a
     normalization.  Every point of a call takes the same ``steps``
-    half-step pairs, so its result is its own: _PRODUCT_STEPS on every
-    point _bracket leaves open, and _PRODUCT_STEPS_LAST, from the same
-    start, on the points that _bell_bracket then leaves open too, before
-    the solver.  The start is e's reduced matrix r on spin I.
+    half-step pairs, so its result is its own.
 
-    Everything from the eigenpairs to the closure test is real arithmetic,
-    written once: _search_lines (m^-1 and its coordinates, the search),
-    then _tail_lines (w, f, q, U, a_f^2, L and the test), the two as
-    _product_lines, run on plain Python floats below _LANES points and on
-    numpy (k,) lanes from there: the same bits either way (_run).  A point
-    is open by an explicit mask where m has a second eigenvalue <= 0, e is
-    maximally entangled (a zero start: _bracket closes those points) or a
-    half-step meets a zero vector; no division meets a zero and no NaN is
-    made on the way.  m^-1 comes from three eigenvectors and the identity,
-    so its bits are the kernel's own, not those of a stacked matmul.
+    Everything from the eigenpairs to the closure test is _product_lines:
+    _search_lines (m^-1 and its coordinates, the search), then _tail_lines
+    (w, f, q, U, a_f^2, L and the test).  A point is open by an explicit
+    mask where m has a second eigenvalue <= 0, e is maximally entangled (a
+    zero start: _bracket closes those points) or a half-step meets a zero
+    vector; no division meets a zero and no NaN is made on the way.  m^-1
+    comes from three eigenvectors and the identity, so its bits are the
+    kernel's own, not those of a stacked matmul.
     Returns L and U of every point, the mask of the points with
     |U - L| < _GAP, and omega and the witness of those points, assembled
     as whole-stack numpy, or None for both when no point closes or
     ``certificates`` is False.  U is inf where q >= 0 or the mask is False,
-    and L is NaN where the mask is False.  The points the first search
-    leaves open go on to _bell_bracket, those the longer one leaves open to
-    _central_path.
+    and L is NaN where the mask is False.
     """
     k = len(m)
     vec = np.ascontiguousarray(vecs).reshape(k, 16).view(np.float64)
@@ -716,17 +684,15 @@ def _bell_completion(yx: np.ndarray, r: np.ndarray) -> np.ndarray:
     _COMPLETION_STEPS damped Newton steps on -w t - log det(A - t) - log
     det(B - t) from c = 0 and t = 2 lambda_min of the minimum-norm
     compressions, w starting at Tr (A - t)^-1 + Tr (B - t)^-1 and growing
-    by _COMPLETION_GROWTH per step.  Each step's LAPACK and matmul calls
-    are whole-stack numpy on the points still stepping, and what follows
-    its solve is _newton_lines, on floats below _LANES such points and on
-    lanes from there (_run).  A point whose minimum-norm compressions are
-    PSD takes no step and keeps their coordinates bit for bit: only the
-    points that step take the correction sum_j c_j S_j R (a zero one would
-    turn a -0.0 into +0.0).  Every point's numbers come from its own
-    slices.  On near-singular compressions one Newton step turns a last-bit
-    change of R or y into a move of up to about 3e-11 in omega, so another
-    kernel or BLAS may move the certificates of the points that step.  The
-    caller checks the result with the full 4x4 eigvalsh.
+    by _COMPLETION_GROWTH per step.  Each step runs on the points still
+    stepping, and what follows its solve is _newton_lines.  A point whose
+    minimum-norm compressions are PSD takes no step and keeps their
+    coordinates bit for bit: only the points that step take the correction
+    sum_j c_j S_j R (a zero one would turn a -0.0 into +0.0).  On
+    near-singular compressions one Newton step turns a last-bit change of R
+    or y into a move of up to about 3e-11 in omega, so another kernel or
+    BLAS may move the certificates of the points that step.  The caller
+    checks the result with the full 4x4 eigvalsh.
     """
     rot = np.zeros((len(yx), 4, 4))
     rot[:, 0, 0] = 1.0
@@ -762,26 +728,6 @@ def _bell_completion(yx: np.ndarray, r: np.ndarray) -> np.ndarray:
     y = yx[:, 0].copy()
     y[stepped, 1:, 1:] = yx[stepped, 0, 1:, 1:] + (z[:, None, :5] @ _CORRELATION_BASIS).reshape(-1, 3, 3) @ r[stepped]
     return y
-
-
-def _coord_lines(sqrt, where, pt):
-    """rho's 16 Pauli coordinates x_ab = Tr(rho sigma_a (x) sigma_b) of one point or one lane, from m = rho^PT.
-
-    pt is the float view of m's 16 entries.  x_ab = s_a Tr(P_ab m), with
-    s_a = -1 where a is Y: the four signed entries of m added to +0 in
-    pauli_coords' order, then negated where s_a = -1, so the bits are those
-    of pauli_coords(m) * PT_SIGN.
-    """
-    (m00r, _, m01r, m01i, m02r, m02i, m03r, m03i, m10r, m10i, m11r, _, m12r, m12i, m13r, m13i,
-     m20r, m20i, m21r, m21i, m22r, _, m23r, m23i, m30r, m30i, m31r, m31i, m32r, m32i, m33r, _) = pt
-    return (0.0 + m00r + m11r + m22r + m33r, 0.0 + m10r + m01r + m32r + m23r,
-            0.0 + m10i - m01i + m32i - m23i, 0.0 + m00r - m11r + m22r - m33r,
-            0.0 + m20r + m31r + m02r + m13r, 0.0 + m30r + m21r + m12r + m03r,
-            0.0 + m30i - m21i + m12i - m03i, 0.0 + m20r - m31r + m02r - m13r,
-            -(0.0 + m20i + m31i - m02i - m13i), -(0.0 + m30i + m21i - m12i - m03i),
-            -(0.0 - m30r + m21r + m12r - m03r), -(0.0 + m20i - m31i - m02i + m13i),
-            0.0 + m00r + m11r - m22r - m33r, 0.0 + m10r + m01r - m32r - m23r,
-            0.0 + m10i - m01i - m32i + m23i, 0.0 + m00r - m11r - m22r + m33r)
 
 
 def _bell_lines(sqrt, where, x, u, s, vt):
@@ -846,10 +792,12 @@ def _bell_bracket(m: np.ndarray, certificates: bool = True):
     """Bounds L <= GR <= U from the locally optimal Bell witness, and the certificate and witness where they close.
 
     m is the (k, 4, 4) stack of partial transposes.  With x_ab = Tr(rho
-    sigma_a (x) sigma_b), T = x_ij (i, j >= 1) the correlation matrix and
-    T = U diag(s) V^T its SVD, R = -U diag(1, 1, d) V^T with d = det(-U V^T)
-    = -det U det V^T, +-1, is the rotation that minimizes tr(R^T T) (R. & M.
-    Horodecki, PRA 54, 1838 (1996)); the sign d is what makes det R = 1.
+    sigma_a (x) sigma_b) = s_a Tr(P_ab m), s_a = -1 where a is Y, read off
+    m as pauli_coords(m) * PT_SIGN, T = x_ij (i, j >= 1) the correlation
+    matrix and T = U diag(s) V^T its SVD, R = -U diag(1, 1, d) V^T with
+    d = det(-U V^T) = -det U det V^T, +-1, is the rotation that minimizes
+    tr(R^T T) (R. & M. Horodecki, PRA 54, 1838 (1996)); the sign d is what
+    makes det R = 1.
     W = (1 + sum_ij R_ij sigma_i (x) sigma_j) / 2 is then a local rotation
     of (1 + XX + YY + ZZ) / 2: eigenvalues (1, 1, 1, -1), so W <= 1, and
     W^PT = 2 |f><f| with f maximally entangled.  So L = -Tr(W rho) = (s_1 +
@@ -873,16 +821,11 @@ def _bell_bracket(m: np.ndarray, certificates: bool = True):
     _GAP, and, of those points, omega + eps 1 and W's 16 Pauli coordinates
     (W = from_pauli_coords of them, which _robustness builds where it
     returns certificates), or None for both when no point closes or
-    ``certificates`` is False.  Every point's numbers come from its own
-    slices.  rho's coordinates (_coord_lines), and d, R, L, the minimum-norm
-    omega and W's coordinates from them and the SVD factors (_bell_lines),
-    are kernel lines, on floats below _LANES points and on lanes from there
-    (_run), as is what follows each Newton solve of the completion
-    (_newton_lines); the SVD, the completion's LAPACK calls and matmuls, the
-    eigvalsh check and the closed points' omega are whole-stack numpy.
+    ``certificates`` is False.  d, R, L, the minimum-norm omega and W's
+    coordinates, from x and the SVD factors, are _bell_lines.
     """
     k = len(m)
-    x = _run(_coord_lines, (np.ascontiguousarray(m).reshape(k, 16).view(np.float64),))
+    x = pauli_coords(m) * PT_SIGN
     u, s, vt = _svd(x.reshape(k, 4, 4)[:, 1:, 1:])
     out = _run(_bell_lines, (x, u.reshape(k, 9), s, vt.reshape(k, 9)))
     # the minimum-norm omega's coordinates, then rho's: C-ordered on either executor, so the completion's matmuls
@@ -902,44 +845,44 @@ def _bell_bracket(m: np.ndarray, certificates: bool = True):
 def _robustness(m: np.ndarray, certificates: bool = True):
     """Generalized robustness of each state of a stack, from the (k, 4, 4) stack m of their partial transposes.
 
-    One eigh of m decides and starts every point: for two qubits m has at
-    most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826
-    (1998)), so a point whose lambda_min is >= -NPT_CUT is PPT, 0 without a
-    solve, and the eigenpairs of the others feed every stage.  The NPT
-    points meet the stages in turn, each on the rows that the stages before
-    it left open, and take the first that closes to below the solver's gap:
-    _bracket, from the negative eigenvector of its partial transpose (every
-    state with no local Bloch vectors, every pure state and any state with
-    a tiny |lambda_min|), which takes every NPT point and hands on the
-    reduced matrices of their eigenvectors, where both product searches
-    start; _product_bracket with _PRODUCT_STEPS half-step pairs (most
-    states whose optimal omega is a product pure state); _bell_bracket with
-    its completion (nearly every state whose optimal witness is a locally
-    rotated Bell witness); and _product_bracket again with the longer search
-    of _PRODUCT_STEPS_LAST pairs from the same start, for the product-class
-    points the others leave open.  A point left open keeps the tightest of
-    the stages' bounds.  The open rows are a slice of all of them until a
-    point closes, and m and the eigenpairs themselves serve where every
-    point is NPT, so that a one-state call gathers nothing.  The last stage
-    is _central_path, the HKM predictor-corrector method (Helmberg, Rendl,
-    Vanderbei & Wolkowicz 1996; Mehrotra 1992) from a feasible start, which
-    solves the points no bracket closes one at a time, in index order, each
-    to a duality gap below 1e-8.  The first point whose solve fails ends the
-    call, and later points stay unsolved: its ConvergenceError carries the
-    tightest of the solver's and the bracket stages' bounds (the Bell
-    bracket's U from its completed omega).
+    This is the one account of the stages.  One eigh of m decides and starts
+    every point: for two qubits m has at most one negative eigenvalue
+    (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), so a point whose
+    lambda_min is >= -NPT_CUT is PPT, with value 0 and route 0, and the
+    eigenpairs of the others feed every stage.  The NPT points meet the
+    stages in order, each stage on the rows that the ones before it left
+    open, and take the first whose bracket closes to below the solver's
+    gap, _GAP.  A point's route is that stage's code, named by _ROUTES:
+
+    1. _bracket, from the negative eigenvector of m (every state with no
+       local Bloch vectors, every pure state and any state with a tiny
+       |lambda_min|).  It takes every NPT point and hands on the reduced
+       matrices of their eigenvectors, where both product searches start.
+    2. _product_bracket, _PRODUCT_STEPS half-step pairs (most states whose
+       optimal omega is a product pure state).
+    3. _bell_bracket and its completion (nearly every state whose optimal
+       witness is a locally rotated Bell witness).
+    4. _product_bracket again, _PRODUCT_STEPS_LAST pairs from the same
+       start (the product-class points the others leave open).
+    5. _central_path, the interior-point solver, on the points no bracket
+       closes, one at a time in index order.  The first point whose solve
+       fails ends the call: it and every later point still open take route
+       -1, and its ConvergenceError carries the tightest of the solver's
+       and the brackets' bounds (the Bell bracket's U from its completed
+       omega).
+
+    A point left open keeps the tightest of the stages' bounds.  The open
+    rows are a slice of all of them until a point closes, and m and the
+    eigenpairs themselves serve where every point is NPT, so that a
+    one-state call gathers nothing.
     Returns the values, the interior-point iterations (0 on the closed
     paths), the optimal omegas (zero for PPT points), that first failure as
-    (index, ConvergenceError) or None, the dual fields (the lower bounds
-    -Tr(W rho) and the witnesses W, zero for PPT points), and each point's
-    int8 route, named by _ROUTES: 0 PPT, 1-4 the stage that first closed it
-    (its place in the stage tuple: _bracket, the product search, the Bell
-    bracket, the longer search), 5 solved, and -1 left open by a failed
-    solve, that point's and every later one's.  The omegas and witnesses are
-    built, W from the Bell bracket's coordinates included, only where
-    ``certificates`` holds, as generalized_robustness asks; relax.sweep,
-    which returns the values alone, passes False, and gets None for both,
-    with every other output the same, bit for bit.
+    (index, ConvergenceError) or None, the lower bounds -Tr(W rho), the
+    witnesses W (zero for PPT points) and the int8 routes.  The omegas and
+    witnesses, W from the Bell bracket's coordinates included, are built
+    only where ``certificates`` holds, as generalized_robustness asks;
+    relax.sweep, which returns the values alone, passes False and gets None
+    for both, with every other output the same, bit for bit.
     """
     lam, vecs = _eigh(m)
     npt = (lam[:, 0] < -NPT_CUT).nonzero()[0]
@@ -996,50 +939,22 @@ def generalized_robustness(rho: DensityMatrix) -> RobustnessResult:
 
     Separability of two qubits is exactly positivity of the partial
     transpose, so this value is the minimal weight of an arbitrary state that
-    must be mixed in before rho turns separable.  One eigh of rho^PT decides
-    and starts the point: lambda_min >= -NPT_CUT is PPT, value 0, and its
-    eigenpairs feed every stage below.  When the closed-form
-    bracket L = |lam| / a^2 <= GR <= U = |lam| (1 + 4ab) / (1 + ab) of the
-    negative eigenvalue lam of rho^PT and the Schmidt coefficients a >= b
-    of its eigenvector (Sanpera, Tarrach & Vidal 1998; Brandao 2005)
-    closes within 1e-8, as for every state with no local Bloch vectors and
-    every pure state, the result is U with L as ``lower`` and no iteration.
-    Else a search over product vectors w = u (x) v gives a second bracket:
-    U = -1/q with q = <w|(rho^PT)^-1|w> < 0, from the primal omega =
-    U |conj(u) (x) v><conj(u) (x) v|, and L from the dual witness of
-    f = (rho^PT)^-1 w; where it closes within 1e-8, as for most states whose
-    optimal omega is a product pure state, the result is that U with no
-    iteration.  Else the Bell witness W = (1 + sum_ij R_ij sigma_i (x)
-    sigma_j) / 2, with R the rotation that minimizes tr(R^T T) over the
-    correlation matrix T (Horodecki 1996), gives a third bracket: L =
-    -Tr(W rho), and U = L + 4 eps from an omega that complementary
-    slackness with W allows, lifted by eps 1 until it is feasible: a
-    phase-1 barrier Newton method starts at the minimum-norm omega of that
-    5-dimensional set and, where it is not PSD with (rho + omega)^PT,
-    searches the set for one that is, in at most 20 steps; one eigvalsh
-    check of the omega it ends at gives eps.  Where it closes within 1e-8,
-    as for nearly every state whose optimal witness is a rotated Bell
-    witness, the result is that U with no iteration.  Else the product
-    search runs again, 100 half-step pairs in place of 12, and where its
-    bracket closes within 1e-8, as for the product-class states the first
-    search leaves open, the result is its U with no iteration.  Otherwise, as a fallback, it is solved as a
-    semidefinite program by a feasible-start primal-dual interior-point
-    method: HKM directions (Helmberg, Rendl, Vanderbei & Wolkowicz 1996)
-    with Mehrotra's predictor-corrector (1992), from omega a multiple of the identity and
-    the dual Z_1 = Z_2 = 1/2, until the duality gap is below 1e-8.  Every
-    iterate is strictly feasible, so the certificate always verifies, and
-    the final dual iterate gives the result's ``lower`` bound and
-    ``witness``.  A solve that fails raises ``ConvergenceError`` with the
-    tightest of the solver's and the brackets' bounds.  This is the
-    one-point case of the stages that ``relax.sweep`` runs over a whole
-    time grid, on the partial transposes it already holds, where the solver
-    takes its points one at a time as it does here; only this function
-    builds the certificate and witness matrices.  Each bracket's
-    arithmetic from its decompositions to its bounds (the first bracket's
-    Schmidt coefficients included, and the Bell witness's sign, rotation and
-    minimum-norm omega) and what follows each solve of the Bell completion
-    run here on plain Python floats, and in a sweep on numpy lanes once a
-    stack reaches _LANES points: the same lines, so the same bits.
+    must be mixed in before rho turns separable.  A state whose rho^PT has
+    lambda_min >= -NPT_CUT is PPT, value 0.  Any other state meets the
+    stages of optim._robustness in turn: closed-form brackets
+    L <= GR <= U, each from a primal omega and a dual witness, of which the
+    first that closes within 1e-8 gives U as the value and L as ``lower``
+    with no iteration, and, where none closes, a feasible-start primal-dual
+    interior-point solver, run until the duality gap is below 1e-8, whose
+    final iterate gives them.  A solve that fails raises
+    ``ConvergenceError`` with the tightest of the solver's and the
+    brackets' bounds.
+
+    This is the one-point case of the stages that ``relax.sweep`` runs over
+    a whole time grid, on the partial transposes it already holds: the same
+    kernel lines, on plain floats here and on numpy lanes in a long sweep,
+    so a point gets the same bits either way.  Only this function builds
+    the certificate and witness matrices.
     """
     _two_spin_state(rho, "generalized_robustness")
     values, iterations, omega, failure, lower, witness, _ = _robustness(_pt_arr(rho.matrix)[None])

@@ -234,6 +234,11 @@ def check_certified(rho, values, iterations, omega, lower, witness):
     return npt
 
 
+def pin_lanes(monkeypatch, lanes):
+    """Pin optim._run's executor at any stack size: numpy lanes where lanes holds, else plain floats point by point."""
+    monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
+
+
 @pytest.fixture
 def longer_search_repeats_the_first(monkeypatch):
     """The longer search only repeats the first: the solver takes what the brackets leave.

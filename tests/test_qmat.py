@@ -414,7 +414,7 @@ def test_a_system_that_cannot_be_solved_is_nan_in_that_slice_alone(lead):
 
 
 def test_the_svd_helper_gives_the_bytes_of_np_linalg():
-    # the gufunc numpy.linalg.svd calls, chosen by name at import: a seeded (k, 3, 3) stack, k = 1 included
+    # qmat._SVD_F binds _umath_linalg.svd_f, the gufunc numpy.linalg.svd calls: a seeded (k, 3, 3) stack, k = 1 included
     rng = np.random.default_rng(6630)
     for k in (1, 2, 50):
         a = rng.standard_normal((k, 3, 3))

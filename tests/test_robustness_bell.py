@@ -23,7 +23,7 @@ import pytest
 
 from conftest import GAP, PAPER_T2, ROUTES, bd, bd_weights, bench_robustness_inputs, entangled_ginibre, ginibre_states
 from conftest import haar_unitary, isotropic_with_bloch, named_states, random_physical_c, relaxed_states, route_names
-from conftest import stage_inputs, stress_sets
+from conftest import pin_lanes, stage_inputs, stress_sets
 from witnesslab import BellKind, DensityMatrix, bell_witness, generalized_robustness
 from witnesslab import optim
 from witnesslab.qmat import TWO_SPIN_LABELS, _pt_arr, from_pauli_coords, pauli_coords
@@ -210,7 +210,7 @@ def test_a_failed_newton_step_ends_the_search_at_its_last_iterate(lanes, monkeyp
     monkeypatch.setattr(optim, "_COMPLETION_STEPS", 1)
     low_1, high_1, _, _, _ = optim._bell_bracket(m)
     monkeypatch.undo()
-    monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
+    pin_lanes(monkeypatch, lanes)
     lapack, calls = optim._umath_linalg, []
 
     class FailsOnTheSecondStep:

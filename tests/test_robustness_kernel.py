@@ -1,23 +1,23 @@
 """The closed-form stages' real-arithmetic kernel: one set of lines, two executors.
 
 ``_bracket``'s Schmidt coefficients and bounds, the whole product bracket,
-from the eigenpairs to the closure test, the Bell bracket's coordinates of
-rho and, from them and the SVD factors, its sign, rotation, lower bound,
-minimum-norm omega and witness coordinates, and what follows the solve of
-each Newton step of the Bell completion are written once in +, -, *, / and
-sqrt.  Each stage runs them on plain Python floats, point by point, below
-one cutoff and on numpy (k,) lanes from there; IEEE 754 rounds those
-operations correctly, so the two give the same bits.  These checks hold
-every point to the same bytes alone and in stacks of 2, 30 and 10,000,
-which sit on both sides of the cutoff: in ``_bracket``, in the product
-bracket, in the Bell bracket on the points those two leave open (stepping,
-not stepping, and product-class points that stall open), in the Schmidt,
-coordinate and Bell lines themselves (stacks of 1 too) and in the whole
-robustness; ``_bracket``'s bounds to the bytes of its numpy formula on
-either executor and to the matmul and hypot formula it replaced within
-rounding; the coordinates to the bytes of ``pauli_coords``; the sign d to
-the determinants' on degenerate correlation matrices; omega's and W's
-coordinates to the numpy formula they replaced within 1e-15; and a
+from the eigenpairs to the closure test, the Bell bracket's sign, rotation,
+lower bound, minimum-norm omega and witness coordinates, from rho's
+coordinates and the SVD factors, and what follows the solve of each Newton
+step of the Bell completion are written once in +, -, *, / and sqrt.  Each
+stage runs them on plain Python floats, point by point, below one cutoff
+and on numpy (k,) lanes from there; IEEE 754 rounds those operations
+correctly, so the two give the same bits.  These checks hold every point to
+the same bytes alone and in stacks of 2, 30 and 10,000, which sit on both
+sides of the cutoff: in ``_bracket``, in the product bracket, in the Bell
+bracket on the points those two leave open (stepping, not stepping, and
+product-class points that stall open), in the Schmidt and Bell lines
+themselves (stacks of 1 too) and in the whole robustness; ``_bracket``'s
+bounds to the bytes of its numpy formula on either executor and to the
+matmul and hypot formula it replaced within rounding; the coordinates the
+Bell bracket hands its lines to the bytes of ``pauli_coords(m) * PT_SIGN``;
+the sign d to the determinants' on degenerate correlation matrices; omega's
+and W's coordinates to the numpy formula they replaced within 1e-15; and a
 10,000-step sweep, whose product stacks run on lanes, to its one-point
 replay through ``generalized_robustness``.
 """
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from conftest import GAP, PAPER_T2, bench_robustness_inputs, entangled_ginibre, relaxed_states, schmidt, stage_inputs
-from conftest import stress_sets
+from conftest import pin_lanes, stress_sets
 from witnesslab import DensityMatrix, bell_witness, BellKind, generalized_robustness, relax_channel, sweep
 from witnesslab import optim
 from witnesslab.qmat import PT_SIGN, _eigh, _pt_arr, _svd, from_pauli_coords, pauli_coords
@@ -49,7 +49,7 @@ def npt_inputs(states):
 @pytest.fixture(params=[False, True])
 def lanes(request, monkeypatch):
     """The kernel's executor at any stack size: plain floats, then numpy lanes."""
-    monkeypatch.setattr(optim, "_LANES", 0 if request.param else 10 ** 9)
+    pin_lanes(monkeypatch, request.param)
     return request.param
 
 
@@ -103,8 +103,8 @@ def test_every_point_gives_the_same_bytes_alone_and_in_stacks(states, npt_inputs
     assert sum(row[2] for row in alone) > 1000
     stacked(lambda idx: bracket_rows(optim._product_bracket(m[idx], lam[idx], vecs[idx], optim._PRODUCT_STEPS,
                                                             start[idx])), n, alone)
-    # the Bell bracket on the points both leave open: its coordinate and Bell lines, then one _run per Newton step
-    # of the completion, on floats alone and in the stacks of 2 and 30, and on lanes in the stack of 10,000 (the
+    # the Bell bracket on the points both leave open: its Bell lines, then one _run per Newton step of the
+    # completion, on floats alone and in the stacks of 2 and 30, and on lanes in the stack of 10,000 (the
     # completion's until few of its points still step)
     left = m[open_first & ~np.array([row[2] for row in alone])]
     runs, run = [], optim._run
@@ -115,8 +115,8 @@ def test_every_point_gives_the_same_bytes_alone_and_in_stacks(states, npt_inputs
         for i in range(len(left)):
             runs.clear()
             alone.append(bracket_rows(optim._bell_bracket(left[i:i + 1]))[0])
-            assert [name for name, _ in runs[:2]] == ["_coord_lines", "_bell_lines"]
-            steps.append(len(runs) - 2)
+            assert [name for name, _ in runs[:1]] == ["_bell_lines"]
+            steps.append(len(runs) - 1)
         steps, closed = np.array(steps), np.array([row[2] for row in alone])
         # points that take no step, points that step and close, and product-class points that stall open
         assert (steps == 0).sum() > 500 and (closed & (steps > 0)).sum() > 200 and (~closed & (steps > 2)).sum() > 10
@@ -230,7 +230,7 @@ def test_a_schmidt_difference_rounded_above_one_closes_with_b_zero(lanes):
 
 def bell_inputs(m):
     """_bell_lines' inputs for a (k, 4, 4) stack of partial transposes: rho's coordinates and the SVD of T."""
-    x = optim._run(optim._coord_lines, (np.ascontiguousarray(m).reshape(-1, 16).view(float),))
+    x = pauli_coords(m) * PT_SIGN
     u, s, vt = _svd(x.reshape(-1, 4, 4)[:, 1:, 1:])
     return x, u.reshape(-1, 9), s, vt.reshape(-1, 9)
 
@@ -284,21 +284,25 @@ def partial_transposes(states):
                            -0.0 * m[:3]])
 
 
-def test_the_coordinate_lines_are_the_bytes_of_pauli_coords(partial_transposes, lanes):
-    x = optim._run(optim._coord_lines, (partial_transposes.reshape(-1, 16).view(float),))
-    assert x.tobytes(order="C") == (pauli_coords(partial_transposes) * PT_SIGN).tobytes()
+def test_the_coordinate_lines_are_the_bytes_of_pauli_coords(partial_transposes, lanes, monkeypatch):
+    # the coordinates of rho that _bell_bracket hands its Bell lines, signed zeros included
+    handed, run = [], optim._run
+    monkeypatch.setattr(optim, "_run", lambda lines, inputs, *a: (
+        handed.append(inputs[0]) if lines is optim._bell_lines else None, run(lines, inputs, *a))[1])
+    optim._bell_bracket(partial_transposes)
+    assert len(handed) == 1
+    assert handed[0].tobytes(order="C") == (pauli_coords(partial_transposes) * PT_SIGN).tobytes()
 
 
 def test_the_schmidt_and_bell_lines_give_the_same_bytes_alone_and_in_stacks(states, partial_transposes, monkeypatch):
     lam, vecs = _eigh(partial_transposes)
-    kernels = [(optim._coord_lines, (partial_transposes.reshape(-1, 16).view(float),)),
-               (optim._bracket_lines, (lam[:, 0], np.ascontiguousarray(vecs[..., 0]).view(float))),
+    kernels = [(optim._bracket_lines, (lam[:, 0], np.ascontiguousarray(vecs[..., 0]).view(float))),
                (optim._bell_lines, bell_inputs(partial_transposes))]
     n = len(partial_transposes)
     for lines, inputs in kernels:
         alone = [optim._run(lines, tuple(a[i:i + 1] for a in inputs))[0].tobytes() for i in range(n)]
         for lanes in (False, True):
-            monkeypatch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
+            pin_lanes(monkeypatch, lanes)
             stacked(lambda idx: [row.tobytes() for row in optim._run(lines, tuple(a[idx] for a in inputs))], n, alone,
                     (1,) + STACKS)
             monkeypatch.undo()

@@ -23,7 +23,7 @@ import pytest
 
 from conftest import GAP, PAPER_T2, ROUTES, bench_robustness_inputs, check_certified, entangled_ginibre
 from conftest import ginibre_states, isotropic_with_bloch, one_point_failures, relaxed_states, route_names, schmidt
-from conftest import stage_inputs, stress_sets
+from conftest import pin_lanes, stage_inputs, stress_sets
 from witnesslab import BellKind, ConvergenceError, DensityMatrix, HermitianOp, generalized_robustness
 from witnesslab import optim
 from witnesslab.qmat import TOL_EQ, _pt_arr, pauli_coords
@@ -62,7 +62,7 @@ def stacked_search(x, start):
 def run_on(lanes, lines, inputs, *args):
     """optim._run on one executor at any stack size: numpy lanes, or plain floats point by point."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(optim, "_LANES", 0 if lanes else 10 ** 9)
+        pin_lanes(patch, lanes)
         return optim._run(lines, inputs, *args)
 
 
@@ -133,9 +133,9 @@ def test_the_plain_float_search_matches_the_stacked_numpy_search():
 
 def executors(monkeypatch):
     """Pin the product bracket to plain floats, then to lanes, at any stack size, in turn."""
-    for cutoff in (10 ** 9, 0):
-        monkeypatch.setattr(optim, "_LANES", cutoff)
-        yield cutoff == 0
+    for lanes in (False, True):
+        pin_lanes(monkeypatch, lanes)
+        yield lanes
 
 
 def test_a_degenerate_search_leaves_the_point_open_without_a_warning(monkeypatch):
