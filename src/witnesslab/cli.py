@@ -210,7 +210,7 @@ def _cmd_optimal_witness(args):
 
 
 def _certificate_residual(rho: DensityMatrix, result) -> float:
-    if result.certificate_state is None or result.value == 0.0:
+    if result.certificate_state is None:
         return 0.0
     mix = (rho.matrix + result.value * result.certificate_state.matrix) / (1.0 + result.value)
     lam = float(_eigvalsh(_pt_arr(mix))[0])

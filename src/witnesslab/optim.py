@@ -48,7 +48,6 @@ _EYE4.setflags(write=False)
 _MINUS_C = -4.0 * _E0  # -grad Tr(omega), Tr(omega) = 4 x_0: the predictor's right-hand side, added to the corrector's
 _MINUS_C.setflags(write=False)
 _QB = np.stack([_Q, PT_SIGN[:, None] * _Q])  # rows vec(P_k) and vec(P_k^PT)
-_QB_CONJ = _QB.conj()
 # duality gap sum_b Tr(S_b Z_b) at which a robustness solve stops: value - lower is below it
 _GAP = 1e-8
 # a corrector step goes _FRACTION + _FRACTION_GAIN * min(1, a_p, a_d) of the largest feasible steps
@@ -138,12 +137,6 @@ def _pauli_blocks(x: np.ndarray) -> np.ndarray:
     return (x[..., None, None, :] @ _QB).reshape(x.shape[:-1] + (2, 4, 4))
 
 
-def _traces(g: np.ndarray) -> np.ndarray:
-    """Re sum_b Tr(F_bk g_b) of a (2, 4, 4) pair, F_1k = P_k and F_2k = P_k^PT: rows conj(Q_b) vec(g_b)."""
-    tr = (_QB_CONJ @ g.reshape(2, 16, 1)).real[..., 0]
-    return tr[0] + tr[1]
-
-
 def _schur_matrix(inv_l: np.ndarray, r: np.ndarray) -> np.ndarray:
     """M_kl = Re sum_b Tr(F_bk Z_b F_bl S_b^-1), the HKM Schur matrix, from (2, 4, 4) factors.
 
@@ -192,14 +185,10 @@ def _direction(mm, z2, s_inv2, rhs, base):
     rounding of the solve.
     """
     dx = _schur_solve(mm, rhs)
-    d = np.empty((4, 4, 4), dtype=complex)
-    d[:2] = _pauli_blocks(dx)
-    dz2 = d[3]
-    np.subtract(base, z2 @ d[1] @ s_inv2, out=dz2)
-    np.add(dz2, dz2.conj().T, out=dz2)
-    np.multiply(dz2, 0.5, out=dz2)
-    np.negative(_pt_arr(dz2), out=d[2])
-    return dx, d
+    ds = _pauli_blocks(dx)
+    dz2 = base - z2 @ ds[1] @ s_inv2
+    dz2 = (dz2 + dz2.conj().T) * 0.5
+    return dx, np.concatenate([ds, [-_pt_arr(dz2), dz2]])
 
 
 def _max_steps(inv_l, inv_lh, d):
@@ -212,51 +201,27 @@ def _max_steps(inv_l, inv_lh, d):
     return 1.0 / np.maximum(0.0, -lam.reshape(2, 2).min(axis=-1))
 
 
-def _affine_steps(inv_l, inv_lh, d):
-    """Primal and dual steps (2,) along the predictor's d, at most 1, from a bound in place of an eigvalsh.
-
-    A = L^-1 D L^-H of each block has lambda_min >= tr/4 - sqrt(3/4 (|A|_F^2 - tr^2/4))
-    (Wolkowicz & Styan, Linear Algebra Appl. 29, 471 (1980)), so the steps
-    stay feasible and are at most the largest ones.  They only set sigma.
-    """
-    a = inv_l @ d @ inv_lh
-    tr = np.trace(a, axis1=-2, axis2=-1).real
-    flat = a.view(np.float64).reshape(4, 1, 32)
-    frobenius = (flat @ flat.swapaxes(-1, -2))[:, 0, 0]
-    lam = tr / 4.0 - np.sqrt(np.maximum(0.0, 0.75 * (frobenius - tr * tr / 4.0)))
-    return 1.0 / np.maximum(1.0, -lam.reshape(2, 2).min(axis=-1))
-
-
-def _gap(blocks):
-    """sum_b Tr(S_b Z_b) of [S_1, S_2, Z_1, Z_2] Hermitian blocks.
-
-    It is the real inner product of the S and Z entries, the first and
-    second 64 reals of the contiguous blocks.
-    """
-    flat = blocks.view(np.float64).reshape(2, 64)
-    return (flat[:1] @ flat[1:].T)[0, 0]
-
-
 def _step(blocks, chol, inv_l, gap):
     """One predictor-corrector step: dx, d = [dS_1, dS_2, dZ_1, dZ_2] (4, 4, 4) and the primal and dual steps (2,).
 
     blocks is the iterate's [S_1, S_2, Z_1, Z_2], chol and inv_l are its
     Cholesky factors and their inverses, and gap is sum_b Tr(S_b Z_b).
-    The step's temporaries end with it, so none outlives the iteration.
     """
-    mm = _schur_matrix(inv_l[:2], chol[2:])  # the step's largest temporaries: L^-H comes after
+    mm = _schur_matrix(inv_l[:2], chol[2:])
     inv_lh = inv_l.conj().swapaxes(-1, -2)
     s_inv = inv_lh[:2] @ inv_l[:2]
     mu = gap / 8.0
     z2, s_inv2 = blocks[3], s_inv[1]
     # predictor: the affine-scaling direction, toward Z_b S_b = 0
     dx, d = _direction(mm, z2, s_inv2, _MINUS_C, -z2)
-    alpha = _affine_steps(inv_l, inv_lh, d)
-    mu_aff = _gap(blocks.reshape(2, 2, 4, 4) + alpha[:, None, None, None] * d.reshape(2, 2, 4, 4)) / 8.0
+    alpha = np.minimum(1.0, _max_steps(inv_l, inv_lh, d))
+    s_aff, z_aff = blocks.reshape(2, 2, 4, 4) + alpha[:, None, None, None] * d.reshape(2, 2, 4, 4)
+    mu_aff = np.vdot(s_aff, z_aff).real / 8.0
     sigma_mu = np.power(mu_aff / mu, 3) * mu  # numpy's power: the scalar ** rounds differently
     # corrector: toward Z_b S_b = sigma mu - dZ_b dS_b, from the same M
     target = sigma_mu * s_inv - d[2:] @ d[:2] @ s_inv
-    dx, d = _direction(mm, z2, s_inv2, _traces(target) + _MINUS_C, target[1] - z2)
+    rhs = pauli_coords(target[0]) + PT_SIGN * pauli_coords(target[1]) + _MINUS_C  # Re sum_b Tr(F_bk target_b)
+    dx, d = _direction(mm, z2, s_inv2, rhs, target[1] - z2)
     a_max = _max_steps(inv_l, inv_lh, d)
     fraction = _FRACTION + _FRACTION_GAIN * np.minimum(1.0, a_max.min())
     return dx, d, np.minimum(1.0, fraction * a_max)
@@ -276,14 +241,12 @@ def _central_path(m: np.ndarray, lam_min: float):
     Each iteration takes the HKM direction (Helmberg, Rendl, Vanderbei &
     Wolkowicz, SIAM J. Optim. 6, 342 (1996)) with Mehrotra's
     predictor-corrector (SIAM J. Optim. 2, 575 (1992)): the affine-scaling
-    predictor sets sigma = (mu_aff / mu)^3, with its steps from a trace
-    bound (fewer iterations than its exact steps, 6.8 against 7.3 on
-    rank 1-4 Ginibre states, and no eigensolve), and the corrector, solved
-    with the same Schur matrix, goes 0.9 + 0.09 min(1, a_p, a_d) of the
-    largest feasible steps a_p, a_d, at most 1 (a fixed 0.98 drove about 1
-    rank-deficient state in 5,000 onto the boundary of its cone).  S_1,
-    S_2, Z_1, Z_2 share one (4, 4, 4) array per iterate, S written into it
-    from x, Z by the step that made it, and _cholesky factors it whole.
+    predictor goes its largest feasible steps, at most 1, and sets
+    sigma = (mu_aff / mu)^3, and the corrector, solved with the same Schur
+    matrix, goes 0.9 + 0.09 min(1, a_p, a_d) of the largest feasible steps
+    a_p, a_d, at most 1 (a fixed 0.98 drove about 1 rank-deficient state in
+    5,000 onto the boundary of its cone).  _cholesky factors each iterate's
+    S_1, S_2, Z_1, Z_2 as one (4, 4, 4) array.
     Once the gap is below _GAP, returns what a closed bracket stage gives
     its point: omega, its trace (the value), the lower bound -Tr(m Z_2)
     that the dual certifies, the witness Z_2^PT, and the iterations.
@@ -292,30 +255,26 @@ def _central_path(m: np.ndarray, lam_min: float):
     """
     x = np.zeros(16)
     x[0] = 1.5 * (-lam_min) + 0.05  # omega = x_0 * identity: both slacks positive definite
-    shift = np.zeros((2, 4, 4), dtype=complex)
-    shift[1] = m
-    blocks = np.empty((4, 4, 4), dtype=complex)  # S_1, S_2, Z_1, Z_2
-    blocks[2:] = 0.5 * np.eye(4)
+    shift = np.stack([np.zeros_like(m), m])  # S_1 = omega, S_2 = m + omega^PT
+    z = 0.5 * np.stack([_EYE4, _EYE4])  # Z_1, Z_2
     upper, lower = 4.0 * x[0], 0.0  # the bounds of the last positive definite iterate
     for iteration in range(_MAX_ITERATIONS + 1):
-        np.add(_pauli_blocks(x), shift, out=blocks[:2])
+        blocks = np.concatenate([_pauli_blocks(x) + shift, z])
         chol, inv_l, failed = _cholesky(blocks)
         if failed:
             raise ConvergenceError("robustness iterate is not positive definite", lower=lower, upper=upper)
-        gap = _gap(blocks)
+        gap = np.vdot(blocks[:2], z).real
         if gap < _GAP:
-            omega, z2 = from_pauli_coords(x), blocks[3]
-            certified = -(m.reshape(1, 16) @ z2.conj().reshape(16, 1)).real[0, 0]  # -Tr(m Z_2)
-            return omega, np.trace(omega).real, certified, _pt_arr(z2), iteration
+            omega = from_pauli_coords(x)
+            certified = -np.vdot(m, z[1]).real  # -Tr(m Z_2)
+            return omega, np.trace(omega).real, certified, _pt_arr(z[1]), iteration
         upper = 4.0 * x[0]
         lower = max(0.0, upper - gap)
         if iteration == _MAX_ITERATIONS:
             raise ConvergenceError(f"robustness solver hit the {_MAX_ITERATIONS}-iteration cap",
                                    lower=lower, upper=upper)
         dx, d, alpha = _step(blocks, chol, inv_l, gap)
-        stack = np.empty_like(blocks)  # the next iterate's: Z from this step, S from x at the top of the loop
-        np.add(blocks[2:], alpha[1] * d[2:], out=stack[2:])
-        x, blocks = x + alpha[0] * dx, stack
+        x, z = x + alpha[0] * dx, z + alpha[1] * d[2:]
 
 
 def _pick(c, a, b):

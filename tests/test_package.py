@@ -89,7 +89,8 @@ def test_the_library_and_its_cli_import_no_scipy():
     # every eigendecomposition, SVD, Cholesky, inverse, solve and determinant calls a LAPACK gufunc
     ("src/witnesslab", r"np\.linalg\.(eigvalsh|eigh|svd|cholesky|inv|solve|det)\(", ()),
     # one reader of a state's Pauli coordinates, DensityMatrix._coords: only qmat and optim gather coordinates
-    # from a matrix, and optim only rho's, read off a partial transpose in _bell_bracket
+    # from a matrix, and optim only rho's, read off a partial transpose in _bell_bracket, and the traces of the
+    # interior-point corrector's target in _step
     ("src/witnesslab", r"\bpauli_coords\(|_pauli_columns", ("qmat.py", "optim.py")),
     # what the tests share lives in tests/conftest.py
     ("tests", r"^(from|import) test_", ()),

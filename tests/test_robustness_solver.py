@@ -93,7 +93,7 @@ def test_newton_system_matches_finite_differences_of_the_barrier(t):
         s_inv = inv_l.conj().swapaxes(-1, -2) @ inv_l
         # Z_b = R_b R_b^H with R_b = L_b^-H / sqrt(t), any factor serves
         mm = optim._schur_matrix(inv_l, inv_l.conj().swapaxes(-1, -2) / np.sqrt(t))
-        rhs = optim._traces(s_inv / t) - 4.0 * optim._E0
+        rhs = pauli_coords(s_inv[0] / t) + optim.PT_SIGN * pauli_coords(s_inv[1] / t) - 4.0 * optim._E0
         f = lambda y: barrier(y, m, t)  # noqa: E731
         h = 1e-6
         fd_grad = np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in eye])

@@ -121,6 +121,19 @@ def test_ppt_is_absorbing_along_every_sweep():
     assert crossed > 800  # sweeps that turn PPT inside their grid
 
 
+def test_no_bench_sweep_reaches_the_interior_point_solver(monkeypatch):
+    # the brackets close every entangled point of the bench's sweep mix, so the solver is a fallback that no bench
+    # sweep runs; tests/test_robustness_product.py pins the same for the bench's robustness inputs (BENCH_ROUTES)
+    def no_solve(m, lam_min):
+        raise AssertionError("a bench sweep reached _central_path")
+
+    monkeypatch.setattr(optim, "_central_path", no_solve)
+    runs = bench_sweep_runs((1, 41, 97), 20)
+    assert len(runs) == 840
+    for rho0, p, w, t_max, steps in runs:
+        assert len(sweep(rho0, p, w, t_max, steps).gr_values) == steps
+
+
 def values_routes_and_failure(out):
     """A _robustness call's values, iterations, lower bounds and routes as bytes, and its failure as text and bounds."""
     values, iterations, _, failure, lower, _, route = out
@@ -217,7 +230,7 @@ def test_the_first_failing_point_ends_the_call_with_its_one_point_bounds(monkeyp
     rho = stress_sets()[100:]
     _, uncapped, _, _, _, _, route = optim._robustness(_pt_arr(rho))
     solver = np.flatnonzero(ROUTES[route] == "solved")
-    cap = 8
+    cap = int(np.median(uncapped[solver]))
     first = solver[uncapped[solver] > cap][0]
     earlier, later = solver[solver < first], solver[solver > first]
     # solver points within the cap come before and after it
